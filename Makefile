@@ -14,7 +14,8 @@ test: build
 # dataflow index, pipeline, proxy, zeus, strip, canary, obs — zeus
 # and proxy run the batched, delta-encoded distribution plane; simnet,
 # confclient and cluster run the fault plane and the degradation read
-# path), the obs smoke run that regenerates BENCH_obs.json, the
+# path; vcs and tailer read snapshots that share directory nodes with
+# every later commit), the obs smoke run that regenerates BENCH_obs.json, the
 # distribution-plane smoke that regenerates and asserts
 # BENCH_distribution.json, the availability smoke that regenerates
 # and asserts BENCH_availability.json, the read-hot-path smoke that
@@ -61,7 +62,7 @@ lint:
 	$(GO) run ./cmd/configlint -C examples/configs -severity info
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/cdl/... ./internal/core/... ./internal/proxy/... ./internal/zeus/... ./internal/landingstrip/... ./internal/canary/... ./internal/simnet/... ./internal/confclient/... ./internal/cluster/... ./internal/monitor/... ./internal/packagevessel/...
+	$(GO) test -race ./internal/obs/... ./internal/cdl/... ./internal/core/... ./internal/proxy/... ./internal/zeus/... ./internal/landingstrip/... ./internal/canary/... ./internal/simnet/... ./internal/confclient/... ./internal/cluster/... ./internal/monitor/... ./internal/packagevessel/... ./internal/vcs/... ./internal/tailer/...
 
 # bench-obs: smoke-run the observability experiment and leave its raw
 # registry dump (BENCH_obs.json) in the repo root.

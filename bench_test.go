@@ -548,21 +548,86 @@ func BenchmarkUserSampling(b *testing.B) {
 	}
 }
 
-func BenchmarkLandingStripThroughputSmallRepo(b *testing.B) {
-	// Real wall-clock cost of our own store under the Fig 13 replay load
-	// (the virtual cost model is benchmarked by BenchmarkFig13).
+// stripRepoWidth is the most entries any directory of a stripRepo holds.
+const stripRepoWidth = 32
+
+// stripRepoPath names file i of an n-file repository (n a multiple of
+// stripRepoWidth): leaves hold stripRepoWidth files each and sit under as
+// many levels of at most stripRepoWidth directories as n needs, so a larger
+// repository is deeper, never wider.
+func stripRepoPath(i, n int) string {
+	const w = stripRepoWidth
+	path := fmt.Sprintf("f%02d.json", i%w)
+	// Bottom up: dir is the directory holding file i among the dirs of its
+	// level.
+	for dir, dirs := i/w, n/w; dirs > 1; dir, dirs = dir/w, (dirs+w-1)/w {
+		path = fmt.Sprintf("%02d/", dir%w) + path
+	}
+	return path
+}
+
+// stripRepo returns a landing strip over a repository of n real files.
+func stripRepo(n int) *landingstrip.Strip {
 	repo := vcs.NewRepository("bench")
-	strip := landingstrip.New(repo, vcs.DefaultCostModel())
-	now := vclock.Epoch
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	changes := make([]vcs.Change, n)
+	for i := range changes {
+		changes[i] = vcs.Change{Path: stripRepoPath(i, n), Content: []byte(fmt.Sprintf(`{"file":%d}`, i))}
+	}
+	repo.CommitChanges("import", "import", vclock.Epoch, changes...)
+	return landingstrip.New(repo, vcs.DefaultCostModel())
+}
+
+// landOneFileCommits lands count single-file edits, each cloned at head,
+// through the strip, and returns the bytes allocated per commit.
+func landOneFileCommits(tb testing.TB, strip *landingstrip.Strip, n, count int) float64 {
+	repo, now := strip.Repo(), vclock.Epoch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < count; i++ {
 		wc := repo.Clone("eng")
-		wc.Write(fmt.Sprintf("cfg/f%d.json", i), []byte(`{"v":1}`))
+		wc.Write(stripRepoPath(i*7919%n, n), []byte(fmt.Sprintf(`{"v":%d}`, i)))
 		res := strip.Submit(wc.Diff("c"), now)
 		if res.Err != nil {
-			b.Fatal(res.Err)
+			tb.Fatal(res.Err)
 		}
 		now = res.Finish
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(count)
+}
+
+var stripRepoSizes = []struct {
+	name  string
+	files int
+}{{"1k", 1 << 10}, {"8k", 8 << 10}, {"64k", 64 << 10}}
+
+// BenchmarkLandingStripThroughput: real wall-clock cost of our own store
+// under single-file commits, by repository size at a fixed directory width
+// (the virtual cost model is benchmarked by BenchmarkFig13). A commit copies
+// the directories on the path to its change, so the cost follows the depth,
+// not the file count.
+func BenchmarkLandingStripThroughput(b *testing.B) {
+	for _, size := range stripRepoSizes {
+		b.Run("files="+size.name, func(b *testing.B) {
+			strip := stripRepo(size.files)
+			b.ReportAllocs()
+			b.ResetTimer()
+			landOneFileCommits(b, strip, size.files, b.N)
+		})
+	}
+}
+
+// TestCommitCostFollowsChangeNotRepoSize is the O(changed) gate: a one-file
+// commit into 64k files may allocate at most twice what it does into 1k.
+func TestCommitCostFollowsChangeNotRepoSize(t *testing.T) {
+	const commits = 200
+	small, large := stripRepoSizes[0], stripRepoSizes[len(stripRepoSizes)-1]
+	smallBytes := landOneFileCommits(t, stripRepo(small.files), small.files, commits)
+	largeBytes := landOneFileCommits(t, stripRepo(large.files), large.files, commits)
+	t.Logf("bytes allocated per one-file commit: %.0f at %s files, %.0f at %s files", smallBytes, small.name, largeBytes, large.name)
+	if largeBytes > 2*smallBytes {
+		t.Errorf("a one-file commit allocates %.0f B at %s files, more than twice the %.0f B at %s files",
+			largeBytes, large.name, smallBytes, small.name)
 	}
 }
 

@@ -5,7 +5,6 @@
 package tailer
 
 import (
-	"sort"
 	"time"
 
 	"configerator/internal/obs"
@@ -115,9 +114,8 @@ func (t *Tailer) poll(ctx *simnet.Context) {
 			parentTree, _ = store.Tree(pc.Tree)
 		}
 		tree, _ := store.Tree(c.Tree)
-		// Deterministic order: collect changed paths sorted.
-		changed := changedPaths(parentTree, tree)
-		for _, p := range changed {
+		// Byte order, so the writes of one commit are issued deterministically.
+		for _, p := range vcs.ChangedPaths(parentTree, tree) {
 			zpath := t.prefix + p
 			issued := ctx.Now()
 			done := func(path string) func(zeus.WriteResult) {
@@ -128,7 +126,7 @@ func (t *Tailer) poll(ctx *simnet.Context) {
 					}
 				}
 			}
-			if h, ok := tree[p]; ok {
+			if h, ok := tree.Get(p); ok {
 				data, _ := store.Blob(h)
 				t.WritesIssued++
 				t.client.Write(ctx, zpath, data, done(zpath))
@@ -139,20 +137,4 @@ func (t *Tailer) poll(ctx *simnet.Context) {
 		}
 	}
 	t.cursor += len(commits)
-}
-
-func changedPaths(old, new vcs.Tree) []string {
-	var out []string
-	for p, h := range new {
-		if old[p] != h {
-			out = append(out, p)
-		}
-	}
-	for p := range old {
-		if _, ok := new[p]; !ok {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

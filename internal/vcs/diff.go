@@ -125,29 +125,15 @@ func (r *Repository) DiffCommits(oldCommit, newCommit Hash) (CommitStat, map[str
 	}
 	perFile := make(map[string]LineStat)
 	var total CommitStat
-	seen := make(map[string]bool)
-	for p, oh := range oldTree {
-		seen[p] = true
-		nh, ok := newTree[p]
-		if ok && nh == oh {
-			continue
+	for _, p := range ChangedPaths(oldTree, newTree) {
+		var ob, nb []byte // nil on the side that lacks the file
+		if h, ok := oldTree.Get(p); ok {
+			ob, _ = r.store.Blob(h)
 		}
-		ob, _ := r.store.Blob(oh)
-		var nb []byte
-		if ok {
-			nb, _ = r.store.Blob(nh)
+		if h, ok := newTree.Get(p); ok {
+			nb, _ = r.store.Blob(h)
 		}
 		st := DiffLines(ob, nb)
-		perFile[p] = st
-		total.FilesChanged++
-		total.Lines = total.Lines.add(st)
-	}
-	for p, nh := range newTree {
-		if seen[p] {
-			continue
-		}
-		nb, _ := r.store.Blob(nh)
-		st := DiffLines(nil, nb)
 		perFile[p] = st
 		total.FilesChanged++
 		total.Lines = total.Lines.add(st)
@@ -161,7 +147,7 @@ func (r *Repository) treeOf(commit Hash) (Tree, error) {
 	}
 	c, ok := r.store.Commit(commit)
 	if !ok {
-		return nil, ErrNotFound
+		return Tree{}, ErrNotFound
 	}
 	t, _ := r.store.Tree(c.Tree)
 	return t, nil

@@ -2,14 +2,16 @@
 // stores config source and compiled JSON in (§3.1 uses git).
 //
 // It is a content-addressed object store in the git mold: blobs hold file
-// contents, trees map paths to blobs, and commits chain trees with parents,
-// authors and timestamps. On top of that it provides working copies with
-// git's push semantics (a push is rejected whenever the local clone is out
-// of date, even if the changed files are disjoint — the exact behaviour
-// that motivates the paper's landing strip, §3.6), line-level diffs for the
-// update-size statistics (Table 2), a calibrated cost model that reproduces
-// git's slowdown on large repositories (Figure 13), and a multi-repository
-// set serving a partitioned global namespace (§3.6).
+// contents, trees are Merkle directory trees mapping paths to blobs that
+// share unchanged directories between snapshots, and commits chain trees
+// with parents, authors and timestamps. On top of that it provides working
+// copies with git's push semantics (a push is rejected whenever the local
+// clone is out of date, even if the changed files are disjoint — the exact
+// behaviour that motivates the paper's landing strip, §3.6), line-level
+// diffs for the update-size statistics (Table 2), a calibrated cost model
+// that charges git's slowdown on large repositories in simulated time
+// (Figure 13), and a multi-repository set serving a partitioned global
+// namespace (§3.6).
 package vcs
 
 import (
@@ -17,7 +19,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -43,37 +44,6 @@ func hashBlob(data []byte) Hash {
 	var h Hash
 	copy(h[:], s.Sum(nil))
 	return h
-}
-
-// Tree is an immutable snapshot: path → blob hash. Paths use "/" separators
-// and a flat namespace (the prefix structure is what the multi-repo routing
-// partitions on).
-type Tree map[string]Hash
-
-func (t Tree) hash() Hash {
-	paths := make([]string, 0, len(t))
-	for p := range t {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	s := sha256.New()
-	s.Write([]byte("tree "))
-	for _, p := range paths {
-		fmt.Fprintf(s, "%s\x00", p)
-		h := t[p]
-		s.Write(h[:])
-	}
-	var h Hash
-	copy(h[:], s.Sum(nil))
-	return h
-}
-
-func (t Tree) clone() Tree {
-	c := make(Tree, len(t))
-	for k, v := range t {
-		c[k] = v
-	}
-	return c
 }
 
 // Commit is one node of the history DAG.
@@ -127,11 +97,13 @@ func (s *Store) Blob(h Hash) ([]byte, bool) {
 	return b, ok
 }
 
-// PutTree interns a tree snapshot.
+// PutTree interns a tree snapshot under its root hash. Trees are immutable,
+// so the store keeps the snapshot itself: the directories it shares with
+// earlier snapshots are stored once.
 func (s *Store) PutTree(t Tree) Hash {
-	h := t.hash()
+	h := t.Hash()
 	if _, ok := s.trees[h]; !ok {
-		s.trees[h] = t.clone()
+		s.trees[h] = t
 	}
 	return h
 }

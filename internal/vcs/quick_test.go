@@ -73,7 +73,7 @@ func TestQuickDiffLinesBounded(t *testing.T) {
 func TestQuickTreeHashOrderIndependent(t *testing.T) {
 	s := NewStore()
 	err := quick.Check(func(names []string, contents [][]byte) bool {
-		// Deduplicate names: a map keeps one entry per path, so duplicate
+		// Deduplicate names: a tree keeps one blob per path, so duplicate
 		// names with different contents would make insertion order
 		// meaningful and the property vacuous.
 		seen := make(map[string]bool)
@@ -90,13 +90,14 @@ func TestQuickTreeHashOrderIndependent(t *testing.T) {
 				blobs = append(blobs, contents[i])
 			}
 		}
-		t1 := Tree{}
-		t2 := Tree{}
+		// One change at a time, forwards and backwards: the snapshots are
+		// built through different intermediate trees.
+		var t1, t2 Tree
 		for i := 0; i < len(paths); i++ {
-			t1[paths[i]] = s.PutBlob(blobs[i])
+			t1 = t1.apply([]treeChange{{path: paths[i], blob: s.PutBlob(blobs[i])}})
 		}
 		for i := len(paths) - 1; i >= 0; i-- {
-			t2[paths[i]] = s.PutBlob(blobs[i])
+			t2 = t2.apply([]treeChange{{path: paths[i], blob: s.PutBlob(blobs[i])}})
 		}
 		return s.PutTree(t1) == s.PutTree(t2)
 	}, nil)

@@ -3,7 +3,6 @@ package vcs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -72,21 +71,16 @@ func (r *Repository) LogAfter(n int) []Hash {
 
 // HeadTree returns the tree at head (empty tree when the repo is empty).
 func (r *Repository) HeadTree() Tree {
-	if r.head.IsZero() {
-		return Tree{}
-	}
-	c, _ := r.store.Commit(r.head)
-	t, _ := r.store.Tree(c.Tree)
+	t, _ := r.treeOf(r.head) // the head is always in the store
 	return t
 }
 
 // FileCount reports the number of files at head — the x-axis of Figure 13.
-func (r *Repository) FileCount() int { return len(r.HeadTree()) + r.syntheticFiles }
+func (r *Repository) FileCount() int { return r.HeadTree().Len() + r.syntheticFiles }
 
 // ReadFile returns the contents of path at head.
 func (r *Repository) ReadFile(path string) ([]byte, error) {
-	t := r.HeadTree()
-	h, ok := t[path]
+	h, ok := r.HeadTree().Get(path)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
@@ -101,7 +95,7 @@ func (r *Repository) ReadFileAt(commit Hash, path string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: commit %s", ErrNotFound, commit)
 	}
 	t, _ := r.store.Tree(c.Tree)
-	h, ok := t[path]
+	h, ok := t.Get(path)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s@%s", ErrNotFound, path, commit)
 	}
@@ -110,15 +104,7 @@ func (r *Repository) ReadFileAt(commit Hash, path string) ([]byte, error) {
 }
 
 // Paths lists all file paths at head, sorted.
-func (r *Repository) Paths() []string {
-	t := r.HeadTree()
-	ps := make([]string, 0, len(t))
-	for p := range t {
-		ps = append(ps, p)
-	}
-	sort.Strings(ps)
-	return ps
-}
+func (r *Repository) Paths() []string { return r.HeadTree().Paths() }
 
 // Change is one staged file operation within a Diff.
 type Change struct {
@@ -136,26 +122,40 @@ type Diff struct {
 	Changes []Change
 }
 
-// Touches reports the set of paths the diff modifies.
-func (d *Diff) Touches() map[string]bool {
-	m := make(map[string]bool, len(d.Changes))
-	for _, c := range d.Changes {
-		m[c.Path] = true
-	}
-	return m
-}
-
-// apply builds the new tree from base tree + changes.
+// applyChanges interns the changes' contents and builds the new tree from
+// base tree + changes.
 func (r *Repository) applyChanges(base Tree, changes []Change) Tree {
-	t := base.clone()
-	for _, c := range changes {
-		if c.Delete {
-			delete(t, c.Path)
-		} else {
-			t[c.Path] = r.store.PutBlob(c.Content)
+	tc := make([]treeChange, len(changes))
+	for i, c := range changes {
+		tc[i] = treeChange{path: c.Path, del: c.Delete}
+		if !c.Delete {
+			tc[i].blob = r.store.PutBlob(c.Content)
 		}
 	}
-	return t
+	return base.apply(tc)
+}
+
+// checkConflicts compares the tree at base with the head tree on n paths:
+// it returns ErrConflict naming the first path whose content differs between
+// the two, and ErrNotFound when base is not a commit of this repository.
+func (r *Repository) checkConflicts(base Hash, n int, path func(i int) string) error {
+	if base == r.head {
+		return nil
+	}
+	baseTree, err := r.treeOf(base)
+	if err != nil {
+		return fmt.Errorf("%w: base %s", err, base)
+	}
+	headTree := r.HeadTree()
+	for i := 0; i < n; i++ {
+		p := path(i)
+		bh, _ := baseTree.Get(p) // ZeroHash when absent
+		hh, _ := headTree.Get(p)
+		if bh != hh {
+			return fmt.Errorf("%w: %s", ErrConflict, p)
+		}
+	}
+	return nil
 }
 
 // Push applies a diff with strict git semantics: the diff's base must be
@@ -175,21 +175,9 @@ func (r *Repository) Push(d *Diff, now time.Time) (Hash, error) {
 // conflict: some file touched by the diff changed between the diff's base
 // and the current head.
 func (r *Repository) Land(d *Diff, now time.Time) (Hash, error) {
-	if d.Base != r.head {
-		baseTree := Tree{}
-		if !d.Base.IsZero() {
-			c, ok := r.store.Commit(d.Base)
-			if !ok {
-				return ZeroHash, fmt.Errorf("%w: base %s", ErrNotFound, d.Base)
-			}
-			baseTree, _ = r.store.Tree(c.Tree)
-		}
-		headTree := r.HeadTree()
-		for p := range d.Touches() {
-			if baseTree[p] != headTree[p] {
-				return ZeroHash, fmt.Errorf("%w: %s", ErrConflict, p)
-			}
-		}
+	err := r.checkConflicts(d.Base, len(d.Changes), func(i int) string { return d.Changes[i].Path })
+	if err != nil {
+		return ZeroHash, err
 	}
 	return r.commit(d, now)
 }
@@ -228,14 +216,14 @@ func (r *Repository) Clone(author string) *WorkingCopy {
 	return &WorkingCopy{repo: r, Base: r.head, Author: author, staged: make(map[string]Change)}
 }
 
-// Write stages new contents for path.
+// Write stages new contents for path. The working copy holds content
+// without copying it (the store takes its own copy when the diff lands), so
+// the caller must not modify it afterwards.
 func (w *WorkingCopy) Write(path string, content []byte) {
 	if _, ok := w.staged[path]; !ok {
 		w.ordered = append(w.ordered, path)
 	}
-	cp := make([]byte, len(content))
-	copy(cp, content)
-	w.staged[path] = Change{Path: path, Content: cp}
+	w.staged[path] = Change{Path: path, Content: content}
 }
 
 // Delete stages removal of path.
@@ -279,19 +267,9 @@ func (w *WorkingCopy) UpToDate() bool { return w.Base == w.repo.head }
 // Update fast-forwards the base to the repository head, keeping staged
 // edits. It returns ErrConflict if a staged file also changed upstream.
 func (w *WorkingCopy) Update() error {
-	if w.UpToDate() {
-		return nil
-	}
-	baseTree := Tree{}
-	if !w.Base.IsZero() {
-		c, _ := w.repo.store.Commit(w.Base)
-		baseTree, _ = w.repo.store.Tree(c.Tree)
-	}
-	headTree := w.repo.HeadTree()
-	for p := range w.staged {
-		if baseTree[p] != headTree[p] {
-			return fmt.Errorf("%w: %s", ErrConflict, p)
-		}
+	err := w.repo.checkConflicts(w.Base, len(w.ordered), func(i int) string { return w.ordered[i] })
+	if err != nil {
+		return err
 	}
 	w.Base = w.repo.head
 	return nil
