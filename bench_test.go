@@ -15,12 +15,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"configerator/internal/cdl"
+	"configerator/internal/cdl/analysis/dataflow"
 	"configerator/internal/confclient"
+	"configerator/internal/core"
 	"configerator/internal/experiments"
 	"configerator/internal/gatekeeper"
 	"configerator/internal/landingstrip"
@@ -628,6 +631,116 @@ func TestCommitCostFollowsChangeNotRepoSize(t *testing.T) {
 	if largeBytes > 2*smallBytes {
 		t.Errorf("a one-file commit allocates %.0f B at %s files, more than twice the %.0f B at %s files",
 			largeBytes, large.name, smallBytes, small.name)
+	}
+}
+
+// analysisRepo is a repository of n artifacts over n/10 libraries, each
+// artifact importing one library.
+func analysisRepo(n int) map[string][]byte {
+	files := make(map[string][]byte, n+n/10)
+	for i := 0; i < n/10; i++ {
+		files[fmt.Sprintf("lib/l%04d.cinc", i)] = []byte(fmt.Sprintf("let LIMIT = %d;\n", i))
+	}
+	for i := 0; i < n; i++ {
+		files[fmt.Sprintf("svc/a%04d.cconf", i)] = []byte(fmt.Sprintf(
+			"import \"lib/l%04d.cinc\";\nexport {limit: LIMIT, id: %d};\n", i%(n/10), i))
+	}
+	return files
+}
+
+// readCountingFS is a file-system view that counts the reads made through
+// it: staged edits over a base, like the pipeline's overlay.
+type readCountingFS struct {
+	base, overlay map[string][]byte
+	reads         int
+}
+
+func (fs *readCountingFS) ReadFile(path string) ([]byte, error) {
+	fs.reads++
+	if data, ok := fs.overlay[path]; ok {
+		return data, nil
+	}
+	if data, ok := fs.base[path]; ok {
+		return data, nil
+	}
+	return nil, fmt.Errorf("no such file %q", path)
+}
+
+// analysisReads runs what stage 1 and then the strip gate do for one edit —
+// each derives the change's view from the head snapshot — and returns the
+// files each of the two read.
+func analysisReads(t *testing.T, artifacts int, path, content string) (stage1, gate int) {
+	files := analysisRepo(artifacts)
+	var roots []string
+	for p := range files {
+		if strings.HasSuffix(p, ".cconf") {
+			roots = append(roots, p)
+		}
+	}
+	head := dataflow.NewIndex(cdl.NewEngine()).Analyze(&readCountingFS{base: files}, roots)
+	if len(head.Errors) > 0 {
+		t.Fatal(head.Errors)
+	}
+	overlay := map[string][]byte{path: []byte(content)}
+	for _, reads := range []*int{&stage1, &gate} {
+		view := &readCountingFS{base: files, overlay: overlay}
+		rep := head.Derive(view, []string{path}, nil, nil)
+		if len(rep.Errors) > 0 {
+			t.Fatal(rep.Errors)
+		}
+		*reads = view.reads
+	}
+	return stage1, gate
+}
+
+// TestAnalysisReadsFollowConeNotRepoSize is the O(cone) gate for the static
+// analysis of a change: stage 1 reads the cone of the edit (the file and its
+// transitive importers, to rebuild their summaries), the strip gate after it
+// only the edited file (the summaries are memoized by then), at 300
+// artifacts and at 3,000 alike.
+func TestAnalysisReadsFollowConeNotRepoSize(t *testing.T) {
+	for _, edit := range []struct {
+		name, path, content string
+		cone                int
+	}{
+		{"one artifact", "svc/a0007.cconf", "import \"lib/l0007.cinc\";\nexport {limit: LIMIT, id: -7};\n", 1},
+		{"one library", "lib/l0007.cinc", "let LIMIT = -7;\n", 1 + 10},
+	} {
+		small1, smallGate := analysisReads(t, 300, edit.path, edit.content)
+		large1, largeGate := analysisReads(t, 3000, edit.path, edit.content)
+		t.Logf("%s: files read by stage 1 + gate: %d + %d at 300 artifacts, %d + %d at 3,000",
+			edit.name, small1, smallGate, large1, largeGate)
+		if large1+largeGate > 2*(small1+smallGate) {
+			t.Errorf("%s: %d files read at 3,000 artifacts, more than twice the %d at 300",
+				edit.name, large1+largeGate, small1+smallGate)
+		}
+		if large1 != edit.cone || largeGate != 1 {
+			t.Errorf("%s: stage 1 read %d files and the gate %d, want the cone (%d) and the edited file (1)",
+				edit.name, large1, largeGate, edit.cone)
+		}
+	}
+}
+
+// TestRadiusWorkLinearInFiles: a change that touches every file asks for one
+// radius per changed path (the risk advisor's static reach) on top of the
+// change's own; together they walk each file once per file it is a
+// transitive importer of, not the whole repository once per path.
+func TestRadiusWorkLinearInFiles(t *testing.T) {
+	files := analysisRepo(3000)
+	p := core.New(core.Options{})
+	rep := p.Submit(&core.ChangeRequest{
+		Author: "alice", Reviewer: "bob", Title: "import the repository",
+		Sources: files, SkipCanary: true,
+	})
+	if !rep.OK() {
+		t.Fatalf("failed at %s: %v", rep.FailedStage, rep.Err)
+	}
+	counts := p.Dataflow.Counters().Snapshot()
+	queries, visited := counts["radius.query"], counts["radius.visited"]
+	t.Logf("%d files: %d radius queries walked %d files", len(files), queries, visited)
+	if visited < int64(len(files)) || visited > 4*int64(len(files)) {
+		t.Errorf("%d radius queries over %d files walked %d files, want between 1x and 4x the files",
+			queries, len(files), visited)
 	}
 }
 

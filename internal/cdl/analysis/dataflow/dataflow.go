@@ -14,15 +14,34 @@
 //
 // The three passes share one substrate: an Index builds (or reuses) one
 // summary per module, keyed by the Merkle hash of the module's import
-// closure. Editing one .cinc invalidates only its provenance cone — the
-// file plus its transitive importers — which the
-// dataflow.provenance.memo / dataflow.provenance.recompute counters make
-// observable and testable.
+// closure, and a Repo is an immutable snapshot of those summaries for one
+// view of the repository.
+//
+// A snapshot is derived forward. Repo.Derive takes the paths at which the
+// new view differs and reads, lexes and hashes only those. Their cone — the
+// changed files plus their transitive importers, the only files whose
+// closure key can move — is re-keyed from the content hash and import list
+// the snapshot keeps per file, which reads nothing, and re-summarized
+// through the memo, which rebuilds (and so parses) only what it has not
+// seen: the dataflow.provenance.memo / dataflow.provenance.recompute
+// counters make that observable and testable. Everything outside the cone
+// — summaries, their reach sets, and the entries of the two inverse indexes
+// (file → direct importers, external input → files reading it) — is shared
+// with the parent snapshot through persistent maps, so a derivation costs
+// the cone and a parent snapshot keeps answering for its own view. Radius
+// is a walk up those indexes from what changed. Index.Analyze is the
+// derivation from the empty snapshot, where every file is new.
+//
+// The one limit: a file imported by everything has the whole repository as
+// its cone, and editing it costs a whole-repository pass (of memo lookups,
+// and of rebuilds where the edit changed a summary). Two smaller linear
+// costs remain: adding or dropping a root copies the sorted Roots slice, and
+// a file that gains or loses an importer has its importer list copied.
 package dataflow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -103,6 +122,10 @@ const (
 	counterMemo      = "provenance.memo"
 	counterRecompute = "provenance.recompute"
 	counterRadius    = "radius.query"
+	// counterVisited counts the files radius queries walked: the changed
+	// files, the files holding a matched consumer, and the transitive
+	// importers of both.
+	counterVisited = "radius.visited"
 )
 
 // DefaultMaxSummaries bounds the content-keyed summary memo. The cache is
@@ -112,8 +135,8 @@ const DefaultMaxSummaries = 16384
 
 // Index owns the memoized per-module summaries. It is long-lived (one per
 // pipeline, like cdl.Engine): summaries are keyed by the Merkle hash of
-// each module's import closure, so analyses across different overlay
-// views reuse everything untouched and recompute exactly the edited cone.
+// each module's import closure, so snapshots of different overlay views
+// rebuild a summary once between them.
 type Index struct {
 	// Obs, when set, receives dataflow.* counters and the
 	// dataflow.radius.size histogram.
@@ -141,10 +164,10 @@ func NewIndex(engine *cdl.Engine) *Index {
 // Counters exposes the memo/recompute/radius counters.
 func (ix *Index) Counters() *stats.Counters { return ix.counters }
 
-func (ix *Index) count(name string) {
-	ix.counters.Add(name, 1)
+func (ix *Index) count(name string, n int) {
+	ix.counters.Add(name, int64(n))
 	if ix.Obs != nil {
-		ix.Obs.Add("dataflow."+name, 1)
+		ix.Obs.Add("dataflow."+name, int64(n))
 	}
 }
 
@@ -167,9 +190,11 @@ func (ix *Index) store(key string, s *summary) {
 	ix.memo[key] = s
 }
 
-// Repo is one whole-repo analysis: every loaded module's summary under a
-// fixed file-system view. Query methods (Why, Provenance, Radius,
-// Determinacy) are read-only and safe for concurrent use.
+// Repo is one analysis snapshot: the summary of every root and of every
+// file a root's import closure reaches (its universe), under a fixed
+// file-system view. A snapshot is immutable. Query methods (Why,
+// Provenance, Radius, Determinacy) are read-only and safe for concurrent
+// use, also beside a Derive from the same snapshot.
 type Repo struct {
 	ix *Index
 	// Roots are the analyzed artifact sources, sorted.
@@ -178,43 +203,39 @@ type Repo struct {
 	// continues with a stub for them; configlint reports the parse error).
 	Errors []string
 
-	sums map[string]*summary
+	// files holds the universe. The two inverse indexes let Radius walk up
+	// from what changed: importers maps a file to the files that import it
+	// directly, consumers an external-input key to the files holding a
+	// reference site of it. Their lists are sets in no particular order.
+	files     pmap[*fileRec]
+	importers pmap[[]string]
+	consumers pmap[[]string]
 }
 
-// Analyze summarizes every root and its import closure under fs. Summaries
-// for unchanged closures are reused from the index memo; only the edited
-// cone — changed files plus their transitive importers — is recomputed.
+// Analyze summarizes every root and its import closure under fs: the
+// derivation from the empty snapshot, in which every file is new. Summaries
+// for closures the index has seen are reused from its memo.
 func (ix *Index) Analyze(fs cdl.FileSystem, roots []string) *Repo {
-	b := &builder{
-		ix:      ix,
-		fs:      fs,
-		sums:    make(map[string]*summary),
-		keys:    make(map[string]*keyInfo),
-		onStack: make(map[string]bool),
+	return (&Repo{ix: ix}).Derive(fs, nil, roots, nil)
+}
+
+// sum returns path's summary, nil outside the universe.
+func (r *Repo) sum(path string) *summary {
+	if rc, ok := r.files.get(path); ok {
+		return rc.sum
 	}
-	rep := &Repo{ix: ix, sums: b.sums}
-	seen := make(map[string]bool, len(roots))
-	for _, root := range roots {
-		if seen[root] {
-			continue
-		}
-		seen[root] = true
-		rep.Roots = append(rep.Roots, root)
-		b.summarize(root)
-	}
-	sort.Strings(rep.Roots)
-	for _, s := range b.sums {
-		if s.err != "" {
-			rep.Errors = append(rep.Errors, s.err)
-		}
-	}
-	sort.Strings(rep.Errors)
-	return rep
+	return nil
+}
+
+func (r *Repo) isRoot(path string) bool {
+	_, ok := slices.BinarySearch(r.Roots, path)
+	return ok
 }
 
 // observeRadius feeds one radius query into the counters and histogram.
-func (ix *Index) observeRadius(artifacts int) {
-	ix.count(counterRadius)
+func (ix *Index) observeRadius(artifacts, visited int) {
+	ix.count(counterRadius, 1)
+	ix.count(counterVisited, visited)
 	if ix.Obs != nil {
 		// Size histogram, following the obs idiom for non-duration
 		// quantities (cf. net.msg.bytes): one observation per query, value

@@ -45,7 +45,7 @@ func (r *Repo) DeterminacyFor(roots []string) []analysis.Diagnostic {
 	}
 
 	for _, root := range roots {
-		s := r.sums[root]
+		s := r.sum(root)
 		if s == nil || len(s.exports) == 0 {
 			continue
 		}
@@ -115,10 +115,10 @@ func (r *Repo) DeterminacyFor(roots []string) []analysis.Diagnostic {
 // ordered reports whether one module's execution is ordered relative to
 // the other's by the import graph (either closure contains the other).
 func (r *Repo) ordered(a, b string) bool {
-	if sa := r.sums[a]; sa != nil && sa.reach[b] {
+	if sa := r.sum(a); sa != nil && sa.reach[b] {
 		return true
 	}
-	if sb := r.sums[b]; sb != nil && sb.reach[a] {
+	if sb := r.sum(b); sb != nil && sb.reach[a] {
 		return true
 	}
 	return false

@@ -31,7 +31,7 @@ type FieldProvenance struct {
 
 // Provenance computes the artifact's full origin map.
 func (r *Repo) Provenance(root string) (*Provenance, error) {
-	s := r.sums[root]
+	s := r.sum(root)
 	if s == nil {
 		return nil, fmt.Errorf("dataflow: %s was not analyzed", root)
 	}

@@ -56,83 +56,51 @@ func (rad *Radius) Rescore() { rad.rescore() }
 
 // Radius computes the blast radius of a candidate diff: the inverse of the
 // provenance map. An artifact is reached when a changed file is in its
-// import closure, or a changed external input is in its origin set.
+// import closure, or a file in its closure reads a changed external input.
+// The query walks up the snapshot's inverse indexes from what changed, so
+// it costs the cone it reports and not the repository.
 func (r *Repo) Radius(changed []string) *Radius {
 	rad := &Radius{Changed: append([]string{}, changed...)}
 	sort.Strings(rad.Changed)
 
-	changedFiles := make(map[string]bool)
-	changedExts := make(map[string]bool) // Origin.key()-shaped: kind \x00 name
-	for _, c := range changed {
-		if kind, name, ok := extToken(c); ok {
-			changedExts[string(kind)+"\x00"+name] = true
-			continue
-		}
-		changedFiles[c] = true
-		// A file under sitevars/ or gatekeeper/ *is* that external input:
-		// editing it also re-binds every consumer referencing the input by
-		// name, wherever it lives.
-		if kind, name := pathOrigin(c); kind != "" {
-			changedExts[string(kind)+"\x00"+name] = true
-		}
-	}
-
-	// Downstream artifacts: reach-set membership for file edits, origin-set
-	// membership for external-input changes.
-	for _, root := range r.Roots {
-		s := r.sums[root]
-		if s == nil {
-			continue
-		}
-		hit := false
-		for f := range changedFiles {
-			if s.reach[f] {
-				hit = true
-				break
-			}
-		}
-		if !hit && len(changedExts) > 0 {
-			for f := range s.reach {
-				fsum := r.sums[f]
-				if fsum == nil {
-					continue
-				}
-				for _, c := range fsum.consumers {
-					if changedExts[string(c.Kind)+"\x00"+c.Name] {
-						hit = true
-						break
-					}
-				}
-				if hit {
-					break
-				}
-			}
-		}
-		if hit {
-			rad.Artifacts = append(rad.Artifacts, root)
-		}
-	}
-	sort.Strings(rad.Artifacts)
-
 	// Consumer bindings: sites matching a changed external input anywhere
-	// in the analyzed universe, plus sites physically in a changed file.
-	seen := make(map[string]bool)
-	paths := make([]string, 0, len(r.sums))
-	for p := range r.sums {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		for _, c := range r.sums[p].consumers {
-			match := changedExts[string(c.Kind)+"\x00"+c.Name] || changedFiles[c.Site.File]
-			if !match {
-				continue
-			}
-			k := c.Site.String() + "\x00" + string(c.Kind) + "\x00" + c.Name
-			if !seen[k] {
-				seen[k] = true
+	// in the universe, plus sites physically in a changed file. Both kinds
+	// of file start the walk up to the artifacts.
+	seenSite := make(map[ConsumerSite]bool)
+	visited := make(map[string]bool)
+	var queue []string
+	// reach takes file's sites of the given input (every site when kind is
+	// "") and queues file for the walk.
+	reach := func(file string, kind OriginKind, name string) {
+		s := r.sum(file)
+		if s == nil {
+			return
+		}
+		for _, c := range s.consumers {
+			if (kind == "" || c.Kind == kind && c.Name == name) && !seenSite[c] {
+				seenSite[c] = true
 				rad.Consumers = append(rad.Consumers, c)
 			}
+		}
+		if !visited[file] {
+			visited[file] = true
+			queue = append(queue, file)
+		}
+	}
+	for _, c := range changed {
+		kind, name, isExt := extToken(c)
+		if !isExt {
+			reach(c, "", "")
+			// A file under sitevars/ or gatekeeper/ *is* that external input:
+			// editing it also re-binds every consumer referencing the input
+			// by name, wherever it lives.
+			if kind, name = pathOrigin(c); kind == "" {
+				continue
+			}
+		}
+		files, _ := r.consumers.get(Origin{Kind: kind, Name: name}.key())
+		for _, file := range files {
+			reach(file, kind, name)
 		}
 	}
 	sort.Slice(rad.Consumers, func(i, j int) bool {
@@ -149,8 +117,25 @@ func (r *Repo) Radius(changed []string) *Radius {
 		return a.Name < b.Name
 	})
 
+	// Downstream artifacts: the roots among the transitive importers.
+	for len(queue) > 0 {
+		file := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if r.isRoot(file) {
+			rad.Artifacts = append(rad.Artifacts, file)
+		}
+		importers, _ := r.importers.get(file)
+		for _, imp := range importers {
+			if !visited[imp] {
+				visited[imp] = true
+				queue = append(queue, imp)
+			}
+		}
+	}
+	sort.Strings(rad.Artifacts)
+
 	rad.rescore()
-	r.ix.observeRadius(len(rad.Artifacts))
+	r.ix.observeRadius(len(rad.Artifacts), len(visited))
 	return rad
 }
 

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sort"
 	"strings"
 
@@ -56,8 +54,8 @@ type fieldRec struct {
 // summary is the memoized per-module digest the three passes query. It
 // describes the module's *merged* view: its own statements plus everything
 // imported, exactly the environment the evaluator would build. Summaries
-// are immutable once published (shared across Analyze calls), so merging
-// copies instead of mutating.
+// are immutable once built (the index memo and every snapshot derived from
+// one that holds them share them), so merging copies instead of mutating.
 type summary struct {
 	path string
 	// bindings: top-level name -> all assignment sites in the closure.
@@ -73,114 +71,6 @@ type summary struct {
 	err string
 }
 
-// keyInfo caches one module's Merkle closure hash for a builder session.
-type keyInfo struct {
-	key       string
-	cacheable bool
-}
-
-// builder runs one Analyze call: it resolves closure keys, consults the
-// index memo, and composes summaries bottom-up with the same
-// publish-partial-before-recurse cycle tolerance as the analysis fact
-// builder.
-type builder struct {
-	ix      *Index
-	fs      cdl.FileSystem
-	sums    map[string]*summary // per-session: path -> summary
-	keys    map[string]*keyInfo // per-session: path -> closure key
-	onStack map[string]bool
-}
-
-// key computes the Merkle hash of path's import closure: the file's own
-// bytes combined with each direct import's key, in import order. Closures
-// containing a cycle (or an unreadable/unscannable file) are uncacheable:
-// they are rebuilt per session and never stored in the memo.
-func (b *builder) key(path string) *keyInfo {
-	if ki, ok := b.keys[path]; ok {
-		return ki
-	}
-	if b.onStack[path] {
-		// Import cycle: every participant is uncacheable this session.
-		return &keyInfo{cacheable: false}
-	}
-	ki := &keyInfo{}
-	b.keys[path] = ki
-	src, err := b.fs.ReadFile(path)
-	if err != nil {
-		return ki
-	}
-	imports, err := cdl.ScanImports(path, src)
-	if err != nil {
-		return ki
-	}
-	h := sha256.New()
-	h.Write([]byte(path))
-	h.Write([]byte{0})
-	h.Write(src)
-	b.onStack[path] = true
-	ok := true
-	for _, imp := range imports {
-		dep := b.key(imp)
-		if !dep.cacheable {
-			ok = false
-			break
-		}
-		h.Write([]byte{0})
-		h.Write([]byte(dep.key))
-	}
-	delete(b.onStack, path)
-	if ok {
-		ki.key = hex.EncodeToString(h.Sum(nil))
-		ki.cacheable = true
-	}
-	return ki
-}
-
-// summarize returns path's summary, from the session cache, the
-// content-keyed memo, or a fresh build.
-func (b *builder) summarize(path string) *summary {
-	if s, ok := b.sums[path]; ok {
-		return s
-	}
-	if b.onStack[path] {
-		// Cycle: hand the importer an empty stub (the import-cycle lint
-		// analyzer owns reporting); do not publish it.
-		return &summary{path: path, bindings: map[string]*binding{},
-			reach: map[string]bool{path: true}}
-	}
-	ki := b.key(path)
-	if ki.cacheable {
-		if s := b.ix.lookup(ki.key); s != nil {
-			b.ix.count(counterMemo)
-			b.sums[path] = s
-			b.collectReach(s)
-			return s
-		}
-	}
-	b.onStack[path] = true
-	s := b.build(path)
-	delete(b.onStack, path)
-	if ki.cacheable && s.err == "" {
-		b.ix.store(ki.key, s)
-	}
-	b.ix.count(counterRecompute)
-	b.sums[path] = s
-	return s
-}
-
-// collectReach makes sure every file under a memo-hit summary still has a
-// session entry, so Repo queries (consumer gathering, determinacy
-// ordering) can resolve any file in any root's closure. Files already
-// summarized are kept; missing ones are summarized now (themselves memo
-// hits unless edited).
-func (b *builder) collectReach(s *summary) {
-	for f := range s.reach {
-		if _, ok := b.sums[f]; !ok && f != s.path {
-			b.summarize(f)
-		}
-	}
-}
-
 // build composes a fresh summary: parse the module, then fold statements
 // in execution order, merging each import's (recursively summarized)
 // closure at its import site.
@@ -190,7 +80,7 @@ func (b *builder) build(path string) *summary {
 		bindings: make(map[string]*binding),
 		reach:    map[string]bool{path: true},
 	}
-	src, err := b.fs.ReadFile(path)
+	src, err := b.read(path)
 	if err != nil {
 		s.err = err.Error()
 		return s

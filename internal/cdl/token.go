@@ -14,6 +14,7 @@ package cdl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -231,14 +232,14 @@ func (l *lexer) lexNumber(pos Pos) (token, error) {
 	}
 	text := strings.ReplaceAll(l.src[start:l.off], "_", "")
 	if isFloat {
-		var f float64
-		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
 			return token{}, errf(pos, "bad float literal %q", text)
 		}
 		return token{kind: tokFloat, text: text, floatVal: f, pos: pos}, nil
 	}
-	var i int64
-	if _, err := fmt.Sscanf(text, "%d", &i); err != nil {
+	i, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
 		return token{}, errf(pos, "bad int literal %q", text)
 	}
 	return token{kind: tokInt, text: text, intVal: i, pos: pos}, nil

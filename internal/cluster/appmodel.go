@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 
 	"configerator/internal/health"
@@ -27,6 +28,42 @@ func faultIn(data []byte) (FaultMarker, bool) {
 		return FaultMarker{}, false
 	}
 	return *probe.Fault, true
+}
+
+// faultVersion is one decoded content of a watched path.
+type faultVersion struct {
+	data  []byte
+	fault FaultMarker
+	ok    bool
+	// read: a sample has asked for this content since the path last showed
+	// a content the memo did not know.
+	read bool
+}
+
+// faultOf is faultIn through a per-path memo, so a canary that samples
+// every server decodes each distinct content of a path once instead of
+// once per server and sample. A path holds few contents at a time (the
+// committed one, the one replacing it, a canary override); when a new one
+// shows up, those no sample has asked for since the previous new one are
+// no longer served by any proxy and are dropped.
+func (f *Fleet) faultOf(path string, data []byte) (FaultMarker, bool) {
+	versions := f.faults[path]
+	for i := range versions {
+		if v := &versions[i]; bytes.Equal(v.data, data) {
+			v.read = true
+			return v.fault, v.ok
+		}
+	}
+	live := versions[:0]
+	for _, v := range versions {
+		if v.read {
+			v.read = false
+			live = append(live, v)
+		}
+	}
+	fault, ok := faultIn(data)
+	f.faults[path] = append(live, faultVersion{data: data, fault: fault, ok: ok, read: true})
+	return fault, ok
 }
 
 // Baseline metric levels for a healthy server.
@@ -65,7 +102,7 @@ func DefaultAppModel(f *Fleet, s *Server) health.Sample {
 		if !ok || !e.Exists {
 			continue
 		}
-		fault, ok := faultIn(e.Data)
+		fault, ok := f.faultOf(path, e.Data)
 		if !ok {
 			continue
 		}

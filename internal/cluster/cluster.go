@@ -95,6 +95,8 @@ type Fleet struct {
 
 	// appModel computes a server's health sample; replaceable.
 	appModel func(f *Fleet, s *Server) health.Sample
+	// faults memoizes the default app model's decode of watched configs.
+	faults map[string][]faultVersion
 }
 
 // New builds the fleet on a fresh network and elects the Zeus leader.
@@ -112,6 +114,7 @@ func New(cfg Config) *Fleet {
 		byCluster: make(map[string][]*Server),
 		observers: make(map[string][]simnet.NodeID),
 		watched:   make(map[string]bool),
+		faults:    make(map[string][]faultVersion),
 	}
 	f.appModel = DefaultAppModel
 

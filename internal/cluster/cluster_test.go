@@ -130,3 +130,40 @@ func TestLoadFaultScalesWithBreadth(t *testing.T) {
 		t.Errorf("load fault did not scale with breadth: narrow=%v broad=%v", narrow, broad)
 	}
 }
+
+// TestFaultMemoKeepsContentsApart: the app model decodes each content of a
+// path once, and still tells the contents apart — a fault-marked canary
+// override shows on exactly the servers holding it, a rollback clears it,
+// and contents no proxy serves any more leave the memo.
+func TestFaultMemoKeepsContentsApart(t *testing.T) {
+	const path = "/configs/app.json"
+	f := newFleet(t)
+	f.SubscribeAll(path)
+	writeZeus(t, f, path, `{"v":1}`)
+	servers := f.Servers()
+	errorRates := func(ctx string, faulty int) {
+		t.Helper()
+		for i, id := range servers {
+			want := baseErrorRate
+			if i < faulty {
+				want *= 10
+			}
+			if got := f.Sample(id)[health.MetricErrorRate]; got != want {
+				t.Fatalf("%s: server %d error rate = %v, want %v", ctx, i, got, want)
+			}
+		}
+	}
+	f.DeployTemp(servers[:4], path, []byte(`{"v":2,"_fault":{"type":"error","intensity":1.0}}`))
+	errorRates("override on four servers", 4)
+	errorRates("the same, from the memo", 4)
+	f.Rollback(servers[:4], path)
+	errorRates("after rollback", 0)
+
+	writeZeus(t, f, path, `{"v":3,"_fault":{"type":"error","intensity":1.0}}`)
+	errorRates("faulty version committed fleet-wide", len(servers))
+	writeZeus(t, f, path, `{"v":4}`)
+	errorRates("healthy version committed", 0)
+	if n := len(f.faults[path]); n > 2 {
+		t.Errorf("the memo holds %d contents of %s; only the last two were served since v3 appeared", n, path)
+	}
+}

@@ -21,35 +21,55 @@ import (
 // overrides; negative disables).
 const DefaultHighRadiusArtifacts = 25
 
-// configRoots enumerates every top-level artifact source visible through a
-// change's overlay view: the repositories plus overlay additions, minus
-// deletions.
-func (p *Pipeline) configRoots(overlay map[string][]byte, deleted map[string]bool) []string {
-	seen := make(map[string]bool)
-	var roots []string
-	add := func(path string) {
-		if isTopLevel(path) && !deleted[path] && !seen[path] {
-			seen[path] = true
-			roots = append(roots, path)
-		}
-	}
+// headSnapshot returns the analysis of the repositories as they stand. The
+// pipeline keeps one snapshot stamped with each repository's head tree and
+// catches it up from the Merkle diff between the stamp and the head, so a
+// commit landed by anyone — a sitevar write, a direct strip submit, this
+// pipeline's own shard — is picked up without being announced.
+func (p *Pipeline) headSnapshot() *dataflow.Repo {
+	var changed, added, dropped []string
 	for _, repo := range p.Repos.Repos() {
-		for _, path := range repo.Paths() {
-			add(path)
+		tree := repo.HeadTree()
+		for _, path := range vcs.ChangedPaths(p.headTrees[repo], tree) {
+			if !isSource(path) {
+				continue
+			}
+			changed = append(changed, path)
+			if !isTopLevel(path) {
+				continue
+			}
+			if _, ok := tree.Get(path); ok {
+				added = append(added, path)
+			} else {
+				dropped = append(dropped, path)
+			}
 		}
+		p.headTrees[repo] = tree
 	}
-	for path := range overlay {
-		add(path)
+	if len(changed) > 0 {
+		p.head = p.head.Derive(p.Repos, changed, added, dropped)
 	}
-	sort.Strings(roots)
-	return roots
+	return p.head
 }
 
-// blastRadius analyzes the whole repo through the change's overlay view and
+// blastRadius derives the change's overlay view from the head snapshot and
 // answers the radius query for the changed paths, with canary domains
 // attached.
 func (p *Pipeline) blastRadius(fs *overlayFS, changed []string) (*dataflow.Repo, *dataflow.Radius) {
-	rep := p.Dataflow.Analyze(fs, p.configRoots(fs.overlay, fs.deleted))
+	var differ, added, dropped []string
+	for path := range fs.overlay {
+		differ = append(differ, path)
+		if isTopLevel(path) {
+			added = append(added, path)
+		}
+	}
+	for path := range fs.deleted {
+		differ = append(differ, path)
+		if isTopLevel(path) {
+			dropped = append(dropped, path)
+		}
+	}
+	rep := p.headSnapshot().Derive(fs, differ, added, dropped)
 	rad := rep.Radius(changed)
 	rad.Domains = p.canaryDomains(rad.Artifacts)
 	rad.Rescore()

@@ -87,6 +87,12 @@ type Pipeline struct {
 	// and every landing strip's gate; it rides the same engine parse cache
 	// as lint and compile.
 	Dataflow *dataflow.Index
+	// head is the analysis snapshot of the repositories at headTrees, the
+	// head tree each repository had when the snapshot last caught up. Stage
+	// 1 and the strip gates derive a change's view from it; only
+	// headSnapshot moves it.
+	head      *dataflow.Repo
+	headTrees map[*vcs.Repository]vcs.Tree
 	// DeprecatedSitevars configures the deprecated-sitevar analyzer:
 	// sitevar name → replacement note.
 	DeprecatedSitevars map[string]string
@@ -146,6 +152,8 @@ func New(opts Options) *Pipeline {
 	if p.Repos == nil {
 		p.Repos = vcs.NewRepoSet("configerator")
 	}
+	p.head = p.Dataflow.Analyze(p.Repos, nil)
+	p.headTrees = make(map[*vcs.Repository]vcs.Tree)
 	if p.Cost == (vcs.CostModel{}) {
 		p.Cost = vcs.DefaultCostModel()
 	}

@@ -552,9 +552,10 @@ func TestDataflowArtifact(t *testing.T) {
 		t.Errorf("edit recompute = %d, want in (0, %d)",
 			rep.Provenance.EditRecompute, rep.Workload.Files)
 	}
-	if rep.Provenance.EditMemoHits <= 0 {
-		t.Errorf("edit memo hits = %d, want > 0 (untouched closures reused)",
-			rep.Provenance.EditMemoHits)
+	// And it reads what it recomputes: nothing outside the cone is opened.
+	if rep.Provenance.EditFilesRead != rep.Provenance.EditRecompute {
+		t.Errorf("edit read %d files but recomputed %d summaries, want the cone both times",
+			rep.Provenance.EditFilesRead, rep.Provenance.EditRecompute)
 	}
 	// Radius queries answer with sane quantiles and a non-trivial reach.
 	if rep.Radius.Queries <= 0 || rep.Radius.MaxArtifacts <= 0 {
