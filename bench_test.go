@@ -344,16 +344,6 @@ func BenchmarkCDLCompileAllWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine_CompileCache republishes the engine experiment's headline
-// metrics so benchreport and EXPERIMENTS.md carry the cache numbers.
-func BenchmarkEngine_CompileCache(b *testing.B) {
-	var r experiments.Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.CompileEngine(benchOpts())
-	}
-	report(b, r, "warm_speedup_vs_seed", "touched_speedup_vs_seed", "cold_parse_miss", "warm_result_hit_delta")
-}
-
 func BenchmarkCDLEvalExpr(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

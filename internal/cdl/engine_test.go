@@ -103,6 +103,21 @@ func TestCompileAllCounters(t *testing.T) {
 	if d := warm["result.hit"] - cold["result.hit"]; d != 10 {
 		t.Errorf("warm result.hit delta = %d, want 10", d)
 	}
+
+	// Touched: the shared .cinc changes and every dependent recompiles, but
+	// the dependents' own sources are unchanged, so only the .cinc re-parses.
+	fs["lib/shared.cinc"] += "\nlet touched = 1;\n"
+	eng.InvalidatePaths("lib/shared.cinc")
+	if _, err := eng.CompileAll(fs, paths); err != nil {
+		t.Fatal(err)
+	}
+	touched := eng.Counters().Snapshot()
+	if d := touched["parse.miss"] - warm["parse.miss"]; d != 1 {
+		t.Errorf("touched .cinc re-parsed %d sources, want 1 (itself)", d)
+	}
+	if d := touched["result.miss"] - warm["result.miss"]; d != 10 {
+		t.Errorf("touched result.miss delta = %d, want 10 (every dependent recompiles)", d)
+	}
 }
 
 // TestDiamondParsesOnce: a diamond import graph (root → b, c → d) parses

@@ -98,8 +98,8 @@ func DefaultAppModel(f *Fleet, s *Server) health.Sample {
 		health.MetricCTR:       baseCTR,
 	}
 	for _, path := range f.WatchedPaths() {
-		e, ok := s.Proxy.Get(path)
-		if !ok || !e.Exists {
+		e := s.Proxy.Read(path)
+		if !e.OK || !e.Exists {
 			continue
 		}
 		fault, ok := f.faultOf(path, e.Data)
@@ -132,7 +132,7 @@ func (f *Fleet) fractionRunning(path string, data []byte) float64 {
 	}
 	n := 0
 	for _, s := range f.servers {
-		if e, ok := s.Proxy.Get(path); ok && e.Exists && string(e.Data) == string(data) {
+		if e := s.Proxy.Read(path); e.OK && e.Exists && string(e.Data) == string(data) {
 			n++
 		}
 	}

@@ -74,8 +74,8 @@ func TestChaosLeaderCrashPlusPartition(t *testing.T) {
 		t.Fatalf("plan fired %d of %d", plan.Fired(), plan.Len())
 	}
 	for _, s := range f.AllServers() {
-		e, ok := s.Proxy.Get(path)
-		if !ok || string(e.Data) != "v2" {
+		e := s.Proxy.Read(path)
+		if !e.OK || string(e.Data) != "v2" {
 			t.Errorf("%s = %q after heal, want v2", s.ID, e.Data)
 		}
 	}

@@ -55,11 +55,6 @@ type Value struct {
 	fields map[string]interface{}
 }
 
-// Config is the v1 name for Value.
-//
-// Deprecated: use Value.
-type Config = Value
-
 // Fresh reports whether the value was served by a healthy distribution
 // plane (as opposed to a degraded cached/stale layer).
 func (c *Value) Fresh() bool { return c.Source == proxy.SourceFresh }
@@ -315,18 +310,4 @@ func (c *Client) Want(paths ...string) {
 	for _, p := range paths {
 		c.proxy.Want(p)
 	}
-}
-
-// Current returns the latest locally known value of a config.
-//
-// Deprecated: use Get, which is context-aware and reports staleness.
-func (c *Client) Current(path string) (*Value, error) {
-	return c.Get(context.Background(), path)
-}
-
-// Subscribe invokes fn with the parsed config on every change.
-//
-// Deprecated: use Watch, whose context releases the registration.
-func (c *Client) Subscribe(path string, fn func(*Value)) {
-	c.Watch(context.Background(), path, fn)
 }

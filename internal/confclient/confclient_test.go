@@ -13,6 +13,14 @@ import (
 
 func newStack(t *testing.T) (*simnet.Network, *zeus.Client, *Client, *proxy.Proxy) {
 	t.Helper()
+	net, _, wc, cl, px := newStackEns(t)
+	return net, wc, cl, px
+}
+
+// newStackEns is newStack for tests that also need the ensemble (to attach
+// a monitor to its commit watermarks).
+func newStackEns(t *testing.T) (*simnet.Network, *zeus.Ensemble, *zeus.Client, *Client, *proxy.Proxy) {
+	t.Helper()
 	net := simnet.New(simnet.DefaultLatency(), 42)
 	ens := zeus.StartEnsemble(net, 3, []simnet.Placement{
 		{Region: "us", Cluster: "zk1"},
@@ -25,7 +33,7 @@ func newStack(t *testing.T) (*simnet.Network, *zeus.Client, *Client, *proxy.Prox
 	net.RunFor(10 * time.Second)
 	px := proxy.New(net, "proxy-1", simnet.Placement{Region: "us", Cluster: "web"},
 		[]simnet.NodeID{"obs-1"}, nil)
-	return net, wc, New(px), px
+	return net, ens, wc, New(px), px
 }
 
 func write(t *testing.T, net *simnet.Network, wc *zeus.Client, path, data string) {
@@ -140,12 +148,12 @@ func TestAvailabilityThroughDiskCache(t *testing.T) {
 		t.Errorf("healthy read source = %q, want fresh", cfg.Source)
 	}
 
-	// Everything dies: observer and proxy. The deprecated v1 shim still
-	// reads through the disk cache.
+	// Everything dies: observer and proxy. The read still succeeds,
+	// through the disk cache.
 	net.Fail("obs-1")
 	px.Crash()
 	net.RunFor(1 * time.Second)
-	cfg, err = cl.Current("/configs/app")
+	cfg, err = cl.Get(context.Background(), "/configs/app")
 	if err != nil {
 		t.Fatalf("disk-cache fallback failed: %v", err)
 	}

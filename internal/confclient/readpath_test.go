@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"configerator/internal/monitor"
 	"configerator/internal/obs"
 	"configerator/internal/proxy"
+	"configerator/internal/simnet"
 )
 
 // TestValueCacheAcrossVersions: each committed version of a path is decoded
@@ -131,27 +133,59 @@ func TestMapAliasingRegression(t *testing.T) {
 }
 
 // TestWarmGetZeroAlloc is the headline regression gate: a warm fresh Get is
-// one snapshot read plus one memo load — zero heap allocations.
+// one snapshot read plus one memo load — zero heap allocations. The
+// monitored case attaches the whole fleet-health plane (proxy heartbeats
+// into a sweeping monitor with an SLO) and must read the same 0 at both
+// layers: monitoring rides the sim loop, never a read.
 func TestWarmGetZeroAlloc(t *testing.T) {
-	net, wc, cl, _ := newStack(t)
-	reg := obs.New()
-	cl.SetObs(reg)
-	const path = "/configs/zeroalloc"
-	write(t, net, wc, path, `{"enabled":true,"batch":64}`)
-	cl.Want(path)
-	net.RunFor(2 * time.Second)
-	ctx := context.Background()
-	if _, err := cl.Get(ctx, path); err != nil { // consume first-read event + decode
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		v, err := cl.Get(ctx, path)
-		if err != nil || !v.Bool("enabled", false) {
-			t.Fatal("warm read failed")
+	for _, monitored := range []bool{false, true} {
+		name := "bare"
+		if monitored {
+			name = "monitored"
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm Get allocates %.1f per run, want 0", allocs)
+		t.Run(name, func(t *testing.T) {
+			net, ens, wc, cl, px := newStackEns(t)
+			reg := obs.New()
+			cl.SetObs(reg)
+			if monitored {
+				px.Obs = reg
+				m := monitor.New(monitor.Config{
+					ID: "mon", Ensemble: ens, Obs: reg,
+					SweepEvery: 500 * time.Millisecond, HeartbeatEvery: 200 * time.Millisecond,
+					SLOs: []*monitor.SLO{monitor.ConvergenceSLO(0.99, 2*time.Second)},
+				})
+				m.Attach(net, simnet.Placement{Region: "us", Cluster: "web"})
+				px.EnableMonitor("mon", 200*time.Millisecond)
+			}
+			const path = "/configs/zeroalloc"
+			write(t, net, wc, path, `{"enabled":true,"batch":64}`)
+			cl.Want(path)
+			net.RunFor(2 * time.Second)
+			ctx := context.Background()
+			if _, err := cl.Get(ctx, path); err != nil { // consume first-read event + decode
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				v, err := cl.Get(ctx, path)
+				if err != nil || !v.Bool("enabled", false) {
+					t.Fatal("warm read failed")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm Get allocates %.1f per run, want 0", allocs)
+			}
+			if !monitored {
+				return
+			}
+			if allocs := testing.AllocsPerRun(200, func() { px.Read(path) }); allocs != 0 {
+				t.Errorf("warm proxy.Read under the monitor allocates %.1f per run, want 0", allocs)
+			}
+			c := reg.Counters()
+			if c.Get("proxy.monitor.heartbeat") == 0 || c.Get("monitor.sweeps") == 0 {
+				t.Errorf("monitor plane idle: %d heartbeats, %d sweeps",
+					c.Get("proxy.monitor.heartbeat"), c.Get("monitor.sweeps"))
+			}
+		})
 	}
 }
 

@@ -2,8 +2,7 @@ package core
 
 // Canonical stage names. These are the keys of ChangeReport.Timings, the
 // suffixes of the registry's "stage.<name>" latency histograms, and the
-// span names in a change's trace — one list shared by the pipeline,
-// benchreport, and the obs experiment instead of scattered string
+// span names in a change's trace — one list instead of scattered string
 // literals.
 //
 // StageLint and StageCompile are both part of pipeline stage 1: the lint

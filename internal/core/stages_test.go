@@ -54,6 +54,9 @@ func TestStageNamesCanonical(t *testing.T) {
 			t.Errorf("stage.%s histogram empty", n)
 		}
 	}
+	if got := reg.Counters().Get("pipeline.landed"); got != 1 {
+		t.Errorf("pipeline.landed = %d, want 1", got)
+	}
 
 	// The commit's trace is resolvable by landed hash and renders the full
 	// span tree: all five pipeline stages plus at least one zeus push hop

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,99 +15,70 @@ import (
 	"configerator/internal/zeus"
 )
 
-// AvailabilityReport is the BENCH_availability.json schema: continuous
-// reads under a scripted infrastructure outage (observer crashes, a region
-// partition, a crash-looping proxy), with stale-serve on vs off.
-type AvailabilityReport struct {
-	Workload struct {
-		Servers     int     `json:"servers"`
-		Writes      int     `json:"writes"`
-		ReadEveryMs int     `json:"read_every_ms"`
-		DurationSec float64 `json:"duration_sec"`
-	} `json:"workload"`
-	StaleServeOn  AvailabilitySide `json:"stale_serve_on"`
-	StaleServeOff AvailabilitySide `json:"stale_serve_off"`
-	Convergence   struct {
-		// AfterHealMs is how long after the last scripted heal every
-		// server served the final committed revision (stale-serve-on run).
-		AfterHealMs float64 `json:"after_heal_ms"`
-	} `json:"convergence"`
-	Faults struct {
-		Scripted int              `json:"scripted"`
-		Fired    int              `json:"fired"`
-		Counters map[string]int64 `json:"counters"`
-	} `json:"faults"`
-	// Monitor reports the fleet-health plane's view of the same outage
-	// (stale-serve-on run): the SLO alerts that fired, the scripted outage
-	// windows each alert is checked against, and how quickly alerts
-	// cleared once the fleet reconverged after the last heal.
-	Monitor AvailabilityMonitor `json:"monitor"`
-}
-
-// AvailabilityMonitor is the fleet-health section of the availability
-// artifact.
-type AvailabilityMonitor struct {
-	Sweeps       int64                `json:"sweeps"`
-	SweepEveryMs float64              `json:"sweep_every_ms"`
-	Alerts       []AvailabilityAlert  `json:"alerts"`
-	Windows      []AvailabilityWindow `json:"outage_windows"`
+// availMonitor is the fleet-health plane's view of the outage: the SLO
+// alerts that fired, the scripted outage windows each alert is checked
+// against, and how quickly alerts cleared once the fleet reconverged after
+// the last heal.
+type availMonitor struct {
+	Sweeps  int64
+	Alerts  []availAlert
+	Windows []availWindow
 	// AllWindowsCovered: every scripted outage window overlapped an
 	// active SLO alert (allowing burn-rate detection latency).
-	AllWindowsCovered bool `json:"all_windows_covered"`
+	AllWindowsCovered bool
 	// AllAlertsCleared: no alert was still active at the end of the run.
-	AllAlertsCleared bool `json:"all_alerts_cleared"`
-	// ClearAfterLastHealMs is when the last alert cleared, measured from
-	// the final scripted heal (the 35s observer restart).
-	ClearAfterLastHealMs float64 `json:"clear_after_last_heal_ms"`
-	// ClearedWithinSweeps is ClearAfterLastHealMs minus the fleet's own
-	// reconvergence time, in sweeps — the monitor's deadline is two.
-	ClearedWithinSweeps float64 `json:"cleared_within_sweeps"`
-	TimeToHeadP50Ms     float64 `json:"time_to_head_p50_ms"`
-	TimeToHeadP99Ms     float64 `json:"time_to_head_p99_ms"`
+	AllAlertsCleared bool
+	// ClearedWithinSweeps is how long after the fleet itself reconverged
+	// (following the final scripted heal, the 35s observer restart) the
+	// last alert cleared, in sweeps — the monitor's deadline is two.
+	ClearedWithinSweeps float64
+	TimeToHeadP50Ms     float64
+	TimeToHeadP99Ms     float64
 }
 
-// AvailabilityAlert is one SLO alert, offsets from workload start.
-type AvailabilityAlert struct {
-	SLO          string   `json:"slo"`
-	FiredOffMs   float64  `json:"fired_off_ms"`
-	ClearedOffMs float64  `json:"cleared_off_ms"` // 0 while active
-	Active       bool     `json:"active"`
-	Paths        []string `json:"paths"`
+// availAlert is one SLO alert, offsets from workload start.
+type availAlert struct {
+	SLO          string
+	FiredOffMs   float64
+	ClearedOffMs float64 // 0 while active
+	Active       bool
+	Paths        []string
 }
 
-// AvailabilityWindow is one scripted outage interval and whether an SLO
+// availWindow is one scripted outage interval and whether an SLO
 // alert was active during it.
-type AvailabilityWindow struct {
-	Kind    string  `json:"kind"`
-	Key     string  `json:"key"`
-	StartMs float64 `json:"start_ms"`
-	EndMs   float64 `json:"end_ms"`
-	Covered bool    `json:"covered"`
+type availWindow struct {
+	Kind    string
+	Key     string
+	StartMs float64
+	EndMs   float64
+	Covered bool
 }
 
-// AvailabilitySide is one run's read outcomes.
-type AvailabilitySide struct {
-	Reads        int     `json:"reads"`
-	OK           int     `json:"ok"`
-	Availability float64 `json:"availability"`
+// availSide is one run's read outcomes.
+type availSide struct {
+	Reads        int
+	OK           int
+	Availability float64
 	// Staleness of reads served during the outage window: how far behind
 	// the latest committed revision the served value was.
-	StalenessP50Ms float64 `json:"staleness_p50_ms"`
-	StalenessP99Ms float64 `json:"staleness_p99_ms"`
-	DegradedReads  int64   `json:"degraded_reads"`
-	StaleReads     int64   `json:"stale_reads"`
-	RefusedReads   int64   `json:"refused_reads"`
-	PlaneDownSeen  int64   `json:"plane_down_transitions"`
+	StalenessP50Ms float64
+	StalenessP99Ms float64
+	DegradedReads  int64
+	StaleReads     int64
+	RefusedReads   int64
+	PlaneDownSeen  int64
 }
 
-// availOutcome carries one scenario run's raw measurements.
+// availOutcome is what one run of the scripted outage measured, all of it
+// on the simulated clock.
 type availOutcome struct {
-	side        AvailabilitySide
+	side        availSide
 	convergence time.Duration
 	scripted    int
 	fired       int
 	counters    map[string]int64
-	mon         AvailabilityMonitor
+	mon         availMonitor
 }
 
 // availSweepEvery is the monitor cadence the availability scenario runs
@@ -210,7 +180,7 @@ func availabilityScenario(seed uint64, staleServe bool) availOutcome {
 	// Staleness is measured against the newest commit at read time during
 	// the outage window [5s, 35s].
 	var (
-		side        AvailabilitySide
+		side        availSide
 		staleness   []time.Duration
 		start       = f.Net.Now()
 		healAt      = start.Add(35 * time.Second)
@@ -316,14 +286,13 @@ func availabilityScenario(seed uint64, staleServe bool) availOutcome {
 	}
 }
 
-// foldMonitor distills the monitor's run into the artifact's health
+// foldMonitor distills the monitor's run into the outcome's health
 // section: alert timeline, per-window coverage, and clear latency.
 func foldMonitor(mon *monitor.Monitor, plan *simnet.FaultPlan,
-	start, healAt time.Time, convergence time.Duration) AvailabilityMonitor {
+	start, healAt time.Time, convergence time.Duration) availMonitor {
 	st := mon.Status()
-	out := AvailabilityMonitor{
+	out := availMonitor{
 		Sweeps:           st.Sweeps,
-		SweepEveryMs:     availSweepEvery.Seconds() * 1e3,
 		AllAlertsCleared: true,
 		TimeToHeadP50Ms:  st.TimeToHeadP50.Seconds() * 1e3,
 		TimeToHeadP99Ms:  st.TimeToHeadP99.Seconds() * 1e3,
@@ -331,7 +300,7 @@ func foldMonitor(mon *monitor.Monitor, plan *simnet.FaultPlan,
 	off := func(t time.Time) time.Duration { return t.Sub(start) }
 	var lastClear time.Duration
 	for _, a := range st.Alerts {
-		aa := AvailabilityAlert{
+		aa := availAlert{
 			SLO: a.SLO, Active: a.Active(), Paths: a.Paths,
 			FiredOffMs: off(a.FiredAt).Seconds() * 1e3,
 		}
@@ -352,7 +321,7 @@ func foldMonitor(mon *monitor.Monitor, plan *simnet.FaultPlan,
 	slack := 3 * availSweepEvery
 	out.AllWindowsCovered = true
 	for _, w := range plan.OutageWindows() {
-		aw := AvailabilityWindow{
+		aw := availWindow{
 			Kind:    string(w.Kind),
 			Key:     w.Key,
 			StartMs: w.Start.Seconds() * 1e3,
@@ -379,16 +348,12 @@ func foldMonitor(mon *monitor.Monitor, plan *simnet.FaultPlan,
 		out.Windows = append(out.Windows, aw)
 	}
 
-	if out.AllAlertsCleared && len(out.Alerts) > 0 {
-		healOff := healAt.Sub(start)
-		out.ClearAfterLastHealMs = (lastClear - healOff).Seconds() * 1e3
-		// The monitor's deadline: once the fleet itself has reconverged
-		// (which takes `convergence` after the heal), alerts must clear
-		// within two sweeps — plus one sweep+heartbeat of observation lag.
-		if convergence >= 0 {
-			sinceConverged := lastClear - healOff - convergence
-			out.ClearedWithinSweeps = float64(sinceConverged) / float64(availSweepEvery)
-		}
+	// The monitor's deadline: once the fleet itself has reconverged (which
+	// takes `convergence` after the heal), alerts must clear within two
+	// sweeps — plus one sweep+heartbeat of observation lag.
+	if out.AllAlertsCleared && len(out.Alerts) > 0 && convergence >= 0 {
+		sinceConverged := lastClear - healAt.Sub(start) - convergence
+		out.ClearedWithinSweeps = float64(sinceConverged) / float64(availSweepEvery)
 	}
 	return out
 }
@@ -425,33 +390,19 @@ func groupByRegion(f *cluster.Fleet) (east, west []simnet.NodeID) {
 // than that of the applications it supports"): continuous reads across the
 // fleet while observers crash, a region partitions, and a proxy
 // crash-loops — once with stale-serve on (the paper's choice: availability
-// over freshness) and once with it off. The raw numbers land as
-// BENCH_availability.json.
+// over freshness) and once with it off.
 func Availability(opts Options) Result {
 	r := Result{ID: "availability", Title: "Read availability under infrastructure faults (stale-serve on vs off)"}
 
 	on := availabilityScenario(opts.Seed, true)
 	off := availabilityScenario(opts.Seed, false)
 
-	var rep AvailabilityReport
-	rep.Workload.Servers = 12
-	rep.Workload.Writes = 15
-	rep.Workload.ReadEveryMs = 500
-	rep.Workload.DurationSec = 60
-	rep.StaleServeOn = on.side
-	rep.StaleServeOff = off.side
-	rep.Convergence.AfterHealMs = on.convergence.Seconds() * 1e3
-	rep.Faults.Scripted = on.scripted
-	rep.Faults.Fired = on.fired
-	rep.Faults.Counters = on.counters
-	rep.Monitor = on.mon
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "scripted faults: %d (fired %d; fault.injected=%d)\n\n",
 		on.scripted, on.fired, on.counters["fault.injected"])
 	fmt.Fprintf(&b, "%-16s %10s %10s %14s %14s %10s\n",
 		"mode", "reads", "ok", "availability", "stale p99", "refused")
-	row := func(name string, s AvailabilitySide) {
+	row := func(name string, s availSide) {
 		fmt.Fprintf(&b, "%-16s %10d %10d %13.2f%% %12.0fms %10d\n",
 			name, s.Reads, s.OK, s.Availability*100, s.StalenessP99Ms, s.RefusedReads)
 	}
@@ -470,15 +421,11 @@ func Availability(opts Options) Result {
 	r.metric("availability_stale_serve_off", off.side.Availability, 0, false)
 	r.metric("outage_staleness_p50_ms", on.side.StalenessP50Ms, 0, false)
 	r.metric("outage_staleness_p99_ms", on.side.StalenessP99Ms, 0, false)
-	r.metric("convergence_after_heal_ms", rep.Convergence.AfterHealMs, 0, false)
+	r.metric("convergence_after_heal_ms", ms(on.convergence), 0, false)
 	r.metric("faults_fired", float64(on.fired), float64(on.scripted), true)
 	r.metric("slo_alerts_fired", float64(len(on.mon.Alerts)), 1, true)
 	r.metric("slo_windows_covered", boolMetric(on.mon.AllWindowsCovered), 1, true)
 	r.metric("slo_alerts_cleared", boolMetric(on.mon.AllAlertsCleared), 1, true)
 	r.metric("slo_cleared_within_sweeps", on.mon.ClearedWithinSweeps, 2, false)
-
-	art, _ := json.MarshalIndent(rep, "", "  ")
-	r.ArtifactName = "BENCH_availability.json"
-	r.Artifact = art
 	return r
 }

@@ -1,9 +1,15 @@
 // Package experiments regenerates every table and figure from the paper's
-// evaluation (Section 6) plus the design-choice ablations listed in
-// DESIGN.md. Each experiment returns a Result holding the rendered
-// rows/series (the same shape the paper reports) and the key scalar
-// metrics that the benchmark assertions and EXPERIMENTS.md compare against
-// the published values.
+// evaluation (Section 6), the design-choice ablations listed in DESIGN.md,
+// and four fault/scale scenarios with no counterpart in the benchmark
+// (availability, monitor, scale, vessel). Each experiment returns a Result
+// holding the rendered rows/series (the same shape the paper reports) and
+// the key scalar metrics that the package's tests and EXPERIMENTS.md
+// compare against the published values.
+//
+// This package is the paper-vs-measured record, not the performance
+// record: speed and memory are measured by `go run ./bench` against
+// BENCHMARK.json. The scenarios here run on the simulated clock, so their
+// tests assert values and counts, not wall time.
 //
 // The root bench harness (bench_test.go) and cmd/benchreport both call
 // into this package, so the benchmarks and the written report can never
@@ -13,6 +19,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -29,11 +36,6 @@ type Result struct {
 	// PaperValues are the corresponding published numbers, keyed like
 	// Metrics, where the paper states one.
 	PaperValues map[string]float64
-	// ArtifactName and Artifact, when set, are a raw data file the
-	// experiment wants written next to the report (e.g. the obs
-	// experiment's full registry dump as BENCH_obs.json).
-	ArtifactName string
-	Artifact     []byte
 }
 
 // metric registers a measured value with its paper counterpart (NaN-free;
@@ -109,13 +111,8 @@ func Catalog() []Experiment {
 		{"ablation-gk-optimizer", AblationGatekeeperOptimizer},
 		{"ablation-mobile-delta", AblationMobileDelta},
 		{"ext-riskadvisor", ExtensionRiskAdvisor},
-		{"engine", CompileEngine},
 		{"configlint", Lint},
-		{"obs", Obs},
-		{"distribution", Distribution},
 		{"availability", Availability},
-		{"readpath", ReadPath},
-		{"dataflow", Dataflow},
 		{"monitor", Monitor},
 		{"scale", Scale},
 	}
@@ -132,7 +129,8 @@ func All(opts Options) []Result {
 }
 
 // Run executes only the experiments whose IDs are listed, in catalog
-// order; an empty list means all. Unknown IDs are an error.
+// order; an empty list means all. Unknown IDs are an error, reported
+// (all of them, sorted) before anything runs.
 func Run(opts Options, ids []string) ([]Result, error) {
 	if len(ids) == 0 {
 		return All(opts), nil
@@ -141,15 +139,24 @@ func Run(opts Options, ids []string) ([]Result, error) {
 	for _, id := range ids {
 		want[id] = true
 	}
-	var out []Result
+	var selected []Experiment
 	for _, e := range Catalog() {
 		if want[e.ID] {
-			out = append(out, e.Run(opts))
+			selected = append(selected, e)
 			delete(want, e.ID)
 		}
 	}
-	for id := range want {
-		return nil, fmt.Errorf("experiments: unknown id %q", id)
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, strconv.Quote(id))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("experiments: unknown id %s", strings.Join(unknown, ", "))
+	}
+	out := make([]Result, 0, len(selected))
+	for _, e := range selected {
+		out = append(out, e.Run(opts))
 	}
 	return out, nil
 }

@@ -8,6 +8,43 @@ import (
 	"configerator/internal/cdl/analysis"
 )
 
+// fanoutFS builds the paper's recompile-fan-out scenario (§3.1): one shared
+// .cinc imported by n top-level configs. The .cinc carries a schema, a
+// validator, and a deliberately non-trivial amount of evaluation work so
+// the cost of re-evaluating it per dependent is visible.
+func fanoutFS(n int) (cdl.MapFS, []string) {
+	fs := cdl.MapFS{
+		"lib/shared.cinc": `
+			schema Job {
+				1: string name;
+				2: i32 priority = 1;
+				3: list<string> tags = [];
+				4: map<string, i64> limits = {};
+			}
+			validator Job(c) { assert(c.priority >= 0 && c.priority <= 10, "priority out of range"); }
+			let total = 0;
+			for (i in range(400)) {
+				total = total + i * i;
+			}
+			let tiers = [];
+			for (i in range(40)) {
+				tiers = tiers + ["tier-" + str(i)];
+			}
+			def mk(name, pri) {
+				return Job{name: name, priority: pri, tags: ["managed", name] + tiers, limits: {"budget": total}};
+			}
+			export mk("shared-default", 1);
+		`,
+	}
+	paths := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		p := fmt.Sprintf("svc/app%03d.cconf", i)
+		fs[p] = fmt.Sprintf("import \"lib/shared.cinc\";\nexport mk(\"svc-%03d\", %d);\n", i, i%10)
+		paths = append(paths, p)
+	}
+	return fs, paths
+}
+
 // Lint measures the configlint driver over the shared-.cinc fan-out: cold
 // analyzer wall-time, warm wall-time against a populated parse cache, the
 // incremental cost of compiling after linting with the same engine, and

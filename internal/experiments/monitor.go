@@ -1,216 +1,41 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
-	"testing"
 	"time"
 
 	"configerator/internal/cluster"
-	"configerator/internal/confclient"
 	"configerator/internal/monitor"
 	"configerator/internal/obs"
-	"configerator/internal/proxy"
 	"configerator/internal/simnet"
 	"configerator/internal/zeus"
 )
 
-// MonitorReport is the BENCH_monitor.json schema: what continuous
-// fleet-health monitoring costs and what it buys. The cost side reruns
-// the readpath storm with heartbeats+sweeps live and gates the overhead
-// at 5% and warm-read allocations at zero; the value side measures the
-// continuous time-to-head distribution on a real fleet and the fire/clear
-// latency of SLO burn alerts around an injected outage.
-type MonitorReport struct {
-	Overhead struct {
-		Readers              int     `json:"readers"`
-		WindowMs             int     `json:"window_ms"`
-		Trials               int     `json:"trials"`
-		BaselineReadsPerSec  float64 `json:"baseline_reads_per_sec"`
-		MonitoredReadsPerSec float64 `json:"monitored_reads_per_sec"`
-		OverheadPct          float64 `json:"overhead_pct"`
-		HeartbeatEveryMs     float64 `json:"heartbeat_every_ms"`
-		SweepEveryMs         float64 `json:"sweep_every_ms"`
-		Heartbeats           int64   `json:"heartbeats"`
-		Sweeps               int64   `json:"sweeps"`
-	} `json:"overhead"`
-	// Allocs are per warm read with monitoring ENABLED — the PR-6 gates
-	// must survive the monitoring plane.
-	Allocs struct {
-		PerProxyRead float64 `json:"per_proxy_read"`
-		PerClientGet float64 `json:"per_client_get"`
-	} `json:"allocs"`
-	Convergence struct {
-		Proxies         int     `json:"proxies"`
-		Writes          int     `json:"writes"`
-		Samples         int64   `json:"samples"`
-		TimeToHeadP50Ms float64 `json:"time_to_head_p50_ms"`
-		TimeToHeadP99Ms float64 `json:"time_to_head_p99_ms"`
-	} `json:"convergence"`
-	Alerts struct {
-		// FireLatencyMs: injected fault → convergence alert fired.
-		// ClearLatencyMs: fault healed → alert cleared.
-		FireLatencyMs  float64 `json:"fire_latency_ms"`
-		ClearLatencyMs float64 `json:"clear_latency_ms"`
-		Fired          int64   `json:"fired"`
-		Cleared        int64   `json:"cleared"`
-	} `json:"alerts"`
+// monitorOutcome is what the fleet-health scenario measured, all of it on
+// the simulated clock: the continuous time-to-head distribution over a
+// fleet, and the fire/clear latency of the convergence SLO alert around an
+// injected observer outage. (That monitoring costs the read path nothing is
+// asserted where the read path lives: the monitored cases of
+// proxy.TestReadZeroAllocWarm and confclient.TestWarmGetZeroAlloc.)
+type monitorOutcome struct {
+	Proxies, Writes int
+	// Samples is one time-to-head sample per (proxy, version).
+	Samples                      int64
+	TimeToHeadP50, TimeToHeadP99 time.Duration
+	AlertsFired, AlertsCleared   int64
+	// FireLatency: injected fault → convergence alert fired.
+	// ClearLatency: fault healed → alert cleared.
+	FireLatency, ClearLatency time.Duration
 }
 
-// monStack is the single-server rig the overhead comparison runs on —
-// the same shape as the readpath experiment, optionally monitored.
-type monStack struct {
-	net *simnet.Network
-	reg *obs.Registry
-	px  *proxy.Proxy
-	cl  *confclient.Client
-	wc  *zeus.Client
-}
-
-const (
-	monHeartbeatEvery = 200 * time.Millisecond
-	monSweepEvery     = 500 * time.Millisecond
-)
-
-func newMonStack(seed uint64, monitored bool) *monStack {
-	reg := obs.New()
-	net := simnet.New(simnet.DefaultLatency(), seed)
-	ens := zeus.StartEnsemble(net, 3, []simnet.Placement{
-		{Region: "us", Cluster: "zk1"},
-		{Region: "us", Cluster: "zk2"},
-		{Region: "eu", Cluster: "zk3"},
-	})
-	ens.SetObs(reg)
-	ens.AddObserver("obs-1", simnet.Placement{Region: "us", Cluster: "web"})
-	wc := zeus.NewClient("mon-writer", ens.Members)
-	net.AddNode("mon-writer", simnet.Placement{Region: "us", Cluster: "ctrl"}, wc)
-	net.RunFor(10 * time.Second)
-	px := proxy.New(net, "mon-proxy", simnet.Placement{Region: "us", Cluster: "web"},
-		[]simnet.NodeID{"obs-1"}, nil)
-	px.Obs = reg
-	cl := confclient.New(px)
-	cl.SetObs(reg)
-	if monitored {
-		// Aggressive cadences so heartbeats and sweeps actually fire many
-		// times inside the storm's virtual-time churn.
-		m := monitor.New(monitor.Config{
-			ID: "mon", Ensemble: ens, Obs: reg, SweepEvery: monSweepEvery,
-			HeartbeatEvery: monHeartbeatEvery,
-		})
-		m.Attach(net, simnet.Placement{Region: "us", Cluster: "web"})
-		px.EnableMonitor("mon", monHeartbeatEvery)
-	}
-	return &monStack{net: net, reg: reg, px: px, cl: cl, wc: wc}
-}
-
-func (s *monStack) commit(path string, rev int) {
-	s.net.After(0, func() {
-		ctx := simnet.MakeContext(s.net, "mon-writer")
-		s.wc.Write(&ctx, path, readpathPayload(path, rev), func(zeus.WriteResult) {})
-	})
-}
-
-// warm lands rev 1 on every path and warms the client memos.
-func (s *monStack) warm(paths []string) {
-	for _, p := range paths {
-		s.commit(p, 1)
-	}
-	s.net.RunFor(10 * time.Second)
-	s.cl.Want(paths...)
-	s.net.RunFor(5 * time.Second)
-	ctx := context.Background()
-	for _, p := range paths {
-		if _, err := s.cl.Get(ctx, p); err != nil {
-			panic("monitor experiment: warm read failed: " + err.Error())
-		}
-	}
-}
-
-// storm runs one readpath-style measurement window against the stack.
-func (s *monStack) storm(readers int, window time.Duration, paths []string) float64 {
-	ctx := context.Background()
-	read := func(i int) {
-		if v, err := s.cl.Get(ctx, paths[i%len(paths)]); err == nil {
-			_ = v.Int("rev", -1)
-		}
-	}
-	rev := 1
-	lv := readpathMeasure(readers, window, read, func(deadline time.Time) {
-		for time.Now().Before(deadline) {
-			rev++
-			s.commit(paths[rev%len(paths)], rev)
-			s.net.RunFor(250 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-		}
-	})
-	return lv.ReadsPerSec
-}
-
-// Monitor measures the fleet-health plane: read-path overhead with
-// monitoring on vs off (gated at 5%), warm-read allocations with
-// monitoring enabled (gated at 0), the continuous time-to-head
-// distribution over a fleet, and SLO alert fire/clear latency around an
-// injected outage. Raw numbers land as BENCH_monitor.json.
-func Monitor(opts Options) Result {
-	r := Result{ID: "monitor", Title: "Fleet-health monitoring: overhead, convergence quantiles, alert latency"}
-	var rep MonitorReport
-
-	// ---- Overhead: same storm, monitoring off vs on, best-of-N trials
-	// so scheduler noise cannot masquerade as monitoring cost (the
-	// monitored work rides timer ticks, never the read path).
-	const nPaths = 8
-	paths := make([]string, nPaths)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/readpath/cfg-%d.json", i)
-	}
-	readers, window, trials := 8, 300*time.Millisecond, 3
-	if opts.Quick {
-		window, trials = 120*time.Millisecond, 2
-	}
-	off := newMonStack(opts.Seed, false)
-	on := newMonStack(opts.Seed, true)
-	off.warm(paths)
-	on.warm(paths)
-	var bestOff, bestOn float64
-	for t := 0; t < trials; t++ {
-		if v := off.storm(readers, window, paths); v > bestOff {
-			bestOff = v
-		}
-		if v := on.storm(readers, window, paths); v > bestOn {
-			bestOn = v
-		}
-	}
-	rep.Overhead.Readers = readers
-	rep.Overhead.WindowMs = int(window / time.Millisecond)
-	rep.Overhead.Trials = trials
-	rep.Overhead.BaselineReadsPerSec = bestOff
-	rep.Overhead.MonitoredReadsPerSec = bestOn
-	if bestOff > 0 {
-		rep.Overhead.OverheadPct = (1 - bestOn/bestOff) * 100
-	}
-	rep.Overhead.HeartbeatEveryMs = monHeartbeatEvery.Seconds() * 1e3
-	rep.Overhead.SweepEveryMs = monSweepEvery.Seconds() * 1e3
-	rep.Overhead.Heartbeats = on.reg.Counters().Get("proxy.monitor.heartbeat")
-	rep.Overhead.Sweeps = on.reg.Counters().Get("monitor.sweeps")
-
-	// ---- Allocation gates, with the monitoring plane live.
-	ctx := context.Background()
-	rep.Allocs.PerProxyRead = testing.AllocsPerRun(200, func() {
-		if res := on.px.Read(paths[0]); !res.OK {
-			panic("monitor experiment: cold proxy read")
-		}
-	})
-	rep.Allocs.PerClientGet = testing.AllocsPerRun(200, func() {
-		if _, err := on.cl.Get(ctx, paths[1]); err != nil {
-			panic("monitor experiment: cold client get")
-		}
-	})
-
+// monitorScenario lands ten writes on a healthy two-region fleet under a
+// sweeping monitor, then kills one cluster's observers while writes
+// continue, heals them, and waits for the alert to clear.
+func monitorScenario(seed uint64) monitorOutcome {
 	// ---- Convergence quantiles + alert latency on a real fleet.
 	reg := obs.New()
-	cfg := cluster.SmallConfig(2, opts.Seed)
+	cfg := cluster.SmallConfig(2, seed)
 	cfg.Obs = reg
 	f := cluster.New(cfg)
 	f.Net.RunFor(10 * time.Second)
@@ -239,11 +64,13 @@ func Monitor(opts Options) Result {
 		f.Net.RunFor(3 * time.Second)
 	}
 	h := reg.Histogram(monitor.HistTimeToHead)
-	rep.Convergence.Proxies = len(f.AllServers())
-	rep.Convergence.Writes = writes
-	rep.Convergence.Samples = int64(h.Count())
-	rep.Convergence.TimeToHeadP50Ms = h.Quantile(0.50).Seconds() * 1e3
-	rep.Convergence.TimeToHeadP99Ms = h.Quantile(0.99).Seconds() * 1e3
+	out := monitorOutcome{
+		Proxies:       len(f.AllServers()),
+		Writes:        writes,
+		Samples:       int64(h.Count()),
+		TimeToHeadP50: h.Quantile(0.50),
+		TimeToHeadP99: h.Quantile(0.99),
+	}
 
 	// Outage: kill uw1's distribution plane, keep writing so its proxies
 	// fall behind; the convergence alert must fire, then clear after heal.
@@ -265,43 +92,38 @@ func Monitor(opts Options) Result {
 	}
 	f.Net.RunFor(30 * time.Second)
 	st := mon.Status()
-	rep.Alerts.Fired = reg.Counters().Get("monitor.alert.fired")
-	rep.Alerts.Cleared = reg.Counters().Get("monitor.alert.cleared")
+	out.AlertsFired = reg.Counters().Get("monitor.alert.fired")
+	out.AlertsCleared = reg.Counters().Get("monitor.alert.cleared")
 	if !fired.IsZero() {
-		rep.Alerts.FireLatencyMs = fired.Sub(faultAt).Seconds() * 1e3
+		out.FireLatency = fired.Sub(faultAt)
 	}
 	for _, a := range st.Alerts {
 		if !a.Active() && a.ClearedAt.After(healAt) {
-			rep.Alerts.ClearLatencyMs = a.ClearedAt.Sub(healAt).Seconds() * 1e3
+			out.ClearLatency = a.ClearedAt.Sub(healAt)
 		}
 	}
+	return out
+}
 
-	// ---- Render.
+// Monitor reports the fleet-health plane: continuous convergence quantiles
+// over a fleet and SLO alert fire/clear latency around an injected outage.
+func Monitor(opts Options) Result {
+	r := Result{ID: "monitor", Title: "Fleet-health monitoring: convergence quantiles, alert latency"}
+	o := monitorScenario(opts.Seed)
+
 	var b strings.Builder
-	fmt.Fprintf(&b, "overhead: %d readers, %dms window, best of %d trials\n",
-		readers, rep.Overhead.WindowMs, trials)
-	fmt.Fprintf(&b, "  baseline  %12.0f reads/s\n", bestOff)
-	fmt.Fprintf(&b, "  monitored %12.0f reads/s (%.1f%% overhead; %d heartbeats, %d sweeps)\n",
-		bestOn, rep.Overhead.OverheadPct, rep.Overhead.Heartbeats, rep.Overhead.Sweeps)
-	fmt.Fprintf(&b, "  allocs/warm-read: proxy=%.1f client=%.1f (monitoring on)\n",
-		rep.Allocs.PerProxyRead, rep.Allocs.PerClientGet)
-	fmt.Fprintf(&b, "\nconvergence over %d proxies, %d writes: time-to-head p50=%.1fms p99=%.1fms (%d samples)\n",
-		rep.Convergence.Proxies, writes,
-		rep.Convergence.TimeToHeadP50Ms, rep.Convergence.TimeToHeadP99Ms, rep.Convergence.Samples)
+	fmt.Fprintf(&b, "convergence over %d proxies, %d writes: time-to-head p50=%.1fms p99=%.1fms (%d samples)\n",
+		o.Proxies, o.Writes, ms(o.TimeToHeadP50), ms(o.TimeToHeadP99), o.Samples)
 	fmt.Fprintf(&b, "alerts: fired %d (latency %.0fms after fault), cleared %d (%.0fms after heal)\n",
-		rep.Alerts.Fired, rep.Alerts.FireLatencyMs, rep.Alerts.Cleared, rep.Alerts.ClearLatencyMs)
+		o.AlertsFired, ms(o.FireLatency), o.AlertsCleared, ms(o.ClearLatency))
 	r.Text = b.String()
 
-	r.metric("overhead_pct", rep.Overhead.OverheadPct, 5, true)
-	r.metric("allocs_per_proxy_read_monitored", rep.Allocs.PerProxyRead, 0, true)
-	r.metric("allocs_per_client_get_monitored", rep.Allocs.PerClientGet, 0, true)
-	r.metric("time_to_head_p50_ms", rep.Convergence.TimeToHeadP50Ms, 0, false)
-	r.metric("time_to_head_p99_ms", rep.Convergence.TimeToHeadP99Ms, 0, false)
-	r.metric("alert_fire_latency_ms", rep.Alerts.FireLatencyMs, 0, false)
-	r.metric("alert_clear_latency_ms", rep.Alerts.ClearLatencyMs, 0, false)
-
-	data, _ := json.MarshalIndent(rep, "", "  ")
-	r.ArtifactName = "BENCH_monitor.json"
-	r.Artifact = data
+	r.metric("time_to_head_p50_ms", ms(o.TimeToHeadP50), 0, false)
+	r.metric("time_to_head_p99_ms", ms(o.TimeToHeadP99), 0, false)
+	r.metric("alert_fire_latency_ms", ms(o.FireLatency), 0, false)
+	r.metric("alert_clear_latency_ms", ms(o.ClearLatency), 0, false)
 	return r
 }
+
+// ms renders a duration as fractional milliseconds.
+func ms(d time.Duration) float64 { return d.Seconds() * 1e3 }

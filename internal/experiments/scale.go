@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -15,7 +14,7 @@ import (
 	"configerator/internal/zeus"
 )
 
-// ScaleReport is the BENCH_scale.json schema: the fleet-scale simnet core
+// scaleOutcome is what the fleet-scale scenarios measured: the simnet core
 // (timer wheel, pooled events, dense node table — DESIGN.md §14) carrying
 // the paper's headline fleets. Two scenarios, each run twice with the same
 // seed to prove determinism at scale:
@@ -26,60 +25,60 @@ import (
 //   - mobile: the §5 pull/push hybrid at 1M devices — staggered hourly-
 //     style polls, an emergency mapping change pushed as an unreliable
 //     "pull now" hint, stragglers healed by their next regular poll.
-type ScaleReport struct {
-	Quick bool   `json:"quick"`
-	Seed  uint64 `json:"seed"`
-
-	Push   ScalePush   `json:"push"`
-	Mobile ScaleMobile `json:"mobile"`
-
-	// Warm steady-state micro gates (testing.AllocsPerRun on a 2-node net).
-	AllocsPerSend  float64 `json:"allocs_per_send"`
-	AllocsPerTimer float64 `json:"allocs_per_timer"`
+type scaleOutcome struct {
+	Push   scalePush
+	Mobile scaleMobile
 }
 
-// ScaleRun is the common per-scenario accounting block.
-type ScaleRun struct {
-	WallSeconds    float64 `json:"wall_seconds"`
-	Events         uint64  `json:"events"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesOnWire    uint64  `json:"bytes_on_wire"`
-	Delivered      uint64  `json:"delivered"`
-	Dropped        uint64  `json:"dropped"`
+// scaleRun is the common per-scenario accounting block.
+type scaleRun struct {
+	WallSeconds    float64
+	Events         uint64
+	EventsPerSec   float64
+	AllocsPerEvent float64
+	BytesOnWire    uint64
+	Delivered      uint64
+	Dropped        uint64
 	// Deterministic is true when a second run with the same seed produced
 	// identical Delivered/Dropped/BytesSent.
-	Deterministic bool `json:"deterministic"`
+	Deterministic bool
 }
 
-// ScalePush is the §6.3 propagation scenario.
-type ScalePush struct {
-	Proxies      int `json:"proxies"`
-	Observers    int `json:"observers"`
-	Regions      int `json:"regions"`
-	Clusters     int `json:"clusters"`
-	PayloadBytes int `json:"payload_bytes"`
-
-	ConvergedFrac float64 `json:"converged_frac"`
-	P50Seconds    float64 `json:"p50_seconds"`
-	P99Seconds    float64 `json:"p99_seconds"`
-	MaxSeconds    float64 `json:"max_seconds"`
-
-	Run ScaleRun `json:"run"`
+// String renders the accounting line shared by both scenarios.
+func (r scaleRun) String() string {
+	return fmt.Sprintf("wall %.1fs, %.2fM events (%.2fM events/s), %.1f allocs/event, %.1f MB on wire, deterministic=%v",
+		r.WallSeconds, float64(r.Events)/1e6, r.EventsPerSec/1e6,
+		r.AllocsPerEvent, float64(r.BytesOnWire)/1e6, r.Deterministic)
 }
 
-// ScaleMobile is the §5 pull/push hybrid scenario.
-type ScaleMobile struct {
-	Devices          int     `json:"devices"`
-	Servers          int     `json:"servers"`
-	PollIntervalMin  float64 `json:"poll_interval_min"`
-	PushReachFrac    float64 `json:"push_reach_frac"`
-	ReachedIn60sFrac float64 `json:"reached_in_60s_frac"`
-	CatchupP99Sec    float64 `json:"catchup_p99_seconds"`
-	CaughtUpByPoll   bool    `json:"caught_up_by_poll"`
-	NotModifiedFrac  float64 `json:"not_modified_frac"`
+// scalePush is the §6.3 propagation scenario.
+type scalePush struct {
+	Proxies      int
+	Observers    int
+	Regions      int
+	Clusters     int
+	PayloadBytes int
 
-	Run ScaleRun `json:"run"`
+	ConvergedFrac float64
+	P50Seconds    float64
+	P99Seconds    float64
+	MaxSeconds    float64
+
+	Run scaleRun
+}
+
+// scaleMobile is the §5 pull/push hybrid scenario.
+type scaleMobile struct {
+	Devices          int
+	Servers          int
+	PollIntervalMin  float64
+	PushReachFrac    float64
+	ReachedIn60sFrac float64
+	CatchupP99Sec    float64
+	CaughtUpByPoll   bool
+	NotModifiedFrac  float64
+
+	Run scaleRun
 }
 
 // runMeter measures one scenario's event-processing phase: wall clock,
@@ -98,12 +97,12 @@ func startMeter(net *simnet.Network) *runMeter {
 	return &runMeter{start: time.Now(), mallocs: ms.Mallocs, events: net.Events, net: net}
 }
 
-func (m *runMeter) stop() ScaleRun {
+func (m *runMeter) stop() scaleRun {
 	wall := time.Since(m.start).Seconds()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	events := m.net.Events - m.events
-	run := ScaleRun{
+	run := scaleRun{
 		WallSeconds: wall,
 		Events:      events,
 		BytesOnWire: m.net.BytesSent,
@@ -129,7 +128,7 @@ func (m *runMeter) stop() ScaleRun {
 // receive the leader's batch 1–3 s after commit (global pacing) and each
 // proxy's watch event is staggered 0.2–1.0 s behind its observer (cluster
 // pacing) — yielding the S-curve that tops out near the paper's number.
-func scalePushOnce(seed uint64, regions, clustersPerRegion, perCluster, payload int) (ScalePush, ScaleRun) {
+func scalePushOnce(seed uint64, regions, clustersPerRegion, perCluster, payload int) (scalePush, scaleRun) {
 	net := simnet.New(simnet.DefaultLatency(), seed)
 	zkPlace := simnet.Placement{Region: "r0", Cluster: "zk"}
 	ens := zeus.StartEnsemble(net, 3, []simnet.Placement{zkPlace})
@@ -217,7 +216,7 @@ func scalePushOnce(seed uint64, regions, clustersPerRegion, perCluster, payload 
 	}
 	run := meter.stop()
 
-	p := ScalePush{
+	p := scalePush{
 		Proxies:       len(proxies),
 		Observers:     nObs,
 		Regions:       regions,
@@ -236,7 +235,7 @@ func scalePushOnce(seed uint64, regions, clustersPerRegion, perCluster, payload 
 // interval; at changeAt the mapping is updated fleet-wide and each server
 // pushes a "pull now" hint to the ~90% of its devices the unreliable push
 // channel reaches. The rest catch up at their next regular poll.
-func scaleMobileOnce(seed uint64, devices, servers int) (ScaleMobile, ScaleRun) {
+func scaleMobileOnce(seed uint64, devices, servers int) (scaleMobile, scaleRun) {
 	const pollInterval = 20 * time.Minute
 	net := simnet.New(simnet.DefaultLatency(), seed)
 	rng := stats.NewRNG(seed * 7919)
@@ -287,8 +286,8 @@ func scaleMobileOnce(seed uint64, devices, servers int) (ScaleMobile, ScaleRun) 
 	net.RunFor(pollInterval + time.Minute) // warm: every device pulls rev 1
 
 	// Emergency change: remap MAX_RETRIES fleet-wide and push the hint.
-	// (Mapping distribution itself rides configerator — §4's plane, modeled
-	// in the distribution experiment; here it lands on every server at once.)
+	// (Mapping distribution itself rides configerator — §4's plane; here it
+	// lands on every server at once.)
 	for _, tr := range trs {
 		if err := tr.LoadMapping(mapping(5)); err != nil {
 			panic(err)
@@ -340,7 +339,7 @@ func scaleMobileOnce(seed uint64, devices, servers int) (ScaleMobile, ScaleRun) 
 		polls += s.Polls
 		notMod += s.NotModified
 	}
-	m := ScaleMobile{
+	m := scaleMobile{
 		Devices:          devices,
 		Servers:          servers,
 		PollIntervalMin:  pollInterval.Minutes(),
@@ -353,101 +352,56 @@ func scaleMobileOnce(seed uint64, devices, servers int) (ScaleMobile, ScaleRun) 
 	return m, run
 }
 
-// Scale is the fleet-scale experiment behind BENCH_scale.json.
-func Scale(opts Options) Result {
-	r := Result{ID: "scale", Title: "Fleet-scale simnet: 100k-proxy §6.3 push and 1M-device §5 hybrid"}
+// scaleScenario runs both scenarios twice with the same seed.
+func scaleScenario(opts Options) scaleOutcome {
 	regions, clustersPerRegion, perCluster := 5, 4, 5000 // 100k proxies
 	devices, servers := 1_000_000, 20
 	if opts.Quick {
 		perCluster = 200 // 4k proxies
 		devices = 20_000
 	}
+	sameTotals := func(a, b scaleRun) bool {
+		return a.Delivered == b.Delivered && a.Dropped == b.Dropped && a.BytesOnWire == b.BytesOnWire
+	}
+	var out scaleOutcome
+	push, run := scalePushOnce(opts.Seed, regions, clustersPerRegion, perCluster, 2048)
+	_, again := scalePushOnce(opts.Seed, regions, clustersPerRegion, perCluster, 2048)
+	run.Deterministic = sameTotals(run, again)
+	push.Run = run
+	out.Push = push
 
-	report := ScaleReport{Quick: opts.Quick, Seed: opts.Seed}
+	mob, mrun := scaleMobileOnce(opts.Seed, devices, servers)
+	_, magain := scaleMobileOnce(opts.Seed, devices, servers)
+	mrun.Deterministic = sameTotals(mrun, magain)
+	mob.Run = mrun
+	out.Mobile = mob
+	return out
+}
 
-	push1, run1 := scalePushOnce(opts.Seed, regions, clustersPerRegion, perCluster, 2048)
-	_, run1b := scalePushOnce(opts.Seed, regions, clustersPerRegion, perCluster, 2048)
-	run1.Deterministic = run1.Delivered == run1b.Delivered &&
-		run1.Dropped == run1b.Dropped && run1.BytesOnWire == run1b.BytesOnWire
-	push1.Run = run1
-	report.Push = push1
-
-	mob1, mrun1 := scaleMobileOnce(opts.Seed, devices, servers)
-	_, mrun1b := scaleMobileOnce(opts.Seed, devices, servers)
-	mrun1.Deterministic = mrun1.Delivered == mrun1b.Delivered &&
-		mrun1.Dropped == mrun1b.Dropped && mrun1.BytesOnWire == mrun1b.BytesOnWire
-	mob1.Run = mrun1
-	report.Mobile = mob1
-
-	report.AllocsPerSend, report.AllocsPerTimer = scaleMicroAllocs()
+// Scale is the fleet-scale experiment: the 100k-proxy §6.3 curve and the
+// 1M-device §5 hybrid.
+func Scale(opts Options) Result {
+	r := Result{ID: "scale", Title: "Fleet-scale simnet: 100k-proxy §6.3 push and 1M-device §5 hybrid"}
+	o := scaleScenario(opts)
+	push, mob := o.Push, o.Mobile
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "push: %d proxies, %d observers, %d clusters — converged %.1f%%, p50 %.2fs p99 %.2fs max %.2fs\n",
-		push1.Proxies, push1.Observers, push1.Clusters, 100*push1.ConvergedFrac,
-		push1.P50Seconds, push1.P99Seconds, push1.MaxSeconds)
-	fmt.Fprintf(&b, "      wall %.1fs, %.2fM events (%.2fM events/s), %.1f allocs/event, %.1f MB on wire, deterministic=%v\n",
-		run1.WallSeconds, float64(run1.Events)/1e6, run1.EventsPerSec/1e6,
-		run1.AllocsPerEvent, float64(run1.BytesOnWire)/1e6, run1.Deterministic)
+		push.Proxies, push.Observers, push.Clusters, 100*push.ConvergedFrac,
+		push.P50Seconds, push.P99Seconds, push.MaxSeconds)
+	fmt.Fprintf(&b, "      %s\n", push.Run)
 	fmt.Fprintf(&b, "mobile: %d devices / %d servers — push reached %.1f%%, %.1f%% updated in 60s, catch-up p99 %.0fs, all by next poll=%v, not-modified %.1f%%\n",
-		mob1.Devices, mob1.Servers, 100*mob1.PushReachFrac, 100*mob1.ReachedIn60sFrac,
-		mob1.CatchupP99Sec, mob1.CaughtUpByPoll, 100*mob1.NotModifiedFrac)
-	fmt.Fprintf(&b, "       wall %.1fs, %.2fM events (%.2fM events/s), %.1f allocs/event, %.1f MB on wire, deterministic=%v\n",
-		mrun1.WallSeconds, float64(mrun1.Events)/1e6, mrun1.EventsPerSec/1e6,
-		mrun1.AllocsPerEvent, float64(mrun1.BytesOnWire)/1e6, mrun1.Deterministic)
-	fmt.Fprintf(&b, "core:  %.0f allocs per warm Send, %.0f per warm SetTimer\n",
-		report.AllocsPerSend, report.AllocsPerTimer)
+		mob.Devices, mob.Servers, 100*mob.PushReachFrac, 100*mob.ReachedIn60sFrac,
+		mob.CatchupP99Sec, mob.CaughtUpByPoll, 100*mob.NotModifiedFrac)
+	fmt.Fprintf(&b, "       %s\n", mob.Run)
 	r.Text = b.String()
 
-	r.metric("push_proxies", float64(push1.Proxies), 0, false)
-	r.metric("push_p99_s", push1.P99Seconds, 4.5, true)
-	r.metric("push_converged_frac", push1.ConvergedFrac, 1.0, true)
-	r.metric("push_events_per_sec", run1.EventsPerSec, 0, false)
-	r.metric("mobile_devices", float64(mob1.Devices), 0, false)
-	r.metric("mobile_reached_60s_frac", mob1.ReachedIn60sFrac, 0, false)
-	r.metric("mobile_events_per_sec", mrun1.EventsPerSec, 0, false)
-	r.metric("allocs_per_send", report.AllocsPerSend, 0, true)
-	r.metric("allocs_per_timer", report.AllocsPerTimer, 0, true)
-
-	data, _ := json.MarshalIndent(report, "", "  ")
-	r.ArtifactName = "BENCH_scale.json"
-	r.Artifact = data
+	r.metric("push_proxies", float64(push.Proxies), 0, false)
+	r.metric("push_p99_s", push.P99Seconds, 4.5, true)
+	r.metric("push_converged_frac", push.ConvergedFrac, 1.0, true)
+	r.metric("push_events_per_sec", push.Run.EventsPerSec, 0, false)
+	r.metric("mobile_devices", float64(mob.Devices), 0, false)
+	r.metric("mobile_reached_60s_frac", mob.ReachedIn60sFrac, 0, false)
+	r.metric("mobile_events_per_sec", mob.Run.EventsPerSec, 0, false)
 	return r
-}
-
-// scaleMicroAllocs measures warm-path allocations on a minimal net: after
-// warmup, Send+Step and SetTimer+Step must not allocate at all (events come
-// from the freelist, link state from pre-grown maps).
-func scaleMicroAllocs() (send, timer float64) {
-	net := simnet.New(simnet.DefaultLatency(), 17)
-	place := simnet.Placement{Region: "r", Cluster: "c"}
-	h := simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {})
-	net.AddNode("a", place, h)
-	net.AddNode("b", place, h)
-	msg := &struct{}{}
-	for i := 0; i < 1000; i++ {
-		net.SendSized("a", "b", msg, 1024)
-		net.Step()
-	}
-	send = allocsPerRun(1000, func() {
-		net.SendSized("a", "b", msg, 1024)
-		net.Step()
-	})
-	timer = allocsPerRun(1000, func() {
-		net.SetTimer("a", time.Millisecond, msg)
-		net.Step()
-	})
-	return send, timer
-}
-
-// allocsPerRun is testing.AllocsPerRun without the testing import.
-func allocsPerRun(runs int, f func()) float64 {
-	f() // warm
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

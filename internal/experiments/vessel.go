@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -12,53 +11,20 @@ import (
 	"configerator/internal/vcs"
 )
 
-// VesselReport is the raw artifact behind BENCH_vessel.json: the
-// content-addressed PackageVessel measured against the three claims the
-// redesign is accountable for — §5's fleet-wide <4 min delivery at 10k
-// agents, cross-version dedup cutting a delta publish to a fraction of
-// the full package's bytes, and crash-resume that never re-fetches a
-// chunk the journal already verified. Every number is a deterministic
-// function of the seed; the Determinism block proves it by running the
-// scenarios twice and comparing state fingerprints.
-type VesselReport struct {
-	Fleet struct {
-		Agents        int     `json:"agents"`
-		PackageMB     int     `json:"package_mb"`
-		ChunkMB       int     `json:"chunk_mb"`
-		P50Seconds    float64 `json:"p50_seconds"`
-		P90Seconds    float64 `json:"p90_seconds"`
-		P99Seconds    float64 `json:"p99_seconds"`
-		MaxSeconds    float64 `json:"max_seconds"`
-		Under4Min     bool    `json:"under_4min"`
-		SameCluster   float64 `json:"same_cluster_chunk_frac"`
-		RegistryShare float64 `json:"registry_served_share"`
-		GrantWaste    float64 `json:"grant_waste_frac"`
-		Fingerprint   string  `json:"fingerprint"`
-	} `json:"fleet_delivery"`
-	Delta struct {
-		Agents         int     `json:"agents"`
-		FullChunks     int     `json:"full_chunks"`
-		ChangedFrac    float64 `json:"changed_frac"`
-		PublishedNew   int     `json:"published_new_chunks"`
-		PublishedDedup int     `json:"published_dedup_chunks"`
-		WireFrac       float64 `json:"v2_wire_bytes_frac"`
-		Under25Pct     bool    `json:"under_25pct"`
-		Fingerprint    string  `json:"fingerprint"`
-	} `json:"delta_publish"`
-	Resume struct {
-		ChunksTotal     int    `json:"chunks_total"`
-		VerifiedOnDisk  int    `json:"verified_on_restart"`
-		RefetchedAfter  int    `json:"refetched_after_restart"`
-		LifetimeFetched int    `json:"lifetime_fetched"`
-		Completed       bool   `json:"completed"`
-		NoRefetch       bool   `json:"no_refetch_of_verified"`
-		Fingerprint     string `json:"fingerprint"`
-	} `json:"resume"`
-	Determinism struct {
-		Runs         int      `json:"runs_per_scenario"`
-		Fingerprints []string `json:"fingerprints"`
-		Identical    bool     `json:"identical"`
-	} `json:"determinism"`
+// vesselOutcome is the content-addressed PackageVessel measured against
+// the three claims the redesign is accountable for — §5's fleet-wide
+// <4 min delivery at 10k agents, cross-version dedup cutting a delta
+// publish to a fraction of the full package's bytes, and crash-resume
+// that never re-fetches a chunk the journal already verified. Every
+// number is a deterministic function of the seed; Fingerprints holds each
+// scenario class's state fingerprint from two same-seed runs, and
+// Identical says the pairs match.
+type vesselOutcome struct {
+	Fleet        fleetOutcome
+	Delta        deltaOutcome
+	Resume       resumeOutcome
+	Fingerprints []string
+	Identical    bool
 }
 
 // fingerprint folds a stream of integers into a content hash, giving each
@@ -131,12 +97,20 @@ func (f *vesselFleet) deliver(m blob.Manifest, deadline time.Duration) []time.Du
 	return took
 }
 
+// fleetOutcome is one fleet-wide delivery: sorted completion times,
+// where the chunks came from, and the run's fingerprint.
 type fleetOutcome struct {
-	took        []time.Duration
-	sameCluster float64
-	regShare    float64
-	grantWaste  float64
-	fp          string
+	agents, sizeMB, chunkMB int
+	took                    []time.Duration
+	sameCluster             float64
+	regShare                float64
+	grantWaste              float64
+	fp                      string
+}
+
+// quantile is the completion time of the p-quantile agent.
+func (o fleetOutcome) quantile(p float64) time.Duration {
+	return o.took[int(p*float64(len(o.took)-1))]
 }
 
 // runFleetDelivery measures one fleet-wide package delivery.
@@ -151,8 +125,7 @@ func runFleetDelivery(seed uint64, agents, clusters, sizeMB, chunkMB int) fleetO
 	if len(took) != agents {
 		panic(fmt.Sprintf("vessel: fleet incomplete: %d of %d", len(took), agents))
 	}
-	var out fleetOutcome
-	out.took = took
+	out := fleetOutcome{agents: agents, sizeMB: sizeMB, chunkMB: chunkMB, took: took}
 	var fp fingerprint
 	var same, total, fromOrigin, fetched uint64
 	for _, a := range f.agents {
@@ -175,7 +148,11 @@ func runFleetDelivery(seed uint64, agents, clusters, sizeMB, chunkMB int) fleetO
 	return out
 }
 
+// deltaOutcome is one v1→v2 delta publish: what the registry stored and
+// what share of the full package's bytes the fleet moved for v2.
 type deltaOutcome struct {
+	fullChunks             int // 1 MiB chunks
+	changedFrac            float64
 	newChunks, dedupChunks int
 	wireFrac               float64
 	fp                     string
@@ -221,6 +198,8 @@ func runDeltaPublish(seed uint64, agents, sizeMB int, changedFrac float64) delta
 	st := f.registry.LastPublish()
 	fp.add(uint64(st.NewChunks), uint64(st.DedupChunks), f.registry.ChunksServed)
 	return deltaOutcome{
+		fullChunks:  sizeMB,
+		changedFrac: changedFrac,
 		newChunks:   st.NewChunks,
 		dedupChunks: st.DedupChunks,
 		// Per-agent average v2 wire bytes over the full package size.
@@ -229,6 +208,8 @@ func runDeltaPublish(seed uint64, agents, sizeMB int, changedFrac float64) delta
 	}
 }
 
+// resumeOutcome is one crash-and-restart: chunk accounting across the
+// victim's two lives.
 type resumeOutcome struct {
 	chunksTotal, verified, refetched, lifetime int
 	completed, noRefetch                       bool
@@ -286,16 +267,13 @@ func runResume(seed uint64, agents, sizeMB int) resumeOutcome {
 	return out
 }
 
-// Vessel benchmarks the content-addressed PackageVessel against the
-// redesign's three acceptance claims and writes the raw numbers as
-// BENCH_vessel.json: (a) a 10k-agent fleet receives a multi-GB package
-// in under the four minutes §5 claims, (b) publishing a small-delta v2
-// moves under 25% of the full package's bytes thanks to digest-keyed
-// dedup, and (c) a crashed-and-restarted agent completes without
-// re-fetching any chunk its resume journal already verified.
-func Vessel(opts Options) Result {
-	r := Result{ID: "vessel", Title: "Content-addressed PackageVessel: 10k-agent delivery, delta publish, crash resume"}
-
+// vesselScenario runs the three scenarios and the same-seed re-runs:
+// (a) a 10k-agent fleet receives a multi-GB package in under the four
+// minutes §5 claims, (b) publishing a small-delta v2 moves under 25% of
+// the full package's bytes thanks to digest-keyed dedup, and (c) a
+// crashed-and-restarted agent completes without re-fetching any chunk its
+// resume journal already verified.
+func vesselScenario(opts Options) vesselOutcome {
 	fleetAgents, fleetClusters, fleetMB, fleetChunkMB := 10_000, 40, 2048, 16
 	deltaAgents, deltaMB := 48, 192
 	resumeAgents, resumeMB := 12, 64
@@ -306,47 +284,13 @@ func Vessel(opts Options) Result {
 		miniAgents, miniMB = 120, 64
 	}
 
-	var rep VesselReport
-
-	// (a) Fleet-scale delivery against the four-minute claim.
-	fleet := runFleetDelivery(opts.Seed, fleetAgents, fleetClusters, fleetMB, fleetChunkMB)
-	q := func(p float64) time.Duration {
-		return fleet.took[int(p*float64(len(fleet.took)-1))]
-	}
-	rep.Fleet.Agents = fleetAgents
-	rep.Fleet.PackageMB = fleetMB
-	rep.Fleet.ChunkMB = fleetChunkMB
-	rep.Fleet.P50Seconds = q(0.50).Seconds()
-	rep.Fleet.P90Seconds = q(0.90).Seconds()
-	rep.Fleet.P99Seconds = q(0.99).Seconds()
-	rep.Fleet.MaxSeconds = q(1.0).Seconds()
-	rep.Fleet.Under4Min = rep.Fleet.MaxSeconds < 240
-	rep.Fleet.SameCluster = fleet.sameCluster
-	rep.Fleet.RegistryShare = fleet.regShare
-	rep.Fleet.GrantWaste = fleet.grantWaste
-	rep.Fleet.Fingerprint = fleet.fp
-
-	// (b) Delta publish: 12.5% of chunks change between v1 and v2.
+	// (a) Fleet-scale delivery against the four-minute claim; (b) a delta
+	// publish where 12.5% of chunks change between v1 and v2; (c) a crash
+	// mid-download, restart, finish from the journal.
 	const changedFrac = 0.125
+	fleet := runFleetDelivery(opts.Seed, fleetAgents, fleetClusters, fleetMB, fleetChunkMB)
 	delta := runDeltaPublish(opts.Seed, deltaAgents, deltaMB, changedFrac)
-	rep.Delta.Agents = deltaAgents
-	rep.Delta.FullChunks = deltaMB // 1 MiB chunks
-	rep.Delta.ChangedFrac = changedFrac
-	rep.Delta.PublishedNew = delta.newChunks
-	rep.Delta.PublishedDedup = delta.dedupChunks
-	rep.Delta.WireFrac = delta.wireFrac
-	rep.Delta.Under25Pct = delta.wireFrac < 0.25
-	rep.Delta.Fingerprint = delta.fp
-
-	// (c) Crash mid-download, restart, finish from the journal.
 	res := runResume(opts.Seed, resumeAgents, resumeMB)
-	rep.Resume.ChunksTotal = res.chunksTotal
-	rep.Resume.VerifiedOnDisk = res.verified
-	rep.Resume.RefetchedAfter = res.refetched
-	rep.Resume.LifetimeFetched = res.lifetime
-	rep.Resume.Completed = res.completed
-	rep.Resume.NoRefetch = res.noRefetch
-	rep.Resume.Fingerprint = res.fp
 
 	// Determinism: each scenario class re-run with the same seed must
 	// reproduce its fingerprint bit-for-bit (the fleet run is represented
@@ -355,34 +299,44 @@ func Vessel(opts Options) Result {
 	mini2 := runFleetDelivery(opts.Seed, miniAgents, 8, miniMB, miniChunkMB)
 	delta2 := runDeltaPublish(opts.Seed, deltaAgents, deltaMB, changedFrac)
 	res2 := runResume(opts.Seed, resumeAgents, resumeMB)
-	rep.Determinism.Runs = 2
-	rep.Determinism.Fingerprints = []string{mini1.fp, mini2.fp, delta.fp, delta2.fp, res.fp, res2.fp}
-	rep.Determinism.Identical = mini1.fp == mini2.fp && delta.fp == delta2.fp && res.fp == res2.fp
+	return vesselOutcome{
+		Fleet:        fleet,
+		Delta:        delta,
+		Resume:       res,
+		Fingerprints: []string{mini1.fp, mini2.fp, delta.fp, delta2.fp, res.fp, res2.fp},
+		Identical:    mini1.fp == mini2.fp && delta.fp == delta2.fp && res.fp == res2.fp,
+	}
+}
+
+// Vessel reports the content-addressed PackageVessel against the
+// redesign's three acceptance claims: fleet delivery, delta publish,
+// crash resume — plus same-seed determinism of all three.
+func Vessel(opts Options) Result {
+	r := Result{ID: "vessel", Title: "Content-addressed PackageVessel: 10k-agent delivery, delta publish, crash resume"}
+	o := vesselScenario(opts)
+	fleet, delta, res := o.Fleet, o.Delta, o.Resume
+	fleetMax := fleet.quantile(1).Seconds()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet delivery: %d agents, %d MB package (%d MB chunks): p50 %.1fs p99 %.1fs max %.1fs (four-minute bound: %v)\n",
-		fleetAgents, fleetMB, fleetChunkMB, rep.Fleet.P50Seconds, rep.Fleet.P99Seconds, rep.Fleet.MaxSeconds, rep.Fleet.Under4Min)
+		fleet.agents, fleet.sizeMB, fleet.chunkMB,
+		fleet.quantile(0.50).Seconds(), fleet.quantile(0.99).Seconds(), fleetMax, fleetMax < 240)
 	fmt.Fprintf(&b, "  locality: %.0f%% same-cluster; registry served %.1f%% of chunks; grant waste %.1f%%\n",
 		100*fleet.sameCluster, 100*fleet.regShare, 100*fleet.grantWaste)
 	fmt.Fprintf(&b, "delta publish: v2 changed %.1f%% of %d chunks -> registry stored %d new / %d dedup; fleet moved %.1f%% of full-package bytes (<25%%: %v)\n",
-		100*changedFrac, rep.Delta.FullChunks, delta.newChunks, delta.dedupChunks, 100*delta.wireFrac, rep.Delta.Under25Pct)
+		100*delta.changedFrac, delta.fullChunks, delta.newChunks, delta.dedupChunks, 100*delta.wireFrac, delta.wireFrac < 0.25)
 	fmt.Fprintf(&b, "resume: crash mid-download, restart: %d/%d chunks verified on disk, %d re-fetched, lifetime fetches %d (no re-fetch of verified: %v)\n",
 		res.verified, res.chunksTotal, res.refetched, res.lifetime, res.noRefetch)
-	fmt.Fprintf(&b, "determinism: %v (fingerprints %s)\n",
-		rep.Determinism.Identical, strings.Join(rep.Determinism.Fingerprints, " "))
+	fmt.Fprintf(&b, "determinism: %v (fingerprints %s)\n", o.Identical, strings.Join(o.Fingerprints, " "))
 	r.Text = b.String()
 
-	r.metric("fleet_agents", float64(fleetAgents), 0, false)
-	r.metric("fleet_max_seconds", rep.Fleet.MaxSeconds, 240, true)
-	r.metric("fleet_p50_seconds", rep.Fleet.P50Seconds, 0, false)
+	r.metric("fleet_agents", float64(fleet.agents), 0, false)
+	r.metric("fleet_max_seconds", fleetMax, 240, true)
+	r.metric("fleet_p50_seconds", fleet.quantile(0.50).Seconds(), 0, false)
 	r.metric("fleet_same_cluster_frac", fleet.sameCluster, 0, false)
 	r.metric("delta_wire_frac", delta.wireFrac, 0.25, true)
 	r.metric("resume_verified_chunks", float64(res.verified), 0, false)
 	r.metric("resume_no_refetch", boolMetric(res.noRefetch), 1, true)
-	r.metric("deterministic", boolMetric(rep.Determinism.Identical), 1, true)
-
-	art, _ := json.MarshalIndent(rep, "", "  ")
-	r.ArtifactName = "BENCH_vessel.json"
-	r.Artifact = art
+	r.metric("deterministic", boolMetric(o.Identical), 1, true)
 	return r
 }

@@ -187,19 +187,6 @@ func (a *Agent) OnAnnounce(md Metadata) {
 	ctx.SetTimer(manifestRetry, msgManifestRetry{Name: md.Name, Version: md.Version})
 }
 
-// OnMetadata starts a download from an encoded metadata artifact.
-//
-// Deprecated: use OnAnnounce with a parsed Metadata; OnMetadata remains
-// for one release so external callers can migrate. Undecodable metadata
-// is ignored, as before.
-func (a *Agent) OnMetadata(data []byte) {
-	md, err := ParseMetadata(data)
-	if err != nil {
-		return
-	}
-	a.OnAnnounce(md)
-}
-
 // OnManifest starts (or dedups into) a transfer from an already-verified
 // manifest — the direct entry used when the caller holds the manifest
 // itself rather than the small metadata record.

@@ -46,7 +46,9 @@ func TestMetadataThroughConfigerator(t *testing.T) {
 		agent.OnComplete(func(blob.Manifest, time.Duration, pv.TransferStats) { completed++ })
 		a := agent
 		srv.Client.Watch(context.Background(), zpath, func(cfg *confclient.Value) {
-			a.OnMetadata(cfg.Raw)
+			if md, err := pv.ParseMetadata(cfg.Raw); err == nil {
+				a.OnAnnounce(md)
+			}
 		})
 		agents = append(agents, agent)
 	}

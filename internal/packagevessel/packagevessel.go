@@ -477,22 +477,6 @@ func (r *Registry) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg si
 	}
 }
 
-// Upload is the v1 positional API: build a synthetic package of the given
-// size, publish it, and return the encoded-metadata record.
-//
-// Deprecated: use Publish with an explicit Package; Upload remains for
-// one release so external callers can migrate. Synthetic content is
-// seeded from the package name, so repeated Uploads of the same name
-// dedup across versions just like real content.
-func (r *Registry) Upload(name string, version int64, size, chunkSize int) (Metadata, error) {
-	p := SyntheticPackage(name, version, size, chunkSize, stats.Hash64(name))
-	m, err := r.Publish(p)
-	if err != nil {
-		return Metadata{}, err
-	}
-	return MetadataFor(m, r.id, r.tracker), nil
-}
-
 // ---- Wire messages ----
 
 // msgAnnounce advertises digests a node now holds (seeds on publish;

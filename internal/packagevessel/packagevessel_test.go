@@ -55,15 +55,6 @@ func (r *swarmRig) publish(t *testing.T, name string, version int64, size int) M
 	return MetadataFor(m, r.registry.ID(), r.tracker.ID())
 }
 
-func encodeMeta(t *testing.T, m Metadata) []byte {
-	t.Helper()
-	b, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 func TestMetadataRoundTrip(t *testing.T) {
 	m := Metadata{Name: "model", Version: 3, Size: 10 << 20,
 		Manifest: blob.DigestOf([]byte("m")).String(), Registry: "registry", Tracker: "tracker"}
@@ -227,21 +218,6 @@ func TestSingleAgentDownload(t *testing.T) {
 	if r.agents[0].ChunksFromOrigin != 8 {
 		t.Errorf("ChunksFromOrigin = %d, want 8", r.agents[0].ChunksFromOrigin)
 	}
-}
-
-func TestDeprecatedShims(t *testing.T) {
-	r := newSwarm(t, 1, 1, 1)
-	meta, err := r.registry.Upload("model", 1, 4<<20, DefaultChunkSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.agents[0].OnMetadata(encodeMeta(t, meta))
-	r.net.RunFor(5 * time.Minute)
-	if !r.agents[0].Complete("model", 1) {
-		t.Fatal("shim path never completed")
-	}
-	// Undecodable metadata is ignored, as before.
-	r.agents[0].OnMetadata([]byte("{"))
 }
 
 func TestSwarmAllComplete(t *testing.T) {

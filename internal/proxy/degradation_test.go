@@ -68,7 +68,7 @@ func TestPartitionHealObserverFailover(t *testing.T) {
 		t.Fatal("proxy did not fail over across the partition")
 	}
 	r.write(t, "/configs/app", `v2`)
-	if e, _ := r.proxy.Get("/configs/app"); string(e.Data) != "v2" {
+	if e := r.proxy.Read("/configs/app"); string(e.Data) != "v2" {
 		t.Fatalf("after failover, cache = %s", e.Data)
 	}
 
@@ -81,7 +81,7 @@ func TestPartitionHealObserverFailover(t *testing.T) {
 		t.Fatalf("proxy on %s after heal+fail, want %s", cur, first)
 	}
 	r.write(t, "/configs/app", `v3`)
-	if e, _ := r.proxy.Get("/configs/app"); string(e.Data) != "v3" {
+	if e := r.proxy.Read("/configs/app"); string(e.Data) != "v3" {
 		t.Fatalf("after fail-back, cache = %s", e.Data)
 	}
 	if len(got) == 0 || got[len(got)-1] != "v3" {
@@ -173,7 +173,7 @@ func TestPlaneHealResubscribes(t *testing.T) {
 	if c := r.reg.Counters().Get("proxy.plane.heal"); c == 0 {
 		t.Error("proxy.plane.heal counter not incremented")
 	}
-	if e, _ := r.proxy.Get("/configs/app"); string(e.Data) != "v2" {
+	if e := r.proxy.Read("/configs/app"); string(e.Data) != "v2" {
 		t.Fatalf("after heal, cache = %s, want v2", e.Data)
 	}
 	if len(got) == 0 || got[len(got)-1] != "v2" {

@@ -19,8 +19,8 @@ func TestOverrideWinsOverCacheAndClears(t *testing.T) {
 	if !r.proxy.Overridden("/configs/app") {
 		t.Fatal("Overridden = false")
 	}
-	e, ok := r.proxy.Get("/configs/app")
-	if !ok || string(e.Data) != "canary" {
+	e := r.proxy.Read("/configs/app")
+	if !e.OK || string(e.Data) != "canary" {
 		t.Fatalf("Get during override = %q", e.Data)
 	}
 	if len(seen) == 0 || seen[len(seen)-1] != "canary" {
@@ -32,7 +32,7 @@ func TestOverrideWinsOverCacheAndClears(t *testing.T) {
 	if r.proxy.Overridden("/configs/app") {
 		t.Fatal("Overridden after clear")
 	}
-	e, _ = r.proxy.Get("/configs/app")
+	e = r.proxy.Read("/configs/app")
 	if string(e.Data) != "committed" {
 		t.Fatalf("Get after rollback = %q", e.Data)
 	}
@@ -51,12 +51,12 @@ func TestCommittedUpdateDuringOverride(t *testing.T) {
 	r.proxy.SetOverride("/configs/app", []byte(`canary`))
 	// A committed change lands while the override is active.
 	r.write(t, "/configs/app", `v2`)
-	e, _ := r.proxy.Get("/configs/app")
+	e := r.proxy.Read("/configs/app")
 	if string(e.Data) != "canary" {
 		t.Fatalf("override should still win: %q", e.Data)
 	}
 	r.proxy.ClearOverride("/configs/app")
-	e, _ = r.proxy.Get("/configs/app")
+	e = r.proxy.Read("/configs/app")
 	if string(e.Data) != "v2" {
 		t.Fatalf("after clear, Get = %q, want the newest committed value", e.Data)
 	}

@@ -67,7 +67,7 @@ func TestPushTreeLatencyMatchesLinkModel(t *testing.T) {
 	write(`{"v":1}`)
 	px.Want(path)
 	net.RunFor(20 * time.Second)
-	if _, ok := px.Get(path); !ok {
+	if !px.Read(path).OK {
 		t.Fatal("proxy never fetched v1")
 	}
 
@@ -94,7 +94,7 @@ func TestPushTreeLatencyMatchesLinkModel(t *testing.T) {
 	assertHop(obs.HistCommitToProxy, 4500*time.Millisecond)
 
 	// The application read after delivery measures commit-to-read.
-	if _, ok := px.Get(path); !ok {
+	if !px.Read(path).OK {
 		t.Fatal("proxy lost the config")
 	}
 	if h := reg.Histogram(obs.HistCommitToRead); h.Count() != 1 || h.Max() < 4500*time.Millisecond {

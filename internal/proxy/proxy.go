@@ -281,10 +281,6 @@ type Proxy struct {
 	monTarget simnet.NodeID
 	monEvery  time.Duration
 
-	// DeltaEncoding, when true (the default), advertises content hashes on
-	// fetches so observers may reply "not modified" or with a delta.
-	DeltaEncoding bool
-
 	// StaleServe, when true (the default), lets reads degrade to cached or
 	// on-disk values with explicit staleness metadata when fresh data is
 	// unreachable. Off, such reads fail — the availability-vs-freshness
@@ -309,17 +305,16 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 		disk = NewDiskCache()
 	}
 	p := &Proxy{
-		id:            id,
-		net:           net,
-		observers:     observers,
-		disk:          disk,
-		watched:       make(map[string]bool),
-		subs:          make(map[string][]subscription),
-		inflight:      make(map[int64]fetchState),
-		byPath:        make(map[string][]int64),
-		stats:         make(map[simnet.NodeID]*obsStats),
-		DeltaEncoding: true,
-		StaleServe:    true,
+		id:         id,
+		net:        net,
+		observers:  observers,
+		disk:       disk,
+		watched:    make(map[string]bool),
+		subs:       make(map[string][]subscription),
+		inflight:   make(map[int64]fetchState),
+		byPath:     make(map[string][]int64),
+		stats:      make(map[simnet.NodeID]*obsStats),
+		StaleServe: true,
 	}
 	p.snap.Store(&snapshot{
 		entries:   make(map[string]*entryState),
@@ -797,14 +792,6 @@ func (p *Proxy) Read(path string) ReadResult {
 	return ReadResult{Entry: e, Source: SourceStale, Age: now.Sub(e.Fetched), OK: true}
 }
 
-// Get returns the config at path. The second result is false when the
-// config is not available from any layer (override, memory, disk).
-// Deprecated: use Read, which also reports staleness metadata.
-func (p *Proxy) Get(path string) (Entry, bool) {
-	r := p.Read(path)
-	return r.Entry, r.OK
-}
-
 // sendFetch issues a fetch unless one is already in flight for the path
 // (single-flight: a second Want before the reply arrives must not send a
 // second MsgFetch).
@@ -862,7 +849,7 @@ func (p *Proxy) doFetch(ctx *simnet.Context, path string, advertise bool, attemp
 func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID, advertise bool, attempt int, hedge bool) {
 	p.nextReq++
 	st := fetchState{path: path, observer: target, sentAt: ctx.Now(), attempt: attempt, hedge: hedge}
-	if advertise && p.DeltaEncoding {
+	if advertise {
 		if es, ok := p.snap.Load().entries[path]; ok && es.e.Exists {
 			st.base, st.haveBase = es.e, true
 		} else if e, ok := p.disk.Load(path); ok && e.Exists {

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,9 +64,9 @@ func TestProxyFetchesOnDemand(t *testing.T) {
 	r.write(t, "/configs/app", `{"x":1}`)
 	r.proxy.Want("/configs/app")
 	r.net.RunFor(2 * time.Second)
-	e, ok := r.proxy.Get("/configs/app")
-	if !ok || !e.Exists || string(e.Data) != `{"x":1}` {
-		t.Fatalf("Get = %+v, %v", e, ok)
+	e := r.proxy.Read("/configs/app")
+	if !e.OK || !e.Exists || string(e.Data) != `{"x":1}` {
+		t.Fatalf("Read = %+v", e)
 	}
 }
 
@@ -78,7 +79,7 @@ func TestProxyReceivesPushedUpdate(t *testing.T) {
 	})
 	r.net.RunFor(2 * time.Second)
 	r.write(t, "/configs/app", `{"x":2}`)
-	e, _ := r.proxy.Get("/configs/app")
+	e := r.proxy.Read("/configs/app")
 	if string(e.Data) != `{"x":2}` {
 		t.Fatalf("proxy cache = %s", e.Data)
 	}
@@ -101,7 +102,7 @@ func TestProxyObserverFailover(t *testing.T) {
 		t.Fatal("proxy did not fail over")
 	}
 	r.write(t, "/configs/app", `v2`)
-	e, _ := r.proxy.Get("/configs/app")
+	e := r.proxy.Read("/configs/app")
 	if string(e.Data) != "v2" {
 		t.Fatalf("after failover, cache = %s", e.Data)
 	}
@@ -117,9 +118,9 @@ func TestDiskCacheFallbackWhenProxyDown(t *testing.T) {
 	r.net.RunFor(2 * time.Second)
 	r.proxy.Crash()
 	// The application still reads the (stale) config from disk.
-	e, ok := r.proxy.Get("/configs/app")
-	if !ok || string(e.Data) != "v1" {
-		t.Fatalf("disk fallback = %+v, %v", e, ok)
+	e := r.proxy.Read("/configs/app")
+	if !e.OK || string(e.Data) != "v1" {
+		t.Fatalf("disk fallback = %+v", e)
 	}
 }
 
@@ -132,21 +133,21 @@ func TestProxyRestartRefetches(t *testing.T) {
 	r.write(t, "/configs/app", `v2`) // changes while proxy is down
 	r.proxy.Restart()
 	r.net.RunFor(5 * time.Second)
-	e, ok := r.proxy.Get("/configs/app")
-	if !ok || string(e.Data) != "v2" {
+	e := r.proxy.Read("/configs/app")
+	if !e.OK || string(e.Data) != "v2" {
 		t.Fatalf("after restart, cache = %+v", e)
 	}
 }
 
 func TestProxyMissingConfig(t *testing.T) {
 	r := newRig(t, 6)
-	if _, ok := r.proxy.Get("/configs/never-written"); ok {
+	if r.proxy.Read("/configs/never-written").OK {
 		t.Fatal("Get of unknown config reported ok")
 	}
 	r.net.RunFor(2 * time.Second)
 	// It was implicitly Want()ed; still should not exist.
-	e, ok := r.proxy.Get("/configs/never-written")
-	if ok && e.Exists {
+	e := r.proxy.Read("/configs/never-written")
+	if e.OK && e.Exists {
 		t.Fatalf("nonexistent config materialized: %+v", e)
 	}
 }
@@ -164,9 +165,9 @@ func TestManyProxiesAllConverge(t *testing.T) {
 	r.write(t, "/configs/shared", `final`)
 	r.net.RunFor(5 * time.Second)
 	for i, px := range proxies {
-		e, ok := px.Get("/configs/shared")
-		if !ok || string(e.Data) != "final" {
-			t.Fatalf("proxy %d: %+v ok=%v", i, e, ok)
+		e := px.Read("/configs/shared")
+		if !e.OK || string(e.Data) != "final" {
+			t.Fatalf("proxy %d: %+v", i, e)
 		}
 	}
 }
@@ -229,9 +230,9 @@ func TestFetchSingleFlight(t *testing.T) {
 		t.Errorf("Fetches = %d, want 1", r.proxy.Fetches)
 	}
 	r.net.RunFor(2 * time.Second)
-	e, ok := r.proxy.Get("/configs/app")
-	if !ok || string(e.Data) != "v1" {
-		t.Fatalf("after coalesced fetch, Get = %+v, %v", e, ok)
+	e := r.proxy.Read("/configs/app")
+	if !e.OK || string(e.Data) != "v1" {
+		t.Fatalf("after coalesced fetch, Read = %+v", e)
 	}
 }
 
@@ -259,9 +260,9 @@ func TestProxyRestartMidDeltaFallback(t *testing.T) {
 	r.proxy.Restart()
 	r.net.RunFor(5 * time.Second)
 
-	e, ok := r.proxy.Get("/configs/app")
-	if !ok || string(e.Data) != "v3" {
-		t.Fatalf("after restart, cache = %+v, %v", e, ok)
+	e := r.proxy.Read("/configs/app")
+	if !e.OK || string(e.Data) != "v3" {
+		t.Fatalf("after restart, cache = %+v", e)
 	}
 	if full := reg.Counters().Get("zeus.fetch.full"); full <= fullBefore {
 		t.Errorf("zeus.fetch.full = %d (was %d), want a full-snapshot reply", full, fullBefore)
@@ -279,7 +280,7 @@ func TestWatchDeltaMissFallsBackToFetch(t *testing.T) {
 	r.proxy.Want("/configs/app")
 	r.net.RunFor(2 * time.Second)
 
-	e, _ := r.proxy.Get("/configs/app")
+	e := r.proxy.Read("/configs/app")
 	phantom := []byte("a version this proxy never saw")
 	forged := zeus.MsgWatchEvent{Update: zeus.Update{
 		Path: "/configs/app", Version: e.Version + 1, Zxid: e.Zxid + 100,
@@ -300,8 +301,55 @@ func TestWatchDeltaMissFallsBackToFetch(t *testing.T) {
 	if fb := reg.Counters().Get("proxy.delta.fallback"); fb != 1 {
 		t.Errorf("proxy.delta.fallback = %d, want 1", fb)
 	}
-	got, ok := r.proxy.Get("/configs/app")
-	if !ok || string(got.Data) != "v1" {
-		t.Fatalf("after bad delta, cache = %+v, %v", got, ok)
+	got := r.proxy.Read("/configs/app")
+	if !got.OK || string(got.Data) != "v1" {
+		t.Fatalf("after bad delta, cache = %+v", got)
+	}
+}
+
+// TestSmallEditCrossesPlaneAsDelta: a small edit to a watched ~32 KB config
+// crosses leader→observer→proxy as a delta on both hops. The wire cost is
+// measured where it is paid — simnet's per-link byte counters — against
+// what shipping the body each time would cost.
+func TestSmallEditCrossesPlaneAsDelta(t *testing.T) {
+	r := newRig(t, 11)
+	reg := obs.New()
+	r.ens.SetObs(reg)
+	r.proxy.Obs = reg
+
+	const path = "/configs/big"
+	body := strings.Repeat("tier.web.option = \"steady-state-value\"\n", 840)
+	render := func(rev int) string { return fmt.Sprintf("rev = %06d\n%s", rev, body) }
+	r.write(t, path, render(0))
+	r.proxy.Want(path)
+	r.net.RunFor(5 * time.Second) // warm: the first fetch ships the full body
+
+	leader, observer := r.ens.Leader(), r.proxy.observer()
+	pushPlane := func() uint64 {
+		return r.net.LinkBytes(leader, observer) + r.net.LinkBytes(observer, "proxy-1")
+	}
+	before := pushPlane()
+	deltasBefore := reg.Counters().Get("zeus.push.delta")
+	const edits = 6
+	for i := 1; i <= edits; i++ {
+		r.write(t, path, render(i))
+	}
+	res := r.proxy.Read(path)
+	if !res.OK || string(res.Data) != render(edits) {
+		t.Fatalf("proxy did not materialize the last edit: ok=%v, %d bytes", res.OK, len(res.Data))
+	}
+
+	// Two hops would each carry the body once per edit without deltas; the
+	// gate is a quarter of ONE hop's worth, keep-alives included.
+	wire, full := pushPlane()-before, uint64(len(render(0))*edits)
+	if wire == 0 || wire*4 > full {
+		t.Errorf("push plane carried %d bytes for %d edits of a %d-byte config, want (0, %d]",
+			wire, edits, len(render(0)), full/4)
+	}
+	if d := reg.Counters().Get("zeus.push.delta") - deltasBefore; d < edits {
+		t.Errorf("zeus.push.delta grew by %d, want >= %d (one per edit)", d, edits)
+	}
+	if fb := reg.Counters().Get("proxy.delta.fallback"); fb != 0 {
+		t.Errorf("proxy.delta.fallback = %d, want 0", fb)
 	}
 }

@@ -6,28 +6,55 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"configerator/internal/obs"
+	"configerator/internal/simnet"
 )
 
 // TestReadZeroAllocWarm: a warm in-memory Read is one atomic snapshot load
 // plus map lookups — zero heap allocations. This is the proxy half of the
 // read-hot-path allocation gate (the client half is confclient's
-// TestWarmGetZeroAlloc).
+// TestWarmGetZeroAlloc). The monitored case attaches the proxy's side of the
+// fleet-health plane — an obs registry and convergence heartbeats — and
+// must read the same 0: heartbeats ride the sim loop, never a Read.
 func TestReadZeroAllocWarm(t *testing.T) {
-	r := newRig(t, 31)
-	r.write(t, "/configs/app", `{"x":1}`)
-	r.proxy.Want("/configs/app")
-	r.net.RunFor(2 * time.Second)
-	if res := r.proxy.Read("/configs/app"); !res.OK { // consume the first-read event
-		t.Fatal("config not warm")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		res := r.proxy.Read("/configs/app")
-		if !res.OK || res.Source != SourceFresh {
-			t.Fatal("warm read failed")
+	for _, monitored := range []bool{false, true} {
+		name := "bare"
+		if monitored {
+			name = "monitored"
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm Read allocates %.1f per run, want 0", allocs)
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 31)
+			heartbeats := 0
+			if monitored {
+				r.proxy.Obs = obs.New()
+				r.net.AddNode("mon", simnet.Placement{Region: "us", Cluster: "web"},
+					simnet.HandlerFunc(func(_ *simnet.Context, _ simnet.NodeID, msg simnet.Message) {
+						if _, ok := msg.(MsgMonitorHeartbeat); ok {
+							heartbeats++
+						}
+					}))
+				r.proxy.EnableMonitor("mon", 200*time.Millisecond)
+			}
+			r.write(t, "/configs/app", `{"x":1}`)
+			r.proxy.Want("/configs/app")
+			r.net.RunFor(2 * time.Second)
+			if res := r.proxy.Read("/configs/app"); !res.OK { // consume the first-read event
+				t.Fatal("config not warm")
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				res := r.proxy.Read("/configs/app")
+				if !res.OK || res.Source != SourceFresh {
+					t.Fatal("warm read failed")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm Read allocates %.1f per run, want 0", allocs)
+			}
+			if monitored && heartbeats == 0 {
+				t.Error("monitored case sent no heartbeats: the plane was not live")
+			}
+		})
 	}
 }
 
@@ -121,7 +148,7 @@ func TestMemoPreservedAcrossNotModified(t *testing.T) {
 	r.proxy.Want(path)
 	r.net.RunFor(2 * time.Second)
 
-	e1, _ := r.proxy.Get(path)
+	e1 := r.proxy.Read(path)
 	if e1.Memo() == nil {
 		t.Fatal("cached entry has no memo slot")
 	}
@@ -132,7 +159,7 @@ func TestMemoPreservedAcrossNotModified(t *testing.T) {
 	// a fresh slot is correct too. What matters is a slot always exists
 	// and version changes always replace it.
 	r.write(t, path, `{"x":2}`)
-	e2, _ := r.proxy.Get(path)
+	e2 := r.proxy.Read(path)
 	if e2.Memo() == nil {
 		t.Fatal("new version has no memo slot")
 	}
@@ -144,7 +171,7 @@ func TestMemoPreservedAcrossNotModified(t *testing.T) {
 	}
 	// Re-reading the same version keeps the same slot (and its contents).
 	e2.Memo().Store("decoded-v2")
-	e3, _ := r.proxy.Get(path)
+	e3 := r.proxy.Read(path)
 	if e3.Memo() != e2.Memo() || e3.Memo().Load() != "decoded-v2" {
 		t.Error("same version did not share its memo slot across reads")
 	}

@@ -9,63 +9,73 @@ import (
 	"configerator/internal/simnet"
 )
 
-// TestGroupCommitBatchesWaves checks the tentpole mechanism: a burst of
-// concurrent writes coalesces into far fewer proposal waves than writes,
-// and every write still commits with sequential versions.
+// TestGroupCommitBatchesWaves checks the group-commit mechanism: writes that
+// arrive while a wave is in flight coalesce, so far fewer proposal waves go
+// out than writes, and every write still commits. Two arrival shapes: one
+// client bursting 40 writes in one instant, and 32 concurrent writers each
+// issuing its next write only when the previous one is acknowledged.
 func TestGroupCommitBatchesWaves(t *testing.T) {
-	net, e := testDeployment(t, 31)
+	t.Run("burst", func(t *testing.T) {
+		net, e := testDeployment(t, 31)
+		c := addClient(net, e, "tailer")
+		const n = 40
+		assertCoalesced(t, net, e, n, func(done func(WriteResult)) {
+			ctx := clientCtx(net, "tailer")
+			for i := 0; i < n; i++ {
+				c.Write(&ctx, fmt.Sprintf("/burst/cfg-%d", i), []byte("x"), done)
+			}
+		})
+	})
+	t.Run("32 writers", func(t *testing.T) {
+		net, e := testDeployment(t, 32)
+		const writers, perWriter = 32, 4
+		clients := make([]*Client, writers)
+		for w := range clients {
+			clients[w] = addClient(net, e, simnet.NodeID(fmt.Sprintf("writer-%d", w)))
+		}
+		assertCoalesced(t, net, e, writers*perWriter, func(done func(WriteResult)) {
+			for w, c := range clients {
+				w, c := w, c
+				id := simnet.NodeID(fmt.Sprintf("writer-%d", w))
+				var step func(k int)
+				step = func(k int) {
+					if k == perWriter {
+						return
+					}
+					ctx := clientCtx(net, id)
+					c.Write(&ctx, fmt.Sprintf("/dist/w%02d/cfg-%d", w, k), []byte("x"), func(r WriteResult) {
+						done(r)
+						step(k + 1)
+					})
+				}
+				step(0)
+			}
+		})
+	})
+}
+
+// assertCoalesced runs issue on the sim thread (issue passes done to every
+// Write), waits for n commits, and checks they rode in fewer than n/2
+// proposal waves and commit batches.
+func assertCoalesced(t *testing.T, net *simnet.Network, e *Ensemble, n int, issue func(done func(WriteResult))) {
+	t.Helper()
 	reg := obs.New()
 	e.SetObs(reg)
-	c := addClient(net, e, "tailer")
-
-	const n = 40
 	committed := 0
-	net.After(0, func() {
-		ctx := clientCtx(net, "tailer")
-		for i := 0; i < n; i++ {
-			c.Write(&ctx, fmt.Sprintf("/burst/cfg-%d", i), []byte("x"), func(WriteResult) { committed++ })
-		}
-	})
+	net.After(0, func() { issue(func(WriteResult) { committed++ }) })
 	net.RunFor(30 * time.Second)
 	if committed != n {
 		t.Fatalf("committed %d of %d", committed, n)
 	}
 	waves := reg.Counters().Get("zeus.propose.waves")
-	if waves <= 0 || waves >= n/2 {
+	if waves <= 0 || waves >= int64(n/2) {
 		t.Errorf("proposal waves = %d for %d writes, want coalescing (< %d)", waves, n, n/2)
 	}
-	if ops := reg.Counters().Get("zeus.propose.ops"); ops < n {
+	if ops := reg.Counters().Get("zeus.propose.ops"); ops < int64(n) {
 		t.Errorf("proposed ops = %d, want >= %d", ops, n)
 	}
-	if batches := reg.Counters().Get("zeus.commit.batches"); batches <= 0 || batches >= n/2 {
+	if batches := reg.Counters().Get("zeus.commit.batches"); batches <= 0 || batches >= int64(n/2) {
 		t.Errorf("commit batches = %d, want batched commits", batches)
-	}
-}
-
-// TestGroupCommitOffIsPerWrite pins the baseline mode the distribution
-// benchmark compares against: with group commit off, every write is its
-// own proposal wave.
-func TestGroupCommitOffIsPerWrite(t *testing.T) {
-	net, e := testDeployment(t, 32)
-	reg := obs.New()
-	e.SetObs(reg)
-	e.SetGroupCommit(false)
-	c := addClient(net, e, "tailer")
-
-	const n = 10
-	committed := 0
-	net.After(0, func() {
-		ctx := clientCtx(net, "tailer")
-		for i := 0; i < n; i++ {
-			c.Write(&ctx, fmt.Sprintf("/solo/cfg-%d", i), []byte("x"), func(WriteResult) { committed++ })
-		}
-	})
-	net.RunFor(30 * time.Second)
-	if committed != n {
-		t.Fatalf("committed %d of %d", committed, n)
-	}
-	if waves := reg.Counters().Get("zeus.propose.waves"); waves != n {
-		t.Errorf("proposal waves = %d, want %d (one per write)", waves, n)
 	}
 }
 
@@ -102,7 +112,7 @@ func TestObserverCoalescesRapidWrites(t *testing.T) {
 		data := []byte(fmt.Sprintf("v%d", i))
 		updates = append(updates, Update{
 			Path: "/hot", Version: int64(i), Zxid: int64(i),
-			Payload: MakePayload(prev, data, prev != nil),
+			Payload: MakePayload(prev, data),
 		})
 		prev = data
 	}

@@ -18,30 +18,6 @@ type Ensemble struct {
 	// Obs instruments commit and apply events ensemble-wide; set it with
 	// SetObs before driving traffic.
 	Obs *obs.Registry
-
-	groupCommit   bool
-	deltaEncoding bool
-}
-
-// SetGroupCommit toggles leader write coalescing ensemble-wide (default
-// on). Off is the one-proposal-per-write baseline.
-func (e *Ensemble) SetGroupCommit(on bool) {
-	e.groupCommit = on
-	for _, s := range e.Servers {
-		s.SetGroupCommit(on)
-	}
-}
-
-// SetDeltaEncoding toggles delta-encoded distribution ensemble-wide
-// (default on). Off ships full snapshots — the bytes baseline.
-func (e *Ensemble) SetDeltaEncoding(on bool) {
-	e.deltaEncoding = on
-	for _, s := range e.Servers {
-		s.SetDeltaEncoding(on)
-	}
-	for _, o := range e.Observers {
-		o.SetDeltaEncoding(on)
-	}
 }
 
 // SetObs attaches an observability registry to every current member and
@@ -64,11 +40,9 @@ func StartEnsemble(net *simnet.Network, n int, placements []simnet.Placement) *E
 		panic("zeus: ensemble needs members and placements")
 	}
 	e := &Ensemble{
-		Net:           net,
-		Servers:       make(map[simnet.NodeID]*Server),
-		Observers:     make(map[simnet.NodeID]*Observer),
-		groupCommit:   true,
-		deltaEncoding: true,
+		Net:       net,
+		Servers:   make(map[simnet.NodeID]*Server),
+		Observers: make(map[simnet.NodeID]*Observer),
 	}
 	for i := 0; i < n; i++ {
 		e.Members = append(e.Members, simnet.NodeID(fmt.Sprintf("zeus-%d", i)))
@@ -90,7 +64,6 @@ func StartEnsemble(net *simnet.Network, n int, placements []simnet.Placement) *E
 func (e *Ensemble) AddObserver(id simnet.NodeID, p simnet.Placement) *Observer {
 	o := NewObserver(id, e.Members)
 	o.Obs = e.Obs
-	o.SetDeltaEncoding(e.deltaEncoding)
 	e.Observers[id] = o
 	e.Net.AddNode(id, p, o)
 	e.Net.SetTimer(id, 0, msgTickObserver{})

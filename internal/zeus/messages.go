@@ -154,10 +154,10 @@ func (p Payload) Resolve(old []byte) ([]byte, error) {
 }
 
 // MakePayload builds the cheapest payload that turns old into new: a delta
-// when one beats shipping the full content (and delta encoding is on), else
-// a full snapshot.
-func MakePayload(old, new []byte, delta bool) Payload {
-	if delta {
+// when the receiver has a base (old != nil) and the delta beats shipping the
+// full content, else a full snapshot.
+func MakePayload(old, new []byte) Payload {
+	if old != nil {
 		if d := vcs.MakeDelta(old, new); d != nil {
 			return Payload{Delta: d, BaseHash: vcs.HashBytes(old),
 				NewHash: vcs.HashBytes(new), IsDelta: true}

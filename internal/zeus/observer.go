@@ -119,8 +119,6 @@ type Observer struct {
 	// silent proxies have their watch sessions pruned (watchSessionTTL).
 	lastContact map[simnet.NodeID]time.Time
 
-	deltaEncoding bool
-
 	// Notified counts watch events pushed (observability for benches).
 	Notified uint64
 
@@ -133,13 +131,12 @@ type Observer struct {
 // member list.
 func NewObserver(id simnet.NodeID, members []simnet.NodeID) *Observer {
 	return &Observer{
-		id:            id,
-		members:       members,
-		tree:          NewDataTree(),
-		watches:       make(map[string]*watchSet),
-		prev:          make(map[string][]byte),
-		lastContact:   make(map[simnet.NodeID]time.Time),
-		deltaEncoding: true,
+		id:          id,
+		members:     members,
+		tree:        NewDataTree(),
+		watches:     make(map[string]*watchSet),
+		prev:        make(map[string][]byte),
+		lastContact: make(map[simnet.NodeID]time.Time),
 	}
 }
 
@@ -153,9 +150,6 @@ func (o *Observer) WatchCount(path string) int {
 	}
 	return 0
 }
-
-// SetDeltaEncoding toggles delta-encoded watch events and fetch replies.
-func (o *Observer) SetDeltaEncoding(on bool) { o.deltaEncoding = on }
 
 // OnRestart implements simnet.Restarter: a recovered observer immediately
 // re-registers (requesting catch-up from its last zxid) and re-arms its
@@ -304,7 +298,7 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 		ev := MsgWatchEvent{Update: Update{Path: path, Version: u.Version, Zxid: u.Zxid, Delete: u.Delete}}
 		if !u.Delete {
 			rec := o.tree.Get(path)
-			ev.Payload = MakePayload(base[path], rec.Data, o.deltaEncoding && base[path] != nil)
+			ev.Payload = MakePayload(base[path], rec.Data)
 		}
 		// One shared payload, serialization charged once for the wave,
 		// recipients in registration order (deterministic — see watchSet).
@@ -336,15 +330,15 @@ func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) 
 		case m.Have && m.HaveHash == vcs.HashBytes(rec.Data):
 			reply.NotModified = true
 			o.Obs.Add("zeus.fetch.not_modified", 1)
-		case m.Have && o.deltaEncoding && o.prev[m.Path] != nil && m.HaveHash == vcs.HashBytes(o.prev[m.Path]):
-			reply.Payload = MakePayload(o.prev[m.Path], rec.Data, true)
+		case m.Have && o.prev[m.Path] != nil && m.HaveHash == vcs.HashBytes(o.prev[m.Path]):
+			reply.Payload = MakePayload(o.prev[m.Path], rec.Data)
 			if reply.Payload.IsDelta {
 				o.Obs.Add("zeus.fetch.delta", 1)
 			} else {
 				o.Obs.Add("zeus.fetch.full", 1)
 			}
 		default:
-			reply.Payload = MakePayload(nil, rec.Data, false)
+			reply.Payload = MakePayload(nil, rec.Data)
 			o.Obs.Add("zeus.fetch.full", 1)
 		}
 	}

@@ -84,8 +84,6 @@ type Server struct {
 	batchBuf      []*proposal // writes waiting for the next proposal wave
 	waveEnds      []int64     // highest zxid of each in-flight wave, in order
 	inflightWaves int
-	groupCommit   bool // coalesce writes into multi-op waves (default on)
-	deltaEncoding bool // delta-encode observer pushes (default on)
 
 	// logBusyUntil models the single durable log device: wave log writes
 	// serialize behind each other at logSyncDelay apiece.
@@ -115,16 +113,14 @@ type Server struct {
 // then call Start via the ensemble helper.
 func NewServer(id simnet.NodeID, index int, members []simnet.NodeID) *Server {
 	return &Server{
-		id:            id,
-		index:         index,
-		members:       members,
-		tree:          NewDataTree(),
-		pending:       make(map[int64]*proposal),
-		versionSeq:    make(map[string]int64),
-		observers:     make(map[simnet.NodeID]time.Time),
-		uncommitted:   make(map[int64]WriteOp),
-		groupCommit:   true,
-		deltaEncoding: true,
+		id:          id,
+		index:       index,
+		members:     members,
+		tree:        NewDataTree(),
+		pending:     make(map[int64]*proposal),
+		versionSeq:  make(map[string]int64),
+		observers:   make(map[simnet.NodeID]time.Time),
+		uncommitted: make(map[int64]WriteOp),
 	}
 }
 
@@ -143,15 +139,6 @@ func (s *Server) LeaderID() simnet.NodeID { return s.leaderID }
 // ObserverCount reports how many observer sessions this server (when
 // leader) currently considers live.
 func (s *Server) ObserverCount() int { return len(s.observers) }
-
-// SetGroupCommit toggles write coalescing. Off, every write proposes its
-// own single-op wave immediately — the one-proposal-per-write baseline the
-// distribution benchmark compares against.
-func (s *Server) SetGroupCommit(on bool) { s.groupCommit = on }
-
-// SetDeltaEncoding toggles delta-encoded observer pushes (full snapshots
-// when off — the bytes-on-wire baseline).
-func (s *Server) SetDeltaEncoding(on bool) { s.deltaEncoding = on }
 
 func (s *Server) quorum() int { return len(s.members)/2 + 1 }
 
@@ -421,18 +408,10 @@ func (s *Server) onWrite(ctx *simnet.Context, from simnet.NodeID, m MsgWrite) {
 	s.maybePropose(ctx)
 }
 
-// maybePropose drains the write buffer into proposal waves. With group
-// commit on, the buffer rides as one wave and at most maxInflightWaves
-// pipeline; off, every buffered write goes out as its own wave.
+// maybePropose drains the write buffer into proposal waves (group commit):
+// the buffer rides as one wave and at most maxInflightWaves pipeline.
 func (s *Server) maybePropose(ctx *simnet.Context) {
 	if s.role != RoleLeader || len(s.batchBuf) == 0 {
-		return
-	}
-	if !s.groupCommit {
-		for _, p := range s.batchBuf {
-			s.proposeWave(ctx, []*proposal{p})
-		}
-		s.batchBuf = nil
 		return
 	}
 	for len(s.batchBuf) > 0 && s.inflightWaves < maxInflightWaves {
@@ -607,7 +586,7 @@ func (s *Server) makeUpdate(oldData []byte, op WriteOp) Update {
 	if op.Delete {
 		return u
 	}
-	u.Payload = MakePayload(oldData, op.Data, s.deltaEncoding && oldData != nil)
+	u.Payload = MakePayload(oldData, op.Data)
 	if u.Payload.IsDelta {
 		s.Obs.Add("zeus.push.delta", 1)
 	} else {
