@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint race staticcheck govulncheck bench report
+.PHONY: build test check vet lint race fuzz staticcheck govulncheck bench report
 
 build:
 	$(GO) build ./...
@@ -11,7 +11,7 @@ test: build
 # check: the repo's full gate. The scenario gates (availability, monitor,
 # scale, vessel at quick size) and the 0-alloc read/simnet gates are
 # ordinary tests and run in `test`; nothing here writes a tracked file.
-check: vet staticcheck govulncheck lint test race
+check: vet staticcheck govulncheck lint test race fuzz
 
 vet:
 	$(GO) vet ./...
@@ -41,6 +41,13 @@ lint:
 # race: the packages with goroutine readers or shared immutable snapshots.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/cdl/... ./internal/core/... ./internal/proxy/... ./internal/zeus/... ./internal/landingstrip/... ./internal/canary/... ./internal/simnet/... ./internal/confclient/... ./internal/cluster/... ./internal/monitor/... ./internal/packagevessel/... ./internal/vcs/... ./internal/tailer/...
+
+# fuzz: a short smoke of each native fuzz target, starting from the seed
+# corpora under testdata/fuzz (which plain `go test` also replays). A crasher
+# is written there as a new corpus file; commit it with the fix.
+fuzz:
+	$(GO) test ./internal/vcs -run '^$$' -fuzz '^FuzzDeltaRoundTrip$$' -fuzztime=5s
+	$(GO) test ./internal/zeus -run '^$$' -fuzz '^FuzzPayloadResolve$$' -fuzztime=5s
 
 # bench: the performance record (BENCHMARK.json; see bench/README.md).
 bench:

@@ -12,6 +12,7 @@ package configerator
 // diffs, and canonical JSON.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -422,6 +423,22 @@ func BenchmarkCanonicalJSON(b *testing.B) {
 	}
 }
 
+// oneObserverStack boots a three-member ensemble with observer "obs-1" in
+// cluster us/web and a writer client, and runs it until a leader is elected.
+func oneObserverStack() (*simnet.Network, *zeus.Ensemble, *zeus.Observer, *zeus.Client) {
+	net := simnet.New(simnet.DefaultLatency(), 7)
+	ens := zeus.StartEnsemble(net, 3, []simnet.Placement{
+		{Region: "us", Cluster: "zk1"},
+		{Region: "us", Cluster: "zk2"},
+		{Region: "eu", Cluster: "zk3"},
+	})
+	observer := ens.AddObserver("obs-1", simnet.Placement{Region: "us", Cluster: "web"})
+	wc := zeus.NewClient("writer", ens.Members)
+	net.AddNode("writer", simnet.Placement{Region: "us", Cluster: "ctrl"}, wc)
+	net.RunFor(10 * time.Second)
+	return net, ens, observer, wc
+}
+
 // readpathStack boots a one-proxy pipeline, commits one config, and warms
 // it: the fixture for the read-hot-path micro-benchmarks below. With
 // withMonitor the fleet-health plane is attached (proxy heartbeats plus a
@@ -429,16 +446,7 @@ func BenchmarkCanonicalJSON(b *testing.B) {
 // that monitoring never touches the read hot path.
 func readpathStack(b *testing.B, withObs, withMonitor bool) (*confclient.Client, *proxy.Proxy, string) {
 	b.Helper()
-	net := simnet.New(simnet.DefaultLatency(), 7)
-	ens := zeus.StartEnsemble(net, 3, []simnet.Placement{
-		{Region: "us", Cluster: "zk1"},
-		{Region: "us", Cluster: "zk2"},
-		{Region: "eu", Cluster: "zk3"},
-	})
-	ens.AddObserver("obs-1", simnet.Placement{Region: "us", Cluster: "web"})
-	wc := zeus.NewClient("writer", ens.Members)
-	net.AddNode("writer", simnet.Placement{Region: "us", Cluster: "ctrl"}, wc)
-	net.RunFor(10 * time.Second)
+	net, ens, _, wc := oneObserverStack()
 	px := proxy.New(net, "proxy-1", simnet.Placement{Region: "us", Cluster: "web"},
 		[]simnet.NodeID{"obs-1"}, nil)
 	cl := confclient.New(px)
@@ -621,6 +629,102 @@ func TestCommitCostFollowsChangeNotRepoSize(t *testing.T) {
 	if largeBytes > 2*smallBytes {
 		t.Errorf("a one-file commit allocates %.0f B at %s files, more than twice the %.0f B at %s files",
 			largeBytes, large.name, smallBytes, small.name)
+	}
+}
+
+// waveBody is a config of about size bytes: a header line carrying the
+// revision, then lines a small edit keeps. A rewrite flips the tag on every
+// line, first byte and last line included, so the delta encoder finds nothing
+// shared at either end and ships the whole body.
+func waveBody(size, rev int, tag byte) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%c rev = %08d\n", tag, rev)
+	for i := 0; b.Len() < size; i++ {
+		fmt.Fprintf(&b, "tier.%04d.%c = steady-state-value\n", i, tag)
+	}
+	fmt.Fprintf(&b, "end %c\n", tag)
+	return b.Bytes()
+}
+
+// waveAllocBytes fans one small edit and then one whole-body rewrite of a
+// config of about size bytes out to a warm fleet of n proxies behind one
+// observer, and returns the heap bytes allocated while each wave ran, commit
+// to last materialisation. Every proxy must end each wave serving the
+// committed bytes under the digest Zeus computed for them.
+func waveAllocBytes(t *testing.T, size, n int) (edit, rewrite float64) {
+	t.Helper()
+	net, _, observer, wc := oneObserverStack()
+	web := simnet.Placement{Region: "us", Cluster: "web"}
+
+	const path = "/configs/wave"
+	var proxies []*proxy.Proxy
+	wave := func(data []byte) float64 {
+		net.After(0, func() {
+			ctx := simnet.MakeContext(net, "writer")
+			wc.Write(&ctx, path, data, func(zeus.WriteResult) {})
+		})
+		// MemStats rather than runtime/metrics' /gc/heap/allocs:bytes: the
+		// latter only moves when an allocation span is retired, in steps as
+		// large as a 50-proxy wave.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net.RunFor(2 * time.Second) // one keep-alive round per proxy, whatever its phase
+		runtime.ReadMemStats(&after)
+		rec := observer.Tree().Get(path)
+		if rec == nil || !bytes.Equal(rec.Data, data) {
+			t.Fatalf("%d B to %d proxies: the write never reached the observer", size, n)
+		}
+		for _, px := range proxies {
+			if res := px.Read(path); !res.OK || !bytes.Equal(res.Data, data) || res.Hash != rec.Hash {
+				t.Fatalf("%d B to %d proxies: %s serves %d bytes under digest %x, want the %d committed under %x",
+					size, n, px.ID(), len(res.Data), res.Hash, len(data), rec.Hash)
+			}
+		}
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	wave(waveBody(size, 0, 'a'))
+	for i := 0; i < n; i++ {
+		px := proxy.New(net, simnet.NodeID(fmt.Sprintf("proxy-%04d", i)), web, []simnet.NodeID{"obs-1"}, nil)
+		px.Want(path)
+		proxies = append(proxies, px)
+	}
+	net.RunFor(5 * time.Second)
+	return wave(waveBody(size, 1, 'a')), wave(waveBody(size, 2, 'b'))
+}
+
+// TestWaveCostFollowsContentNotFleetSize is the distribution plane's
+// O(content) gate: a pushed version is materialised once and shared, so each
+// further proxy a wave reaches adds bookkeeping — an entry, a snapshot swap,
+// the event that carried it — and never a copy of the body. What a proxy
+// adds is measured against the same wave to a fleet of one (which already
+// pays everything that is per wave: the ensemble's copies, the encode, the
+// one materialisation); it must be below the body length for a 2 KB and a
+// 32 KB config alike, and the same within 10 % at 50 proxies and at 500.
+// Counts, not clocks.
+func TestWaveCostFollowsContentNotFleetSize(t *testing.T) {
+	const small, large = 50, 500
+	for _, size := range []int{2 << 10, 32 << 10} {
+		var edit, rewrite [3]float64 // fleets of 1, small, large
+		for i, n := range []int{1, small, large} {
+			edit[i], rewrite[i] = waveAllocBytes(t, size, n)
+		}
+		for _, kind := range []struct {
+			name  string
+			bytes [3]float64
+		}{{"small edit", edit}, {"whole-body rewrite", rewrite}} {
+			perSmall := (kind.bytes[1] - kind.bytes[0]) / (small - 1)
+			perLarge := (kind.bytes[2] - kind.bytes[0]) / (large - 1)
+			t.Logf("%d B config, %s: %.0f B per wave at one proxy; each further proxy adds %.0f B at %d, %.0f B at %d",
+				size, kind.name, kind.bytes[0], perSmall, small, perLarge, large)
+			if perSmall >= float64(size) || perLarge >= float64(size) {
+				t.Errorf("%d B config, %s: a further proxy allocates %.0f B at %d proxies and %.0f B at %d, want less than one body",
+					size, kind.name, perSmall, small, perLarge, large)
+			}
+			if perLarge > 1.1*perSmall || perSmall > 1.1*perLarge {
+				t.Errorf("%d B config, %s: a further proxy allocates %.0f B at %d proxies but %.0f B at %d, want within 10%%",
+					size, kind.name, perSmall, small, perLarge, large)
+			}
+		}
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"configerator/internal/obs"
 	"configerator/internal/proxy"
 	"configerator/internal/stats"
-	"configerator/internal/vcs"
 )
 
 // Value is a parsed view of one JSON config artifact, plus the staleness
@@ -189,13 +188,13 @@ func (c *Client) MemoHits() int64 { return c.memoHits.Load() }
 
 // decodeFields parses data, deduplicating by content hash: the same bytes
 // at two paths (or re-materialized at the same path) decode exactly once.
+// h is the digest the proxy entry carries for data — never recomputed here.
 // confclient.parse.memo counts hash-table hits, confclient.parse.decode
 // actual json.Unmarshal calls.
-func (c *Client) decodeFields(data []byte) map[string]interface{} {
+func (c *Client) decodeFields(data []byte, h uint64) map[string]interface{} {
 	if len(data) == 0 {
 		return emptyFields
 	}
-	h := vcs.HashBytes(data)
 	c.mu.Lock()
 	f, ok := c.byHash[h]
 	c.mu.Unlock()
@@ -234,7 +233,7 @@ func (c *Client) valueFor(e proxy.Entry) *Value {
 		Version: e.Version,
 		Raw:     e.Data,
 		Source:  proxy.SourceFresh,
-		fields:  c.decodeFields(e.Data),
+		fields:  c.decodeFields(e.Data, e.Hash),
 	}
 	// Racing readers of the same new version may both build v; either
 	// result is correct and the slot keeps one (disk entries have no slot:

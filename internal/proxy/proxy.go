@@ -68,15 +68,21 @@ func (m *Memo) Store(v any) {
 }
 
 // Entry is one cached config.
+//
+// Data is immutable: the bytes of one pushed version are materialized once
+// and then shared by every proxy that receives it, by each proxy's snapshot
+// and its disk cache, and by every reader. Nothing may write to them.
 type Entry struct {
 	Path    string
 	Exists  bool
 	Data    []byte
 	Version int64
 	Zxid    int64
-	// Hash is the content hash of Data (vcs.HashBytes), computed once when
-	// the entry is materialized — off the read path — so convergence
-	// heartbeats can compare against Zeus watermarks without rehashing.
+	// Hash is the content hash of Data (vcs.HashBytes). It is computed where
+	// the bytes are born and verified once per pushed message (zeus.Payload);
+	// the proxy carries it rather than rehashing, so delta bases, fetch
+	// advertisements, decode dedup and convergence heartbeats all compare
+	// digests in O(1).
 	Hash uint64
 	// Fetched is when the proxy last confirmed this entry with an
 	// observer (virtual time).
@@ -109,8 +115,20 @@ func NewDiskCache() *DiskCache {
 // Store persists an entry. The data is copied: a caller mutating its slice
 // afterwards cannot corrupt the cache. The in-memory decode memo does not
 // survive the trip to disk.
+// An entry that arrives without a digest is hashed here, once, so everything
+// loaded back carries one.
 func (d *DiskCache) Store(e Entry) {
 	e.Data = append([]byte(nil), e.Data...)
+	if e.Exists && e.Hash == 0 {
+		e.Hash = vcs.HashBytes(e.Data)
+	}
+	d.storeOwned(e)
+}
+
+// storeOwned is Store for the proxy's own snapshot entries, whose Data is
+// already immutable and whose digest is known: the cache takes the slice by
+// reference.
+func (d *DiskCache) storeOwned(e Entry) {
 	e.memo = nil
 	d.mu.Lock()
 	d.entries[e.Path] = e
@@ -328,27 +346,34 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 	return p
 }
 
-// mutateSnap clones the current snapshot, applies mut, and publishes the
-// result with one atomic swap. Copy-on-write: O(cached paths) per
-// mutation, paid by the simulation loop — never by readers.
+// mutateSnap copies the current snapshot, applies mut, and publishes the
+// result with one atomic swap. The copy shares both maps with its
+// predecessor, so mut may set the flags freely but must replace a map it
+// changes with a clone (withEntry) — copy-on-write of only what the
+// mutation touches, paid by the simulation loop, never by readers.
 func (p *Proxy) mutateSnap(mut func(*snapshot)) {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	cur := p.snap.Load()
-	next := &snapshot{
-		entries:   make(map[string]*entryState, len(cur.entries)+1),
-		overrides: make(map[string]*entryState, len(cur.overrides)),
-		planeDown: cur.planeDown,
-		down:      cur.down,
+	next := *p.snap.Load()
+	mut(&next)
+	p.snap.Store(&next)
+}
+
+// withEntry returns a copy of m with path set to st (or removed, when st is
+// nil): O(cached paths).
+func withEntry(m map[string]*entryState, path string, st *entryState) map[string]*entryState {
+	// Filled by hand into a presized map: maps.Clone costs one more
+	// allocation per swap (simnet.allocs_per_event 6.7 against 6.0).
+	next := make(map[string]*entryState, len(m)+1)
+	for k, v := range m {
+		next[k] = v
 	}
-	for k, v := range cur.entries {
-		next.entries[k] = v
+	if st == nil {
+		delete(next, path)
+	} else {
+		next[path] = st
 	}
-	for k, v := range cur.overrides {
-		next.overrides[k] = v
-	}
-	mut(next)
-	p.snap.Store(next)
+	return next
 }
 
 // ID returns the proxy's node id.
@@ -693,7 +718,7 @@ func (p *Proxy) SetOverride(path string, data []byte) {
 	path = intern.Path(path)
 	e := Entry{Path: path, Exists: true, Data: data, Version: -1,
 		Hash: vcs.HashBytes(data), memo: &Memo{}}
-	p.mutateSnap(func(s *snapshot) { s.overrides[path] = &entryState{e: e} })
+	p.mutateSnap(func(s *snapshot) { s.overrides = withEntry(s.overrides, path, &entryState{e: e}) })
 	p.notify(path, e)
 }
 
@@ -704,7 +729,7 @@ func (p *Proxy) ClearOverride(path string) {
 	if _, ok := snap.overrides[path]; !ok {
 		return
 	}
-	p.mutateSnap(func(s *snapshot) { delete(s.overrides, path) })
+	p.mutateSnap(func(s *snapshot) { s.overrides = withEntry(s.overrides, path, nil) })
 	if st, ok := snap.entries[path]; ok {
 		p.notify(path, st.e)
 	}
@@ -866,7 +891,7 @@ func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID
 	m := zeus.MsgFetch{ReqID: p.nextReq, Path: path, Watch: true}
 	if st.haveBase {
 		m.Have = true
-		m.HaveHash = vcs.HashBytes(st.base.Data)
+		m.HaveHash = st.base.Hash
 	}
 	ctx.Send(target, m)
 	ctx.SetTimer(fetchTimeout, msgFetchTimeout{ReqID: p.nextReq})
@@ -925,13 +950,20 @@ func (p *Proxy) onFetchTimeout(ctx *simnet.Context, m msgFetchTimeout) {
 	}
 	p.dropReq(m.ReqID)
 	p.Obs.Add("proxy.fetch.timeout", 1)
-	p.recordFailure(st.observer)
-	if st.observer == p.observer() {
+	p.fetchFailed(ctx, st.path, st.observer, st.attempt)
+}
+
+// fetchFailed charges a failed attempt at path to the observer that owed
+// the answer, fails over off it if it is still current, and schedules a
+// backed-off retry unless another fetch for the path is already in flight.
+func (p *Proxy) fetchFailed(ctx *simnet.Context, path string, observer simnet.NodeID, attempt int) {
+	p.recordFailure(observer)
+	if observer == p.observer() {
 		p.failover(ctx)
 	}
-	if p.watched[st.path] && len(p.byPath[st.path]) == 0 {
-		attempt := st.attempt + 1
-		ctx.SetTimer(p.backoff(attempt), msgRetryFetch{Path: st.path, Attempt: attempt})
+	if p.watched[path] && len(p.byPath[path]) == 0 {
+		attempt++
+		ctx.SetTimer(p.backoff(attempt), msgRetryFetch{Path: path, Attempt: attempt})
 		p.Obs.Add("proxy.fetch.retry", 1)
 	}
 }
@@ -1002,15 +1034,12 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 		p.apply(ctx, e, from)
 		return
 	}
-	data, err := m.Payload.Resolve(st.base.Data)
+	data, hash, err := m.Payload.Resolve(st.base.Data, st.base.Hash)
 	if err != nil {
-		// Hash miss (e.g. our disk-cache base predates what the observer
-		// delta'd against): fall back to a full snapshot.
-		p.Obs.Add("proxy.delta.fallback", 1)
-		p.forceFetch(ctx, m.Path, false)
+		p.resolveFailed(ctx, m.Path, m.Payload, from, st.attempt)
 		return
 	}
-	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data,
+	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data, Hash: hash,
 		Version: m.Version, Zxid: m.Zxid, Fetched: ctx.Now()}, from)
 }
 
@@ -1024,20 +1053,33 @@ func (p *Proxy) onWatchEvent(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 		p.apply(ctx, Entry{Path: m.Path, Fetched: ctx.Now()}, from)
 		return
 	}
-	var base []byte
+	var base Entry // zero: no bytes, no digest
 	if es, ok := snap.entries[m.Path]; ok && es.e.Exists {
-		base = es.e.Data
+		base = es.e
 	}
-	data, err := m.Payload.Resolve(base)
+	data, hash, err := m.Payload.Resolve(base.Data, base.Hash)
 	if err != nil {
-		// The delta was made against a version we never saw (missed event,
-		// restart): recover via full-snapshot fetch.
-		p.Obs.Add("proxy.delta.fallback", 1)
-		p.forceFetch(ctx, m.Path, false)
+		p.resolveFailed(ctx, m.Path, m.Payload, from, 0)
 		return
 	}
-	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data,
+	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data, Hash: hash,
 		Version: m.Version, Zxid: m.Zxid, Fetched: ctx.Now()}, from)
+}
+
+// resolveFailed handles a payload that did not materialize. A delta miss is
+// ours to repair — it was made against a version we do not hold (missed
+// event, restart, a disk-cache base older than the observer's) — so demand
+// the full snapshot. A full body that does not hash to what it claims is the
+// sender's fault: refuse it, charge the observer, and retry like any other
+// failed fetch.
+func (p *Proxy) resolveFailed(ctx *simnet.Context, path string, pl zeus.Payload, from simnet.NodeID, attempt int) {
+	if pl.IsDelta {
+		p.Obs.Add("proxy.delta.fallback", 1)
+		p.forceFetch(ctx, path, false)
+		return
+	}
+	p.Obs.Add("proxy.payload.bad_full", 1)
+	p.fetchFailed(ctx, path, from, attempt)
 }
 
 // apply integrates a new entry if it is not older than what we have. via
@@ -1050,9 +1092,6 @@ func (p *Proxy) apply(ctx *simnet.Context, e Entry, via simnet.NodeID) {
 	}
 	changed := !had || old.e.Zxid != e.Zxid
 	e.Path = intern.Path(e.Path)
-	if e.Exists {
-		e.Hash = vcs.HashBytes(e.Data)
-	}
 	st := &entryState{e: e}
 	if changed {
 		st.e.memo = &Memo{}
@@ -1062,8 +1101,8 @@ func (p *Proxy) apply(ctx *simnet.Context, e Entry, via simnet.NodeID) {
 		st.e.memo = old.e.memo
 		st.readMark.Store(old.readMark.Load())
 	}
-	p.mutateSnap(func(s *snapshot) { s.entries[e.Path] = st })
-	p.disk.Store(e)
+	p.mutateSnap(func(s *snapshot) { s.entries = withEntry(s.entries, e.Path, st) })
+	p.disk.storeOwned(e)
 	if changed {
 		p.Obs.PathEvent(e.Path, obs.PropEvent{
 			Stage: obs.EvProxyMaterialize, Node: string(p.id), Via: string(via),

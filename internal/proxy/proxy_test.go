@@ -1,11 +1,13 @@
 package proxy
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"configerator/internal/health"
 	"configerator/internal/obs"
 	"configerator/internal/simnet"
 	"configerator/internal/vcs"
@@ -351,5 +353,118 @@ func TestSmallEditCrossesPlaneAsDelta(t *testing.T) {
 	}
 	if fb := reg.Counters().Get("proxy.delta.fallback"); fb != 0 {
 		t.Errorf("proxy.delta.fallback = %d, want 0", fb)
+	}
+}
+
+// TestForgedFullWatchEventIsRefused: a whole-body watch event whose bytes do
+// not hash to NewHash is never materialized — not in memory, not on disk, not
+// to subscribers. The proxy charges the observer that sent it, moves off it,
+// and keeps converging on what Zeus committed.
+func TestForgedFullWatchEventIsRefused(t *testing.T) {
+	r := newRig(t, 12)
+	reg := obs.New()
+	r.proxy.Obs = reg
+	const path = "/configs/app"
+	const evil = "bytes nobody committed"
+	r.proxy.Subscribe(path, func(e Entry) {
+		if string(e.Data) == evil {
+			t.Errorf("forged body delivered to a subscriber")
+		}
+	})
+	r.write(t, path, `v1`)
+
+	e := r.proxy.Read(path)
+	sender := r.proxy.observer() // watch events from elsewhere are dropped
+	forged := zeus.MsgWatchEvent{Update: zeus.Update{
+		Path: path, Version: e.Version + 1, Zxid: e.Zxid + 100,
+		Payload: zeus.Payload{Full: []byte(evil), NewHash: vcs.HashBytes([]byte("v2"))},
+	}}
+	r.net.After(0, func() {
+		ctx := simnet.MakeContext(r.net, sender)
+		ctx.Send("proxy-1", forged)
+	})
+	r.net.RunFor(5 * time.Second)
+
+	if n := reg.Counters().Get("proxy.payload.bad_full"); n != 1 {
+		t.Errorf("proxy.payload.bad_full = %d, want 1", n)
+	}
+	if fb := reg.Counters().Get("proxy.delta.fallback"); fb != 0 {
+		t.Errorf("proxy.delta.fallback = %d, want 0 (a bad body is not a delta miss)", fb)
+	}
+	if r.proxy.observer() == sender || r.proxy.Failovers != 1 {
+		t.Errorf("still on %s after its forged body (failovers = %d)", sender, r.proxy.Failovers)
+	}
+	if got := r.proxy.Read(path); !got.OK || string(got.Data) != "v1" {
+		t.Fatalf("after forged body, Read = %+v", got)
+	}
+	if d, ok := r.proxy.Disk().Load(path); !ok || string(d.Data) != "v1" {
+		t.Fatalf("after forged body, disk = %+v, %v", d, ok)
+	}
+
+	r.write(t, path, `v2`)
+	got := r.proxy.Read(path)
+	if !got.OK || string(got.Data) != "v2" || got.Hash != vcs.HashBytes([]byte("v2")) {
+		t.Fatalf("proxy did not converge on the committed bytes: %+v", got)
+	}
+}
+
+// TestForgedFullFetchReplyIsRefused: the same for a fetch reply. The only
+// observer answers the first fetch with a body that does not match its
+// NewHash; the proxy serves nothing rather than the forgery, retries on the
+// fetch backoff, and materializes the honest answer.
+func TestForgedFullFetchReplyIsRefused(t *testing.T) {
+	net := simnet.New(simnet.DefaultLatency(), 13)
+	place := simnet.Placement{Region: "us", Cluster: "web"}
+	const path = "/configs/app"
+	const evil = "bytes nobody committed"
+	good := []byte("the committed bytes")
+	fetches := 0
+	net.AddNode("obs-1", place, simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+		switch m := msg.(type) {
+		case zeus.MsgPing:
+			ctx.Send(from, zeus.MsgPong{ReqID: m.ReqID})
+		case zeus.MsgFetch:
+			fetches++
+			body := good
+			if fetches == 1 {
+				body = []byte(evil)
+			}
+			ctx.Send(from, zeus.MsgFetchReply{ReqID: m.ReqID, Path: m.Path, Exists: true, Version: 1, Zxid: 7,
+				Payload: zeus.Payload{Full: body, NewHash: vcs.HashBytes(good)}})
+		}
+	}))
+	px := New(net, "proxy-1", place, []simnet.NodeID{"obs-1"}, nil)
+	reg := obs.New()
+	px.Obs = reg
+	px.Subscribe(path, func(e Entry) {
+		if string(e.Data) == evil {
+			t.Errorf("forged body delivered to a subscriber")
+		}
+	})
+
+	net.RunFor(100 * time.Millisecond) // the forged reply has arrived; the retry has not fired
+	if n := reg.Counters().Get("proxy.payload.bad_full"); n != 1 {
+		t.Fatalf("proxy.payload.bad_full = %d, want 1", n)
+	}
+	if got := px.Read(path); got.OK {
+		t.Fatalf("forged body is readable: %+v", got)
+	}
+	if d, ok := px.Disk().Load(path); ok {
+		t.Fatalf("forged body reached the disk cache: %+v", d)
+	}
+	if st := px.ObserverHealth()["obs-1"]; st[health.MetricErrorRate] == 0 {
+		t.Errorf("observer not charged for its forged body: %+v", st)
+	}
+
+	net.RunFor(10 * time.Second)
+	if n := reg.Counters().Get("proxy.fetch.retry"); n != 1 {
+		t.Errorf("proxy.fetch.retry = %d, want 1", n)
+	}
+	got := px.Read(path)
+	if !got.OK || !bytes.Equal(got.Data, good) || got.Hash != vcs.HashBytes(good) {
+		t.Fatalf("proxy did not converge on the committed bytes: %+v", got)
+	}
+	if d, ok := px.Disk().Load(path); !ok || !bytes.Equal(d.Data, good) || d.Hash != got.Hash {
+		t.Fatalf("disk cache = %+v, %v", d, ok)
 	}
 }

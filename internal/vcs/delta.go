@@ -80,7 +80,8 @@ func ApplyDelta(old, delta []byte) ([]byte, error) {
 		return nil, ErrBadDelta
 	}
 	mid := delta[n1+n2:]
-	if p+s > uint64(len(old)) {
+	// Compared this way round because p+s can wrap: both are attacker-sized.
+	if n := uint64(len(old)); p > n || s > n-p {
 		return nil, ErrBadDelta
 	}
 	out := make([]byte, 0, int(p)+len(mid)+int(s))

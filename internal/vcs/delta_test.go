@@ -114,3 +114,36 @@ func TestHashBytes(t *testing.T) {
 		t.Fatal("nil and empty must hash equal")
 	}
 }
+
+// FuzzDeltaRoundTrip: a delta MakeDelta offers is strictly smaller than new
+// and applies back to exactly new; ApplyDelta on arbitrary bytes (new doubles
+// as the hostile delta) never panics and never returns a slice aliasing old —
+// results are shared fleet-wide as immutable content, the base stays the
+// caller's.
+func FuzzDeltaRoundTrip(f *testing.F) {
+	// The corpus — empty and equal sides, deltas that overrun the base, the
+	// prefix+suffix sum that wraps uint64 — is in testdata/fuzz.
+	f.Add([]byte("rev = 1\ntier = web\n"), []byte("rev = 2\ntier = web\n"))
+	f.Fuzz(func(t *testing.T, old, new []byte) {
+		if d := MakeDelta(old, new); d != nil {
+			if len(d) >= len(new) {
+				t.Fatalf("delta of %d bytes offered for %d bytes of content", len(d), len(new))
+			}
+			got, err := ApplyDelta(old, d)
+			if err != nil || !bytes.Equal(got, new) {
+				t.Fatalf("round trip: %q, %v", got, err)
+			}
+		}
+		keep := append([]byte(nil), old...)
+		out, err := ApplyDelta(old, new)
+		if err != nil {
+			return
+		}
+		for i := range out {
+			out[i] ^= 0xff
+		}
+		if !bytes.Equal(old, keep) {
+			t.Fatal("ApplyDelta result aliases its base")
+		}
+	})
+}

@@ -107,14 +107,14 @@ func TestObserverCoalescesRapidWrites(t *testing.T) {
 
 	const n = 8
 	var updates []Update
-	prev := []byte(nil)
+	var prev *Record
 	for i := 1; i <= n; i++ {
-		data := []byte(fmt.Sprintf("v%d", i))
+		cur := recordOf([]byte(fmt.Sprintf("v%d", i)))
 		updates = append(updates, Update{
 			Path: "/hot", Version: int64(i), Zxid: int64(i),
-			Payload: MakePayload(prev, data),
+			Payload: MakePayload(prev, cur),
 		})
-		prev = data
+		prev = cur
 	}
 	net.After(0, func() {
 		ctx := simnet.MakeContext(net, "zeus-0")
@@ -135,7 +135,7 @@ func TestObserverCoalescesRapidWrites(t *testing.T) {
 	}
 	// The single event must materialize the final content for a watcher
 	// holding the pre-batch state (nil here: the path was empty at fetch).
-	if got, err := events[0].Payload.Resolve(nil); err != nil || string(got) != fmt.Sprintf("v%d", n) {
+	if got, _, err := events[0].Payload.Resolve(nil, 0); err != nil || string(got) != fmt.Sprintf("v%d", n) {
 		t.Errorf("event payload resolve = %q, %v", got, err)
 	}
 	if co := reg.Counters().Get("zeus.observer.coalesced"); co != n-1 {

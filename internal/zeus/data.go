@@ -23,7 +23,7 @@ import (
 // Record is one versioned path in the data tree.
 type Record struct {
 	Path    string
-	Data    []byte
+	Data    []byte // immutable: shared with payloads, replicas and proxies
 	Version int64  // per-path version, starts at 1
 	Zxid    int64  // global transaction id of the last write
 	Hash    uint64 // content hash of Data (vcs.HashBytes)
@@ -61,8 +61,23 @@ func NewDataTree() *DataTree {
 }
 
 // Apply applies one op if it is newer than anything applied; stale or
-// duplicate ops (zxid <= applied) are ignored, making Apply idempotent.
+// duplicate ops (zxid <= applied) are ignored, making Apply idempotent. The
+// op's bytes come from outside the tree (a client write, a sync reply), so
+// this is where they are born as a record: copied once and hashed once.
 func (t *DataTree) Apply(op WriteOp) bool {
+	if op.Zxid <= t.applied || op.Delete {
+		return t.adopt(op, nil, 0) // stale, or a delete: no content to take in
+	}
+	data := make([]byte, len(op.Data))
+	copy(data, op.Data)
+	return t.adopt(op, data, vcs.HashBytes(data))
+}
+
+// adopt is Apply for content that is already immutable bytes with a known
+// digest (a resolved Payload, or Apply's own copy): the record takes data by
+// reference and carries hash as its own, so a version is neither copied nor
+// hashed again at each replica it reaches. The log keeps op as it arrived.
+func (t *DataTree) adopt(op WriteOp, data []byte, hash uint64) bool {
 	if op.Zxid <= t.applied {
 		return false
 	}
@@ -75,10 +90,8 @@ func (t *DataTree) Apply(op WriteOp) bool {
 		delete(t.records, op.Path)
 		return true
 	}
-	data := make([]byte, len(op.Data))
-	copy(data, op.Data)
 	t.records[op.Path] = &Record{Path: op.Path, Data: data, Version: op.Version,
-		Zxid: op.Zxid, Hash: vcs.HashBytes(data), At: op.At}
+		Zxid: op.Zxid, Hash: hash, At: op.At}
 	return true
 }
 

@@ -1,6 +1,8 @@
 package zeus
 
 import (
+	"sync"
+
 	"configerator/internal/simnet"
 	"configerator/internal/vcs"
 )
@@ -114,15 +116,37 @@ const payloadHeaderBytes = 24
 const updateHeaderBytes = 16
 
 // Payload carries a record's content either as a full snapshot or as a
-// delta against a base version the receiver is believed to hold. The
-// receiver verifies both hashes; any mismatch is a hash miss and the
-// receiver falls back to a full-snapshot fetch or resync.
+// delta against a base version the receiver is believed to hold. Content
+// moves down the tree as immutable bytes plus the digest computed when they
+// were born: a receiver checks its base by comparing the digest it already
+// holds against BaseHash, and Resolve hands back the new content together
+// with its verified digest, so nothing downstream hashes again. Any mismatch
+// is a hash miss and the receiver falls back to a full-snapshot fetch or
+// resync.
+//
+// Full, and the bytes Resolve returns, are shared by every receiver of the
+// message (and by whatever they store them in — data trees, proxy snapshots,
+// disk caches). They must never be written.
 type Payload struct {
 	Full     []byte // the complete content (when IsDelta is false)
 	Delta    []byte // vcs.MakeDelta output (when IsDelta is true)
 	BaseHash uint64 // content hash of the base the delta applies to
 	NewHash  uint64 // content hash of the resulting content
 	IsDelta  bool
+
+	// cell is shared by every copy of one message (a broadcast hands all
+	// recipients the same payload), so the content is materialized and
+	// verified once per message rather than once per receiver. It dies with
+	// the message. A literal Payload has none and resolves unshared.
+	cell *resolveCell
+}
+
+// resolveCell holds the outcome of a payload's one materialization: the
+// bytes verified against NewHash, or why they could not be produced.
+type resolveCell struct {
+	once sync.Once
+	data []byte
+	err  error
 }
 
 // WireSize is the bytes this payload occupies on the wire.
@@ -134,18 +158,38 @@ func (p Payload) WireSize() int {
 }
 
 // Resolve materializes the payload's content given the receiver's current
-// bytes for the path. It returns ErrBadDelta (wrapped by vcs) on any hash
-// miss, which callers must treat as "request a full snapshot".
-func (p Payload) Resolve(old []byte) ([]byte, error) {
-	if !p.IsDelta {
-		return p.Full, nil
+// bytes for the path and the digest the receiver holds for them (nil, 0 when
+// it holds nothing). It returns the content and its digest, or ErrBadDelta
+// (wrapped by vcs) on any hash miss — a base other than the one the delta was
+// made against, a delta that does not apply, a result or full body that does
+// not hash to NewHash — which callers must treat as "request a full
+// snapshot". Receivers whose base digest equals BaseHash hold identical
+// bytes, so the first of them to arrive does the work on its own base and the
+// rest share the verified result.
+func (p Payload) Resolve(base []byte, baseHash uint64) ([]byte, uint64, error) {
+	if p.IsDelta && baseHash != p.BaseHash {
+		return nil, 0, vcs.ErrBadDelta
 	}
-	if vcs.HashBytes(old) != p.BaseHash {
-		return nil, vcs.ErrBadDelta
+	c := p.cell
+	if c == nil {
+		c = new(resolveCell)
 	}
-	out, err := vcs.ApplyDelta(old, p.Delta)
-	if err != nil {
-		return nil, err
+	c.once.Do(func() { c.data, c.err = p.materialize(base) })
+	if c.err != nil {
+		return nil, 0, c.err
+	}
+	return c.data, p.NewHash, nil
+}
+
+// materialize builds the content from the base the delta was made against
+// and verifies it — the one place a pushed version is hashed after its birth.
+func (p Payload) materialize(base []byte) ([]byte, error) {
+	out := p.Full
+	if p.IsDelta {
+		var err error
+		if out, err = vcs.ApplyDelta(base, p.Delta); err != nil {
+			return nil, err
+		}
 	}
 	if vcs.HashBytes(out) != p.NewHash {
 		return nil, vcs.ErrBadDelta
@@ -153,17 +197,17 @@ func (p Payload) Resolve(old []byte) ([]byte, error) {
 	return out, nil
 }
 
-// MakePayload builds the cheapest payload that turns old into new: a delta
+// MakePayload builds the cheapest payload that turns old into cur: a delta
 // when the receiver has a base (old != nil) and the delta beats shipping the
-// full content, else a full snapshot.
-func MakePayload(old, new []byte) Payload {
+// full content, else a full snapshot. The digests are the records' own.
+func MakePayload(old, cur *Record) Payload {
 	if old != nil {
-		if d := vcs.MakeDelta(old, new); d != nil {
-			return Payload{Delta: d, BaseHash: vcs.HashBytes(old),
-				NewHash: vcs.HashBytes(new), IsDelta: true}
+		if d := vcs.MakeDelta(old.Data, cur.Data); d != nil {
+			return Payload{Delta: d, BaseHash: old.Hash, NewHash: cur.Hash,
+				IsDelta: true, cell: new(resolveCell)}
 		}
 	}
-	return Payload{Full: new, NewHash: vcs.HashBytes(new)}
+	return Payload{Full: cur.Data, NewHash: cur.Hash, cell: new(resolveCell)}
 }
 
 // Update is one record change shipped down the distribution tree

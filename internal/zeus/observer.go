@@ -16,14 +16,14 @@ import (
 // reallocated per batch; only scratch lives here — everything a watch
 // event retains is copied out before the scratch is recycled.
 type batchScratch struct {
-	base  map[string][]byte
+	base  map[string]*Record
 	final map[string]Update
 	order []string
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
 	return &batchScratch{
-		base:  make(map[string][]byte),
+		base:  make(map[string]*Record),
 		final: make(map[string]Update),
 	}
 }}
@@ -111,10 +111,11 @@ type Observer struct {
 	watches map[string]*watchSet
 	// notifyScratch is the reusable live-watcher list handed to Broadcast.
 	notifyScratch []simnet.NodeID
-	// prev holds each path's content as of the version before the current
-	// one: the base a proxy that is exactly one version behind advertises,
-	// and therefore the base worth delta-encoding fetch replies against.
-	prev map[string][]byte
+	// prev holds each path's record as of the version before the current
+	// one (nil if there was none): the base a proxy that is exactly one
+	// version behind advertises, and therefore the base worth
+	// delta-encoding fetch replies against.
+	prev map[string]*Record
 	// lastContact tracks when each watching proxy last pinged or fetched;
 	// silent proxies have their watch sessions pruned (watchSessionTTL).
 	lastContact map[simnet.NodeID]time.Time
@@ -135,7 +136,7 @@ func NewObserver(id simnet.NodeID, members []simnet.NodeID) *Observer {
 		members:     members,
 		tree:        NewDataTree(),
 		watches:     make(map[string]*watchSet),
-		prev:        make(map[string][]byte),
+		prev:        make(map[string]*Record),
 		lastContact: make(map[simnet.NodeID]time.Time),
 	}
 }
@@ -246,7 +247,7 @@ func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
 // restarted mid-stream) aborts the batch and falls back to a full-snapshot
 // resync via re-registration.
 func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
-	// base holds each touched path's content before this batch — the
+	// base holds each touched path's record before this batch — the
 	// version watchers last saw, hence the delta base for their event.
 	// All three structures are pooled scratch; nothing in them survives
 	// this call.
@@ -260,29 +261,34 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 			continue // duplicate or stale (e.g. overlapping sync)
 		}
 		u.Path = intern.Path(u.Path)
-		var oldData []byte
-		if old := o.tree.Get(u.Path); old != nil {
-			oldData = old.Data
-		}
-		var newData []byte
+		old := o.tree.Get(u.Path)
+		op := WriteOp{Zxid: u.Zxid, Path: u.Path, Version: u.Version, Delete: u.Delete}
+		var newHash uint64
 		if !u.Delete {
+			var oldData []byte
+			var oldHash uint64
+			if old != nil {
+				oldData, oldHash = old.Data, old.Hash
+			}
 			var err error
-			newData, err = u.Payload.Resolve(oldData)
+			op.Data, newHash, err = u.Payload.Resolve(oldData, oldHash)
 			if err != nil {
+				// A delta against a base we do not hold, or content that
+				// does not hash to what it claims.
 				o.Obs.Add("zeus.observer.delta_miss", 1)
 				o.register(ctx)
 				break // resync re-ships this zxid onward as full snapshots
 			}
 		}
-		if !o.tree.Apply(WriteOp{Zxid: u.Zxid, Path: u.Path, Data: newData, Version: u.Version, Delete: u.Delete}) {
+		if !o.tree.adopt(op, op.Data, newHash) {
 			continue
 		}
-		o.prev[u.Path] = oldData
+		o.prev[u.Path] = old
 		o.Obs.PathEvent(u.Path, obs.PropEvent{
 			Stage: obs.EvObserverApply, Node: string(o.id), Zxid: u.Zxid, At: ctx.Now(),
 		})
 		if _, seen := final[u.Path]; !seen {
-			base[u.Path] = oldData
+			base[u.Path] = old
 			order = append(order, u.Path)
 		} else {
 			o.Obs.Add("zeus.observer.coalesced", 1)
@@ -297,8 +303,7 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 		u := final[path]
 		ev := MsgWatchEvent{Update: Update{Path: path, Version: u.Version, Zxid: u.Zxid, Delete: u.Delete}}
 		if !u.Delete {
-			rec := o.tree.Get(path)
-			ev.Payload = MakePayload(base[path], rec.Data)
+			ev.Payload = MakePayload(base[path], o.tree.Get(path))
 		}
 		// One shared payload, serialization charged once for the wave,
 		// recipients in registration order (deterministic — see watchSet).
@@ -326,19 +331,20 @@ func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) 
 		reply.Exists = true
 		reply.Version = rec.Version
 		reply.Zxid = rec.Zxid
+		prev := o.prev[m.Path]
 		switch {
-		case m.Have && m.HaveHash == vcs.HashBytes(rec.Data):
+		case m.Have && m.HaveHash == rec.Hash:
 			reply.NotModified = true
 			o.Obs.Add("zeus.fetch.not_modified", 1)
-		case m.Have && o.prev[m.Path] != nil && m.HaveHash == vcs.HashBytes(o.prev[m.Path]):
-			reply.Payload = MakePayload(o.prev[m.Path], rec.Data)
+		case m.Have && prev != nil && m.HaveHash == prev.Hash:
+			reply.Payload = MakePayload(prev, rec)
 			if reply.Payload.IsDelta {
 				o.Obs.Add("zeus.fetch.delta", 1)
 			} else {
 				o.Obs.Add("zeus.fetch.full", 1)
 			}
 		default:
-			reply.Payload = MakePayload(nil, rec.Data)
+			reply.Payload = MakePayload(nil, rec)
 			o.Obs.Add("zeus.fetch.full", 1)
 		}
 	}

@@ -530,15 +530,14 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 		}
 		// Commit. Capture the outgoing record first: it is the delta base
 		// for this op's push down the tree.
-		var oldData []byte
-		if old := s.tree.Get(p.op.Path); old != nil {
-			oldData = old.Data
-		}
-		s.tree.Apply(p.op)
+		old := s.tree.Get(p.op.Path)
+		applied := s.tree.Apply(p.op)
 		s.Obs.PathEvent(p.op.Path, obs.PropEvent{
 			Stage: obs.EvZeusCommit, Node: string(s.id), Zxid: zxid, At: ctx.Now(),
 		})
-		updates = append(updates, s.makeUpdate(oldData, p.op))
+		if applied { // a stale op left no record to push
+			updates = append(updates, s.makeUpdate(old, p.op))
+		}
 		if p.client != "" {
 			ctx.Send(p.client, MsgWriteReply{ReqID: p.reqID, OK: true, Zxid: zxid, Version: p.op.Version})
 		}
@@ -581,12 +580,12 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 // makeUpdate builds the distribution-tree update for a committed op:
 // delta-encoded against the record it replaces when that beats a full
 // snapshot.
-func (s *Server) makeUpdate(oldData []byte, op WriteOp) Update {
+func (s *Server) makeUpdate(old *Record, op WriteOp) Update {
 	u := Update{Path: op.Path, Version: op.Version, Zxid: op.Zxid, Delete: op.Delete}
 	if op.Delete {
 		return u
 	}
-	u.Payload = MakePayload(oldData, op.Data)
+	u.Payload = MakePayload(old, s.tree.Get(op.Path))
 	if u.Payload.IsDelta {
 		s.Obs.Add("zeus.push.delta", 1)
 	} else {

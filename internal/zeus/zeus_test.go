@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"configerator/internal/simnet"
+	"configerator/internal/vcs"
 )
 
 // testDeployment spins up a 5-member ensemble over three regions with one
@@ -262,7 +263,7 @@ func TestWatchNotification(t *testing.T) {
 	if len(fetches) != 1 || !fetches[0].Exists {
 		t.Fatalf("fetch reply = %+v", fetches)
 	}
-	if got, err := fetches[0].Payload.Resolve(nil); err != nil || string(got) != "v1" {
+	if got, _, err := fetches[0].Payload.Resolve(nil, 0); err != nil || string(got) != "v1" {
 		t.Fatalf("fetch payload = %q, %v", got, err)
 	}
 	if obs.WatchCount("/configs/a") != 1 {
@@ -273,7 +274,7 @@ func TestWatchNotification(t *testing.T) {
 	if len(events) != 1 || events[0].Version != 2 {
 		t.Fatalf("watch events = %+v", events)
 	}
-	if got, err := events[0].Payload.Resolve([]byte("v1")); err != nil || string(got) != "v2" {
+	if got, _, err := events[0].Payload.Resolve([]byte("v1"), vcs.HashBytes([]byte("v1"))); err != nil || string(got) != "v2" {
 		t.Fatalf("watch payload = %q, %v", got, err)
 	}
 	// Unwatch stops notifications.
