@@ -38,9 +38,11 @@ govulncheck:
 lint:
 	$(GO) run ./cmd/configlint -C examples/configs -severity info
 
-# race: the packages with goroutine readers or shared immutable snapshots.
+# race: every internal package except the experiments (minutes under the
+# detector, and single-threaded on the sim clock), so a new package cannot be
+# forgotten.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/cdl/... ./internal/core/... ./internal/proxy/... ./internal/zeus/... ./internal/landingstrip/... ./internal/canary/... ./internal/simnet/... ./internal/confclient/... ./internal/cluster/... ./internal/monitor/... ./internal/packagevessel/... ./internal/vcs/... ./internal/tailer/...
+	$(GO) test -race $$($(GO) list ./internal/... | grep -v /experiments)
 
 # fuzz: a short smoke of each native fuzz target, starting from the seed
 # corpora under testdata/fuzz (which plain `go test` also replays). A crasher

@@ -128,10 +128,10 @@ const (
 	counterVisited = "radius.visited"
 )
 
-// DefaultMaxSummaries bounds the content-keyed summary memo. The cache is
-// cleared wholesale when it overflows — content hashes make stale entries
+// maxSummaries bounds the content-keyed summary memo. The cache is cleared
+// wholesale when it overflows — content hashes make stale entries
 // unreachable anyway, this only reclaims memory.
-const DefaultMaxSummaries = 16384
+const maxSummaries = 16384
 
 // Index owns the memoized per-module summaries. It is long-lived (one per
 // pipeline, like cdl.Engine): summaries are keyed by the Merkle hash of
@@ -141,8 +141,6 @@ type Index struct {
 	// Obs, when set, receives dataflow.* counters and the
 	// dataflow.radius.size histogram.
 	Obs *obs.Registry
-	// MaxSummaries caps the memo (DefaultMaxSummaries when 0).
-	MaxSummaries int
 
 	engine   *cdl.Engine
 	counters *stats.Counters
@@ -178,13 +176,9 @@ func (ix *Index) lookup(key string) *summary {
 }
 
 func (ix *Index) store(key string, s *summary) {
-	max := ix.MaxSummaries
-	if max <= 0 {
-		max = DefaultMaxSummaries
-	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if len(ix.memo) >= max {
+	if len(ix.memo) >= maxSummaries {
 		ix.memo = make(map[string]*summary)
 	}
 	ix.memo[key] = s

@@ -34,12 +34,12 @@ import (
 	"configerator/internal/stats"
 )
 
-// Default cache bounds; exceeding a bound evicts the least-recently-used
-// quarter of the cache.
+// Cache bounds; exceeding a bound evicts the least-recently-used quarter of
+// the cache.
 const (
-	DefaultMaxParseEntries  = 4096
-	DefaultMaxModuleEntries = 4096
-	DefaultMaxResultEntries = 8192
+	maxParseEntries  = 4096
+	maxModuleEntries = 4096
+	maxResultEntries = 8192
 )
 
 // Engine is a shared, concurrency-safe CDL compilation engine. The zero
@@ -54,10 +54,6 @@ type Engine struct {
 	CacheDisabled bool
 	// Workers bounds CompileAll's worker pool (default GOMAXPROCS).
 	Workers int
-	// Cache bounds (defaults applied by NewEngine).
-	MaxParseEntries  int
-	MaxModuleEntries int
-	MaxResultEntries int
 
 	counters *stats.Counters
 
@@ -80,14 +76,11 @@ type flight struct {
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		MaxParseEntries:  DefaultMaxParseEntries,
-		MaxModuleEntries: DefaultMaxModuleEntries,
-		MaxResultEntries: DefaultMaxResultEntries,
-		counters:         stats.NewCounters(),
-		parse:            make(map[string]*parseEntry),
-		modules:          make(map[string]*moduleEntry),
-		results:          make(map[string]*resultEntry),
-		flights:          make(map[string]*flight),
+		counters: stats.NewCounters(),
+		parse:    make(map[string]*parseEntry),
+		modules:  make(map[string]*moduleEntry),
+		results:  make(map[string]*resultEntry),
+		flights:  make(map[string]*flight),
 	}
 }
 
@@ -237,7 +230,7 @@ func (e *Engine) parseModule(path string, src []byte) (*Module, error) {
 	e.mu.Lock()
 	pe.lastUse = e.nextTick()
 	e.parse[key] = pe
-	e.counters.Add("evict.parse", int64(evictOldest(e.parse, e.MaxParseEntries,
+	e.counters.Add("evict.parse", int64(evictOldest(e.parse, maxParseEntries,
 		func(p *parseEntry) int64 { return p.lastUse }, func(k string) { delete(e.parse, k) })))
 	e.mu.Unlock()
 	return mod, err
@@ -299,7 +292,7 @@ func (e *Engine) storeModule(ent *moduleEntry) {
 	defer e.mu.Unlock()
 	ent.lastUse = e.nextTick()
 	e.modules[ent.key] = ent
-	e.counters.Add("evict.module", int64(evictOldest(e.modules, e.MaxModuleEntries,
+	e.counters.Add("evict.module", int64(evictOldest(e.modules, maxModuleEntries,
 		func(m *moduleEntry) int64 { return m.lastUse }, func(k string) { delete(e.modules, k) })))
 }
 
@@ -314,7 +307,7 @@ func (e *Engine) storeUncacheable(key, path string, closure []string) {
 		return
 	}
 	e.modules[key] = &moduleEntry{key: key, path: path, uncacheable: true, closure: closure, lastUse: e.nextTick()}
-	e.counters.Add("evict.module", int64(evictOldest(e.modules, e.MaxModuleEntries,
+	e.counters.Add("evict.module", int64(evictOldest(e.modules, maxModuleEntries,
 		func(m *moduleEntry) int64 { return m.lastUse }, func(k string) { delete(e.modules, k) })))
 }
 
@@ -392,7 +385,7 @@ func (e *Engine) storeResult(key string, res *Result, closure []string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.results[key] = &resultEntry{res: cloneResult(res), closure: closure, lastUse: e.nextTick()}
-	e.counters.Add("evict.result", int64(evictOldest(e.results, e.MaxResultEntries,
+	e.counters.Add("evict.result", int64(evictOldest(e.results, maxResultEntries,
 		func(r *resultEntry) int64 { return r.lastUse }, func(k string) { delete(e.results, k) })))
 }
 

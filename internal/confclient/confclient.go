@@ -6,9 +6,7 @@
 // The v2 API is context-aware: Get(ctx, path) returns a Value carrying
 // staleness metadata (version, source, age) so callers can tell a fresh
 // read from a degraded one, and Watch(ctx, path, fn) stops delivering —
-// and releases its proxy-side registration — once ctx is cancelled. The
-// v1 methods (Want/Current/Subscribe) remain as thin deprecated shims for
-// one release.
+// and releases its proxy-side registration — once ctx is cancelled.
 //
 // Read hot path. Configs change rarely and are read constantly, so Get
 // decodes each config version exactly once: the parse result is memoized

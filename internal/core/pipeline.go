@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -51,8 +52,6 @@ type Options struct {
 	// CanaryPhase2 is the cluster-scale canary phase size (default: half
 	// the fleet, leaving the rest as the control group).
 	CanaryPhase2 int
-	// SandboxSetup is Sandcastle's provisioning cost.
-	SandboxSetup time.Duration
 	// HighRadiusArtifacts is the blast-radius artifact count at which a
 	// change may no longer land via a direct strip submit and must come
 	// through the pipeline (so the canary covers its radius). 0 means
@@ -88,9 +87,9 @@ type Pipeline struct {
 	// as lint and compile.
 	Dataflow *dataflow.Index
 	// head is the analysis snapshot of the repositories at headTrees, the
-	// head tree each repository had when the snapshot last caught up. Stage
-	// 1 and the strip gates derive a change's view from it; only
-	// headSnapshot moves it.
+	// head tree each repository had when the pipeline last caught up. Stage
+	// 1 and the strip gates derive a change's view from it; only catchUp
+	// moves it, and Deps with it.
 	head      *dataflow.Repo
 	headTrees map[*vcs.Repository]vcs.Tree
 	// DeprecatedSitevars configures the deprecated-sitevar analyzer:
@@ -127,7 +126,7 @@ func New(opts Options) *Pipeline {
 		Cost:        opts.Cost,
 		Deps:        depgraph.New(),
 		Review:      review.NewQueue(),
-		Sandbox:     ci.NewSandbox(opts.SandboxSetup),
+		Sandbox:     ci.NewSandbox(0),
 		Engine:      cdl.NewEngine(),
 		Fleet:       opts.Fleet,
 		Risk:        riskadvisor.New(riskadvisor.DefaultThresholds()),
@@ -157,11 +156,6 @@ func New(opts Options) *Pipeline {
 	if p.Cost == (vcs.CostModel{}) {
 		p.Cost = vcs.DefaultCostModel()
 	}
-	for _, repo := range p.Repos.Repos() {
-		p.strips[repo] = landingstrip.New(repo, p.Cost)
-		p.strips[repo].Gate = p.gate()
-		p.strips[repo].Obs = p.Obs
-	}
 	if p.Fleet != nil {
 		p.Canary = canary.NewRunner(p.Fleet.Net, p.Fleet)
 		p.Canary.Obs = p.Obs
@@ -182,7 +176,7 @@ func New(opts Options) *Pipeline {
 	} else {
 		p.clock = vclock.NewVirtual()
 	}
-	p.syncDeps()
+	p.catchUp()
 	return p
 }
 
@@ -204,22 +198,20 @@ func (p *Pipeline) advance(d time.Duration) {
 
 // Strip returns the landing strip for the repo owning path.
 func (p *Pipeline) Strip(path string) *landingstrip.Strip {
-	return p.strips[p.Repos.Route(path)]
+	return p.stripFor(p.Repos.Route(path))
 }
 
-// syncDeps bootstraps the dependency graph from repository contents.
-func (p *Pipeline) syncDeps() {
-	for _, repo := range p.Repos.Repos() {
-		for _, path := range repo.Paths() {
-			if !isSource(path) {
-				continue
-			}
-			data, err := repo.ReadFile(path)
-			if err == nil {
-				_ = p.Deps.ExtractAndSet(path, data)
-			}
-		}
+// stripFor returns repo's landing strip, gated by the pipeline's analysis;
+// a repository added after New gets its strip on first use.
+func (p *Pipeline) stripFor(repo *vcs.Repository) *landingstrip.Strip {
+	strip := p.strips[repo]
+	if strip == nil {
+		strip = landingstrip.New(repo, p.Cost)
+		strip.Gate = p.gate
+		strip.Obs = p.Obs
+		p.strips[repo] = strip
 	}
+	return strip
 }
 
 func isSource(path string) bool {
@@ -234,22 +226,67 @@ func ArtifactPath(src string) string {
 	return strings.TrimSuffix(src, ".cconf") + ".json"
 }
 
-// overlayFS is a working-tree view: staged edits over the repositories.
-type overlayFS struct {
+// changeView is one proposed change as the compiler and the analyses see
+// it: its edits staged over the repositories (a cdl.FileSystem), and which
+// sources it writes and which it removes.
+type changeView struct {
 	repos   *vcs.RepoSet
 	overlay map[string][]byte
 	deleted map[string]bool
+	// edited and removed are sorted; touched is both, edited first.
+	edited, removed, touched []string
+}
+
+// viewOfRequest stages a request's source edits and deletes.
+func (p *Pipeline) viewOfRequest(req *ChangeRequest) *changeView {
+	v := &changeView{repos: p.Repos, overlay: req.Sources, deleted: make(map[string]bool)}
+	for path := range req.Sources {
+		v.edited = append(v.edited, path)
+	}
+	for _, path := range req.Deletes {
+		v.deleted[path] = true
+		if isSource(path) {
+			v.removed = append(v.removed, path)
+		}
+	}
+	return v.sorted()
+}
+
+// viewOfDiff stages the source changes of a diff handed to a landing strip.
+func (p *Pipeline) viewOfDiff(d *vcs.Diff) *changeView {
+	v := &changeView{repos: p.Repos, overlay: make(map[string][]byte), deleted: make(map[string]bool)}
+	for _, ch := range d.Changes {
+		switch {
+		case !isSource(ch.Path):
+		case ch.Delete:
+			v.deleted[ch.Path] = true
+			v.removed = append(v.removed, ch.Path)
+		default:
+			v.overlay[ch.Path] = ch.Content
+			v.edited = append(v.edited, ch.Path)
+		}
+	}
+	return v.sorted()
+}
+
+// sorted finishes a constructor: it orders the collected path lists and
+// fills touched.
+func (v *changeView) sorted() *changeView {
+	sort.Strings(v.edited)
+	sort.Strings(v.removed)
+	v.touched = append(append([]string(nil), v.edited...), v.removed...)
+	return v
 }
 
 // ReadFile implements cdl.FileSystem.
-func (o *overlayFS) ReadFile(path string) ([]byte, error) {
-	if o.deleted[path] {
+func (v *changeView) ReadFile(path string) ([]byte, error) {
+	if v.deleted[path] {
 		return nil, fmt.Errorf("core: %s deleted in this change", path)
 	}
-	if data, ok := o.overlay[path]; ok {
+	if data, ok := v.overlay[path]; ok {
 		return data, nil
 	}
-	return o.repos.ReadFile(path)
+	return v.repos.ReadFile(path)
 }
 
 // ChangeRequest is one proposed config change.
@@ -334,70 +371,29 @@ var (
 	ErrHighRadius = errors.New("core: high blast-radius change requires canary")
 )
 
-// lintAffected runs the configlint analyzer suite over the changed
-// sources plus every transitive importer, through the shared engine's
-// parse cache. The dependency graph supplies the affected set before its
-// edges are rewritten, so a .cinc edit lints every .cconf it can break.
-func (p *Pipeline) lintAffected(fs cdl.FileSystem, changed []string, deleted map[string]bool) []analysis.Diagnostic {
-	roots := append([]string(nil), changed...)
-	roots = append(roots, p.Deps.Dependents(changed...)...)
-	live := roots[:0]
-	seen := make(map[string]bool, len(roots))
-	for _, r := range roots {
-		if !deleted[r] && !seen[r] {
-			seen[r] = true
-			live = append(live, r)
-		}
-	}
-	if len(live) == 0 {
+// lintAffected runs the configlint analyzer suite over the sources the
+// view writes plus every transitive importer, through the shared engine's
+// parse cache. The dependency graph is at head, before the change's own
+// edges, so a .cinc edit lints every .cconf it can break.
+func (p *Pipeline) lintAffected(v *changeView) []analysis.Diagnostic {
+	roots := append(append([]string(nil), v.edited...), p.Deps.Dependents(v.edited...)...)
+	roots = slices.DeleteFunc(roots, func(path string) bool { return v.deleted[path] })
+	if len(roots) == 0 {
 		return nil
 	}
-	sort.Strings(live)
-	d := analysis.NewDriver(p.Engine, fs)
+	sort.Strings(roots)
+	roots = slices.Compact(roots)
+	d := analysis.NewDriver(p.Engine, v)
 	d.DeprecatedSitevars = p.DeprecatedSitevars
-	diags, err := d.Run(live)
+	diags, err := d.Run(roots)
 	if err != nil {
-		pos := cdl.Pos{File: live[0], Line: 1, Col: 1}
+		pos := cdl.Pos{File: roots[0], Line: 1, Col: 1}
 		return []analysis.Diagnostic{{
 			Pos: pos, End: pos, Severity: analysis.Error,
 			Analyzer: "driver", Message: err.Error(),
 		}}
 	}
 	return diags
-}
-
-// lintGate adapts lintAffected into the landing strip's pre-land hook: a
-// diff whose post-apply affected set has any Error diagnostic is refused
-// before it touches the repository. This catches changes submitted to the
-// strip directly, bypassing pipeline stages 1–3.
-func (p *Pipeline) lintGate() func(*vcs.Diff) error {
-	return func(d *vcs.Diff) error {
-		overlay := make(map[string][]byte)
-		deleted := make(map[string]bool)
-		var changed []string
-		for _, ch := range d.Changes {
-			if !isSource(ch.Path) {
-				continue
-			}
-			if ch.Delete {
-				deleted[ch.Path] = true
-				continue
-			}
-			overlay[ch.Path] = ch.Content
-			changed = append(changed, ch.Path)
-		}
-		if len(changed) == 0 {
-			return nil
-		}
-		fs := &overlayFS{repos: p.Repos, overlay: overlay, deleted: deleted}
-		diags := p.lintAffected(fs, changed, deleted)
-		if analysis.HasErrors(diags) {
-			errs := analysis.Filter(diags, analysis.Error)
-			return fmt.Errorf("%w at the landing strip: %s (first: %s)",
-				ErrLintFailed, analysis.Summary(errs), errs[0])
-		}
-		return nil
-	}
 }
 
 // orderShards fixes the landing order of a cross-repo change: repository
@@ -511,62 +507,37 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 	start := p.Now()
 	spLint := tr.Span(StageLint, start)
 	spCompile := tr.Span(StageCompile, start)
-	fs := &overlayFS{repos: p.Repos, overlay: req.Sources, deleted: make(map[string]bool)}
-	for _, d := range req.Deletes {
-		fs.deleted[d] = true
-	}
-	var changedSources []string
-	for path := range req.Sources {
-		changedSources = append(changedSources, path)
-	}
-	sort.Strings(changedSources)
+	p.catchUp()
+	fs := p.viewOfRequest(req)
 	// Static analysis gates the stage before any evaluation: the affected
 	// set (changed sources + transitive importers) is linted through the
-	// engine's parse cache, so the compile below re-parses nothing.
-	report.Lint = p.lintAffected(fs, changedSources, fs.deleted)
+	// engine's parse cache, so the compile below re-parses nothing. The
+	// whole-repo dataflow then puts the blast radius onto the change trace,
+	// checks determinacy over the reached artifacts, and feeds each edited
+	// source's static reach to the risk advisor.
+	var rep *dataflow.Repo
+	var aerr error
+	report.Lint, rep, report.Radius, aerr = p.analyze(fs)
 	report.Timings[StageLint] = p.Now().Sub(start)
 	spLint.Attr("diagnostics", len(report.Lint))
 	spLint.End(p.Now())
-	if analysis.HasErrors(report.Lint) {
-		errs := analysis.Filter(report.Lint, analysis.Error)
-		return fail("lint", fmt.Errorf("%w: %s (first: %s)",
-			ErrLintFailed, analysis.Summary(errs), errs[0]))
-	}
-	// Whole-repo dataflow: blast radius onto the change trace, determinacy
-	// over the affected artifacts, and static reach into the risk advisor.
-	radiusChanged := append([]string(nil), changedSources...)
-	for _, path := range req.Deletes {
-		if isSource(path) {
-			radiusChanged = append(radiusChanged, path)
-		}
-	}
-	if len(radiusChanged) > 0 {
-		rep, rad := p.blastRadius(fs, radiusChanged)
-		report.Radius = rad
+	if rad := report.Radius; rad != nil {
 		report.RiskScore = rad.Score
 		tr.Annotate("radius.artifacts", fmt.Sprintf("%d", len(rad.Artifacts)))
 		tr.Annotate("radius.consumers", fmt.Sprintf("%d", len(rad.Consumers)))
 		tr.Annotate("radius.score", fmt.Sprintf("%.1f", rad.Score))
-		if ddiags := rep.DeterminacyFor(rad.Artifacts); len(ddiags) > 0 {
-			report.Lint = append(report.Lint, ddiags...)
-			if analysis.HasErrors(ddiags) {
-				errs := analysis.Filter(ddiags, analysis.Error)
-				return fail("lint", fmt.Errorf("%w: %s", ErrNondeterministic, errs[0].Message))
-			}
-		}
-		for _, path := range changedSources {
+	}
+	if aerr != nil {
+		return fail("lint", aerr)
+	}
+	if rep != nil {
+		for _, path := range fs.edited {
 			pr := rep.Radius([]string{path})
 			p.Risk.SetReach(path, len(pr.Artifacts)+len(pr.Consumers))
 		}
 	}
-	toCompile := p.Deps.RecompileSet(changedSources, isTopLevel)
-	live := toCompile[:0]
-	for _, src := range toCompile {
-		if !fs.deleted[src] {
-			live = append(live, src)
-		}
-	}
-	toCompile = live
+	toCompile := slices.DeleteFunc(p.Deps.RecompileSet(fs.edited, isTopLevel),
+		func(src string) bool { return fs.deleted[src] })
 	// The batch API compiles the recompile set through the shared engine:
 	// dependency-topological waves over a bounded worker pool, with the
 	// shared .cinc closure parsed and evaluated once instead of once per
@@ -706,17 +677,10 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 	var worst time.Duration
 	for _, repo := range orderShards(shards) {
 		shard := shards[repo]
-		strip := p.strips[repo]
-		if strip == nil { // repo added after pipeline construction
-			strip = landingstrip.New(repo, p.Cost)
-			strip.Gate = p.gate()
-			strip.Obs = p.Obs
-			p.strips[repo] = strip
-		}
 		if canaried {
 			p.cleared[shard] = true
 		}
-		res := strip.Submit(shard, p.Now())
+		res := p.stripFor(repo).Submit(shard, p.Now())
 		delete(p.cleared, shard)
 		if res.Err != nil {
 			return fail("land", res.Err)
@@ -737,33 +701,11 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 
 	// Evict engine cache entries whose closures touch the landed change.
 	// The affected set — changed files plus their transitive importers —
-	// must be computed against the pre-change graph edges, before the
-	// ExtractAndSet loop below rewrites them. (Content-hash keys already
-	// make stale entries unreachable; this reclaims their memory.)
-	var touched []string
-	for path := range req.Sources {
-		if isSource(path) {
-			touched = append(touched, path)
-		}
-	}
-	for _, path := range req.Deletes {
-		if isSource(path) {
-			touched = append(touched, path)
-		}
-	}
-	if len(touched) > 0 {
-		affected := append(touched, p.Deps.Dependents(touched...)...)
-		p.Engine.InvalidatePaths(affected...)
-	}
-
-	// Keep the dependency graph current.
-	for path, data := range req.Sources {
-		if isSource(path) {
-			_ = p.Deps.ExtractAndSet(path, data)
-		}
-	}
-	for _, path := range req.Deletes {
-		p.Deps.Remove(path)
+	// must be computed against the pre-change graph edges: here, before the
+	// next catchUp rewrites them. (Content-hash keys already make stale
+	// entries unreachable; this reclaims their memory.)
+	if len(fs.touched) > 0 {
+		p.Engine.InvalidatePaths(append(p.Deps.Dependents(fs.touched...), fs.touched...)...)
 	}
 	p.observeRisk(req, report)
 

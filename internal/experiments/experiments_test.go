@@ -329,32 +329,37 @@ func TestVessel(t *testing.T) {
 }
 
 func TestAvailability(t *testing.T) {
-	on := availabilityScenario(opts.Seed, true)
-	off := availabilityScenario(opts.Seed, false)
+	out := availabilityScenario(opts.Seed)
+	on, off := out.on, out.off
 	// With stale-serve on, every read during the outage succeeds (served
-	// from cache/disk with staleness metadata); with it off, some are
-	// refused, and every failed read is a counted refusal.
-	if on.side.Reads == 0 || on.side.OK != on.side.Reads {
-		t.Errorf("stale-serve-on served %d of %d reads, want all", on.side.OK, on.side.Reads)
+	// from cache/disk with staleness metadata); refusing what is not fresh
+	// serves fewer, and every read it fails is one that on served degraded.
+	if on.Reads == 0 || on.OK != on.Reads {
+		t.Errorf("stale-serve-on served %d of %d reads, want all", on.OK, on.Reads)
 	}
-	if off.side.Reads != on.side.Reads || off.side.OK >= off.side.Reads {
+	if off.Reads != on.Reads || off.OK >= off.Reads {
 		t.Errorf("stale-serve-off served %d of %d reads, want fewer than all %d",
-			off.side.OK, off.side.Reads, on.side.Reads)
+			off.OK, off.Reads, on.Reads)
 	}
-	if off.side.RefusedReads == 0 || off.side.RefusedReads != int64(off.side.Reads-off.side.OK) {
-		t.Errorf("stale-serve-off refused %d reads, %d failed — the contrast proves nothing",
-			off.side.RefusedReads, off.side.Reads-off.side.OK)
+	if off.RefusedReads == 0 || off.RefusedReads != on.DegradedReads {
+		t.Errorf("stale-serve-off refused %d reads, on served %d degraded — the contrast proves nothing",
+			off.RefusedReads, on.DegradedReads)
+	}
+	// The counts a run with the proxies themselves refusing produced.
+	if on.Reads != 1440 || off.OK != 1328 || off.RefusedReads != 112 {
+		t.Errorf("reads = %d, stale-serve-off ok = %d, refused = %d, want 1440, 1328, 112",
+			on.Reads, off.OK, off.RefusedReads)
 	}
 	// The degraded path actually exercised: stale reads served during the
 	// outage, and staleness quantiles measured.
-	if on.side.StaleReads == 0 {
+	if on.StaleReads == 0 {
 		t.Error("no stale reads served during the outage")
 	}
-	if on.side.StalenessP99Ms <= 0 || on.side.StalenessP99Ms < on.side.StalenessP50Ms {
-		t.Errorf("staleness p50 = %.1fms, p99 = %.1fms", on.side.StalenessP50Ms, on.side.StalenessP99Ms)
+	if on.StalenessP99Ms <= 0 || on.StalenessP99Ms < on.StalenessP50Ms {
+		t.Errorf("staleness p50 = %.1fms, p99 = %.1fms", on.StalenessP50Ms, on.StalenessP99Ms)
 	}
 	// Convergence after the final heal must be measured and bounded.
-	if c := on.convergence; c < 0 || c > 30*time.Second {
+	if c := out.convergence; c < 0 || c > 30*time.Second {
 		t.Errorf("convergence after heal = %v, want within [0, 30s]", c)
 	}
 	// Every scripted fault fired and was mirrored into the obs counters.
@@ -362,11 +367,11 @@ func TestAvailability(t *testing.T) {
 		"fault.injected": 10, "fault.crash": 2, "fault.restart": 2,
 		"fault.partition_group": 1, "fault.heal_group": 1, "fault.call": 4,
 	}
-	if on.scripted != 10 || on.fired != on.scripted {
-		t.Errorf("faults fired = %d, scripted = %d, want 10 of 10", on.fired, on.scripted)
+	if out.scripted != 10 || out.fired != out.scripted {
+		t.Errorf("faults fired = %d, scripted = %d, want 10 of 10", out.fired, out.scripted)
 	}
 	for k, want := range wantCounters {
-		if got := on.counters[k]; got != want {
+		if got := out.counters[k]; got != want {
 			t.Errorf("counter %s = %d, want %d", k, got, want)
 		}
 	}
@@ -375,7 +380,7 @@ func TestAvailability(t *testing.T) {
 	// scripted outage window was covered by an active alert, and every
 	// alert cleared within two sweeps of the fleet reconverging after the
 	// last heal.
-	mon := on.mon
+	mon := out.mon
 	if mon.Sweeps == 0 {
 		t.Fatal("monitor never swept")
 	}

@@ -25,41 +25,23 @@ const (
 	// many verified chunks have accumulated — mid-transfer agents become
 	// visible seeds for their cluster without waiting for completion.
 	announceEvery = 4
+	// fetchWindow is the agent-wide concurrent chunk fetch limit.
+	fetchWindow = 8
+	// perPeerInflight caps concurrent fetches aimed at one peer so a
+	// popular holder's uplink is shared, not monopolized.
+	perPeerInflight = 2
+	// grantBatch is how many grants one tracker round trip asks for.
+	grantBatch = 16
 )
 
-// Options configures an Agent. Zero values take the defaults.
+// Options configures an Agent.
 type Options struct {
-	// Window is the agent-wide concurrent chunk fetch limit (default 8).
-	Window int
-	// PerPeerInflight caps concurrent fetches aimed at one peer (default
-	// 2) so a popular holder's uplink is shared, not monopolized.
-	PerPeerInflight int
-	// GrantBatch is how many grants one tracker round trip asks for
-	// (default 16). GrantBatch 1 reproduces the old one-round-trip-per-
-	// chunk swarm (the experiment's baseline).
-	GrantBatch int
 	// Store is the agent's durable chunk store — its "disk". Passing the
 	// same store across NewAgent calls models a restart with the disk
 	// intact. Nil allocates a fresh one.
 	Store *blob.Store
 	// Obs receives the vessel.* counters (nil-safe).
 	Obs *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 8
-	}
-	if o.PerPeerInflight <= 0 {
-		o.PerPeerInflight = 2
-	}
-	if o.GrantBatch <= 0 {
-		o.GrantBatch = 16
-	}
-	if o.Store == nil {
-		o.Store = blob.NewStore()
-	}
-	return o
 }
 
 // TransferStats accounts one completed transfer.
@@ -102,10 +84,9 @@ type transfer struct {
 // and swarms the missing digests — several in parallel, capped per peer,
 // every chunk verified against its content address before it is stored.
 type Agent struct {
-	id   simnet.NodeID
-	net  *simnet.Network
-	opts Options
-	obs  *obs.Registry
+	id  simnet.NodeID
+	net *simnet.Network
+	obs *obs.Registry
 
 	store            *blob.Store
 	transfers        map[string]*transfer // by package name (newest version only)
@@ -133,9 +114,11 @@ type Agent struct {
 
 // NewAgent creates an agent node.
 func NewAgent(net *simnet.Network, id simnet.NodeID, p simnet.Placement, opts Options) *Agent {
-	opts = opts.withDefaults()
+	if opts.Store == nil {
+		opts.Store = blob.NewStore()
+	}
 	a := &Agent{
-		id: id, net: net, opts: opts, obs: opts.Obs,
+		id: id, net: net, obs: opts.Obs,
 		store:            opts.Store,
 		transfers:        make(map[string]*transfer),
 		inflight:         make(map[blob.Digest]flight),
@@ -321,7 +304,7 @@ func (a *Agent) requestGrants(ctx *simnet.Context, t *transfer) {
 	if len(need) == 0 {
 		return
 	}
-	max := a.opts.GrantBatch - len(t.pending)
+	max := grantBatch - len(t.pending)
 	if max <= 0 {
 		return
 	}
@@ -333,13 +316,13 @@ func (a *Agent) requestGrants(ctx *simnet.Context, t *transfer) {
 // allow.
 func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 	var deferred []grant
-	for len(t.pending) > 0 && a.inflightTotal < a.opts.Window {
+	for len(t.pending) > 0 && a.inflightTotal < fetchWindow {
 		g := t.pending[0]
 		t.pending = t.pending[1:]
 		if !t.need[g.Digest] || a.quarantined[g.Peer] {
 			continue
 		}
-		if a.perPeer[g.Peer] >= a.opts.PerPeerInflight {
+		if a.perPeer[g.Peer] >= perPeerInflight {
 			deferred = append(deferred, g)
 			continue
 		}
@@ -352,7 +335,7 @@ func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 		ctx.SetTimer(chunkTimeout, msgChunkTimeout{Digest: g.Digest})
 	}
 	t.pending = append(t.pending, deferred...)
-	if len(t.need) > 0 && len(t.pending) <= a.opts.GrantBatch/2 {
+	if len(t.need) > 0 && len(t.pending) <= grantBatch/2 {
 		a.requestGrants(ctx, t)
 	}
 }

@@ -39,11 +39,11 @@ const (
 	// default 1 MiB chunk size (~59 chunks/tick, kept under it so a
 	// holder's uplink never queues a full tick deep).
 	defaultHolderBudget = 32
-	// defaultFarBudget caps cross-region grants per requesting region per
-	// tick: enough to bootstrap a region that holds nothing, small enough
-	// that a region never bulk-transfers over the spine what its own
-	// swarm will hold moments later.
-	defaultFarBudget = 32
+	// farBudget caps cross-region grants per requesting region per tick:
+	// enough to bootstrap a region that holds nothing, small enough that a
+	// region never bulk-transfers over the spine what its own swarm will
+	// hold moments later.
+	farBudget = 32
 )
 
 // holderRef is a sampled holder with its placement cached at announce
@@ -72,8 +72,7 @@ type Tracker struct {
 	busy   map[simnet.NodeID]int
 	budget int
 	// busyFar counts cross-region grants per requesting region this tick.
-	busyFar   map[string]int
-	farBudget int
+	busyFar map[string]int
 
 	// Scratch buffers reused across assign calls (the tracker handles one
 	// message at a time, so per-call allocation here is pure GC churn at
@@ -97,7 +96,6 @@ func NewTracker(net *simnet.Network, id simnet.NodeID, p simnet.Placement) *Trac
 		busy:         make(map[simnet.NodeID]int),
 		budget:       defaultHolderBudget,
 		busyFar:      make(map[string]int),
-		farBudget:    defaultFarBudget,
 		scratchAvoid: make(map[simnet.NodeID]bool),
 	}
 	net.AddNode(id, p, t)
@@ -140,13 +138,6 @@ func (t *Tracker) Holders(d blob.Digest) int {
 		return s.count
 	}
 	return 0
-}
-
-// SetFarBudget tunes cross-region grants per requesting region per tick.
-func (t *Tracker) SetFarBudget(n int) {
-	if n > 0 {
-		t.farBudget = n
-	}
 }
 
 // OnRestart implements simnet.Restarter: re-arm the budget tick.
@@ -325,7 +316,7 @@ func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement, avoid map[simn
 	case farAny:
 		// Cross-region bootstrap is rationed per requesting region: once
 		// the region holds copies, its agents fetch locally instead.
-		if t.busyFar[ap.Region] >= t.farBudget {
+		if t.busyFar[ap.Region] >= farBudget {
 			return ""
 		}
 		if far != "" {

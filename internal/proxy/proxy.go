@@ -28,7 +28,7 @@
 package proxy
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,8 +178,7 @@ type ReadResult struct {
 	Entry
 	Source Source
 	Age    time.Duration
-	// OK is false when no layer could serve the path — or when StaleServe
-	// is off and only a non-fresh layer could.
+	// OK is false when no layer could serve the path.
 	OK bool
 }
 
@@ -299,12 +298,6 @@ type Proxy struct {
 	monTarget simnet.NodeID
 	monEvery  time.Duration
 
-	// StaleServe, when true (the default), lets reads degrade to cached or
-	// on-disk values with explicit staleness metadata when fresh data is
-	// unreachable. Off, such reads fail — the availability-vs-freshness
-	// knob the availability experiment flips.
-	StaleServe bool
-
 	// Stats.
 	Fetches     uint64
 	WatchEvents uint64
@@ -323,16 +316,15 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 		disk = NewDiskCache()
 	}
 	p := &Proxy{
-		id:         id,
-		net:        net,
-		observers:  observers,
-		disk:       disk,
-		watched:    make(map[string]bool),
-		subs:       make(map[string][]subscription),
-		inflight:   make(map[int64]fetchState),
-		byPath:     make(map[string][]int64),
-		stats:      make(map[simnet.NodeID]*obsStats),
-		StaleServe: true,
+		id:        id,
+		net:       net,
+		observers: observers,
+		disk:      disk,
+		watched:   make(map[string]bool),
+		subs:      make(map[string][]subscription),
+		inflight:  make(map[int64]fetchState),
+		byPath:    make(map[string][]int64),
+		stats:     make(map[simnet.NodeID]*obsStats),
 	}
 	p.snap.Store(&snapshot{
 		entries:   make(map[string]*entryState),
@@ -545,13 +537,8 @@ func (p *Proxy) hedgeDelay() time.Duration {
 	if len(p.rtts) == 0 {
 		return 4 * hedgeMinDelay
 	}
-	s := append([]time.Duration(nil), p.rtts...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	p99 := s[len(s)*99/100]
-	if p99 < hedgeMinDelay {
-		return hedgeMinDelay
-	}
-	return p99
+	// The p99 of a window of at most 100 samples is its largest.
+	return max(hedgeMinDelay, slices.Max(p.rtts))
 }
 
 func (p *Proxy) recordRTT(rtt time.Duration) {
@@ -765,8 +752,8 @@ func (p *Proxy) Overridden(path string) bool {
 // Read returns the config at path with staleness metadata, degrading
 // through the layers: override and memory while the proxy process is up
 // (fresh if the plane is healthy, cached if not), then the on-disk cache
-// (stale). With StaleServe off, only fresh reads succeed — the paper's
-// choice is availability over freshness, so on is the default.
+// (stale) — the paper's choice of availability over freshness. Source says
+// how degraded a read is, for a caller that would rather refuse.
 //
 // Read is the hot path: one atomic snapshot load plus map lookups, safe
 // from any goroutine, and allocation-free when the path is in memory
@@ -782,10 +769,6 @@ func (p *Proxy) Read(path string) ReadResult {
 			src := SourceFresh
 			if snap.planeDown {
 				src = SourceCached
-			}
-			if src != SourceFresh && !p.StaleServe {
-				p.Obs.Add("proxy.read.refused", 1)
-				return ReadResult{Source: src, Age: now.Sub(st.e.Fetched)}
 			}
 			if mark := st.readMark.Load(); st.e.Zxid > mark {
 				// First application read of this version (CAS so exactly
@@ -808,10 +791,6 @@ func (p *Proxy) Read(path string) ReadResult {
 	e, ok := p.disk.Load(path)
 	if !ok {
 		return ReadResult{Source: SourceStale}
-	}
-	if !p.StaleServe {
-		p.Obs.Add("proxy.read.refused", 1)
-		return ReadResult{Source: SourceStale, Age: now.Sub(e.Fetched)}
 	}
 	p.Obs.Add("proxy.read.stale", 1)
 	return ReadResult{Entry: e, Source: SourceStale, Age: now.Sub(e.Fetched), OK: true}

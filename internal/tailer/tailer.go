@@ -27,8 +27,7 @@ type Tailer struct {
 	client *zeus.Client
 	cursor int
 	// prefix maps repo paths to Zeus paths, e.g. "/configs/".
-	prefix   string
-	interval time.Duration
+	prefix string
 	// processing models the tailer's extraction cost on a large
 	// repository — the ~5 s the paper attributes to "the git tailer takes
 	// about 5 seconds to fetch config changes" (§6.3).
@@ -48,20 +47,16 @@ type Tailer struct {
 func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement,
 	repo *vcs.Repository, members []simnet.NodeID, prefix string) *Tailer {
 	t := &Tailer{
-		id:       id,
-		net:      net,
-		repo:     repo,
-		client:   zeus.NewClient(id, members),
-		prefix:   prefix,
-		interval: PollInterval,
+		id:     id,
+		net:    net,
+		repo:   repo,
+		client: zeus.NewClient(id, members),
+		prefix: prefix,
 	}
 	net.AddNode(id, placement, t)
-	net.SetTimer(id, t.interval, msgTickTail{})
+	net.SetTimer(id, PollInterval, msgTickTail{})
 	return t
 }
-
-// SetInterval overrides the poll interval (tests).
-func (t *Tailer) SetInterval(d time.Duration) { t.interval = d }
 
 // SetProcessingDelay adds a fixed extraction cost between detecting new
 // commits and writing them to Zeus (the paper's ~5 s git-fetch cost on a
@@ -74,7 +69,7 @@ func (t *Tailer) OnDelivered(fn func(path string, zxid int64)) { t.onDelivered =
 
 // OnRestart implements simnet.Restarter.
 func (t *Tailer) OnRestart(ctx *simnet.Context) {
-	ctx.SetTimer(t.interval, msgTickTail{})
+	ctx.SetTimer(PollInterval, msgTickTail{})
 }
 
 // HandleMessage implements simnet.Handler.
@@ -91,7 +86,7 @@ func (t *Tailer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 		} else {
 			t.poll(ctx)
 		}
-		ctx.SetTimer(t.interval, msgTickTail{})
+		ctx.SetTimer(PollInterval, msgTickTail{})
 	default:
 		// Zeus client replies and retry timers.
 		t.client.HandleMessage(ctx, from, msg)
