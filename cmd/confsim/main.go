@@ -13,6 +13,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"configerator/internal/cluster"
@@ -23,11 +25,16 @@ func main() {
 	servers := flag.Int("servers", 15, "servers per cluster (4 clusters)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
+	run(os.Stdout, *servers, *seed)
+}
 
-	fmt.Println("== bootstrapping fleet ==")
-	fleet := cluster.New(cluster.SmallConfig(*servers, *seed))
+// run plays the demo onto w. Everything it prints is read off the simulation
+// clock, so the same servers and seed give the same bytes.
+func run(w io.Writer, servers int, seed uint64) {
+	fmt.Fprintln(w, "== bootstrapping fleet ==")
+	fleet := cluster.New(cluster.SmallConfig(servers, seed))
 	fleet.Net.RunFor(10 * time.Second)
-	fmt.Printf("  %d servers across %v; zeus leader: %s\n",
+	fmt.Fprintf(w, "  %d servers across %v; zeus leader: %s\n",
 		len(fleet.AllServers()), fleet.ClusterNames(), fleet.Ensemble.Leader())
 	p := core.New(core.Options{Fleet: fleet, CanaryPhase2: len(fleet.AllServers()) / 2})
 
@@ -35,7 +42,7 @@ func main() {
 	zpath := core.ZeusPath(path)
 	fleet.SubscribeAll(zpath)
 
-	fmt.Println("\n== change 1: author a config-as-code module ==")
+	fmt.Fprintln(w, "\n== change 1: author a config-as-code module ==")
 	rep := p.Submit(&core.ChangeRequest{
 		Author: "alice", Reviewer: "bob", Title: "introduce ranker weights",
 		Sources: map[string][]byte{
@@ -52,15 +59,15 @@ func main() {
 			`),
 		},
 	})
-	printReport(rep)
+	printReport(w, rep)
 	fleet.Net.RunFor(20 * time.Second)
 	sample := fleet.AllServers()[0]
 	if cfg, err := sample.Client.Get(context.Background(), core.ZeusPath("feed/ranker.json")); err == nil {
-		fmt.Printf("  %s now sees w_recency=%v (version %d)\n",
+		fmt.Fprintf(w, "  %s now sees w_recency=%v (version %d)\n",
 			sample.ID, cfg.Float("w_recency", 0), cfg.Version)
 	}
 
-	fmt.Println("\n== change 2: validator rejects a bad edit ==")
+	fmt.Fprintln(w, "\n== change 2: validator rejects a bad edit ==")
 	rep = p.Submit(&core.ChangeRequest{
 		Author: "carol", Reviewer: "bob", Title: "oops, weights sum to 1.5",
 		Sources: map[string][]byte{
@@ -70,39 +77,41 @@ func main() {
 			`),
 		},
 	})
-	printReport(rep)
+	printReport(w, rep)
 
-	fmt.Println("\n== change 3: canary stops a config that spikes error rates ==")
+	fmt.Fprintln(w, "\n== change 3: canary stops a config that spikes error rates ==")
 	rep = p.Submit(&core.ChangeRequest{
 		Author: "dave", Reviewer: "bob", Title: "risky knob flip",
 		Raws: map[string][]byte{
 			path: []byte(`{"w_likes":0.3,"_fault":{"type":"error","intensity":1.0}}`),
 		},
 	})
-	printReport(rep)
+	printReport(w, rep)
 	if rep.Canary != nil {
 		for _, ph := range rep.Canary.Phases {
-			fmt.Printf("  canary %s: passed=%v %s\n", ph.Name, ph.Passed, ph.FailedCheck)
+			fmt.Fprintf(w, "  canary %s: passed=%v %s\n", ph.Name, ph.Passed, ph.FailedCheck)
 		}
 	}
 
-	fmt.Println("\n== change 4: automation through the Mutator ==")
+	fmt.Fprintln(w, "\n== change 4: automation through the Mutator ==")
 	m := core.NewMutator(p, "traffic-shifter")
 	rep = m.SetRaw("traffic/weights.json", []byte(`{"us-west":0.58,"us-east":0.42}`), core.SkipCanary())
-	printReport(rep)
+	printReport(w, rep)
 
-	fmt.Printf("\nfinal state: %d commits, %d files in the repository; virtual clock %s\n",
+	fmt.Fprintf(w, "\nfinal state: %d commits, %d files in the repository; virtual clock %s\n",
 		p.Repos.TotalCommits(), p.Repos.TotalFiles(), fleet.Net.Now().Format(time.RFC3339))
 }
 
-func printReport(rep *core.ChangeReport) {
+func printReport(w io.Writer, rep *core.ChangeReport) {
 	if rep.OK() {
-		fmt.Printf("  LANDED diff %d: %d artifacts", rep.DiffID, len(rep.Compiled))
-		for stage, d := range rep.Timings {
-			fmt.Printf("  %s=%s", stage, d.Round(time.Millisecond))
+		fmt.Fprintf(w, "  LANDED diff %d: %d artifacts", rep.DiffID, len(rep.Compiled))
+		for _, stage := range core.StageNames { // pipeline order, not map order
+			if d, ok := rep.Timings[stage]; ok {
+				fmt.Fprintf(w, "  %s=%s", stage, d.Round(time.Millisecond))
+			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		return
 	}
-	fmt.Printf("  BLOCKED at %s: %v\n", rep.FailedStage, rep.Err)
+	fmt.Fprintf(w, "  BLOCKED at %s: %v\n", rep.FailedStage, rep.Err)
 }

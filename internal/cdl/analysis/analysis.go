@@ -164,16 +164,6 @@ func Analyzers() []*Analyzer {
 	return out
 }
 
-// ByName returns the registered analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // ---- Diagnostic set helpers ----
 
 // SortDiagnostics orders diagnostics by file, line, column, analyzer,

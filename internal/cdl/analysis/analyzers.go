@@ -37,7 +37,7 @@ func collectRefs(mod *cdl.Module) (idents, structTypes map[string]bool) {
 			structTypes[x.Type] = true
 		}
 	}
-	walkExprs(mod.Stmts, record)
+	cdl.WalkStmts(mod.Stmts, record)
 	var walkAssigns func([]cdl.Stmt)
 	walkAssigns = func(stmts []cdl.Stmt) {
 		for _, st := range stmts {
@@ -69,7 +69,7 @@ func collectRefs(mod *cdl.Module) (idents, structTypes map[string]bool) {
 				}
 			}
 			if f.Default != nil {
-				walkExprTree(f.Default, record)
+				cdl.WalkExpr(f.Default, record)
 			}
 		}
 	}
@@ -512,7 +512,7 @@ var DeprecatedSitevar = &Analyzer{
 		if len(pass.DeprecatedSitevars) == 0 {
 			return
 		}
-		walkExprs(pass.Module.Stmts, func(e cdl.Expr) {
+		cdl.WalkStmts(pass.Module.Stmts, func(e cdl.Expr) {
 			call, ok := e.(*cdl.CallExpr)
 			if !ok || len(call.Args) == 0 {
 				return

@@ -293,7 +293,7 @@ func exportFields(v cdl.Expr, condRefs []string, condExts, selfExt []Origin) map
 // over-approximates, which is the safe direction for provenance.
 func exprFacts(x cdl.Expr) (refs []string, exts []Origin) {
 	seen := make(map[string]bool)
-	walkExpr(x, func(e cdl.Expr) {
+	cdl.WalkExpr(x, func(e cdl.Expr) {
 		switch t := e.(type) {
 		case *cdl.IdentExpr:
 			if !seen[t.Name] {
@@ -312,7 +312,7 @@ func exprFacts(x cdl.Expr) (refs []string, exts []Origin) {
 // bodyFacts is exprFacts over a statement block (a def body).
 func bodyFacts(stmts []cdl.Stmt) (refs []string, exts []Origin) {
 	seen := make(map[string]bool)
-	walkStmts(stmts, func(e cdl.Expr) {
+	cdl.WalkStmts(stmts, func(e cdl.Expr) {
 		switch t := e.(type) {
 		case *cdl.IdentExpr:
 			if !seen[t.Name] {
@@ -355,7 +355,7 @@ func collectExts(mod *cdl.Module, fn func(Origin)) {
 			fn(Origin{Kind: kind, Name: name, Site: siteRef(imp.PathPos)})
 		}
 	}
-	walkStmts(mod.Stmts, func(e cdl.Expr) {
+	cdl.WalkStmts(mod.Stmts, func(e cdl.Expr) {
 		if c, ok := e.(*cdl.CallExpr); ok {
 			if o, ok := extCall(c); ok {
 				fn(o)
@@ -404,83 +404,4 @@ func litFingerprint(x cdl.Expr) string {
 		return e.Op + fp
 	}
 	return ""
-}
-
-// ---- AST walkers (the analysis package's walkers are unexported) ----
-
-func walkStmts(stmts []cdl.Stmt, fn func(cdl.Expr)) {
-	for _, st := range stmts {
-		switch s := st.(type) {
-		case *cdl.LetStmt:
-			walkExpr(s.Value, fn)
-		case *cdl.AssignStmt:
-			walkExpr(s.Value, fn)
-		case *cdl.DefStmt:
-			walkStmts(s.Body, fn)
-		case *cdl.ValidatorStmt:
-			walkStmts(s.Body, fn)
-		case *cdl.ExportStmt:
-			walkExpr(s.Value, fn)
-		case *cdl.AssertStmt:
-			walkExpr(s.Cond, fn)
-			walkExpr(s.Message, fn)
-		case *cdl.IfStmt:
-			walkExpr(s.Cond, fn)
-			walkStmts(s.Then, fn)
-			walkStmts(s.Else, fn)
-		case *cdl.ForStmt:
-			walkExpr(s.Seq, fn)
-			walkStmts(s.Body, fn)
-		case *cdl.ReturnStmt:
-			walkExpr(s.Value, fn)
-		case *cdl.ExprStmt:
-			walkExpr(s.X, fn)
-		}
-	}
-}
-
-func walkExpr(x cdl.Expr, fn func(cdl.Expr)) {
-	if x == nil {
-		return
-	}
-	fn(x)
-	switch e := x.(type) {
-	case *cdl.ListExpr:
-		for _, el := range e.Elems {
-			walkExpr(el, fn)
-		}
-	case *cdl.MapExpr:
-		for i := range e.Keys {
-			walkExpr(e.Keys[i], fn)
-			walkExpr(e.Values[i], fn)
-		}
-	case *cdl.StructExpr:
-		for _, v := range e.Values {
-			walkExpr(v, fn)
-		}
-	case *cdl.UpdateExpr:
-		walkExpr(e.Base, fn)
-		for _, v := range e.Values {
-			walkExpr(v, fn)
-		}
-	case *cdl.FieldExpr:
-		walkExpr(e.Base, fn)
-	case *cdl.IndexExpr:
-		walkExpr(e.Base, fn)
-		walkExpr(e.Index, fn)
-	case *cdl.CallExpr:
-		walkExpr(e.Fn, fn)
-		for _, a := range e.Args {
-			walkExpr(a, fn)
-		}
-	case *cdl.UnaryExpr:
-		walkExpr(e.X, fn)
-	case *cdl.BinaryExpr:
-		walkExpr(e.X, fn)
-		walkExpr(e.Y, fn)
-	case *cdl.CondExpr:
-		walkExpr(e.Cond, fn)
-		walkExpr(e.A, fn)
-		walkExpr(e.B, fn)
-	}
 }

@@ -6,86 +6,6 @@ import (
 	"configerator/internal/cdl"
 )
 
-// walkExprs visits every expression in a statement list, recursively,
-// including def/validator bodies and nested blocks.
-func walkExprs(stmts []cdl.Stmt, fn func(cdl.Expr)) {
-	for _, st := range stmts {
-		switch s := st.(type) {
-		case *cdl.LetStmt:
-			walkExprTree(s.Value, fn)
-		case *cdl.AssignStmt:
-			walkExprTree(s.Value, fn)
-		case *cdl.DefStmt:
-			walkExprs(s.Body, fn)
-		case *cdl.ValidatorStmt:
-			walkExprs(s.Body, fn)
-		case *cdl.ExportStmt:
-			walkExprTree(s.Value, fn)
-		case *cdl.AssertStmt:
-			walkExprTree(s.Cond, fn)
-			walkExprTree(s.Message, fn)
-		case *cdl.IfStmt:
-			walkExprTree(s.Cond, fn)
-			walkExprs(s.Then, fn)
-			walkExprs(s.Else, fn)
-		case *cdl.ForStmt:
-			walkExprTree(s.Seq, fn)
-			walkExprs(s.Body, fn)
-		case *cdl.ReturnStmt:
-			walkExprTree(s.Value, fn)
-		case *cdl.ExprStmt:
-			walkExprTree(s.X, fn)
-		}
-	}
-}
-
-// walkExprTree visits e and every subexpression.
-func walkExprTree(x cdl.Expr, fn func(cdl.Expr)) {
-	if x == nil {
-		return
-	}
-	fn(x)
-	switch e := x.(type) {
-	case *cdl.ListExpr:
-		for _, el := range e.Elems {
-			walkExprTree(el, fn)
-		}
-	case *cdl.MapExpr:
-		for i := range e.Keys {
-			walkExprTree(e.Keys[i], fn)
-			walkExprTree(e.Values[i], fn)
-		}
-	case *cdl.StructExpr:
-		for _, v := range e.Values {
-			walkExprTree(v, fn)
-		}
-	case *cdl.UpdateExpr:
-		walkExprTree(e.Base, fn)
-		for _, v := range e.Values {
-			walkExprTree(v, fn)
-		}
-	case *cdl.FieldExpr:
-		walkExprTree(e.Base, fn)
-	case *cdl.IndexExpr:
-		walkExprTree(e.Base, fn)
-		walkExprTree(e.Index, fn)
-	case *cdl.CallExpr:
-		walkExprTree(e.Fn, fn)
-		for _, a := range e.Args {
-			walkExprTree(a, fn)
-		}
-	case *cdl.UnaryExpr:
-		walkExprTree(e.X, fn)
-	case *cdl.BinaryExpr:
-		walkExprTree(e.X, fn)
-		walkExprTree(e.Y, fn)
-	case *cdl.CondExpr:
-		walkExprTree(e.Cond, fn)
-		walkExprTree(e.A, fn)
-		walkExprTree(e.B, fn)
-	}
-}
-
 // scope is a chain of visible-name sets mirroring the evaluator's lexical
 // environments during the static walk.
 type scope struct {
@@ -204,7 +124,7 @@ func visitExpr(x cdl.Expr, sc *scope, v scopeVisitor) {
 	if x == nil {
 		return
 	}
-	walkExprTree(x, func(e cdl.Expr) {
+	cdl.WalkExpr(x, func(e cdl.Expr) {
 		if v.expr != nil {
 			v.expr(e, sc)
 		}

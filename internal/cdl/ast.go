@@ -362,3 +362,83 @@ type Module struct {
 	Schemas []*SchemaDef
 	Stmts   []Stmt // everything in source order, including imports/schemas markers
 }
+
+// WalkStmts calls fn for every expression in a statement list, recursively,
+// including def/validator bodies and nested blocks.
+func WalkStmts(stmts []Stmt, fn func(Expr)) {
+	for _, st := range stmts {
+		switch s := st.(type) {
+		case *LetStmt:
+			WalkExpr(s.Value, fn)
+		case *AssignStmt:
+			WalkExpr(s.Value, fn)
+		case *DefStmt:
+			WalkStmts(s.Body, fn)
+		case *ValidatorStmt:
+			WalkStmts(s.Body, fn)
+		case *ExportStmt:
+			WalkExpr(s.Value, fn)
+		case *AssertStmt:
+			WalkExpr(s.Cond, fn)
+			WalkExpr(s.Message, fn)
+		case *IfStmt:
+			WalkExpr(s.Cond, fn)
+			WalkStmts(s.Then, fn)
+			WalkStmts(s.Else, fn)
+		case *ForStmt:
+			WalkExpr(s.Seq, fn)
+			WalkStmts(s.Body, fn)
+		case *ReturnStmt:
+			WalkExpr(s.Value, fn)
+		case *ExprStmt:
+			WalkExpr(s.X, fn)
+		}
+	}
+}
+
+// WalkExpr calls fn for x and every subexpression of it (nothing for nil).
+func WalkExpr(x Expr, fn func(Expr)) {
+	if x == nil {
+		return
+	}
+	fn(x)
+	switch e := x.(type) {
+	case *ListExpr:
+		for _, el := range e.Elems {
+			WalkExpr(el, fn)
+		}
+	case *MapExpr:
+		for i := range e.Keys {
+			WalkExpr(e.Keys[i], fn)
+			WalkExpr(e.Values[i], fn)
+		}
+	case *StructExpr:
+		for _, v := range e.Values {
+			WalkExpr(v, fn)
+		}
+	case *UpdateExpr:
+		WalkExpr(e.Base, fn)
+		for _, v := range e.Values {
+			WalkExpr(v, fn)
+		}
+	case *FieldExpr:
+		WalkExpr(e.Base, fn)
+	case *IndexExpr:
+		WalkExpr(e.Base, fn)
+		WalkExpr(e.Index, fn)
+	case *CallExpr:
+		WalkExpr(e.Fn, fn)
+		for _, a := range e.Args {
+			WalkExpr(a, fn)
+		}
+	case *UnaryExpr:
+		WalkExpr(e.X, fn)
+	case *BinaryExpr:
+		WalkExpr(e.X, fn)
+		WalkExpr(e.Y, fn)
+	case *CondExpr:
+		WalkExpr(e.Cond, fn)
+		WalkExpr(e.A, fn)
+		WalkExpr(e.B, fn)
+	}
+}

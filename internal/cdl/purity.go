@@ -37,85 +37,11 @@ import "sort"
 // own closure (see loadState.activate).
 func collectStructRefs(mod *Module) []string {
 	set := map[string]bool{}
-	var walkStmts func([]Stmt)
-	var walkExpr func(Expr)
-	walkExpr = func(x Expr) {
-		switch e := x.(type) {
-		case *ListExpr:
-			for _, el := range e.Elems {
-				walkExpr(el)
-			}
-		case *MapExpr:
-			for i := range e.Keys {
-				walkExpr(e.Keys[i])
-				walkExpr(e.Values[i])
-			}
-		case *StructExpr:
+	WalkStmts(mod.Stmts, func(x Expr) {
+		if e, ok := x.(*StructExpr); ok {
 			set[e.Type] = true
-			for _, v := range e.Values {
-				walkExpr(v)
-			}
-		case *UpdateExpr:
-			walkExpr(e.Base)
-			for _, v := range e.Values {
-				walkExpr(v)
-			}
-		case *FieldExpr:
-			walkExpr(e.Base)
-		case *IndexExpr:
-			walkExpr(e.Base)
-			walkExpr(e.Index)
-		case *CallExpr:
-			walkExpr(e.Fn)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *UnaryExpr:
-			walkExpr(e.X)
-		case *BinaryExpr:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *CondExpr:
-			walkExpr(e.Cond)
-			walkExpr(e.A)
-			walkExpr(e.B)
 		}
-	}
-	walkStmts = func(stmts []Stmt) {
-		for _, st := range stmts {
-			switch s := st.(type) {
-			case *LetStmt:
-				walkExpr(s.Value)
-			case *AssignStmt:
-				walkExpr(s.Value)
-			case *DefStmt:
-				walkStmts(s.Body)
-			case *ValidatorStmt:
-				walkStmts(s.Body)
-			case *ExportStmt:
-				walkExpr(s.Value)
-			case *AssertStmt:
-				walkExpr(s.Cond)
-				if s.Message != nil {
-					walkExpr(s.Message)
-				}
-			case *IfStmt:
-				walkExpr(s.Cond)
-				walkStmts(s.Then)
-				walkStmts(s.Else)
-			case *ForStmt:
-				walkExpr(s.Seq)
-				walkStmts(s.Body)
-			case *ReturnStmt:
-				if s.Value != nil {
-					walkExpr(s.Value)
-				}
-			case *ExprStmt:
-				walkExpr(s.X)
-			}
-		}
-	}
-	walkStmts(mod.Stmts)
+	})
 	out := make([]string, 0, len(set))
 	for n := range set {
 		out = append(out, n)

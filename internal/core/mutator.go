@@ -74,13 +74,3 @@ type Option func(*ChangeRequest)
 func SkipCanary() Option {
 	return func(r *ChangeRequest) { r.SkipCanary = true }
 }
-
-// WithReviewer overrides the reviewer of record.
-func WithReviewer(name string) Option {
-	return func(r *ChangeRequest) { r.Reviewer = name }
-}
-
-// WithTitle overrides the change title.
-func WithTitle(title string) Option {
-	return func(r *ChangeRequest) { r.Title = title }
-}

@@ -426,9 +426,7 @@ func (p *Proxy) OnRestart(ctx *simnet.Context) {
 	// Re-fetch everything the applications subscribed to. The in-memory
 	// cache is cold, so hashes are advertised from the disk cache; a delta
 	// that no longer applies falls back to a full snapshot.
-	for path := range p.watched {
-		p.sendFetch(ctx, path)
-	}
+	p.resubscribe(ctx, p.watchedPaths(), false)
 }
 
 // Down reports whether the proxy process is crashed.
@@ -496,11 +494,7 @@ func (p *Proxy) recordSuccess(ctx *simnet.Context, id simnet.NodeID, rtt time.Du
 		// path, falling back to full snapshots where our base diverged.
 		p.mutateSnap(func(s *snapshot) { s.planeDown = false })
 		p.Obs.Add("proxy.plane.heal", 1)
-		for path := range p.watched {
-			if len(p.byPath[path]) == 0 {
-				p.doFetch(ctx, path, true, 0)
-			}
-		}
+		p.resubscribe(ctx, p.watchedPaths(), false)
 	}
 }
 
@@ -579,7 +573,8 @@ func (p *Proxy) failover(ctx *simnet.Context) {
 	p.Failovers++
 	p.pingOutstanding = 0
 	p.Obs.Add("proxy.failover", 1)
-	for path := range p.watched {
+	paths := p.watchedPaths()
+	for _, path := range paths {
 		ctx.Send(old, zeus.MsgUnwatch{Path: path})
 	}
 	// Re-establish fetches+watches on the new observer, bypassing the
@@ -587,9 +582,34 @@ func (p *Proxy) failover(ctx *simnet.Context) {
 	// plane is down this would be a refetch storm every timeout — the
 	// per-path backoff retries own recovery instead.
 	if !planeDown {
-		for path := range p.watched {
-			p.forceFetch(ctx, path, true)
+		p.resubscribe(ctx, paths, true)
+	}
+}
+
+// watchedPaths lists the watched paths in sorted order: anything that sends
+// once per path must not walk the map, because every send draws its link
+// jitter from the network's shared RNG and map order would make same-seed
+// runs diverge.
+func (p *Proxy) watchedPaths() []string {
+	paths := make([]string, 0, len(p.watched))
+	for path := range p.watched {
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	return paths
+}
+
+// resubscribe is the one way the proxy (re-)establishes fetch+watch for a
+// set of paths on its current observer — after a restart, when the plane
+// heals, after a failover, for paths readers missed — in the order given,
+// which callers keep sorted. force abandons whatever is outstanding for a
+// path first; otherwise a path with a fetch already in flight is left to it.
+func (p *Proxy) resubscribe(ctx *simnet.Context, paths []string, force bool) {
+	for _, path := range paths {
+		if force {
+			p.dropPath(path)
 		}
+		p.sendFetch(ctx, path)
 	}
 }
 
@@ -637,13 +657,16 @@ func (p *Proxy) drainMisses(ctx *simnet.Context) {
 	if snap.down {
 		return
 	}
+	cold := make([]string, 0, len(set))
 	for path := range set {
 		path = intern.Path(path)
 		p.watched[path] = true
 		if _, cached := snap.entries[path]; !cached {
-			p.sendFetch(ctx, path)
+			cold = append(cold, path)
 		}
 	}
+	slices.Sort(cold)
+	p.resubscribe(ctx, cold, false)
 }
 
 // Subscribe registers an application callback for a path and keeps the
@@ -995,54 +1018,49 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 	if st.hedge {
 		p.Obs.Add("proxy.fetch.hedge_won", 1)
 	}
-	if !m.Exists {
-		p.apply(ctx, Entry{Path: m.Path, Fetched: ctx.Now()}, from)
+	if m.NotModified && !st.haveBase {
+		// The observer claims our copy is current but we advertised
+		// nothing — protocol confusion; demand the full snapshot.
+		p.Obs.Add("proxy.delta.fallback", 1)
+		p.forceFetch(ctx, m.Path, false)
 		return
 	}
-	if m.NotModified {
-		if !st.haveBase {
-			// The observer claims our copy is current but we advertised
-			// nothing — protocol confusion; demand the full snapshot.
-			p.Obs.Add("proxy.delta.fallback", 1)
-			p.forceFetch(ctx, m.Path, false)
-			return
-		}
-		e := st.base
-		e.Exists = true
-		e.Version, e.Zxid, e.Fetched = m.Version, m.Zxid, ctx.Now()
-		p.apply(ctx, e, from)
-		return
-	}
-	data, hash, err := m.Payload.Resolve(st.base.Data, st.base.Hash)
-	if err != nil {
-		p.resolveFailed(ctx, m.Path, m.Payload, from, st.attempt)
-		return
-	}
-	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data, Hash: hash,
-		Version: m.Version, Zxid: m.Zxid, Fetched: ctx.Now()}, from)
+	p.receive(ctx, from, m.Update, st.base, m.NotModified, st.attempt)
 }
 
+// onWatchEvent takes a pushed update: the base is whatever we hold now.
 func (p *Proxy) onWatchEvent(ctx *simnet.Context, from simnet.NodeID, m zeus.MsgWatchEvent) {
-	snap := p.snap.Load()
-	if old, ok := snap.entries[m.Path]; ok && m.Zxid <= old.e.Zxid {
-		return // already current (or newer) — nothing to resolve
+	var base Entry // zero: no bytes, no digest
+	if old, ok := p.snap.Load().entries[m.Path]; ok {
+		if m.Zxid <= old.e.Zxid {
+			return // already current (or newer) — nothing to resolve
+		}
+		if old.e.Exists {
+			base = old.e
+		}
 	}
 	p.recordSuccess(ctx, from, -1)
-	if m.Delete {
-		p.apply(ctx, Entry{Path: m.Path, Fetched: ctx.Now()}, from)
-		return
+	p.receive(ctx, from, m.Update, base, false, 0)
+}
+
+// receive is the one place an update from an observer — pushed, or fetched on
+// the given attempt — becomes an entry: the content is base's own when the
+// observer confirmed it (notModified), else what the payload resolves to
+// against base.
+func (p *Proxy) receive(ctx *simnet.Context, from simnet.NodeID, u zeus.Update, base Entry, notModified bool, attempt int) {
+	e := Entry{Path: u.Path, Exists: !u.Delete, Version: u.Version, Zxid: u.Zxid, Fetched: ctx.Now()}
+	switch {
+	case u.Delete:
+	case notModified:
+		e.Data, e.Hash = base.Data, base.Hash
+	default:
+		var err error
+		if e.Data, e.Hash, err = u.Payload.Resolve(base.Data, base.Hash); err != nil {
+			p.resolveFailed(ctx, u.Path, u.Payload, from, attempt)
+			return
+		}
 	}
-	var base Entry // zero: no bytes, no digest
-	if es, ok := snap.entries[m.Path]; ok && es.e.Exists {
-		base = es.e
-	}
-	data, hash, err := m.Payload.Resolve(base.Data, base.Hash)
-	if err != nil {
-		p.resolveFailed(ctx, m.Path, m.Payload, from, 0)
-		return
-	}
-	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data, Hash: hash,
-		Version: m.Version, Zxid: m.Zxid, Fetched: ctx.Now()}, from)
+	p.apply(ctx, e, from)
 }
 
 // resolveFailed handles a payload that did not materialize. A delta miss is

@@ -429,8 +429,8 @@ func TestForgedFullFetchReplyIsRefused(t *testing.T) {
 			if fetches == 1 {
 				body = []byte(evil)
 			}
-			ctx.Send(from, zeus.MsgFetchReply{ReqID: m.ReqID, Path: m.Path, Exists: true, Version: 1, Zxid: 7,
-				Payload: zeus.Payload{Full: body, NewHash: vcs.HashBytes(good)}})
+			ctx.Send(from, zeus.MsgFetchReply{ReqID: m.ReqID, Update: zeus.Update{Path: m.Path, Version: 1, Zxid: 7,
+				Payload: zeus.Payload{Full: body, NewHash: vcs.HashBytes(good)}}})
 		}
 	}))
 	px := New(net, "proxy-1", place, []simnet.NodeID{"obs-1"}, nil)

@@ -118,7 +118,7 @@ func TestObserverCoalescesRapidWrites(t *testing.T) {
 	}
 	net.After(0, func() {
 		ctx := simnet.MakeContext(net, "zeus-0")
-		ctx.Send("obs-1", msgObserverBatch{Epoch: 1, Updates: updates})
+		ctx.Send("obs-1", msgUpdates{Epoch: 1, Updates: updates})
 	})
 	net.RunFor(2 * time.Second)
 

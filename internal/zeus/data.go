@@ -3,13 +3,21 @@
 //
 // An ensemble of servers distributed across regions runs a ZAB-style
 // quorum-commit protocol: the leader assigns monotonically increasing zxids
-// to writes, proposes them to followers, commits on quorum ack, and the
-// commit log guarantees in-order delivery of config changes. If the leader
-// fails, a follower is converted into a new leader. Each cluster designates
-// observer servers that keep fully replicated read-only copies of the
-// leader's data and receive committed writes asynchronously; per-server
-// proxies connect to observers and set watches, forming the three-level
-// leader→observer→proxy high-fanout push tree.
+// to writes, proposes them to followers, commits on quorum ack, and commits
+// reach every replica in zxid order. If the leader fails, a follower is
+// converted into a new leader. Each cluster designates observer servers that
+// keep fully replicated read-only copies of the leader's data and receive
+// committed writes asynchronously; per-server proxies connect to observers
+// and set watches, forming the three-level leader→observer→proxy high-fanout
+// push tree.
+//
+// One fact travels down that tree — path P is now at (version, zxid, digest,
+// bytes), or is gone — and it travels as one value, Update, whether it is a
+// live push, a watch event, a fetch reply or a catch-up. A replica that fell
+// behind (a restarted follower, a re-registering observer) reports the last
+// zxid it applied and receives state, not history: every path whose newest
+// write or delete is later than that, newest version only, in zxid order
+// (DataTree.ChangedAfter). No replica keeps a log of past writes.
 package zeus
 
 import (
@@ -34,9 +42,9 @@ type Record struct {
 	At time.Time
 }
 
-// WriteOp is one committed write in the global log. Replicas apply ops in
-// zxid order, which is what gives every server the same eventual view in
-// the same order (§3.4 data consistency).
+// WriteOp is one write as the ensemble proposes and commits it. Replicas
+// apply ops in zxid order, which is what gives every server the same eventual
+// view in the same order (§3.4 data consistency).
 type WriteOp struct {
 	Zxid    int64
 	Path    string
@@ -44,26 +52,29 @@ type WriteOp struct {
 	Version int64
 	Delete  bool
 	// At is the leader-assigned accept time, stamped in onWrite so it is
-	// identical on every replica the proposal or sync reaches.
+	// identical on every replica the proposal reaches.
 	At time.Time
 }
 
-// DataTree is the replicated path→record store.
+// DataTree is the replicated path→record store. It holds state, not history:
+// the live records, plus for each deleted path the zxid of its delete until
+// the path is written again, so memory follows the number of paths and not
+// the number of writes.
 type DataTree struct {
 	records map[string]*Record
-	log     []WriteOp
-	applied int64 // highest zxid applied
+	tombs   map[string]int64 // deleted path → zxid of the delete
+	applied int64            // highest zxid applied
 }
 
 // NewDataTree returns an empty tree.
 func NewDataTree() *DataTree {
-	return &DataTree{records: make(map[string]*Record)}
+	return &DataTree{records: make(map[string]*Record), tombs: make(map[string]int64)}
 }
 
 // Apply applies one op if it is newer than anything applied; stale or
 // duplicate ops (zxid <= applied) are ignored, making Apply idempotent. The
-// op's bytes come from outside the tree (a client write, a sync reply), so
-// this is where they are born as a record: copied once and hashed once.
+// op's bytes come from outside the tree (a client write), so this is where
+// they are born as a record: copied once and hashed once.
 func (t *DataTree) Apply(op WriteOp) bool {
 	if op.Zxid <= t.applied || op.Delete {
 		return t.adopt(op, nil, 0) // stale, or a delete: no content to take in
@@ -76,23 +87,50 @@ func (t *DataTree) Apply(op WriteOp) bool {
 // adopt is Apply for content that is already immutable bytes with a known
 // digest (a resolved Payload, or Apply's own copy): the record takes data by
 // reference and carries hash as its own, so a version is neither copied nor
-// hashed again at each replica it reaches. The log keeps op as it arrived.
+// hashed again at each replica it reaches.
 func (t *DataTree) adopt(op WriteOp, data []byte, hash uint64) bool {
 	if op.Zxid <= t.applied {
 		return false
 	}
-	// Canonicalize the path: every replica's records, log, and watch tables
-	// key by the same shared string instance instead of per-message copies.
+	// Canonicalize the path: every replica's records and watch tables key by
+	// the same shared string instance instead of per-message copies.
 	op.Path = intern.Path(op.Path)
 	t.applied = op.Zxid
-	t.log = append(t.log, op)
 	if op.Delete {
 		delete(t.records, op.Path)
+		t.tombs[op.Path] = op.Zxid
 		return true
 	}
+	delete(t.tombs, op.Path)
 	t.records[op.Path] = &Record{Path: op.Path, Data: data, Version: op.Version,
 		Zxid: op.Zxid, Hash: hash, At: op.At}
 	return true
+}
+
+// take applies one shipped update: its payload is resolved against the record
+// it replaces and the verified bytes are adopted by reference. It returns the
+// replaced record — the delta base for whatever is pushed further down. A
+// stale update (zxid already applied) is a no-op; an error means the payload
+// did not materialize (a delta against a base this replica does not hold, or
+// content that does not hash to what it claims) and nothing was applied.
+func (t *DataTree) take(u Update) (old *Record, err error) {
+	old = t.records[u.Path]
+	op := WriteOp{Zxid: u.Zxid, Path: u.Path, Version: u.Version, Delete: u.Delete}
+	if u.Delete {
+		t.adopt(op, nil, 0)
+		return old, nil
+	}
+	var base []byte
+	var baseHash uint64
+	if old != nil {
+		base, baseHash = old.Data, old.Hash
+	}
+	data, hash, err := u.Payload.Resolve(base, baseHash)
+	if err != nil {
+		return old, err
+	}
+	t.adopt(op, data, hash)
+	return old, nil
 }
 
 // Watermark is the committed high-water mark of one path: the (zxid,
@@ -134,13 +172,35 @@ func (t *DataTree) NextVersion(path string) int64 {
 // LastZxid reports the highest applied zxid.
 func (t *DataTree) LastZxid() int64 { return t.applied }
 
-// OpsAfter returns committed ops with zxid > after, in order — the
-// observer catch-up path.
-func (t *DataTree) OpsAfter(after int64) []WriteOp {
-	// The log is in zxid order; binary search for the cut point.
-	i := sort.Search(len(t.log), func(i int) bool { return t.log[i].Zxid > after })
-	out := make([]WriteOp, len(t.log)-i)
-	copy(out, t.log[i:])
+// DeletedAt reports the zxid at which path was deleted (0 if it is live or
+// was never written).
+func (t *DataTree) DeletedAt(path string) int64 { return t.tombs[path] }
+
+// ChangedAfter is what a replica that has applied everything through zxid
+// after is missing: every path written or deleted since, as the full-body
+// update that brings it to its newest version (or removes it), in zxid order.
+// A version that was itself superseded while the replica was away is not
+// shipped. Applying the result in order leaves the replica with this tree's
+// records, digests and LastZxid — the last update carries the highest zxid
+// applied, because every applied op is the newest of some path or tombstone
+// until a later one replaces it.
+func (t *DataTree) ChangedAfter(after int64) []Update {
+	if after >= t.applied {
+		return nil // the steady state: a caught-up replica re-registering
+	}
+	var out []Update
+	for _, r := range t.records {
+		if r.Zxid > after {
+			out = append(out, Update{Path: r.Path, Version: r.Version, Zxid: r.Zxid,
+				Payload: Payload{Full: r.Data, NewHash: r.Hash}})
+		}
+	}
+	for path, zxid := range t.tombs {
+		if zxid > after {
+			out = append(out, Update{Path: path, Zxid: zxid, Delete: true})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Zxid < out[j].Zxid })
 	return out
 }
 

@@ -43,15 +43,10 @@ type msgNewLeader struct {
 	LastZxid int64
 }
 
-// msgSyncRequest asks the leader for committed ops after LastZxid.
+// msgSyncRequest asks the leader for everything committed after LastZxid; the
+// answer is a msgUpdates catch-up.
 type msgSyncRequest struct {
 	LastZxid int64
-}
-
-// msgSyncReply carries catch-up ops.
-type msgSyncReply struct {
-	Epoch int64
-	Ops   []WriteOp
 }
 
 // msgProposeBatch carries one proposal wave — a group-committed batch of
@@ -210,8 +205,11 @@ func MakePayload(old, cur *Record) Payload {
 	return Payload{Full: cur.Data, NewHash: cur.Hash, cell: new(resolveCell)}
 }
 
-// Update is one record change shipped down the distribution tree
-// (leader→observer pushes and observer→proxy watch events).
+// Update is the one shape in which a record change moves down the
+// distribution tree: path P is now at (Version, Zxid) with the content Payload
+// resolves to, or — Delete — is gone as of Zxid (a deleted path has no
+// version or payload). Live pushes and catch-ups from the leader, watch events
+// and fetch replies from observers all carry it.
 type Update struct {
 	Path    string
 	Version int64
@@ -242,21 +240,17 @@ func updatesWireSize(updates []Update) int {
 
 // msgObserverRegister subscribes an observer to the leader's commit stream.
 // It doubles as the hash-miss fallback: an observer that cannot apply a
-// delta re-registers with its last zxid and the leader replies with full
-// snapshots of everything after it.
+// delta re-registers with its last zxid and the leader replies with a
+// msgUpdates catch-up of everything after it.
 type msgObserverRegister struct {
 	LastZxid int64
 }
 
-// msgObserverSync carries catch-up ops (full snapshots) to an observer.
-type msgObserverSync struct {
-	Epoch int64
-	Ops   []WriteOp
-}
-
-// msgObserverBatch streams one commit run — delta-encoded where possible —
-// to an observer.
-type msgObserverBatch struct {
+// msgUpdates is the leader's one update message, in zxid order: a live commit
+// run pushed to observers (delta-encoded where possible), or a catch-up — the
+// full bodies of DataTree.ChangedAfter — answering an observer's registration
+// or a follower's sync request.
+type msgUpdates struct {
 	Epoch   int64
 	Updates []Update
 }
@@ -278,26 +272,22 @@ type MsgFetch struct {
 	HaveHash uint64
 }
 
-// MsgFetchReply answers a fetch. Exactly one of three shapes: NotModified
-// (the proxy's copy is current; no payload), a delta payload against the
-// advertised hash, or a full snapshot.
+// MsgFetchReply answers a fetch with the path's current state as an Update
+// (Delete = the path does not exist). NotModified says the content the proxy
+// advertised is current: the update then carries the version and zxid but no
+// payload.
 type MsgFetchReply struct {
 	ReqID       int64
-	Path        string
-	Exists      bool
-	Version     int64
-	Zxid        int64
 	NotModified bool
-	Payload     Payload
+	Update
 }
 
 // WireSize is the bytes this reply occupies on the wire.
 func (m MsgFetchReply) WireSize() int {
-	size := len(m.Path) + updateHeaderBytes
-	if m.Exists && !m.NotModified {
-		size += m.Payload.WireSize()
+	if m.NotModified {
+		return len(m.Path) + updateHeaderBytes
 	}
-	return size
+	return m.Update.WireSize()
 }
 
 // MsgWatchEvent notifies a watching proxy that a path changed. The new

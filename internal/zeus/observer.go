@@ -7,7 +7,6 @@ import (
 	"configerator/internal/intern"
 	"configerator/internal/obs"
 	"configerator/internal/simnet"
-	"configerator/internal/vcs"
 )
 
 // batchScratch is the per-applyBatch working state (touched-path bases,
@@ -38,13 +37,6 @@ func (s *batchScratch) release() {
 	s.order = s.order[:0]
 	batchScratchPool.Put(s)
 }
-
-// syncUpdatesPool recycles the Update slices built while decoding observer
-// catch-up syncs (applyBatch does not retain the slice).
-var syncUpdatesPool = sync.Pool{New: func() any {
-	s := make([]Update, 0, 64)
-	return &s
-}}
 
 // watchSessionTTL expires a proxy's watch registrations when the proxy
 // stops talking to this observer (crashed, or failed over to another
@@ -164,7 +156,7 @@ func (o *Observer) OnRestart(ctx *simnet.Context) {
 // current leader responds and adds us to its push set. Broadcasting keeps
 // the observer attached across leader failover without tracking epochs.
 // It doubles as the delta hash-miss fallback: re-registering with our last
-// zxid makes the leader re-ship everything after it as full snapshots.
+// zxid makes the leader ship everything after it as full bodies.
 func (o *Observer) register(ctx *simnet.Context) {
 	for _, m := range o.members {
 		ctx.Send(m, msgObserverRegister{LastZxid: o.tree.LastZxid()})
@@ -178,26 +170,7 @@ func (o *Observer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg si
 		o.register(ctx)
 		o.pruneWatchSessions(ctx)
 		ctx.SetTimer(observerRegisterGap, msgTickObserver{})
-	case msgObserverSync:
-		// Catch-up ops arrive as full snapshots; run them through the same
-		// coalescing apply path as live pushes. The decoded slice is pooled
-		// scratch — applyBatch copies out anything it keeps.
-		up := syncUpdatesPool.Get().(*[]Update)
-		updates := (*up)[:0]
-		for _, op := range m.Ops {
-			u := Update{Path: op.Path, Version: op.Version, Zxid: op.Zxid, Delete: op.Delete}
-			if !op.Delete {
-				u.Payload = Payload{Full: op.Data, NewHash: vcs.HashBytes(op.Data)}
-			}
-			updates = append(updates, u)
-		}
-		o.applyBatch(ctx, updates)
-		for i := range updates {
-			updates[i] = Update{} // drop payload references before pooling
-		}
-		*up = updates[:0]
-		syncUpdatesPool.Put(up)
-	case msgObserverBatch:
+	case msgUpdates: // a live commit run or a catch-up: one shape, one path
 		o.applyBatch(ctx, m.Updates)
 	case MsgFetch:
 		o.onFetch(ctx, from, m)
@@ -240,12 +213,12 @@ func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
 	}
 }
 
-// applyBatch applies one commit run in zxid order and then notifies
+// applyBatch applies one batch of updates in zxid order and then notifies
 // watchers once per touched path — rapid successive writes to one path
-// coalesce into a single watch event carrying the final version. A delta
-// that fails to apply (hash miss: this observer's base diverged, e.g. it
-// restarted mid-stream) aborts the batch and falls back to a full-snapshot
-// resync via re-registration.
+// coalesce into a single watch event carrying the final version. A payload
+// that does not materialize (hash miss: this observer's base diverged, e.g.
+// it restarted mid-stream) aborts the batch and falls back to a catch-up via
+// re-registration.
 func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 	// base holds each touched path's record before this batch — the
 	// version watchers last saw, hence the delta base for their event.
@@ -258,30 +231,14 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 	defer func() { scratch.order = order }() // keep the grown capacity pooled
 	for _, u := range updates {
 		if u.Zxid <= o.tree.LastZxid() {
-			continue // duplicate or stale (e.g. overlapping sync)
+			continue // duplicate or stale (e.g. a catch-up overlapping a live push)
 		}
 		u.Path = intern.Path(u.Path)
-		old := o.tree.Get(u.Path)
-		op := WriteOp{Zxid: u.Zxid, Path: u.Path, Version: u.Version, Delete: u.Delete}
-		var newHash uint64
-		if !u.Delete {
-			var oldData []byte
-			var oldHash uint64
-			if old != nil {
-				oldData, oldHash = old.Data, old.Hash
-			}
-			var err error
-			op.Data, newHash, err = u.Payload.Resolve(oldData, oldHash)
-			if err != nil {
-				// A delta against a base we do not hold, or content that
-				// does not hash to what it claims.
-				o.Obs.Add("zeus.observer.delta_miss", 1)
-				o.register(ctx)
-				break // resync re-ships this zxid onward as full snapshots
-			}
-		}
-		if !o.tree.adopt(op, op.Data, newHash) {
-			continue
+		old, err := o.tree.take(u)
+		if err != nil {
+			o.Obs.Add("zeus.observer.delta_miss", 1)
+			o.register(ctx)
+			break // the catch-up ships this zxid onward as full bodies
 		}
 		o.prev[u.Path] = old
 		o.Obs.PathEvent(u.Path, obs.PropEvent{
@@ -326,11 +283,10 @@ func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) 
 		}
 		set.add(from)
 	}
-	reply := MsgFetchReply{ReqID: m.ReqID, Path: m.Path}
+	reply := MsgFetchReply{ReqID: m.ReqID,
+		Update: Update{Path: m.Path, Zxid: o.tree.DeletedAt(m.Path), Delete: true}}
 	if rec := o.tree.Get(m.Path); rec != nil {
-		reply.Exists = true
-		reply.Version = rec.Version
-		reply.Zxid = rec.Zxid
+		reply.Update = Update{Path: m.Path, Version: rec.Version, Zxid: rec.Zxid}
 		prev := o.prev[m.Path]
 		switch {
 		case m.Have && m.HaveHash == rec.Hash:

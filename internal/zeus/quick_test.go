@@ -1,6 +1,7 @@
 package zeus
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -44,29 +45,32 @@ func TestQuickDataTreeMonotoneZxid(t *testing.T) {
 	}
 }
 
-func TestQuickOpsAfterPartitions(t *testing.T) {
-	// OpsAfter(k) returns exactly the committed ops with zxid > k.
+func TestQuickChangedAfterPartitions(t *testing.T) {
+	// ChangedAfter(k) returns exactly the paths whose newest op has zxid > k,
+	// each once, in zxid order.
 	err := quick.Check(func(count uint8, cut uint8) bool {
 		tree := NewDataTree()
 		n := int(count%50) + 1
 		for i := 1; i <= n; i++ {
-			tree.Apply(WriteOp{Zxid: int64(i * 2), Path: "/p", Version: int64(i)})
+			tree.Apply(WriteOp{Zxid: int64(i * 2), Path: fmt.Sprintf("/p%d", i), Version: 1})
 		}
 		k := int64(cut) % int64(n*2+2)
-		ops := tree.OpsAfter(k)
-		for _, op := range ops {
-			if op.Zxid <= k {
+		ups := tree.ChangedAfter(k)
+		last := k
+		for _, u := range ups {
+			if u.Zxid <= last {
 				return false
 			}
+			last = u.Zxid
 		}
-		// Count check: ops with zxid in (k, 2n] stepping by 2.
+		// Count check: paths with zxid in (k, 2n] stepping by 2.
 		want := 0
 		for i := 1; i <= n; i++ {
 			if int64(i*2) > k {
 				want++
 			}
 		}
-		return len(ops) == want
+		return len(ups) == want
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Error(err)

@@ -200,8 +200,8 @@ func FuzzPayloadResolve(f *testing.F) {
 
 // TestObserverRefusesForgedFullBody: a whole-body push whose bytes do not
 // hash to NewHash never enters the observer's tree; it takes the delta-miss
-// path (re-register from the last good zxid) and the resync's honest bytes
-// land.
+// path (re-register from the last good zxid) and the catch-up's honest bytes
+// land — while a catch-up batch with a forged body is refused the same way.
 func TestObserverRefusesForgedFullBody(t *testing.T) {
 	net := simnet.New(simnet.DefaultLatency(), 35)
 	reg := obs.New()
@@ -226,7 +226,7 @@ func TestObserverRefusesForgedFullBody(t *testing.T) {
 	good := []byte("the committed bytes")
 	forged := MakePayload(nil, recordOf(good))
 	forged.Full = []byte("not the committed bytes")
-	send(msgObserverBatch{Epoch: 1, Updates: []Update{{Path: "/a", Version: 1, Zxid: 1, Payload: forged}}})
+	send(msgUpdates{Epoch: 1, Updates: []Update{{Path: "/a", Version: 1, Zxid: 1, Payload: forged}}})
 
 	if rec := o.Tree().Get("/a"); rec != nil {
 		t.Fatalf("forged body entered the tree: %q", rec.Data)
@@ -238,9 +238,24 @@ func TestObserverRefusesForgedFullBody(t *testing.T) {
 		t.Fatalf("re-registrations = %+v, want one from zxid 0", registers)
 	}
 
-	send(msgObserverSync{Epoch: 1, Ops: []WriteOp{{Zxid: 1, Path: "/a", Data: good, Version: 1}}})
+	// A catch-up is the leader's ChangedAfter: whole bodies with the records'
+	// digests. A forged one is refused like the push was; the honest one lands.
+	leader := NewDataTree()
+	leader.Apply(WriteOp{Zxid: 1, Path: "/a", Data: good, Version: 1})
+	catchUp := leader.ChangedAfter(0)
+	bad := append([]Update(nil), catchUp...)
+	bad[0].Payload.Full = []byte("not the committed bytes")
+	send(msgUpdates{Epoch: 1, Updates: bad})
+	if rec := o.Tree().Get("/a"); rec != nil {
+		t.Fatalf("forged catch-up body entered the tree: %q", rec.Data)
+	}
+	if n := reg.Counters().Get("zeus.observer.delta_miss"); n != 2 {
+		t.Errorf("zeus.observer.delta_miss = %d, want 2", n)
+	}
+
+	send(msgUpdates{Epoch: 1, Updates: catchUp})
 	rec := o.Tree().Get("/a")
 	if rec == nil || !bytes.Equal(rec.Data, good) || rec.Hash != vcs.HashBytes(good) {
-		t.Fatalf("after resync, tree = %+v", rec)
+		t.Fatalf("after catch-up, tree = %+v", rec)
 	}
 }

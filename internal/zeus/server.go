@@ -30,8 +30,8 @@ const (
 	// observerSessionTTL expires an observer session at the leader when the
 	// observer stops re-registering (crashed or partitioned away): the
 	// leader must not push commit batches into a dead link forever. A
-	// recovered observer re-registers with its last zxid and catches up via
-	// the full-snapshot sync path.
+	// recovered observer re-registers with its last zxid and is sent a
+	// catch-up.
 	observerSessionTTL = 3 * observerRegisterGap
 )
 
@@ -179,8 +179,8 @@ func (s *Server) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 		s.onNewLeader(ctx, from, m)
 	case msgSyncRequest:
 		s.onSyncRequest(ctx, from, m)
-	case msgSyncReply:
-		s.onSyncReply(ctx, from, m)
+	case msgUpdates:
+		s.onCatchUp(ctx, m)
 	case MsgWrite:
 		s.onWrite(ctx, from, m)
 	case msgProposeBatch:
@@ -364,24 +364,37 @@ func (s *Server) onHeartbeat(ctx *simnet.Context, from simnet.NodeID, m msgHeart
 	s.lastLeaderContact = ctx.Now()
 }
 
+// onSyncRequest answers a follower. The reply goes out even when there is
+// nothing to ship: it doubles as leader contact.
 func (s *Server) onSyncRequest(ctx *simnet.Context, from simnet.NodeID, m msgSyncRequest) {
 	if s.role != RoleLeader {
 		return
 	}
-	ops := s.tree.OpsAfter(m.LastZxid)
-	size := 0
-	for _, op := range ops {
-		size += len(op.Data)
-	}
-	ctx.SendSized(from, msgSyncReply{Epoch: s.epoch, Ops: ops}, size)
+	updates, size := s.catchUp(m.LastZxid)
+	ctx.SendSized(from, msgUpdates{Epoch: s.epoch, Updates: updates}, size)
 }
 
-func (s *Server) onSyncReply(ctx *simnet.Context, from simnet.NodeID, m msgSyncReply) {
+// catchUp builds the answer for a replica — follower or observer — that has
+// applied everything through lastZxid: the tree's state diff as full bodies,
+// and the bytes it is charged on the wire (path, update framing and body per
+// update; a whole body ships without the payload's delta framing).
+func (s *Server) catchUp(lastZxid int64) (updates []Update, size int) {
+	updates = s.tree.ChangedAfter(lastZxid)
+	for _, u := range updates {
+		size += len(u.Path) + updateHeaderBytes + len(u.Payload.Full)
+	}
+	return updates, size
+}
+
+// onCatchUp applies the leader's answer to this follower's sync request.
+func (s *Server) onCatchUp(ctx *simnet.Context, m msgUpdates) {
 	if m.Epoch < s.epoch {
 		return
 	}
-	for _, op := range m.Ops {
-		s.tree.Apply(op)
+	for _, u := range m.Updates {
+		if _, err := s.tree.take(u); err != nil {
+			break // refused content: nothing at or past it is applied
+		}
 	}
 	s.lastLeaderContact = ctx.Now()
 }
@@ -565,7 +578,7 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 		obsIDs = append(obsIDs, ob)
 	}
 	sort.Slice(obsIDs, func(i, j int) bool { return obsIDs[i] < obsIDs[j] })
-	ctx.Broadcast(obsIDs, msgObserverBatch{Epoch: s.epoch, Updates: updates}, size)
+	ctx.Broadcast(obsIDs, msgUpdates{Epoch: s.epoch, Updates: updates}, size)
 	// Retire fully committed waves and let the next buffered wave propose.
 	last := committed[len(committed)-1]
 	for len(s.waveEnds) > 0 && s.waveEnds[0] <= last {
@@ -581,11 +594,11 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 // delta-encoded against the record it replaces when that beats a full
 // snapshot.
 func (s *Server) makeUpdate(old *Record, op WriteOp) Update {
-	u := Update{Path: op.Path, Version: op.Version, Zxid: op.Zxid, Delete: op.Delete}
 	if op.Delete {
-		return u
+		return Update{Path: op.Path, Zxid: op.Zxid, Delete: true}
 	}
-	u.Payload = MakePayload(old, s.tree.Get(op.Path))
+	u := Update{Path: op.Path, Version: op.Version, Zxid: op.Zxid,
+		Payload: MakePayload(old, s.tree.Get(op.Path))}
 	if u.Payload.IsDelta {
 		s.Obs.Add("zeus.push.delta", 1)
 	} else {
@@ -621,13 +634,9 @@ func (s *Server) onObserverRegister(ctx *simnet.Context, from simnet.NodeID, m m
 		return
 	}
 	s.observers[from] = ctx.Now()
-	ops := s.tree.OpsAfter(m.LastZxid)
-	if len(ops) == 0 {
-		return
+	// Observers re-register every observerRegisterGap; a caught-up one (the
+	// steady state) gets no reply.
+	if updates, size := s.catchUp(m.LastZxid); len(updates) > 0 {
+		ctx.SendSized(from, msgUpdates{Epoch: s.epoch, Updates: updates}, size)
 	}
-	size := 0
-	for _, op := range ops {
-		size += len(op.Path) + updateHeaderBytes + len(op.Data)
-	}
-	ctx.SendSized(from, msgObserverSync{Epoch: s.epoch, Ops: ops}, size)
 }

@@ -1,10 +1,12 @@
 package zeus
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
+	"configerator/internal/obs"
 	"configerator/internal/simnet"
 	"configerator/internal/vcs"
 )
@@ -191,7 +193,11 @@ func TestOldLeaderRejoins(t *testing.T) {
 
 func TestInOrderDeliveryToObserver(t *testing.T) {
 	net, e := testDeployment(t, 8)
-	obs := e.AddObserver("obs-c1", simnet.Placement{Region: "us-west", Cluster: "c1"})
+	reg := obs.New()
+	e.SetObs(reg)
+	const path = "/configs/seq"
+	reg.BindPath(path, reg.StartTrace("seq", net.Now()))
+	o := e.AddObserver("obs-c1", simnet.Placement{Region: "us-west", Cluster: "c1"})
 	net.RunFor(5 * time.Second)
 	c := addClient(net, e, "tailer")
 	// Fire many writes without waiting in between.
@@ -200,7 +206,7 @@ func TestInOrderDeliveryToObserver(t *testing.T) {
 	net.After(0, func() {
 		ctx := clientCtx(net, "tailer")
 		for i := 0; i < n; i++ {
-			c.Write(&ctx, "/configs/seq", []byte(fmt.Sprintf("v%d", i)), func(r WriteResult) {
+			c.Write(&ctx, path, []byte(fmt.Sprintf("v%d", i)), func(r WriteResult) {
 				committed++
 			})
 		}
@@ -209,29 +215,46 @@ func TestInOrderDeliveryToObserver(t *testing.T) {
 	if committed != n {
 		t.Fatalf("committed %d of %d", committed, n)
 	}
-	rec := obs.Tree().Get("/configs/seq")
+	rec := o.Tree().Get(path)
 	if rec == nil || string(rec.Data) != fmt.Sprintf("v%d", n-1) {
 		t.Fatalf("observer final value = %v, want v%d", rec, n-1)
 	}
 	if rec.Version != n {
 		t.Errorf("final version = %d, want %d", rec.Version, n)
 	}
-	// Observer log must be in strictly increasing zxid order per path with
-	// consecutive versions.
-	ops := obs.Tree().OpsAfter(0)
-	lastZxid := int64(0)
-	lastVer := int64(0)
-	for _, op := range ops {
-		if op.Zxid <= lastZxid {
-			t.Fatalf("zxid out of order: %d after %d", op.Zxid, lastZxid)
-		}
-		lastZxid = op.Zxid
-		if op.Path == "/configs/seq" {
-			if op.Version != lastVer+1 {
-				t.Fatalf("version gap: %d after %d", op.Version, lastVer)
+	// The observer keeps no log; what it applied, and when, is in the trace:
+	// one commit span per write in commit order, each with this observer's
+	// apply event under it. Zxids must strictly increase, no commit may lack
+	// its apply (a live-pushed version is never skipped, so versions reach
+	// the observer without a gap), and a later zxid is never applied earlier.
+	commits := reg.TraceByKey("seq").Root.Children
+	if len(commits) != n {
+		t.Fatalf("%d commit spans, want %d", len(commits), n)
+	}
+	var lastZxid int64
+	var lastApply time.Time
+	for i, sp := range commits {
+		var zxid int64
+		for _, a := range sp.Attrs {
+			if a.Key == "zxid" {
+				fmt.Sscan(a.Value, &zxid)
 			}
-			lastVer = op.Version
 		}
+		if zxid <= lastZxid {
+			t.Fatalf("commit %d: zxid out of order: %d after %d", i, zxid, lastZxid)
+		}
+		lastZxid = zxid
+		if len(sp.Children) != 1 || sp.Children[0].Name != "observer obs-c1" {
+			t.Fatalf("commit %d (zxid %d): observer applies = %+v, want exactly one", i, zxid, sp.Children)
+		}
+		if at := sp.Children[0].EndTime; at.Before(lastApply) {
+			t.Fatalf("zxid %d applied at %v, before its predecessor at %v", zxid, at, lastApply)
+		} else {
+			lastApply = at
+		}
+	}
+	if rec.Zxid != lastZxid || o.Tree().LastZxid() != lastZxid {
+		t.Errorf("observer at zxid %d (record %d), last commit %d", o.Tree().LastZxid(), rec.Zxid, lastZxid)
 	}
 }
 
@@ -260,7 +283,7 @@ func TestWatchNotification(t *testing.T) {
 		ctx.Send("obs-c1", MsgFetch{ReqID: 1, Path: "/configs/a", Watch: true})
 	})
 	net.RunFor(2 * time.Second)
-	if len(fetches) != 1 || !fetches[0].Exists {
+	if len(fetches) != 1 || fetches[0].Delete {
 		t.Fatalf("fetch reply = %+v", fetches)
 	}
 	if got, _, err := fetches[0].Payload.Resolve(nil, 0); err != nil || string(got) != "v1" {
@@ -324,16 +347,43 @@ func TestDataTreeIdempotent(t *testing.T) {
 	}
 }
 
-func TestDataTreeOpsAfter(t *testing.T) {
+func TestDataTreeChangedAfter(t *testing.T) {
 	tree := NewDataTree()
 	for i := int64(1); i <= 5; i++ {
-		tree.Apply(WriteOp{Zxid: i * 10, Path: "/p", Data: []byte{byte(i)}, Version: i})
+		tree.Apply(WriteOp{Zxid: i * 10, Path: fmt.Sprintf("/p%d", i), Data: []byte{byte(i)}, Version: 1})
 	}
-	ops := tree.OpsAfter(20)
-	if len(ops) != 3 || ops[0].Zxid != 30 {
-		t.Fatalf("OpsAfter = %+v", ops)
+	ups := tree.ChangedAfter(20)
+	if len(ups) != 3 || ups[0].Zxid != 30 || ups[1].Zxid != 40 || ups[2].Zxid != 50 {
+		t.Fatalf("ChangedAfter(20) = %+v", ups)
 	}
-	if got := tree.NextVersion("/p"); got != 6 {
+	if u := ups[0]; u.Path != "/p3" || u.Version != 1 || u.Delete ||
+		!bytes.Equal(u.Payload.Full, []byte{3}) || u.Payload.NewHash != tree.Get("/p3").Hash {
+		t.Fatalf("update = %+v, want /p3's record as a full body with its digest", u)
+	}
+	// A rewritten path ships once, at its newest version; a deleted one ships
+	// as a tombstone until it is re-created.
+	tree.Apply(WriteOp{Zxid: 60, Path: "/p1", Data: []byte("again"), Version: 2})
+	tree.Apply(WriteOp{Zxid: 70, Path: "/p4", Delete: true})
+	ups = tree.ChangedAfter(0)
+	var got []string
+	for _, u := range ups {
+		got = append(got, fmt.Sprintf("%s@%d del=%v", u.Path, u.Zxid, u.Delete))
+	}
+	want := "[/p2@20 del=false /p3@30 del=false /p5@50 del=false /p1@60 del=false /p4@70 del=true]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("ChangedAfter(0) = %v, want %s", got, want)
+	}
+	if tree.DeletedAt("/p4") != 70 || tree.DeletedAt("/p1") != 0 {
+		t.Fatalf("DeletedAt = %d, %d", tree.DeletedAt("/p4"), tree.DeletedAt("/p1"))
+	}
+	tree.Apply(WriteOp{Zxid: 80, Path: "/p4", Data: []byte("back"), Version: 1})
+	if ups = tree.ChangedAfter(60); len(ups) != 1 || ups[0].Delete || ups[0].Zxid != 80 || tree.DeletedAt("/p4") != 0 {
+		t.Fatalf("after re-create, ChangedAfter(60) = %+v", ups)
+	}
+	if ups = tree.ChangedAfter(80); ups != nil {
+		t.Fatalf("a caught-up replica is owed %+v", ups)
+	}
+	if got := tree.NextVersion("/p1"); got != 3 {
 		t.Fatalf("NextVersion = %d", got)
 	}
 	if got := tree.NextVersion("/new"); got != 1 {
