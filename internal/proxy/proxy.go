@@ -33,126 +33,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"configerator/internal/health"
 	"configerator/internal/intern"
 	"configerator/internal/obs"
 	"configerator/internal/simnet"
 	"configerator/internal/vcs"
 	"configerator/internal/zeus"
 )
-
-// Memo is the per-version decode slot carried by a cache entry: the client
-// library parses a config version once and publishes the result here, so
-// every subsequent reader of that version shares one decode. Each new
-// version gets a fresh slot, so a stale parse can never be served. The
-// zero Memo is empty and ready for use.
-type Memo struct{ v atomic.Value }
-
-// Load returns the memoized value, or nil when nothing has been stored
-// (or when m is nil — disk-cache entries carry no memo).
-func (m *Memo) Load() any {
-	if m == nil {
-		return nil
-	}
-	return m.v.Load()
-}
-
-// Store publishes the memoized value. Per atomic.Value's contract a slot
-// must only ever hold one concrete type; losing a racing duplicate store
-// is harmless — both decodes of the same bytes are equal.
-func (m *Memo) Store(v any) {
-	if m == nil || v == nil {
-		return
-	}
-	m.v.Store(v)
-}
-
-// Entry is one cached config.
-//
-// Data is immutable: the bytes of one pushed version are materialized once
-// and then shared by every proxy that receives it, by each proxy's snapshot
-// and its disk cache, and by every reader. Nothing may write to them.
-type Entry struct {
-	Path    string
-	Exists  bool
-	Data    []byte
-	Version int64
-	Zxid    int64
-	// Hash is the content hash of Data (vcs.HashBytes). It is computed where
-	// the bytes are born and verified once per pushed message (zeus.Payload);
-	// the proxy carries it rather than rehashing, so delta bases, fetch
-	// advertisements, decode dedup and convergence heartbeats all compare
-	// digests in O(1).
-	Hash uint64
-	// Fetched is when the proxy last confirmed this entry with an
-	// observer (virtual time).
-	Fetched time.Time
-
-	// memo is the shared decode slot for this (path, version). It rides on
-	// the entry so subscribers and readers resolve the same slot without a
-	// second lookup.
-	memo *Memo
-}
-
-// Memo returns the entry's decode-memo slot. It is nil for entries loaded
-// from the on-disk cache (those are re-parsed on use).
-func (e Entry) Memo() *Memo { return e.memo }
-
-// DiskCache is the on-disk cache shared between the proxy process and the
-// client library's failure fallback. It survives proxy crashes. It is
-// safe for concurrent use: reader goroutines fall back to it while the
-// simulation loop stores updates.
-type DiskCache struct {
-	mu      sync.RWMutex
-	entries map[string]Entry
-}
-
-// NewDiskCache returns an empty cache.
-func NewDiskCache() *DiskCache {
-	return &DiskCache{entries: make(map[string]Entry)}
-}
-
-// Store persists an entry. The data is copied: a caller mutating its slice
-// afterwards cannot corrupt the cache. The in-memory decode memo does not
-// survive the trip to disk.
-// An entry that arrives without a digest is hashed here, once, so everything
-// loaded back carries one.
-func (d *DiskCache) Store(e Entry) {
-	e.Data = append([]byte(nil), e.Data...)
-	if e.Exists && e.Hash == 0 {
-		e.Hash = vcs.HashBytes(e.Data)
-	}
-	d.storeOwned(e)
-}
-
-// storeOwned is Store for the proxy's own snapshot entries, whose Data is
-// already immutable and whose digest is known: the cache takes the slice by
-// reference.
-func (d *DiskCache) storeOwned(e Entry) {
-	e.memo = nil
-	d.mu.Lock()
-	d.entries[e.Path] = e
-	d.mu.Unlock()
-}
-
-// Load returns the entry for path. The data is a copy: a subscriber
-// mutating the returned bytes cannot corrupt the cache.
-func (d *DiskCache) Load(path string) (Entry, bool) {
-	d.mu.RLock()
-	e, ok := d.entries[path]
-	d.mu.RUnlock()
-	if ok {
-		e.Data = append([]byte(nil), e.Data...)
-	}
-	return e, ok
-}
-
-// Len reports the number of cached configs.
-func (d *DiskCache) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.entries)
-}
 
 // UpdateFunc is an application callback fired when a config changes.
 type UpdateFunc func(Entry)
@@ -180,56 +66,6 @@ type ReadResult struct {
 	Age    time.Duration
 	// OK is false when no layer could serve the path.
 	OK bool
-}
-
-const (
-	pingInterval  = 2 * time.Second
-	fetchTimeout  = 3 * time.Second
-	maxPingMisses = 2
-
-	// Retry backoff: base<<attempt up to the cap, jittered ±50%.
-	backoffBase = 500 * time.Millisecond
-	backoffCap  = 8 * time.Second
-
-	// Hedging: a second fetch to another observer fires if the first has
-	// not answered within max(hedgeMinDelay, observed p99 fetch RTT).
-	hedgeMinDelay = 250 * time.Millisecond
-
-	// planeDownAfter consecutive failures marks one observer dead; when
-	// every observer is dead the distribution plane is considered down.
-	planeDownAfter = 2
-
-	// rttWindow caps the fetch-RTT history used for the hedge delay.
-	rttWindow = 64
-)
-
-type msgTickPing struct{}
-type msgFetchTimeout struct{ ReqID int64 }
-type msgRetryFetch struct {
-	Path    string
-	Attempt int
-}
-type msgHedgeFire struct{ ReqID int64 }
-
-// fetchState is one outstanding fetch: the path, the base entry whose hash
-// we advertised (so a "not modified" or delta reply can be materialized
-// against it), and which observer we asked when.
-type fetchState struct {
-	path     string
-	base     Entry
-	haveBase bool
-	observer simnet.NodeID
-	sentAt   time.Time
-	attempt  int
-	hedge    bool
-}
-
-// obsStats is the per-observer health ledger behind failover decisions.
-type obsStats struct {
-	ok         int
-	fail       int
-	consecFail int
-	rttEWMA    float64 // milliseconds
 }
 
 // subscription is one application callback, optionally with a liveness
@@ -378,16 +214,6 @@ func (p *Proxy) Disk() *DiskCache { return p.disk }
 // unreachable (the distribution plane lost).
 func (p *Proxy) PlaneDown() bool { return p.snap.Load().planeDown }
 
-// ObserverHealth exposes the per-observer health samples feeding failover
-// (tests and dashboards).
-func (p *Proxy) ObserverHealth() map[simnet.NodeID]health.Sample {
-	out := make(map[simnet.NodeID]health.Sample, len(p.observers))
-	for _, o := range p.observers {
-		out[o] = p.sampleOf(o)
-	}
-	return out
-}
-
 // Crash simulates the proxy process dying. Cached state in memory is lost;
 // the disk cache survives.
 func (p *Proxy) Crash() {
@@ -431,187 +257,6 @@ func (p *Proxy) OnRestart(ctx *simnet.Context) {
 
 // Down reports whether the proxy process is crashed.
 func (p *Proxy) Down() bool { return p.snap.Load().down }
-
-func (p *Proxy) observer() simnet.NodeID {
-	if len(p.observers) == 0 {
-		return ""
-	}
-	return p.observers[p.current%len(p.observers)]
-}
-
-func (p *Proxy) stat(id simnet.NodeID) *obsStats {
-	st, ok := p.stats[id]
-	if !ok {
-		st = &obsStats{}
-		p.stats[id] = st
-	}
-	return st
-}
-
-// sampleOf folds one observer's ledger into a health sample. Consecutive
-// failures dominate the score (each one outweighs any latency), so a dead
-// observer always ranks below a slow one.
-func (p *Proxy) sampleOf(id simnet.NodeID) health.Sample {
-	st := p.stat(id)
-	er := float64(st.consecFail)
-	if total := st.ok + st.fail; total > 0 {
-		er += float64(st.fail) / float64(total)
-	}
-	return health.Sample{
-		health.MetricErrorRate: er,
-		health.MetricLatencyMs: st.rttEWMA,
-	}
-}
-
-func (p *Proxy) recordFailure(id simnet.NodeID) {
-	if id == "" {
-		return
-	}
-	st := p.stat(id)
-	st.fail++
-	st.consecFail++
-	if !p.snap.Load().planeDown && p.allObserversDead() {
-		p.mutateSnap(func(s *snapshot) { s.planeDown = true })
-		p.Obs.Add("proxy.plane.down", 1)
-	}
-}
-
-func (p *Proxy) recordSuccess(ctx *simnet.Context, id simnet.NodeID, rtt time.Duration) {
-	st := p.stat(id)
-	st.ok++
-	st.consecFail = 0
-	if rtt >= 0 {
-		ms := float64(rtt) / float64(time.Millisecond)
-		if st.rttEWMA == 0 {
-			st.rttEWMA = ms
-		} else {
-			st.rttEWMA = 0.8*st.rttEWMA + 0.2*ms
-		}
-	}
-	if p.snap.Load().planeDown {
-		// The plane healed: resubscribe everything. Fetches advertise the
-		// hashes we hold, so catch-up is a delta (or "not modified") per
-		// path, falling back to full snapshots where our base diverged.
-		p.mutateSnap(func(s *snapshot) { s.planeDown = false })
-		p.Obs.Add("proxy.plane.heal", 1)
-		p.resubscribe(ctx, p.watchedPaths(), false)
-	}
-}
-
-func (p *Proxy) allObserversDead() bool {
-	if len(p.observers) == 0 {
-		return true
-	}
-	for _, o := range p.observers {
-		if p.stat(o).consecFail < planeDownAfter {
-			return false
-		}
-	}
-	return true
-}
-
-// backoff computes the retry delay for the given attempt: exponential from
-// backoffBase up to backoffCap, jittered to 50–100% of the step with the
-// network's deterministic RNG so runs stay reproducible.
-func (p *Proxy) backoff(attempt int) time.Duration {
-	d := backoffBase
-	for i := 0; i < attempt && d < backoffCap; i++ {
-		d *= 2
-	}
-	if d > backoffCap {
-		d = backoffCap
-	}
-	half := int64(d / 2)
-	return time.Duration(half + int64(p.net.RNG().Uint64()%uint64(half)))
-}
-
-// hedgeDelay derives the hedged-fetch trigger from the observed p99 fetch
-// RTT — hedges fire only for outlier-slow fetches, not the common case.
-func (p *Proxy) hedgeDelay() time.Duration {
-	if len(p.rtts) == 0 {
-		return 4 * hedgeMinDelay
-	}
-	// The p99 of a window of at most 100 samples is its largest.
-	return max(hedgeMinDelay, slices.Max(p.rtts))
-}
-
-func (p *Proxy) recordRTT(rtt time.Duration) {
-	if len(p.rtts) >= rttWindow {
-		copy(p.rtts, p.rtts[1:])
-		p.rtts = p.rtts[:rttWindow-1]
-	}
-	p.rtts = append(p.rtts, rtt)
-}
-
-// failover replaces the current observer with the healthiest alternative
-// (health-scored; deterministic tie-break), or round-robins when the whole
-// plane looks dead and scores cannot distinguish candidates. The old
-// observer is told to drop our watches so its watch table does not leak
-// registrations until its own session sweep fires.
-func (p *Proxy) failover(ctx *simnet.Context) {
-	if len(p.observers) <= 1 {
-		return
-	}
-	old := p.observer()
-	planeDown := p.snap.Load().planeDown
-	if planeDown {
-		p.current = (p.current + 1) % len(p.observers)
-	} else {
-		samples := make(map[simnet.NodeID]health.Sample, len(p.observers)-1)
-		for _, o := range p.observers {
-			if o != old {
-				samples[o] = p.sampleOf(o)
-			}
-		}
-		best := health.Rank(samples)[0].ID
-		for i, o := range p.observers {
-			if o == best {
-				p.current = i
-			}
-		}
-	}
-	p.Failovers++
-	p.pingOutstanding = 0
-	p.Obs.Add("proxy.failover", 1)
-	paths := p.watchedPaths()
-	for _, path := range paths {
-		ctx.Send(old, zeus.MsgUnwatch{Path: path})
-	}
-	// Re-establish fetches+watches on the new observer, bypassing the
-	// single-flight guard (the old observer may never answer). When the
-	// plane is down this would be a refetch storm every timeout — the
-	// per-path backoff retries own recovery instead.
-	if !planeDown {
-		p.resubscribe(ctx, paths, true)
-	}
-}
-
-// watchedPaths lists the watched paths in sorted order: anything that sends
-// once per path must not walk the map, because every send draws its link
-// jitter from the network's shared RNG and map order would make same-seed
-// runs diverge.
-func (p *Proxy) watchedPaths() []string {
-	paths := make([]string, 0, len(p.watched))
-	for path := range p.watched {
-		paths = append(paths, path)
-	}
-	slices.Sort(paths)
-	return paths
-}
-
-// resubscribe is the one way the proxy (re-)establishes fetch+watch for a
-// set of paths on its current observer — after a restart, when the plane
-// heals, after a failover, for paths readers missed — in the order given,
-// which callers keep sorted. force abandons whatever is outstanding for a
-// path first; otherwise a path with a fetch already in flight is left to it.
-func (p *Proxy) resubscribe(ctx *simnet.Context, paths []string, force bool) {
-	for _, path := range paths {
-		if force {
-			p.dropPath(path)
-		}
-		p.sendFetch(ctx, path)
-	}
-}
 
 // Want asks the proxy to fetch and keep a config warm (with a watch). The
 // application's startup request path. Simulation/driver thread only —
@@ -690,9 +335,6 @@ func (p *Proxy) SubCount(path string) int {
 	p.pruneSubs(path)
 	return len(p.subs[path])
 }
-
-// InflightCount reports how many fetches are outstanding (leak checks).
-func (p *Proxy) InflightCount() int { return len(p.inflight) }
 
 // pruneSubs drops subscriptions whose liveness check fails.
 func (p *Proxy) pruneSubs(path string) {
@@ -819,89 +461,6 @@ func (p *Proxy) Read(path string) ReadResult {
 	return ReadResult{Entry: e, Source: SourceStale, Age: now.Sub(e.Fetched), OK: true}
 }
 
-// sendFetch issues a fetch unless one is already in flight for the path
-// (single-flight: a second Want before the reply arrives must not send a
-// second MsgFetch).
-func (p *Proxy) sendFetch(ctx *simnet.Context, path string) {
-	if len(p.byPath[path]) > 0 {
-		p.Obs.Add("proxy.fetch.singleflight", 1)
-		return
-	}
-	p.doFetch(ctx, path, true, 0)
-}
-
-// forceFetch abandons all outstanding fetches for the path and issues a
-// new one (failover, or delta fallback with advertise=false to demand a
-// full snapshot).
-func (p *Proxy) forceFetch(ctx *simnet.Context, path string, advertise bool) {
-	p.dropPath(path)
-	p.doFetch(ctx, path, advertise, 0)
-}
-
-// dropPath forgets every outstanding fetch for a path.
-func (p *Proxy) dropPath(path string) {
-	for _, id := range p.byPath[path] {
-		delete(p.inflight, id)
-	}
-	delete(p.byPath, path)
-}
-
-// dropReq forgets one outstanding fetch.
-func (p *Proxy) dropReq(reqID int64) {
-	st, ok := p.inflight[reqID]
-	if !ok {
-		return
-	}
-	delete(p.inflight, reqID)
-	ids := p.byPath[st.path]
-	kept := ids[:0]
-	for _, id := range ids {
-		if id != reqID {
-			kept = append(kept, id)
-		}
-	}
-	if len(kept) == 0 {
-		delete(p.byPath, st.path)
-	} else {
-		p.byPath[st.path] = kept
-	}
-}
-
-// doFetch sends a fetch to the current observer and arms its deadline and
-// hedge timers.
-func (p *Proxy) doFetch(ctx *simnet.Context, path string, advertise bool, attempt int) {
-	p.fetchFrom(ctx, path, p.observer(), advertise, attempt, false)
-}
-
-func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID, advertise bool, attempt int, hedge bool) {
-	p.nextReq++
-	st := fetchState{path: path, observer: target, sentAt: ctx.Now(), attempt: attempt, hedge: hedge}
-	if advertise {
-		if es, ok := p.snap.Load().entries[path]; ok && es.e.Exists {
-			st.base, st.haveBase = es.e, true
-		} else if e, ok := p.disk.Load(path); ok && e.Exists {
-			st.base, st.haveBase = e, true
-		}
-	}
-	p.inflight[p.nextReq] = st
-	p.byPath[path] = append(p.byPath[path], p.nextReq)
-	p.Fetches++
-	p.Obs.Add("proxy.fetch.sent", 1)
-	if target == "" {
-		return
-	}
-	m := zeus.MsgFetch{ReqID: p.nextReq, Path: path, Watch: true}
-	if st.haveBase {
-		m.Have = true
-		m.HaveHash = st.base.Hash
-	}
-	ctx.Send(target, m)
-	ctx.SetTimer(fetchTimeout, msgFetchTimeout{ReqID: p.nextReq})
-	if !hedge && len(p.observers) > 1 {
-		ctx.SetTimer(p.hedgeDelay(), msgHedgeFire{ReqID: p.nextReq})
-	}
-}
-
 // HandleMessage implements simnet.Handler.
 func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	p.drainMisses(ctx)
@@ -940,92 +499,6 @@ func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 		}
 		p.recordSuccess(ctx, from, -1)
 	}
-}
-
-// onFetchTimeout handles a fetch deadline expiring: mark the observer
-// unhealthy, fail over off it if it is still current, and schedule a
-// backed-off retry if no sibling fetch (hedge) remains in flight.
-func (p *Proxy) onFetchTimeout(ctx *simnet.Context, m msgFetchTimeout) {
-	st, ok := p.inflight[m.ReqID]
-	if !ok {
-		return
-	}
-	p.dropReq(m.ReqID)
-	p.Obs.Add("proxy.fetch.timeout", 1)
-	p.fetchFailed(ctx, st.path, st.observer, st.attempt)
-}
-
-// fetchFailed charges a failed attempt at path to the observer that owed
-// the answer, fails over off it if it is still current, and schedules a
-// backed-off retry unless another fetch for the path is already in flight.
-func (p *Proxy) fetchFailed(ctx *simnet.Context, path string, observer simnet.NodeID, attempt int) {
-	p.recordFailure(observer)
-	if observer == p.observer() {
-		p.failover(ctx)
-	}
-	if p.watched[path] && len(p.byPath[path]) == 0 {
-		attempt++
-		ctx.SetTimer(p.backoff(attempt), msgRetryFetch{Path: path, Attempt: attempt})
-		p.Obs.Add("proxy.fetch.retry", 1)
-	}
-}
-
-// onHedgeFire sends the hedged duplicate of a still-unanswered fetch to
-// the next-healthiest observer. First reply wins; the loser is discarded
-// by the byPath sweep in onFetchReply.
-func (p *Proxy) onHedgeFire(ctx *simnet.Context, m msgHedgeFire) {
-	st, ok := p.inflight[m.ReqID]
-	if !ok {
-		return // answered already — the common case
-	}
-	samples := make(map[simnet.NodeID]health.Sample, len(p.observers)-1)
-	for _, o := range p.observers {
-		if o != st.observer {
-			samples[o] = p.sampleOf(o)
-		}
-	}
-	if len(samples) == 0 {
-		return
-	}
-	p.Obs.Add("proxy.fetch.hedged", 1)
-	p.fetchFrom(ctx, st.path, health.Rank(samples)[0].ID, st.haveBase, st.attempt, true)
-}
-
-func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.MsgFetchReply) {
-	st, ok := p.inflight[m.ReqID]
-	if !ok {
-		return
-	}
-	rtt := ctx.Now().Sub(st.sentAt)
-	// First reply wins: discard the sibling (primary or hedge) before the
-	// success bookkeeping, so a plane-heal resubscribe sweep sees this
-	// path as idle and re-establishes its watch too.
-	p.dropPath(st.path)
-	// The replying observer holds our watch now (fetches register it); if
-	// it is not the observer we point at — a hedge won, or we failed over
-	// while the fetch was in flight — re-point at it, else its pushes
-	// would be discarded as stale and the path would freeze.
-	if from != p.observer() {
-		for i, o := range p.observers {
-			if o == from {
-				p.current = i
-				p.pingOutstanding = 0
-			}
-		}
-	}
-	p.recordRTT(rtt)
-	p.recordSuccess(ctx, from, rtt)
-	if st.hedge {
-		p.Obs.Add("proxy.fetch.hedge_won", 1)
-	}
-	if m.NotModified && !st.haveBase {
-		// The observer claims our copy is current but we advertised
-		// nothing — protocol confusion; demand the full snapshot.
-		p.Obs.Add("proxy.delta.fallback", 1)
-		p.forceFetch(ctx, m.Path, false)
-		return
-	}
-	p.receive(ctx, from, m.Update, st.base, m.NotModified, st.attempt)
 }
 
 // onWatchEvent takes a pushed update: the base is whatever we hold now.
