@@ -38,13 +38,12 @@ type msgRetryFetch struct {
 }
 type msgHedgeFire struct{ ReqID int64 }
 
-// fetchState is one outstanding fetch: the path, the base entry whose hash
-// we advertised (so a "not modified" or delta reply can be materialized
-// against it), and which observer we asked when.
+// fetchState is one outstanding fetch: the path, the base entry whose hash we
+// advertised (a "not modified" or delta reply is materialized against it;
+// !base.Exists = nothing advertised), and which observer we asked when.
 type fetchState struct {
 	path     string
 	base     Entry
-	haveBase bool
 	observer simnet.NodeID
 	sentAt   time.Time
 	attempt  int
@@ -126,9 +125,8 @@ func (p *Proxy) recordSuccess(ctx *simnet.Context, id simnet.NodeID, rtt time.Du
 		}
 	}
 	if p.snap.Load().planeDown {
-		// The plane healed: resubscribe everything. Fetches advertise the
-		// hashes we hold, so catch-up is a delta (or "not modified") per
-		// path, falling back to full snapshots where our base diverged.
+		// The plane healed. Fetches advertise the hashes we hold, so catch-up
+		// is a delta (or "not modified") per path, or a full snapshot.
 		p.mutateSnap(func(s *snapshot) { s.planeDown = false })
 		p.Obs.Add("proxy.plane.heal", 1)
 		p.resubscribe(ctx, p.watchedPaths(), false)
@@ -223,10 +221,9 @@ func (p *Proxy) failover(ctx *simnet.Context) {
 	}
 }
 
-// watchedPaths lists the watched paths in sorted order: anything that sends
-// once per path must not walk the map, because every send draws its link
-// jitter from the network's shared RNG and map order would make same-seed
-// runs diverge.
+// watchedPaths lists the watched paths, sorted: every send draws link jitter
+// from the network's shared RNG, so a walk that sends must not be in map order
+// or same-seed runs diverge.
 func (p *Proxy) watchedPaths() []string {
 	paths := make([]string, 0, len(p.watched))
 	for path := range p.watched {
@@ -236,11 +233,9 @@ func (p *Proxy) watchedPaths() []string {
 	return paths
 }
 
-// resubscribe is the one way the proxy (re-)establishes fetch+watch for a
-// set of paths on its current observer — after a restart, when the plane
-// heals, after a failover, for paths readers missed — in the order given,
-// which callers keep sorted. force abandons whatever is outstanding for a
-// path first; otherwise a path with a fetch already in flight is left to it.
+// resubscribe (re-)establishes fetch+watch for paths (sorted) on the current
+// observer: after a restart, plane heal or failover, and for reader misses.
+// force first abandons a path's outstanding fetches; else they are left to it.
 func (p *Proxy) resubscribe(ctx *simnet.Context, paths []string, force bool) {
 	for _, path := range paths {
 		if force {
@@ -261,15 +256,15 @@ func (p *Proxy) sendFetch(ctx *simnet.Context, path string) {
 		p.Obs.Add("proxy.fetch.singleflight", 1)
 		return
 	}
-	p.doFetch(ctx, path, true, 0)
+	p.fetchFrom(ctx, path, p.observer(), true, 0, false)
 }
 
-// forceFetch abandons all outstanding fetches for the path and issues a
-// new one (failover, or delta fallback with advertise=false to demand a
-// full snapshot).
-func (p *Proxy) forceFetch(ctx *simnet.Context, path string, advertise bool) {
+// deltaFallback abandons all outstanding fetches for the path and demands the
+// full snapshot, advertising nothing.
+func (p *Proxy) deltaFallback(ctx *simnet.Context, path string) {
+	p.Obs.Add("proxy.delta.fallback", 1)
 	p.dropPath(path)
-	p.doFetch(ctx, path, advertise, 0)
+	p.fetchFrom(ctx, path, p.observer(), false, 0, false)
 }
 
 // dropPath forgets every outstanding fetch for a path.
@@ -301,20 +296,15 @@ func (p *Proxy) dropReq(reqID int64) {
 	}
 }
 
-// doFetch sends a fetch to the current observer and arms its deadline and
-// hedge timers.
-func (p *Proxy) doFetch(ctx *simnet.Context, path string, advertise bool, attempt int) {
-	p.fetchFrom(ctx, path, p.observer(), advertise, attempt, false)
-}
-
+// fetchFrom sends a fetch to target and arms its deadline and hedge timers.
 func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID, advertise bool, attempt int, hedge bool) {
 	p.nextReq++
 	st := fetchState{path: path, observer: target, sentAt: ctx.Now(), attempt: attempt, hedge: hedge}
 	if advertise {
 		if es, ok := p.snap.Load().entries[path]; ok && es.e.Exists {
-			st.base, st.haveBase = es.e, true
+			st.base = es.e
 		} else if e, ok := p.disk.Load(path); ok && e.Exists {
-			st.base, st.haveBase = e, true
+			st.base = e
 		}
 	}
 	p.inflight[p.nextReq] = st
@@ -325,10 +315,7 @@ func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID
 		return
 	}
 	m := zeus.MsgFetch{ReqID: p.nextReq, Path: path, Watch: true}
-	if st.haveBase {
-		m.Have = true
-		m.HaveHash = st.base.Hash
-	}
+	m.Have, m.HaveHash = st.base.Exists, st.base.Hash
 	ctx.Send(target, m)
 	ctx.SetTimer(fetchTimeout, msgFetchTimeout{ReqID: p.nextReq})
 	if !hedge && len(p.observers) > 1 {
@@ -382,7 +369,7 @@ func (p *Proxy) onHedgeFire(ctx *simnet.Context, m msgHedgeFire) {
 		return
 	}
 	p.Obs.Add("proxy.fetch.hedged", 1)
-	p.fetchFrom(ctx, st.path, health.Rank(samples)[0].ID, st.haveBase, st.attempt, true)
+	p.fetchFrom(ctx, st.path, health.Rank(samples)[0].ID, st.base.Exists, st.attempt, true)
 }
 
 func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.MsgFetchReply) {
@@ -412,11 +399,10 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 	if st.hedge {
 		p.Obs.Add("proxy.fetch.hedge_won", 1)
 	}
-	if m.NotModified && !st.haveBase {
+	if m.NotModified && !st.base.Exists {
 		// The observer claims our copy is current but we advertised
 		// nothing — protocol confusion; demand the full snapshot.
-		p.Obs.Add("proxy.delta.fallback", 1)
-		p.forceFetch(ctx, m.Path, false)
+		p.deltaFallback(ctx, m.Path)
 		return
 	}
 	p.receive(ctx, from, m.Update, st.base, m.NotModified, st.attempt)

@@ -479,7 +479,7 @@ func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 		p.onHedgeFire(ctx, m)
 	case msgRetryFetch:
 		if p.watched[m.Path] && len(p.byPath[m.Path]) == 0 {
-			p.doFetch(ctx, m.Path, true, m.Attempt)
+			p.fetchFrom(ctx, m.Path, p.observer(), true, m.Attempt, false)
 		}
 	case msgTickMonitor:
 		p.onTickMonitor(ctx)
@@ -517,16 +517,13 @@ func (p *Proxy) onWatchEvent(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 }
 
 // receive is the one place an update from an observer — pushed, or fetched on
-// the given attempt — becomes an entry: the content is base's own when the
-// observer confirmed it (notModified), else what the payload resolves to
-// against base.
+// the given attempt — becomes an entry. Its content is base's own when the
+// observer confirmed that (notModified), else the payload resolved against base.
 func (p *Proxy) receive(ctx *simnet.Context, from simnet.NodeID, u zeus.Update, base Entry, notModified bool, attempt int) {
 	e := Entry{Path: u.Path, Exists: !u.Delete, Version: u.Version, Zxid: u.Zxid, Fetched: ctx.Now()}
-	switch {
-	case u.Delete:
-	case notModified:
+	if notModified {
 		e.Data, e.Hash = base.Data, base.Hash
-	default:
+	} else if !u.Delete {
 		var err error
 		if e.Data, e.Hash, err = u.Payload.Resolve(base.Data, base.Hash); err != nil {
 			p.resolveFailed(ctx, u.Path, u.Payload, from, attempt)
@@ -544,8 +541,7 @@ func (p *Proxy) receive(ctx *simnet.Context, from simnet.NodeID, u zeus.Update, 
 // failed fetch.
 func (p *Proxy) resolveFailed(ctx *simnet.Context, path string, pl zeus.Payload, from simnet.NodeID, attempt int) {
 	if pl.IsDelta {
-		p.Obs.Add("proxy.delta.fallback", 1)
-		p.forceFetch(ctx, path, false)
+		p.deltaFallback(ctx, path)
 		return
 	}
 	p.Obs.Add("proxy.payload.bad_full", 1)

@@ -12,12 +12,9 @@
 // push tree.
 //
 // One fact travels down that tree — path P is now at (version, zxid, digest,
-// bytes), or is gone — and it travels as one value, Update, whether it is a
-// live push, a watch event, a fetch reply or a catch-up. A replica that fell
-// behind (a restarted follower, a re-registering observer) reports the last
-// zxid it applied and receives state, not history: every path whose newest
-// write or delete is later than that, newest version only, in zxid order
-// (DataTree.ChangedAfter). No replica keeps a log of past writes.
+// bytes), or is gone — as one value, Update: live push, watch event, fetch
+// reply and catch-up alike. No replica keeps a log of past writes; one that fell
+// behind reports its last zxid and is sent state (DataTree.ChangedAfter).
 package zeus
 
 import (
@@ -56,10 +53,9 @@ type WriteOp struct {
 	At time.Time
 }
 
-// DataTree is the replicated path→record store. It holds state, not history:
-// the live records, plus for each deleted path the zxid of its delete until
-// the path is written again, so memory follows the number of paths and not
-// the number of writes.
+// DataTree is the replicated path→record store: the live records plus, until
+// a deleted path is written again, the zxid of its delete. Its size follows
+// the number of paths, not the number of writes.
 type DataTree struct {
 	records map[string]*Record
 	tombs   map[string]int64 // deleted path → zxid of the delete
@@ -107,29 +103,23 @@ func (t *DataTree) adopt(op WriteOp, data []byte, hash uint64) bool {
 	return true
 }
 
-// take applies one shipped update: its payload is resolved against the record
-// it replaces and the verified bytes are adopted by reference. It returns the
-// replaced record — the delta base for whatever is pushed further down. A
-// stale update (zxid already applied) is a no-op; an error means the payload
-// did not materialize (a delta against a base this replica does not hold, or
-// content that does not hash to what it claims) and nothing was applied.
+// take applies one shipped update — payload resolved against the record it
+// replaces, verified bytes adopted by reference — and returns that record, the
+// delta base for what is pushed further down. A stale update is a no-op; on
+// error (a delta on another base, content not hashing to its claim) so is this.
 func (t *DataTree) take(u Update) (old *Record, err error) {
 	old = t.records[u.Path]
-	op := WriteOp{Zxid: u.Zxid, Path: u.Path, Version: u.Version, Delete: u.Delete}
-	if u.Delete {
-		t.adopt(op, nil, 0)
-		return old, nil
-	}
-	var base []byte
-	var baseHash uint64
+	var data, base []byte
+	var hash, baseHash uint64
 	if old != nil {
 		base, baseHash = old.Data, old.Hash
 	}
-	data, hash, err := u.Payload.Resolve(base, baseHash)
-	if err != nil {
-		return old, err
+	if !u.Delete {
+		if data, hash, err = u.Payload.Resolve(base, baseHash); err != nil {
+			return old, err
+		}
 	}
-	t.adopt(op, data, hash)
+	t.adopt(WriteOp{Zxid: u.Zxid, Path: u.Path, Version: u.Version, Delete: u.Delete}, data, hash)
 	return old, nil
 }
 
@@ -172,18 +162,14 @@ func (t *DataTree) NextVersion(path string) int64 {
 // LastZxid reports the highest applied zxid.
 func (t *DataTree) LastZxid() int64 { return t.applied }
 
-// DeletedAt reports the zxid at which path was deleted (0 if it is live or
-// was never written).
+// DeletedAt reports the zxid of path's delete (0 if live or never written).
 func (t *DataTree) DeletedAt(path string) int64 { return t.tombs[path] }
 
 // ChangedAfter is what a replica that has applied everything through zxid
-// after is missing: every path written or deleted since, as the full-body
-// update that brings it to its newest version (or removes it), in zxid order.
-// A version that was itself superseded while the replica was away is not
-// shipped. Applying the result in order leaves the replica with this tree's
-// records, digests and LastZxid — the last update carries the highest zxid
-// applied, because every applied op is the newest of some path or tombstone
-// until a later one replaces it.
+// after is missing: each path written or deleted since, once, as the whole
+// body of its newest version (or its removal), in zxid order. Applied in that
+// order it leaves the replica with this tree's records, digests and LastZxid:
+// the newest op of all is always some path's newest.
 func (t *DataTree) ChangedAfter(after int64) []Update {
 	if after >= t.applied {
 		return nil // the steady state: a caught-up replica re-registering

@@ -43,8 +43,7 @@ type msgNewLeader struct {
 	LastZxid int64
 }
 
-// msgSyncRequest asks the leader for everything committed after LastZxid; the
-// answer is a msgUpdates catch-up.
+// msgSyncRequest asks the leader for a catch-up from LastZxid (msgUpdates).
 type msgSyncRequest struct {
 	LastZxid int64
 }
@@ -205,11 +204,10 @@ func MakePayload(old, cur *Record) Payload {
 	return Payload{Full: cur.Data, NewHash: cur.Hash, cell: new(resolveCell)}
 }
 
-// Update is the one shape in which a record change moves down the
-// distribution tree: path P is now at (Version, Zxid) with the content Payload
-// resolves to, or — Delete — is gone as of Zxid (a deleted path has no
-// version or payload). Live pushes and catch-ups from the leader, watch events
-// and fetch replies from observers all carry it.
+// Update is the one shape in which a record change moves down the tree —
+// leader pushes and catch-ups, observer watch events and fetch replies: path
+// is now at (Version, Zxid) with the content Payload resolves to, or, Delete,
+// is gone as of Zxid (no version, no payload).
 type Update struct {
 	Path    string
 	Version int64
@@ -227,15 +225,6 @@ func (u Update) WireSize() int {
 	return size
 }
 
-// updatesWireSize sums a batch's wire size.
-func updatesWireSize(updates []Update) int {
-	size := 0
-	for _, u := range updates {
-		size += u.WireSize()
-	}
-	return size
-}
-
 // ---- Observer protocol ----
 
 // msgObserverRegister subscribes an observer to the leader's commit stream.
@@ -247,9 +236,9 @@ type msgObserverRegister struct {
 }
 
 // msgUpdates is the leader's one update message, in zxid order: a live commit
-// run pushed to observers (delta-encoded where possible), or a catch-up — the
-// full bodies of DataTree.ChangedAfter — answering an observer's registration
-// or a follower's sync request.
+// run pushed to observers (delta-encoded where possible), or the catch-up
+// (DataTree.ChangedAfter) answering an observer's registration or a
+// follower's sync request.
 type msgUpdates struct {
 	Epoch   int64
 	Updates []Update
@@ -272,10 +261,9 @@ type MsgFetch struct {
 	HaveHash uint64
 }
 
-// MsgFetchReply answers a fetch with the path's current state as an Update
-// (Delete = the path does not exist). NotModified says the content the proxy
-// advertised is current: the update then carries the version and zxid but no
-// payload.
+// MsgFetchReply answers a fetch with the path's current state (Delete = it
+// does not exist). NotModified: the content the proxy advertised is current,
+// and the update carries its version and zxid but no payload.
 type MsgFetchReply struct {
 	ReqID       int64
 	NotModified bool

@@ -10,29 +10,22 @@ import (
 )
 
 // batchScratch is the per-applyBatch working state (touched-path bases,
-// final updates, touch order). Batches arrive on every commit wave across
-// every observer in the fleet, so the maps are pooled rather than
-// reallocated per batch; only scratch lives here — everything a watch
-// event retains is copied out before the scratch is recycled.
+// touch order). Batches arrive on every commit wave across every observer
+// in the fleet, so the map is pooled rather than reallocated per batch; only
+// scratch lives here — everything a watch event retains is copied out
+// before the scratch is recycled.
 type batchScratch struct {
 	base  map[string]*Record
-	final map[string]Update
 	order []string
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		base:  make(map[string]*Record),
-		final: make(map[string]Update),
-	}
+	return &batchScratch{base: make(map[string]*Record)}
 }}
 
 func (s *batchScratch) release() {
 	for k := range s.base {
 		delete(s.base, k)
-	}
-	for k := range s.final {
-		delete(s.final, k)
 	}
 	s.order = s.order[:0]
 	batchScratchPool.Put(s)
@@ -222,12 +215,10 @@ func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
 func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 	// base holds each touched path's record before this batch — the
 	// version watchers last saw, hence the delta base for their event.
-	// All three structures are pooled scratch; nothing in them survives
-	// this call.
+	// Both structures are pooled scratch; nothing in them survives this call.
 	scratch := batchScratchPool.Get().(*batchScratch)
 	defer scratch.release()
-	base, final := scratch.base, scratch.final
-	order := scratch.order
+	base, order := scratch.base, scratch.order
 	defer func() { scratch.order = order }() // keep the grown capacity pooled
 	for _, u := range updates {
 		if u.Zxid <= o.tree.LastZxid() {
@@ -244,23 +235,23 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 		o.Obs.PathEvent(u.Path, obs.PropEvent{
 			Stage: obs.EvObserverApply, Node: string(o.id), Zxid: u.Zxid, At: ctx.Now(),
 		})
-		if _, seen := final[u.Path]; !seen {
+		if _, seen := base[u.Path]; !seen {
 			base[u.Path] = old
 			order = append(order, u.Path)
 		} else {
 			o.Obs.Add("zeus.observer.coalesced", 1)
 		}
-		final[u.Path] = u
 	}
 	for _, path := range order {
 		set := o.watches[path]
 		if set == nil || len(set.members) == 0 {
 			continue
 		}
-		u := final[path]
-		ev := MsgWatchEvent{Update: Update{Path: path, Version: u.Version, Zxid: u.Zxid, Delete: u.Delete}}
-		if !u.Delete {
-			ev.Payload = MakePayload(base[path], o.tree.Get(path))
+		// The event is the path's state after the batch, whatever came between.
+		ev := MsgWatchEvent{Update{Path: path, Zxid: o.tree.DeletedAt(path), Delete: true}}
+		if rec := o.tree.Get(path); rec != nil {
+			ev.Update = Update{Path: path, Version: rec.Version, Zxid: rec.Zxid,
+				Payload: MakePayload(base[path], rec)}
 		}
 		// One shared payload, serialization charged once for the wave,
 		// recipients in registration order (deterministic — see watchSet).

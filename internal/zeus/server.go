@@ -364,8 +364,8 @@ func (s *Server) onHeartbeat(ctx *simnet.Context, from simnet.NodeID, m msgHeart
 	s.lastLeaderContact = ctx.Now()
 }
 
-// onSyncRequest answers a follower. The reply goes out even when there is
-// nothing to ship: it doubles as leader contact.
+// onSyncRequest answers a follower, even with nothing to ship: the reply
+// doubles as leader contact.
 func (s *Server) onSyncRequest(ctx *simnet.Context, from simnet.NodeID, m msgSyncRequest) {
 	if s.role != RoleLeader {
 		return
@@ -375,9 +375,8 @@ func (s *Server) onSyncRequest(ctx *simnet.Context, from simnet.NodeID, m msgSyn
 }
 
 // catchUp builds the answer for a replica — follower or observer — that has
-// applied everything through lastZxid: the tree's state diff as full bodies,
-// and the bytes it is charged on the wire (path, update framing and body per
-// update; a whole body ships without the payload's delta framing).
+// applied everything through lastZxid, and its size on the wire (path, update
+// framing and body: a whole body ships without the payload's delta framing).
 func (s *Server) catchUp(lastZxid int64) (updates []Update, size int) {
 	updates = s.tree.ChangedAfter(lastZxid)
 	for _, u := range updates {
@@ -531,6 +530,7 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 	sort.Slice(s.pendingZxid, func(i, j int) bool { return s.pendingZxid[i] < s.pendingZxid[j] })
 	var committed []int64
 	var updates []Update
+	size := 0 // wire bytes of updates
 	for len(s.pendingZxid) > 0 {
 		zxid := s.pendingZxid[0]
 		p := s.pending[zxid]
@@ -549,7 +549,9 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 			Stage: obs.EvZeusCommit, Node: string(s.id), Zxid: zxid, At: ctx.Now(),
 		})
 		if applied { // a stale op left no record to push
-			updates = append(updates, s.makeUpdate(old, p.op))
+			u := s.makeUpdate(old, p.op)
+			updates = append(updates, u)
+			size += u.WireSize()
 		}
 		if p.client != "" {
 			ctx.Send(p.client, MsgWriteReply{ReqID: p.reqID, OK: true, Zxid: zxid, Version: p.op.Version})
@@ -566,7 +568,6 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 	s.othersDo(ctx, func(peer simnet.NodeID) {
 		ctx.Send(peer, msgCommitBatch{Epoch: s.epoch, Zxids: committed})
 	})
-	size := updatesWireSize(updates)
 	s.Obs.Add("zeus.push.bytes", int64(size))
 	// Fan out as one broadcast wave in sorted order: iteration order
 	// decides which observer draws each latency sample from the network
@@ -634,8 +635,7 @@ func (s *Server) onObserverRegister(ctx *simnet.Context, from simnet.NodeID, m m
 		return
 	}
 	s.observers[from] = ctx.Now()
-	// Observers re-register every observerRegisterGap; a caught-up one (the
-	// steady state) gets no reply.
+	// A caught-up observer re-registering (the steady state) gets no reply.
 	if updates, size := s.catchUp(m.LastZxid); len(updates) > 0 {
 		ctx.SendSized(from, msgUpdates{Epoch: s.epoch, Updates: updates}, size)
 	}
