@@ -83,20 +83,30 @@ func DefaultLatency() LatencyModel {
 	}
 }
 
-func (m LatencyModel) between(a, b Placement, rng *stats.RNG) time.Duration {
-	var base time.Duration
+// Distance classes: how much of their placement two endpoints share.
+const (
+	sameCluster = iota
+	sameRegion
+	crossRegion
+)
+
+// classBytesCounter names the per-distance-class obs byte counter.
+var classBytesCounter = [...]string{"net.bytes.same_cluster", "net.bytes.same_region", "net.bytes.cross_region"}
+
+// hop classifies the a→b link and draws its one-way latency in nanoseconds.
+func (m LatencyModel) hop(a, b Placement, rng *stats.RNG) (lat int64, class int) {
+	base := m.CrossRegion
+	class = crossRegion
 	switch {
 	case a.Region == b.Region && a.Cluster == b.Cluster:
-		base = m.SameCluster
+		base, class = m.SameCluster, sameCluster
 	case a.Region == b.Region:
-		base = m.SameRegion
-	default:
-		base = m.CrossRegion
+		base, class = m.SameRegion, sameRegion
 	}
 	if m.Jitter > 0 {
 		base += time.Duration(float64(base) * m.Jitter * rng.Float64())
 	}
-	return base
+	return int64(base), class
 }
 
 // node is the internal per-node state. The table is a dense slice indexed
@@ -121,7 +131,6 @@ type nodeExt struct {
 	upFreeAt   int64 // ns since base
 	downFreeAt int64
 	bytesOut   uint64
-	bytesIn    uint64
 }
 
 const (
@@ -150,12 +159,25 @@ func linkKey(from, to int32) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
-// orderedKey packs an undirected pair (smaller index first).
-func orderedKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey(a, b)
+// link is what every delivery on a directed link reads and writes. It is
+// stored by value and kept to 16 bytes: a fleet has one per link in use.
+type link struct {
+	// lastArrival enforces FIFO delivery per directed link (TCP semantics):
+	// latency jitter never reorders two messages between the same
+	// endpoints. Protocols like Zeus's commit stream rely on this.
+	lastArrival int64 // ns since base
+	bytes       uint64
+}
+
+// linkFault is the injected fault state of one directed link. A record
+// exists only while some fault holds, so a healthy network has none. The
+// two-way calls (Partition, SetLoss) write their own fields on both
+// directions: Heal does not lift a PartitionOneWay, nor HealOneWay a
+// Partition, and likewise for loss.
+type linkFault struct {
+	cut, cutOneWay   bool
+	loss, lossOneWay float64
+	extra            time.Duration // congestion spike on top of the placement latency
 }
 
 // Network is the simulator. It owns the virtual clock; components that need
@@ -174,22 +196,8 @@ type Network struct {
 	seq   uint64
 	sctx  Context // scratch Context reused across deliveries
 
-	partitioned map[uint64]bool
-	// partitionedDir severs single directions only (asymmetric routing
-	// failures); the undirected map above cuts both at once.
-	partitionedDir map[uint64]bool
-	lossRate       map[uint64]float64
-	lossRateDir    map[uint64]float64
-	// extraLatency adds a per-directed-link latency penalty (congestion
-	// spikes injected by a FaultPlan) on top of the placement-derived base.
-	extraLatency map[uint64]time.Duration
-	// lastArrival enforces FIFO delivery per directed link (TCP
-	// semantics): latency jitter never reorders two messages between the
-	// same endpoints. Protocols like Zeus's commit stream rely on this.
-	lastArrival map[uint64]int64
-
-	// linkBytes accumulates payload bytes per directed link (from, to).
-	linkBytes map[uint64]uint64
+	links  map[uint64]link
+	faults map[uint64]linkFault
 
 	// obs, when set, receives per-message byte counters and a payload-size
 	// histogram (see SetObs).
@@ -212,18 +220,13 @@ const DefaultBandwidth = 1.25e9 // bytes/sec
 func New(latency LatencyModel, seed uint64) *Network {
 	clock := vclock.NewVirtual()
 	n := &Network{
-		clock:          clock,
-		rng:            stats.NewRNG(seed),
-		latency:        latency,
-		base:           clock.Now(),
-		index:          make(map[NodeID]int32),
-		partitioned:    make(map[uint64]bool),
-		partitionedDir: make(map[uint64]bool),
-		lossRate:       make(map[uint64]float64),
-		lossRateDir:    make(map[uint64]float64),
-		extraLatency:   make(map[uint64]time.Duration),
-		lastArrival:    make(map[uint64]int64),
-		linkBytes:      make(map[uint64]uint64),
+		clock:   clock,
+		rng:     stats.NewRNG(seed),
+		latency: latency,
+		base:    clock.Now(),
+		index:   make(map[NodeID]int32),
+		links:   make(map[uint64]link),
+		faults:  make(map[uint64]linkFault),
 	}
 	n.sctx.net = n
 	return n
@@ -246,7 +249,7 @@ func (n *Network) LinkBytes(from, to NodeID) uint64 {
 	if !ok1 || !ok2 {
 		return 0
 	}
-	return n.linkBytes[linkKey(fi, ti)]
+	return n.links[linkKey(fi, ti)].bytes
 }
 
 // NodeBytesOut reports total payload bytes the node has sent.
@@ -256,17 +259,6 @@ func (n *Network) NodeBytesOut(id NodeID) uint64 {
 	}
 	return 0
 }
-
-// NodeBytesIn reports total payload bytes the node has received.
-func (n *Network) NodeBytesIn(id NodeID) uint64 {
-	if ext := n.nodes[n.mustIdx(id)].ext; ext != nil {
-		return ext.bytesIn
-	}
-	return 0
-}
-
-// Clock exposes the shared virtual clock.
-func (n *Network) Clock() *vclock.Virtual { return n.clock }
 
 // Now reports the current virtual time.
 func (n *Network) Now() time.Time { return n.clock.Now() }
@@ -356,66 +348,67 @@ func (n *Network) Recover(id NodeID) {
 // IsDown reports whether the node is currently crashed.
 func (n *Network) IsDown(id NodeID) bool { return n.nodes[n.mustIdx(id)].down }
 
+// setFault edits the from→to fault record and drops it once nothing holds.
+func (n *Network) setFault(from, to NodeID, edit func(*linkFault)) {
+	k := linkKey(n.mustIdx(from), n.mustIdx(to))
+	f := n.faults[k]
+	edit(&f)
+	if f == (linkFault{}) {
+		delete(n.faults, k)
+	} else {
+		n.faults[k] = f
+	}
+}
+
 // Partition severs connectivity between a and b (both directions).
 func (n *Network) Partition(a, b NodeID) {
-	n.partitioned[orderedKey(n.mustIdx(a), n.mustIdx(b))] = true
+	n.setFault(a, b, func(f *linkFault) { f.cut = true })
+	n.setFault(b, a, func(f *linkFault) { f.cut = true })
 }
 
 // Heal restores connectivity between a and b.
 func (n *Network) Heal(a, b NodeID) {
-	delete(n.partitioned, orderedKey(n.mustIdx(a), n.mustIdx(b)))
+	n.setFault(a, b, func(f *linkFault) { f.cut = false })
+	n.setFault(b, a, func(f *linkFault) { f.cut = false })
 }
 
 // PartitionOneWay severs only the from→to direction (asymmetric routing
 // failure); replies still flow. Heal it with HealOneWay.
 func (n *Network) PartitionOneWay(from, to NodeID) {
-	n.partitionedDir[linkKey(n.mustIdx(from), n.mustIdx(to))] = true
+	n.setFault(from, to, func(f *linkFault) { f.cutOneWay = true })
 }
 
 // HealOneWay restores the from→to direction.
 func (n *Network) HealOneWay(from, to NodeID) {
-	delete(n.partitionedDir, linkKey(n.mustIdx(from), n.mustIdx(to)))
+	n.setFault(from, to, func(f *linkFault) { f.cutOneWay = false })
 }
 
-// Partitioned reports whether from→to traffic is currently severed (by
-// either the undirected or the directed map).
+// Partitioned reports whether from→to traffic is currently severed, by a
+// two-way or a one-way cut.
 func (n *Network) Partitioned(from, to NodeID) bool {
-	fi, ti := n.mustIdx(from), n.mustIdx(to)
-	return n.partitioned[orderedKey(fi, ti)] || n.partitionedDir[linkKey(fi, ti)]
+	f := n.faults[linkKey(n.mustIdx(from), n.mustIdx(to))]
+	return f.cut || f.cutOneWay
 }
 
 // SetLoss sets the probability that a message between a and b is lost
 // (0 clears it). Used to model the unreliable mobile push-notification
 // channel (§5).
 func (n *Network) SetLoss(a, b NodeID, p float64) {
-	k := orderedKey(n.mustIdx(a), n.mustIdx(b))
-	if p <= 0 {
-		delete(n.lossRate, k)
-		return
-	}
-	n.lossRate[k] = p
+	p = max(p, 0)
+	n.setFault(a, b, func(f *linkFault) { f.loss = p })
+	n.setFault(b, a, func(f *linkFault) { f.loss = p })
 }
 
 // SetLossOneWay sets the drop probability for the from→to direction only
 // (0 clears it).
 func (n *Network) SetLossOneWay(from, to NodeID, p float64) {
-	k := linkKey(n.mustIdx(from), n.mustIdx(to))
-	if p <= 0 {
-		delete(n.lossRateDir, k)
-		return
-	}
-	n.lossRateDir[k] = p
+	n.setFault(from, to, func(f *linkFault) { f.lossOneWay = max(p, 0) })
 }
 
 // SetLinkLatency adds extra one-way latency on the from→to link — a
 // congestion spike. Zero clears the spike.
 func (n *Network) SetLinkLatency(from, to NodeID, extra time.Duration) {
-	k := linkKey(n.mustIdx(from), n.mustIdx(to))
-	if extra <= 0 {
-		delete(n.extraLatency, k)
-		return
-	}
-	n.extraLatency[k] = extra
+	n.setFault(from, to, func(f *linkFault) { f.extra = max(extra, 0) })
 }
 
 // Send schedules delivery of a zero-size control message.
@@ -430,176 +423,112 @@ func (n *Network) SendSized(from, to NodeID, msg Message, size int) {
 }
 
 func (n *Network) sendIdx(fi, ti int32, msg Message, size int) {
-	src := &n.nodes[fi]
-	if src.down {
+	if n.nodes[fi].down {
 		n.Dropped++
 		return
 	}
-	if n.partitioned[orderedKey(fi, ti)] || n.partitionedDir[linkKey(fi, ti)] {
-		n.Dropped++
-		return
+	// Encode + decode CPU cost: it delays this message after it has crossed
+	// both links and occupies neither.
+	class := n.transmit(fi, ti, msg, size, n.nowNS(), n.serializeNS(size))
+	if n.obs != nil && size > 0 && class >= 0 {
+		var copies [3]int
+		copies[class] = 1
+		n.account(size, copies)
 	}
-	if p := n.lossRate[orderedKey(fi, ti)]; p > 0 && n.rng.Bool(p) {
-		n.Dropped++
-		return
-	}
-	if p := n.lossRateDir[linkKey(fi, ti)]; p > 0 && n.rng.Bool(p) {
-		n.Dropped++
-		return
-	}
-	dst := &n.nodes[ti]
-	now := n.nowNS()
-	lat := int64(n.latency.between(src.placement, dst.placement, n.rng))
-	lat += int64(n.extraLatency[linkKey(fi, ti)])
-	arrive := now + lat
-	if size > 0 {
-		se, de := n.ext(fi), n.ext(ti)
-		depart := now
-		if se.upFreeAt > depart {
-			depart = se.upFreeAt
-		}
-		depart += int64(float64(size) / se.upBps * float64(time.Second))
-		se.upFreeAt = depart
-		arrive = depart + lat
-		if de.downFreeAt > arrive {
-			arrive = de.downFreeAt
-		}
-		arrive += int64(float64(size) / de.downBps * float64(time.Second))
-		de.downFreeAt = arrive
-		// Encode + decode CPU cost: pure latency proportional to payload
-		// size (it delays this message but does not occupy the links).
-		if n.latency.SerializePerKB > 0 {
-			arrive += int64(float64(n.latency.SerializePerKB) * float64(size) / 1024)
-		}
-		n.BytesSent += uint64(size)
-		n.linkBytes[linkKey(fi, ti)] += uint64(size)
-		se.bytesOut += uint64(size)
-		de.bytesIn += uint64(size)
-		if n.obs != nil {
-			n.obs.Add("net.bytes", int64(size))
-			n.obs.Add("net.msgs.sized", 1)
-			n.obs.Add(byteClassCounter(src.placement, dst.placement), int64(size))
-			// Payload-size histogram on the 1 byte = 1 ns convention.
-			n.obs.Observe("net.msg.bytes", time.Duration(size))
-		}
-	}
-	key := linkKey(fi, ti)
-	if last := n.lastArrival[key]; arrive < last {
-		arrive = last
-	}
-	n.lastArrival[key] = arrive
-	n.pushEvent(arrive, evDeliver, fi, ti, msg, nil)
 }
 
-func byteClassCounter(a, b Placement) string {
-	switch {
-	case a.Region == b.Region && a.Cluster == b.Cluster:
-		return "net.bytes.same_cluster"
-	case a.Region == b.Region:
-		return "net.bytes.same_region"
-	default:
-		return "net.bytes.cross_region"
+// serializeNS is the CPU cost of encoding and decoding a size-byte payload.
+func (n *Network) serializeNS(size int) int64 {
+	return int64(float64(n.latency.SerializePerKB) * float64(size) / 1024)
+}
+
+// transmit is the link model, and the one place a delivery is scheduled: a
+// copy of msg is ready to leave fi for ti at instant ready. In order it is
+// dropped by a cut or by loss (the two-way draw before the one-way), given
+// the link's latency, queued behind earlier transfers on the sender's
+// uplink and the receiver's downlink for size/bandwidth each, charged
+// decode, held behind the link's previous arrival (FIFO), and counted. It
+// returns the link's distance class, or -1 if the copy was dropped.
+func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode int64) int {
+	key := linkKey(fi, ti)
+	var extra int64
+	if len(n.faults) > 0 {
+		f := n.faults[key]
+		if f.cut || f.cutOneWay ||
+			(f.loss > 0 && n.rng.Bool(f.loss)) || (f.lossOneWay > 0 && n.rng.Bool(f.lossOneWay)) {
+			n.Dropped++
+			return -1
+		}
+		extra = int64(f.extra)
 	}
+	lat, class := n.latency.hop(n.nodes[fi].placement, n.nodes[ti].placement, n.rng)
+	lat += extra
+	arrive := ready + lat
+	l := n.links[key]
+	if size > 0 {
+		se, de := n.ext(fi), n.ext(ti)
+		depart := max(ready, se.upFreeAt) + int64(float64(size)/se.upBps*float64(time.Second))
+		se.upFreeAt = depart
+		arrive = max(depart+lat, de.downFreeAt) + int64(float64(size)/de.downBps*float64(time.Second))
+		de.downFreeAt = arrive
+		arrive += decode
+		n.BytesSent += uint64(size)
+		se.bytesOut += uint64(size)
+		l.bytes += uint64(size)
+	}
+	arrive = max(arrive, l.lastArrival)
+	l.lastArrival = arrive
+	n.links[key] = l
+	n.pushEvent(arrive, evDeliver, fi, ti, msg, nil)
+	return class
+}
+
+// account feeds the obs registry for one sized payload sent as copies[c]
+// copies over links of distance class c: byte and message counters per copy,
+// one payload-size histogram sample (on the 1 byte = 1 ns convention).
+func (n *Network) account(size int, copies [3]int) {
+	sent := copies[0] + copies[1] + copies[2]
+	if sent == 0 {
+		return
+	}
+	n.obs.Add("net.bytes", int64(size)*int64(sent))
+	n.obs.Add("net.msgs.sized", int64(sent))
+	for class, k := range copies {
+		if k > 0 {
+			n.obs.Add(classBytesCounter[class], int64(size)*int64(k))
+		}
+	}
+	n.obs.Observe("net.msg.bytes", time.Duration(size))
 }
 
 // Broadcast schedules delivery of one shared payload from one sender to
 // many recipients — a push wave. Unlike a loop of SendSized calls, the
-// serialization CPU cost (SerializePerKB) is charged once for the wave
-// rather than once per recipient, every recipient shares the same
-// immutable msg value, and the obs counters are updated once per wave
-// (with one payload-size histogram sample). Bandwidth is still modeled
-// per copy: each recipient's bytes occupy the sender's uplink in turn,
-// so a wave to 100k nodes still serializes on the sender's NIC.
-// Per-recipient partition, loss, and FIFO rules match SendSized; jitter
-// draws happen in tos order, so callers must pass a deterministically
-// ordered slice.
+// serialization CPU cost (SerializePerKB) is charged once for the wave,
+// before the first copy leaves, rather than once per recipient; every
+// recipient shares the same immutable msg value; and the obs counters are
+// updated once per wave (with one payload-size histogram sample). Every
+// copy still goes through the link model (transmit): each recipient's
+// bytes occupy the sender's uplink in turn, so a wave to 100k nodes still
+// serializes on the sender's NIC. Jitter draws happen in tos order, so
+// callers must pass a deterministically ordered slice.
 func (n *Network) Broadcast(from NodeID, tos []NodeID, msg Message, size int) {
 	n.broadcastIdx(n.mustIdx(from), tos, msg, size)
 }
 
 func (n *Network) broadcastIdx(fi int32, tos []NodeID, msg Message, size int) {
-	src := &n.nodes[fi]
-	if src.down {
+	if n.nodes[fi].down {
 		n.Dropped += uint64(len(tos))
 		return
 	}
-	now := n.nowNS()
-	encodeReady := now
-	if size > 0 && n.latency.SerializePerKB > 0 {
-		encodeReady += int64(float64(n.latency.SerializePerKB) * float64(size) / 1024)
-	}
-	var se *nodeExt
-	if size > 0 {
-		se = n.ext(fi)
-	}
-	var classBytes [3]uint64 // same_cluster, same_region, cross_region
-	sent := 0
+	encoded := n.nowNS() + n.serializeNS(size)
+	var copies [3]int
 	for _, to := range tos {
-		ti := n.mustIdx(to)
-		if n.partitioned[orderedKey(fi, ti)] || n.partitionedDir[linkKey(fi, ti)] {
-			n.Dropped++
-			continue
+		if class := n.transmit(fi, n.mustIdx(to), msg, size, encoded, 0); class >= 0 {
+			copies[class]++
 		}
-		if p := n.lossRate[orderedKey(fi, ti)]; p > 0 && n.rng.Bool(p) {
-			n.Dropped++
-			continue
-		}
-		if p := n.lossRateDir[linkKey(fi, ti)]; p > 0 && n.rng.Bool(p) {
-			n.Dropped++
-			continue
-		}
-		dst := &n.nodes[ti]
-		lat := int64(n.latency.between(src.placement, dst.placement, n.rng))
-		lat += int64(n.extraLatency[linkKey(fi, ti)])
-		arrive := encodeReady + lat
-		if size > 0 {
-			de := n.ext(ti)
-			depart := encodeReady
-			if se.upFreeAt > depart {
-				depart = se.upFreeAt
-			}
-			depart += int64(float64(size) / se.upBps * float64(time.Second))
-			se.upFreeAt = depart
-			arrive = depart + lat
-			if de.downFreeAt > arrive {
-				arrive = de.downFreeAt
-			}
-			arrive += int64(float64(size) / de.downBps * float64(time.Second))
-			de.downFreeAt = arrive
-			n.BytesSent += uint64(size)
-			n.linkBytes[linkKey(fi, ti)] += uint64(size)
-			se.bytesOut += uint64(size)
-			de.bytesIn += uint64(size)
-			switch {
-			case src.placement.Region == dst.placement.Region && src.placement.Cluster == dst.placement.Cluster:
-				classBytes[0] += uint64(size)
-			case src.placement.Region == dst.placement.Region:
-				classBytes[1] += uint64(size)
-			default:
-				classBytes[2] += uint64(size)
-			}
-		}
-		key := linkKey(fi, ti)
-		if last := n.lastArrival[key]; arrive < last {
-			arrive = last
-		}
-		n.lastArrival[key] = arrive
-		n.pushEvent(arrive, evDeliver, fi, ti, msg, nil)
-		sent++
 	}
-	if n.obs != nil && size > 0 && sent > 0 {
-		n.obs.Add("net.bytes", int64(size)*int64(sent))
-		n.obs.Add("net.msgs.sized", int64(sent))
-		if classBytes[0] > 0 {
-			n.obs.Add("net.bytes.same_cluster", int64(classBytes[0]))
-		}
-		if classBytes[1] > 0 {
-			n.obs.Add("net.bytes.same_region", int64(classBytes[1]))
-		}
-		if classBytes[2] > 0 {
-			n.obs.Add("net.bytes.cross_region", int64(classBytes[2]))
-		}
-		n.obs.Observe("net.msg.bytes", time.Duration(size))
+	if n.obs != nil && size > 0 {
+		n.account(size, copies)
 	}
 }
 
@@ -735,9 +664,3 @@ func (c *Context) Broadcast(tos []NodeID, msg Message, size int) {
 func (c *Context) SetTimer(delay time.Duration, msg Message) {
 	c.net.pushEvent(c.net.nowNS()+int64(delay), evTimer, c.idx, c.idx, msg, nil)
 }
-
-// RNG exposes the deterministic random stream.
-func (c *Context) RNG() *stats.RNG { return c.net.RNG() }
-
-// Network returns the underlying network (for topology queries).
-func (c *Context) Network() *Network { return c.net }

@@ -229,9 +229,8 @@ func TestNodeIDsSorted(t *testing.T) {
 	}
 }
 
-// TestSetLossClears is the regression for the stale zero-entry bug: a
-// FaultPlan that clears loss with SetLoss(a, b, 0) must delete the map
-// entry, exactly like SetLossOneWay already did.
+// TestSetLossClears: clearing loss with SetLoss(a, b, 0) restores delivery
+// and leaves no fault record behind in either direction.
 func TestSetLossClears(t *testing.T) {
 	net := New(LatencyModel{SameCluster: time.Millisecond}, 1)
 	p := Placement{Region: "r", Cluster: "c"}
@@ -244,8 +243,8 @@ func TestSetLossClears(t *testing.T) {
 		t.Fatalf("Dropped = %d with loss 1.0, want 1", net.Dropped)
 	}
 	net.SetLoss("a", "b", 0)
-	if len(net.lossRate) != 0 {
-		t.Fatalf("SetLoss(0) left %d stale entries", len(net.lossRate))
+	if len(net.faults) != 0 {
+		t.Fatalf("SetLoss(0) left %d fault records", len(net.faults))
 	}
 	net.Send("a", "b", "y")
 	net.Run()

@@ -275,3 +275,65 @@ func TestLeaderCrashMidBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestWavesAckedOutOfOrderCommitInOrder: wave 2 reaches quorum while wave 1 is
+// still one ack short. Nothing commits until wave 1's late ack lands; then
+// both waves commit in zxid order as one run — one commit message, one batch.
+func TestWavesAckedOutOfOrderCommitInOrder(t *testing.T) {
+	net := simnet.New(simnet.LatencyModel{SameCluster: time.Millisecond}, 1)
+	e := StartEnsemble(net, 5, []simnet.Placement{{Region: "r", Cluster: "c"}})
+	net.RunFor(10 * time.Second)
+	leader := e.Leader()
+	if leader == "" {
+		t.Fatal("no leader elected")
+	}
+	var f []simnet.NodeID // followers
+	for _, m := range e.Members {
+		if m != leader {
+			f = append(f, m)
+		}
+	}
+	reg := obs.New()
+	e.SetObs(reg)
+	var replies []MsgWriteReply
+	net.AddNode("w", simnet.Placement{Region: "r", Cluster: "c"},
+		simnet.HandlerFunc(func(_ *simnet.Context, _ simnet.NodeID, msg simnet.Message) {
+			replies = append(replies, msg.(MsgWriteReply))
+		}))
+
+	// Wave 1 reaches f[0] and f[1] only, and f[1]'s ack is 200 ms late: the
+	// leader holds two of the three acks it needs. Wave 2, proposed after the
+	// cut heals, is acked by f[2] and f[3] within ~15 ms.
+	net.Partition(leader, f[2])
+	net.Partition(leader, f[3])
+	net.SetLinkLatency(f[1], leader, 200*time.Millisecond)
+	net.Send("w", leader, MsgWrite{ReqID: 1, Path: "/one", Data: []byte("1")})
+	net.After(5*time.Millisecond, func() {
+		net.Heal(leader, f[2])
+		net.Heal(leader, f[3])
+		net.Send("w", leader, MsgWrite{ReqID: 2, Path: "/two", Data: []byte("2")})
+	})
+
+	net.RunFor(100 * time.Millisecond)
+	if ops := reg.Counters().Get("zeus.propose.waves"); ops != 2 {
+		t.Fatalf("proposal waves = %d, want 2 separate waves", ops)
+	}
+	if len(replies) != 0 || e.Servers[leader].Tree().Get("/two") != nil {
+		t.Fatalf("wave 2 committed ahead of wave 1: replies %+v", replies)
+	}
+	net.RunFor(200 * time.Millisecond)
+	if len(replies) != 2 || replies[0].ReqID != 1 || replies[1].ReqID != 2 ||
+		!replies[0].OK || !replies[1].OK || replies[0].Zxid >= replies[1].Zxid {
+		t.Fatalf("replies = %+v, want write 1 then write 2 in zxid order", replies)
+	}
+	c := reg.Counters()
+	if b, ops := c.Get("zeus.commit.batches"), c.Get("zeus.commit.ops"); b != 1 || ops != 2 {
+		t.Errorf("commit batches = %d carrying %d ops, want one run of 2", b, ops)
+	}
+	net.RunFor(5 * time.Second) // f[2] and f[3] missed wave 1's proposal and resync
+	for id, s := range e.Servers {
+		if s.Tree().Get("/one") == nil || s.Tree().Get("/two") == nil {
+			t.Errorf("%s is missing a committed write", id)
+		}
+	}
+}

@@ -56,10 +56,10 @@ type msgProposeBatch struct {
 	Ops   []WriteOp
 }
 
-// msgAckBatch acknowledges every proposal in a wave at once.
+// msgAckBatch acknowledges a whole wave, named by its last zxid.
 type msgAckBatch struct {
 	Epoch int64
-	Zxids []int64
+	End   int64
 }
 
 // msgCommitBatch tells followers to apply a run of committed proposals, in
@@ -75,7 +75,7 @@ type msgCommitBatch struct {
 type msgLogDone struct {
 	Epoch  int64
 	Leader simnet.NodeID
-	Zxids  []int64
+	End    int64 // the wave's last zxid
 }
 
 // ---- Client protocol ----

@@ -53,13 +53,23 @@ const (
 // new leader's transactions always order after every prior epoch's.
 const zxidEpochShift = 32
 
+// proposal is one client write the leader has ordered but not yet committed.
 type proposal struct {
-	op        WriteOp
-	acks      map[simnet.NodeID]bool
-	committed bool
-	client    simnet.NodeID
-	reqID     int64
+	op     WriteOp
+	client simnet.NodeID
+	reqID  int64
 }
+
+// wave is one proposal wave in flight at the leader. The wave is the unit
+// that is logged, acknowledged and committed: its writes, in zxid order,
+// share one ack set.
+type wave struct {
+	props []proposal
+	acks  map[simnet.NodeID]bool // members whose log holds the wave
+}
+
+// end is the wave's last zxid, which names it in log and ack messages.
+func (w *wave) end() int64 { return w.props[len(w.props)-1].op.Zxid }
 
 // Server is one ensemble member (leader or follower).
 type Server struct {
@@ -74,16 +84,16 @@ type Server struct {
 
 	// Leader state. observers maps each registered observer to the instant
 	// it last re-registered; sessions silent past observerSessionTTL expire.
-	counter     int64
-	pending     map[int64]*proposal
-	versionSeq  map[string]int64 // highest version assigned per path (incl. pending)
-	observers   map[simnet.NodeID]time.Time
-	pendingZxid []int64 // sorted pending zxids for in-order commit
+	counter    int64
+	versionSeq map[string]int64 // highest version assigned per path (incl. uncommitted)
+	observers  map[simnet.NodeID]time.Time
 
-	// Group-commit state (leader).
-	batchBuf      []*proposal // writes waiting for the next proposal wave
-	waveEnds      []int64     // highest zxid of each in-flight wave, in order
-	inflightWaves int
+	// Group-commit state (leader): writes waiting for the next proposal
+	// wave, then the waves in flight, oldest first. Zxids are assigned in
+	// arrival order, so both are in zxid order and commits come off the
+	// front of waves.
+	batchBuf []proposal
+	waves    []*wave
 
 	// logBusyUntil models the single durable log device: wave log writes
 	// serialize behind each other at logSyncDelay apiece.
@@ -117,7 +127,6 @@ func NewServer(id simnet.NodeID, index int, members []simnet.NodeID) *Server {
 		index:       index,
 		members:     members,
 		tree:        NewDataTree(),
-		pending:     make(map[int64]*proposal),
 		versionSeq:  make(map[string]int64),
 		observers:   make(map[simnet.NodeID]time.Time),
 		uncommitted: make(map[int64]WriteOp),
@@ -215,8 +224,7 @@ func (s *Server) OnRestart(ctx *simnet.Context) {
 // retry, the standard at-least-once contract.
 func (s *Server) resetWaves() {
 	s.batchBuf = nil
-	s.waveEnds = nil
-	s.inflightWaves = 0
+	s.waves = nil
 	s.logBusyUntil = time.Time{}
 }
 
@@ -304,8 +312,6 @@ func (s *Server) becomeLeader(ctx *simnet.Context, term int64) {
 	s.epoch = term
 	s.leaderID = s.id
 	s.counter = 0
-	s.pending = make(map[int64]*proposal)
-	s.pendingZxid = nil
 	s.versionSeq = make(map[string]int64)
 	s.observers = make(map[simnet.NodeID]time.Time)
 	s.uncommitted = make(map[int64]WriteOp)
@@ -413,10 +419,7 @@ func (s *Server) onWrite(ctx *simnet.Context, from simnet.NodeID, m MsgWrite) {
 	}
 	s.versionSeq[m.Path] = version
 	op := WriteOp{Zxid: zxid, Path: m.Path, Data: m.Data, Version: version, Delete: m.Delete, At: ctx.Now()}
-	p := &proposal{op: op, acks: make(map[simnet.NodeID]bool), client: from, reqID: m.ReqID}
-	s.pending[zxid] = p
-	s.pendingZxid = append(s.pendingZxid, zxid)
-	s.batchBuf = append(s.batchBuf, p)
+	s.batchBuf = append(s.batchBuf, proposal{op: op, client: from, reqID: m.ReqID})
 	s.maybePropose(ctx)
 }
 
@@ -426,48 +429,43 @@ func (s *Server) maybePropose(ctx *simnet.Context) {
 	if s.role != RoleLeader || len(s.batchBuf) == 0 {
 		return
 	}
-	for len(s.batchBuf) > 0 && s.inflightWaves < maxInflightWaves {
-		n := len(s.batchBuf)
-		if n > maxWaveOps {
-			n = maxWaveOps
-		}
-		wave := s.batchBuf[:n:n]
-		s.batchBuf = append([]*proposal(nil), s.batchBuf[n:]...)
-		s.proposeWave(ctx, wave)
+	for len(s.batchBuf) > 0 && len(s.waves) < maxInflightWaves {
+		n := min(len(s.batchBuf), maxWaveOps)
+		props := s.batchBuf[:n:n]
+		s.batchBuf = append([]proposal(nil), s.batchBuf[n:]...)
+		s.proposeWave(ctx, props)
 	}
 }
 
 // proposeWave sends one multi-op proposal to every follower and starts the
 // leader's own durable log write for it.
-func (s *Server) proposeWave(ctx *simnet.Context, wave []*proposal) {
-	ops := make([]WriteOp, len(wave))
-	zxids := make([]int64, len(wave))
+func (s *Server) proposeWave(ctx *simnet.Context, props []proposal) {
+	ops := make([]WriteOp, len(props))
 	size := 0
-	for i, p := range wave {
+	for i, p := range props {
 		ops[i] = p.op
-		zxids[i] = p.op.Zxid
 		size += len(p.op.Path) + updateHeaderBytes + len(p.op.Data)
 	}
-	s.inflightWaves++
-	s.waveEnds = append(s.waveEnds, zxids[len(zxids)-1])
+	w := &wave{props: props, acks: make(map[simnet.NodeID]bool)}
+	s.waves = append(s.waves, w)
 	s.Obs.Add("zeus.propose.waves", 1)
 	s.Obs.Add("zeus.propose.ops", int64(len(ops)))
 	s.othersDo(ctx, func(peer simnet.NodeID) {
 		ctx.SendSized(peer, msgProposeBatch{Epoch: s.epoch, Ops: ops}, size)
 	})
-	s.scheduleLog(ctx, s.epoch, s.id, zxids)
+	s.scheduleLog(ctx, s.epoch, s.id, w.end())
 }
 
 // scheduleLog queues one durable log write for a wave on this server's log
 // device; waves serialize behind each other at logSyncDelay apiece, which
 // is exactly the cost group commit amortizes.
-func (s *Server) scheduleLog(ctx *simnet.Context, epoch int64, leader simnet.NodeID, zxids []int64) {
+func (s *Server) scheduleLog(ctx *simnet.Context, epoch int64, leader simnet.NodeID, end int64) {
 	now := ctx.Now()
 	if s.logBusyUntil.Before(now) {
 		s.logBusyUntil = now
 	}
 	s.logBusyUntil = s.logBusyUntil.Add(logSyncDelay)
-	ctx.SetTimer(s.logBusyUntil.Sub(now), msgLogDone{Epoch: epoch, Leader: leader, Zxids: zxids})
+	ctx.SetTimer(s.logBusyUntil.Sub(now), msgLogDone{Epoch: epoch, Leader: leader, End: end})
 }
 
 // onLogDone fires when a wave's log write is durable: the leader counts its
@@ -477,21 +475,15 @@ func (s *Server) onLogDone(ctx *simnet.Context, m msgLogDone) {
 		return // logged under a superseded leadership
 	}
 	if m.Leader == s.id {
-		if s.role != RoleLeader {
-			return
+		if s.role == RoleLeader {
+			s.ackWave(ctx, m.End, s.id)
 		}
-		for _, zxid := range m.Zxids {
-			if p := s.pending[zxid]; p != nil {
-				p.acks[s.id] = true
-			}
-		}
-		s.maybeCommit(ctx)
 		return
 	}
 	if m.Leader != s.leaderID {
 		return
 	}
-	ctx.Send(m.Leader, msgAckBatch{Epoch: m.Epoch, Zxids: m.Zxids})
+	ctx.Send(m.Leader, msgAckBatch{Epoch: m.Epoch, End: m.End})
 }
 
 func (s *Server) onProposeBatch(ctx *simnet.Context, from simnet.NodeID, m msgProposeBatch) {
@@ -499,66 +491,60 @@ func (s *Server) onProposeBatch(ctx *simnet.Context, from simnet.NodeID, m msgPr
 		return
 	}
 	s.lastLeaderContact = ctx.Now()
-	zxids := make([]int64, len(m.Ops))
-	for i, op := range m.Ops {
+	for _, op := range m.Ops {
 		s.uncommitted[op.Zxid] = op
-		zxids[i] = op.Zxid
 	}
 	// Ack only once the wave is durably logged (one log write per wave,
 	// not per op).
-	s.scheduleLog(ctx, m.Epoch, from, zxids)
+	s.scheduleLog(ctx, m.Epoch, from, m.Ops[len(m.Ops)-1].Zxid)
 }
 
 func (s *Server) onAckBatch(ctx *simnet.Context, from simnet.NodeID, m msgAckBatch) {
-	if s.role != RoleLeader || m.Epoch != s.epoch {
-		return
+	if s.role == RoleLeader && m.Epoch == s.epoch {
+		s.ackWave(ctx, m.End, from)
 	}
-	for _, zxid := range m.Zxids {
-		if p, ok := s.pending[zxid]; ok {
-			p.acks[from] = true
+}
+
+// ackWave records that member's log holds the in-flight wave ending at end.
+func (s *Server) ackWave(ctx *simnet.Context, end int64, member simnet.NodeID) {
+	for _, w := range s.waves {
+		if w.end() == end {
+			w.acks[member] = true
 		}
 	}
 	s.maybeCommit(ctx)
 }
 
-// maybeCommit commits pending proposals in strict zxid order: a proposal
-// only commits when it has quorum AND every earlier proposal has committed.
-// This preserves the in-order delivery guarantee of the commit log (§3.4).
-// The whole committed run fans out as ONE commit message to followers and
+// maybeCommit commits waves from the front of the queue, in strict zxid
+// order: a wave commits only when it has quorum AND every earlier wave has
+// committed. This preserves the in-order delivery guarantee of the commit
+// log (§3.4). The whole committed run — one wave, or several when a later
+// one reached quorum first — fans out as ONE commit message to followers and
 // ONE delta-encoded batch per observer.
 func (s *Server) maybeCommit(ctx *simnet.Context) {
-	sort.Slice(s.pendingZxid, func(i, j int) bool { return s.pendingZxid[i] < s.pendingZxid[j] })
 	var committed []int64
 	var updates []Update
 	size := 0 // wire bytes of updates
-	for len(s.pendingZxid) > 0 {
-		zxid := s.pendingZxid[0]
-		p := s.pending[zxid]
-		if p == nil {
-			s.pendingZxid = s.pendingZxid[1:]
-			continue
+	for len(s.waves) > 0 && len(s.waves[0].acks) >= s.quorum() {
+		for _, p := range s.waves[0].props {
+			// Capture the outgoing record first: it is the delta base for
+			// this op's push down the tree.
+			old := s.tree.Get(p.op.Path)
+			applied := s.tree.Apply(p.op)
+			s.Obs.PathEvent(p.op.Path, obs.PropEvent{
+				Stage: obs.EvZeusCommit, Node: string(s.id), Zxid: p.op.Zxid, At: ctx.Now(),
+			})
+			if applied { // a stale op left no record to push
+				u := s.makeUpdate(old, p.op)
+				updates = append(updates, u)
+				size += u.WireSize()
+			}
+			if p.client != "" {
+				ctx.Send(p.client, MsgWriteReply{ReqID: p.reqID, OK: true, Zxid: p.op.Zxid, Version: p.op.Version})
+			}
+			committed = append(committed, p.op.Zxid)
 		}
-		if len(p.acks) < s.quorum() {
-			break
-		}
-		// Commit. Capture the outgoing record first: it is the delta base
-		// for this op's push down the tree.
-		old := s.tree.Get(p.op.Path)
-		applied := s.tree.Apply(p.op)
-		s.Obs.PathEvent(p.op.Path, obs.PropEvent{
-			Stage: obs.EvZeusCommit, Node: string(s.id), Zxid: zxid, At: ctx.Now(),
-		})
-		if applied { // a stale op left no record to push
-			u := s.makeUpdate(old, p.op)
-			updates = append(updates, u)
-			size += u.WireSize()
-		}
-		if p.client != "" {
-			ctx.Send(p.client, MsgWriteReply{ReqID: p.reqID, OK: true, Zxid: zxid, Version: p.op.Version})
-		}
-		committed = append(committed, zxid)
-		delete(s.pending, zxid)
-		s.pendingZxid = s.pendingZxid[1:]
+		s.waves = s.waves[1:]
 	}
 	if len(committed) == 0 {
 		return
@@ -568,27 +554,24 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 	s.othersDo(ctx, func(peer simnet.NodeID) {
 		ctx.Send(peer, msgCommitBatch{Epoch: s.epoch, Zxids: committed})
 	})
+	s.pushToObservers(ctx, updates, size)
+	s.maybePropose(ctx) // a slot in the pipeline is free
+}
+
+// pushToObservers fans a committed run out as one broadcast wave of size
+// wire bytes. Recipients are sorted: iteration order decides which observer
+// draws each latency sample from the network RNG, and map order would make
+// otherwise-identical runs diverge. The batch payload (the updates slice) is
+// shared by every recipient and its serialization is charged once for the
+// wave.
+func (s *Server) pushToObservers(ctx *simnet.Context, updates []Update, size int) {
 	s.Obs.Add("zeus.push.bytes", int64(size))
-	// Fan out as one broadcast wave in sorted order: iteration order
-	// decides which observer draws each latency sample from the network
-	// RNG, and map order would make otherwise-identical runs diverge. The
-	// batch payload (the updates slice) is shared by every recipient and
-	// its serialization is charged once for the wave.
 	obsIDs := make([]simnet.NodeID, 0, len(s.observers))
 	for ob := range s.observers {
 		obsIDs = append(obsIDs, ob)
 	}
 	sort.Slice(obsIDs, func(i, j int) bool { return obsIDs[i] < obsIDs[j] })
 	ctx.Broadcast(obsIDs, msgUpdates{Epoch: s.epoch, Updates: updates}, size)
-	// Retire fully committed waves and let the next buffered wave propose.
-	last := committed[len(committed)-1]
-	for len(s.waveEnds) > 0 && s.waveEnds[0] <= last {
-		s.waveEnds = s.waveEnds[1:]
-		if s.inflightWaves > 0 {
-			s.inflightWaves--
-		}
-	}
-	s.maybePropose(ctx)
 }
 
 // makeUpdate builds the distribution-tree update for a committed op:
