@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet lint race fuzz staticcheck govulncheck bench report
+.PHONY: build test check vet lint race fuzz staticcheck govulncheck bench report lines
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,13 @@ test: build
 # ordinary tests and run in `test`; nothing here writes a tracked file.
 check: vet staticcheck govulncheck lint test race fuzz
 
+# vet: go vet, gofmt, and the dead-API check — a function under internal/
+# that no non-test file references fails unless cmd/deadapi/allow.txt names
+# it with a reason.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+	$(GO) run ./cmd/deadapi
 
 # staticcheck / govulncheck: run when the binaries are on PATH, skip with
 # a notice otherwise — the build container has no network, so `check`
@@ -60,3 +65,14 @@ bench:
 # size (minutes: the 100k-proxy and 10k-agent scenarios).
 report:
 	$(GO) run ./cmd/benchreport
+
+# lines: non-test and test Go lines per package directory, then the totals
+# CHANGES.md quotes.
+lines:
+	@find . -name '*.go' -not -path './.*' | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ dir = $$2; sub(/\/[^\/]*$$/, "", dir); t = ($$2 ~ /_test\.go$$/); n[dir, t] += $$1; dirs[dir] = 1; \
+		  all[t] += $$1; if (dir !~ /^\.\/bench/) out[t] += $$1 } \
+		END { printf "%-46s %8s %7s\n", "package", "non-test", "test"; \
+		      for (d in dirs) printf "%-46s %8d %7d\n", d, n[d, 0], n[d, 1] | "sort"; close("sort"); \
+		      printf "%-46s %8d %7d\n%-46s %8d %7d\n", "total", all[0], all[1], "total outside bench/", out[0], out[1] }'

@@ -50,7 +50,7 @@ var printed sync.Map
 func report(b *testing.B, r experiments.Result, headline ...string) {
 	b.Helper()
 	if _, dup := printed.LoadOrStore(b.Name(), true); !dup {
-		fmt.Printf("\n%s\n%s\n", r.Summary(), r.Text)
+		fmt.Printf("\n== %s: %s ==\n%s\n", r.ID, r.Title, r.Text)
 	}
 	for _, h := range headline {
 		if v, ok := r.Metrics[h]; ok {

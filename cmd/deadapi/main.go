@@ -49,19 +49,20 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		return p, nil
 	}
 	dir := "." + strings.TrimPrefix(path, module)
-	parsed, err := parser.ParseDir(l.fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, p := range parsed {
-		for _, f := range p.Files {
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
 			files = append(files, f)
 		}
 	}
-	sort.Slice(files, func(i, j int) bool { return l.fset.Position(files[i].Pos()).Filename < l.fset.Position(files[j].Pos()).Filename })
 	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
 	if err != nil {
 		return nil, err
@@ -96,13 +97,8 @@ func run() error {
 		if m, _ := filepath.Glob(filepath.Join(path, "*.go")); len(m) == 0 {
 			return nil
 		}
-		if _, err := l.Import(filepath.ToSlash(filepath.Join(module, path))); err != nil {
-			if strings.Contains(err.Error(), "no buildable Go source files") {
-				return nil
-			}
-			return err
-		}
-		return nil
+		_, err = l.Import(filepath.ToSlash(filepath.Join(module, path)))
+		return err
 	})
 	if err != nil {
 		return err

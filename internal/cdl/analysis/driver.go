@@ -28,8 +28,6 @@ type Driver struct {
 	// DeprecatedSitevars maps deprecated sitevar names to replacement
 	// notes for the deprecated-sitevar analyzer.
 	DeprecatedSitevars map[string]string
-	// Workers bounds load and analysis parallelism (default GOMAXPROCS).
-	Workers int
 }
 
 // NewDriver returns a driver over fs reusing eng's parse cache (eng may be
@@ -53,10 +51,7 @@ func (d *Driver) Run(roots []string) ([]Diagnostic, error) {
 	if d.FS == nil {
 		return nil, fmt.Errorf("analysis: driver has no filesystem")
 	}
-	workers := d.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0) // bounds load and analysis parallelism
 	analyzers := d.Analyzers
 	if analyzers == nil {
 		analyzers = Analyzers()

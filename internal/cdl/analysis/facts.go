@@ -239,11 +239,6 @@ func (b *factBuilder) facts(path string) *ModuleFacts {
 	return f
 }
 
-// Reaches reports whether from's import closure includes to.
-func (b *factBuilder) reaches(from, to string) bool {
-	return b.info(from).reach[to]
-}
-
 func isRootPath(path string) bool {
 	return len(path) > 6 && path[len(path)-6:] == ".cconf"
 }

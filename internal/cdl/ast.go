@@ -71,16 +71,6 @@ type SchemaDef struct {
 	End     Pos
 }
 
-// Field returns the field with the given name, or nil.
-func (s *SchemaDef) Field(name string) *FieldDef {
-	for _, f := range s.Fields {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
 // ---- Expressions ----
 
 // Expr is any expression node. Every node carries its start position and

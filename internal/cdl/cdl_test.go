@@ -399,13 +399,13 @@ func TestCanonicalJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestListImports(t *testing.T) {
+func TestScanImports(t *testing.T) {
 	src := []byte(`
 		import "feed/a.cinc";
 		import "tao/b.cinc";
 		export {};
 	`)
-	deps, err := ListImports("x.cconf", src)
+	deps, err := ScanImports("x.cconf", src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,3 @@ func ScanImports(file string, src []byte) ([]string, error) {
 		}
 	}
 }
-
-// ListImports returns the module's direct import paths — the cheap
-// dependency-extraction entry point used by the Dependency Service. It is
-// backed by the lexer-only scanner, so depgraph.ExtractAndSet does not pay
-// a full parse per changed file.
-func ListImports(file string, src []byte) ([]string, error) {
-	return ScanImports(file, src)
-}

@@ -93,8 +93,6 @@ type Fleet struct {
 	// subscribe to; the health model evaluates fault markers in them.
 	watched map[string]bool
 
-	// appModel computes a server's health sample; replaceable.
-	appModel func(f *Fleet, s *Server) health.Sample
 	// faults memoizes the default app model's decode of watched configs.
 	faults map[string][]faultVersion
 }
@@ -116,7 +114,6 @@ func New(cfg Config) *Fleet {
 		watched:   make(map[string]bool),
 		faults:    make(map[string][]faultVersion),
 	}
-	f.appModel = DefaultAppModel
 
 	// Zeus members spread round-robin across the first cluster of each
 	// region (the paper runs the consensus across regions for resilience).
@@ -165,9 +162,6 @@ func New(cfg Config) *Fleet {
 
 // AllServers returns every server.
 func (f *Fleet) AllServers() []*Server { return f.servers }
-
-// ServerByID resolves a server.
-func (f *Fleet) ServerByID(id simnet.NodeID) *Server { return f.byID[id] }
 
 // Cluster returns the servers in a cluster.
 func (f *Fleet) Cluster(name string) []*Server { return f.byCluster[name] }
@@ -230,9 +224,6 @@ func (f *Fleet) AttachMonitor(cfg monitor.Config) *monitor.Monitor {
 	return m
 }
 
-// SetAppModel replaces the health model.
-func (f *Fleet) SetAppModel(fn func(f *Fleet, s *Server) health.Sample) { f.appModel = fn }
-
 // ---- canary.Deployment implementation ----
 
 // Servers lists the fleet's server ids (stable order: creation order).
@@ -280,5 +271,5 @@ func (f *Fleet) Sample(server simnet.NodeID) health.Sample {
 	if s == nil {
 		return health.Sample{}
 	}
-	return f.appModel(f, s)
+	return DefaultAppModel(f, s)
 }

@@ -427,7 +427,7 @@ func orderShards(shards map[*vcs.Repository]*vcs.Diff) []*vcs.Repository {
 			if !isSource(ch.Path) || ch.Delete {
 				continue
 			}
-			imports, err := cdl.ListImports(ch.Path, ch.Content)
+			imports, err := cdl.ScanImports(ch.Path, ch.Content)
 			if err != nil {
 				continue // the strip's lint gate reports it
 			}

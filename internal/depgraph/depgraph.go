@@ -54,7 +54,7 @@ func (g *Graph) SetImports(file string, imports []string) {
 
 // ExtractAndSet parses the source, extracts its imports, and records them.
 func (g *Graph) ExtractAndSet(file string, src []byte) error {
-	imports, err := cdl.ListImports(file, src)
+	imports, err := cdl.ScanImports(file, src)
 	if err != nil {
 		return fmt.Errorf("depgraph: extracting %s: %w", file, err)
 	}
@@ -70,25 +70,6 @@ func (g *Graph) Remove(file string) {
 		delete(g.rdeps[old], file)
 	}
 	delete(g.deps, file)
-}
-
-// DirectImports returns the file's direct imports, sorted.
-func (g *Graph) DirectImports(file string) []string {
-	out := make([]string, len(g.deps[file]))
-	copy(out, g.deps[file])
-	sort.Strings(out)
-	return out
-}
-
-// DirectImporters returns the files that directly import the given file.
-func (g *Graph) DirectImporters(file string) []string {
-	set := g.rdeps[file]
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Dependents returns every file that transitively imports any of the
@@ -156,46 +137,4 @@ func (g *Graph) Files() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Cycle returns a dependency cycle if one exists ("" slice if acyclic).
-func (g *Graph) Cycle() []string {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int)
-	var stack []string
-	var cycle []string
-	var visit func(f string) bool
-	visit = func(f string) bool {
-		color[f] = gray
-		stack = append(stack, f)
-		for _, dep := range g.deps[f] {
-			switch color[dep] {
-			case gray:
-				// Found: slice the stack from dep onwards.
-				for i, s := range stack {
-					if s == dep {
-						cycle = append([]string{}, stack[i:]...)
-						return true
-					}
-				}
-			case white:
-				if visit(dep) {
-					return true
-				}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[f] = black
-		return false
-	}
-	for _, f := range g.Files() {
-		if color[f] == white && visit(f) {
-			return cycle
-		}
-	}
-	return nil
 }

@@ -85,13 +85,13 @@ func TestExtractAndSet(t *testing.T) {
 	if err := g.ExtractAndSet("feed/ranker.cconf", src); err != nil {
 		t.Fatal(err)
 	}
-	got := g.DirectImports("feed/ranker.cconf")
+	got := g.deps["feed/ranker.cconf"]
 	want := []string{"feed/base.cinc", "tao/shards.cinc"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DirectImports = %v", got)
+		t.Errorf("imports = %v", got)
 	}
-	if imp := g.DirectImporters("feed/base.cinc"); len(imp) != 1 || imp[0] != "feed/ranker.cconf" {
-		t.Errorf("DirectImporters = %v", imp)
+	if imp := g.rdeps["feed/base.cinc"]; len(imp) != 1 || !imp["feed/ranker.cconf"] {
+		t.Errorf("importers = %v", imp)
 	}
 }
 
@@ -99,23 +99,6 @@ func TestExtractParseError(t *testing.T) {
 	g := New()
 	if err := g.ExtractAndSet("bad.cconf", []byte(`import ;`)); err == nil {
 		t.Fatal("expected parse error")
-	}
-}
-
-func TestCycleDetection(t *testing.T) {
-	g := New()
-	g.SetImports("a", []string{"b"})
-	g.SetImports("b", []string{"c"})
-	g.SetImports("c", []string{"a"})
-	cyc := g.Cycle()
-	if len(cyc) != 3 {
-		t.Errorf("Cycle = %v", cyc)
-	}
-	g2 := New()
-	g2.SetImports("a", []string{"b"})
-	g2.SetImports("b", nil)
-	if cyc := g2.Cycle(); cyc != nil {
-		t.Errorf("false cycle: %v", cyc)
 	}
 }
 

@@ -53,25 +53,6 @@ func (r *Result) metric(name string, measured float64, paper float64, hasPaper b
 	}
 }
 
-// Summary renders the paper-vs-measured comparison block.
-func (r *Result) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
-	keys := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if paper, ok := r.PaperValues[k]; ok {
-			fmt.Fprintf(&b, "  %-44s paper=%-12.4g measured=%.4g\n", k, paper, r.Metrics[k])
-		} else {
-			fmt.Fprintf(&b, "  %-44s measured=%.4g\n", k, r.Metrics[k])
-		}
-	}
-	return b.String()
-}
-
 // Options scales the experiments; defaults are laptop-friendly.
 type Options struct {
 	Seed uint64

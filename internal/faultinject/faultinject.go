@@ -115,9 +115,6 @@ type Campaign struct {
 // fault-plan style so pipeline-level and infra-level campaigns compose).
 type Option func(*Campaign)
 
-// WithMix overrides the calibrated injection blend.
-func WithMix(m Mix) Option { return func(c *Campaign) { c.mix = m } }
-
 // WithSeed reseeds the campaign's deterministic RNG (default 1).
 func WithSeed(seed uint64) Option {
 	return func(c *Campaign) { c.rng = stats.NewRNG(seed) }

@@ -18,7 +18,7 @@ func newCampaign(t *testing.T, seed uint64) *Campaign {
 		t.Fatal("no leader")
 	}
 	p := core.New(core.Options{Fleet: f, CanaryPhase1: 2, CanaryPhase2: 30})
-	c := NewCampaign(p, WithMix(DefaultMix()), WithSeed(seed))
+	c := NewCampaign(p, WithSeed(seed))
 	if err := c.Seed(); err != nil {
 		t.Fatal(err)
 	}

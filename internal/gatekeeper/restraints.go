@@ -96,15 +96,6 @@ func (r *Registry) Lookup(name string) (*Restraint, error) {
 	return res, nil
 }
 
-// Names lists registered restraint names (unsorted).
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	return out
-}
-
 func inStrings(list []string, v string) bool {
 	for _, s := range list {
 		if s == v {

@@ -71,16 +71,3 @@ func Path(s string) string {
 	sh.mu.Unlock()
 	return v
 }
-
-// Size reports the number of distinct interned strings (tests and
-// capacity dashboards).
-func Size() int {
-	n := 0
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}

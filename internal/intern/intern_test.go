@@ -53,7 +53,7 @@ func TestPathWarmZeroAlloc(t *testing.T) {
 }
 
 func TestPathConcurrent(t *testing.T) {
-	before := Size()
+	before := size()
 	const goroutines = 8
 	const paths = 64
 	var wg sync.WaitGroup
@@ -77,7 +77,19 @@ func TestPathConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if grown := Size() - before; grown != paths {
+	if grown := size() - before; grown != paths {
 		t.Errorf("table grew by %d, want %d", grown, paths)
 	}
+}
+
+// size counts the distinct interned strings.
+func size() int {
+	n := 0
+	for i := range shards {
+		sh := &shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
 }

@@ -62,19 +62,3 @@ func (pr PromotionRules) Gate(d *vcs.Diff) error {
 	}
 	return nil
 }
-
-// ChainGates runs gates in order, stopping at the first refusal — how the
-// promotion gate composes with the configlint gate the pipeline installs.
-func ChainGates(gates ...func(*vcs.Diff) error) func(*vcs.Diff) error {
-	return func(d *vcs.Diff) error {
-		for _, g := range gates {
-			if g == nil {
-				continue
-			}
-			if err := g(d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}

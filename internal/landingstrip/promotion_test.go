@@ -1,7 +1,6 @@
 package landingstrip
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -124,20 +123,5 @@ func TestPromotionGateRefusesMalformed(t *testing.T) {
 	wc.Write("feeds/ranking.json", []byte("{}"))
 	if r := strip.Submit(wc.Diff("unrelated"), t0); r.Err != nil {
 		t.Errorf("unrelated change refused: %v", r.Err)
-	}
-}
-
-func TestChainGates(t *testing.T) {
-	boom := errors.New("boom")
-	var calls []string
-	g1 := func(*vcs.Diff) error { calls = append(calls, "g1"); return nil }
-	g2 := func(*vcs.Diff) error { calls = append(calls, "g2"); return boom }
-	g3 := func(*vcs.Diff) error { calls = append(calls, "g3"); return nil }
-	gate := ChainGates(g1, nil, g2, g3)
-	if err := gate(&vcs.Diff{}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if len(calls) != 2 || calls[0] != "g1" || calls[1] != "g2" {
-		t.Errorf("calls = %v (must stop at first refusal)", calls)
 	}
 }

@@ -97,11 +97,11 @@ func TestConvergenceTracking(t *testing.T) {
 	if s.Len() == 0 {
 		t.Fatal("no per-path convergence samples")
 	}
-	if last, ok := s.Last(); !ok || last.V != 1 {
-		t.Fatalf("last convergence sample = %+v", last)
+	if got := s.Samples(); got[len(got)-1].V != 1 {
+		t.Fatalf("last convergence sample = %+v", got[len(got)-1])
 	}
-	if fl, ok := reg.Series(monitor.SeriesConverged).Last(); !ok || fl.V != 1 {
-		t.Fatalf("fleet convergence sample = %+v", fl)
+	if got := reg.Series(monitor.SeriesConverged).Samples(); len(got) == 0 || got[len(got)-1].V != 1 {
+		t.Fatalf("fleet convergence samples = %+v", got)
 	}
 }
 

@@ -181,37 +181,6 @@ func (h *Histogram) quantileLocked(q float64) time.Duration {
 	return h.max
 }
 
-// Merge folds other's observations into h. Both sides share the fixed
-// bucket layout, so the merge is exact at bucket granularity.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	// Snapshot other first to keep lock ordering trivial.
-	other.mu.Lock()
-	counts := other.counts
-	count := other.count
-	sum := other.sum
-	min, max := other.min, other.max
-	other.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	h.mu.Lock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || min < h.min {
-		h.min = min
-	}
-	if max > h.max {
-		h.max = max
-	}
-	h.count += count
-	h.sum += sum
-	h.mu.Unlock()
-}
-
 // Summary renders the one-line p50/p90/p99 digest used by the text export.
 func (h *Histogram) Summary() string {
 	if h == nil {

@@ -71,12 +71,9 @@ type Registry struct {
 	lruSeq   int64
 	nextID   int
 
+	// Retention bounds; tests shrink them to reach eviction quickly.
 	traceCap  int
 	seriesCap int
-	// tailSampler, when set, decides at trace end whether a finished trace
-	// is retained; rejected traces are dropped and counted in
-	// obs.trace.sampled_out.
-	tailSampler func(*Trace) bool
 }
 
 // New returns an empty registry.
@@ -138,36 +135,6 @@ func (r *Registry) HistogramNames() []string {
 	return out
 }
 
-// SetTraceCap bounds the retained traces (values < 1 restore the
-// default). Lowering the cap evicts immediately.
-func (r *Registry) SetTraceCap(n int) {
-	if r == nil {
-		return
-	}
-	if n < 1 {
-		n = DefaultTraceCap
-	}
-	r.mu.Lock()
-	r.traceCap = n
-	r.evictTracesLocked()
-	r.mu.Unlock()
-}
-
-// SetTailSampler installs the tail-sampling policy: keep is consulted when
-// a trace ends (Trace.EndAt) and a false verdict drops the finished trace
-// from the registry, counted in obs.trace.sampled_out. Tail sampling keeps
-// the interesting traces (slow, erroring) at fleet scale without paying
-// for every commit; nil disables sampling (keep everything, subject to the
-// trace cap).
-func (r *Registry) SetTailSampler(keep func(*Trace) bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tailSampler = keep
-	r.mu.Unlock()
-}
-
 // evictTracesLocked drops least-recently-used traces until the cap holds.
 // Caller holds r.mu. Key/alias/path indexes are cleaned by scanning the
 // maps for the evicted pointer — never by locking the trace, so the
@@ -208,23 +175,6 @@ func (r *Registry) removeTraceLocked(tr *Trace) {
 	delete(r.lastUse, tr)
 }
 
-// finishTrace applies the tail-sampling verdict to a just-ended trace.
-func (r *Registry) finishTrace(tr *Trace) {
-	if r == nil || tr == nil {
-		return
-	}
-	r.mu.Lock()
-	keep := r.tailSampler
-	r.mu.Unlock()
-	if keep == nil || keep(tr) {
-		return
-	}
-	r.mu.Lock()
-	r.removeTraceLocked(tr)
-	r.counters.Add("obs.trace.sampled_out", 1)
-	r.mu.Unlock()
-}
-
 // StartTrace opens a commit-scoped trace. An empty key is assigned
 // "change-N" (N increments per registry). Starting a trace past the trace
 // cap evicts the least-recently-used one.
@@ -239,7 +189,6 @@ func (r *Registry) StartTrace(key string, start time.Time) *Trace {
 		key = fmt.Sprintf("change-%d", r.nextID)
 	}
 	tr := newTrace(key, start)
-	tr.reg = r
 	r.traces = append(r.traces, tr)
 	r.byKey[key] = tr
 	r.touchTraceLocked(tr)

@@ -42,12 +42,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.End(at(time.Second))
 	sp.Attr("k", "v")
-	if sp.Duration() != 0 {
-		t.Error("nil span Duration")
-	}
-	if sp.Child("c", at(0)) != nil {
-		t.Error("nil span Child")
-	}
 	tr.SetDistParent(sp)
 	tr.EndAt(at(time.Second))
 	if tr.Render() != "(nil trace)" {
@@ -61,7 +55,6 @@ func TestNilSafety(t *testing.T) {
 
 	var h *Histogram
 	h.Observe(time.Second)
-	h.Merge(NewHistogram())
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Error("nil histogram accessors")
 	}
@@ -71,32 +64,20 @@ func TestNilSafety(t *testing.T) {
 	if h.Summary() != "(nil histogram)" {
 		t.Error("nil histogram Summary")
 	}
-	if tr.RootDuration() != 0 {
-		t.Error("nil trace RootDuration")
-	}
 
-	// Time-series, retention, and merge APIs are equally nil-safe.
+	// The time-series API is equally nil-safe.
 	if r.Series("s") != nil {
 		t.Error("nil registry Series should be nil")
 	}
-	r.RecordSeries("s", at(0), 1)
+	r.Series("s").Record(at(0), 1)
 	if r.SeriesNames() != nil {
 		t.Error("nil registry SeriesNames should be nil")
 	}
-	r.SetSeriesCap(4)
-	r.SetTraceCap(4)
-	r.SetTailSampler(func(*Trace) bool { return false })
-	r.Merge(New())
-	New().Merge(r) // merging FROM nil is a no-op too
 
 	var s *Series
 	s.Record(at(0), 1)
-	s.Merge(NewSeries(4))
 	if s.Len() != 0 || s.Total() != 0 {
 		t.Error("nil series accessors")
-	}
-	if _, ok := s.Last(); ok {
-		t.Error("nil series Last")
 	}
 	if s.Samples() != nil {
 		t.Error("nil series Samples")
@@ -167,29 +148,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	n.Observe(-time.Second)
 	if n.Min() != 0 || n.Max() != 0 || n.Count() != 1 {
 		t.Error("negative observation should clamp to 0")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 50; i++ {
-		a.Observe(time.Millisecond)
-		b.Observe(time.Second)
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Errorf("merged count = %d", a.Count())
-	}
-	if a.Min() != time.Millisecond || a.Max() != time.Second {
-		t.Errorf("merged min/max = %s/%s", a.Min(), a.Max())
-	}
-	if got, want := a.Sum(), 50*time.Millisecond+50*time.Second; got != want {
-		t.Errorf("merged sum = %s, want %s", got, want)
-	}
-	// Merging an empty histogram must not clobber min.
-	a.Merge(NewHistogram())
-	if a.Min() != time.Millisecond {
-		t.Error("empty merge clobbered min")
 	}
 }
 

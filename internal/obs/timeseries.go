@@ -41,11 +41,6 @@ func newSeries(capacity int) *Series {
 	return &Series{cap: capacity}
 }
 
-// NewSeries returns a standalone series with the given ring capacity
-// (DefaultSeriesCap when < 1) — the registry-free constructor, mirroring
-// NewHistogram.
-func NewSeries(capacity int) *Series { return newSeries(capacity) }
-
 // Record appends one sample, overwriting the oldest once the ring is full.
 func (s *Series) Record(at time.Time, v float64) {
 	if s == nil {
@@ -84,19 +79,6 @@ func (s *Series) Total() uint64 {
 	return s.total
 }
 
-// Last returns the newest sample (ok=false when empty).
-func (s *Series) Last() (Sample, bool) {
-	if s == nil {
-		return Sample{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Sample{}, false
-	}
-	return s.buf[(s.head-1+s.cap)%s.cap], true
-}
-
 // Samples returns the retained window in chronological order (a copy).
 func (s *Series) Samples() []Sample {
 	if s == nil {
@@ -114,47 +96,6 @@ func (s *Series) samplesLocked() []Sample {
 		out = append(out, s.buf[(start+i)%s.cap])
 	}
 	return out
-}
-
-// Merge folds another series' retained window into this one: the combined
-// samples are interleaved chronologically and the newest cap survive.
-// Cross-registry Merge uses this so a per-run registry can be folded into
-// a long-lived one.
-func (s *Series) Merge(o *Series) {
-	if s == nil || o == nil || s == o {
-		return
-	}
-	theirs := o.Samples()
-	if len(theirs) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mine := s.samplesLocked()
-	merged := make([]Sample, 0, len(mine)+len(theirs))
-	i, j := 0, 0
-	for i < len(mine) && j < len(theirs) {
-		// Stable on ties: the receiver's sample first.
-		if !theirs[j].At.Before(mine[i].At) {
-			merged = append(merged, mine[i])
-			i++
-		} else {
-			merged = append(merged, theirs[j])
-			j++
-		}
-	}
-	merged = append(merged, mine[i:]...)
-	merged = append(merged, theirs[j:]...)
-	if len(merged) > s.cap {
-		merged = merged[len(merged)-s.cap:]
-	}
-	if s.buf == nil {
-		s.buf = make([]Sample, s.cap)
-	}
-	copy(s.buf, merged)
-	s.head = len(merged) % s.cap
-	s.n = len(merged)
-	s.total += uint64(len(theirs))
 }
 
 // summaryLocked is the one-line text rendering used by Registry.Text.
@@ -220,11 +161,6 @@ func (r *Registry) Series(name string) *Series {
 	return s
 }
 
-// RecordSeries appends one sample to the named series.
-func (r *Registry) RecordSeries(name string, at time.Time, v float64) {
-	r.Series(name).Record(at, v)
-}
-
 // SeriesNames lists the registered series, sorted.
 func (r *Registry) SeriesNames() []string {
 	if r == nil {
@@ -238,36 +174,4 @@ func (r *Registry) SeriesNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SetSeriesCap sets the ring capacity used by series created after the
-// call (existing series keep their rings). Values < 1 restore the default.
-func (r *Registry) SetSeriesCap(n int) {
-	if r == nil {
-		return
-	}
-	if n < 1 {
-		n = DefaultSeriesCap
-	}
-	r.mu.Lock()
-	r.seriesCap = n
-	r.mu.Unlock()
-}
-
-// Merge folds another registry's counters, histograms, and series into
-// this one. Traces are not merged — they are commit-scoped and bounded by
-// the trace cap instead. Both receivers nil-safe.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil || r == o {
-		return
-	}
-	for name, v := range o.Counters().Snapshot() {
-		r.Add(name, v)
-	}
-	for _, name := range o.HistogramNames() {
-		r.Histogram(name).Merge(o.Histogram(name))
-	}
-	for _, name := range o.SeriesNames() {
-		r.Series(name).Merge(o.Series(name))
-	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSeriesRingSemantics(t *testing.T) {
-	s := NewSeries(4)
+	s := newSeries(4)
 	for i := 0; i < 3; i++ {
 		s.Record(at(time.Duration(i)*time.Second), float64(i))
 	}
@@ -36,43 +36,11 @@ func TestSeriesRingSemantics(t *testing.T) {
 			t.Fatalf("retained = %+v, want values %v", got, want)
 		}
 	}
-	if last, ok := s.Last(); !ok || last.V != 9 {
-		t.Fatalf("last = %+v", last)
-	}
-}
-
-func TestSeriesMergeChronological(t *testing.T) {
-	a := NewSeries(8)
-	b := NewSeries(8)
-	a.Record(at(1*time.Second), 1)
-	a.Record(at(3*time.Second), 3)
-	b.Record(at(2*time.Second), 2)
-	b.Record(at(4*time.Second), 4)
-	a.Merge(b)
-	got := a.Samples()
-	if len(got) != 4 {
-		t.Fatalf("merged = %+v", got)
-	}
-	for i, want := range []float64{1, 2, 3, 4} {
-		if got[i].V != want {
-			t.Fatalf("merged order = %+v", got)
-		}
-	}
-	if a.Total() != 4 {
-		t.Fatalf("merged total = %d", a.Total())
-	}
-	// Merging more than cap keeps only the newest cap samples.
-	c := NewSeries(2)
-	c.Merge(a)
-	cs := c.Samples()
-	if len(cs) != 2 || cs[0].V != 3 || cs[1].V != 4 {
-		t.Fatalf("capped merge = %+v", cs)
-	}
 }
 
 func TestRegistrySeries(t *testing.T) {
 	r := New()
-	r.RecordSeries("b.rate", at(0), 1)
+	r.Series("b.rate").Record(at(0), 1)
 	r.Series("a.gauge").Record(at(time.Second), 2)
 	if got := r.SeriesNames(); len(got) != 2 || got[0] != "a.gauge" || got[1] != "b.rate" {
 		t.Fatalf("names = %v", got)
@@ -80,8 +48,8 @@ func TestRegistrySeries(t *testing.T) {
 	if r.Series("b.rate").Len() != 1 {
 		t.Fatal("recorded sample missing")
 	}
-	// SetSeriesCap applies to series created after the call.
-	r.SetSeriesCap(2)
+	// The registry's cap sizes the series it creates.
+	r.seriesCap = 2
 	s := r.Series("small")
 	for i := 0; i < 5; i++ {
 		s.Record(at(time.Duration(i)*time.Second), float64(i))
@@ -98,42 +66,12 @@ func TestRegistrySeries(t *testing.T) {
 	}
 }
 
-func TestRegistryMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Add("c", 1)
-	b.Add("c", 2)
-	b.Add("only-b", 5)
-	a.Observe("h", time.Second)
-	b.Observe("h", 3*time.Second)
-	a.RecordSeries("s", at(0), 1)
-	b.RecordSeries("s", at(time.Second), 2)
-
-	a.Merge(b)
-	if got := a.Counters().Get("c"); got != 3 {
-		t.Errorf("merged counter = %d", got)
-	}
-	if got := a.Counters().Get("only-b"); got != 5 {
-		t.Errorf("b-only counter = %d", got)
-	}
-	if got := a.Histogram("h").Count(); got != 2 {
-		t.Errorf("merged histogram count = %d", got)
-	}
-	if got := a.Series("s").Len(); got != 2 {
-		t.Errorf("merged series len = %d", got)
-	}
-	// Self-merge is a no-op, not a doubling.
-	a.Merge(a)
-	if got := a.Counters().Get("c"); got != 3 {
-		t.Errorf("self-merge changed counter: %d", got)
-	}
-}
-
 // TestTraceRetentionBounded is the regression gate for unbounded trace
 // growth: a 10k-commit run must stay within the trace cap, evict the
 // least-recently-used traces first, and keep alias/path lookups correct.
 func TestTraceRetentionBounded(t *testing.T) {
 	r := New()
-	r.SetTraceCap(64)
+	r.traceCap = 64
 	for i := 0; i < 10_000; i++ {
 		key := fmt.Sprintf("commit-%d", i)
 		tr := r.StartTrace(key, at(time.Duration(i)*time.Second))
@@ -171,7 +109,7 @@ func TestTraceRetentionBounded(t *testing.T) {
 
 func TestTraceEvictionDropsAliasesAndPaths(t *testing.T) {
 	r := New()
-	r.SetTraceCap(1)
+	r.traceCap = 1
 	t1 := r.StartTrace("first", at(0))
 	r.Alias(t1, "alias-1")
 	r.BindPath("/cfg/a", t1)
@@ -186,38 +124,8 @@ func TestTraceEvictionDropsAliasesAndPaths(t *testing.T) {
 	r.PathEvent("/cfg/a", PropEvent{Stage: EvZeusCommit, At: at(2 * time.Second)})
 }
 
-func TestSetTraceCapEvictsImmediately(t *testing.T) {
-	r := New()
-	for i := 0; i < 10; i++ {
-		r.StartTrace(fmt.Sprintf("t-%d", i), at(time.Duration(i)))
-	}
-	r.SetTraceCap(3)
-	if got := len(r.Traces()); got != 3 {
-		t.Fatalf("traces after cap = %d", got)
-	}
-}
-
-func TestTailSampler(t *testing.T) {
-	r := New()
-	// Keep only traces slower than 1s.
-	r.SetTailSampler(func(tr *Trace) bool { return tr.RootDuration() > time.Second })
-	fast := r.StartTrace("fast", at(0))
-	fast.EndAt(at(10 * time.Millisecond))
-	slow := r.StartTrace("slow", at(0))
-	slow.EndAt(at(5 * time.Second))
-	if r.TraceByKey("fast") != nil {
-		t.Fatal("fast trace survived tail sampling")
-	}
-	if r.TraceByKey("slow") == nil {
-		t.Fatal("slow trace sampled out")
-	}
-	if got := r.Counters().Get("obs.trace.sampled_out"); got != 1 {
-		t.Fatalf("obs.trace.sampled_out = %d", got)
-	}
-}
-
 // TestSeriesConcurrent pins the concurrency contract under -race: series
-// writes race snapshots, merges, and renders.
+// writes race snapshots and renders.
 func TestSeriesConcurrent(t *testing.T) {
 	r := New()
 	var wg sync.WaitGroup
@@ -233,18 +141,15 @@ func TestSeriesConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				r.RecordSeries(name, at(time.Duration(i)), float64(i))
+				r.Series(name).Record(at(time.Duration(i)), float64(i))
 			}
 		}(g)
 	}
-	other := New()
-	other.RecordSeries("s-0", at(0), 1)
 	for i := 0; i < 200; i++ {
 		_ = r.Series("s-0").Samples()
-		_, _ = r.Series("s-1").Last()
+		_ = r.Series("s-1").Len()
 		_ = r.Text()
 		_ = r.JSON()
-		other.Merge(r)
 	}
 	close(stop)
 	wg.Wait()

@@ -37,11 +37,6 @@ type Trace struct {
 	Aliases []string // commit hashes added when the change lands
 	Root    *Span
 
-	// reg is the owning registry (nil for free-standing traces): EndAt
-	// reports back so the tail sampler can decide whether the finished
-	// trace is retained.
-	reg *Registry
-
 	// distParent is where distribution hop spans attach ("propagate"
 	// stage when the pipeline marks one, else the root).
 	distParent *Span
@@ -79,16 +74,6 @@ func (t *Trace) Span(name string, start time.Time) *Span {
 	return t.Root.childLocked(name, start)
 }
 
-// Child opens a sub-span.
-func (s *Span) Child(name string, start time.Time) *Span {
-	if s == nil {
-		return nil
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	return s.childLocked(name, start)
-}
-
 func (s *Span) childLocked(name string, start time.Time) *Span {
 	c := &Span{tr: s.tr, Name: name, Start: start}
 	s.Children = append(s.Children, c)
@@ -115,19 +100,6 @@ func (s *Span) Attr(key string, value interface{}) {
 	s.tr.mu.Unlock()
 }
 
-// Duration reports End-Start (0 while the span is open).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	if s.EndTime.IsZero() {
-		return 0
-	}
-	return s.EndTime.Sub(s.Start)
-}
-
 // Annotate attaches an attribute to the trace's root span.
 func (t *Trace) Annotate(key string, value interface{}) {
 	if t == nil {
@@ -147,28 +119,14 @@ func (t *Trace) SetDistParent(s *Span) {
 	t.mu.Unlock()
 }
 
-// EndAt closes the root span and submits the finished trace to the
-// registry's tail sampler (if any), which may drop it. The registry lock
-// is taken only after t.mu is released, so samplers may inspect the trace
-// freely.
+// EndAt closes the root span.
 func (t *Trace) EndAt(at time.Time) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.Root.EndTime = at
-	reg := t.reg
 	t.mu.Unlock()
-	reg.finishTrace(t)
-}
-
-// RootDuration reports the ended trace's total duration (0 while open) —
-// the usual tail-sampling signal.
-func (t *Trace) RootDuration() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.Root.Duration()
 }
 
 // addEvent stitches one propagation event into the hop-span tree. It

@@ -170,14 +170,6 @@ func (a *Agent) OnAnnounce(md Metadata) {
 	ctx.SetTimer(manifestRetry, msgManifestRetry{Name: md.Name, Version: md.Version})
 }
 
-// OnManifest starts (or dedups into) a transfer from an already-verified
-// manifest — the direct entry used when the caller holds the manifest
-// itself rather than the small metadata record.
-func (a *Agent) OnManifest(m blob.Manifest, origin, tracker simnet.NodeID) {
-	ctx := simnet.MakeContext(a.net, a.id)
-	a.startTransfer(&ctx, m, origin, tracker, false)
-}
-
 // FetchDirect is the ablation baseline: fetch every missing chunk
 // straight from origin, no swarm coordination.
 func (a *Agent) FetchDirect(m blob.Manifest, origin simnet.NodeID) {

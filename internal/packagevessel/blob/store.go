@@ -89,13 +89,6 @@ func (s *Store) Has(d Digest) bool {
 	return ok
 }
 
-// Drop removes a chunk (quarantine of corrupt on-disk data).
-func (s *Store) Drop(d Digest) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.chunks, d)
-}
-
 // Missing returns the manifest's distinct digests not yet in the store,
 // in manifest order.
 func (s *Store) Missing(m Manifest) []Digest {

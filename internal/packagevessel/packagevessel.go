@@ -38,7 +38,6 @@ import (
 	"sort"
 	"strings"
 
-	"configerator/internal/obs"
 	"configerator/internal/packagevessel/blob"
 	"configerator/internal/simnet"
 	"configerator/internal/stats"
@@ -271,7 +270,6 @@ type Registry struct {
 	tracker simnet.NodeID
 	store   *blob.Store
 	tags    map[string]map[string]int64 // name -> tag -> version
-	obs     *obs.Registry
 	last    PublishStats
 
 	// ChunksServed counts chunks served (the load P2P is meant to shed).
@@ -289,9 +287,6 @@ func NewRegistry(net *simnet.Network, id simnet.NodeID, p simnet.Placement, trac
 	net.AddNode(id, p, r)
 	return r
 }
-
-// SetObs attaches the metrics registry (nil-safe).
-func (r *Registry) SetObs(reg *obs.Registry) { r.obs = reg }
 
 // ID is the registry's node id.
 func (r *Registry) ID() simnet.NodeID { return r.id }
@@ -335,8 +330,6 @@ func (r *Registry) Publish(p Package) (blob.Manifest, error) {
 			st.DedupBytes += int64(c.Size())
 		}
 	}
-	r.obs.Add("vessel.chunks.dedup", int64(st.DedupChunks))
-	r.obs.Add("vessel.bytes.saved", st.DedupBytes)
 	r.store.Begin(m, string(r.id), string(r.tracker))
 	if err := r.store.Commit(m); err != nil {
 		return blob.Manifest{}, err

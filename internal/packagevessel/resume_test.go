@@ -108,11 +108,14 @@ func TestResumeAfterDiskLoss(t *testing.T) {
 
 	plan := simnet.NewFaultPlan(
 		simnet.WithCrash(2*time.Second, "srv-0"),
-		// While down, the disk loses everything fetched so far.
+		// While down, the disk loses every chunk fetched so far; only the
+		// journal survives.
 		simnet.WithCall(3*time.Second, "wipe-disk", func() {
-			for _, r := range m.Chunks {
-				a.Store().Drop(r.Digest)
+			wiped := blob.NewStore()
+			for _, j := range a.store.Journals() {
+				wiped.Begin(j.Manifest, j.Origin, j.Coordinator)
 			}
+			a.store = wiped
 		}),
 		simnet.WithRestart(5*time.Second, "srv-0"),
 	)

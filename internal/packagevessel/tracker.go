@@ -3,7 +3,6 @@ package packagevessel
 import (
 	"time"
 
-	"configerator/internal/obs"
 	"configerator/internal/packagevessel/blob"
 	"configerator/internal/simnet"
 )
@@ -64,7 +63,6 @@ type digestState struct {
 type Tracker struct {
 	id  simnet.NodeID
 	net *simnet.Network
-	obs *obs.Registry
 
 	digests map[blob.Digest]*digestState
 	// busy counts grants per holder in the current tick; refilled (cleared)
@@ -103,9 +101,6 @@ func NewTracker(net *simnet.Network, id simnet.NodeID, p simnet.Placement) *Trac
 	return t
 }
 
-// SetObs attaches the metrics registry (nil-safe).
-func (t *Tracker) SetObs(reg *obs.Registry) { t.obs = reg }
-
 // SetHolderBudget tunes grants per holder per refill tick. Roughly
 // uplink_bytes_per_tick / chunk_size; too high just queues at the
 // holder's uplink, too low idles it.
@@ -131,14 +126,6 @@ func HolderBudgetFor(uplinkBps float64, chunkSize int) int {
 
 // ID is the tracker's node id.
 func (t *Tracker) ID() simnet.NodeID { return t.id }
-
-// Holders reports the known holder count for a digest.
-func (t *Tracker) Holders(d blob.Digest) int {
-	if s, ok := t.digests[d]; ok {
-		return s.count
-	}
-	return 0
-}
 
 // OnRestart implements simnet.Restarter: re-arm the budget tick.
 func (t *Tracker) OnRestart(ctx *simnet.Context) {
@@ -257,7 +244,6 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 	if len(grants) == 0 {
 		t.EmptyWants++
 	}
-	t.obs.Add("vessel.tracker.grants", int64(len(grants)))
 	ctx.Send(agent, msgAssign{Grants: grants, Retry: len(grants) == 0})
 }
 

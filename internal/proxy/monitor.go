@@ -62,9 +62,6 @@ func (p *Proxy) EnableMonitor(target simnet.NodeID, every time.Duration) {
 	}
 }
 
-// MonitorTarget reports the monitor node heartbeats go to ("" = off).
-func (p *Proxy) MonitorTarget() simnet.NodeID { return p.monTarget }
-
 // onTickMonitor builds and sends one heartbeat from the current read
 // snapshot, then re-arms the tick.
 func (p *Proxy) onTickMonitor(ctx *simnet.Context) {

@@ -35,11 +35,6 @@ const (
 	// FlagNewAuthor: the author has never touched this config before
 	// (combined with age, a common incident precursor).
 	FlagNewAuthor FlagKind = "first-time-author"
-	// FlagRecentAlerts: the fleet-health monitor recently fired SLO
-	// alerts naming this path — changing a config that is already
-	// implicated in an active or just-resolved incident deserves extra
-	// scrutiny.
-	FlagRecentAlerts FlagKind = "recent-fleet-alerts"
 )
 
 // Flag is one advisory finding.
@@ -69,11 +64,6 @@ type Thresholds struct {
 	// SetReach) is at least this large — catching new-but-widely-imported
 	// configs that have no author history yet. 0 disables.
 	SharedReach int
-	// AlertWindow / AlertCount flag updates to a path named in at least
-	// AlertCount fleet-health alerts (fed via NoteAlert) within the last
-	// AlertWindow. AlertCount 0 disables.
-	AlertWindow time.Duration
-	AlertCount  int
 }
 
 // DefaultThresholds are calibrated against the §6.2 distributions: 35% of
@@ -86,8 +76,6 @@ func DefaultThresholds() Thresholds {
 		MinLines:      20,
 		SharedAuthors: 20,
 		SharedReach:   25,
-		AlertWindow:   time.Hour,
-		AlertCount:    1,
 	}
 }
 
@@ -113,15 +101,11 @@ type Advisor struct {
 	// the pipeline's dataflow pass — the forward-looking complement to
 	// the backward-looking author history.
 	reach map[string]int
-	// alerts holds recent fleet-health alert instants per path, fed by
-	// the monitor's OnAlert hook via NoteAlert.
-	alerts map[string][]time.Time
 }
 
 // New returns an advisor with the given thresholds.
 func New(t Thresholds) *Advisor {
-	return &Advisor{t: t, paths: make(map[string]*pathHistory),
-		reach: make(map[string]int), alerts: make(map[string][]time.Time)}
+	return &Advisor{t: t, paths: make(map[string]*pathHistory), reach: make(map[string]int)}
 }
 
 // SetReach records a config's static blast-radius size (downstream
@@ -133,30 +117,6 @@ func (a *Advisor) SetReach(path string, size int) {
 
 // Reach reports the last recorded static blast-radius size for path.
 func (a *Advisor) Reach(path string) int { return a.reach[path] }
-
-// NoteAlert records that a fleet-health alert named this path at the
-// given instant — wire the monitor's OnAlert hook here. Only a bounded
-// recent history is kept per path.
-func (a *Advisor) NoteAlert(path string, at time.Time) {
-	ts := append(a.alerts[path], at)
-	if len(ts) > 64 {
-		ts = ts[len(ts)-64:]
-	}
-	a.alerts[path] = ts
-}
-
-// RecentAlerts counts alerts recorded for path within the trailing
-// AlertWindow ending at now.
-func (a *Advisor) RecentAlerts(path string, now time.Time) int {
-	cutoff := now.Add(-a.t.AlertWindow)
-	n := 0
-	for _, at := range a.alerts[path] {
-		if !at.Before(cutoff) && !at.After(now) {
-			n++
-		}
-	}
-	return n
-}
 
 // Observe records one landed update (create or modify).
 func (a *Advisor) Observe(path, author string, lineChanges int, now time.Time) {
@@ -240,13 +200,6 @@ func (a *Advisor) Assess(path, author string, lineChanges int, now time.Time) []
 		flags = append(flags, Flag{Kind: FlagNewAuthor, Path: path,
 			Detail: fmt.Sprintf("%s has never updated this config (%d prior updates by others)",
 				author, h.updates)})
-	}
-	if a.t.AlertCount > 0 {
-		if n := a.RecentAlerts(path, now); n >= a.t.AlertCount {
-			flags = append(flags, Flag{Kind: FlagRecentAlerts, Path: path,
-				Detail: fmt.Sprintf("named in %d fleet-health alert(s) in the last %s",
-					n, a.t.AlertWindow)})
-		}
 	}
 	return flags
 }

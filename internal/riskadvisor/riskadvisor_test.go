@@ -170,65 +170,3 @@ func TestLineSizeWindowBounded(t *testing.T) {
 		t.Errorf("lineSizes window = %d, want <= 64", n)
 	}
 }
-
-func TestRecentAlertsFlagged(t *testing.T) {
-	a := New(DefaultThresholds())
-	a.Observe("hot.json", "alice", 2, t0)
-	a.NoteAlert("hot.json", t0.Add(10*time.Minute))
-	now := t0.Add(30 * time.Minute)
-	if got := a.RecentAlerts("hot.json", now); got != 1 {
-		t.Fatalf("RecentAlerts = %d", got)
-	}
-	flags := a.Assess("hot.json", "alice", 2, now)
-	if !hasFlag(flags, FlagRecentAlerts) {
-		t.Errorf("flags = %v, want %s", flags, FlagRecentAlerts)
-	}
-}
-
-func TestRecentAlertsExpireOutsideWindow(t *testing.T) {
-	a := New(DefaultThresholds()) // AlertWindow = 1h
-	a.Observe("cool.json", "alice", 2, t0)
-	a.NoteAlert("cool.json", t0)
-	now := t0.Add(2 * time.Hour)
-	if got := a.RecentAlerts("cool.json", now); got != 0 {
-		t.Fatalf("RecentAlerts = %d after window", got)
-	}
-	if flags := a.Assess("cool.json", "alice", 2, now); hasFlag(flags, FlagRecentAlerts) {
-		t.Errorf("stale alert still flagged: %v", flags)
-	}
-}
-
-func TestRecentAlertsThresholdAndDisable(t *testing.T) {
-	th := DefaultThresholds()
-	th.AlertCount = 3
-	a := New(th)
-	a.Observe("x.json", "alice", 2, t0)
-	for i := 0; i < 2; i++ {
-		a.NoteAlert("x.json", t0.Add(time.Duration(i)*time.Minute))
-	}
-	now := t0.Add(5 * time.Minute)
-	if flags := a.Assess("x.json", "alice", 2, now); hasFlag(flags, FlagRecentAlerts) {
-		t.Errorf("flagged below threshold: %v", flags)
-	}
-	a.NoteAlert("x.json", t0.Add(3*time.Minute))
-	if flags := a.Assess("x.json", "alice", 2, now); !hasFlag(flags, FlagRecentAlerts) {
-		t.Error("not flagged at threshold")
-	}
-
-	th.AlertCount = 0
-	off := New(th)
-	off.NoteAlert("y.json", t0)
-	if flags := off.Assess("y.json", "alice", 2, t0); hasFlag(flags, FlagRecentAlerts) {
-		t.Errorf("disabled signal fired: %v", flags)
-	}
-}
-
-func TestNoteAlertHistoryBounded(t *testing.T) {
-	a := New(DefaultThresholds())
-	for i := 0; i < 200; i++ {
-		a.NoteAlert("z.json", t0.Add(time.Duration(i)*time.Second))
-	}
-	if n := len(a.alerts["z.json"]); n > 64 {
-		t.Errorf("alert history = %d, want <= 64", n)
-	}
-}

@@ -148,9 +148,6 @@ func (p *FaultPlan) Len() int { return len(p.events) }
 // Fired reports how many scripted events have executed so far.
 func (p *FaultPlan) Fired() int { return p.fired }
 
-// Events returns a copy of the schedule (for reports and assertions).
-func (p *FaultPlan) Events() []FaultEvent { return append([]FaultEvent(nil), p.events...) }
-
 // Apply schedules every event on the network's simulation loop, offsets
 // measured from now. Each event, when it fires, is mirrored into the
 // network's obs registry: "fault.injected" plus "fault.<kind>". A plan can

@@ -39,11 +39,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
@@ -95,20 +90,6 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomises the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Fork derives an independent generator; deterministic given the parent
-// state, so subsystems can be given their own stream.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
 }
 
 // Hash64 mixes arbitrary bytes into a 64-bit value with the same finalizer

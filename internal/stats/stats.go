@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // CDF is an empirical cumulative distribution function over float64 samples.
@@ -37,9 +36,6 @@ func (c *CDF) AddAll(xs []float64) {
 	c.samples = append(c.samples, xs...)
 	c.sorted = false
 }
-
-// N reports the number of samples.
-func (c *CDF) N() int { return len(c.samples) }
 
 func (c *CDF) ensureSorted() {
 	if !c.sorted {
@@ -111,28 +107,6 @@ func (c *CDF) Max() float64 {
 	return c.samples[len(c.samples)-1]
 }
 
-// Table renders "x -> F(x)" rows for the given cut points, in the style of
-// the paper's CDF figures (Figures 8, 9, 10).
-func (c *CDF) Table(points []float64, format string) string {
-	var b strings.Builder
-	for _, p := range points {
-		fmt.Fprintf(&b, format+"\t%5.1f%%\n", p, 100*c.FractionAtMost(p))
-	}
-	return b.String()
-}
-
-// Buckets counts samples per half-open interval [bounds[i-1], bounds[i]),
-// with an implicit (-inf, bounds[0]) first bucket and [bounds[last], +inf)
-// final bucket. The returned slice has len(bounds)+1 entries.
-func (c *CDF) Buckets(bounds []float64) []int {
-	counts := make([]int, len(bounds)+1)
-	for _, x := range c.samples {
-		i := sort.SearchFloat64s(bounds, math.Nextafter(x, math.Inf(1)))
-		counts[i]++
-	}
-	return counts
-}
-
 // Histogram is a counter over integer-valued observations, used for the
 // paper's frequency tables (Tables 1-3).
 type Histogram struct {
@@ -153,9 +127,6 @@ func (h *Histogram) Observe(v int) {
 
 // Total reports the number of observations.
 func (h *Histogram) Total() int { return h.total }
-
-// Count reports how many observations had exactly value v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
 
 // FractionExactly reports the fraction of observations with exactly value v.
 func (h *Histogram) FractionExactly(v int) float64 {
@@ -271,9 +242,4 @@ func NormQuantile(p float64) float64 {
 		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
-}
-
-// NormCDF returns the standard normal CDF via erf.
-func NormCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }

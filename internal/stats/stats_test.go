@@ -51,18 +51,6 @@ func TestCDFMinMaxMean(t *testing.T) {
 	}
 }
 
-func TestCDFBuckets(t *testing.T) {
-	c := NewCDF(1, 2, 3, 10, 20)
-	counts := c.Buckets([]float64{2, 10})
-	// (-inf,2): 1 -> 1; [2,10): 2,3 -> 2; [10,inf): 10,20 -> 2
-	want := []int{1, 2, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, counts[i], want[i])
-		}
-	}
-}
-
 func TestQuantileMonotonic(t *testing.T) {
 	rng := NewRNG(7)
 	c := NewCDF()
@@ -138,9 +126,9 @@ func TestHistogramTopShare(t *testing.T) {
 func TestNormQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999} {
 		z := NormQuantile(p)
-		back := NormCDF(z)
+		back := 0.5 * (1 + math.Erf(z/math.Sqrt2)) // the standard normal CDF
 		if math.Abs(back-p) > 1e-6 {
-			t.Errorf("NormCDF(NormQuantile(%v)) = %v", p, back)
+			t.Errorf("CDF(NormQuantile(%v)) = %v", p, back)
 		}
 	}
 	if NormQuantile(0.5) != 0 && math.Abs(NormQuantile(0.5)) > 1e-9 {

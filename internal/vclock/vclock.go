@@ -38,11 +38,6 @@ func NewVirtual() *Virtual {
 	return &Virtual{base: Epoch}
 }
 
-// NewVirtualAt returns a virtual clock starting at t.
-func NewVirtualAt(t time.Time) *Virtual {
-	return &Virtual{base: t}
-}
-
 // Now reports the current virtual time. Safe for concurrent use.
 func (v *Virtual) Now() time.Time { return v.base.Add(time.Duration(v.off.Load())) }
 
@@ -69,9 +64,6 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 		}
 	}
 }
-
-// Since reports the virtual time elapsed since t.
-func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
 // Real is the wall clock.
 type Real struct{}

@@ -9,7 +9,7 @@ func TestVirtualAdvance(t *testing.T) {
 	v := NewVirtual()
 	start := v.Now()
 	v.Advance(5 * time.Second)
-	if got := v.Since(start); got != 5*time.Second {
+	if got := v.Now().Sub(start); got != 5*time.Second {
 		t.Errorf("Since = %v, want 5s", got)
 	}
 }
@@ -35,14 +35,6 @@ func TestVirtualNegativePanics(t *testing.T) {
 		}
 	}()
 	NewVirtual().Advance(-time.Second)
-}
-
-func TestNewVirtualAt(t *testing.T) {
-	at := time.Date(2015, 10, 4, 0, 0, 0, 0, time.UTC)
-	v := NewVirtualAt(at)
-	if !v.Now().Equal(at) {
-		t.Errorf("Now = %v, want %v", v.Now(), at)
-	}
 }
 
 func TestRealClock(t *testing.T) {

@@ -51,12 +51,3 @@ func (m CostModel) CommitCost(files, historyDepth int) time.Duration {
 func (m CostModel) UpdateCost(files int) time.Duration {
 	return m.UpdateBase + time.Duration(files)*m.UpdatePerFile
 }
-
-// ThroughputPerMinute converts a per-commit cost into the paper's
-// commits/minute axis.
-func ThroughputPerMinute(cost time.Duration) float64 {
-	if cost <= 0 {
-		return 0
-	}
-	return float64(time.Minute) / float64(cost)
-}

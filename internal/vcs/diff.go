@@ -2,7 +2,6 @@ package vcs
 
 import (
 	"bytes"
-	"hash/fnv"
 )
 
 // LineStat summarises a textual change the way Unix diff and the paper's
@@ -35,9 +34,7 @@ func splitLines(b []byte) [][]byte {
 func hashLines(lines [][]byte) []uint64 {
 	hs := make([]uint64, len(lines))
 	for i, l := range lines {
-		h := fnv.New64a()
-		h.Write(l)
-		hs[i] = h.Sum64()
+		hs[i] = HashBytes(l)
 	}
 	return hs
 }
@@ -151,14 +148,4 @@ func (r *Repository) treeOf(commit Hash) (Tree, error) {
 	}
 	t, _ := r.store.Tree(c.Tree)
 	return t, nil
-}
-
-// StatCommit returns the stat of a commit against its parent.
-func (r *Repository) StatCommit(commit Hash) (CommitStat, error) {
-	c, ok := r.store.Commit(commit)
-	if !ok {
-		return CommitStat{}, ErrNotFound
-	}
-	stat, _, err := r.DiffCommits(c.Parent, commit)
-	return stat, err
 }

@@ -1,10 +1,8 @@
 package vcs
 
 import (
-	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // RepoSet serves a partitioned global namespace over multiple repositories
@@ -84,21 +82,6 @@ func (s *RepoSet) SplitDiff(d *Diff) map[*Repository]*Diff {
 		shard.Changes = append(shard.Changes, c)
 	}
 	return out
-}
-
-// CommitChanges lands a (possibly cross-repo) set of changes, one commit
-// per owning repository.
-func (s *RepoSet) CommitChanges(author, message string, now time.Time, changes ...Change) (map[*Repository]Hash, error) {
-	shards := s.SplitDiff(&Diff{Author: author, Message: message, Changes: changes})
-	out := make(map[*Repository]Hash, len(shards))
-	for repo, shard := range shards {
-		h, err := repo.Land(shard, now)
-		if err != nil {
-			return out, fmt.Errorf("vcs: landing in %s: %w", repo.Name, err)
-		}
-		out[repo] = h
-	}
-	return out, nil
 }
 
 // TotalFiles reports the file count across all repositories.

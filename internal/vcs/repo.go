@@ -261,9 +261,6 @@ func (w *WorkingCopy) Diff(message string) *Diff {
 	return d
 }
 
-// UpToDate reports whether the base is the repository head.
-func (w *WorkingCopy) UpToDate() bool { return w.Base == w.repo.head }
-
 // Update fast-forwards the base to the repository head, keeping staged
 // edits. It returns ErrConflict if a staged file also changed upstream.
 func (w *WorkingCopy) Update() error {

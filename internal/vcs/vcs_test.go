@@ -207,13 +207,13 @@ func TestDiffLinesLargeFallback(t *testing.T) {
 	}
 }
 
-func TestStatCommit(t *testing.T) {
+func TestDiffCommitsStat(t *testing.T) {
 	r := NewRepository("test")
-	r.CommitChanges("a", "v1", t0, Change{Path: "f", Content: []byte("a\nb\n")})
+	h1 := r.CommitChanges("a", "v1", t0, Change{Path: "f", Content: []byte("a\nb\n")})
 	h2 := r.CommitChanges("a", "v2", t0,
 		Change{Path: "f", Content: []byte("a\nB\n")},
 		Change{Path: "g", Content: []byte("new\n")})
-	st, err := r.StatCommit(h2)
+	st, _, err := r.DiffCommits(h1, h2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +246,8 @@ func TestCostModelShape(t *testing.T) {
 		t.Errorf("cost must grow with repo size: %v vs %v", small, large)
 	}
 	// Figure 13 endpoints: ~240 commits/min small, low tens at 1M files.
-	tpSmall := ThroughputPerMinute(small)
-	tpLarge := ThroughputPerMinute(large)
+	tpSmall := float64(time.Minute) / float64(small)
+	tpLarge := float64(time.Minute) / float64(large)
 	if tpSmall < 150 || tpSmall > 300 {
 		t.Errorf("small-repo throughput = %.0f/min, want ~240", tpSmall)
 	}
@@ -286,15 +286,17 @@ func TestRepoSetCrossRepoCommit(t *testing.T) {
 	s := NewRepoSet("default")
 	s.AddRepo("feed")
 	s.AddRepo("tao")
-	hashes, err := s.CommitChanges("alice", "cross", t0,
-		Change{Path: "feed/a", Content: []byte("1")},
-		Change{Path: "tao/b", Content: []byte("2")},
-		Change{Path: "other/c", Content: []byte("3")})
-	if err != nil {
-		t.Fatal(err)
+	shards := s.SplitDiff(&Diff{Author: "alice", Message: "cross", Changes: []Change{
+		{Path: "feed/a", Content: []byte("1")},
+		{Path: "tao/b", Content: []byte("2")},
+		{Path: "other/c", Content: []byte("3")}}})
+	if len(shards) != 3 {
+		t.Fatalf("expected 3 shards, got %d", len(shards))
 	}
-	if len(hashes) != 3 {
-		t.Fatalf("expected 3 shard commits, got %d", len(hashes))
+	for repo, shard := range shards {
+		if _, err := repo.Land(shard, t0); err != nil {
+			t.Fatalf("landing in %s: %v", repo.Name, err)
+		}
 	}
 	if b, err := s.ReadFile("feed/a"); err != nil || string(b) != "1" {
 		t.Errorf("feed/a = %q, %v", b, err)

@@ -142,9 +142,6 @@ func (s *Server) Role() Role { return s.role }
 // Epoch reports the server's current epoch.
 func (s *Server) Epoch() int64 { return s.epoch }
 
-// LeaderID reports who this server believes leads ("" if unknown).
-func (s *Server) LeaderID() simnet.NodeID { return s.leaderID }
-
 // ObserverCount reports how many observer sessions this server (when
 // leader) currently considers live.
 func (s *Server) ObserverCount() int { return len(s.observers) }
