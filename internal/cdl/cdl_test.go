@@ -399,7 +399,7 @@ func TestCanonicalJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestScanImports(t *testing.T) {
+func TestListImports(t *testing.T) {
 	src := []byte(`
 		import "feed/a.cinc";
 		import "tao/b.cinc";

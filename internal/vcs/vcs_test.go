@@ -207,7 +207,7 @@ func TestDiffLinesLargeFallback(t *testing.T) {
 	}
 }
 
-func TestDiffCommitsStat(t *testing.T) {
+func TestStatCommit(t *testing.T) {
 	r := NewRepository("test")
 	h1 := r.CommitChanges("a", "v1", t0, Change{Path: "f", Content: []byte("a\nb\n")})
 	h2 := r.CommitChanges("a", "v2", t0,
