@@ -12,6 +12,7 @@
 //	configerator trace   [-json] [COMMIT]         # commit-scoped span tree from a demo fleet
 //	configerator status  [-json]                  # fleet convergence, stragglers, SLO alerts
 //	configerator vessel  [-json] publish|promote|status   # content-addressed package registry demo
+//	configerator gk explain SPEC.json USER.json [-json]   # why a user passes or fails a Gatekeeper project
 package main
 
 import (
@@ -41,11 +42,16 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	root := fs.String("root", ".", "config source tree root")
-	asJSON := fs.Bool("json", false, "emit deterministic JSON instead of text (trace, status)")
+	asJSON := fs.Bool("json", false, "emit deterministic JSON instead of text (trace, status, vessel, gk)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
 	args := fs.Args()
+	// flag stops at the first positional argument; -json is documented
+	// after them too (`vessel status -json`, `gk explain SPEC USER -json`).
+	if n := len(args); n > 0 && args[n-1] == "-json" {
+		args, *asJSON = args[:n-1], true
+	}
 
 	switch cmd {
 	case "compile", "build", "check":
@@ -114,6 +120,8 @@ func main() {
 		runStatus(*asJSON)
 	case "vessel":
 		runVessel(args, *asJSON)
+	case "gk":
+		runGK(args, *asJSON)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -147,5 +155,6 @@ configerator — config-as-code toolchain
   configerator vessel  [-json] publish [NAME [SIZE_MB]]   publish + swarm a package (demo fleet)
   configerator vessel  [-json] promote [NAME TAG VERSION] move a tag through the strip gate
   configerator vessel  [-json] status                     registry packages, versions, and tags
+  configerator gk explain SPEC.json USER.json [-json]     which rule matched, each restraint's result, the die
 `))
 }

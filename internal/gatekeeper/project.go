@@ -1,8 +1,12 @@
 package gatekeeper
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"configerator/internal/stats"
 )
@@ -60,36 +64,25 @@ func (s *ProjectSpec) Encode() []byte {
 	return b
 }
 
-// boundRestraint is a compiled restraint instance with runtime statistics.
+// boundRestraint is one restraint instance of a compiled rule — an
+// instruction of the program: the test its restraint bound from the spec's
+// Params, and the execution statistics for cost-based optimization. A
+// reorder permutes pointers to it, so the counters carry over.
 type boundRestraint struct {
-	spec RestraintSpec
-	impl *Restraint
-	// Execution statistics for cost-based optimization.
-	evals     uint64
-	trues     uint64
-	totalCost float64
-}
-
-func (b *boundRestraint) check(u *User) bool {
-	b.evals++
-	b.totalCost += b.impl.BaseCost
-	res := b.impl.Check(u, b.spec.Params)
-	if b.spec.Negate {
-		res = !res
-	}
-	if res {
-		b.trues++
-	}
-	return res
+	spec         RestraintSpec
+	test         test
+	cost         float64
+	evals, trues atomic.Uint64
 }
 
 // probTrue estimates P(restraint passes) from observed stats (seeded at
 // 0.5 before data accumulates).
 func (b *boundRestraint) probTrue() float64 {
-	if b.evals < 32 {
+	evals := b.evals.Load()
+	if evals < 32 {
 		return 0.5
 	}
-	return float64(b.trues) / float64(b.evals)
+	return float64(b.trues.Load()) / float64(evals)
 }
 
 // rank orders restraints for evaluation within a conjunction: evaluate the
@@ -99,135 +92,166 @@ func (b *boundRestraint) probTrue() float64 {
 func (b *boundRestraint) rank() float64 {
 	pFalse := 1 - b.probTrue()
 	const eps = 1e-3
-	return b.impl.BaseCost / (pFalse + eps)
+	return b.cost / (pFalse + eps)
 }
 
-// boundRule is a compiled if-statement.
-type boundRule struct {
-	restraints []*boundRestraint
-	passProb   float64
-	order      []int // evaluation order (indices into restraints)
+// rule is a compiled if-statement: its conjunction in evaluation order,
+// and the sampling applied when it holds.
+type rule struct {
+	code     []*boundRestraint
+	passProb float64
 }
 
-// Project is a compiled Gatekeeper project: the boolean tree the runtime
-// evaluates on every gk_check.
+// Project is a compiled Gatekeeper project: the program the runtime runs
+// on every gk_check. A published []rule is never written again — a reorder
+// publishes a copy — so checks from any number of goroutines share it;
+// everything a check writes is an atomic counter.
 type Project struct {
-	Name  string
-	rules []*boundRule
+	Name string
+	// die is the hash state after "$project:". A check's die extends it
+	// with the user id's digits, which is byte for byte
+	// stats.HashFloat(fmt.Sprintf("%s:%d", project, id)) without the string.
+	die   stats.Hash
+	rules atomic.Pointer[[]rule]
 
-	// Checks and PassCount are exposure statistics.
-	Checks    uint64
+	// PassCount is the exposure statistic: checks answered true since
+	// Compile. Check adds to it atomically; read it with
+	// atomic.LoadUint64 while checks run.
 	PassCount uint64
+	checks    atomic.Uint64
 
-	optimizeEvery uint64
+	optimizeEvery uint64     // set before the project is shared
+	reorder       sync.Mutex // one Optimize at a time
 }
 
-// Compile binds a spec's restraint names against the registry.
+// Compile binds a spec's restraint names against the registry and resolves
+// each instance's params, once, into its test.
 func Compile(spec *ProjectSpec, reg *Registry) (*Project, error) {
-	p := &Project{Name: spec.Project, optimizeEvery: 1024}
-	for _, rs := range spec.Rules {
-		rule := &boundRule{passProb: rs.PassProbability}
+	p := &Project{Name: spec.Project, die: stats.HashPrefix(spec.Project + ":"), optimizeEvery: 1024}
+	rules := make([]rule, len(spec.Rules))
+	for ri, rs := range spec.Rules {
+		rules[ri].passProb = rs.PassProbability
 		for _, inst := range rs.Restraints {
 			impl, err := reg.Lookup(inst.Name)
 			if err != nil {
 				return nil, err
 			}
-			rule.restraints = append(rule.restraints, &boundRestraint{spec: inst, impl: impl})
+			rules[ri].code = append(rules[ri].code,
+				&boundRestraint{spec: inst, test: impl.bind(inst.Params), cost: impl.BaseCost})
 		}
-		rule.order = make([]int, len(rule.restraints))
-		for i := range rule.order {
-			rule.order[i] = i
-		}
-		p.rules = append(p.rules, rule)
 	}
+	p.rules.Store(&rules)
 	return p, nil
 }
 
 // Check is gk_check(project, user): walk the if-statements in order; the
 // first rule whose conjunction holds casts the deterministic die.
-func (p *Project) Check(u *User) bool {
-	p.Checks++
-	if p.optimizeEvery > 0 && p.Checks%p.optimizeEvery == 0 {
+func (p *Project) Check(u *User) bool { return p.run(u, nil) }
+
+// run is the one evaluator: Check calls it with no explanation to fill,
+// Explain with one.
+func (p *Project) run(u *User, ex *Explanation) bool {
+	if n := p.checks.Add(1); p.optimizeEvery > 0 && n%p.optimizeEvery == 0 {
 		p.Optimize()
 	}
-	for _, rule := range p.rules {
-		matched := true
-		for _, idx := range rule.order {
-			if !rule.restraints[idx].check(u) {
-				matched = false
-				break
+next:
+	for ri, rule := range *p.rules.Load() {
+		for _, b := range rule.code {
+			res := b.test(u) != b.spec.Negate
+			b.evals.Add(1)
+			if ex != nil {
+				ex.step(ri, b, res)
 			}
-		}
-		if matched {
-			if sampleUser(p.Name, u.ID, rule.passProb) {
-				p.PassCount++
-				return true
+			if !res {
+				continue next
 			}
-			return false
+			b.trues.Add(1)
 		}
+		pass := sampled(p.die, u.ID, rule.passProb)
+		if ex != nil {
+			ex.matched(ri, p.die.Int(u.ID).Float(), rule.passProb)
+		}
+		if pass {
+			atomic.AddUint64(&p.PassCount, 1)
+		}
+		return pass
 	}
 	return false
 }
 
-// sampleUser is the paper's rand($user_id) < $pass_prob with a determinism
+// sampled is the paper's rand($user_id) < $pass_prob with a determinism
 // guarantee: the same (project, user) always lands on the same side for a
-// given probability, and increasing the probability only adds users.
-func sampleUser(project string, userID int64, p float64) bool {
+// given probability, and increasing the probability only adds users. die
+// is the hash state after "$project:".
+func sampled(die stats.Hash, userID int64, p float64) bool {
 	if p <= 0 {
 		return false
 	}
 	if p >= 1 {
 		return true
 	}
-	return stats.HashFloat(fmt.Sprintf("%s:%d", project, userID)) < p
+	return die.Int(userID).Float() < p
 }
 
 // Optimize reorders each conjunction by the cost-based rank, like an SQL
-// engine reordering predicates (§4).
+// engine reordering predicates (§4): a stable sort, so equal ranks keep
+// their order. A rule whose order changes is copied and the new program
+// published; checks in flight finish on the old one. A call that moves
+// nothing allocates nothing.
 func (p *Project) Optimize() {
-	for _, rule := range p.rules {
-		order := rule.order
-		// Insertion sort by rank: tiny lists, called often.
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && rule.restraints[order[j]].rank() < rule.restraints[order[j-1]].rank(); j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
+	p.reorder.Lock()
+	defer p.reorder.Unlock()
+	rules := *p.rules.Load()
+	var next []rule // a copy of rules, made when the first rule changes
+	for ri, r := range rules {
+		if slices.IsSortedFunc(r.code, byRank) {
+			continue
 		}
+		if next == nil {
+			next = slices.Clone(rules)
+		}
+		next[ri].code = slices.Clone(r.code)
+		slices.SortStableFunc(next[ri].code, byRank)
+	}
+	if next != nil {
+		published := next // declared here so that only a publishing call allocates it
+		p.rules.Store(&published)
 	}
 }
 
+func byRank(a, b *boundRestraint) int { return cmp.Compare(a.rank(), b.rank()) }
+
 // SetOptimizeInterval tunes (or, with 0, disables) periodic reordering.
+// Call it before the project serves checks from other goroutines.
 func (p *Project) SetOptimizeInterval(every uint64) { p.optimizeEvery = every }
 
 // EvalOrder exposes the current evaluation order of rule i (tests).
 func (p *Project) EvalOrder(rule int) []string {
-	r := p.rules[rule]
-	out := make([]string, len(r.order))
-	for i, idx := range r.order {
-		out[i] = r.restraints[idx].spec.Name
+	code := (*p.rules.Load())[rule].code
+	out := make([]string, len(code))
+	for i, b := range code {
+		out[i] = b.spec.Name
 	}
 	return out
 }
 
 // RestraintEvals reports total restraint evaluations across rules — the
 // work metric the optimizer minimizes.
-func (p *Project) RestraintEvals() uint64 {
-	var n uint64
-	for _, r := range p.rules {
-		for _, b := range r.restraints {
-			n += b.evals
-		}
-	}
+func (p *Project) RestraintEvals() (n uint64) {
+	p.each(func(b *boundRestraint) { n += b.evals.Load() })
 	return n
 }
 
 // RestraintCost reports the total weighted evaluation cost.
-func (p *Project) RestraintCost() float64 {
-	var c float64
-	for _, r := range p.rules {
-		for _, b := range r.restraints {
-			c += b.totalCost
+func (p *Project) RestraintCost() (c float64) {
+	p.each(func(b *boundRestraint) { c += float64(b.evals.Load()) * b.cost })
+	return c
+}
+
+func (p *Project) each(f func(b *boundRestraint)) {
+	for _, r := range *p.rules.Load() {
+		for _, b := range r.code {
+			f(b)
 		}
 	}
-	return c
 }

@@ -2,30 +2,39 @@ package gatekeeper
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"configerator/internal/confclient"
 )
 
 // Runtime is the Gatekeeper runtime embedded in a product server (the
 // paper's HHVM extension): it holds the compiled projects, re-compiles a
-// project whenever its config changes, and serves gk_check calls.
+// project whenever its config changes, and serves gk_check calls. Check is
+// safe from any number of goroutines while Load runs: the project table is
+// an immutable map behind an atomic pointer, replaced copy-on-write.
 type Runtime struct {
 	registry *Registry
-	projects map[string]*Project
+	projects atomic.Pointer[map[string]*Project]
+	loading  sync.Mutex // one Load at a time
 
-	// Recompiles counts live project config swaps.
+	// Recompiles counts live project config swaps. Load writes it; read
+	// it from the goroutine that loads, or once loading has stopped.
 	Recompiles uint64
 }
 
 // NewRuntime returns an empty runtime over the registry.
 func NewRuntime(reg *Registry) *Runtime {
-	return &Runtime{registry: reg, projects: make(map[string]*Project)}
+	r := &Runtime{registry: reg}
+	r.projects.Store(&map[string]*Project{})
+	return r
 }
 
 // Load installs (or replaces) a project from its config artifact. Called
-// live when a config update arrives — no code upgrade.
+// live when a config update arrives — no code upgrade. All the work that
+// depends only on the config happens here, once; the project's counters
+// start again from zero.
 func (r *Runtime) Load(data []byte) error {
 	spec, err := ParseProjectSpec(data)
 	if err != nil {
@@ -35,7 +44,11 @@ func (r *Runtime) Load(data []byte) error {
 	if err != nil {
 		return err
 	}
-	r.projects[p.Name] = p
+	r.loading.Lock()
+	defer r.loading.Unlock()
+	next := maps.Clone(*r.projects.Load())
+	next[p.Name] = p
+	r.projects.Store(&next)
 	r.Recompiles++
 	return nil
 }
@@ -43,25 +56,12 @@ func (r *Runtime) Load(data []byte) error {
 // Check is gk_check($project, $user): false for unknown projects (a
 // product must fail closed when its gate config has not arrived).
 func (r *Runtime) Check(project string, u *User) bool {
-	p, ok := r.projects[project]
-	if !ok {
-		return false
-	}
-	return p.Check(u)
+	p := (*r.projects.Load())[project]
+	return p != nil && p.Check(u)
 }
 
 // Project returns a loaded project (nil if absent).
-func (r *Runtime) Project(name string) *Project { return r.projects[name] }
-
-// Projects lists loaded project names, sorted.
-func (r *Runtime) Projects() []string {
-	out := make([]string, 0, len(r.projects))
-	for n := range r.projects {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *Runtime) Project(name string) *Project { return (*r.projects.Load())[name] }
 
 // Bind watches a project's config path so that config updates rebuild
 // the boolean tree live (bottom of Figure 3: the new config is delivered
@@ -109,10 +109,4 @@ func RolloutStages(project, region string) []*ProjectSpec {
 		mk(employee(1.0), regional(0.05), global(0.10)),
 		mk(global(1.0)),
 	}
-}
-
-// String summarizes runtime state.
-func (r *Runtime) String() string {
-	return fmt.Sprintf("gatekeeper.Runtime{projects: %d, recompiles: %d}",
-		len(r.projects), r.Recompiles)
 }

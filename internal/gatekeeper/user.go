@@ -19,17 +19,17 @@ import "time"
 // User is the evaluation context for one gate check: the viewer and
 // environment attributes restraints inspect.
 type User struct {
-	ID          int64
-	Employee    bool
-	Country     string
-	Region      string
-	Locale      string
-	App         string // product binary: "www", "fb4a", "messenger", ...
-	Platform    string // "www", "ios", "android"
-	AppVersion  int    // monotone build number
-	DeviceModel string
-	AccountAge  time.Duration
-	FriendCount int
+	ID          int64         `json:"id"`
+	Employee    bool          `json:"employee"`
+	Country     string        `json:"country"`
+	Region      string        `json:"region"`
+	Locale      string        `json:"locale"`
+	App         string        `json:"app"`         // product binary: "www", "fb4a", "messenger", ...
+	Platform    string        `json:"platform"`    // "www", "ios", "android"
+	AppVersion  int           `json:"app_version"` // monotone build number
+	DeviceModel string        `json:"device_model"`
+	AccountAge  time.Duration `json:"-"` // account_age_days in ParseUser's JSON
+	FriendCount int           `json:"friend_count"`
 	// Now is the check time (virtual time in simulations).
-	Now time.Time
+	Now time.Time `json:"now"`
 }

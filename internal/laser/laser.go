@@ -7,44 +7,51 @@
 package laser
 
 import (
-	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// Store is the key → score store.
+// key is the paper's "$project-$user_id", kept as the pair so a lookup
+// formats nothing.
+type key struct {
+	project string
+	userID  int64
+}
+
+// Store is the (project, user) → score store.
 type Store struct {
 	mu   sync.RWMutex
-	data map[string]float64
+	data map[key]float64
 
 	// Gets counts lookups (the restraint-cost statistics feed on this).
-	Gets uint64
+	Gets atomic.Uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{data: make(map[string]float64)}
+	return &Store{data: make(map[key]float64)}
 }
 
-// Get returns the score for key; ok reports presence.
-func (s *Store) Get(key string) (float64, bool) {
-	s.mu.Lock()
-	s.Gets++
-	v, ok := s.data[key]
-	s.mu.Unlock()
+// Get returns a user's score under project; ok reports presence.
+func (s *Store) Get(project string, userID int64) (float64, bool) {
+	s.Gets.Add(1)
+	s.mu.RLock()
+	v, ok := s.data[key{project, userID}]
+	s.mu.RUnlock()
 	return v, ok
 }
 
 // Set stores one score (the stream-processing path: continuous updates).
-func (s *Store) Set(key string, score float64) {
+func (s *Store) Set(project string, userID int64, score float64) {
 	s.mu.Lock()
-	s.data[key] = score
+	s.data[key{project, userID}] = score
 	s.mu.Unlock()
 }
 
-// Delete removes a key.
-func (s *Store) Delete(key string) {
+// Delete removes a user's score.
+func (s *Store) Delete(project string, userID int64) {
 	s.mu.Lock()
-	delete(s.data, key)
+	delete(s.data, key{project, userID})
 	s.mu.Unlock()
 }
 
@@ -53,12 +60,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.data)
-}
-
-// UserKey builds the "$project-$user_id" key format the paper describes
-// for the laser() restraint's get().
-func UserKey(project string, userID int64) string {
-	return fmt.Sprintf("%s-%d", project, userID)
 }
 
 // BatchJob models the MapReduce path: an offline job that computes a score
@@ -74,7 +75,7 @@ type BatchJob struct {
 func (j BatchJob) Run(store *Store, userIDs []int64) int {
 	loaded := 0
 	for _, id := range userIDs {
-		store.Set(UserKey(j.Project, id), j.Compute(id))
+		store.Set(j.Project, id, j.Compute(id))
 		loaded++
 	}
 	return loaded
@@ -96,6 +97,6 @@ func NewStreamFeeder(project string, store *Store) *StreamFeeder {
 
 // Feed applies one scored event for a user.
 func (f *StreamFeeder) Feed(userID int64, score float64) {
-	f.store.Set(UserKey(f.Project, userID), score)
+	f.store.Set(f.Project, userID, score)
 	f.Events++
 }

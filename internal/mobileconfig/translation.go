@@ -237,7 +237,7 @@ func (t *Translator) pickVariant(b FieldBinding, user *gatekeeper.User) (interfa
 	if total <= 0 {
 		return nil, false
 	}
-	x := stats.HashFloat(fmt.Sprintf("exp:%s:%d", b.Project, user.ID)) * total
+	x := stats.HashPrefix("exp:"+b.Project+":").Int(user.ID).Float() * total
 	acc := 0.0
 	for _, v := range b.Variants {
 		acc += v.Weight

@@ -92,21 +92,66 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Hash64 mixes arbitrary bytes into a 64-bit value with the same finalizer
-// as the RNG; used for deterministic per-entity sampling (e.g., Gatekeeper
-// user bucketing) without constructing a generator.
-func Hash64(data string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(data); i++ {
-		h ^= uint64(data[i])
-		h *= 0x100000001b3
+// Hash is the FNV-1a state after some prefix of an input. A caller that
+// hashes many inputs sharing a prefix (Gatekeeper's "$project:" before each
+// user id) keeps the prefix's state and extends a copy per input, with no
+// string built: HashPrefix(p).Int(id).Sum64() == Hash64(p + strconv.Itoa(id)).
+type Hash uint64
+
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+// HashPrefix returns the state after the bytes of s.
+func HashPrefix(s string) Hash {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return Hash(h)
 }
 
-// HashFloat maps arbitrary bytes to a uniform [0,1) value; deterministic.
-func HashFloat(data string) float64 {
-	return float64(Hash64(data)>>11) / (1 << 53)
+// Int extends the state with v's decimal digits, as fmt's %d prints them.
+func (h Hash) Int(v int64) Hash {
+	var buf [20]byte // len("-9223372036854775808")
+	i := len(buf)
+	u := uint64(v)
+	if v < 0 {
+		u = -u
+	}
+	for ; u >= 10; u /= 10 {
+		i--
+		buf[i] = byte('0' + u%10)
+	}
+	i--
+	buf[i] = byte('0' + u)
+	if v < 0 {
+		i--
+		buf[i] = '-'
+	}
+	for ; i < len(buf); i++ {
+		h = (h ^ Hash(buf[i])) * fnvPrime
+	}
+	return h
 }
+
+// Sum64 mixes the state into a 64-bit value with the same finalizer as the
+// RNG.
+func (h Hash) Sum64() uint64 {
+	x := uint64(h)
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Float maps the state to a uniform [0,1) value.
+func (h Hash) Float() float64 { return float64(h.Sum64()>>11) / (1 << 53) }
+
+// Hash64 mixes arbitrary bytes into a 64-bit value; used for deterministic
+// per-entity sampling (e.g., Gatekeeper user bucketing) without
+// constructing a generator.
+func Hash64(data string) uint64 { return HashPrefix(data).Sum64() }
+
+// HashFloat maps arbitrary bytes to a uniform [0,1) value; deterministic.
+func HashFloat(data string) float64 { return HashPrefix(data).Float() }

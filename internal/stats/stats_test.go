@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -241,6 +242,32 @@ func TestHash64Deterministic(t *testing.T) {
 	f := HashFloat("user:12345")
 	if f < 0 || f >= 1 {
 		t.Errorf("HashFloat out of range: %v", f)
+	}
+}
+
+// TestHashPrefixMatchesFormatted: extending a prefix state with an int64 is
+// hashing the formatted string, so the Gatekeeper die is byte-compatible
+// with HashFloat(fmt.Sprintf("%s:%d", project, id)). The two constants pin
+// Hash64 itself to the values it had before it was expressed through Hash.
+func TestHashPrefixMatchesFormatted(t *testing.T) {
+	if got := Hash64(""); got != 0xf52a15e9a9b5e89b {
+		t.Errorf("Hash64(\"\") = %#x", got)
+	}
+	if got := Hash64("Launch:-9223372036854775808"); got != 0x1538195de0e6a042 {
+		t.Errorf("Hash64 of the MinInt64 die = %#x", got)
+	}
+	rng := NewRNG(7)
+	ids := []int64{0, 1, -1, 9, 10, -10, 99, 100, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for i := 0; i < 2000; i++ {
+		ids = append(ids, int64(rng.Uint64())>>uint(rng.Intn(64)))
+	}
+	for i, id := range ids {
+		project := strings.Repeat("P\u00e9", i%4) + itoa(i%13)
+		want := fmt.Sprintf("%s:%d", project, id)
+		h := HashPrefix(project + ":").Int(id)
+		if h.Sum64() != Hash64(want) || h.Float() != HashFloat(want) {
+			t.Fatalf("HashPrefix(%q).Int(%d) differs from hashing %q", project+":", id, want)
+		}
 	}
 }
 
