@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -694,15 +695,18 @@ func waveAllocBytes(t *testing.T, size, n int) (edit, rewrite float64) {
 
 // TestWaveCostFollowsContentNotFleetSize is the distribution plane's
 // O(content) gate: a pushed version is materialised once and shared, so each
-// further proxy a wave reaches adds bookkeeping — an entry, a snapshot swap,
-// the event that carried it — and never a copy of the body. What a proxy
-// adds is measured against the same wave to a fleet of one (which already
-// pays everything that is per wave: the ensemble's copies, the encode, the
-// one materialisation); it must be below the body length for a 2 KB and a
-// 32 KB config alike, and the same within 10 % at 50 proxies and at 500.
+// further proxy a wave reaches adds bookkeeping — one entry state, the event
+// that carried it — and never a copy of the body or of the proxy's cell table.
+// What a proxy adds is measured against the same wave to a fleet of one (which
+// already pays everything that is per wave: the ensemble's copies, the encode,
+// the one materialisation); it must be at most perProxyBytes for a 2 KB and a
+// 32 KB config alike, and the same at 50 proxies and at 500: within 10 %, or
+// within slackBytes of runtime wobble spread over the smaller fleet — at
+// ~130 B per proxy one stray kilobyte across 49 proxies is already over 10 %.
 // Counts, not clocks.
 func TestWaveCostFollowsContentNotFleetSize(t *testing.T) {
 	const small, large = 50, 500
+	const perProxyBytes, slackBytes = 200, 2 << 10
 	for _, size := range []int{2 << 10, 32 << 10} {
 		var edit, rewrite [3]float64 // fleets of 1, small, large
 		for i, n := range []int{1, small, large} {
@@ -716,13 +720,13 @@ func TestWaveCostFollowsContentNotFleetSize(t *testing.T) {
 			perLarge := (kind.bytes[2] - kind.bytes[0]) / (large - 1)
 			t.Logf("%d B config, %s: %.0f B per wave at one proxy; each further proxy adds %.0f B at %d, %.0f B at %d",
 				size, kind.name, kind.bytes[0], perSmall, small, perLarge, large)
-			if perSmall >= float64(size) || perLarge >= float64(size) {
-				t.Errorf("%d B config, %s: a further proxy allocates %.0f B at %d proxies and %.0f B at %d, want less than one body",
-					size, kind.name, perSmall, small, perLarge, large)
+			if perSmall > perProxyBytes || perLarge > perProxyBytes {
+				t.Errorf("%d B config, %s: a further proxy allocates %.0f B at %d proxies and %.0f B at %d, want at most %d B",
+					size, kind.name, perSmall, small, perLarge, large, perProxyBytes)
 			}
-			if perLarge > 1.1*perSmall || perSmall > 1.1*perLarge {
-				t.Errorf("%d B config, %s: a further proxy allocates %.0f B at %d proxies but %.0f B at %d, want within 10%%",
-					size, kind.name, perSmall, small, perLarge, large)
+			if diff := math.Abs(perLarge - perSmall); diff > 0.1*min(perSmall, perLarge) && diff > slackBytes/(small-1) {
+				t.Errorf("%d B config, %s: a further proxy allocates %.0f B at %d proxies but %.0f B at %d, want within 10%% or %d B",
+					size, kind.name, perSmall, small, perLarge, large, slackBytes/(small-1))
 			}
 		}
 	}

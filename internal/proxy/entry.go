@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,8 +36,8 @@ func (m *Memo) Store(v any) {
 // Entry is one cached config.
 //
 // Data is immutable: the bytes of one pushed version are materialized once
-// and then shared by every proxy that receives it, by each proxy's snapshot
-// and its disk cache, and by every reader. Nothing may write to them.
+// and then shared by every proxy that receives it, by each proxy's cell (memory
+// and disk side at once), and by every reader. Nothing may write to them.
 type Entry struct {
 	Path    string
 	Exists  bool
@@ -65,58 +64,40 @@ type Entry struct {
 // from the on-disk cache (those are re-parsed on use).
 func (e Entry) Memo() *Memo { return e.memo }
 
-// DiskCache is the on-disk cache shared between the proxy process and the
-// client library's failure fallback. It survives proxy crashes. It is
-// safe for concurrent use: reader goroutines fall back to it while the
-// simulation loop stores updates.
-type DiskCache struct {
-	mu      sync.RWMutex
-	entries map[string]Entry
-}
+// DiskCache is the on-disk cache: a view, with no copy of its own, of the disk
+// side of a cell table — a proxy's (Proxy.Disk: what it last applied to each
+// path, surviving its crashes), or a bare one (NewDiskCache) standing for what
+// an earlier process left, which New seeds from. Safe for concurrent use.
+type DiskCache struct{ s *store }
 
 // NewDiskCache returns an empty cache.
 func NewDiskCache() *DiskCache {
-	return &DiskCache{entries: make(map[string]Entry)}
+	d := &DiskCache{s: &store{}}
+	d.s.snap.Store(&snapshot{})
+	return d
 }
 
-// Store persists an entry. The data is copied: a caller mutating its slice
-// afterwards cannot corrupt the cache. The in-memory decode memo does not
-// survive the trip to disk.
-// An entry that arrives without a digest is hashed here, once, so everything
-// loaded back carries one.
+// Store plants an entry as if an earlier process had left it. The data is
+// copied: a caller mutating its slice afterwards cannot corrupt the cache.
+// The in-memory decode memo does not survive the trip to disk. An entry that
+// arrives without a digest is hashed here, once, so everything loaded back
+// carries one.
 func (d *DiskCache) Store(e Entry) {
 	e.Data = append([]byte(nil), e.Data...)
 	if e.Exists && e.Hash == 0 {
 		e.Hash = vcs.HashBytes(e.Data)
 	}
-	d.storeOwned(e)
-}
-
-// storeOwned is Store for the proxy's own snapshot entries, whose Data is
-// already immutable and whose digest is known: the cache takes the slice by
-// reference.
-func (d *DiskCache) storeOwned(e Entry) {
-	e.memo = nil
-	d.mu.Lock()
-	d.entries[e.Path] = e
-	d.mu.Unlock()
+	d.s.cell(e.Path).plant(e)
 }
 
 // Load returns the entry for path. The data is a copy: a subscriber
 // mutating the returned bytes cannot corrupt the cache.
 func (d *DiskCache) Load(path string) (Entry, bool) {
-	d.mu.RLock()
-	e, ok := d.entries[path]
-	d.mu.RUnlock()
-	if ok {
-		e.Data = append([]byte(nil), e.Data...)
+	st := d.s.snap.Load().held(path)
+	if st == nil {
+		return Entry{}, false
 	}
-	return e, ok
-}
-
-// Len reports the number of cached configs.
-func (d *DiskCache) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.entries)
+	e := st.e
+	e.memo, e.Data = nil, append([]byte(nil), e.Data...)
+	return e, true
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"slices"
+	"strings"
 	"time"
 
 	"configerator/internal/health"
@@ -33,16 +34,16 @@ const (
 type msgTickPing struct{}
 type msgFetchTimeout struct{ ReqID int64 }
 type msgRetryFetch struct {
-	Path    string
+	c       *cell
 	Attempt int
 }
 type msgHedgeFire struct{ ReqID int64 }
 
-// fetchState is one outstanding fetch: the path, the base entry whose hash we
-// advertised (a "not modified" or delta reply is materialized against it;
-// !base.Exists = nothing advertised), and which observer we asked when.
+// fetchState is one outstanding fetch: the path's cell, the base entry whose
+// hash we advertised (a "not modified" or delta reply is materialized against
+// it; !base.Exists = nothing advertised), and which observer we asked when.
 type fetchState struct {
-	path     string
+	c        *cell
 	base     Entry
 	observer simnet.NodeID
 	sentAt   time.Time
@@ -75,13 +76,12 @@ func (p *Proxy) observer() simnet.NodeID {
 	return p.observers[p.current%len(p.observers)]
 }
 
+// stat returns id's ledger, or a throwaway one when id is not one of ours.
 func (p *Proxy) stat(id simnet.NodeID) *obsStats {
-	st, ok := p.stats[id]
-	if !ok {
-		st = &obsStats{}
-		p.stats[id] = st
+	if i := slices.Index(p.observers, id); i >= 0 {
+		return &p.stats[i]
 	}
-	return st
+	return &obsStats{}
 }
 
 // sampleOf folds one observer's ledger into a health sample. Consecutive
@@ -129,16 +129,13 @@ func (p *Proxy) recordSuccess(ctx *simnet.Context, id simnet.NodeID, rtt time.Du
 		// is a delta (or "not modified") per path, or a full snapshot.
 		p.mutateSnap(func(s *snapshot) { s.planeDown = false })
 		p.Obs.Add("proxy.plane.heal", 1)
-		p.resubscribe(ctx, p.watchedPaths(), false)
+		p.resubscribe(ctx, p.watchedCells(), false)
 	}
 }
 
 func (p *Proxy) allObserversDead() bool {
-	if len(p.observers) == 0 {
-		return true
-	}
-	for _, o := range p.observers {
-		if p.stat(o).consecFail < planeDownAfter {
+	for i := range p.stats {
+		if p.stats[i].consecFail < planeDownAfter {
 			return false
 		}
 	}
@@ -208,40 +205,42 @@ func (p *Proxy) failover(ctx *simnet.Context) {
 	p.Failovers++
 	p.pingOutstanding = 0
 	p.Obs.Add("proxy.failover", 1)
-	paths := p.watchedPaths()
-	for _, path := range paths {
-		ctx.Send(old, zeus.MsgUnwatch{Path: path})
+	cells := p.watchedCells()
+	for _, c := range cells {
+		ctx.Send(old, zeus.MsgUnwatch{Path: c.path})
 	}
 	// Re-establish fetches+watches on the new observer, bypassing the
 	// single-flight guard (the old observer may never answer). When the
 	// plane is down this would be a refetch storm every timeout — the
 	// per-path backoff retries own recovery instead.
 	if !planeDown {
-		p.resubscribe(ctx, paths, true)
+		p.resubscribe(ctx, cells, true)
 	}
 }
 
-// watchedPaths lists the watched paths, sorted: every send draws link jitter
-// from the network's shared RNG, so a walk that sends must not be in map order
-// or same-seed runs diverge.
-func (p *Proxy) watchedPaths() []string {
-	paths := make([]string, 0, len(p.watched))
-	for path := range p.watched {
-		paths = append(paths, path)
-	}
-	slices.Sort(paths)
-	return paths
-}
-
-// resubscribe (re-)establishes fetch+watch for paths (sorted) on the current
-// observer: after a restart, plane heal or failover, and for reader misses.
-// force first abandons a path's outstanding fetches; else they are left to it.
-func (p *Proxy) resubscribe(ctx *simnet.Context, paths []string, force bool) {
-	for _, path := range paths {
-		if force {
-			p.dropPath(path)
+// watchedCells lists the watched paths' cells, sorted by path: every send draws
+// link jitter from the network's shared RNG, so a walk that sends must not be
+// in map order or same-seed runs diverge.
+func (p *Proxy) watchedCells() []*cell {
+	var cells []*cell
+	for _, c := range p.snap.Load().entries {
+		if c.watched {
+			cells = append(cells, c)
 		}
-		p.sendFetch(ctx, path)
+	}
+	slices.SortFunc(cells, func(a, b *cell) int { return strings.Compare(a.path, b.path) })
+	return cells
+}
+
+// resubscribe (re-)establishes fetch+watch for cells (sorted) on the current
+// observer: after a restart, plane heal or failover.
+// force first abandons a path's outstanding fetches; else they are left to it.
+func (p *Proxy) resubscribe(ctx *simnet.Context, cells []*cell, force bool) {
+	for _, c := range cells {
+		if force {
+			p.dropPath(c)
+		}
+		p.sendFetch(ctx, c)
 	}
 }
 
@@ -251,70 +250,56 @@ func (p *Proxy) InflightCount() int { return len(p.inflight) }
 // sendFetch issues a fetch unless one is already in flight for the path
 // (single-flight: a second Want before the reply arrives must not send a
 // second MsgFetch).
-func (p *Proxy) sendFetch(ctx *simnet.Context, path string) {
-	if len(p.byPath[path]) > 0 {
+func (p *Proxy) sendFetch(ctx *simnet.Context, c *cell) {
+	if len(c.reqs) > 0 {
 		p.Obs.Add("proxy.fetch.singleflight", 1)
 		return
 	}
-	p.fetchFrom(ctx, path, p.observer(), true, 0, false)
+	p.fetchFrom(ctx, c, p.observer(), true, 0, false)
 }
 
 // deltaFallback abandons all outstanding fetches for the path and demands the
 // full snapshot, advertising nothing.
-func (p *Proxy) deltaFallback(ctx *simnet.Context, path string) {
+func (p *Proxy) deltaFallback(ctx *simnet.Context, c *cell) {
 	p.Obs.Add("proxy.delta.fallback", 1)
-	p.dropPath(path)
-	p.fetchFrom(ctx, path, p.observer(), false, 0, false)
+	p.dropPath(c)
+	p.fetchFrom(ctx, c, p.observer(), false, 0, false)
 }
 
 // dropPath forgets every outstanding fetch for a path.
-func (p *Proxy) dropPath(path string) {
-	for _, id := range p.byPath[path] {
+func (p *Proxy) dropPath(c *cell) {
+	for _, id := range c.reqs {
 		delete(p.inflight, id)
 	}
-	delete(p.byPath, path)
+	c.reqs = nil
 }
 
 // dropReq forgets one outstanding fetch.
 func (p *Proxy) dropReq(reqID int64) {
-	st, ok := p.inflight[reqID]
-	if !ok {
-		return
-	}
-	delete(p.inflight, reqID)
-	ids := p.byPath[st.path]
-	kept := ids[:0]
-	for _, id := range ids {
-		if id != reqID {
-			kept = append(kept, id)
-		}
-	}
-	if len(kept) == 0 {
-		delete(p.byPath, st.path)
-	} else {
-		p.byPath[st.path] = kept
+	if st, ok := p.inflight[reqID]; ok {
+		delete(p.inflight, reqID)
+		st.c.reqs = slices.DeleteFunc(st.c.reqs, func(id int64) bool { return id == reqID })
 	}
 }
 
-// fetchFrom sends a fetch to target and arms its deadline and hedge timers.
-func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID, advertise bool, attempt int, hedge bool) {
+// fetchFrom sends a fetch to target and arms its deadline and hedge timers. It
+// advertises what the cell holds, in memory or only on disk, by reference.
+func (p *Proxy) fetchFrom(ctx *simnet.Context, c *cell, target simnet.NodeID, advertise bool, attempt int, hedge bool) {
 	p.nextReq++
-	st := fetchState{path: path, observer: target, sentAt: ctx.Now(), attempt: attempt, hedge: hedge}
+	st := fetchState{c: c, observer: target, sentAt: ctx.Now(), attempt: attempt, hedge: hedge}
 	if advertise {
-		if es, ok := p.snap.Load().entries[path]; ok && es.e.Exists {
+		if es := c.st.Load(); es != nil && es.e.Exists {
 			st.base = es.e
-		} else if e, ok := p.disk.Load(path); ok && e.Exists {
-			st.base = e
 		}
 	}
 	p.inflight[p.nextReq] = st
-	p.byPath[path] = append(p.byPath[path], p.nextReq)
+	c.reqs = append(c.reqs, p.nextReq)
 	p.Fetches++
 	p.Obs.Add("proxy.fetch.sent", 1)
 	if target == "" {
 		return
 	}
-	m := zeus.MsgFetch{ReqID: p.nextReq, Path: path, Watch: true}
+	m := zeus.MsgFetch{ReqID: p.nextReq, Path: c.path, Watch: true}
 	m.Have, m.HaveHash = st.base.Exists, st.base.Hash
 	ctx.Send(target, m)
 	ctx.SetTimer(fetchTimeout, msgFetchTimeout{ReqID: p.nextReq})
@@ -333,27 +318,27 @@ func (p *Proxy) onFetchTimeout(ctx *simnet.Context, m msgFetchTimeout) {
 	}
 	p.dropReq(m.ReqID)
 	p.Obs.Add("proxy.fetch.timeout", 1)
-	p.fetchFailed(ctx, st.path, st.observer, st.attempt)
+	p.fetchFailed(ctx, st.c, st.observer, st.attempt)
 }
 
 // fetchFailed charges a failed attempt at path to the observer that owed
 // the answer, fails over off it if it is still current, and schedules a
 // backed-off retry unless another fetch for the path is already in flight.
-func (p *Proxy) fetchFailed(ctx *simnet.Context, path string, observer simnet.NodeID, attempt int) {
+func (p *Proxy) fetchFailed(ctx *simnet.Context, c *cell, observer simnet.NodeID, attempt int) {
 	p.recordFailure(observer)
 	if observer == p.observer() {
 		p.failover(ctx)
 	}
-	if p.watched[path] && len(p.byPath[path]) == 0 {
+	if c.watched && len(c.reqs) == 0 {
 		attempt++
-		ctx.SetTimer(p.backoff(attempt), msgRetryFetch{Path: path, Attempt: attempt})
+		ctx.SetTimer(p.backoff(attempt), msgRetryFetch{c: c, Attempt: attempt})
 		p.Obs.Add("proxy.fetch.retry", 1)
 	}
 }
 
 // onHedgeFire sends the hedged duplicate of a still-unanswered fetch to
 // the next-healthiest observer. First reply wins; the loser is discarded
-// by the byPath sweep in onFetchReply.
+// by the dropPath in onFetchReply.
 func (p *Proxy) onHedgeFire(ctx *simnet.Context, m msgHedgeFire) {
 	st, ok := p.inflight[m.ReqID]
 	if !ok {
@@ -369,7 +354,7 @@ func (p *Proxy) onHedgeFire(ctx *simnet.Context, m msgHedgeFire) {
 		return
 	}
 	p.Obs.Add("proxy.fetch.hedged", 1)
-	p.fetchFrom(ctx, st.path, health.Rank(samples)[0].ID, st.base.Exists, st.attempt, true)
+	p.fetchFrom(ctx, st.c, health.Rank(samples)[0].ID, st.base.Exists, st.attempt, true)
 }
 
 func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.MsgFetchReply) {
@@ -381,7 +366,7 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 	// First reply wins: discard the sibling (primary or hedge) before the
 	// success bookkeeping, so a plane-heal resubscribe sweep sees this
 	// path as idle and re-establishes its watch too.
-	p.dropPath(st.path)
+	p.dropPath(st.c)
 	// The replying observer holds our watch now (fetches register it); if
 	// it is not the observer we point at — a hedge won, or we failed over
 	// while the fetch was in flight — re-point at it, else its pushes
@@ -402,8 +387,8 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 	if m.NotModified && !st.base.Exists {
 		// The observer claims our copy is current but we advertised
 		// nothing — protocol confusion; demand the full snapshot.
-		p.deltaFallback(ctx, m.Path)
+		p.deltaFallback(ctx, st.c)
 		return
 	}
-	p.receive(ctx, from, m.Update, st.base, m.NotModified, st.attempt)
+	p.receive(ctx, st.c, from, m.Update, st.base, m.NotModified, st.attempt)
 }

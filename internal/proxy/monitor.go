@@ -9,7 +9,7 @@
 // dependency points one way: monitor imports proxy, never the reverse.
 //
 // Heartbeats run entirely on the simulation loop (a timer tick reading
-// the immutable snapshot), so enabling monitoring adds zero work to the
+// the snapshot's cells), so enabling monitoring adds zero work to the
 // zero-alloc read hot path.
 
 package proxy
@@ -80,11 +80,12 @@ func (p *Proxy) onTickMonitor(ctx *simnet.Context) {
 		Paths:     make([]PathState, 0, len(snap.entries)),
 	}
 	size := 0
-	for _, st := range snap.entries {
-		e := st.e
-		if !e.Exists {
+	for _, c := range snap.entries {
+		st := c.mem()
+		if st == nil || !st.e.Exists {
 			continue
 		}
+		e := st.e
 		hb.Paths = append(hb.Paths, PathState{
 			Path: e.Path, Version: e.Version, Zxid: e.Zxid,
 			Hash: e.Hash, Fetched: e.Fetched,

@@ -14,20 +14,25 @@
 // was ever fetched remains available (stale but usable) no matter what.
 //
 // Read hot path. Configs are read many orders of magnitude more often than
-// they change (the paper's motivating ratio), so the in-memory store is an
-// immutable snapshot behind an atomic pointer: Read is one atomic load plus
-// map lookups — no mutex, no allocation — and is safe from any application
-// goroutine concurrently with updates. Writers (watch deliveries, canary
-// overrides, plane-down transitions, crash/restart) build the next snapshot
-// copy-on-write and publish it with a single pointer swap; they run on the
-// single-threaded simulation loop, so the copy cost is paid off the read
-// path entirely. Cache misses cannot touch the simulator's event queue from
-// a reader goroutine, so Read records them in a thread-safe pending set
-// that the proxy drains (issuing fetch+watch) on its next message or ping
-// tick.
+// they change (the paper's motivating ratio), so the store is one cell per
+// path — a mutable name whose atomic pointer holds the path's current
+// entryState, an immutable object per version (the Nix store's model) — and
+// the published snapshot maps paths to cells: Read is atomic load → map
+// lookup → atomic load, no mutex, no allocation, safe from any application
+// goroutine concurrently with updates. A new version of a known path, pushed
+// or fetched, is one entryState and one pointer store; the snapshot is swapped
+// only for a path the proxy has not heard of (the one case that clones the
+// map), an override, or the down/plane-down flags — on the single-threaded
+// simulation loop, never by a reader. The same pointer is the on-disk cache:
+// a state in memory has a decode-memo slot, Restart leaves each cell a copy
+// without one, and that is served stale and advertised as the fetch base until
+// the refetch lands. Cache misses cannot touch the simulator's event queue from
+// a reader goroutine, so Read records them in a thread-safe pending set that
+// the proxy drains (issuing fetch+watch) on its next message or ping tick.
 package proxy
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -76,23 +81,44 @@ type subscription struct {
 	alive func() bool // nil = lives forever
 }
 
-// entryState is one config in the read snapshot: the immutable entry plus
-// the newest zxid an application has already read (so only the first read
-// of each version emits a propagation event). The mark is atomic because
+// entryState is one version of one config: immutable once a cell points at it,
+// except readMark — the newest zxid an application has already read (so only
+// the first read of each version emits a propagation event), atomic because
 // first-reads race across application goroutines.
 type entryState struct {
 	e        Entry
 	readMark atomic.Int64
+	memo     Memo // e.memo points here (or at a re-confirmed version's first state) while in memory
 }
 
-// snapshot is the immutable in-memory store published to readers. A
-// snapshot and everything reachable from it is never mutated after
-// publication (readMark aside, which is atomic); writers clone-and-swap.
+// cell is the proxy's one record for a path, created when the proxy first hears
+// of the path and never removed. st is all a reader touches; the rest belongs
+// to the simulation thread.
+type cell struct {
+	path string                     // interned
+	st   atomic.Pointer[entryState] // newest applied version, in memory and on disk; nil = none yet
+
+	watched bool           // an application wants it kept warm
+	subs    []subscription // application callbacks
+	reqs    []int64        // outstanding fetch reqIDs (primary + hedge)
+}
+
+// snapshot is what readers load: the cell table, the overrides and the flags.
+// It and its maps are never mutated after publication; writers clone-and-swap.
 type snapshot struct {
-	entries   map[string]*entryState
+	entries   map[string]*cell
 	overrides map[string]*entryState // canary temporary deployments win
 	planeDown bool                   // every observer considered dead
 	down      bool                   // proxy process crashed
+}
+
+// store is a cell table and its publication point: a proxy's, or a bare
+// DiskCache's.
+type store struct {
+	// snap is the read snapshot. Readers do one atomic load; writers
+	// serialize on wmu, clone, and swap.
+	snap atomic.Pointer[snapshot]
+	wmu  sync.Mutex
 }
 
 // Proxy is the per-server config proxy. It is a simnet node; the local
@@ -103,18 +129,11 @@ type Proxy struct {
 	id        simnet.NodeID
 	net       *simnet.Network
 	observers []simnet.NodeID // observers in this cluster
+	stats     []obsStats      // parallel to observers
 	current   int             // index of the connected observer
-	disk      *DiskCache
+	store
 
-	// snap is the read snapshot. Readers do one atomic load; writers
-	// serialize on wmu, clone, and swap.
-	snap atomic.Pointer[snapshot]
-	wmu  sync.Mutex
-
-	watched  map[string]bool
-	subs     map[string][]subscription
 	inflight map[int64]fetchState // reqID -> outstanding fetch
-	byPath   map[string][]int64   // path -> outstanding reqIDs (primary + hedge)
 	nextReq  int64
 
 	// Cache misses observed by reader goroutines. Readers cannot touch the
@@ -124,9 +143,7 @@ type Proxy struct {
 	missSet     map[string]struct{}
 	missPending atomic.Bool
 
-	stats map[simnet.NodeID]*obsStats
-	rtts  []time.Duration // recent fetch RTTs (hedge delay source)
-
+	rtts            []time.Duration // recent fetch RTTs (hedge delay source)
 	pingOutstanding int
 
 	// Convergence-heartbeat config (EnableMonitor): the monitor node and
@@ -146,26 +163,24 @@ type Proxy struct {
 }
 
 // New creates a proxy on the network at the placement, connected to the
-// given same-cluster observers.
+// given same-cluster observers. A non-nil disk is what an earlier process left
+// on this server: its entries seed the cells, cold.
 func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, observers []simnet.NodeID, disk *DiskCache) *Proxy {
-	if disk == nil {
-		disk = NewDiskCache()
-	}
 	p := &Proxy{
 		id:        id,
 		net:       net,
 		observers: observers,
-		disk:      disk,
-		watched:   make(map[string]bool),
-		subs:      make(map[string][]subscription),
+		stats:     make([]obsStats, len(observers)),
 		inflight:  make(map[int64]fetchState),
-		byPath:    make(map[string][]int64),
-		stats:     make(map[simnet.NodeID]*obsStats),
 	}
-	p.snap.Store(&snapshot{
-		entries:   make(map[string]*entryState),
-		overrides: make(map[string]*entryState),
-	})
+	p.snap.Store(&snapshot{})
+	if disk != nil {
+		for path, c := range disk.s.snap.Load().entries {
+			if st := c.st.Load(); st != nil {
+				p.cell(path).plant(st.e)
+			}
+		}
+	}
 	if len(observers) > 0 {
 		p.current = int(net.RNG().Intn(len(observers)))
 	}
@@ -177,38 +192,67 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 // mutateSnap copies the current snapshot, applies mut, and publishes the
 // result with one atomic swap. The copy shares both maps with its
 // predecessor, so mut may set the flags freely but must replace a map it
-// changes with a clone (withEntry) — copy-on-write of only what the
-// mutation touches, paid by the simulation loop, never by readers.
-func (p *Proxy) mutateSnap(mut func(*snapshot)) {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	next := *p.snap.Load()
+// changes with a clone (with) — copy-on-write of only what the mutation
+// touches, paid by the simulation loop, never by readers.
+func (s *store) mutateSnap(mut func(*snapshot)) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	next := *s.snap.Load()
 	mut(&next)
-	p.snap.Store(&next)
+	s.snap.Store(&next)
 }
 
-// withEntry returns a copy of m with path set to st (or removed, when st is
-// nil): O(cached paths).
-func withEntry(m map[string]*entryState, path string, st *entryState) map[string]*entryState {
-	// Filled by hand into a presized map: maps.Clone costs one more
-	// allocation per swap (simnet.allocs_per_event 6.7 against 6.0).
-	next := make(map[string]*entryState, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	if st == nil {
-		delete(next, path)
-	} else {
-		next[path] = st
-	}
+// with returns a copy of m with key set to v: O(len(m)).
+func with[V any](m map[string]V, key string, v V) map[string]V {
+	next := make(map[string]V, len(m)+1)
+	maps.Copy(next, m)
+	next[key] = v
 	return next
+}
+
+// cell returns the record for path, adding it on first sight — the one update
+// that swaps the cell table.
+func (s *store) cell(path string) (c *cell) {
+	if c = s.snap.Load().entries[path]; c != nil {
+		return c
+	}
+	s.mutateSnap(func(sn *snapshot) {
+		if c = sn.entries[path]; c == nil {
+			c = &cell{path: intern.Path(path)}
+			sn.entries = with(sn.entries, c.path, c)
+		}
+	})
+	return c
+}
+
+// held returns the newest version applied to path, in memory or only on disk.
+func (s *snapshot) held(path string) *entryState {
+	if c := s.entries[path]; c != nil {
+		return c.st.Load()
+	}
+	return nil
+}
+
+// mem returns the state c holds in memory: nil when it is empty or holds only
+// what survives a crash — the on-disk copy, which has no memo slot.
+func (c *cell) mem() *entryState {
+	if st := c.st.Load(); st != nil && st.e.memo != nil {
+		return st
+	}
+	return nil
+}
+
+// plant makes e the cell's on-disk copy, in nobody's memory.
+func (c *cell) plant(e Entry) {
+	e.Path, e.memo = c.path, nil
+	c.st.Store(&entryState{e: e})
 }
 
 // ID returns the proxy's node id.
 func (p *Proxy) ID() simnet.NodeID { return p.id }
 
-// Disk exposes the on-disk cache (the client library fallback reads it).
-func (p *Proxy) Disk() *DiskCache { return p.disk }
+// Disk exposes the on-disk cache: a view of the cells' surviving side.
+func (p *Proxy) Disk() *DiskCache { return &DiskCache{s: &p.store} }
 
 // PlaneDown reports whether the proxy currently considers every observer
 // unreachable (the distribution plane lost).
@@ -221,24 +265,22 @@ func (p *Proxy) Crash() {
 	p.net.Fail(p.id)
 }
 
-// Restart brings the proxy back with a cold in-memory cache. Application
-// subscriptions survive (the apps share the server and resubscribe
-// implicitly), but dead ones are pruned rather than revived.
+// Restart brings the proxy back with a cold in-memory cache: every cell is left
+// its on-disk copy before the snapshot says up. Application subscriptions survive
+// (the apps share the server and resubscribe implicitly), dead ones are pruned.
 func (p *Proxy) Restart() {
-	p.wmu.Lock()
-	p.snap.Store(&snapshot{
-		entries:   make(map[string]*entryState),
-		overrides: make(map[string]*entryState),
-	})
-	p.wmu.Unlock()
+	for _, c := range p.snap.Load().entries {
+		c.reqs = nil
+		p.pruneSubs(c)
+		if st := c.mem(); st != nil {
+			c.plant(st.e)
+		}
+	}
+	p.mutateSnap(func(s *snapshot) { *s = snapshot{entries: s.entries} })
 	p.inflight = make(map[int64]fetchState)
-	p.byPath = make(map[string][]int64)
-	p.stats = make(map[simnet.NodeID]*obsStats)
+	clear(p.stats)
 	p.rtts = nil
 	p.pingOutstanding = 0
-	for path := range p.subs {
-		p.pruneSubs(path)
-	}
 	p.net.Recover(p.id)
 }
 
@@ -252,7 +294,7 @@ func (p *Proxy) OnRestart(ctx *simnet.Context) {
 	// Re-fetch everything the applications subscribed to. The in-memory
 	// cache is cold, so hashes are advertised from the disk cache; a delta
 	// that no longer applies falls back to a full snapshot.
-	p.resubscribe(ctx, p.watchedPaths(), false)
+	p.resubscribe(ctx, p.watchedCells(), false)
 }
 
 // Down reports whether the proxy process is crashed.
@@ -262,15 +304,14 @@ func (p *Proxy) Down() bool { return p.snap.Load().down }
 // application's startup request path. Simulation/driver thread only —
 // reader goroutines warm paths implicitly through Read's miss set.
 func (p *Proxy) Want(path string) {
-	snap := p.snap.Load()
-	if snap.down {
+	if p.snap.Load().down {
 		return
 	}
-	path = intern.Path(path)
 	ctx := simnet.MakeContext(p.net, p.id)
-	p.watched[path] = true
-	if _, cached := snap.entries[path]; !cached {
-		p.sendFetch(&ctx, path)
+	c := p.cell(path)
+	c.watched = true
+	if c.mem() == nil {
+		p.sendFetch(&ctx, c)
 	}
 }
 
@@ -298,20 +339,14 @@ func (p *Proxy) drainMisses(ctx *simnet.Context) {
 	p.missSet = nil
 	p.missPending.Store(false)
 	p.missMu.Unlock()
-	snap := p.snap.Load()
-	if snap.down {
-		return
-	}
-	cold := make([]string, 0, len(set))
+	paths := make([]string, 0, len(set))
 	for path := range set {
-		path = intern.Path(path)
-		p.watched[path] = true
-		if _, cached := snap.entries[path]; !cached {
-			cold = append(cold, path)
-		}
+		paths = append(paths, path)
 	}
-	slices.Sort(cold)
-	p.resubscribe(ctx, cold, false)
+	slices.Sort(paths) // a fetch draws link jitter from the shared RNG: never in map order
+	for _, path := range paths {
+		p.Want(path)
+	}
 }
 
 // Subscribe registers an application callback for a path and keeps the
@@ -325,39 +360,38 @@ func (p *Proxy) Subscribe(path string, fn UpdateFunc) {
 // time and across restarts — the cancellation hook the context-aware
 // client API builds on.
 func (p *Proxy) SubscribeWhile(path string, alive func() bool, fn UpdateFunc) {
-	path = intern.Path(path)
-	p.subs[path] = append(p.subs[path], subscription{fn: fn, alive: alive})
+	c := p.cell(path)
+	c.subs = append(c.subs, subscription{fn: fn, alive: alive})
 	p.Want(path)
 }
 
 // SubCount reports the live subscriptions for a path (leak tests).
 func (p *Proxy) SubCount(path string) int {
-	p.pruneSubs(path)
-	return len(p.subs[path])
+	c := p.snap.Load().entries[path]
+	if c == nil {
+		return 0
+	}
+	p.pruneSubs(c)
+	return len(c.subs)
 }
 
 // pruneSubs drops subscriptions whose liveness check fails.
-func (p *Proxy) pruneSubs(path string) {
-	subs := p.subs[path]
-	kept := subs[:0]
-	for _, s := range subs {
+func (p *Proxy) pruneSubs(c *cell) {
+	kept := c.subs[:0]
+	for _, s := range c.subs {
 		if s.alive != nil && !s.alive() {
 			p.Obs.Add("proxy.sub.pruned", 1)
 			continue
 		}
 		kept = append(kept, s)
 	}
-	if len(kept) == 0 {
-		delete(p.subs, path)
-	} else {
-		p.subs[path] = kept
-	}
+	c.subs = kept
 }
 
 // notify fires the live subscriptions for a path, pruning dead ones.
-func (p *Proxy) notify(path string, e Entry) {
-	p.pruneSubs(path)
-	for _, s := range p.subs[path] {
+func (p *Proxy) notify(c *cell, e Entry) {
+	p.pruneSubs(c)
+	for _, s := range c.subs {
 		s.fn(e)
 	}
 }
@@ -367,11 +401,11 @@ func (p *Proxy) notify(path string, e Entry) {
 // to temporarily deploy the new config", §3.3). Subscribers fire as if the
 // config changed.
 func (p *Proxy) SetOverride(path string, data []byte) {
-	path = intern.Path(path)
-	e := Entry{Path: path, Exists: true, Data: data, Version: -1,
-		Hash: vcs.HashBytes(data), memo: &Memo{}}
-	p.mutateSnap(func(s *snapshot) { s.overrides = withEntry(s.overrides, path, &entryState{e: e}) })
-	p.notify(path, e)
+	c := p.cell(path)
+	st := &entryState{e: Entry{Path: c.path, Exists: true, Data: data, Version: -1, Hash: vcs.HashBytes(data)}}
+	st.e.memo = &st.memo
+	p.mutateSnap(func(s *snapshot) { s.overrides = with(s.overrides, c.path, st) })
+	p.notify(c, st.e)
 }
 
 // ClearOverride removes a temporary deployment; subscribers are re-fed the
@@ -381,30 +415,27 @@ func (p *Proxy) ClearOverride(path string) {
 	if _, ok := snap.overrides[path]; !ok {
 		return
 	}
-	p.mutateSnap(func(s *snapshot) { s.overrides = withEntry(s.overrides, path, nil) })
-	if st, ok := snap.entries[path]; ok {
-		p.notify(path, st.e)
+	p.mutateSnap(func(s *snapshot) {
+		s.overrides = maps.Clone(s.overrides)
+		delete(s.overrides, path)
+	})
+	c := snap.entries[path] // SetOverride made it
+	if st := c.mem(); st != nil {
+		p.notify(c, st.e)
 	}
 }
 
-// CachedPaths lists the paths currently in the in-memory cache or
+// CachedPaths lists, sorted, the paths currently in the in-memory cache or
 // overridden (the application-visible config set on this server).
 func (p *Proxy) CachedPaths() []string {
 	snap := p.snap.Load()
-	seen := make(map[string]bool, len(snap.entries)+len(snap.overrides))
-	out := make([]string, 0, len(snap.entries)+len(snap.overrides))
-	for path := range snap.entries {
-		if !seen[path] {
-			seen[path] = true
+	var out []string
+	for path, c := range snap.entries {
+		if _, ov := snap.overrides[path]; ov || c.mem() != nil {
 			out = append(out, path)
 		}
 	}
-	for path := range snap.overrides {
-		if !seen[path] {
-			seen[path] = true
-			out = append(out, path)
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -420,17 +451,18 @@ func (p *Proxy) Overridden(path string) bool {
 // (stale) — the paper's choice of availability over freshness. Source says
 // how degraded a read is, for a caller that would rather refuse.
 //
-// Read is the hot path: one atomic snapshot load plus map lookups, safe
-// from any goroutine, and allocation-free when the path is in memory
-// (BenchmarkProxyRead asserts 0 allocs/op).
+// Read is the hot path: snapshot load, map lookup, cell load — safe from any
+// goroutine, and allocation-free when the path is in memory
+// (TestReadZeroAllocWarm asserts 0 allocs).
 func (p *Proxy) Read(path string) ReadResult {
 	snap := p.snap.Load()
 	now := p.net.Now()
+	st := snap.held(path)
 	if !snap.down {
-		if st, ok := snap.overrides[path]; ok {
-			return ReadResult{Entry: st.e, Source: SourceFresh, OK: true}
+		if ov, ok := snap.overrides[path]; ok {
+			return ReadResult{Entry: ov.e, Source: SourceFresh, OK: true}
 		}
-		if st, ok := snap.entries[path]; ok {
+		if st != nil && st.e.memo != nil { // in memory: cell.mem's test
 			src := SourceFresh
 			if snap.planeDown {
 				src = SourceCached
@@ -452,12 +484,13 @@ func (p *Proxy) Read(path string) ReadResult {
 		}
 		p.noteMiss(path) // warm it for next time
 	}
-	// Fall back to the on-disk cache (proxy down or not yet fetched).
-	e, ok := p.disk.Load(path)
-	if !ok {
+	// Fall back to the on-disk copy (proxy down or not yet refetched).
+	if st == nil {
 		return ReadResult{Source: SourceStale}
 	}
 	p.Obs.Add("proxy.read.stale", 1)
+	e := st.e
+	e.memo = nil // decodes do not survive the process that made them
 	return ReadResult{Entry: e, Source: SourceStale, Age: now.Sub(e.Fetched), OK: true}
 }
 
@@ -478,8 +511,8 @@ func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 	case msgHedgeFire:
 		p.onHedgeFire(ctx, m)
 	case msgRetryFetch:
-		if p.watched[m.Path] && len(p.byPath[m.Path]) == 0 {
-			p.fetchFrom(ctx, m.Path, p.observer(), true, m.Attempt, false)
+		if m.c.watched && len(m.c.reqs) == 0 {
+			p.fetchFrom(ctx, m.c, p.observer(), true, m.Attempt, false)
 		}
 	case msgTickMonitor:
 		p.onTickMonitor(ctx)
@@ -503,8 +536,9 @@ func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 
 // onWatchEvent takes a pushed update: the base is whatever we hold now.
 func (p *Proxy) onWatchEvent(ctx *simnet.Context, from simnet.NodeID, m zeus.MsgWatchEvent) {
+	c := p.cell(m.Path)
 	var base Entry // zero: no bytes, no digest
-	if old, ok := p.snap.Load().entries[m.Path]; ok {
+	if old := c.mem(); old != nil {
 		if m.Zxid <= old.e.Zxid {
 			return // already current (or newer) — nothing to resolve
 		}
@@ -513,24 +547,24 @@ func (p *Proxy) onWatchEvent(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 		}
 	}
 	p.recordSuccess(ctx, from, -1)
-	p.receive(ctx, from, m.Update, base, false, 0)
+	p.receive(ctx, c, from, m.Update, base, false, 0)
 }
 
 // receive is the one place an update from an observer — pushed, or fetched on
 // the given attempt — becomes an entry. Its content is base's own when the
 // observer confirmed that (notModified), else the payload resolved against base.
-func (p *Proxy) receive(ctx *simnet.Context, from simnet.NodeID, u zeus.Update, base Entry, notModified bool, attempt int) {
-	e := Entry{Path: u.Path, Exists: !u.Delete, Version: u.Version, Zxid: u.Zxid, Fetched: ctx.Now()}
+func (p *Proxy) receive(ctx *simnet.Context, c *cell, from simnet.NodeID, u zeus.Update, base Entry, notModified bool, attempt int) {
+	e := Entry{Path: c.path, Exists: !u.Delete, Version: u.Version, Zxid: u.Zxid, Fetched: ctx.Now()}
 	if notModified {
 		e.Data, e.Hash = base.Data, base.Hash
 	} else if !u.Delete {
 		var err error
 		if e.Data, e.Hash, err = u.Payload.Resolve(base.Data, base.Hash); err != nil {
-			p.resolveFailed(ctx, u.Path, u.Payload, from, attempt)
+			p.resolveFailed(ctx, c, u.Payload, from, attempt)
 			return
 		}
 	}
-	p.apply(ctx, e, from)
+	p.apply(ctx, c, e, from)
 }
 
 // resolveFailed handles a payload that did not materialize. A delta miss is
@@ -539,41 +573,40 @@ func (p *Proxy) receive(ctx *simnet.Context, from simnet.NodeID, u zeus.Update, 
 // the full snapshot. A full body that does not hash to what it claims is the
 // sender's fault: refuse it, charge the observer, and retry like any other
 // failed fetch.
-func (p *Proxy) resolveFailed(ctx *simnet.Context, path string, pl zeus.Payload, from simnet.NodeID, attempt int) {
+func (p *Proxy) resolveFailed(ctx *simnet.Context, c *cell, pl zeus.Payload, from simnet.NodeID, attempt int) {
 	if pl.IsDelta {
-		p.deltaFallback(ctx, path)
+		p.deltaFallback(ctx, c)
 		return
 	}
 	p.Obs.Add("proxy.payload.bad_full", 1)
-	p.fetchFailed(ctx, path, from, attempt)
+	p.fetchFailed(ctx, c, from, attempt)
 }
 
-// apply integrates a new entry if it is not older than what we have. via
-// is the observer that delivered it (the upstream hop in the push tree).
-func (p *Proxy) apply(ctx *simnet.Context, e Entry, via simnet.NodeID) {
-	snap := p.snap.Load()
-	old, had := snap.entries[e.Path]
-	if had && e.Zxid < old.e.Zxid {
+// apply makes e the cell's version if it is not older than what we have: one
+// immutable entryState, one pointer store, seen by readers and by the disk
+// side alike. via is the observer that delivered it (the upstream hop in the
+// push tree).
+func (p *Proxy) apply(ctx *simnet.Context, c *cell, e Entry, via simnet.NodeID) {
+	old := c.mem()
+	if old != nil && e.Zxid < old.e.Zxid {
 		return
 	}
-	changed := !had || old.e.Zxid != e.Zxid
-	e.Path = intern.Path(e.Path)
+	changed := old == nil || old.e.Zxid != e.Zxid
 	st := &entryState{e: e}
 	if changed {
-		st.e.memo = &Memo{}
+		st.e.memo = &st.memo
 	} else {
 		// Same version re-confirmed (e.g. a not-modified refresh): keep
 		// the decode memo and the first-read mark.
 		st.e.memo = old.e.memo
 		st.readMark.Store(old.readMark.Load())
 	}
-	p.mutateSnap(func(s *snapshot) { s.entries = withEntry(s.entries, e.Path, st) })
-	p.disk.storeOwned(e)
+	c.st.Store(st)
 	if changed {
-		p.Obs.PathEvent(e.Path, obs.PropEvent{
+		p.Obs.PathEvent(c.path, obs.PropEvent{
 			Stage: obs.EvProxyMaterialize, Node: string(p.id), Via: string(via),
 			Zxid: e.Zxid, At: ctx.Now(),
 		})
-		p.notify(e.Path, st.e)
+		p.notify(c, st.e)
 	}
 }
