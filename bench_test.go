@@ -166,14 +166,6 @@ func BenchmarkSec64_ConfigErrors(b *testing.B) {
 	report(b, r, "escape_share_type1", "escape_share_type2", "escape_share_type3")
 }
 
-func BenchmarkPV_LargeConfigDelivery(b *testing.B) {
-	var r experiments.Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.PackageVesselDelivery(benchOpts())
-	}
-	report(b, r, "slowest_server_seconds", "same_cluster_chunk_fraction")
-}
-
 // ---- Ablations ----
 
 func BenchmarkAblation_PushVsPull(b *testing.B) {
@@ -246,10 +238,10 @@ var benchFS = cdl.MapFS{
 }
 
 func BenchmarkCDLCompile(b *testing.B) {
-	c := cdl.NewCompiler(benchFS)
+	eng := cdl.NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compile("cache/job.cconf"); err != nil {
+		if _, err := eng.Compile(benchFS, "cache/job.cconf"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,14 +26,6 @@ import (
 	"configerator/internal/core"
 )
 
-// dirFS serves CDL modules from a directory tree.
-type dirFS struct{ root string }
-
-func (d dirFS) ReadFile(path string) ([]byte, error) {
-	clean := filepath.Clean("/" + path) // confine to the root
-	return os.ReadFile(filepath.Join(d.root, clean))
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -59,7 +51,7 @@ func main() {
 			fatal("%s requires exactly one FILE.cconf", cmd)
 		}
 		file := args[0]
-		res, err := cdl.NewCompiler(dirFS{root: *root}).Compile(file)
+		res, err := cdl.NewEngine().Compile(cdl.DirFS(*root), file)
 		if err != nil {
 			fatal("compile failed: %v", err)
 		}
@@ -80,7 +72,7 @@ func main() {
 		if len(args) != 1 {
 			fatal("deps requires exactly one FILE")
 		}
-		src, err := dirFS{root: *root}.ReadFile(args[0])
+		src, err := cdl.DirFS(*root).ReadFile(args[0])
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -92,7 +84,7 @@ func main() {
 		for _, d := range direct {
 			fmt.Println("  " + d)
 		}
-		if res, err := cdl.NewCompiler(dirFS{root: *root}).Compile(args[0]); err == nil {
+		if res, err := cdl.NewEngine().Compile(cdl.DirFS(*root), args[0]); err == nil {
 			fmt.Println("transitive deps:")
 			for _, d := range res.Deps {
 				fmt.Println("  " + d)

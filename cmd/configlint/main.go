@@ -51,13 +51,6 @@ type options struct {
 	deprecated map[string]string
 }
 
-// dirFS serves repository-relative paths from the tree root.
-type dirFS struct{ root string }
-
-func (d dirFS) ReadFile(path string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(d.root, filepath.FromSlash(path)))
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -113,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	driver := analysis.NewDriver(cdl.NewEngine(), dirFS{root: opts.root})
+	driver := analysis.NewDriver(cdl.NewEngine(), cdl.DirFS(opts.root))
 	driver.DeprecatedSitevars = opts.deprecated
 	diags, err := driver.Run(roots)
 	if err != nil {
@@ -162,7 +155,7 @@ func analyzeTree(root string, stderr io.Writer) (*dataflow.Repo, bool) {
 		return nil, false
 	}
 	ix := dataflow.NewIndex(cdl.NewEngine())
-	rep := ix.Analyze(dirFS{root: root}, cconfs)
+	rep := ix.Analyze(cdl.DirFS(root), cconfs)
 	for _, e := range rep.Errors {
 		fmt.Fprintln(stderr, "configlint:", e)
 	}

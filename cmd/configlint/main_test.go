@@ -255,3 +255,20 @@ func TestCLIOnExamples(t *testing.T) {
 		t.Fatalf("examples lint dirty (exit %d):\n%s%s", code, out.String(), errb.String())
 	}
 }
+
+// TestCLIImportConfinedToRoot: an import that climbs out of -C's tree with
+// ".." is looked up inside the tree, so a file beside the tree is not read and
+// the import fails like any other missing one.
+func TestCLIImportConfinedToRoot(t *testing.T) {
+	outer := writeTree(t, map[string]string{
+		"outside.cinc":       "let SECRET = 1;\n",
+		"tree/app/app.cconf": "import \"../../outside.cinc\";\nexport {a: SECRET};\n",
+	})
+	var out, errb bytes.Buffer
+	if code := run([]string{"-C", filepath.Join(outer, "tree", "app")}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1; stdout %s stderr %s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), `cannot load import "../../outside.cinc"`) {
+		t.Fatalf("output lacks the missing-import diagnostic:\n%s", out.String())
+	}
+}

@@ -1,7 +1,8 @@
 // Command deadapi fails when a function under internal/ is referenced by no
 // non-test file in the module — a capability only its own unit tests call —
-// unless allow.txt beside this file names it with a reason. Run from the
-// module root (`make vet` does).
+// or an option under internal/ is set by none (see unsetOptions), unless
+// allow.txt beside this file names it with a reason. Run from the module root
+// (`make vet` does).
 //
 // Standard library only: every package in the module is parsed without its
 // tests and type-checked in one universe, so an object used in one package is
@@ -85,7 +86,8 @@ func run() error {
 		std:   importer.ForCompiler(fset, "source", nil),
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{}},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -152,8 +154,9 @@ func run() error {
 		pos, end := fset.Position(fd.Pos()), fset.Position(fd.End())
 		bad = append(bad, fmt.Sprintf("%s:%d: %s (%d lines) is referenced by no non-test file", pos.Filename, pos.Line, name, end.Line-pos.Line+1))
 	}
+	bad = append(bad, l.unsetOptions(allow)...)
 	for name := range allow {
-		bad = append(bad, fmt.Sprintf("%s: %s is listed but is not an unreferenced function; remove the entry", allowFile, name))
+		bad = append(bad, fmt.Sprintf("%s: %s is listed but is not an unreferenced function or an unset option; remove the entry", allowFile, name))
 	}
 	if len(bad) > 0 {
 		sort.Strings(bad)
@@ -217,6 +220,101 @@ func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
 		}
 	}
 	return false
+}
+
+// unsetOptions lists the exported option fields under internal/ that no
+// non-test file outside their package sets — by composite literal, by
+// assignment or through their address — and that allow does not name as
+// "<package path>.<Type>.<Field>". A field is an option when only a caller can
+// give it a value other than a default: nothing in its own package sets it, or
+// its struct is what an exported constructor of the package (a function
+// returning a pointer) takes by value. A field with a struct tag is set by a
+// decoder and is skipped.
+func (l *loader) unsetOptions(allow map[string]string) []string {
+	inside, outside := map[*types.Var]bool{}, map[*types.Var]bool{}
+	mark := func(obj types.Object, pkg string) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != nil {
+			inside[v.Origin()] = true
+			outside[v.Origin()] = outside[v.Origin()] || v.Pkg().Path() != pkg
+		}
+	}
+	byValue := map[types.Type]bool{} // what the constructors take
+	var structs []*types.Named
+	for path, files := range l.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var set []ast.Expr
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if named, ok := l.info.Defs[n.Name].Type().(*types.Named); ok && strings.HasPrefix(path, module+"/internal/") {
+						structs = append(structs, named)
+					}
+				case *ast.FuncDecl:
+					fn := l.info.Defs[n.Name].(*types.Func)
+					sig := fn.Type().(*types.Signature)
+					if !fn.Exported() || sig.Recv() != nil || sig.Results().Len() == 0 {
+						break
+					}
+					if _, ok := sig.Results().At(0).Type().(*types.Pointer); ok {
+						for i := 0; i < sig.Params().Len(); i++ {
+							byValue[sig.Params().At(i).Type()] = true
+						}
+					}
+				case *ast.CompositeLit:
+					t := l.info.TypeOf(n)
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem() // &T elided inside []*T{{...}}
+					}
+					st, _ := t.Underlying().(*types.Struct)
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							set = append(set, kv.Key)
+						} else if st != nil {
+							mark(st.Field(i), path)
+						}
+					}
+				case *ast.AssignStmt:
+					set = n.Lhs
+				case *ast.IncDecStmt:
+					set = []ast.Expr{n.X}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						set = []ast.Expr{n.X}
+					}
+				}
+				for _, e := range set {
+					if ix, ok := e.(*ast.IndexExpr); ok {
+						e = ix.X // an entry of a map or slice field
+					}
+					switch e := e.(type) {
+					case *ast.Ident:
+						mark(l.info.Uses[e], path)
+					case *ast.SelectorExpr:
+						mark(l.info.Uses[e.Sel], path)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var bad []string
+	for _, named := range structs {
+		st, _ := named.Underlying().(*types.Struct)
+		for i := 0; st != nil && i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if !f.Exported() || f.Embedded() || st.Tag(i) != "" || outside[f] || inside[f] && !byValue[named] {
+				continue
+			}
+			name := fmt.Sprintf("%s.%s.%s", f.Pkg().Path(), named.Obj().Name(), f.Name())
+			if _, ok := allow[name]; ok {
+				delete(allow, name)
+				continue
+			}
+			pos := l.fset.Position(f.Pos())
+			bad = append(bad, fmt.Sprintf("%s:%d: option %s is set by no non-test file outside its package", pos.Filename, pos.Line, name))
+		}
+	}
+	return bad
 }
 
 // readAllow reads allow.txt: one "<function full name><tab><reason>" a line,

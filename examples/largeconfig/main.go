@@ -48,7 +48,13 @@ func deliver(net *simnet.Network, registry *packagevessel.Registry, agents []*pa
 	var first, last time.Duration
 	var fetched, deduped int
 	done := 0
-	meta := packagevessel.MetadataFor(m, registry.ID(), registry.Tracker())
+	// Metadata that names no tracker leaves the registry as the only
+	// holder: the central-only baseline.
+	tracker := registry.Tracker()
+	if !p2p {
+		tracker = ""
+	}
+	meta := packagevessel.MetadataFor(m, registry.ID(), tracker)
 	for _, a := range agents {
 		a.OnComplete(func(_ blob.Manifest, took time.Duration, st packagevessel.TransferStats) {
 			done++
@@ -63,11 +69,7 @@ func deliver(net *simnet.Network, registry *packagevessel.Registry, agents []*pa
 		})
 		// In production the metadata arrives via the server's Configerator
 		// proxy subscription; here we hand it over directly.
-		if p2p {
-			a.OnAnnounce(meta)
-		} else {
-			a.FetchDirect(m, registry.ID())
-		}
+		a.OnAnnounce(meta)
 	}
 	net.RunFor(time.Hour)
 

@@ -23,8 +23,6 @@ type Driver struct {
 	Engine *cdl.Engine
 	// FS resolves source paths (repository-relative, like the compiler).
 	FS cdl.FileSystem
-	// Analyzers is the suite to run; nil means all registered analyzers.
-	Analyzers []*Analyzer
 	// DeprecatedSitevars maps deprecated sitevar names to replacement
 	// notes for the deprecated-sitevar analyzer.
 	DeprecatedSitevars map[string]string
@@ -52,10 +50,7 @@ func (d *Driver) Run(roots []string) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("analysis: driver has no filesystem")
 	}
 	workers := runtime.GOMAXPROCS(0) // bounds load and analysis parallelism
-	analyzers := d.Analyzers
-	if analyzers == nil {
-		analyzers = Analyzers()
-	}
+	analyzers := Analyzers()
 
 	// ---- Phase 1: load the transitive closure, concurrently. ----
 	var (

@@ -7,7 +7,7 @@ import (
 
 func compileOne(t *testing.T, fs MapFS, path string) *Result {
 	t.Helper()
-	res, err := NewCompiler(fs).Compile(path)
+	res, err := NewEngine().Compile(fs, path)
 	if err != nil {
 		t.Fatalf("Compile(%s): %v", path, err)
 	}
@@ -16,7 +16,7 @@ func compileOne(t *testing.T, fs MapFS, path string) *Result {
 
 func compileErr(t *testing.T, fs MapFS, path string) error {
 	t.Helper()
-	_, err := NewCompiler(fs).Compile(path)
+	_, err := NewEngine().Compile(fs, path)
 	if err == nil {
 		t.Fatalf("Compile(%s): expected error", path)
 	}

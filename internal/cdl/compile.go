@@ -2,6 +2,8 @@ package cdl
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -21,6 +23,16 @@ func (m MapFS) ReadFile(path string) ([]byte, error) {
 		return nil, fmt.Errorf("cdl: no such file %q", path)
 	}
 	return []byte(s), nil
+}
+
+// DirFS is a FileSystem over the directory tree rooted at the named
+// directory. Paths are confined to the root: one that climbs with ".."
+// resolves inside it.
+type DirFS string
+
+// ReadFile implements FileSystem.
+func (d DirFS) ReadFile(path string) ([]byte, error) {
+	return os.ReadFile(filepath.Join(string(d), filepath.Clean("/"+path)))
 }
 
 // Result is a compiled config artifact.
@@ -54,31 +66,6 @@ func cloneResult(r *Result) *Result {
 	out.Imports = append([]string(nil), r.Imports...)
 	out.Deps = append([]string(nil), r.Deps...)
 	return &out
-}
-
-// Compiler compiles CDL modules to canonical JSON configs. It is a thin
-// wrapper around a (shareable) Engine; long-lived callers should hold one
-// Engine and pass it to every Compiler so caches persist across compiles.
-type Compiler struct {
-	FS FileSystem
-	// Engine provides the parse/module/result caches. A nil Engine
-	// compiles uncached (seed behavior).
-	Engine *Engine
-}
-
-// NewCompiler returns a compiler over the given source tree with its own
-// private engine.
-func NewCompiler(fs FileSystem) *Compiler { return &Compiler{FS: fs, Engine: NewEngine()} }
-
-// Compile loads the module at path, resolves its imports transitively,
-// evaluates it, checks the exported value against its schema, runs all
-// validators, and emits canonical JSON.
-func (c *Compiler) Compile(path string) (*Result, error) {
-	eng := c.Engine
-	if eng == nil {
-		eng = &Engine{CacheDisabled: true}
-	}
-	return eng.Compile(c.FS, path)
 }
 
 // loadState tracks one compilation's module graph.

@@ -55,11 +55,11 @@ func TestFunctionAsExportRejected(t *testing.T) {
 }
 
 func TestErrorPositionsReported(t *testing.T) {
-	_, err := NewCompiler(MapFS{"dir/a.cconf": "let x = ;\n"}).Compile("dir/a.cconf")
+	_, err := NewEngine().Compile(MapFS{"dir/a.cconf": "let x = ;\n"}, "dir/a.cconf")
 	if err == nil || !strings.Contains(err.Error(), "dir/a.cconf:1:") {
 		t.Errorf("err = %v, want position dir/a.cconf:1:", err)
 	}
-	_, err = NewCompiler(MapFS{"b.cconf": "let x = 1;\nlet y = z;\nexport {};\n"}).Compile("b.cconf")
+	_, err = NewEngine().Compile(MapFS{"b.cconf": "let x = 1;\nlet y = z;\nexport {};\n"}, "b.cconf")
 	if err == nil || !strings.Contains(err.Error(), "b.cconf:2:") {
 		t.Errorf("err = %v, want position b.cconf:2:", err)
 	}

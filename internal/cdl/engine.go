@@ -49,8 +49,8 @@ const (
 // share one engine safely.
 type Engine struct {
 	// CacheDisabled turns the engine into the seed serial compiler: no
-	// hashing, no caches, no single-flight. Used by benchmarks as the
-	// baseline.
+	// hashing, no caches, no single-flight — the reference the
+	// differential tests hold the cached engine to.
 	CacheDisabled bool
 	// Workers bounds CompileAll's worker pool (default GOMAXPROCS).
 	Workers int
@@ -89,8 +89,8 @@ func (e *Engine) Counters() *stats.Counters { return e.counters }
 
 // BatchError is CompileAll's failure report: the error produced by the
 // lexicographically first failing path. Its message is exactly the
-// underlying compile error's, so callers that previously surfaced
-// Compiler.Compile errors keep byte-identical output.
+// underlying compile error's, so callers that surface Engine.Compile
+// errors keep byte-identical output.
 type BatchError struct {
 	// Path is the requested (root) path whose compile failed — not
 	// necessarily the file the error is positioned in.

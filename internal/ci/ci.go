@@ -123,12 +123,6 @@ func (s *Sandbox) Run(cs ChangeSet) Result {
 	return res
 }
 
-// RecompileCheck returns a CompileChecker that recompiles each artifact's
-// source through the engine's batch API and compares bytes. sources maps
-// artifact path → source path; artifacts without a mapping (raw configs)
-// are skipped. Because the pipeline compiled the same sources moments
-// earlier through the same engine, this re-verification is served almost
-// entirely from the result cache.
 // LintCheck returns a LintChecker that statically analyzes the source of
 // every artifact in the change set through the shared engine's parse
 // cache. sources maps artifact path → source path; artifacts without a
@@ -157,6 +151,12 @@ func LintCheck(eng *cdl.Engine, fs cdl.FileSystem, sources map[string]string) Li
 	}
 }
 
+// RecompileCheck returns a CompileChecker that recompiles each artifact's
+// source through the engine's batch API and compares bytes. sources maps
+// artifact path → source path; artifacts without a mapping (raw configs)
+// are skipped. Because the pipeline compiled the same sources moments
+// earlier through the same engine, this re-verification is served almost
+// entirely from the result cache.
 func RecompileCheck(eng *cdl.Engine, fs cdl.FileSystem, sources map[string]string) CompileChecker {
 	return func(cs ChangeSet) error {
 		var paths []string

@@ -36,11 +36,6 @@ type Config struct {
 	ObserversPerCluster int
 	Seed                uint64
 
-	// Latency overrides the network latency model (DefaultLatency when
-	// nil). Calibrated propagation measurements use this with a 1-member
-	// ensemble: consensus timing constants assume datacenter latencies.
-	Latency *simnet.LatencyModel
-
 	// Obs, when set, instruments the whole fleet — Zeus commits, observer
 	// applies, proxy materializes, and client reads all report into it.
 	Obs *obs.Registry
@@ -99,11 +94,7 @@ type Fleet struct {
 
 // New builds the fleet on a fresh network and elects the Zeus leader.
 func New(cfg Config) *Fleet {
-	lat := simnet.DefaultLatency()
-	if cfg.Latency != nil {
-		lat = *cfg.Latency
-	}
-	net := simnet.New(lat, cfg.Seed)
+	net := simnet.New(simnet.DefaultLatency(), cfg.Seed)
 	net.SetObs(cfg.Obs)
 	f := &Fleet{
 		Net:       net,

@@ -42,8 +42,6 @@ type Options struct {
 	// Repos is the partitioned repository set; a fresh single-default set
 	// is created when nil.
 	Repos *vcs.RepoSet
-	// Cost is the git cost model (DefaultCostModel when zero).
-	Cost vcs.CostModel
 	// Fleet enables canary testing and distribution. Optional.
 	Fleet *cluster.Fleet
 	// CanaryPhase1 is the small canary phase size (default 20, the
@@ -123,13 +121,13 @@ type Pipeline struct {
 func New(opts Options) *Pipeline {
 	p := &Pipeline{
 		Repos:       opts.Repos,
-		Cost:        opts.Cost,
+		Cost:        vcs.DefaultCostModel(),
 		Deps:        depgraph.New(),
 		Review:      review.NewQueue(),
 		Sandbox:     ci.NewSandbox(0),
 		Engine:      cdl.NewEngine(),
 		Fleet:       opts.Fleet,
-		Risk:        riskadvisor.New(riskadvisor.DefaultThresholds()),
+		Risk:        riskadvisor.New(),
 		strips:      make(map[*vcs.Repository]*landingstrip.Strip),
 		phase1:      opts.CanaryPhase1,
 		phase2:      opts.CanaryPhase2,
@@ -153,9 +151,6 @@ func New(opts Options) *Pipeline {
 	}
 	p.head = p.Dataflow.Analyze(p.Repos, nil)
 	p.headTrees = make(map[*vcs.Repository]vcs.Tree)
-	if p.Cost == (vcs.CostModel{}) {
-		p.Cost = vcs.DefaultCostModel()
-	}
 	if p.Fleet != nil {
 		p.Canary = canary.NewRunner(p.Fleet.Net, p.Fleet)
 		p.Canary.Obs = p.Obs

@@ -226,12 +226,12 @@ func TestPipelineMatchesColdPipeline(t *testing.T) {
 					t.Fatalf("seed %d step %d: RecompileSet(%s) = %v, a cold pipeline over the same head: %v", seed, step, x, got, want)
 				}
 			}
-			compiler := cdl.NewCompiler(p.Repos)
+			compiler := cdl.NewEngine()
 			for _, src := range rep.Radius.Artifacts {
 				if slices.Contains(req.Deletes, src) {
 					continue
 				}
-				res, err := compiler.Compile(src)
+				res, err := compiler.Compile(p.Repos, src)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %s does not compile at head: %v", seed, step, src, err)
 				}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"configerator/internal/riskadvisor"
 	"configerator/internal/vcs"
 )
@@ -41,9 +43,15 @@ func (p *Pipeline) assessRisk(req *ChangeRequest, report *ChangeReport) []riskad
 	if report.lineDeltas == nil {
 		report.lineDeltas = make(map[string]int)
 	}
+	changed := changedArtifacts(req, report)
+	paths := make([]string, 0, len(changed))
+	for path := range changed {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths) // RiskFlags and the review comments come out in this order
 	var flags []riskadvisor.Flag
-	for path, data := range changedArtifacts(req, report) {
-		delta := p.lineDelta(path, data)
+	for _, path := range paths {
+		delta := p.lineDelta(path, changed[path])
 		report.lineDeltas[path] = delta
 		flags = append(flags, p.Risk.Assess(path, req.Author, delta, p.Now())...)
 	}

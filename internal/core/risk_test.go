@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,5 +148,35 @@ func TestRiskNoFlagsOnNormalFlow(t *testing.T) {
 	}
 	if len(rep.RiskFlags) != 0 {
 		t.Errorf("routine update flagged: %v", rep.RiskFlags)
+	}
+}
+
+// TestRiskFlagOrderStable: the flags of a change that touches several paths
+// follow the paths sorted, not the map the paths were gathered in.
+func TestRiskFlagOrderStable(t *testing.T) {
+	flagsOf := func() []string {
+		p := standalone(t)
+		var rep *ChangeReport
+		for _, v := range []string{`{"v":1}`, `{"v":2}`} {
+			rep = p.Submit(&ChangeRequest{
+				Author: "alice", Reviewer: "bob", Title: "two knobs",
+				Raws:       map[string][]byte{"a/knob.json": []byte(v), "b/knob.json": []byte(v)},
+				SkipCanary: true,
+			})
+			if !rep.OK() {
+				t.Fatal(rep.Err)
+			}
+			p.clock.Advance(365 * 24 * time.Hour)
+		}
+		return rep.RiskFlags
+	}
+	first := flagsOf()
+	if len(first) != 2 || !strings.Contains(first[0], "a/knob.json") || !strings.Contains(first[1], "b/knob.json") {
+		t.Fatalf("RiskFlags = %v, want one dormant flag per path, a/ before b/", first)
+	}
+	for i := 1; i < 20; i++ {
+		if got := flagsOf(); !slices.Equal(got, first) {
+			t.Fatalf("pipeline %d: RiskFlags = %v, pipeline 0 had %v", i, got, first)
+		}
 	}
 }

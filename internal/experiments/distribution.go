@@ -9,9 +9,6 @@ import (
 	"configerator/internal/cluster"
 	"configerator/internal/confclient"
 	"configerator/internal/core"
-	"configerator/internal/packagevessel"
-	"configerator/internal/packagevessel/blob"
-	"configerator/internal/simnet"
 	"configerator/internal/stats"
 	"configerator/internal/vcs"
 )
@@ -119,30 +116,10 @@ func probeChange(path string, id int64) vcs.Change {
 	return vcs.Change{Path: path, Content: []byte(fmt.Sprintf(`{"probe":%d}`, id))}
 }
 
-// PackageVesselDelivery reproduces §3.5's operational claim:
-// "PackageVessel consistently and reliably delivers the large configs to
-// the live servers in less than four minutes" — here a 256 MB model pushed
-// to a 60-server fleet over 1 Gbit/s links via the locality-aware swarm.
-func PackageVesselDelivery(opts Options) Result {
-	r := Result{ID: "packagevessel", Title: "Large-config delivery time via hybrid subscription-P2P"}
-	agents := 60
-	sizeMB := 256
-	if opts.Quick {
-		agents = 24
-		sizeMB = 64
-	}
-	worst, sameClusterFrac, storageShare := runSwarm(opts.Seed, agents, sizeMB, true)
-	r.Text = fmt.Sprintf("%d servers, %d MB package: slowest completion %v; %.0f%% of chunks same-cluster; storage served %.1f%% of chunk demand\n",
-		agents, sizeMB, worst.Round(time.Millisecond), 100*sameClusterFrac, 100*storageShare)
-	r.metric("slowest_server_seconds", worst.Seconds(), 240, true)
-	r.metric("same_cluster_chunk_fraction", sameClusterFrac, 0, false)
-	r.metric("storage_served_share", storageShare, 0, false)
-	return r
-}
-
 // AblationP2PvsCentral compares the swarm against every server fetching
 // straight from central storage (§3.5's motivation: a naive central fetch
-// overloads the storage system).
+// overloads the storage system). Central-only is the same agents handed
+// metadata that names no tracker: the registry is then the only holder.
 func AblationP2PvsCentral(opts Options) Result {
 	r := Result{ID: "ablation-p2p", Title: "P2P swarm vs central-only fetch for large configs"}
 	agents := 40
@@ -151,8 +128,8 @@ func AblationP2PvsCentral(opts Options) Result {
 		agents = 20
 		sizeMB = 48
 	}
-	p2p, _, _ := runSwarm(opts.Seed, agents, sizeMB, true)
-	central, _, _ := runSwarm(opts.Seed, agents, sizeMB, false)
+	p2p := runFleetDelivery(opts.Seed, agents, 4, sizeMB, 1, "tracker").quantile(1)
+	central := runFleetDelivery(opts.Seed, agents, 4, sizeMB, 1, "").quantile(1)
 	r.Text = fmt.Sprintf("%d servers, %d MB package:\n  P2P swarm slowest: %v\n  central-only slowest: %v\n  speedup: %.1fx\n",
 		agents, sizeMB, p2p.Round(time.Millisecond), central.Round(time.Millisecond),
 		float64(central)/float64(p2p))
@@ -160,58 +137,6 @@ func AblationP2PvsCentral(opts Options) Result {
 	r.metric("central_seconds", central.Seconds(), 0, false)
 	r.metric("speedup", float64(central)/float64(p2p), 0, false)
 	return r
-}
-
-// runSwarm builds a fresh swarm and returns the slowest completion plus
-// locality and registry-load statistics.
-func runSwarm(seed uint64, agents, sizeMB int, p2p bool) (worst time.Duration, sameClusterFrac, storageShare float64) {
-	net := simnet.New(simnet.DefaultLatency(), seed)
-	const bps = 1.25e8 // 1 Gbit/s
-	registry := packagevessel.NewRegistry(net, "registry", simnet.Placement{Region: "us", Cluster: "store"}, "tracker")
-	net.SetBandwidth("registry", bps, bps)
-	packagevessel.NewTracker(net, "tracker", simnet.Placement{Region: "us", Cluster: "store"})
-	var list []*packagevessel.Agent
-	for i := 0; i < agents; i++ {
-		cluster := fmt.Sprintf("c%d", i%4)
-		region := "us"
-		if i%4 >= 2 {
-			region = "eu"
-		}
-		id := simnet.NodeID(fmt.Sprintf("srv-%d", i))
-		a := packagevessel.NewAgent(net, id, simnet.Placement{Region: region, Cluster: cluster}, packagevessel.Options{})
-		net.SetBandwidth(id, bps, bps)
-		list = append(list, a)
-	}
-	m, err := registry.Publish(packagevessel.SyntheticPackage("model", 1, sizeMB<<20, packagevessel.DefaultChunkSize, seed))
-	if err != nil {
-		panic(err)
-	}
-	meta := packagevessel.MetadataFor(m, registry.ID(), registry.Tracker())
-	completed := 0
-	for _, a := range list {
-		a.OnComplete(func(_ blob.Manifest, d time.Duration, _ packagevessel.TransferStats) {
-			completed++
-			if d > worst {
-				worst = d
-			}
-		})
-		if p2p {
-			a.OnAnnounce(meta)
-		} else {
-			a.FetchDirect(m, registry.ID())
-		}
-	}
-	net.RunFor(4 * time.Hour)
-	if completed != agents {
-		panic(fmt.Sprintf("experiments: swarm incomplete: %d of %d", completed, agents))
-	}
-	var same, total, fromOrigin uint64
-	for _, a := range list {
-		same += a.ChunksSameCluster
-		total += a.ChunksSameCluster + a.ChunksSameRegion + a.ChunksCrossRegion
-		fromOrigin += a.ChunksFromOrigin
-	}
-	return worst, float64(same) / float64(total), float64(fromOrigin) / float64(total)
 }
 
 // AblationPushVsPull quantifies §3.4's push-vs-pull argument with the

@@ -83,7 +83,6 @@ func Catalog() []Experiment {
 		{"fig14", Fig14PropagationLatency},
 		{"fig15", Fig15GatekeeperChecks},
 		{"sec6.4", Sec64ConfigErrors},
-		{"packagevessel", PackageVesselDelivery},
 		{"vessel", Vessel},
 		{"ablation-push-pull", AblationPushVsPull},
 		{"ablation-landing-strip", AblationLandingStrip},

@@ -178,54 +178,50 @@ func AblationGatekeeperOptimizer(opts Options) Result {
 
 // AblationMobileDelta measures MobileConfig's hash-based delta pull
 // against resending full values on every poll (§5's bandwidth argument).
+// One run gives both sides: the server counts, per not-modified answer, the
+// bytes the full response would have been.
 func AblationMobileDelta(opts Options) Result {
 	r := Result{ID: "ablation-mobile-delta", Title: "MobileConfig delta pull vs full responses"}
 	devices := 200
 	if opts.Quick {
 		devices = 60
 	}
-	run := func(delta bool) (bytes uint64, pulls uint64) {
-		net := simnet.New(simnet.DefaultLatency(), opts.Seed)
-		reg := gatekeeper.NewRegistry(nil)
-		grt := gatekeeper.NewRuntime(reg)
-		spec := &gatekeeper.ProjectSpec{Project: "MX", Rules: []gatekeeper.RuleSpec{{
-			Restraints: []gatekeeper.RestraintSpec{{Name: "always"}}, PassProbability: 0.5,
-		}}}
-		if err := grt.Load(spec.Encode()); err != nil {
-			panic(err)
-		}
-		tr := mobileconfig.NewTranslator(grt, nil)
-		mapping := &mobileconfig.Mapping{Config: "APP", Fields: map[string]mobileconfig.FieldBinding{
-			"FEATURE_X":   {Backend: mobileconfig.BackendGatekeeper, Project: "MX"},
-			"MAX_RETRIES": {Backend: mobileconfig.BackendConstant, Value: 3.0},
-			"ENDPOINT":    {Backend: mobileconfig.BackendConstant, Value: "https://api.example.com/graph/v2"},
-		}}
-		if err := tr.LoadMapping(mapping.Encode()); err != nil {
-			panic(err)
-		}
-		_ = mobileconfig.NewServer(net, "mcfg", simnet.Placement{Region: "us", Cluster: "web"},
-			tr, func(id int64) *gatekeeper.User {
-				return &gatekeeper.User{ID: id, Now: vclock.Epoch}
-			})
-		schema := tr.RegisterSchema([]string{"FEATURE_X", "MAX_RETRIES", "ENDPOINT"})
-		var devs []*mobileconfig.Device
-		for i := 0; i < devices; i++ {
-			d := mobileconfig.NewDevice(net, simnet.NodeID(fmt.Sprintf("ph-%d", i)),
-				simnet.Placement{Region: "mobile", Cluster: "cell"}, "mcfg", "APP", int64(i), schema)
-			d.SetPollInterval(time.Hour)
-			if !delta {
-				d.DisableCache()
-			}
-			devs = append(devs, d)
-		}
-		net.RunFor(24 * time.Hour)
-		for _, d := range devs {
-			pulls += d.Pulls
-		}
-		return net.BytesSent, pulls
+	net := simnet.New(simnet.DefaultLatency(), opts.Seed)
+	reg := gatekeeper.NewRegistry(nil)
+	grt := gatekeeper.NewRuntime(reg)
+	spec := &gatekeeper.ProjectSpec{Project: "MX", Rules: []gatekeeper.RuleSpec{{
+		Restraints: []gatekeeper.RestraintSpec{{Name: "always"}}, PassProbability: 0.5,
+	}}}
+	if err := grt.Load(spec.Encode()); err != nil {
+		panic(err)
 	}
-	deltaBytes, pulls := run(true)
-	fullBytes, _ := run(false)
+	tr := mobileconfig.NewTranslator(grt, nil)
+	mapping := &mobileconfig.Mapping{Config: "APP", Fields: map[string]mobileconfig.FieldBinding{
+		"FEATURE_X":   {Backend: mobileconfig.BackendGatekeeper, Project: "MX"},
+		"MAX_RETRIES": {Backend: mobileconfig.BackendConstant, Value: 3.0},
+		"ENDPOINT":    {Backend: mobileconfig.BackendConstant, Value: "https://api.example.com/graph/v2"},
+	}}
+	if err := tr.LoadMapping(mapping.Encode()); err != nil {
+		panic(err)
+	}
+	srv := mobileconfig.NewServer(net, "mcfg", simnet.Placement{Region: "us", Cluster: "web"},
+		tr, func(id int64) *gatekeeper.User {
+			return &gatekeeper.User{ID: id, Now: vclock.Epoch}
+		})
+	schema := tr.RegisterSchema([]string{"FEATURE_X", "MAX_RETRIES", "ENDPOINT"})
+	var devs []*mobileconfig.Device
+	for i := 0; i < devices; i++ {
+		d := mobileconfig.NewDevice(net, simnet.NodeID(fmt.Sprintf("ph-%d", i)),
+			simnet.Placement{Region: "mobile", Cluster: "cell"}, "mcfg", "APP", int64(i), schema)
+		d.SetPollInterval(time.Hour)
+		devs = append(devs, d)
+	}
+	net.RunFor(24 * time.Hour)
+	var pulls uint64
+	for _, d := range devs {
+		pulls += d.Pulls
+	}
+	deltaBytes, fullBytes := net.BytesSent, net.BytesSent+srv.BytesSaved
 	r.Text = fmt.Sprintf("%d devices, 24h of hourly polls (%d pulls), values unchanged after first fetch:\n  delta protocol: %.1f KB transferred\n  full responses: %.1f KB transferred\n  bandwidth saving: %.1fx\n",
 		devices, pulls, float64(deltaBytes)/1e3, float64(fullBytes)/1e3,
 		float64(fullBytes)/float64(deltaBytes))

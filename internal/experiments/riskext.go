@@ -21,7 +21,7 @@ import (
 func ExtensionRiskAdvisor(opts Options) Result {
 	r := Result{ID: "ext-riskadvisor", Title: "Risk-advisor flag rates over the calibrated history"}
 	h := history(opts)
-	adv := riskadvisor.New(riskadvisor.DefaultThresholds())
+	adv := riskadvisor.New()
 
 	// Replay all updates in global time order.
 	type event struct {
@@ -55,7 +55,7 @@ func ExtensionRiskAdvisor(opts Options) Result {
 	// count over the same history: updates whose gap since the config's
 	// previous update meets the threshold.
 	expectedDormant := 0
-	threshold := riskadvisor.DefaultThresholds().DormancyAge
+	threshold := riskadvisor.DormancyAge
 	for _, c := range h.Configs {
 		for i := 1; i < len(c.Updates); i++ {
 			if c.Updates[i].Time.Sub(c.Updates[i-1].Time) >= threshold {

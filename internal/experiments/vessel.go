@@ -79,10 +79,11 @@ func newVesselFleet(seed uint64, agents, clusters, chunkSize int) *vesselFleet {
 	return f
 }
 
-// deliver announces a manifest to every agent and runs until the fleet
-// completes (or the deadline passes); returns sorted completion times.
-func (f *vesselFleet) deliver(m blob.Manifest, deadline time.Duration) []time.Duration {
-	meta := packagevessel.MetadataFor(m, f.registry.ID(), f.tracker.ID())
+// deliver announces a manifest to every agent, naming tracker as the swarm
+// coordinator ("" for none), and runs until the fleet completes (or the
+// deadline passes); returns sorted completion times.
+func (f *vesselFleet) deliver(m blob.Manifest, tracker simnet.NodeID, deadline time.Duration) []time.Duration {
+	meta := packagevessel.MetadataFor(m, f.registry.ID(), tracker)
 	var took []time.Duration
 	for _, a := range f.agents {
 		a.OnComplete(func(_ blob.Manifest, d time.Duration, _ packagevessel.TransferStats) {
@@ -113,15 +114,16 @@ func (o fleetOutcome) quantile(p float64) time.Duration {
 	return o.took[int(p*float64(len(o.took)-1))]
 }
 
-// runFleetDelivery measures one fleet-wide package delivery.
-func runFleetDelivery(seed uint64, agents, clusters, sizeMB, chunkMB int) fleetOutcome {
+// runFleetDelivery measures one fleet-wide package delivery coordinated by
+// tracker ("" for none: every chunk comes from the registry).
+func runFleetDelivery(seed uint64, agents, clusters, sizeMB, chunkMB int, tracker simnet.NodeID) fleetOutcome {
 	f := newVesselFleet(seed, agents, clusters, chunkMB<<20)
 	m, err := f.registry.Publish(packagevessel.SyntheticPackage(
 		"model", 1, sizeMB<<20, chunkMB<<20, seed))
 	if err != nil {
 		panic(err)
 	}
-	took := f.deliver(m, time.Hour)
+	took := f.deliver(m, tracker, time.Hour)
 	if len(took) != agents {
 		panic(fmt.Sprintf("vessel: fleet incomplete: %d of %d", len(took), agents))
 	}
@@ -169,7 +171,7 @@ func runDeltaPublish(seed uint64, agents, sizeMB int, changedFrac float64) delta
 	if err != nil {
 		panic(err)
 	}
-	if n := len(f.deliver(m1, time.Hour)); n != agents {
+	if n := len(f.deliver(m1, f.tracker.ID(), time.Hour)); n != agents {
 		panic(fmt.Sprintf("vessel: v1 incomplete: %d of %d", n, agents))
 	}
 
@@ -288,15 +290,15 @@ func vesselScenario(opts Options) vesselOutcome {
 	// publish where 12.5% of chunks change between v1 and v2; (c) a crash
 	// mid-download, restart, finish from the journal.
 	const changedFrac = 0.125
-	fleet := runFleetDelivery(opts.Seed, fleetAgents, fleetClusters, fleetMB, fleetChunkMB)
+	fleet := runFleetDelivery(opts.Seed, fleetAgents, fleetClusters, fleetMB, fleetChunkMB, "tracker")
 	delta := runDeltaPublish(opts.Seed, deltaAgents, deltaMB, changedFrac)
 	res := runResume(opts.Seed, resumeAgents, resumeMB)
 
 	// Determinism: each scenario class re-run with the same seed must
 	// reproduce its fingerprint bit-for-bit (the fleet run is represented
 	// by a smaller configuration so the check stays affordable).
-	mini1 := runFleetDelivery(opts.Seed, miniAgents, 8, miniMB, miniChunkMB)
-	mini2 := runFleetDelivery(opts.Seed, miniAgents, 8, miniMB, miniChunkMB)
+	mini1 := runFleetDelivery(opts.Seed, miniAgents, 8, miniMB, miniChunkMB, "tracker")
+	mini2 := runFleetDelivery(opts.Seed, miniAgents, 8, miniMB, miniChunkMB, "tracker")
 	delta2 := runDeltaPublish(opts.Seed, deltaAgents, deltaMB, changedFrac)
 	res2 := runResume(opts.Seed, resumeAgents, resumeMB)
 	return vesselOutcome{

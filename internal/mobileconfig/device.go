@@ -115,9 +115,6 @@ type Device struct {
 	flash     map[string]interface{}
 	flashHash uint64
 	interval  time.Duration
-	// noCache disables the value-hash optimization (ablation baseline:
-	// every poll fetches full values).
-	noCache bool
 
 	// Stats.
 	Pulls         uint64
@@ -157,10 +154,6 @@ func NewDeviceAt(net *simnet.Network, id simnet.NodeID, p simnet.Placement,
 
 // SetPollInterval overrides the poll cadence (tests).
 func (d *Device) SetPollInterval(iv time.Duration) { d.interval = iv }
-
-// DisableCache makes every poll fetch full values — the ablation baseline
-// for measuring what the hash exchange saves.
-func (d *Device) DisableCache() { d.noCache = true }
 
 // Get reads a config field from the flash cache — the app's getter path
 // (myCfg.getBool(...)); it never blocks on the network.
@@ -224,14 +217,10 @@ func (d *Device) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 
 func (d *Device) pull(ctx *simnet.Context) {
 	d.Pulls++
-	hash := d.flashHash
-	if d.noCache {
-		hash = 0
-	}
 	ctx.Send(d.server, MsgPull{
 		Config:     d.config,
 		SchemaHash: d.schemaHash,
-		ValueHash:  hash,
+		ValueHash:  d.flashHash,
 		UserID:     d.userID,
 	})
 }

@@ -35,10 +35,15 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultSweepEvery        = 2 * time.Second
-	DefaultHeartbeatEvery    = 1 * time.Second
-	DefaultStragglerVersions = 2
-	DefaultStragglerAge      = 10 * time.Second
+	DefaultSweepEvery     = 2 * time.Second
+	DefaultHeartbeatEvery = 1 * time.Second
+)
+
+// A proxy is a straggler when it serves a path more than stragglerVersions
+// behind the head, or has been behind for longer than stragglerAge.
+const (
+	stragglerVersions = 2
+	stragglerAge      = 10 * time.Second
 )
 
 // Config wires a Monitor.
@@ -55,11 +60,6 @@ type Config struct {
 	// HeartbeatEvery is the proxy heartbeat cadence the fleet wiring
 	// passes to Proxy.EnableMonitor (default 1s).
 	HeartbeatEvery time.Duration
-	// StragglerVersions / StragglerAge name a proxy a straggler when it
-	// serves a path more than K versions behind the head, or has been
-	// behind for longer than T.
-	StragglerVersions int64
-	StragglerAge      time.Duration
 	// SLOs are evaluated every sweep (see slo.go).
 	SLOs []*SLO
 	// OnAlert fires on every alert transition: once when an alert fires
@@ -77,12 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = DefaultHeartbeatEvery
-	}
-	if c.StragglerVersions <= 0 {
-		c.StragglerVersions = DefaultStragglerVersions
-	}
-	if c.StragglerAge <= 0 {
-		c.StragglerAge = DefaultStragglerAge
 	}
 	return c
 }
@@ -322,8 +316,8 @@ func (m *Monitor) Sweep(now time.Time) {
 				staleAges = append(staleAges, pair.Age)
 			}
 			sweep.Pairs = append(sweep.Pairs, pair)
-			if pair.Behind && (pair.BehindVersions > m.cfg.StragglerVersions ||
-				pair.Lag > m.cfg.StragglerAge) {
+			if pair.Behind && (pair.BehindVersions > stragglerVersions ||
+				pair.Lag > stragglerAge) {
 				stragglers = append(stragglers, Straggler{
 					Proxy: id, Path: path,
 					BehindVersions: pair.BehindVersions,

@@ -130,7 +130,7 @@ func TestStragglerDetection(t *testing.T) {
 	victim := f.AllServers()[0].ID
 	f.Net.Fail(victim)
 	write(t, f, testPath, `{"v":2}`)
-	f.Net.RunFor(15 * time.Second) // beyond StragglerAge
+	f.Net.RunFor(15 * time.Second) // beyond stragglerAge
 
 	st := m.Status()
 	if len(st.Stragglers) == 0 {

@@ -13,10 +13,6 @@ const (
 	// chunkTimeout bounds one chunk fetch before the slot is reclaimed
 	// (the assigned peer may have crashed mid-transfer).
 	chunkTimeout = 30 * time.Second
-	// directChunkTimeout is the patient variant for central-only mode,
-	// where every request queues behind the whole fleet on the origin's
-	// uplink and a short timer would only add duplicate load.
-	directChunkTimeout = 5 * time.Minute
 	// manifestRetry re-requests an unanswered manifest fetch.
 	manifestRetry = 10 * time.Second
 	// maxNeedList caps the digests listed per msgWant.
@@ -36,10 +32,6 @@ const (
 
 // Options configures an Agent.
 type Options struct {
-	// Store is the agent's durable chunk store — its "disk". Passing the
-	// same store across NewAgent calls models a restart with the disk
-	// intact. Nil allocates a fresh one.
-	Store *blob.Store
 	// Obs receives the vessel.* counters (nil-safe).
 	Obs *obs.Registry
 }
@@ -64,7 +56,7 @@ type flight struct {
 type transfer struct {
 	manifest blob.Manifest
 	origin   simnet.NodeID // registry (authoritative fallback)
-	tracker  simnet.NodeID // swarm coordinator ("" in direct mode)
+	tracker  simnet.NodeID // swarm coordinator ("": origin is the only holder)
 	need     map[blob.Digest]bool
 	// order holds the still-needed digests in manifest order (compacted
 	// lazily as chunks verify), so building a msgWant need list scans
@@ -75,7 +67,6 @@ type transfer struct {
 	started  time.Time
 	wantOut  bool // a msgWant is outstanding
 	retryOut bool // a backoff retry timer is armed
-	direct   bool // central-only mode: all chunks from origin, no swarm
 	stats    TransferStats
 }
 
@@ -114,12 +105,9 @@ type Agent struct {
 
 // NewAgent creates an agent node.
 func NewAgent(net *simnet.Network, id simnet.NodeID, p simnet.Placement, opts Options) *Agent {
-	if opts.Store == nil {
-		opts.Store = blob.NewStore()
-	}
 	a := &Agent{
 		id: id, net: net, obs: opts.Obs,
-		store:            opts.Store,
+		store:            blob.NewStore(),
 		transfers:        make(map[string]*transfer),
 		inflight:         make(map[blob.Digest]flight),
 		perPeer:          make(map[simnet.NodeID]int),
@@ -170,17 +158,10 @@ func (a *Agent) OnAnnounce(md Metadata) {
 	ctx.SetTimer(manifestRetry, msgManifestRetry{Name: md.Name, Version: md.Version})
 }
 
-// FetchDirect is the ablation baseline: fetch every missing chunk
-// straight from origin, no swarm coordination.
-func (a *Agent) FetchDirect(m blob.Manifest, origin simnet.NodeID) {
-	ctx := simnet.MakeContext(a.net, a.id)
-	a.startTransfer(&ctx, m, origin, "", true)
-}
-
 // startTransfer begins fetching a manifest. Chunks already in the store —
 // from prior versions of this package or any other — are dedup hits and
 // are not fetched again.
-func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, tracker simnet.NodeID, direct bool) {
+func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, tracker simnet.NodeID) {
 	if a.store.Complete(m.Name, m.Version) {
 		return
 	}
@@ -195,7 +176,7 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 	distinct := m.Distinct()
 	missing := a.store.Missing(m)
 	t := &transfer{
-		manifest: m, origin: origin, tracker: tracker, direct: direct,
+		manifest: m, origin: origin, tracker: tracker,
 		need:     make(map[blob.Digest]bool, len(missing)),
 		order:    missing,
 		inflight: make(map[blob.Digest]simnet.NodeID),
@@ -219,11 +200,7 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 		a.finish(ctx, t)
 		return
 	}
-	if direct {
-		a.dispatchDirect(ctx, t)
-	} else {
-		a.requestGrants(ctx, t)
-	}
+	a.requestGrants(ctx, t)
 }
 
 // abandon drops a transfer superseded by a newer version. Fetched chunks
@@ -282,11 +259,7 @@ func (t *transfer) granted(d blob.Digest) bool {
 // requestGrants asks the tracker for the next batch, piggybacking newly
 // verified digests as announcements.
 func (a *Agent) requestGrants(ctx *simnet.Context, t *transfer) {
-	if t.direct {
-		a.dispatchDirect(ctx, t)
-		return
-	}
-	if t.wantOut || t.retryOut || t.tracker == "" {
+	if t.wantOut || t.retryOut {
 		// One want in flight at a time — and none at all while a backoff
 		// timer is armed: an empty grant means the swarm has no capacity
 		// for us this tick, and immediate re-asking is just a want storm.
@@ -298,6 +271,21 @@ func (a *Agent) requestGrants(ctx *simnet.Context, t *transfer) {
 	}
 	max := grantBatch - len(t.pending)
 	if max <= 0 {
+		return
+	}
+	if t.tracker == "" {
+		// Metadata that names no tracker has exactly one holder, the
+		// registry: the agent grants itself the batch from origin, and
+		// dispatch paces it (window, per-peer cap, chunkTimeout) like any
+		// grant. An origin quarantined for a corrupt chunk leaves no holder
+		// to ask.
+		if a.quarantined[t.origin] {
+			return
+		}
+		for _, d := range need[:min(len(need), max)] {
+			t.pending = append(t.pending, grant{Digest: d, Peer: t.origin})
+		}
+		a.dispatch(ctx, t)
 		return
 	}
 	t.wantOut = true
@@ -332,21 +320,6 @@ func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 	}
 }
 
-// dispatchDirect requests every missing chunk straight from the origin at
-// once — the naive central fetch the swarm exists to avoid.
-func (a *Agent) dispatchDirect(ctx *simnet.Context, t *transfer) {
-	for _, r := range t.manifest.Chunks {
-		if !t.need[r.Digest] {
-			continue
-		}
-		delete(t.need, r.Digest)
-		t.inflight[r.Digest] = t.origin
-		a.inflight[r.Digest] = flight{t: t, peer: t.origin}
-		ctx.Send(t.origin, msgGetChunk{Digest: r.Digest})
-		ctx.SetTimer(directChunkTimeout, msgChunkTimeout{Digest: r.Digest})
-	}
-}
-
 // HandleMessage implements simnet.Handler.
 func (a *Agent) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
@@ -361,17 +334,10 @@ func (a *Agent) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 			t.retryOut = false
 			a.requestGrants(ctx, t)
 		}
-	case msgGetChunk:
-		a.serveChunk(ctx, from, m)
-	case msgGetManifest:
-		reply := msgManifest{Name: m.Name, Version: m.Version}
-		if man, ok := a.store.Manifest(m.Name, m.Version); ok {
-			if data, err := man.Encode(); err == nil {
-				reply.OK = true
-				reply.Data = data
-			}
+	case msgGetChunk, msgGetManifest:
+		if serve(ctx, a.store, from, msg) {
+			a.ChunksServed++
 		}
-		ctx.SendSized(from, reply, len(reply.Data))
 	case msgManifest:
 		a.onManifestReply(ctx, from, m)
 	case msgManifestRetry:
@@ -395,7 +361,7 @@ func (a *Agent) onManifestReply(ctx *simnet.Context, from simnet.NodeID, m msgMa
 	if err != nil || man.Name != md.Name || man.Version != md.Version {
 		return
 	}
-	a.startTransfer(ctx, man, md.Registry, md.Tracker, false)
+	a.startTransfer(ctx, man, md.Registry, md.Tracker)
 }
 
 func (a *Agent) onAssign(ctx *simnet.Context, from simnet.NodeID, m msgAssign) {
@@ -459,28 +425,7 @@ func (a *Agent) onChunkTimeout(ctx *simnet.Context, m msgChunkTimeout) {
 	}
 	a.inflightTotal--
 	fl.t.need[m.Digest] = true
-	if fl.t.direct {
-		a.dispatchDirect(ctx, fl.t)
-	} else {
-		a.dispatch(ctx, fl.t)
-		a.requestGrants(ctx, fl.t)
-	}
-}
-
-// serveChunk uploads a chunk to a peer. Content addressing makes this
-// version-free: any verified chunk in the store is safe to serve, because
-// the requester verifies the digest itself.
-func (a *Agent) serveChunk(ctx *simnet.Context, from simnet.NodeID, m msgGetChunk) {
-	reply := msgChunk{Digest: m.Digest}
-	size := 0
-	if c, ok := a.store.Get(m.Digest); ok {
-		reply.OK = true
-		reply.Data = c.Data()
-		reply.Size = c.Size()
-		size = c.Size()
-		a.ChunksServed++
-	}
-	ctx.SendSized(from, reply, size)
+	a.continueTransfer(ctx, fl.t)
 }
 
 func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
@@ -548,10 +493,6 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 }
 
 func (a *Agent) continueTransfer(ctx *simnet.Context, t *transfer) {
-	if t.direct {
-		a.dispatchDirect(ctx, t)
-		return
-	}
 	a.dispatch(ctx, t)
 	a.requestGrants(ctx, t)
 }

@@ -80,3 +80,45 @@ func TestCorruptPeerQuarantined(t *testing.T) {
 		t.Errorf("final verify: %d present, %d missing", len(present), len(missing))
 	}
 }
+
+// corruptOrigin serves honest manifests out of a registry's store and
+// corrupt bytes for every chunk.
+type corruptOrigin struct {
+	rogue
+	store *blob.Store
+}
+
+func (c *corruptOrigin) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+	if _, ok := msg.(msgGetManifest); ok {
+		serve(ctx, c.store, from, msg)
+		return
+	}
+	c.rogue.HandleMessage(ctx, from, msg)
+}
+
+// TestTrackerlessCorruptOriginStalls: with no tracker the origin is the only
+// holder, so once it is quarantined the transfer waits — it neither trusts the
+// bytes nor keeps asking.
+func TestTrackerlessCorruptOriginStalls(t *testing.T) {
+	r := newSwarm(t, 1, 1, 22)
+	a := r.agents[0]
+	m, err := r.registry.Publish(SyntheticPackage("model", 1, 8<<20, DefaultChunkSize, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &corruptOrigin{store: r.registry.Store()}
+	r.net.AddNode("mirror", simnet.Placement{Region: "us", Cluster: "store"}, bad)
+
+	a.OnAnnounce(MetadataFor(m, "mirror", ""))
+	r.net.RunFor(5 * time.Minute)
+
+	if a.Complete("model", 1) || a.ChunksFetched != 0 {
+		t.Fatalf("complete = %v with %d chunks stored from a corrupt origin", a.Complete("model", 1), a.ChunksFetched)
+	}
+	if q := a.Quarantined(); len(q) != 1 || q[0] != "mirror" {
+		t.Fatalf("quarantined = %v, want [mirror]", q)
+	}
+	if bad.Served > perPeerInflight {
+		t.Errorf("origin was asked for %d chunks, want at most the per-peer cap %d", bad.Served, perPeerInflight)
+	}
+}

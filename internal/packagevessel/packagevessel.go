@@ -446,10 +446,20 @@ func (r *Registry) PackageNames() []string {
 // HandleMessage implements simnet.Handler: the registry serves manifest
 // and chunk fetches.
 func (r *Registry) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+	if serve(ctx, r.store, from, msg) {
+		r.ChunksServed++
+	}
+}
+
+// serve answers a manifest or chunk fetch out of store — the registry and
+// every agent serve alike — and reports whether a chunk went out. Content
+// addressing makes chunk serving version-free: any verified chunk in the
+// store is safe to serve, because the requester verifies the digest itself.
+func serve(ctx *simnet.Context, store *blob.Store, from simnet.NodeID, msg simnet.Message) bool {
 	switch m := msg.(type) {
 	case msgGetManifest:
 		reply := msgManifest{Name: m.Name, Version: m.Version}
-		if man, ok := r.store.Manifest(m.Name, m.Version); ok {
+		if man, ok := store.Manifest(m.Name, m.Version); ok {
 			if data, err := man.Encode(); err == nil {
 				reply.OK = true
 				reply.Data = data
@@ -457,17 +467,15 @@ func (r *Registry) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg si
 		}
 		ctx.SendSized(from, reply, len(reply.Data))
 	case msgGetChunk:
-		reply := msgChunk{Digest: m.Digest}
-		size := 0
-		if c, ok := r.store.Get(m.Digest); ok {
-			reply.OK = true
-			reply.Data = c.Data()
-			reply.Size = c.Size()
-			size = c.Size()
-			r.ChunksServed++
+		c, ok := store.Get(m.Digest)
+		if !ok {
+			ctx.SendSized(from, msgChunk{Digest: m.Digest}, 0)
+			return false
 		}
-		ctx.SendSized(from, reply, size)
+		ctx.SendSized(from, msgChunk{Digest: m.Digest, Data: c.Data(), Size: c.Size(), OK: true}, c.Size())
+		return true
 	}
+	return false
 }
 
 // ---- Wire messages ----

@@ -430,7 +430,7 @@ func TestCentralOnlySlowerThanP2P(t *testing.T) {
 			if p2p {
 				a.OnAnnounce(MetadataFor(m, "registry", "tracker"))
 			} else {
-				a.FetchDirect(m, "registry")
+				a.OnAnnounce(MetadataFor(m, "registry", ""))
 			}
 		}
 		r.net.RunFor(2 * time.Hour)
@@ -444,5 +444,49 @@ func TestCentralOnlySlowerThanP2P(t *testing.T) {
 	if central <= p2p {
 		t.Errorf("central (%v) should be slower than p2p (%v): registry uplink is the bottleneck",
 			central, p2p)
+	}
+}
+
+// TestTrackerlessTransferUsesOrigin: metadata that names no tracker has one
+// holder, the registry. Every chunk comes from it, no peer or tracker is
+// asked, and the fetches are paced by the same window and per-peer cap as a
+// swarm's.
+func TestTrackerlessTransferUsesOrigin(t *testing.T) {
+	const chunks = 24
+	r := newSwarm(t, 3, 1, 9)
+	m, err := r.registry.Publish(SyntheticPackage("model", 1, chunks<<20, DefaultChunkSize, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range r.agents {
+		a.OnAnnounce(MetadataFor(m, "registry", ""))
+	}
+	peak := 0
+	for deadline := r.net.Now().Add(time.Minute); r.net.Now().Before(deadline) && r.net.Step(); {
+		for _, a := range r.agents {
+			if a.inflightTotal > fetchWindow || a.perPeer["registry"] > perPeerInflight || a.inflightTotal != a.perPeer["registry"] {
+				t.Fatalf("%s: %d in flight, %d of them to the registry (window %d, per-peer cap %d)",
+					a.id, a.inflightTotal, a.perPeer["registry"], fetchWindow, perPeerInflight)
+			}
+			peak = max(peak, a.inflightTotal)
+		}
+	}
+	if peak != perPeerInflight {
+		t.Errorf("peak in-flight fetches = %d, want the per-peer cap %d", peak, perPeerInflight)
+	}
+	for _, a := range r.agents {
+		if !a.Complete("model", 1) {
+			t.Fatalf("%s never completed", a.id)
+		}
+		if a.ChunksFromOrigin != chunks || a.ChunksFromPeers != 0 || a.ChunksServed != 0 {
+			t.Errorf("%s: %d chunks from origin, %d from peers, %d served; want %d, 0, 0",
+				a.id, a.ChunksFromOrigin, a.ChunksFromPeers, a.ChunksServed, chunks)
+		}
+	}
+	if r.registry.ChunksServed != 3*chunks {
+		t.Errorf("registry served %d chunks, want %d", r.registry.ChunksServed, 3*chunks)
+	}
+	if r.tracker.Wants != 0 {
+		t.Errorf("tracker answered %d wants, want 0", r.tracker.Wants)
 	}
 }

@@ -134,3 +134,47 @@ func TestResumeAfterDiskLoss(t *testing.T) {
 		t.Errorf("lifetime ChunksFetched = %d, want > 64 (lost chunks must be re-fetched)", a.ChunksFetched)
 	}
 }
+
+// TestTrackerlessTransferResumesAfterCrash: the journal records that the
+// transfer had no coordinator, and the restarted agent goes back to the
+// origin for exactly the digests it still misses.
+func TestTrackerlessTransferResumesAfterCrash(t *testing.T) {
+	const (
+		chunks  = 64
+		slowBps = 1.25e7
+	)
+	r := newSwarmBps(t, 1, 1, 13, slowBps)
+	a := r.agents[0]
+	m, err := r.registry.Publish(SyntheticPackage("model", 1, chunks<<20, DefaultChunkSize, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final TransferStats
+	a.OnComplete(func(_ blob.Manifest, _ time.Duration, st TransferStats) { final = st })
+	a.OnAnnounce(MetadataFor(m, "registry", ""))
+
+	plan := simnet.NewFaultPlan(
+		simnet.WithCrash(2*time.Second, a.id),
+		simnet.WithRestart(20*time.Second, a.id),
+	)
+	plan.Apply(r.net)
+	r.net.RunFor(10 * time.Minute)
+
+	if plan.Fired() != 2 {
+		t.Fatalf("fault plan fired %d of 2 events", plan.Fired())
+	}
+	if !a.Complete("model", 1) {
+		t.Fatal("agent never completed after restart")
+	}
+	if !final.Resumed || final.ResumeVerified <= 0 || final.ResumeVerified >= chunks {
+		t.Fatalf("Resumed = %v, ResumeVerified = %d, want a resume from mid-transfer (0 < n < %d)",
+			final.Resumed, final.ResumeVerified, chunks)
+	}
+	if final.ChunksFetched != chunks-final.ResumeVerified || a.ChunksFetched != chunks {
+		t.Errorf("fetched %d after restart and %d in both lives, want %d and %d",
+			final.ChunksFetched, a.ChunksFetched, chunks-final.ResumeVerified, chunks)
+	}
+	if a.ChunksFromPeers != 0 || r.tracker.Wants != 0 {
+		t.Errorf("%d chunks from peers, %d tracker wants; want 0, 0", a.ChunksFromPeers, r.tracker.Wants)
+	}
+}

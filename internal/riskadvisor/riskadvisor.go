@@ -49,35 +49,24 @@ func (f Flag) String() string {
 	return fmt.Sprintf("[risk:%s] %s: %s", f.Kind, f.Path, f.Detail)
 }
 
-// Thresholds tune the advisor.
-type Thresholds struct {
+// The thresholds, calibrated against the §6.2 distributions: 35% of configs
+// go 300+ days untouched, ~50% of updates are two-line changes, and
+// >50-author configs are the 0.2% tail.
+const (
 	// DormancyAge is how long without updates marks a config dormant.
-	DormancyAge time.Duration
-	// SizeFactor flags an update larger than SizeFactor x the historical
-	// median line change (and at least MinLines).
-	SizeFactor float64
-	MinLines   int
-	// SharedAuthors flags configs with at least this many co-authors.
-	SharedAuthors int
-	// SharedReach flags configs whose static blast radius (downstream
+	DormancyAge = 300 * 24 * time.Hour
+	// sizeFactor flags an update larger than sizeFactor x the historical
+	// median line change (and at least minLines).
+	sizeFactor = 8
+	minLines   = 20
+	// sharedAuthors flags configs with at least this many co-authors.
+	sharedAuthors = 20
+	// sharedReach flags configs whose static blast radius (downstream
 	// artifacts + consumer bindings, fed from the dataflow analysis via
 	// SetReach) is at least this large — catching new-but-widely-imported
-	// configs that have no author history yet. 0 disables.
-	SharedReach int
-}
-
-// DefaultThresholds are calibrated against the §6.2 distributions: 35% of
-// configs go 300+ days untouched, ~50% of updates are two-line changes,
-// and >50-author configs are the 0.2% tail.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		DormancyAge:   300 * 24 * time.Hour,
-		SizeFactor:    8,
-		MinLines:      20,
-		SharedAuthors: 20,
-		SharedReach:   25,
-	}
-}
+	// configs that have no author history yet.
+	sharedReach = 25
+)
 
 // pathHistory is what the advisor remembers per config.
 type pathHistory struct {
@@ -95,7 +84,6 @@ type pathHistory struct {
 
 // Advisor learns config histories and assesses changes.
 type Advisor struct {
-	t     Thresholds
 	paths map[string]*pathHistory
 	// reach holds the latest static blast-radius size per path, fed by
 	// the pipeline's dataflow pass — the forward-looking complement to
@@ -103,9 +91,9 @@ type Advisor struct {
 	reach map[string]int
 }
 
-// New returns an advisor with the given thresholds.
-func New(t Thresholds) *Advisor {
-	return &Advisor{t: t, paths: make(map[string]*pathHistory), reach: make(map[string]int)}
+// New returns an advisor with no history.
+func New() *Advisor {
+	return &Advisor{paths: make(map[string]*pathHistory), reach: make(map[string]int)}
 }
 
 // SetReach records a config's static blast-radius size (downstream
@@ -167,13 +155,13 @@ func (a *Advisor) Assess(path, author string, lineChanges int, now time.Time) []
 	h := a.paths[path]
 	var flags []Flag
 	if h != nil {
-		if dormant := now.Sub(h.lastUpdate); dormant >= a.t.DormancyAge {
+		if dormant := now.Sub(h.lastUpdate); dormant >= DormancyAge {
 			flags = append(flags, Flag{Kind: FlagDormantChange, Path: path,
 				Detail: fmt.Sprintf("untouched for %d days (threshold %d)",
-					int(dormant.Hours()/24), int(a.t.DormancyAge.Hours()/24))})
+					int(dormant.Hours()/24), int(DormancyAge.Hours()/24))})
 		}
-		if med := medianInt(h.lineSizes); med > 0 && lineChanges >= a.t.MinLines &&
-			float64(lineChanges) >= a.t.SizeFactor*float64(med) {
+		if med := medianInt(h.lineSizes); med > 0 && lineChanges >= minLines &&
+			float64(lineChanges) >= sizeFactor*float64(med) {
 			flags = append(flags, Flag{Kind: FlagUnusualSize, Path: path,
 				Detail: fmt.Sprintf("%d line changes vs historical median %d", lineChanges, med)})
 		}
@@ -186,14 +174,14 @@ func (a *Advisor) Assess(path, author string, lineChanges int, now time.Time) []
 	// long before it accumulates an author history.
 	if h == nil || h.perAuthor[author] < 3 {
 		switch {
-		case h != nil && len(h.authors) >= a.t.SharedAuthors:
+		case h != nil && len(h.authors) >= sharedAuthors:
 			flags = append(flags, Flag{Kind: FlagHighlyShared, Path: path,
 				Detail: fmt.Sprintf("%d distinct co-authors and %s is not a regular updater",
 					len(h.authors), author)})
-		case a.t.SharedReach > 0 && a.reach[path] >= a.t.SharedReach:
+		case a.reach[path] >= sharedReach:
 			flags = append(flags, Flag{Kind: FlagHighlyShared, Path: path,
 				Detail: fmt.Sprintf("statically reaches %d downstream artifacts/consumers (threshold %d) and %s is not a regular updater",
-					a.reach[path], a.t.SharedReach, author)})
+					a.reach[path], sharedReach, author)})
 		}
 	}
 	if h != nil && !h.authors[author] && h.updates >= 3 {

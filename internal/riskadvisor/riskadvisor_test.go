@@ -22,14 +22,14 @@ func hasFlag(flags []Flag, kind FlagKind) bool {
 }
 
 func TestNewConfigNoFlags(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	if flags := a.Assess("fresh.json", "alice", 2, t0); flags != nil {
 		t.Errorf("flags = %v", flags)
 	}
 }
 
 func TestDormantChangeFlagged(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	a.Observe("old.json", "alice", 2, day(0))
 	flags := a.Assess("old.json", "alice", 2, day(400))
 	if !hasFlag(flags, FlagDormantChange) {
@@ -43,7 +43,7 @@ func TestDormantChangeFlagged(t *testing.T) {
 }
 
 func TestUnusualSizeFlagged(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	for i := 0; i < 10; i++ {
 		a.Observe("cfg.json", "alice", 2, day(i))
 	}
@@ -56,7 +56,7 @@ func TestUnusualSizeFlagged(t *testing.T) {
 		t.Errorf("normal update flagged: %v", flags)
 	}
 	// Big changes to configs that always change big are normal.
-	b := New(DefaultThresholds())
+	b := New()
 	for i := 0; i < 10; i++ {
 		b.Observe("model.json", "svc:publisher", 500, day(i))
 	}
@@ -66,7 +66,7 @@ func TestUnusualSizeFlagged(t *testing.T) {
 }
 
 func TestHighlySharedFlagged(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	for i := 0; i < 25; i++ {
 		a.Observe("shared.json", "eng"+string(rune('a'+i)), 2, day(i))
 	}
@@ -83,7 +83,7 @@ func TestHighlySharedFlagged(t *testing.T) {
 // flagged highly-shared when its static blast radius is large — the
 // under-flagging gap the dataflow analysis closes.
 func TestHighReachFlagged(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	a.SetReach("sitevars/new-but-popular.cinc", 40)
 	flags := a.Assess("sitevars/new-but-popular.cinc", "mallory", 2, t0)
 	if !hasFlag(flags, FlagHighlyShared) {
@@ -107,7 +107,7 @@ func TestHighReachFlagged(t *testing.T) {
 // TestHighReachHabitualAuthorExempt: regular updaters of a high-reach
 // config are not nagged, mirroring the author-history rule.
 func TestHighReachHabitualAuthorExempt(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	a.SetReach("lib/core.cinc", 100)
 	for i := 0; i < 5; i++ {
 		a.Observe("lib/core.cinc", "owner", 2, day(i))
@@ -123,7 +123,7 @@ func TestHighReachHabitualAuthorExempt(t *testing.T) {
 }
 
 func TestNewAuthorFlagged(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	for i := 0; i < 5; i++ {
 		a.Observe("cfg.json", "alice", 2, day(i))
 	}
@@ -135,7 +135,7 @@ func TestNewAuthorFlagged(t *testing.T) {
 		t.Errorf("regular author flagged: %v", flags)
 	}
 	// Too little history: don't flag (everyone is new on a 1-update config).
-	b := New(DefaultThresholds())
+	b := New()
 	b.Observe("young.json", "alice", 2, day(0))
 	if flags := b.Assess("young.json", "bob", 2, day(1)); hasFlag(flags, FlagNewAuthor) {
 		t.Errorf("new author on young config flagged: %v", flags)
@@ -151,7 +151,7 @@ func TestFlagString(t *testing.T) {
 }
 
 func TestKnown(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	if a.Known("x") {
 		t.Error("unknown path reported known")
 	}
@@ -162,7 +162,7 @@ func TestKnown(t *testing.T) {
 }
 
 func TestLineSizeWindowBounded(t *testing.T) {
-	a := New(DefaultThresholds())
+	a := New()
 	for i := 0; i < 200; i++ {
 		a.Observe("cfg.json", "alice", 2, day(i))
 	}
