@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/zeus -run '^$$' -fuzz '^FuzzPayloadResolve$$' -fuzztime=5s
 	$(GO) test ./internal/zeus -run '^$$' -fuzz '^FuzzCatchUpMatchesReplay$$' -fuzztime=5s
 	$(GO) test ./internal/gatekeeper -run '^$$' -fuzz '^FuzzParseProjectSpec$$' -fuzztime=5s
+	$(GO) test ./internal/cdl -run '^$$' -fuzz '^FuzzCompileMatchesSeed$$' -fuzztime=5s
 
 # bench: the performance record (BENCHMARK.json; see bench/README.md).
 bench:

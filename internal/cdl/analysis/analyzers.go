@@ -480,21 +480,21 @@ var DeadExport = &Analyzer{
 	},
 }
 
-// ImpureConstruct warns on the assignments that defeat module
-// memoization: writes that escape their call scope into an environment
-// shared across compiles. The engine already detects these (and declines
-// to cache the module); the analyzer surfaces each site.
+// ImpureConstruct warns on assignments that escape their call scope: a
+// def or validator that writes state outside its call (or a top-level
+// rebind of an imported name or builtin), so what a config gets from the
+// module depends on call order.
 var ImpureConstruct = &Analyzer{
 	Name: "impure-construct",
-	Doc: "warn on assignments that escape their call scope and make the " +
-		"module unsafe to memoize across compiles",
+	Doc: "warn on assignments that escape their call scope, making " +
+		"results depend on call order",
 	Run: func(pass *Pass) {
 		for _, site := range cdl.ImpureAssignments(pass.Module) {
 			pass.Report(Diagnostic{
 				Pos: site.Pos, End: site.End,
 				Severity: Warn,
 				Message: fmt.Sprintf(
-					"assignment to %q escapes its call scope; the module cannot be memoized", site.Name),
+					"assignment to %q escapes its call scope; results depend on call order", site.Name),
 				SuggestedFix: fmt.Sprintf("bind a fresh name instead: let %s = ...;", site.Name),
 			})
 		}

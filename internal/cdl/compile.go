@@ -72,30 +72,17 @@ func cloneResult(r *Result) *Result {
 type loadState struct {
 	eng    *Engine
 	fs     FileSystem
-	h      *hasher // nil disables all cache use for this compile
+	h      *hasher // supplies already-read sources; nil with CacheDisabled
 	eval   *evaluator
 	global *Env
 
 	modules map[string]*Env // path -> module env (top-level bindings)
 	// imports records each loaded module's direct import paths in
 	// statement order (the root's become Result.Imports).
-	imports map[string][]string
-	// cached marks modules whose evaluation is backed by a cache entry
-	// (activated from one, or stored as one this compile). A module may
-	// only be cached if all its direct imports are.
-	cached map[string]bool
-	// entries holds the cache entry per cached path, for building the
-	// closure metadata of dependent entries.
-	entries map[string]*moduleEntry
-	// usedCache is set once any module was activated from cache; together
-	// with a global-env rebind it triggers the uncached-redo fallback.
-	usedCache  bool
+	imports    map[string][]string
 	inProgress map[string]bool
 	order      []string
 	validators map[string][]registeredValidator
-	// building is the closure key this loadState was spawned to build
-	// (engine single-flight); load must not re-enter that flight.
-	building string
 }
 
 func newLoadState(eng *Engine, fs FileSystem, h *hasher) *loadState {
@@ -107,18 +94,14 @@ func newLoadState(eng *Engine, fs FileSystem, h *hasher) *loadState {
 		global:     baseEnv(),
 		modules:    map[string]*Env{},
 		imports:    map[string][]string{},
-		cached:     map[string]bool{},
-		entries:    map[string]*moduleEntry{},
 		inProgress: map[string]bool{},
 		validators: map[string][]registeredValidator{},
 	}
 }
 
-// load returns the module environment for path, loading imports first.
-// With caching enabled it consults the engine's module cache and falls
-// back to a fresh in-context evaluation whenever the cached entry cannot
-// be proven equivalent — so every error, and every success, is produced by
-// the same code path the seed compiler used.
+// load returns the module environment for path, parsing (through the
+// engine's parse cache) and evaluating it after its imports, in statement
+// order — the seed compiler's code path.
 func (st *loadState) load(path string) (*Env, error) {
 	if env, ok := st.modules[path]; ok {
 		return env, nil
@@ -129,90 +112,12 @@ func (st *loadState) load(path string) (*Env, error) {
 	st.inProgress[path] = true
 	defer delete(st.inProgress, path)
 
-	// Cache consult. Skipped when the global env has been rebound (a
-	// module assigned over a builtin): cached entries bake a pristine
-	// global and would no longer match seed semantics.
-	if st.h != nil && !st.eng.CacheDisabled && st.global.version == 0 {
-		info := st.h.info(path)
-		if info.err == nil {
-			ent := st.eng.module(info.key)
-			if ent == nil && st.building != info.key {
-				// Miss: build the module once (single-flight across
-				// goroutines). A build error is discarded — the fresh
-				// in-context evaluation below reproduces it with seed
-				// semantics (the standalone build lacks unrelated
-				// modules' schemas, so it can fail where the real
-				// compile would not).
-				if built, err := st.eng.buildModule(st.h, path, info); err == nil {
-					ent = built
-				}
-			}
-			if ent != nil && !ent.uncacheable {
-				env, ok, err := st.activate(path, ent)
-				if ok {
-					return env, err
-				}
-			}
-		}
-	}
-	return st.evalModule(path)
-}
-
-// activate splices a cached module into this compile: it registers the
-// module's schemas (with the seed's duplicate check) and replays its
-// recorded effects — imports, validator registrations, exports — in
-// original statement order. ok=false means the entry cannot be used in
-// this compile's context (a struct literal name would now resolve against
-// a schema from outside the module's closure) and the caller must
-// evaluate fresh; in that case no state has been mutated.
-func (st *loadState) activate(path string, ent *moduleEntry) (env *Env, ok bool, err error) {
-	for _, n := range ent.schemaRefs {
-		if _, clash := st.eval.schemas[n]; clash && !ent.schemaNames[n] {
-			return nil, false, nil
-		}
-	}
-	st.usedCache = true
-	for _, sd := range ent.schemas {
-		if prev, dup := st.eval.schemas[sd.Name]; dup && prev != sd {
-			return nil, true, errf(sd.Pos, "schema %q already defined at %s", sd.Name, prev.Pos)
-		}
-		st.eval.schemas[sd.Name] = sd
-	}
-	for _, eff := range ent.effects {
-		switch {
-		case eff.importPath != "":
-			if _, err := st.load(eff.importPath); err != nil {
-				return nil, true, err
-			}
-		case eff.validator != nil:
-			s := eff.validator.stmt
-			st.eval.validators[s.Schema] = append(st.eval.validators[s.Schema], s)
-			st.validators[s.Schema] = append(st.validators[s.Schema], *eff.validator)
-		case eff.hasExport:
-			st.eval.exported = eff.export
-			st.eval.hasExport = true
-		}
-	}
-	st.modules[path] = ent.env
-	st.imports[path] = ent.imports
-	st.cached[path] = true
-	st.entries[path] = ent
-	st.order = append(st.order, path)
-	return ent.env, true, nil
-}
-
-// evalModule parses and evaluates one module fresh (the seed code path),
-// recording its module-level effects so the evaluation can be published as
-// a cache entry when it proves cacheable.
-func (st *loadState) evalModule(path string) (*Env, error) {
-	var info *keyInfo
-	if st.h != nil && !st.eng.CacheDisabled {
-		info = st.h.info(path)
-	}
+	// Evaluate the bytes the result key was computed from.
 	var src []byte
-	if info != nil && info.src != nil {
-		src = info.src
-	} else {
+	if st.h != nil {
+		src = st.h.info(path).src
+	}
+	if src == nil {
 		var err error
 		src, err = st.fs.ReadFile(path)
 		if err != nil {
@@ -234,7 +139,6 @@ func (st *loadState) evalModule(path string) (*Env, error) {
 		st.eval.schemas[sd.Name] = sd
 	}
 
-	var effects []modEffect
 	var imports []string
 	for _, stm := range mod.Stmts {
 		switch s := stm.(type) {
@@ -250,94 +154,19 @@ func (st *loadState) evalModule(path string) (*Env, error) {
 				env.Define(name, v)
 			}
 			imports = append(imports, s.Path)
-			effects = append(effects, modEffect{importPath: s.Path})
 		case *ValidatorStmt:
 			st.eval.validators[s.Schema] = append(st.eval.validators[s.Schema], s)
-			rv := &registeredValidator{stmt: s, env: env}
-			st.validators[s.Schema] = append(st.validators[s.Schema], *rv)
-			effects = append(effects, modEffect{validator: rv})
+			st.validators[s.Schema] = append(st.validators[s.Schema], registeredValidator{stmt: s, env: env})
 		default:
-			seq := st.eval.exportSeq
 			if _, err := st.eval.exec(stm, env); err != nil {
 				return nil, err
-			}
-			if st.eval.exportSeq != seq {
-				// The statement (possibly an if/for wrapping an export)
-				// changed the exported value; record the final state so
-				// replay preserves last-export-wins across modules.
-				effects = append(effects, modEffect{hasExport: true, export: st.eval.exported})
 			}
 		}
 	}
 	st.modules[path] = env
 	st.imports[path] = imports
 	st.order = append(st.order, path)
-
-	st.maybeStore(path, info, mod, env, effects, imports, src)
 	return env, nil
-}
-
-// maybeStore publishes the just-finished evaluation as a module cache
-// entry when that is provably sound: the closure key is computable, the
-// module's own AST passed the cache-safety analysis, every direct import
-// is itself cache-backed, and the global env stayed pristine for the whole
-// compile so far. Otherwise (with a valid key) it records an uncacheable
-// marker so future compiles skip the build attempt.
-func (st *loadState) maybeStore(path string, info *keyInfo, mod *Module, env *Env, effects []modEffect, imports []string, src []byte) {
-	if st.h == nil || st.eng.CacheDisabled || info == nil || info.err != nil || st.global.version != 0 {
-		return
-	}
-	safe, ownRefs := st.eng.parseMeta(path, src)
-	cacheable := safe
-	for _, dep := range imports {
-		if !st.cached[dep] {
-			cacheable = false
-			break
-		}
-	}
-	if !cacheable {
-		st.eng.storeUncacheable(info.key, path, info.closure)
-		return
-	}
-	names := make(map[string]bool, len(mod.Schemas))
-	for _, sd := range mod.Schemas {
-		names[sd.Name] = true
-	}
-	refs := make(map[string]bool, len(ownRefs))
-	for _, r := range ownRefs {
-		refs[r] = true
-	}
-	for _, dep := range imports {
-		dent := st.entries[dep]
-		if dent == nil {
-			return // activation raced an eviction; skip storing
-		}
-		for n := range dent.schemaNames {
-			names[n] = true
-		}
-		for _, r := range dent.schemaRefs {
-			refs[r] = true
-		}
-	}
-	refList := make([]string, 0, len(refs))
-	for r := range refs {
-		refList = append(refList, r)
-	}
-	sort.Strings(refList)
-	ent := &moduleEntry{
-		key:         info.key,
-		path:        path,
-		env:         env,
-		schemas:     mod.Schemas,
-		effects:     effects,
-		imports:     imports,
-		closure:     info.closure,
-		schemaNames: names,
-		schemaRefs:  refList,
-	}
-	st.eng.storeModule(ent)
-	st.cached[path] = true
-	st.entries[path] = ent
 }
 
 // finish runs the post-load stages of a compile: the export check, schema

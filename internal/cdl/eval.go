@@ -10,12 +10,6 @@ import (
 type Env struct {
 	parent *Env
 	vars   map[string]Value
-	// version counts rebinds (Set) landing in this scope. The compiler
-	// watches the global env's version to detect a module rebinding a
-	// shared builtin — the one case where memoized module environments
-	// could diverge from a fresh evaluation — and falls back to an
-	// uncached compile when it happens.
-	version int
 }
 
 // NewEnv returns an environment chained to parent (nil for the root).
@@ -41,7 +35,6 @@ func (e *Env) Set(name string, v Value) bool {
 	for s := e; s != nil; s = s.parent {
 		if _, ok := s.vars[name]; ok {
 			s.vars[name] = v
-			s.version++
 			return true
 		}
 	}
@@ -64,12 +57,8 @@ type evaluator struct {
 	validators map[string][]*ValidatorStmt
 	exported   Value
 	hasExport  bool
-	// exportSeq counts export statements executed, letting the compiler
-	// detect exports that happen inside nested blocks of a statement it
-	// executed (for module-effect recording) without comparing Values.
-	exportSeq int
-	steps     int
-	depth     int
+	steps      int
+	depth      int
 }
 
 // maxSteps bounds evaluation so a buggy config program cannot hang the
@@ -138,7 +127,6 @@ func (e *evaluator) exec(st Stmt, env *Env) (*returnSignal, error) {
 		// export_if_last semantics: the last export wins.
 		e.exported = v
 		e.hasExport = true
-		e.exportSeq++
 		return nil, nil
 	case *AssertStmt:
 		v, err := e.eval(s.Cond, env)

@@ -1,54 +1,29 @@
 package cdl
 
-import "sort"
-
-// Static cache-safety analysis for module memoization.
+// Static purity analysis: which assignments write state outside the call
+// that executes them.
 //
-// A memoized module's evaluated environment is shared, read-only, across
-// Compile calls (and across goroutines in CompileAll). That is only sound
-// if nothing can write to the environment after module evaluation
-// finishes. The one post-evaluation write path in CDL is an `x = expr`
-// assignment executed inside a deferred body — a `def` function or a
-// `validator` — whose closure chains up to the module environment: calling
-// such a function later would mutate the shared environment.
+// A `def` or `validator` body runs each time it is called, in a scope
+// chained to the environment it was defined in. An `x = expr` assignment
+// in such a body that binds to a scope existing at module-evaluation time
+// — the module env, a top-level if/for block env captured by a nested def,
+// a builtin in the global env, or an imported name — mutates state every
+// later caller sees. The value a config gets from such a function then
+// depends on how many times, and in which order, the compile has called it
+// before: reordering two fields of an export, or importing the library
+// from one more module, changes the artifact.
 //
-// astCacheSafe walks every deferred body and resolves each assignment
-// against the lexical scopes *created at call time* (parameters, `let`s and
-// `for` variables inside the body, and enclosing function-call scopes,
-// which are all fresh per invocation). If an assignment could bind to any
-// scope that exists at module-evaluation time — the module env, a
-// top-level if/for block env captured by a nested def, a builtin in the
-// global env, or an imported name — the module is declared unsafe and is
-// evaluated fresh on every compile instead of being cached.
+// ImpureAssignments resolves each assignment in a deferred body against
+// the lexical scopes *created at call time* (parameters, `let`s and `for`
+// variables inside the body, and enclosing function-call scopes, which are
+// all fresh per invocation); anything else is reported. A top-level
+// assignment to a name the module does not itself define (an imported
+// name or a shared builtin) is reported too: it changes what every module
+// evaluated later in the same compile sees.
 //
 // The analysis is flow-sensitive within a block (a `let` only makes the
 // name local for statements after it, matching the evaluator) and
-// conservative: anything it cannot prove call-local is treated as a module
-// mutation.
-
-// collectStructRefs gathers every StructExpr type name appearing anywhere
-// in the module — including def and validator bodies, which may run during
-// another module's evaluation. `Name{...}` resolves as a schema literal
-// when Name is a registered schema and as variable-update syntax otherwise,
-// and the seed compiler's schema namespace is compile-global: a schema
-// registered by an unrelated, non-imported module changes how the
-// expression resolves. Activating a cached module is therefore gated on
-// none of these names being bound to a schema from outside the module's
-// own closure (see loadState.activate).
-func collectStructRefs(mod *Module) []string {
-	set := map[string]bool{}
-	WalkStmts(mod.Stmts, func(x Expr) {
-		if e, ok := x.(*StructExpr); ok {
-			set[e.Type] = true
-		}
-	})
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// conservative: anything it cannot prove call-local is reported.
 
 // scanScope is one lexical block during the static walk. callLocal marks
 // scopes that the evaluator materializes per function call (safe to
@@ -79,8 +54,8 @@ func (s *scanScope) resolvesCallLocal(name string) bool {
 // visible scopes. An unresolved top-level assignment either rebinds an
 // imported name (invisible to this single-module walk), rebinds a builtin
 // in the global env — which the seed semantics share across every module
-// of a compile — or fails at runtime. All three are conservatively treated
-// as unsafe to memoize.
+// of a compile — or fails at runtime. All three are conservatively
+// reported.
 func (s *scanScope) resolves(name string) bool {
 	for cur := s; cur != nil; cur = cur.parent {
 		if cur.names[name] {
@@ -90,20 +65,14 @@ func (s *scanScope) resolves(name string) bool {
 	return false
 }
 
-// astCacheSafe reports whether the module's evaluated environment may be
-// shared across compiles.
-func astCacheSafe(mod *Module) bool {
-	return len(ImpureAssignments(mod)) == 0
-}
-
-// ImpureAssignments returns every assignment statement that defeats module
-// memoization, in source order: an assignment inside a deferred body (def
-// or validator) that could bind to a scope existing at module-evaluation
-// time, or a top-level assignment to a name the module does not itself
-// define (a rebind of an imported name or a shared builtin). A module with
-// no impure assignments is cache-safe and its evaluated environment may be
-// shared across compiles; the configlint impure-construct analyzer
-// surfaces each returned site as a diagnostic.
+// ImpureAssignments returns every assignment statement whose write
+// outlives the statement's own call, in source order: an assignment inside
+// a deferred body (def or validator) that could bind to a scope existing at
+// module-evaluation time, or a top-level assignment to a name the module
+// does not itself define (a rebind of an imported name or a shared
+// builtin). Results from such a module depend on call order; the
+// configlint impure-construct analyzer surfaces each returned site as a
+// diagnostic.
 func ImpureAssignments(mod *Module) []*AssignStmt {
 	top := newScanScope(nil, false)
 	var sites []*AssignStmt
