@@ -165,22 +165,22 @@ func NewRunner(net *simnet.Network, dep Deployment) *Runner {
 // receives the final report. The caller must drive the network.
 func (r *Runner) Run(spec Spec, data []byte, done func(Report)) {
 	report := &Report{ConfigPath: spec.ConfigPath, Started: r.net.Now(), Passed: true}
-	r.runPhase(spec, data, 0, make(map[simnet.NodeID]bool), report, done)
+	r.runPhase(spec, data, 0, &deployment{has: make(map[simnet.NodeID]bool)}, report, done)
 }
 
-func deployedList(deployed map[simnet.NodeID]bool) []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(deployed))
-	for s := range deployed {
-		out = append(out, s)
-	}
-	return out
+// deployment is the servers a run has temporarily deployed to, in the order
+// it deployed them. A rollback fires application callbacks, so it walks that
+// order: same-seed runs fire them the same way.
+type deployment struct {
+	order []simnet.NodeID
+	has   map[simnet.NodeID]bool
 }
 
-func (r *Runner) runPhase(spec Spec, data []byte, idx int, deployed map[simnet.NodeID]bool, report *Report, done func(Report)) {
+func (r *Runner) runPhase(spec Spec, data []byte, idx int, deployed *deployment, report *Report, done func(Report)) {
 	if idx >= len(spec.Phases) {
 		// All phases passed: clear the temporary deploys; the real commit
 		// follows through the landing strip and reaches everyone.
-		r.dep.Rollback(deployedList(deployed), spec.ConfigPath)
+		r.dep.Rollback(deployed.order, spec.ConfigPath)
 		r.finish(report, done)
 		return
 	}
@@ -197,7 +197,7 @@ func (r *Runner) runPhase(spec Spec, data []byte, idx int, deployed map[simnet.N
 				Name: phase.Name, Passed: false,
 				FailedCheck: "spec targets cluster " + phase.Cluster + " but the deployment cannot enumerate clusters",
 			})
-			r.dep.Rollback(deployedList(deployed), spec.ConfigPath)
+			r.dep.Rollback(deployed.order, spec.ConfigPath)
 			r.finish(report, done)
 			return
 		}
@@ -215,14 +215,15 @@ func (r *Runner) runPhase(spec Spec, data []byte, idx int, deployed map[simnet.N
 	// Control = servers with no temporary deploy from any phase so far.
 	var newly []simnet.NodeID
 	for _, s := range test {
-		if !deployed[s] {
+		if !deployed.has[s] {
 			newly = append(newly, s)
-			deployed[s] = true
+			deployed.has[s] = true
 		}
 	}
+	deployed.order = append(deployed.order, newly...)
 	var control []simnet.NodeID
 	for _, s := range fleet {
-		if !deployed[s] {
+		if !deployed.has[s] {
 			control = append(control, s)
 		}
 	}
@@ -250,7 +251,7 @@ func (r *Runner) runPhase(spec Spec, data []byte, idx int, deployed map[simnet.N
 		report.Phases = append(report.Phases, pr)
 		if !pr.Passed {
 			// Abort: roll back every temporary deployment.
-			r.dep.Rollback(deployedList(deployed), spec.ConfigPath)
+			r.dep.Rollback(deployed.order, spec.ConfigPath)
 			report.Passed = false
 			r.finish(report, done)
 			return

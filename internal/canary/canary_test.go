@@ -15,8 +15,9 @@ import (
 // fraction of the fleet running a config containing "LOAD" (the paper's
 // Type II load error, invisible at small scale).
 type fakeFleet struct {
-	servers  []simnet.NodeID
-	deployed map[simnet.NodeID]string // server -> temp config content
+	servers    []simnet.NodeID
+	deployed   map[simnet.NodeID]string // server -> temp config content
+	rolledBack []simnet.NodeID          // every Rollback's servers, in call order
 }
 
 func newFakeFleet(n int) *fakeFleet {
@@ -39,6 +40,7 @@ func (f *fakeFleet) Rollback(servers []simnet.NodeID, path string) {
 	for _, s := range servers {
 		delete(f.deployed, s)
 	}
+	f.rolledBack = append(f.rolledBack, servers...)
 }
 
 func (f *fakeFleet) loadFraction() float64 {
@@ -99,6 +101,22 @@ func spec2(path string, p1, p2 int) Spec {
 		{Name: "p1", TestServers: p1, Duration: 4 * time.Minute, Checks: checks},
 		{Name: "p2", TestServers: p2, Duration: 6 * time.Minute, Checks: checks},
 	}}
+}
+
+// TestRollbackInDeploymentOrder: a rollback fires application callbacks on
+// each server it reaches, so it must reach them in one order on every
+// same-seed run — the order the phases deployed to them.
+func TestRollbackInDeploymentOrder(t *testing.T) {
+	fleet := newFakeFleet(100)
+	run(t, fleet, spec2("/c", 5, 40), `{"ok":true}`)
+	if len(fleet.rolledBack) != 40 {
+		t.Fatalf("rolled back %d servers, want 40", len(fleet.rolledBack))
+	}
+	for i, s := range fleet.rolledBack {
+		if s != fleet.servers[i] {
+			t.Fatalf("rollback #%d reached %s, want %s (deployment order)", i, s, fleet.servers[i])
+		}
+	}
 }
 
 func TestGoodConfigPasses(t *testing.T) {

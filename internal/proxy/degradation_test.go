@@ -261,3 +261,41 @@ func TestHedgeFiresOnSlowObserver(t *testing.T) {
 		}
 	}
 }
+
+// TestHedgeWinUnwatchesOldObserver: when a hedge wins and the proxy re-points
+// at the winner, the observer it leaves drops every watch of ours at once —
+// on the unwatch's arrival, not 8 s later in a session prune — and the other
+// watched paths move to the winner, so pushes keep arriving for all of them.
+func TestHedgeWinUnwatchesOldObserver(t *testing.T) {
+	r := newDegRig(t, 23)
+	r.write(t, "/configs/app", `v1`)
+	r.write(t, "/configs/other", `o1`)
+	r.proxy.Want("/configs/app")
+	r.net.RunFor(2 * time.Second)
+	slow := r.proxy.observer()
+	old := map[simnet.NodeID]*zeus.Observer{"obs-1": r.obs1, "obs-2": r.obs2}[slow]
+	if old.WatchCount("/configs/app") != 1 {
+		t.Fatalf("watch not registered at %s", slow)
+	}
+
+	const spike = 1500 * time.Millisecond
+	r.net.SetLinkLatency("proxy-1", slow, spike)
+	r.proxy.Want("/configs/other")
+	r.net.RunFor(time.Second) // past the hedge delay, before the slow reply
+	if won := r.reg.Counters().Get("proxy.fetch.hedge_won"); won < 1 || r.proxy.observer() == slow {
+		t.Fatalf("hedge did not win (hedge_won = %d, observer %s)", won, r.proxy.observer())
+	}
+	r.net.RunFor(spike) // the unwatch crosses the slow link
+	for _, path := range []string{"/configs/app", "/configs/other"} {
+		if n := old.WatchCount(path); n != 0 {
+			t.Errorf("%s still holds %d watch on %s after the hedge won", slow, n, path)
+		}
+	}
+	if n := r.reg.Counters().Get("zeus.observer.watch_pruned"); n != 0 {
+		t.Errorf("zeus.observer.watch_pruned = %d: released by a prune, not the unwatch", n)
+	}
+	r.write(t, "/configs/app", `v2`)
+	if res := r.proxy.Read("/configs/app"); string(res.Data) != "v2" {
+		t.Errorf("after the hedge won, /configs/app froze at %s", res.Data)
+	}
+}

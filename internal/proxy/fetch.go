@@ -99,10 +99,13 @@ func (p *Proxy) sampleOf(id simnet.NodeID) health.Sample {
 	}
 }
 
+// recordFailure charges a failure to observer id. It wakes the keep-alive:
+// the chain is no longer settled, and the next ping's answer must be heard.
 func (p *Proxy) recordFailure(id simnet.NodeID) {
 	if id == "" {
 		return
 	}
+	p.lease.Wake()
 	st := p.stat(id)
 	st.fail++
 	st.consecFail++
@@ -131,6 +134,14 @@ func (p *Proxy) recordSuccess(ctx *simnet.Context, id simnet.NodeID, rtt time.Du
 		p.Obs.Add("proxy.plane.heal", 1)
 		p.resubscribe(ctx, p.watchedCells(), false)
 	}
+}
+
+// settled reports whether an answered ping would change nothing but the
+// pong count: none is outstanding, the current observer's ledger shows no
+// failure since its last success, and the plane is up. Only then may the
+// lease stand in for pings.
+func (p *Proxy) settled() bool {
+	return p.pingOutstanding == 0 && p.stat(p.observer()).consecFail == 0 && !p.snap.Load().planeDown
 }
 
 func (p *Proxy) allObserversDead() bool {
@@ -177,38 +188,26 @@ func (p *Proxy) recordRTT(rtt time.Duration) {
 
 // failover replaces the current observer with the healthiest alternative
 // (health-scored; deterministic tie-break), or round-robins when the whole
-// plane looks dead and scores cannot distinguish candidates. The old
-// observer is told to drop our watches so its watch table does not leak
-// registrations until its own session sweep fires.
+// plane looks dead and scores cannot distinguish candidates.
 func (p *Proxy) failover(ctx *simnet.Context) {
 	if len(p.observers) <= 1 {
 		return
 	}
 	old := p.observer()
 	planeDown := p.snap.Load().planeDown
-	if planeDown {
-		p.current = (p.current + 1) % len(p.observers)
-	} else {
+	next := (p.current + 1) % len(p.observers)
+	if !planeDown {
 		samples := make(map[simnet.NodeID]health.Sample, len(p.observers)-1)
 		for _, o := range p.observers {
 			if o != old {
 				samples[o] = p.sampleOf(o)
 			}
 		}
-		best := health.Rank(samples)[0].ID
-		for i, o := range p.observers {
-			if o == best {
-				p.current = i
-			}
-		}
+		next = slices.Index(p.observers, health.Rank(samples)[0].ID)
 	}
 	p.Failovers++
-	p.pingOutstanding = 0
 	p.Obs.Add("proxy.failover", 1)
-	cells := p.watchedCells()
-	for _, c := range cells {
-		ctx.Send(old, zeus.MsgUnwatch{Path: c.path})
-	}
+	cells := p.repoint(ctx, next)
 	// Re-establish fetches+watches on the new observer, bypassing the
 	// single-flight guard (the old observer may never answer). When the
 	// plane is down this would be a refetch storm every timeout — the
@@ -216,6 +215,21 @@ func (p *Proxy) failover(ctx *simnet.Context) {
 	if !planeDown {
 		p.resubscribe(ctx, cells, true)
 	}
+}
+
+// repoint makes observers[i] current and returns the watched cells, sorted.
+// The lease follows, and the observer left behind is told to drop our
+// watches: a session nobody pings is never pruned while its pair is quiet.
+func (p *Proxy) repoint(ctx *simnet.Context, i int) []*cell {
+	old := p.observer()
+	p.current = i
+	p.pingOutstanding = 0
+	p.lease.Point(p.observer())
+	cells := p.watchedCells()
+	for _, c := range cells {
+		ctx.Send(old, zeus.MsgUnwatch{Path: c.path})
+	}
+	return cells
 }
 
 // watchedCells lists the watched paths' cells, sorted by path: every send draws
@@ -370,14 +384,11 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 	// The replying observer holds our watch now (fetches register it); if
 	// it is not the observer we point at — a hedge won, or we failed over
 	// while the fetch was in flight — re-point at it, else its pushes
-	// would be discarded as stale and the path would freeze.
-	if from != p.observer() {
-		for i, o := range p.observers {
-			if o == from {
-				p.current = i
-				p.pingOutstanding = 0
-			}
-		}
+	// would be discarded as stale and the path would freeze. The other
+	// watched paths move with it: the observer left behind drops them.
+	if i := slices.Index(p.observers, from); i >= 0 && i != p.current {
+		others := slices.DeleteFunc(p.repoint(ctx, i), func(c *cell) bool { return c == st.c })
+		p.resubscribe(ctx, others, false)
 	}
 	p.recordRTT(rtt)
 	p.recordSuccess(ctx, from, rtt)

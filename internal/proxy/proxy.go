@@ -27,8 +27,15 @@
 // a state in memory has a decode-memo slot, Restart leaves each cell a copy
 // without one, and that is served stale and advertised as the fetch base until
 // the refetch lands. Cache misses cannot touch the simulator's event queue from
-// a reader goroutine, so Read records them in a thread-safe pending set that
-// the proxy drains (issuing fetch+watch) on its next message or ping tick.
+// a reader goroutine, so Read records them in a thread-safe pending set and
+// wakes the proxy's keep-alive; the proxy drains the set (issuing fetch+watch)
+// on its next message or keep-alive tick.
+//
+// Liveness. The proxy pings its observer every pingInterval and fails over
+// after maxPingMisses unanswered pings, but only while something can go
+// wrong: the tick grid is a simnet.Lease, which stands the chain down once
+// the last ping was answered and no fault holds on the pair, and wakes it on
+// a fault call or a read miss. A quiet fleet sends no pings at all.
 package proxy
 
 import (
@@ -137,13 +144,15 @@ type Proxy struct {
 	nextReq  int64
 
 	// Cache misses observed by reader goroutines. Readers cannot touch the
-	// simulator's event queue, so Read parks the path here and the proxy
-	// drains the set (Want-ing each path) on its next message or ping tick.
+	// simulator's event queue, so Read parks the path here, wakes the lease,
+	// and the proxy drains the set (Want-ing each path) on its next message
+	// or tick.
 	missMu      sync.Mutex
 	missSet     map[string]struct{}
 	missPending atomic.Bool
 
 	rtts            []time.Duration // recent fetch RTTs (hedge delay source)
+	lease           *simnet.Lease   // the ping tick grid, queued only while it can matter
 	pingOutstanding int
 
 	// Convergence-heartbeat config (EnableMonitor): the monitor node and
@@ -185,7 +194,7 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 		p.current = int(net.RNG().Intn(len(observers)))
 	}
 	net.AddNode(id, placement, p)
-	net.SetTimer(id, pingInterval, msgTickPing{})
+	p.lease = net.NewLease(id, pingInterval, msgTickPing{}, p.observer())
 	return p
 }
 
@@ -259,10 +268,11 @@ func (p *Proxy) Disk() *DiskCache { return &DiskCache{s: &p.store} }
 func (p *Proxy) PlaneDown() bool { return p.snap.Load().planeDown }
 
 // Crash simulates the proxy process dying. Cached state in memory is lost;
-// the disk cache survives.
+// the disk cache survives. The node fails first: a keep-alive tick due at
+// this instant runs ahead of the crash, on the live process.
 func (p *Proxy) Crash() {
-	p.mutateSnap(func(s *snapshot) { s.down = true })
 	p.net.Fail(p.id)
+	p.mutateSnap(func(s *snapshot) { s.down = true })
 }
 
 // Restart brings the proxy back with a cold in-memory cache: every cell is left
@@ -284,9 +294,8 @@ func (p *Proxy) Restart() {
 	p.net.Recover(p.id)
 }
 
-// OnRestart implements simnet.Restarter.
+// OnRestart implements simnet.Restarter. (Recover re-anchored the lease.)
 func (p *Proxy) OnRestart(ctx *simnet.Context) {
-	ctx.SetTimer(pingInterval, msgTickPing{})
 	if p.monTarget != "" {
 		// Timers die with the crashed node: re-arm the heartbeat tick.
 		ctx.SetTimer(p.monEvery, msgTickMonitor{})
@@ -325,11 +334,12 @@ func (p *Proxy) noteMiss(path string) {
 	p.missSet[path] = struct{}{}
 	p.missMu.Unlock()
 	p.missPending.Store(true)
+	p.lease.Wake()
 }
 
 // drainMisses turns reader-recorded cache misses into fetches. Runs on the
-// simulation thread (message/ping handlers), so worst-case warm-up lag is
-// one ping interval.
+// simulation thread (any message handler), so worst-case warm-up lag is one
+// tick: a miss wakes the lease, which queues the next tick on the grid.
 func (p *Proxy) drainMisses(ctx *simnet.Context) {
 	if !p.missPending.Load() {
 		return
@@ -517,7 +527,9 @@ func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 	case msgTickMonitor:
 		p.onTickMonitor(ctx)
 	case msgTickPing:
-		ctx.SetTimer(pingInterval, msgTickPing{})
+		if !p.lease.Renew(p.settled()) {
+			return // quiet: the lease stands in for pings until a fault or a miss
+		}
 		if p.pingOutstanding >= maxPingMisses {
 			p.recordFailure(p.observer())
 			p.failover(ctx)
@@ -532,6 +544,15 @@ func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 		}
 		p.recordSuccess(ctx, from, -1)
 	}
+}
+
+// OnWake implements simnet.Waker: a quiet stretch of the keep-alive ended,
+// and its stand-in pings count as the pongs they would have been. Each was
+// answered, so none is outstanding; a ping in flight when a fault lands is a
+// real one (the lease runs that tick before the fault).
+func (p *Proxy) OnWake(peer simnet.NodeID, answered int) {
+	p.stat(peer).ok += answered
+	p.pingOutstanding = 0
 }
 
 // onWatchEvent takes a pushed update: the base is whatever we hold now.

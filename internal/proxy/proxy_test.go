@@ -419,7 +419,7 @@ func TestForgedFullFetchReplyIsRefused(t *testing.T) {
 	net.AddNode("obs-1", place, simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 		switch m := msg.(type) {
 		case zeus.MsgPing:
-			ctx.Send(from, zeus.MsgPong{ReqID: m.ReqID})
+			ctx.Send(from, zeus.MsgPong{})
 		case zeus.MsgFetch:
 			fetches++
 			body := good

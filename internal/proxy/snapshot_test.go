@@ -110,18 +110,83 @@ func TestMaterialiseAllocs(t *testing.T) {
 // TestReadMissWarmsViaMissQueue: a reader-goroutine miss cannot touch the
 // simulator directly, so Read parks the path in the miss set; the proxy
 // drains it on its next tick and the config becomes warm without any
-// explicit Want.
+// explicit Want. The fetch leaves on the proxy's tick grid — the first grid
+// instant after the miss, as when the proxy pinged on every tick — though
+// the proxy was quiet and sent nothing until the miss woke it.
 func TestReadMissWarmsViaMissQueue(t *testing.T) {
 	r := newRig(t, 32)
+	anchor := r.net.Now() // newRig created the proxy here: its grid is anchor + k·pingInterval
 	r.write(t, "/configs/lazy", `{"x":9}`)
+	r.net.RunFor(300 * time.Millisecond) // off the grid, clear of any ping's round trip
+	missed := r.net.Now()
 	if res := r.proxy.Read("/configs/lazy"); res.OK {
 		t.Fatal("unexpected hit before warm-up")
 	}
-	// One ping interval later the miss has been drained and fetched.
-	r.net.RunFor(4 * time.Second)
+	want := anchor
+	for !want.After(missed) {
+		want = want.Add(pingInterval)
+	}
+	fetches := r.proxy.Fetches
+	for r.proxy.Fetches == fetches && r.net.Now().Before(want.Add(time.Minute)) && r.net.Step() {
+	}
+	if got := r.net.Now(); r.proxy.Fetches == fetches || !got.Equal(want) {
+		t.Fatalf("miss drained at +%v (fetched: %v), want the next grid instant +%v",
+			got.Sub(missed), r.proxy.Fetches > fetches, want.Sub(missed))
+	}
+	r.net.RunFor(time.Second)
 	res := r.proxy.Read("/configs/lazy")
 	if !res.OK || res.Source != SourceFresh || string(res.Data) != `{"x":9}` {
 		t.Fatalf("read after miss-drain = %+v", res)
+	}
+}
+
+// TestReadMissWakeRacesLoop: reader goroutines miss on fresh paths while the
+// simulation loop runs. Each miss wakes the proxy's lease from a goroutine
+// that must not touch the event queue; every path must still end warm.
+// Meant for the race detector (make race).
+func TestReadMissWakeRacesLoop(t *testing.T) {
+	net := simnet.New(simnet.DefaultLatency(), 38)
+	place := simnet.Placement{Region: "us", Cluster: "web"}
+	body := []byte("warm")
+	net.AddNode("obs-1", place, simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+		if m, ok := msg.(zeus.MsgFetch); ok {
+			ctx.Send(from, zeus.MsgFetchReply{ReqID: m.ReqID, Update: zeus.Update{Path: m.Path, Version: 1, Zxid: 1,
+				Payload: zeus.Payload{Full: body, NewHash: vcs.HashBytes(body)}}})
+		}
+	}))
+	px := New(net, "proxy-1", place, []simnet.NodeID{"obs-1"}, nil)
+	const readers, perReader = 8, 16
+	path := func(g, i int) string { return fmt.Sprintf("/configs/r%d-%02d", g, i) }
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	var warm atomic.Int32
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perReader; i++ {
+				for !px.Read(path(g, i)).OK {
+					if stop.Load() {
+						return
+					}
+					runtime.Gosched()
+				}
+				warm.Add(1)
+			}
+		}(g)
+	}
+	for deadline := time.Now().Add(30 * time.Second); warm.Load() < readers*perReader && time.Now().Before(deadline); {
+		net.RunFor(100 * time.Millisecond)
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+	for g := 0; g < readers; g++ {
+		for i := 0; i < perReader; i++ {
+			if res := px.Read(path(g, i)); !res.OK || res.Source != SourceFresh || !bytes.Equal(res.Data, body) {
+				t.Fatalf("%s after the race = %+v", path(g, i), res)
+			}
+		}
 	}
 }
 

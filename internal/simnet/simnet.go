@@ -23,6 +23,8 @@ package simnet
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"configerator/internal/intern"
@@ -93,16 +95,20 @@ const (
 // classBytesCounter names the per-distance-class obs byte counter.
 var classBytesCounter = [...]string{"net.bytes.same_cluster", "net.bytes.same_region", "net.bytes.cross_region"}
 
-// hop classifies the a→b link and draws its one-way latency in nanoseconds.
-func (m LatencyModel) hop(a, b Placement, rng *stats.RNG) (lat int64, class int) {
-	base := m.CrossRegion
-	class = crossRegion
+// base classifies the a→b link and reports its one-way latency before jitter.
+func (m LatencyModel) base(a, b Placement) (time.Duration, int) {
 	switch {
 	case a.Region == b.Region && a.Cluster == b.Cluster:
-		base, class = m.SameCluster, sameCluster
+		return m.SameCluster, sameCluster
 	case a.Region == b.Region:
-		base, class = m.SameRegion, sameRegion
+		return m.SameRegion, sameRegion
 	}
+	return m.CrossRegion, crossRegion
+}
+
+// hop classifies the a→b link and draws its one-way latency in nanoseconds.
+func (m LatencyModel) hop(a, b Placement, rng *stats.RNG) (lat int64, class int) {
+	base, class := m.base(a, b)
 	if m.Jitter > 0 {
 		base += time.Duration(float64(base) * m.Jitter * rng.Float64())
 	}
@@ -131,23 +137,26 @@ type nodeExt struct {
 	upFreeAt   int64 // ns since base
 	downFreeAt int64
 	bytesOut   uint64
+	lease      *Lease // the node's keep-alive, if it holds one
 }
 
 const (
 	evDeliver uint8 = iota
 	evTimer
-	evCall
+	evCall // msg is the func() to run
+	evTick // msg is the *Lease; from is the lease generation it was queued under
 )
 
-// event is one scheduled delivery, timer, or callback. Events are pooled
-// in a freelist (Network.free) and linked through next while sitting in a
-// wheel slot; at is virtual nanoseconds since the network's base instant.
+// event is one scheduled delivery, timer, callback or keep-alive tick.
+// Events are pooled in a freelist (Network.free) and linked through next
+// while sitting in a wheel slot; at is virtual nanoseconds since the
+// network's base instant, born the instant it was scheduled.
 type event struct {
 	at   int64
 	seq  uint64
+	born int64
 	next *event
 	msg  Message
-	call func()
 	from int32
 	to   int32
 	kind uint8
@@ -187,6 +196,7 @@ type Network struct {
 	rng     *stats.RNG
 	latency LatencyModel
 	base    time.Time // event times are int64 ns after this instant
+	now     int64     // the clock, as ns after base: only Step and RunUntil move it
 
 	index map[NodeID]int32
 	nodes []node
@@ -198,6 +208,19 @@ type Network struct {
 
 	links  map[uint64]link
 	faults map[uint64]linkFault
+
+	// Keep-alive leases (lease.go): every lease in registration order, the
+	// instant each quiet stretch's last stand-in ping reached its peer, and
+	// the Wake queue reader goroutines feed.
+	leases      []*Lease
+	heard       map[uint64]int64
+	wakeMu      sync.Mutex
+	wakeQ       []*Lease
+	wakePending atomic.Bool
+
+	// stepping is set while an event runs; born is that event's born.
+	stepping bool
+	born     int64
 
 	// obs, when set, receives per-message byte counters and a payload-size
 	// histogram (see SetObs).
@@ -227,12 +250,13 @@ func New(latency LatencyModel, seed uint64) *Network {
 		index:   make(map[NodeID]int32),
 		links:   make(map[uint64]link),
 		faults:  make(map[uint64]linkFault),
+		heard:   make(map[uint64]int64),
 	}
 	n.sctx.net = n
 	return n
 }
 
-func (n *Network) nowNS() int64 { return int64(n.clock.Now().Sub(n.base)) }
+func (n *Network) nowNS() int64 { return n.now }
 
 // SetObs attaches an observability registry: every sized send then feeds
 // the "net.bytes" counter, a per-distance-class counter
@@ -320,7 +344,14 @@ func (n *Network) mustIdx(id NodeID) int32 {
 
 // Fail crashes a node: in-flight messages to it are dropped on arrival and
 // it stops receiving timers until Recover.
-func (n *Network) Fail(id NodeID) { n.nodes[n.mustIdx(id)].down = true }
+func (n *Network) Fail(id NodeID) {
+	i := n.mustIdx(id)
+	n.touchNode(i)
+	n.nodes[i].down = true
+	if l := n.leaseOf(i); l != nil {
+		l.stop()
+	}
+}
 
 // Restarter is implemented by handlers that need to re-arm timers after a
 // crash: while a node is down its queued timers are dropped, so a periodic
@@ -329,12 +360,18 @@ type Restarter interface {
 	OnRestart(ctx *Context)
 }
 
-// Recover restarts a crashed node. If its handler implements Restarter,
-// OnRestart is invoked on the simulation loop at the current instant.
+// Recover restarts a crashed node. Its keep-alive lease, if any, ticks on a
+// grid anchored now and runs until a ping is answered. If its handler
+// implements Restarter, OnRestart is invoked on the simulation loop at the
+// current instant.
 func (n *Network) Recover(id NodeID) {
 	i := n.mustIdx(id)
+	n.touchNode(i)
 	nd := &n.nodes[i]
 	nd.down = false
+	if l := n.leaseOf(i); l != nil {
+		l.restart(true)
+	}
 	if r, ok := nd.handler.(Restarter); ok {
 		n.After(0, func() {
 			if nd := &n.nodes[i]; !nd.down {
@@ -349,8 +386,11 @@ func (n *Network) Recover(id NodeID) {
 func (n *Network) IsDown(id NodeID) bool { return n.nodes[n.mustIdx(id)].down }
 
 // setFault edits the from→to fault record and drops it once nothing holds.
+// The pair's quiet keep-alive leases wake first.
 func (n *Network) setFault(from, to NodeID, edit func(*linkFault)) {
-	k := linkKey(n.mustIdx(from), n.mustIdx(to))
+	fi, ti := n.mustIdx(from), n.mustIdx(to)
+	n.touchLink(fi, ti)
+	k := linkKey(fi, ti)
 	f := n.faults[k]
 	edit(&f)
 	if f == (linkFault{}) {
@@ -479,7 +519,7 @@ func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode in
 	arrive = max(arrive, l.lastArrival)
 	l.lastArrival = arrive
 	n.links[key] = l
-	n.pushEvent(arrive, evDeliver, fi, ti, msg, nil)
+	n.pushEvent(arrive, evDeliver, fi, ti, msg)
 	return class
 }
 
@@ -535,18 +575,18 @@ func (n *Network) broadcastIdx(fi int32, tos []NodeID, msg Message, size int) {
 // SetTimer schedules msg to be delivered to id after delay, with from == id.
 func (n *Network) SetTimer(id NodeID, delay time.Duration, msg Message) {
 	i := n.mustIdx(id)
-	n.pushEvent(n.nowNS()+int64(delay), evTimer, i, i, msg, nil)
+	n.pushEvent(n.nowNS()+int64(delay), evTimer, i, i, msg)
 }
 
 // After schedules an arbitrary callback on the simulation loop. It is the
 // hook used by the driver layers (tailer, canary, workload generators) that
 // are not themselves nodes.
 func (n *Network) After(delay time.Duration, fn func()) {
-	n.pushEvent(n.nowNS()+int64(delay), evCall, -1, -1, nil, fn)
+	n.pushEvent(n.nowNS()+int64(delay), evCall, -1, -1, fn)
 }
 
 // pushEvent takes an event from the freelist, fills it, and schedules it.
-func (n *Network) pushEvent(at int64, kind uint8, from, to int32, msg Message, call func()) {
+func (n *Network) pushEvent(at int64, kind uint8, from, to int32, msg Message) {
 	e := n.free
 	if e == nil {
 		e = &event{}
@@ -554,7 +594,7 @@ func (n *Network) pushEvent(at int64, kind uint8, from, to int32, msg Message, c
 		n.free = e.next
 		e.next = nil
 	}
-	e.at, e.seq, e.kind, e.from, e.to, e.msg, e.call = at, n.seq, kind, from, to, msg, call
+	e.at, e.seq, e.born, e.kind, e.from, e.to, e.msg = at, n.seq, n.nowNS(), kind, from, to, msg
 	n.seq++
 	n.wheel.push(e)
 }
@@ -566,30 +606,47 @@ func (n *Network) releaseEvent(e *event) {
 
 // Step processes the next event. It reports false when the queue is empty.
 func (n *Network) Step() bool {
+	if n.wakePending.Load() {
+		n.drainWakes()
+	}
 	e := n.wheel.pop()
 	if e == nil {
 		return false
 	}
+	n.now = e.at
 	n.clock.AdvanceTo(n.base.Add(time.Duration(e.at)))
 	// Copy out and recycle before invoking the handler: anything the
 	// handler schedules reuses this event without aliasing it.
-	kind, from, to, msg, call := e.kind, e.from, e.to, e.msg, e.call
+	kind, from, to, msg := e.kind, e.from, e.to, e.msg
+	n.stepping, n.born = true, e.born
 	n.releaseEvent(e)
 	n.Events++
-	if kind == evCall {
-		call()
-		return true
+	n.dispatch(kind, from, to, msg)
+	n.stepping = false
+	return true
+}
+
+func (n *Network) dispatch(kind uint8, from, to int32, msg Message) {
+	switch kind {
+	case evCall:
+		msg.(func())()
+		return
+	case evTick:
+		l := msg.(*Lease)
+		if uint32(from) != l.gen {
+			return // queued before a crash or restart re-anchored the grid
+		}
+		from, msg = to, l.tick
 	}
 	dst := &n.nodes[to]
 	if dst.down {
 		n.Dropped++
-		return true
+		return
 	}
 	n.Delivered++
 	n.sctx.self = dst.id
 	n.sctx.idx = to
 	dst.handler.HandleMessage(&n.sctx, n.nodes[from].id, msg)
-	return true
 }
 
 // Run processes events until the queue is empty.
@@ -608,12 +665,16 @@ func (n *Network) RunFor(d time.Duration) {
 func (n *Network) RunUntil(t time.Time) {
 	limit := int64(t.Sub(n.base))
 	for {
+		if n.wakePending.Load() {
+			n.drainWakes()
+		}
 		e := n.wheel.peek()
 		if e == nil || e.at > limit {
 			break
 		}
 		n.Step()
 	}
+	n.now = max(n.now, limit)
 	n.clock.AdvanceTo(t)
 }
 
@@ -662,5 +723,5 @@ func (c *Context) Broadcast(tos []NodeID, msg Message, size int) {
 
 // SetTimer arms a self-timer.
 func (c *Context) SetTimer(delay time.Duration, msg Message) {
-	c.net.pushEvent(c.net.nowNS()+int64(delay), evTimer, c.idx, c.idx, msg, nil)
+	c.net.pushEvent(c.net.nowNS()+int64(delay), evTimer, c.idx, c.idx, msg)
 }

@@ -5,7 +5,7 @@ import "math/bits"
 // The event queue is a two-level hierarchical timer wheel with a far-future
 // heap — the classic kernel-timer layout, tuned for this simulator's load
 // shape: almost every message lands within a second of virtual now (network
-// latencies), periodic timers land within minutes (pings, polls), and only
+// latencies), periodic timers land within minutes (heartbeats, polls), and only
 // stragglers (hour-scale mobile polls, day-scale experiment probes) go
 // further out. Scheduling is O(1) for the wheel levels; pop amortizes to
 // O(1) plus a small heap on the events of one ~262 µs slot, which is what

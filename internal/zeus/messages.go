@@ -290,8 +290,9 @@ type MsgUnwatch struct {
 	Path string
 }
 
-// MsgPing lets proxies health-check their observer.
-type MsgPing struct{ ReqID int64 }
+// MsgPing lets proxies health-check their observer. A proxy sends it only
+// while its keep-alive runs: after a fault, until a ping is answered.
+type MsgPing struct{}
 
 // MsgPong answers a ping.
-type MsgPong struct{ ReqID int64 }
+type MsgPong struct{}

@@ -32,11 +32,12 @@ func (s *batchScratch) release() {
 }
 
 // watchSessionTTL expires a proxy's watch registrations when the proxy
-// stops talking to this observer (crashed, or failed over to another
-// observer without an explicit unwatch). Healthy proxies ping their
-// observer every ~2 s, so four missed intervals means the session is dead;
-// without this sweep, every crashed proxy would leak its watch set here
-// forever and keep receiving (dropped) events.
+// stops reaching this observer: it crashed, or a fault cut it off. A proxy
+// keeps its session alive with a ping every ~2 s — sent for real while a
+// fault holds, stood in for by its simnet lease while the pair is quiet — so
+// four missed intervals mean the session is dead. Without this sweep every
+// crashed proxy would leak its watch set here forever and keep receiving
+// (dropped) events.
 const watchSessionTTL = 8 * time.Second
 
 // watchSet tracks the proxies watching one path in registration order.
@@ -102,7 +103,8 @@ type Observer struct {
 	// delta-encoding fetch replies against.
 	prev map[string]*Record
 	// lastContact tracks when each watching proxy last pinged or fetched;
-	// silent proxies have their watch sessions pruned (watchSessionTTL).
+	// a proxy heard from neither, nor through its lease (Context.Heard),
+	// within watchSessionTTL has its watch sessions pruned.
 	lastContact map[simnet.NodeID]time.Time
 
 	// Notified counts watch events pushed (observability for benches).
@@ -176,21 +178,28 @@ func (o *Observer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg si
 		}
 	case MsgPing:
 		o.lastContact[from] = ctx.Now()
-		ctx.Send(from, MsgPong{ReqID: m.ReqID})
+		ctx.Send(from, MsgPong{})
 	}
 }
 
 // pruneWatchSessions drops watch registrations (and contact records) for
-// proxies that have been silent past watchSessionTTL — crashed, or failed
-// over to another observer. This is the observer-side half of the
-// watch-session leak fix; the proxy also unwatches eagerly on failover.
+// proxies not heard from past watchSessionTTL — crashed, or cut off by a
+// fault. A proxy whose recorded contact is stale may still have been heard
+// through its lease (Context.Heard), which stands in for its pings while the
+// pair is quiet. This is the observer-side half of the watch-session leak fix; the proxy
+// also unwatches eagerly when it re-points.
 func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
 	now := ctx.Now()
 	var dead []simnet.NodeID
 	for proxy, seen := range o.lastContact {
-		if now.Sub(seen) > watchSessionTTL {
-			dead = append(dead, proxy)
+		if now.Sub(seen) <= watchSessionTTL {
+			continue
 		}
+		if heard := ctx.Heard(proxy); now.Sub(heard) <= watchSessionTTL {
+			o.lastContact[proxy] = heard // its lease stood in for pings: no need to ask again for a while
+			continue
+		}
+		dead = append(dead, proxy)
 	}
 	for _, proxy := range dead {
 		delete(o.lastContact, proxy)

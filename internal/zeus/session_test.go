@@ -51,13 +51,18 @@ func TestObserverSessionExpiry(t *testing.T) {
 }
 
 // TestObserverWatchPruning registers a watch from a proxy node that then
-// goes permanently silent; the observer must prune the dead watch session
-// rather than leak it and keep pushing events into the void.
+// crashes; the observer must prune the dead watch session rather than leak
+// it and keep pushing events into the void. The prune lands on the first
+// observer tick more than watchSessionTTL after the watch's fetch arrived —
+// the instant a proxy that pinged until it crashed would be pruned at. (A
+// watcher that is merely silent, up and with no fault on its link, is alive:
+// nothing stands in for a crashed one.)
 func TestObserverWatchPruning(t *testing.T) {
 	net, e := testDeployment(t, 92)
 	reg := obs.New()
 	net.SetObs(reg)
 	e.SetObs(reg)
+	anchor := net.Now() // the observer's register-and-prune tick grid starts here
 	obsv := e.AddObserver("obs-c1", simnet.Placement{Region: "us-west", Cluster: "c1"})
 	net.RunFor(5 * time.Second)
 
@@ -70,16 +75,26 @@ func TestObserverWatchPruning(t *testing.T) {
 		ctx := simnet.MakeContext(net, "ghost-proxy")
 		ctx.Send("obs-c1", MsgFetch{ReqID: 1, Path: "/prune/x", Watch: true})
 	})
+	for obsv.WatchCount("/prune/x") == 0 && net.Step() {
+	}
+	registered := net.Now()
 	net.RunFor(2 * time.Second)
 	if obsv.WatchCount("/prune/x") != 1 {
 		t.Fatalf("watch not registered: count = %d", obsv.WatchCount("/prune/x"))
 	}
 
-	// The ghost proxy never pings again; past the TTL its registration
-	// must be gone.
-	net.RunFor(watchSessionTTL + 2*observerRegisterGap)
+	net.Fail("ghost-proxy")
+	want := anchor
+	for !want.After(registered.Add(watchSessionTTL)) {
+		want = want.Add(observerRegisterGap)
+	}
+	for obsv.WatchCount("/prune/x") != 0 && net.Now().Before(want.Add(time.Minute)) && net.Step() {
+	}
 	if n := obsv.WatchCount("/prune/x"); n != 0 {
 		t.Fatalf("dead watch session leaked: count = %d", n)
+	}
+	if got := net.Now(); !got.Equal(want) {
+		t.Errorf("pruned at %v after registration, want %v", got.Sub(registered), want.Sub(registered))
 	}
 	if reg.Counters().Get("zeus.observer.watch_pruned") == 0 {
 		t.Error("zeus.observer.watch_pruned counter never incremented")
