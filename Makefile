@@ -58,6 +58,8 @@ fuzz:
 	$(GO) test ./internal/zeus -run '^$$' -fuzz '^FuzzCatchUpMatchesReplay$$' -fuzztime=5s
 	$(GO) test ./internal/gatekeeper -run '^$$' -fuzz '^FuzzParseProjectSpec$$' -fuzztime=5s
 	$(GO) test ./internal/cdl -run '^$$' -fuzz '^FuzzCompileMatchesSeed$$' -fuzztime=5s
+	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseMetadata$$' -fuzztime=5s
+	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseTagRecord$$' -fuzztime=5s
 
 # bench: the performance record (BENCHMARK.json; see bench/README.md).
 bench:

@@ -837,7 +837,7 @@ func TestRadiusWorkLinearInFiles(t *testing.T) {
 }
 
 // BenchmarkSimnetSend / BenchmarkSimnetTimer: the fleet-scale simulator's
-// hot loop (timer wheel + pooled events + dense node table, DESIGN.md §14).
+// hot loop (one event heap + pooled events + dense node table, DESIGN.md §14).
 // The AllocsPerRun check is the hard regression gate: warm steady state —
 // events from the freelist, link/node state in pre-grown maps — must be
 // exactly 0 allocs/op, or a 10M-event fleet run starts thrashing the GC.
@@ -890,5 +890,42 @@ func BenchmarkSimnetTimer(b *testing.B) {
 		net.Step()
 	}); a != 0 {
 		b.Fatalf("warm SetTimer+Step allocates %.1f per op, want 0", a)
+	}
+}
+
+// BenchmarkSimnetQueue holds the event queue at a fixed depth — each op
+// schedules one timer up to a second out and fires the earliest — at the
+// pending-event depths the benchmark workloads reach: read_storm peaks near
+// 1k, author_change and vessel_swarm near 43k, push_wave near 290k; 1M is
+// headroom.
+func BenchmarkSimnetQueue(b *testing.B) {
+	for _, depth := range []struct {
+		name string
+		n    int
+	}{{"1k", 1_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
+		b.Run("depth="+depth.name, func(b *testing.B) {
+			net := simnet.New(simnet.DefaultLatency(), 7)
+			net.AddNode("a", simnet.Placement{Region: "us", Cluster: "web"},
+				simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {}))
+			rng := stats.NewRNG(11)
+			delays := make([]time.Duration, 4096)
+			for i := range delays {
+				delays[i] = time.Duration(rng.Intn(int(time.Second)))
+			}
+			msg := &struct{}{}
+			for i := 0; i < depth.n; i++ {
+				net.SetTimer("a", delays[i%len(delays)], msg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.SetTimer("a", delays[i%len(delays)], msg)
+				net.Step()
+			}
+			b.StopTimer()
+			if net.QueueLen() != depth.n {
+				b.Fatalf("depth drifted: %d pending, want %d", net.QueueLen(), depth.n)
+			}
+		})
 	}
 }

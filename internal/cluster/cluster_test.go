@@ -3,10 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"configerator/internal/health"
+	"configerator/internal/proxy"
 	"configerator/internal/simnet"
 	"configerator/internal/zeus"
 )
@@ -165,5 +167,48 @@ func TestFaultMemoKeepsContentsApart(t *testing.T) {
 	errorRates("healthy version committed", 0)
 	if n := len(f.faults[path]); n > 2 {
 		t.Errorf("the memo holds %d contents of %s; only the last two were served since v3 appeared", n, path)
+	}
+}
+
+// TestHeartbeatPathsRepeat: two same-seed runs of a monitored fleet send
+// byte-identical heartbeats — every proxy lists its paths in one order, not
+// in the order its path map happens to range.
+func TestHeartbeatPathsRepeat(t *testing.T) {
+	paths := []string{"/configs/a.json", "/configs/b.json", "/configs/c.json", "/configs/d.json", "/configs/e.json"}
+	run := func() (string, int) {
+		f := New(SmallConfig(2, 42))
+		f.Net.RunFor(10 * time.Second)
+		var log strings.Builder
+		full := 0
+		f.Net.AddNode("hb-recorder", simnet.Placement{Region: "us-west", Cluster: "uw1"},
+			simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+				hb := msg.(proxy.MsgMonitorHeartbeat)
+				fmt.Fprintf(&log, "%s %v\n", hb.Proxy, hb.Paths)
+				if len(hb.Paths) == len(paths) {
+					full++
+				}
+			}))
+		for _, s := range f.AllServers() {
+			s.Proxy.EnableMonitor("hb-recorder", time.Second)
+		}
+		for i, p := range paths {
+			f.SubscribeAll(p)
+			writeZeus(t, f, p, fmt.Sprintf(`{"v":%d}`, i))
+		}
+		return log.String(), full
+	}
+	a, full := run()
+	b, _ := run()
+	if full == 0 {
+		t.Fatalf("no heartbeat listed all %d paths", len(paths))
+	}
+	if a != b {
+		la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+		for i := 0; i < len(la) && i < len(lb); i++ {
+			if la[i] != lb[i] {
+				t.Fatalf("same-seed heartbeats differ at #%d:\n  %s\n  %s", i, la[i], lb[i])
+			}
+		}
+		t.Fatalf("same-seed heartbeat logs differ in length: %d vs %d lines", len(la), len(lb))
 	}
 }

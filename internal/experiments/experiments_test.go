@@ -484,8 +484,8 @@ func TestScale(t *testing.T) {
 	// Wall-clock floors for the mobile scenario only: the benchmark has no
 	// mobile workload yet (push_wave records simnet.events_per_s and
 	// simnet.allocs_per_event for the push side). Generous, so slow CI
-	// machines pass while a core regression — heap scheduler, per-event
-	// allocation — still trips them.
+	// machines pass while a core regression — a queue that chases pointers
+	// on every comparison, per-event allocation — still trips them.
 	if m.Run.EventsPerSec < 50_000 {
 		t.Errorf("mobile events/sec = %.0f, want >= 50k", m.Run.EventsPerSec)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // scaleOutcome is what the fleet-scale scenarios measured: the simnet core
-// (timer wheel, pooled events, dense node table — DESIGN.md §14) carrying
+// (one event heap, pooled events, dense node table — DESIGN.md §14) carrying
 // the paper's headline fleets. Two scenarios, each run twice with the same
 // seed to prove determinism at scale:
 //

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"configerator/internal/packagevessel"
+	"configerator/internal/packagevessel/blob"
 	"configerator/internal/simnet"
 	"configerator/internal/vcs"
 )
@@ -58,7 +59,8 @@ func TestPromotionGateLandsValidCanary(t *testing.T) {
 
 func TestPromotionGateRefusesUnpublished(t *testing.T) {
 	_, strip := promoRig(t)
-	rec := packagevessel.TagRecord{Name: "ranker", Tag: "canary", Version: 9}
+	rec := packagevessel.TagRecord{Name: "ranker", Tag: "canary", Version: 9,
+		Manifest: blob.DigestOf([]byte("v9")).String()}
 	r := strip.Submit(tagDiff(t, strip.Repo(), rec), t0)
 	if r.Err == nil || !strings.Contains(r.Err.Error(), "not published") {
 		t.Fatalf("err = %v, want unpublished refusal", r.Err)
@@ -70,16 +72,17 @@ func TestPromotionGateRefusesUnpublished(t *testing.T) {
 
 func TestPromotionGateRefusesProdWithoutCanary(t *testing.T) {
 	reg, strip := promoRig(t)
-	rec := packagevessel.TagRecord{Name: "ranker", Tag: "prod", Version: 1}
+	canary, err := reg.Promote("ranker", "canary", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := canary
+	rec.Tag = "prod"
 	r := strip.Submit(tagDiff(t, strip.Repo(), rec), t0)
 	if r.Err == nil || !strings.Contains(r.Err.Error(), "canary") {
 		t.Fatalf("err = %v, want staged-rollout refusal", r.Err)
 	}
 	// After canary lands and applies, prod goes through.
-	canary, err := reg.Promote("ranker", "canary", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if r := strip.Submit(tagDiff(t, strip.Repo(), canary), t0); r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -96,12 +99,15 @@ func TestPromotionGateRefusesProdWithoutCanary(t *testing.T) {
 }
 
 func TestPromotionGateRefusesMalformed(t *testing.T) {
-	_, strip := promoRig(t)
+	reg, strip := promoRig(t)
 	repo := strip.Repo()
 
 	// Record/path mismatch.
 	wc := repo.Clone("promoter")
-	rec := packagevessel.TagRecord{Name: "ranker", Tag: "canary", Version: 1}
+	rec, err := reg.Promote("ranker", "canary", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, err := rec.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +115,12 @@ func TestPromotionGateRefusesMalformed(t *testing.T) {
 	wc.Write(packagevessel.TagPath("other", "canary"), data)
 	if r := strip.Submit(wc.Diff("mismatch"), t0); r.Err == nil {
 		t.Error("path/record mismatch landed")
+	}
+
+	// A record naming no manifest digest binds no immutable content.
+	rec.Manifest = ""
+	if r := strip.Submit(tagDiff(t, repo, rec), t0); r.Err == nil {
+		t.Error("tag record without a manifest digest landed")
 	}
 
 	// Undecodable record.

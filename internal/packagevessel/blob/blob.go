@@ -50,11 +50,22 @@ func DigestOf(b []byte) Digest { return Digest(vcs.HashBytes(b)) }
 // String renders the digest as 16 lowercase hex digits.
 func (d Digest) String() string { return fmt.Sprintf("%016x", uint64(d)) }
 
-// ParseDigest parses the String form.
+// ParseDigest parses the String form: exactly 16 lowercase hex digits, so
+// that ParseDigest(s).String() == s for every s it accepts.
 func ParseDigest(s string) (Digest, error) {
-	var v uint64
-	if _, err := fmt.Sscanf(s, "%x", &v); err != nil || len(s) != 16 {
+	if len(s) != 16 {
 		return 0, fmt.Errorf("blob: bad digest %q", s)
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			v = v<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			v = v<<4 | uint64(c-'a'+10)
+		default:
+			return 0, fmt.Errorf("blob: bad digest %q", s)
+		}
 	}
 	return Digest(v), nil
 }

@@ -27,8 +27,17 @@ func TestDigestRoundTrip(t *testing.T) {
 	if len(d.String()) != 16 {
 		t.Errorf("digest string %q not 16 hex chars", d.String())
 	}
-	if _, err := ParseDigest("xyz"); err == nil {
-		t.Error("ParseDigest accepted garbage")
+	for _, bad := range []string{
+		"xyz",
+		"000000000000000g", // non-hex digit
+		" 00000000000000f", // leading space
+		"0x0000000000000f", // 0x prefix
+		"00000000000000 1", // inner space
+		"000000000000000F", // uppercase: String never prints it
+	} {
+		if d, err := ParseDigest(bad); err == nil {
+			t.Errorf("ParseDigest(%q) = %s, want an error", bad, d)
+		}
 	}
 }
 

@@ -200,7 +200,8 @@ func (t TagRecord) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// ParseTagRecord decodes and validates a tag artifact.
+// ParseTagRecord decodes and validates a tag artifact. The manifest must be
+// a well-formed digest: a tag binds a version to immutable content.
 func ParseTagRecord(data []byte) (TagRecord, error) {
 	var t TagRecord
 	if err := json.Unmarshal(data, &t); err != nil {
@@ -215,6 +216,9 @@ func ParseTagRecord(data []byte) (TagRecord, error) {
 	if !validTag(t.Tag) {
 		return TagRecord{}, fmt.Errorf("packagevessel: tag %s/%s: unknown tag (namespace: %s)",
 			t.Name, t.Tag, strings.Join(KnownTags, ", "))
+	}
+	if _, err := blob.ParseDigest(t.Manifest); err != nil {
+		return TagRecord{}, fmt.Errorf("packagevessel: tag %s/%s: %w", t.Name, t.Tag, err)
 	}
 	return t, nil
 }
@@ -414,7 +418,7 @@ func (r *Registry) ApplyTag(rec TagRecord) error {
 	if !ok {
 		return fmt.Errorf("packagevessel: apply tag %s/%s: version %d not published", rec.Name, rec.Tag, rec.Version)
 	}
-	if got := m.Digest().String(); rec.Manifest != "" && rec.Manifest != got {
+	if got := m.Digest().String(); rec.Manifest != got {
 		return fmt.Errorf("packagevessel: apply tag %s/%s: manifest digest %s does not match published %s",
 			rec.Name, rec.Tag, rec.Manifest, got)
 	}

@@ -80,6 +80,10 @@ func TestParseMetadataRejectsGarbage(t *testing.T) {
 		fmt.Sprintf(`{"name":"x","version":-1,"size":1,"manifest":%q}`, digest), // negative version
 		fmt.Sprintf(`{"name":"x","version":1,"size":-1,"manifest":%q}`, digest), // bad size
 		`{"name":"x","version":1,"size":1,"manifest":"nothex"}`,                 // bad digest
+		`{"name":"x","version":1,"size":1,"manifest":"000000000000000g"}`,
+		`{"name":"x","version":1,"size":1,"manifest":" 00000000000000f"}`,
+		`{"name":"x","version":1,"size":1,"manifest":"0x0000000000000f"}`,
+		`{"name":"x","version":1,"size":1,"manifest":"00000000000000 1"}`,
 	} {
 		if _, err := ParseMetadata([]byte(bad)); err == nil {
 			t.Errorf("ParseMetadata(%q) succeeded", bad)
@@ -101,7 +105,7 @@ func TestTagPathRoundTrip(t *testing.T) {
 }
 
 func TestParseTagRecordValidation(t *testing.T) {
-	rec := TagRecord{Name: "ranker", Tag: "canary", Version: 2, Manifest: "aa"}
+	rec := TagRecord{Name: "ranker", Tag: "canary", Version: 2, Manifest: blob.DigestOf([]byte("m")).String()}
 	data, err := rec.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -116,10 +120,75 @@ func TestParseTagRecordValidation(t *testing.T) {
 		`{"name":"x","tag":"beta","version":1}`,  // outside namespace
 		`{"name":"","tag":"canary","version":1}`, // no name
 		`{"name":"x","tag":"canary","version":-2}`,
+		`{"name":"x","tag":"canary","version":1}`,                 // no manifest
+		`{"name":"x","tag":"canary","version":1,"manifest":""}`,   // empty manifest
+		`{"name":"x","tag":"canary","version":1,"manifest":"aa"}`, // short manifest
+		`{"name":"x","tag":"canary","version":1,"manifest":"000000000000000g"}`,
+		`{"name":"x","tag":"canary","version":1,"manifest":" 00000000000000f"}`,
+		`{"name":"x","tag":"canary","version":1,"manifest":"0x0000000000000f"}`,
+		`{"name":"x","tag":"canary","version":1,"manifest":"00000000000000 1"}`,
 	} {
 		if _, err := ParseTagRecord([]byte(bad)); err == nil {
 			t.Errorf("ParseTagRecord(%q) accepted", bad)
 		}
+	}
+}
+
+// FuzzParseMetadata: whatever ParseMetadata accepts survives Encode → Parse
+// unchanged, and names its manifest in the one form ParseDigest prints.
+func FuzzParseMetadata(f *testing.F) {
+	good, err := Metadata{Name: "model", Version: 3, Size: 10 << 20,
+		Manifest: blob.DigestOf([]byte("m")).String(), Registry: "registry", Tracker: "tracker"}.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseMetadata(data)
+		if err != nil {
+			return
+		}
+		checkDigestField(t, m.Manifest)
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatalf("accepted %+v does not encode: %v", m, err)
+		}
+		if again, err := ParseMetadata(enc); err != nil || again != m {
+			t.Fatalf("Encode → Parse: %+v, %v; want %+v", again, err, m)
+		}
+	})
+}
+
+// FuzzParseTagRecord: the same round trip for tag records, which cross the
+// landing strip's promotion gate.
+func FuzzParseTagRecord(f *testing.F) {
+	good, err := TagRecord{Name: "ranker", Tag: "canary", Version: 2,
+		Manifest: blob.DigestOf([]byte("m")).String()}.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := ParseTagRecord(data)
+		if err != nil {
+			return
+		}
+		checkDigestField(t, rec.Manifest)
+		enc, err := rec.Encode()
+		if err != nil {
+			t.Fatalf("accepted %+v does not encode: %v", rec, err)
+		}
+		if again, err := ParseTagRecord(enc); err != nil || again != rec {
+			t.Fatalf("Encode → Parse: %+v, %v; want %+v", again, err, rec)
+		}
+	})
+}
+
+func checkDigestField(t *testing.T, field string) {
+	t.Helper()
+	d, err := blob.ParseDigest(field)
+	if err != nil || d.String() != field {
+		t.Fatalf("accepted manifest %q reads back as %s, %v", field, d, err)
 	}
 }
 
@@ -182,6 +251,10 @@ func TestPromotionLifecycle(t *testing.T) {
 	rec, err := reg.Promote("model", "canary", 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A record with no digest binds no immutable content: refused.
+	if err := reg.ApplyTag(TagRecord{Name: "model", Tag: "canary", Version: 1}); err == nil {
+		t.Error("applied a tag record with no manifest digest")
 	}
 	if err := reg.ApplyTag(rec); err != nil {
 		t.Fatal(err)

@@ -15,6 +15,8 @@
 package proxy
 
 import (
+	"slices"
+	"strings"
 	"time"
 
 	"configerator/internal/simnet"
@@ -92,6 +94,8 @@ func (p *Proxy) onTickMonitor(ctx *simnet.Context) {
 		})
 		size += len(e.Path) + heartbeatEntryBytes
 	}
+	// Sorted, not in map order: same seed, same heartbeat.
+	slices.SortFunc(hb.Paths, func(a, b PathState) int { return strings.Compare(a.Path, b.Path) })
 	ctx.SendSized(p.monTarget, hb, size)
 	p.Obs.Add("proxy.monitor.heartbeat", 1)
 }

@@ -63,7 +63,7 @@ type Waker interface {
 func (n *Network) NewLease(id NodeID, period time.Duration, tick Message, peer NodeID) *Lease {
 	i := n.mustIdx(id)
 	l := &Lease{n: n, node: i, peer: n.peerIdx(peer), tick: tick, period: int64(period)}
-	n.ext(i).lease = l
+	n.nodes[i].lease = l
 	n.leases = append(n.leases, l)
 	l.restart(false)
 	return l
@@ -74,13 +74,6 @@ func (n *Network) peerIdx(id NodeID) int32 {
 		return -1
 	}
 	return n.mustIdx(id)
-}
-
-func (n *Network) leaseOf(i int32) *Lease {
-	if ext := n.nodes[i].ext; ext != nil {
-		return ext.lease
-	}
-	return nil
 }
 
 // Renew is the first call of the holder's tick handler. It queues the next
@@ -217,10 +210,10 @@ func (n *Network) touchNode(i int32) {
 
 // touchLink wakes the quiet leases of the pair a–b, before the link changes.
 func (n *Network) touchLink(a, b int32) {
-	if l := n.leaseOf(a); l != nil && l.peer == b {
+	if l := n.nodes[a].lease; l != nil && l.peer == b {
 		l.wake(n.tickFirst(l))
 	}
-	if l := n.leaseOf(b); l != nil && l.peer == a {
+	if l := n.nodes[b].lease; l != nil && l.peer == a {
 		l.wake(n.tickFirst(l))
 	}
 }
@@ -258,12 +251,12 @@ func (c *Context) Heard(from NodeID) time.Time {
 	fi := n.mustIdx(from)
 	at, ok := n.heard[linkKey(fi, c.idx)]
 	if !n.nodes[fi].down {
-		switch l := n.leaseOf(fi); {
+		switch l := n.nodes[fi].lease; {
 		case l == nil && !n.pairFaulted(fi, c.idx):
 			return n.Now()
 		case l != nil && l.state == leaseQuiet && l.peer == c.idx:
-			if lat := l.lat(); n.now-lat >= l.quiet {
-				at, ok = l.gridAt(n.now-lat)+lat, true
+			if lat, now := l.lat(), n.nowNS(); now-lat >= l.quiet {
+				at, ok = l.gridAt(now-lat)+lat, true
 			}
 		}
 	}

@@ -9,33 +9,34 @@ import (
 	"configerator/internal/stats"
 )
 
-// refQueue is the old container/heap event queue, kept here as the
-// reference ordering the timer wheel must reproduce exactly.
-type refQueue []*event
+// refQueue is a container/heap queue with its own (at, seq) comparison: the
+// reference order the event queue must reproduce exactly.
+type refQueue []queued
 
-func (q refQueue) Len() int            { return len(q) }
-func (q refQueue) Less(i, j int) bool  { return eventLess(q[i], q[j]) }
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	return q[i].at < q[j].at || (q[i].at == q[j].at && q[i].seq < q[j].seq)
+}
 func (q refQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
+func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(queued)) }
 func (q *refQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
 	e := old[n-1]
-	old[n-1] = nil
 	*q = old[:n-1]
 	return e
 }
 
-// TestWheelHeapEquivalence drives the wheel and the reference heap through
-// an identical randomized push/pop schedule shaped like a 1k-node fleet
-// workload — bursts of same-instant events, sub-millisecond network
-// arrivals, second-scale timers that land on the L1 wheel, and hour/day
-// stragglers that start on the far heap — and asserts every pop agrees on
-// (at, seq). This is the determinism contract: the wheel is a drop-in
-// replacement for the heap's total order.
-func TestWheelHeapEquivalence(t *testing.T) {
+// TestQueueMatchesReference drives the event queue and the reference heap
+// through an identical randomized push/pop schedule shaped like a 1k-node
+// fleet workload — bursts of same-instant events, sub-millisecond network
+// arrivals, second- and minute-scale timers, and hour/day stragglers — then
+// through one where hundreds of pending events share each instant, and
+// asserts every pop agrees on (at, seq). This is the determinism contract:
+// same-instant events fire in the order they were scheduled.
+func TestQueueMatchesReference(t *testing.T) {
 	rng := stats.NewRNG(20150406)
-	var w eventWheel
+	var q eventQueue
 	var ref refQueue
 	var now int64
 	var seq uint64
@@ -44,66 +45,74 @@ func TestWheelHeapEquivalence(t *testing.T) {
 		if at < now {
 			at = now
 		}
-		w.push(&event{at: at, seq: seq})
-		heap.Push(&ref, &event{at: at, seq: seq})
+		q.push(queued{at: at, seq: seq})
+		heap.Push(&ref, queued{at: at, seq: seq})
 		seq++
 	}
 	pop := func() {
-		we := w.pop()
-		re := heap.Pop(&ref).(*event)
-		if we.at != re.at || we.seq != re.seq {
-			t.Fatalf("pop diverged: wheel (at=%d seq=%d) vs heap (at=%d seq=%d)",
-				we.at, we.seq, re.at, re.seq)
+		got := q.pop()
+		want := heap.Pop(&ref).(queued)
+		if got.at != want.at || got.seq != want.seq {
+			t.Fatalf("pop diverged: queue (at=%d seq=%d) vs reference (at=%d seq=%d)",
+				got.at, got.seq, want.at, want.seq)
 		}
-		if we.at < now {
-			t.Fatalf("time went backwards: %d after %d", we.at, now)
+		if got.at < now {
+			t.Fatalf("time went backwards: %d after %d", got.at, now)
 		}
-		now = we.at
+		now = got.at
 	}
 
-	// Delay mixture, ns: same instant, in-slot, near (L0), seconds (L1),
-	// minutes (L1), hours and days (far heap).
+	// Delay mixture, ns: same instant, within ~262 µs, sub-second, seconds,
+	// minutes, hours and days.
 	delay := func() int64 {
 		switch rng.Intn(12) {
 		case 0:
 			return 0
 		case 1, 2:
-			return int64(rng.Intn(1 << tickShift)) // within one slot
+			return int64(rng.Intn(1 << 18))
 		case 3, 4, 5, 6:
-			return int64(rng.Intn(int(time.Second))) // L0 range
+			return int64(rng.Intn(int(time.Second)))
 		case 7, 8:
-			return int64(rng.Intn(int(time.Minute))) // L1 range
+			return int64(rng.Intn(int(time.Minute)))
 		case 9:
-			return int64(rng.Intn(int(time.Hour))) // deep L1
+			return int64(rng.Intn(int(time.Hour)))
 		case 10:
-			return int64(time.Hour) + int64(rng.Intn(int(24*time.Hour))) // far
+			return int64(time.Hour) + int64(rng.Intn(int(24*time.Hour)))
 		default:
-			return int64(24*time.Hour) + int64(rng.Intn(int(10*24*time.Hour))) // deep far
+			return int64(24*time.Hour) + int64(rng.Intn(int(10*24*time.Hour)))
 		}
 	}
 
-	for i := 0; i < 300_000; i++ {
-		if len(ref) == 0 || rng.Intn(5) < 3 {
-			push(now + delay())
-		} else {
+	// Ties among future instants: every event lands on one of the next
+	// eight 1 ms grid points, so hundreds share an instant at any moment.
+	grid := func() int64 {
+		const ms = int64(time.Millisecond)
+		return (now/ms+1+int64(rng.Intn(8)))*ms - now
+	}
+
+	for _, phase := range []struct {
+		ops   int
+		delay func() int64
+	}{{300_000, delay}, {100_000, grid}} {
+		for i := 0; i < phase.ops; i++ {
+			if len(ref) == 0 || rng.Intn(5) < 3 {
+				push(now + phase.delay())
+			} else {
+				pop()
+			}
+		}
+		for len(ref) > 0 {
 			pop()
 		}
-	}
-	for len(ref) > 0 {
-		pop()
-	}
-	if w.pop() != nil {
-		t.Fatal("wheel still had events after reference heap drained")
-	}
-	if w.pending != 0 {
-		t.Fatalf("wheel pending = %d after drain", w.pending)
+		if len(q) != 0 {
+			t.Fatalf("queue holds %d entries after the reference drained", len(q))
+		}
 	}
 }
 
-// TestWheelTimerPrecision pins exact firing instants across all three
-// structures: due slot (0), L0 (sub-second), L1 cascade (seconds to
-// minutes), and the far heap (beyond the ~73 min L1 horizon).
-func TestWheelTimerPrecision(t *testing.T) {
+// TestTimerPrecision pins exact firing instants for delays from zero to
+// more than a day.
+func TestTimerPrecision(t *testing.T) {
 	net := New(LatencyModel{}, 1)
 	net.AddNode("n", Placement{Region: "r", Cluster: "c"}, HandlerFunc(func(ctx *Context, from NodeID, msg Message) {}))
 	start := net.Now()
@@ -129,12 +138,11 @@ func TestWheelTimerPrecision(t *testing.T) {
 	}
 }
 
-// TestFIFOAcrossWheelPromotion sends many messages down one link whose
-// extra latency swings from microseconds to hours in random order, so in-
-// flight arrivals for the same link live in the due heap, L0, L1, and the
-// far heap simultaneously. The per-link FIFO clamp must still deliver them
-// in send order.
-func TestFIFOAcrossWheelPromotion(t *testing.T) {
+// TestFIFOUnderLatencySwings sends many messages down one link whose extra
+// latency swings from microseconds to hours in random order, so arrivals
+// computed from very different latencies are in flight on the link at once.
+// The per-link FIFO clamp must still deliver them in send order.
+func TestFIFOUnderLatencySwings(t *testing.T) {
 	lat := DefaultLatency() // jitter on
 	net := New(lat, 99)
 	p := Placement{Region: "r", Cluster: "c"}
@@ -394,29 +402,38 @@ func TestNetworkDeterminismLargeFanout(t *testing.T) {
 }
 
 // TestSendZeroAllocWarm asserts the steady-state promise directly: once
-// the freelist and link maps are warm, Send+Step and SetTimer+Step
-// allocate nothing.
+// the freelist, link maps and queue capacity are warm, Send+Step and
+// SetTimer+Step allocate nothing — on an idle queue and with 100k timers
+// pending behind them (push_wave's queue peaks near 290k).
 func TestSendZeroAllocWarm(t *testing.T) {
-	net := New(DefaultLatency(), 9)
-	p := Placement{Region: "r", Cluster: "c"}
-	h := HandlerFunc(func(ctx *Context, from NodeID, msg Message) {})
-	net.AddNode("a", p, h)
-	net.AddNode("b", p, h)
-	msg := &struct{}{}
-	for i := 0; i < 1000; i++ { // warm freelist, maps, due-heap capacity
-		net.SendSized("a", "b", msg, 1024)
-		net.Step()
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		net.SendSized("a", "b", msg, 1024)
-		net.Step()
-	}); allocs != 0 {
-		t.Fatalf("warm SendSized+Step allocates %.1f/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		net.SetTimer("a", time.Millisecond, msg)
-		net.Step()
-	}); allocs != 0 {
-		t.Fatalf("warm SetTimer+Step allocates %.1f/op, want 0", allocs)
+	for _, pending := range []int{0, 100_000} {
+		net := New(DefaultLatency(), 9)
+		p := Placement{Region: "r", Cluster: "c"}
+		h := HandlerFunc(func(ctx *Context, from NodeID, msg Message) {})
+		net.AddNode("a", p, h)
+		net.AddNode("b", p, h)
+		msg := &struct{}{}
+		for i := 0; i < pending; i++ {
+			net.SetTimer("b", 24*time.Hour+time.Duration(i), msg)
+		}
+		for i := 0; i < 1000; i++ { // warm freelist, maps, queue capacity
+			net.SendSized("a", "b", msg, 1024)
+			net.Step()
+		}
+		if allocs := testing.AllocsPerRun(1000, func() {
+			net.SendSized("a", "b", msg, 1024)
+			net.Step()
+		}); allocs != 0 {
+			t.Fatalf("%d pending: warm SendSized+Step allocates %.1f/op, want 0", pending, allocs)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() {
+			net.SetTimer("a", time.Millisecond, msg)
+			net.Step()
+		}); allocs != 0 {
+			t.Fatalf("%d pending: warm SetTimer+Step allocates %.1f/op, want 0", pending, allocs)
+		}
+		if net.QueueLen() != pending {
+			t.Fatalf("QueueLen = %d, want the %d pending timers", net.QueueLen(), pending)
+		}
 	}
 }

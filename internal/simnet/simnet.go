@@ -14,10 +14,10 @@
 // at the same virtual instant.
 //
 // The core is sized for fleets, not testbeds (DESIGN.md §14): events come
-// from a freelist and are scheduled on a hierarchical timer wheel, node ids
-// are interned into dense int32 indexes so link state lives in compact-key
-// maps, and per-node bandwidth state materializes lazily — a million
-// mostly-idle devices cost nothing until first touched.
+// from a freelist and are scheduled on one 4-ary heap keyed inline by
+// (at, seq), and node ids are interned into dense int32 indexes, so a
+// node's state is one slice element and link state lives in compact-key
+// maps.
 package simnet
 
 import (
@@ -115,29 +115,21 @@ func (m LatencyModel) hop(a, b Placement, rng *stats.RNG) (lat int64, class int)
 	return int64(base), class
 }
 
-// node is the internal per-node state. The table is a dense slice indexed
-// by the int32 handed out at AddNode; only identity, handler, and liveness
-// live inline — everything a mostly-idle node never touches is behind the
-// lazily materialized ext pointer.
+// node is the per-node state. The table is a dense slice indexed by the
+// int32 handed out at AddNode. Bandwidth modeling lives here too: a
+// transfer occupies the sender's uplink and the receiver's downlink for
+// size/bandwidth seconds.
 type node struct {
-	id        NodeID
-	handler   Handler
-	placement Placement
-	down      bool
-	ext       *nodeExt
-}
-
-// nodeExt is the lazily materialized per-node link state: bandwidth
-// modeling (a transfer occupies the sender's uplink and the receiver's
-// downlink for size/bandwidth seconds) and wire accounting. A node that
-// never sends or receives a sized payload never allocates one.
-type nodeExt struct {
+	id         NodeID
+	handler    Handler
+	placement  Placement
 	upBps      float64
 	downBps    float64
 	upFreeAt   int64 // ns since base
 	downFreeAt int64
 	bytesOut   uint64
 	lease      *Lease // the node's keep-alive, if it holds one
+	down       bool
 }
 
 const (
@@ -147,13 +139,11 @@ const (
 	evTick // msg is the *Lease; from is the lease generation it was queued under
 )
 
-// event is one scheduled delivery, timer, callback or keep-alive tick.
-// Events are pooled in a freelist (Network.free) and linked through next
-// while sitting in a wheel slot; at is virtual nanoseconds since the
-// network's base instant, born the instant it was scheduled.
+// event is one scheduled delivery, timer, callback or keep-alive tick; its
+// instant is the queue entry's key. Events are pooled in a freelist
+// (Network.free) linked through next; born is the virtual instant (ns since
+// base) it was scheduled.
 type event struct {
-	at   int64
-	seq  uint64
 	born int64
 	next *event
 	msg  Message
@@ -189,19 +179,21 @@ type linkFault struct {
 	extra            time.Duration // congestion spike on top of the placement latency
 }
 
-// Network is the simulator. It owns the virtual clock; components that need
-// the current time share the clock via Clock().
+// Network is the simulator. It owns the virtual clock; it satisfies
+// vclock.Clock, so components that need the current time take the Network.
 type Network struct {
-	clock   *vclock.Virtual
 	rng     *stats.RNG
 	latency LatencyModel
 	base    time.Time // event times are int64 ns after this instant
-	now     int64     // the clock, as ns after base: only Step and RunUntil move it
+	// now is the clock, as ns after base. Only the loop (Step, RunUntil)
+	// moves it; it is atomic because Now is read from any goroutine (a
+	// proxy read stamps its staleness off the loop).
+	now atomic.Int64
 
 	index map[NodeID]int32
 	nodes []node
 
-	wheel eventWheel
+	queue eventQueue
 	free  *event // event freelist: steady state allocates zero events
 	seq   uint64
 	sctx  Context // scratch Context reused across deliveries
@@ -241,12 +233,10 @@ const DefaultBandwidth = 1.25e9 // bytes/sec
 
 // New returns an empty network with the given latency model and seed.
 func New(latency LatencyModel, seed uint64) *Network {
-	clock := vclock.NewVirtual()
 	n := &Network{
-		clock:   clock,
 		rng:     stats.NewRNG(seed),
 		latency: latency,
-		base:    clock.Now(),
+		base:    vclock.Epoch,
 		index:   make(map[NodeID]int32),
 		links:   make(map[uint64]link),
 		faults:  make(map[uint64]linkFault),
@@ -256,7 +246,7 @@ func New(latency LatencyModel, seed uint64) *Network {
 	return n
 }
 
-func (n *Network) nowNS() int64 { return n.now }
+func (n *Network) nowNS() int64 { return n.now.Load() }
 
 // SetObs attaches an observability registry: every sized send then feeds
 // the "net.bytes" counter, a per-distance-class counter
@@ -277,15 +267,10 @@ func (n *Network) LinkBytes(from, to NodeID) uint64 {
 }
 
 // NodeBytesOut reports total payload bytes the node has sent.
-func (n *Network) NodeBytesOut(id NodeID) uint64 {
-	if ext := n.nodes[n.mustIdx(id)].ext; ext != nil {
-		return ext.bytesOut
-	}
-	return 0
-}
+func (n *Network) NodeBytesOut(id NodeID) uint64 { return n.nodes[n.mustIdx(id)].bytesOut }
 
-// Now reports the current virtual time.
-func (n *Network) Now() time.Time { return n.clock.Now() }
+// Now reports the current virtual time. Safe for concurrent use.
+func (n *Network) Now() time.Time { return n.base.Add(time.Duration(n.nowNS())) }
 
 // RNG exposes the network's deterministic random stream.
 func (n *Network) RNG() *stats.RNG { return n.rng }
@@ -301,22 +286,14 @@ func (n *Network) AddNode(id NodeID, p Placement, h Handler) {
 	p.Region = intern.Path(p.Region)
 	p.Cluster = intern.Path(p.Cluster)
 	n.index[id] = int32(len(n.nodes))
-	n.nodes = append(n.nodes, node{id: id, handler: h, placement: p})
-}
-
-// ext materializes a node's bandwidth/accounting state on first touch.
-func (n *Network) ext(i int32) *nodeExt {
-	nd := &n.nodes[i]
-	if nd.ext == nil {
-		nd.ext = &nodeExt{upBps: DefaultBandwidth, downBps: DefaultBandwidth}
-	}
-	return nd.ext
+	n.nodes = append(n.nodes, node{id: id, handler: h, placement: p,
+		upBps: DefaultBandwidth, downBps: DefaultBandwidth})
 }
 
 // SetBandwidth overrides a node's uplink/downlink bandwidth in bytes/sec.
 func (n *Network) SetBandwidth(id NodeID, upBps, downBps float64) {
-	ext := n.ext(n.mustIdx(id))
-	ext.upBps, ext.downBps = upBps, downBps
+	nd := &n.nodes[n.mustIdx(id)]
+	nd.upBps, nd.downBps = upBps, downBps
 }
 
 // Placement reports where a node lives.
@@ -348,7 +325,7 @@ func (n *Network) Fail(id NodeID) {
 	i := n.mustIdx(id)
 	n.touchNode(i)
 	n.nodes[i].down = true
-	if l := n.leaseOf(i); l != nil {
+	if l := n.nodes[i].lease; l != nil {
 		l.stop()
 	}
 }
@@ -369,7 +346,7 @@ func (n *Network) Recover(id NodeID) {
 	n.touchNode(i)
 	nd := &n.nodes[i]
 	nd.down = false
-	if l := n.leaseOf(i); l != nil {
+	if l := n.nodes[i].lease; l != nil {
 		l.restart(true)
 	}
 	if r, ok := nd.handler.(Restarter); ok {
@@ -506,7 +483,7 @@ func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode in
 	arrive := ready + lat
 	l := n.links[key]
 	if size > 0 {
-		se, de := n.ext(fi), n.ext(ti)
+		se, de := &n.nodes[fi], &n.nodes[ti]
 		depart := max(ready, se.upFreeAt) + int64(float64(size)/se.upBps*float64(time.Second))
 		se.upFreeAt = depart
 		arrive = max(depart+lat, de.downFreeAt) + int64(float64(size)/de.downBps*float64(time.Second))
@@ -594,9 +571,9 @@ func (n *Network) pushEvent(at int64, kind uint8, from, to int32, msg Message) {
 		n.free = e.next
 		e.next = nil
 	}
-	e.at, e.seq, e.born, e.kind, e.from, e.to, e.msg = at, n.seq, n.nowNS(), kind, from, to, msg
+	e.born, e.kind, e.from, e.to, e.msg = n.nowNS(), kind, from, to, msg
+	n.queue.push(queued{at: at, seq: n.seq, e: e})
 	n.seq++
-	n.wheel.push(e)
 }
 
 func (n *Network) releaseEvent(e *event) {
@@ -609,12 +586,12 @@ func (n *Network) Step() bool {
 	if n.wakePending.Load() {
 		n.drainWakes()
 	}
-	e := n.wheel.pop()
-	if e == nil {
+	if len(n.queue) == 0 {
 		return false
 	}
-	n.now = e.at
-	n.clock.AdvanceTo(n.base.Add(time.Duration(e.at)))
+	q := n.queue.pop()
+	n.now.Store(q.at)
+	e := q.e
 	// Copy out and recycle before invoking the handler: anything the
 	// handler schedules reuses this event without aliasing it.
 	kind, from, to, msg := e.kind, e.from, e.to, e.msg
@@ -658,7 +635,7 @@ func (n *Network) Run() {
 // RunFor processes events until d of virtual time has elapsed; remaining
 // later events stay queued. The clock always ends exactly at start+d.
 func (n *Network) RunFor(d time.Duration) {
-	n.RunUntil(n.clock.Now().Add(d))
+	n.RunUntil(n.Now().Add(d))
 }
 
 // RunUntil processes events up to and including virtual time t.
@@ -668,18 +645,18 @@ func (n *Network) RunUntil(t time.Time) {
 		if n.wakePending.Load() {
 			n.drainWakes()
 		}
-		e := n.wheel.peek()
-		if e == nil || e.at > limit {
+		if len(n.queue) == 0 || n.queue[0].at > limit {
 			break
 		}
 		n.Step()
 	}
-	n.now = max(n.now, limit)
-	n.clock.AdvanceTo(t)
+	if limit > n.nowNS() {
+		n.now.Store(limit)
+	}
 }
 
 // QueueLen reports the number of pending events (for tests).
-func (n *Network) QueueLen() int { return n.wheel.pending }
+func (n *Network) QueueLen() int { return len(n.queue) }
 
 // Context is handed to handlers; it carries the node's own identity and the
 // network handle for sending messages and arming timers. The Context passed

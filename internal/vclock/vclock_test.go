@@ -14,20 +14,6 @@ func TestVirtualAdvance(t *testing.T) {
 	}
 }
 
-func TestVirtualAdvanceTo(t *testing.T) {
-	v := NewVirtual()
-	target := v.Now().Add(time.Minute)
-	v.AdvanceTo(target)
-	if !v.Now().Equal(target) {
-		t.Errorf("Now = %v, want %v", v.Now(), target)
-	}
-	// Moving backwards is a no-op.
-	v.AdvanceTo(target.Add(-time.Hour))
-	if !v.Now().Equal(target) {
-		t.Errorf("AdvanceTo backwards moved the clock")
-	}
-}
-
 func TestVirtualNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
