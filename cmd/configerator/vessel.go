@@ -10,50 +10,29 @@ import (
 	"configerator/internal/landingstrip"
 	"configerator/internal/packagevessel"
 	"configerator/internal/packagevessel/blob"
-	"configerator/internal/simnet"
 	"configerator/internal/vclock"
 	"configerator/internal/vcs"
 )
 
 // vesselWorld is the in-process demo universe the vessel subcommands
-// operate on (same pattern as `status`): a content-addressed registry, a
-// tracker, a small swarm fleet, and a landing strip whose gate validates
-// tag promotions. Everything is seeded, so repeated runs print the same
-// numbers.
+// operate on (same pattern as `status`): a 24-agent swarm in four clusters
+// and a landing strip whose gate validates tag promotions. Everything is
+// seeded, so repeated runs print the same numbers.
 type vesselWorld struct {
-	net      *simnet.Network
-	registry *packagevessel.Registry
-	tracker  *packagevessel.Tracker
-	agents   []*packagevessel.Agent
-	strip    *landingstrip.Strip
+	*packagevessel.Swarm
+	strip *landingstrip.Strip
 }
 
-const vesselDemoSeed = 7
+const (
+	vesselDemoSeed   = 7
+	vesselDemoAgents = 24
+	vesselDemoWait   = 10 * time.Minute
+)
 
 func newVesselWorld() *vesselWorld {
-	net := simnet.New(simnet.DefaultLatency(), vesselDemoSeed)
-	const bps = 1.25e8 // 1 Gbit/s
-	w := &vesselWorld{net: net}
-	w.registry = packagevessel.NewRegistry(net, "registry",
-		simnet.Placement{Region: "us", Cluster: "store"}, "tracker")
-	net.SetBandwidth("registry", bps, bps)
-	w.tracker = packagevessel.NewTracker(net, "tracker",
-		simnet.Placement{Region: "us", Cluster: "store"})
-	for i := 0; i < 24; i++ {
-		cl := fmt.Sprintf("c%d", i%4)
-		region := "us"
-		if i%4 >= 2 {
-			region = "eu"
-		}
-		id := simnet.NodeID(fmt.Sprintf("srv-%d", i))
-		a := packagevessel.NewAgent(net, id,
-			simnet.Placement{Region: region, Cluster: cl}, packagevessel.Options{})
-		net.SetBandwidth(id, bps, bps)
-		w.agents = append(w.agents, a)
-	}
-	repo := vcs.NewRepository("shared")
-	w.strip = landingstrip.New(repo, vcs.DefaultCostModel())
-	w.strip.Gate = landingstrip.RulesFor(w.registry).Gate
+	w := &vesselWorld{Swarm: packagevessel.NewSwarm(vesselDemoSeed, vesselDemoAgents, 4)}
+	w.strip = landingstrip.New(vcs.NewRepository("shared"), vcs.DefaultCostModel())
+	w.strip.Gate = landingstrip.RulesFor(w.Registry).Gate
 	return w
 }
 
@@ -68,31 +47,24 @@ func (w *vesselWorld) publish(name string, version int64, sizeMB int) blob.Manif
 		pkg = packagevessel.SyntheticPackage(name, version, sizeMB<<20,
 			packagevessel.DefaultChunkSize, vesselDemoSeed)
 	}
-	m, err := w.registry.Publish(pkg)
+	m, err := w.Registry.Publish(pkg)
 	if err != nil {
 		fatal("publish %s@%d: %v", name, version, err)
 	}
 	return m
 }
 
-// deliver swarms a manifest to the demo fleet and reports the spread.
-func (w *vesselWorld) deliver(m blob.Manifest) (slowest time.Duration, fetched, deduped int) {
-	meta := packagevessel.MetadataFor(m, w.registry.ID(), w.tracker.ID())
-	done := 0
-	for _, a := range w.agents {
-		a.OnComplete(func(_ blob.Manifest, took time.Duration, st packagevessel.TransferStats) {
-			done++
-			fetched += st.ChunksFetched
-			deduped += st.ChunksDeduped
-			if took > slowest {
-				slowest = took
-			}
-		})
-		a.OnAnnounce(meta)
+// spread summarises one demo delivery (the whole fleet completes it within
+// the demo's ten simulated minutes): the slowest agent and the chunks the
+// fleet fetched and deduped.
+func spread(done []packagevessel.Delivery) (slowest time.Duration, fetched, deduped int) {
+	if len(done) != vesselDemoAgents {
+		fatal("vessel demo fleet incomplete: %d of %d", len(done), vesselDemoAgents)
 	}
-	w.net.RunFor(10 * time.Minute)
-	if done != len(w.agents) {
-		fatal("vessel demo fleet incomplete: %d of %d", done, len(w.agents))
+	for _, d := range done {
+		slowest = max(slowest, d.Took)
+		fetched += d.Stats.ChunksFetched
+		deduped += d.Stats.ChunksDeduped
 	}
 	return slowest, fetched, deduped
 }
@@ -101,7 +73,7 @@ func (w *vesselWorld) deliver(m blob.Manifest) (slowest time.Duration, fetched, 
 // the tag write lands like any other reviewed config change or is
 // refused by the promotion rules.
 func (w *vesselWorld) promoteThroughStrip(name, tag string, version int64) error {
-	rec, err := w.registry.Promote(name, tag, version)
+	rec, err := w.Registry.Promote(name, tag, version)
 	if err != nil {
 		return err
 	}
@@ -115,7 +87,7 @@ func (w *vesselWorld) promoteThroughStrip(name, tag string, version int64) error
 	if res.Err != nil {
 		return res.Err
 	}
-	return w.registry.ApplyTag(rec)
+	return w.Registry.ApplyTag(rec)
 }
 
 // runVessel dispatches the vessel subcommands.
@@ -157,11 +129,11 @@ func runVesselPublish(args []string, asJSON bool) {
 
 	w := newVesselWorld()
 	m1 := w.publish(name, 1, sizeMB)
-	st1 := w.registry.LastPublish()
-	slow1, fetched1, _ := w.deliver(m1)
+	st1 := w.Registry.LastPublish()
+	slow1, fetched1, _ := spread(w.Deliver(m1, w.Tracker.ID(), vesselDemoWait))
 	m2 := w.publish(name, 2, sizeMB)
-	st2 := w.registry.LastPublish()
-	slow2, fetched2, deduped2 := w.deliver(m2)
+	st2 := w.Registry.LastPublish()
+	slow2, fetched2, deduped2 := spread(w.Deliver(m2, w.Tracker.ID(), vesselDemoWait))
 
 	if asJSON {
 		out := struct {
@@ -187,12 +159,12 @@ func runVesselPublish(args []string, asJSON bool) {
 	fmt.Printf("published %s v1 (%d MB): manifest %s, %d chunks stored\n",
 		name, sizeMB, m1.Digest(), st1.NewChunks)
 	fmt.Printf("  swarm delivery to %d servers: slowest %v, fleet fetched %d chunks\n",
-		len(w.agents), slow1.Round(time.Millisecond), fetched1)
+		len(w.Agents), slow1.Round(time.Millisecond), fetched1)
 	fmt.Printf("published %s v2 (12.5%% delta): manifest %s, %d new chunks, %d deduped against v1\n",
 		name, m2.Digest(), st2.NewChunks, st2.DedupChunks)
 	fmt.Printf("  swarm delivery: slowest %v, fleet fetched %d chunks, deduped %d from local stores\n",
 		slow2.Round(time.Millisecond), fetched2, deduped2)
-	fmt.Printf("  tags: %v\n", w.registry.Tags(name))
+	fmt.Printf("  tags: %v\n", w.Registry.Tags(name))
 }
 
 // runVesselPromote moves a tag through the landing-strip promotion gate.
@@ -240,7 +212,7 @@ func runVesselPromote(args []string, asJSON bool) {
 	}
 	fmt.Printf("promoted %s/%s -> v%d (tag record landed through the strip gate at %s)\n",
 		name, tag, version, packagevessel.TagPath(name, tag))
-	fmt.Printf("  tags now: %v\n", w.registry.Tags(name))
+	fmt.Printf("  tags now: %v\n", w.Registry.Tags(name))
 }
 
 // runVesselStatus prints the registry's view after the demo rollout:
@@ -251,10 +223,10 @@ func runVesselStatus(args []string, asJSON bool) {
 	}
 	w := newVesselWorld()
 	m1 := w.publish("feed-ranker-model", 1, 64)
-	w.deliver(m1)
+	spread(w.Deliver(m1, w.Tracker.ID(), vesselDemoWait))
 	m2 := w.publish("feed-ranker-model", 2, 64)
-	st := w.registry.LastPublish()
-	w.deliver(m2)
+	st := w.Registry.LastPublish()
+	spread(w.Deliver(m2, w.Tracker.ID(), vesselDemoWait))
 	for _, tag := range []string{"canary", "prod"} {
 		if err := w.promoteThroughStrip("feed-ranker-model", tag, 2); err != nil {
 			fatal("demo promotion failed: %v", err)
@@ -267,9 +239,9 @@ func runVesselStatus(args []string, asJSON bool) {
 		Tags     map[string]int64 `json:"tags"`
 	}
 	var pkgs []pkgView
-	for _, name := range w.registry.PackageNames() {
-		view := pkgView{Name: name, Tags: w.registry.Tags(name)}
-		for v := int64(1); w.registry.HasVersion(name, v); v++ {
+	for _, name := range w.Registry.PackageNames() {
+		view := pkgView{Name: name, Tags: w.Registry.Tags(name)}
+		for v := int64(1); w.Registry.HasVersion(name, v); v++ {
 			view.Versions = append(view.Versions, v)
 		}
 		pkgs = append(pkgs, view)

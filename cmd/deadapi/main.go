@@ -23,6 +23,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -317,8 +318,13 @@ func (l *loader) unsetOptions(allow map[string]string) []string {
 	return bad
 }
 
+// numberedItem is a ROADMAP item cited by number. Items are renumbered at
+// every re-anchor, so allow.txt cites them by their [tag].
+var numberedItem = regexp.MustCompile(`ROADMAP item \d+`)
+
 // readAllow reads allow.txt: one "<function full name><tab><reason>" a line,
-// '#' comments and blank lines skipped. An entry without a reason is an error.
+// '#' comments and blank lines skipped. An entry without a reason is an
+// error, and so is a line citing a ROADMAP item by number.
 func readAllow() (map[string]string, error) {
 	f, err := os.Open(allowFile)
 	if err != nil {
@@ -329,6 +335,9 @@ func readAllow() (map[string]string, error) {
 	sc := bufio.NewScanner(f)
 	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
+		if cite := numberedItem.FindString(line); cite != "" {
+			return nil, fmt.Errorf("%s:%d: cites %q; cite the item's [tag] instead", allowFile, n, cite)
+		}
 		if line == "" || line[0] == '#' {
 			continue
 		}

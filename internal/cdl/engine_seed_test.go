@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -280,4 +281,47 @@ func FuzzCompileMatchesSeed(f *testing.F) {
 		eng.InvalidatePaths("f.cinc")
 		checkMatchesSeed(t, "invalidated", eng, fs, roots, want)
 	})
+}
+
+// TestCacheBoundsEvict: one CompileAll batch larger than both cache bounds
+// evicts from each and leaves neither above its bound, and every result —
+// from the batch and from a Compile of each root after it — still matches
+// the reference compiler byte for byte.
+func TestCacheBoundsEvict(t *testing.T) {
+	fs := MapFS{"lib/base.cinc": "let base = 40;\n"}
+	var roots []string
+	for i := 0; i <= maxResultEntries; i++ {
+		p := fmt.Sprintf("app/c%05d.cconf", i)
+		fs[p] = fmt.Sprintf("import \"lib/base.cinc\";\nexport {id: %d, v: base + %d};\n", i, i%7)
+		roots = append(roots, p)
+	}
+	eng := NewEngine()
+	checkMatchesSeed(t, "overflow", eng, fs, roots, seedOutcomes(fs, roots))
+	parse, result := eng.Counters().Get("evict.parse"), eng.Counters().Get("evict.result")
+	if parse == 0 || result == 0 || len(eng.parse) > maxParseEntries || len(eng.results) > maxResultEntries {
+		t.Errorf("evicted %d parses and %d results, holds %d and %d; bounds %d and %d",
+			parse, result, len(eng.parse), len(eng.results), maxParseEntries, maxResultEntries)
+	}
+}
+
+// TestQuickselectMatchesSort: quickselect returns sort's k-th element for
+// every k of random slices thick with duplicates, and only permutes them.
+func TestQuickselectMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		xs := make([]int64, 1+r.Intn(64))
+		spread := 1 + r.Intn(len(xs)+1)
+		for i := range xs {
+			xs[i] = int64(r.Intn(spread))
+		}
+		want := slices.Clone(xs)
+		slices.Sort(want)
+		for k := range xs {
+			work := slices.Clone(xs)
+			got := quickselect(work, k)
+			if slices.Sort(work); got != want[k] || !slices.Equal(work, want) {
+				t.Fatalf("quickselect(%v, %d) = %d leaving %v, sorted %v", xs, k, got, work, want)
+			}
+		}
+	}
 }

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"configerator/internal/cluster"
 	"configerator/internal/gatekeeper"
 	"configerator/internal/mobileconfig"
-	"configerator/internal/proxy"
 	"configerator/internal/simnet"
 	"configerator/internal/stats"
 	"configerator/internal/zeus"
@@ -120,46 +120,51 @@ func (m *runMeter) stop() scaleRun {
 
 // scalePushOnce runs the §6.3 scenario once and returns the filled block.
 //
-// Topology: a 3-member ensemble in one cluster, regions × clustersPerRegion
-// clusters with 2 observers each, perCluster proxies per cluster. The
-// paper's 4.5 s is the scheduling spread of a fan-out to hundreds of
-// thousands of subscribers, which the simulator's raw hop latencies do not
-// model; it is calibrated here as per-link latency spreads — observers
-// receive the leader's batch 1–3 s after commit (global pacing) and each
-// proxy's watch event is staggered 0.2–1.0 s behind its observer (cluster
-// pacing) — yielding the S-curve that tops out near the paper's number.
+// Topology: cluster.New's, with regions × clustersPerRegion clusters of
+// perCluster servers, 2 observers each, and a 3-member ensemble on the first
+// three regions. The paper's 4.5 s is the scheduling spread of a fan-out to
+// hundreds of thousands of subscribers, which the simulator's raw hop
+// latencies do not model; it is calibrated here as per-link latency spreads
+// — observers receive the leader's batch 1–3 s after commit (global pacing)
+// and each proxy's watch event is staggered 0.2–1.0 s behind its observer
+// (cluster pacing) — yielding the S-curve that tops out near the paper's
+// number.
 func scalePushOnce(seed uint64, regions, clustersPerRegion, perCluster, payload int) (scalePush, scaleRun) {
-	net := simnet.New(simnet.DefaultLatency(), seed)
-	zkPlace := simnet.Placement{Region: "r0", Cluster: "zk"}
-	ens := zeus.StartEnsemble(net, 3, []simnet.Placement{zkPlace})
-	net.RunFor(12 * time.Second)
-
-	nObs := 0
-	obsByCluster := make(map[string][]simnet.NodeID)
+	cfg := cluster.Config{ZeusMembers: 3, ObserversPerCluster: 2, Seed: seed}
 	for r := 0; r < regions; r++ {
+		region := cluster.RegionSpec{Name: fmt.Sprintf("r%d", r)}
 		for c := 0; c < clustersPerRegion; c++ {
-			place := simnet.Placement{
-				Region:  fmt.Sprintf("r%d", r),
-				Cluster: fmt.Sprintf("c%d", c),
-			}
-			key := place.Region + "/" + place.Cluster
-			for k := 0; k < 2; k++ {
-				id := simnet.NodeID(fmt.Sprintf("obs-%d-%d-%d", r, c, k))
-				ens.AddObserver(id, place)
-				obsByCluster[key] = append(obsByCluster[key], id)
+			region.Clusters = append(region.Clusters,
+				cluster.ClusterSpec{Name: fmt.Sprintf("r%dc%d", r, c), Servers: perCluster})
+		}
+		cfg.Regions = append(cfg.Regions, region)
+	}
+	fleet := cluster.New(cfg)
+	net, ens := fleet.Net, fleet.Ensemble
+	nObs := 0
+	for _, r := range cfg.Regions {
+		for _, c := range r.Clusters {
+			obs := fleet.Observers(c.Name)
+			for _, id := range obs {
+				extra := time.Second + time.Duration(nObs)*2*time.Second/time.Duration(2*regions*clustersPerRegion)
 				for _, m := range ens.Members {
-					extra := time.Second + time.Duration(nObs)*2*time.Second/time.Duration(2*regions*clustersPerRegion)
 					net.SetLinkLatency(m, id, extra)
 				}
 				nObs++
 			}
+			for k, srv := range fleet.Cluster(c.Name) {
+				spread := 200*time.Millisecond + time.Duration(k)*800*time.Millisecond/time.Duration(perCluster)
+				for _, o := range obs {
+					net.SetLinkLatency(o, srv.ID, spread)
+				}
+			}
 		}
 	}
-	net.RunFor(10 * time.Second)
+	net.RunFor(22 * time.Second) // elect a leader; observers register
 
 	const path = "/scale/push/knob.json"
 	writer := zeus.NewClient("writer", ens.Members)
-	net.AddNode("writer", zkPlace, writer)
+	net.AddNode("writer", net.Placement(ens.Members[0]), writer)
 	body := strings.Repeat("x", payload-16)
 	commit := func(rev int) {
 		net.After(0, func() {
@@ -170,44 +175,25 @@ func scalePushOnce(seed uint64, regions, clustersPerRegion, perCluster, payload 
 	commit(1)
 	net.RunFor(10 * time.Second)
 
-	proxies := make([]*proxy.Proxy, 0, regions*clustersPerRegion*perCluster)
-	for r := 0; r < regions; r++ {
-		for c := 0; c < clustersPerRegion; c++ {
-			place := simnet.Placement{
-				Region:  fmt.Sprintf("r%d", r),
-				Cluster: fmt.Sprintf("c%d", c),
-			}
-			obs := obsByCluster[place.Region+"/"+place.Cluster]
-			for k := 0; k < perCluster; k++ {
-				id := simnet.NodeID(fmt.Sprintf("px-%d-%d-%05d", r, c, k))
-				px := proxy.New(net, id, place, obs, nil)
-				spread := 200*time.Millisecond + time.Duration(k)*800*time.Millisecond/time.Duration(perCluster)
-				for _, o := range obs {
-					net.SetLinkLatency(o, id, spread)
-				}
-				px.Want(path)
-				proxies = append(proxies, px)
-			}
-		}
-	}
+	fleet.SubscribeAll(path)
 	net.RunFor(15 * time.Second) // warm: every proxy fetches rev 1 with a watch
-
-	base := make([]uint64, len(proxies))
-	for i, px := range proxies {
-		base[i] = px.WatchEvents
+	servers := fleet.AllServers()
+	base := make([]uint64, len(servers))
+	for i, srv := range servers {
+		base[i] = srv.Proxy.WatchEvents
 	}
 
 	meter := startMeter(net)
 	t0 := net.Now()
 	commit(2)
-	converged := make([]bool, len(proxies))
-	left := len(proxies)
+	converged := make([]bool, len(servers))
+	left := len(servers)
 	cdf := stats.NewCDF()
 	for tick := 0; tick < 1200 && left > 0; tick++ {
 		net.RunFor(25 * time.Millisecond)
 		since := net.Now().Sub(t0).Seconds()
-		for i, px := range proxies {
-			if !converged[i] && px.WatchEvents > base[i] {
+		for i, srv := range servers {
+			if !converged[i] && srv.Proxy.WatchEvents > base[i] {
 				converged[i] = true
 				cdf.Add(since)
 				left--
@@ -217,12 +203,12 @@ func scalePushOnce(seed uint64, regions, clustersPerRegion, perCluster, payload 
 	run := meter.stop()
 
 	p := scalePush{
-		Proxies:       len(proxies),
+		Proxies:       len(servers),
 		Observers:     nObs,
 		Regions:       regions,
 		Clusters:      regions * clustersPerRegion,
 		PayloadBytes:  payload,
-		ConvergedFrac: float64(len(proxies)-left) / float64(len(proxies)),
+		ConvergedFrac: float64(len(servers)-left) / float64(len(servers)),
 		P50Seconds:    cdf.Quantile(0.50),
 		P99Seconds:    cdf.Quantile(0.99),
 		MaxSeconds:    cdf.Max(),

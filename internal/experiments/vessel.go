@@ -44,62 +44,19 @@ func (f *fingerprint) String() string {
 	return fmt.Sprintf("%016x", vcs.HashBytes(f.buf))
 }
 
-// vesselFleet is a registry + tracker + agent swarm sized for one
-// scenario.
-type vesselFleet struct {
-	net      *simnet.Network
-	registry *packagevessel.Registry
-	tracker  *packagevessel.Tracker
-	agents   []*packagevessel.Agent
+// publish registers pkg with the swarm's registry. The scenarios publish only
+// well-formed packages, so an error is a bug.
+func publish(s *packagevessel.Swarm, pkg packagevessel.Package) blob.Manifest {
+	m, err := s.Registry.Publish(pkg)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
-const vesselBps = 1.25e8 // 1 Gbit/s per server
-
-func newVesselFleet(seed uint64, agents, clusters, chunkSize int) *vesselFleet {
-	net := simnet.New(simnet.DefaultLatency(), seed)
-	f := &vesselFleet{net: net}
-	f.registry = packagevessel.NewRegistry(net, "registry",
-		simnet.Placement{Region: "us", Cluster: "store"}, "tracker")
-	net.SetBandwidth("registry", vesselBps, vesselBps)
-	f.tracker = packagevessel.NewTracker(net, "tracker",
-		simnet.Placement{Region: "us", Cluster: "store"})
-	f.tracker.SetHolderBudget(packagevessel.HolderBudgetFor(vesselBps, chunkSize))
-	for i := 0; i < agents; i++ {
-		cl := fmt.Sprintf("c%d", i%clusters)
-		region := "us"
-		if clusters > 1 && i%clusters >= clusters/2 {
-			region = "eu"
-		}
-		id := simnet.NodeID(fmt.Sprintf("srv-%d", i))
-		a := packagevessel.NewAgent(net, id,
-			simnet.Placement{Region: region, Cluster: cl}, packagevessel.Options{})
-		net.SetBandwidth(id, vesselBps, vesselBps)
-		f.agents = append(f.agents, a)
-	}
-	return f
-}
-
-// deliver announces a manifest to every agent, naming tracker as the swarm
-// coordinator ("" for none), and runs until the fleet completes (or the
-// deadline passes); returns sorted completion times.
-func (f *vesselFleet) deliver(m blob.Manifest, tracker simnet.NodeID, deadline time.Duration) []time.Duration {
-	meta := packagevessel.MetadataFor(m, f.registry.ID(), tracker)
-	var took []time.Duration
-	for _, a := range f.agents {
-		a.OnComplete(func(_ blob.Manifest, d time.Duration, _ packagevessel.TransferStats) {
-			took = append(took, d)
-		})
-		a.OnAnnounce(meta)
-	}
-	step := 5 * time.Second
-	for waited := time.Duration(0); waited < deadline && len(took) < len(f.agents); waited += step {
-		f.net.RunFor(step)
-	}
-	return took
-}
-
-// fleetOutcome is one fleet-wide delivery: sorted completion times,
-// where the chunks came from, and the run's fingerprint.
+// fleetOutcome is one fleet-wide delivery: completion times in the order
+// the agents completed, where the chunks came from, and the run's
+// fingerprint.
 type fleetOutcome struct {
 	agents, sizeMB, chunkMB int
 	took                    []time.Duration
@@ -117,34 +74,32 @@ func (o fleetOutcome) quantile(p float64) time.Duration {
 // runFleetDelivery measures one fleet-wide package delivery coordinated by
 // tracker ("" for none: every chunk comes from the registry).
 func runFleetDelivery(seed uint64, agents, clusters, sizeMB, chunkMB int, tracker simnet.NodeID) fleetOutcome {
-	f := newVesselFleet(seed, agents, clusters, chunkMB<<20)
-	m, err := f.registry.Publish(packagevessel.SyntheticPackage(
-		"model", 1, sizeMB<<20, chunkMB<<20, seed))
-	if err != nil {
-		panic(err)
+	s := packagevessel.NewSwarm(seed, agents, clusters)
+	s.Tracker.SetHolderBudget(packagevessel.HolderBudgetFor(packagevessel.SwarmBps, chunkMB<<20))
+	m := publish(s, packagevessel.SyntheticPackage("model", 1, sizeMB<<20, chunkMB<<20, seed))
+	done := s.Deliver(m, tracker, time.Hour)
+	if len(done) != agents {
+		panic(fmt.Sprintf("vessel: fleet incomplete: %d of %d", len(done), agents))
 	}
-	took := f.deliver(m, tracker, time.Hour)
-	if len(took) != agents {
-		panic(fmt.Sprintf("vessel: fleet incomplete: %d of %d", len(took), agents))
-	}
-	out := fleetOutcome{agents: agents, sizeMB: sizeMB, chunkMB: chunkMB, took: took}
+	out := fleetOutcome{agents: agents, sizeMB: sizeMB, chunkMB: chunkMB}
 	var fp fingerprint
 	var same, total, fromOrigin, fetched uint64
-	for _, a := range f.agents {
+	for _, a := range s.Agents {
 		same += a.ChunksSameCluster
 		total += a.ChunksSameCluster + a.ChunksSameRegion + a.ChunksCrossRegion
 		fromOrigin += a.ChunksFromOrigin
 		fetched += a.ChunksFetched
 		fp.add(a.ChunksFetched, a.ChunksSameCluster, a.ChunksServed)
 	}
-	for _, d := range took {
-		fp.add(uint64(d))
+	for _, d := range done {
+		out.took = append(out.took, d.Took)
+		fp.add(uint64(d.Took))
 	}
-	fp.add(f.registry.ChunksServed, f.tracker.Assignments)
+	fp.add(s.Registry.ChunksServed, s.Tracker.Assignments)
 	out.sameCluster = float64(same) / float64(total)
 	out.regShare = float64(fromOrigin) / float64(total)
-	if f.tracker.Assignments > 0 {
-		out.grantWaste = 1 - float64(fetched)/float64(f.tracker.Assignments)
+	if s.Tracker.Assignments > 0 {
+		out.grantWaste = 1 - float64(fetched)/float64(s.Tracker.Assignments)
 	}
 	out.fp = fp.String()
 	return out
@@ -165,40 +120,24 @@ type deltaOutcome struct {
 // the full package size.
 func runDeltaPublish(seed uint64, agents, sizeMB int, changedFrac float64) deltaOutcome {
 	const chunkSize = packagevessel.DefaultChunkSize
-	f := newVesselFleet(seed, agents, 4, chunkSize)
+	s := packagevessel.NewSwarm(seed, agents, 4)
+	s.Tracker.SetHolderBudget(packagevessel.HolderBudgetFor(packagevessel.SwarmBps, chunkSize))
 	v1 := packagevessel.SyntheticPackage("model", 1, sizeMB<<20, chunkSize, seed)
-	m1, err := f.registry.Publish(v1)
-	if err != nil {
-		panic(err)
-	}
-	if n := len(f.deliver(m1, f.tracker.ID(), time.Hour)); n != agents {
+	if n := len(s.Deliver(publish(s, v1), s.Tracker.ID(), time.Hour)); n != agents {
 		panic(fmt.Sprintf("vessel: v1 incomplete: %d of %d", n, agents))
 	}
-
-	m2, err := f.registry.Publish(packagevessel.NextVersion(v1, 2, changedFrac, seed))
-	if err != nil {
-		panic(err)
+	done := s.Deliver(publish(s, packagevessel.NextVersion(v1, 2, changedFrac, seed)), s.Tracker.ID(), time.Hour)
+	if len(done) != agents {
+		panic(fmt.Sprintf("vessel: v2 incomplete: %d of %d", len(done), agents))
 	}
 	var wire int64
 	var fp fingerprint
-	meta := packagevessel.MetadataFor(m2, f.registry.ID(), f.tracker.ID())
-	done := 0
-	for _, a := range f.agents {
-		a.OnComplete(func(_ blob.Manifest, _ time.Duration, st packagevessel.TransferStats) {
-			done++
-			wire += st.BytesFetched
-			fp.add(uint64(st.ChunksFetched), uint64(st.ChunksDeduped), uint64(st.BytesFetched))
-		})
-		a.OnAnnounce(meta)
+	for _, d := range done {
+		wire += d.Stats.BytesFetched
+		fp.add(uint64(d.Stats.ChunksFetched), uint64(d.Stats.ChunksDeduped), uint64(d.Stats.BytesFetched))
 	}
-	for i := 0; i < 720 && done < agents; i++ {
-		f.net.RunFor(5 * time.Second)
-	}
-	if done != agents {
-		panic(fmt.Sprintf("vessel: v2 incomplete: %d of %d", done, agents))
-	}
-	st := f.registry.LastPublish()
-	fp.add(uint64(st.NewChunks), uint64(st.DedupChunks), f.registry.ChunksServed)
+	st := s.Registry.LastPublish()
+	fp.add(uint64(st.NewChunks), uint64(st.DedupChunks), s.Registry.ChunksServed)
 	return deltaOutcome{
 		fullChunks:  sizeMB,
 		changedFrac: changedFrac,
@@ -222,31 +161,25 @@ type resumeOutcome struct {
 // exactly which chunks crossed the wire across its two lives.
 func runResume(seed uint64, agents, sizeMB int) resumeOutcome {
 	const chunkSize = packagevessel.DefaultChunkSize
-	f := newVesselFleet(seed, agents, 2, chunkSize)
+	s := packagevessel.NewSwarm(seed, agents, 2)
+	s.Tracker.SetHolderBudget(packagevessel.HolderBudgetFor(packagevessel.SwarmBps, chunkSize))
 	// Slow links stretch the transfer so the crash lands mid-download.
 	for i := 0; i < agents; i++ {
-		f.net.SetBandwidth(simnet.NodeID(fmt.Sprintf("srv-%d", i)), 1.25e7, 1.25e7)
+		s.Net.SetBandwidth(simnet.NodeID(fmt.Sprintf("srv-%d", i)), 1.25e7, 1.25e7)
 	}
-	victim := f.agents[0]
-	m, err := f.registry.Publish(packagevessel.SyntheticPackage(
-		"model", 1, sizeMB<<20, chunkSize, seed))
-	if err != nil {
-		panic(err)
-	}
-	var final packagevessel.TransferStats
-	victim.OnComplete(func(_ blob.Manifest, _ time.Duration, st packagevessel.TransferStats) {
-		final = st
-	})
+	victim := s.Agents[0]
+	m := publish(s, packagevessel.SyntheticPackage("model", 1, sizeMB<<20, chunkSize, seed))
 	plan := simnet.NewFaultPlan(
 		simnet.WithCrash(2*time.Second, "srv-0"),
 		simnet.WithRestart(20*time.Second, "srv-0"),
 	)
-	plan.Apply(f.net)
-	meta := packagevessel.MetadataFor(m, f.registry.ID(), f.tracker.ID())
-	for _, a := range f.agents {
-		a.OnAnnounce(meta)
+	plan.Apply(s.Net)
+	var final packagevessel.TransferStats
+	for _, d := range s.Deliver(m, s.Tracker.ID(), 10*time.Minute) {
+		if d.Agent == victim {
+			final = d.Stats
+		}
 	}
-	f.net.RunFor(10 * time.Minute)
 
 	total := len(m.Distinct())
 	out := resumeOutcome{
@@ -264,7 +197,7 @@ func runResume(seed uint64, agents, sizeMB int) resumeOutcome {
 		out.lifetime == total
 	var fp fingerprint
 	fp.add(uint64(final.ResumeVerified), uint64(final.ChunksFetched),
-		victim.ChunksFetched, victim.ResumeVerified, f.registry.ChunksServed)
+		victim.ChunksFetched, victim.ResumeVerified, s.Registry.ChunksServed)
 	out.fp = fp.String()
 	return out
 }

@@ -6,15 +6,12 @@ import (
 
 	"configerator/internal/packagevessel"
 	"configerator/internal/packagevessel/blob"
-	"configerator/internal/simnet"
 	"configerator/internal/vcs"
 )
 
 func promoRig(t *testing.T) (*packagevessel.Registry, *Strip) {
 	t.Helper()
-	net := simnet.New(simnet.DefaultLatency(), 1)
-	reg := packagevessel.NewRegistry(net, "registry", simnet.Placement{}, "tracker")
-	packagevessel.NewTracker(net, "tracker", simnet.Placement{})
+	reg := packagevessel.NewSwarm(1, 0, 1).Registry
 	for v := int64(1); v <= 2; v++ {
 		p := packagevessel.SyntheticPackage("ranker", v, 4<<20, packagevessel.DefaultChunkSize, 7)
 		if _, err := reg.Publish(p); err != nil {

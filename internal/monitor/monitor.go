@@ -94,7 +94,9 @@ const (
 	SeriesPathPrefix = "monitor.converged."
 )
 
-type msgTickSweep struct{}
+// msgTickSweep is the sweep timer. gen is the monitor life that armed it:
+// a tick armed before a crash that outlived it is stale.
+type msgTickSweep struct{ gen int }
 
 // proxyState is the monitor's last-heartbeat view of one proxy.
 type proxyState struct {
@@ -131,6 +133,7 @@ type Monitor struct {
 	alerts  []*Alert // every alert ever fired, in fire order
 	sweeps  int64
 	lastAt  time.Time
+	gen     int // the sweep chain's life; read and written on the loop only
 
 	// Per-sweep snapshots behind Status.
 	lastPaths      []PathStatus
@@ -174,17 +177,27 @@ func (m *Monitor) Attach(net *simnet.Network, p simnet.Placement) {
 		return
 	}
 	net.AddNode(m.cfg.ID, p, m)
-	net.SetTimer(m.cfg.ID, m.cfg.SweepEvery, msgTickSweep{})
+	net.SetTimer(m.cfg.ID, m.cfg.SweepEvery, msgTickSweep{gen: m.gen})
+}
+
+// OnRestart implements simnet.Restarter: the crash dropped the sweep timer,
+// so start a new chain, and retire the old one in case its timer outlived a
+// short crash.
+func (m *Monitor) OnRestart(ctx *simnet.Context) {
+	m.gen++
+	ctx.SetTimer(m.cfg.SweepEvery, msgTickSweep{gen: m.gen})
 }
 
 // HandleMessage implements simnet.Handler.
 func (m *Monitor) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
-	switch hb := msg.(type) {
+	switch msg := msg.(type) {
 	case proxy.MsgMonitorHeartbeat:
-		m.onHeartbeat(hb)
+		m.onHeartbeat(msg)
 	case msgTickSweep:
-		ctx.SetTimer(m.cfg.SweepEvery, msgTickSweep{})
-		m.Sweep(ctx.Now())
+		if msg.gen == m.gen {
+			ctx.SetTimer(m.cfg.SweepEvery, msg)
+			m.Sweep(ctx.Now())
+		}
 	}
 }
 

@@ -284,3 +284,21 @@ func TestNilSafety(t *testing.T) {
 	_ = st.JSON()
 	_ = st.ActiveAlerts()
 }
+
+// TestSweepsResumeAfterRestart: a monitor node that crashes and recovers
+// keeps sweeping every SweepEvery, on one timer chain, whether the crash
+// outlasts a sweep period or not.
+func TestSweepsResumeAfterRestart(t *testing.T) {
+	f, m := fleet(t, monitor.Config{})
+	for _, down := range []time.Duration{5 * time.Second, 500 * time.Millisecond} {
+		f.Net.RunFor(10 * time.Second)
+		f.Net.Fail(m.ID())
+		f.Net.RunFor(down)
+		f.Net.Recover(m.ID())
+		before := m.Status().Sweeps
+		f.Net.RunFor(20 * time.Second)
+		if got := m.Status().Sweeps - before; got != 10 {
+			t.Errorf("down %v: %d sweeps in the 20 s after recovery, want 10", down, got)
+		}
+	}
+}

@@ -30,28 +30,21 @@ func (r *rogue) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 // quarantined after the first bad chunk, and every chunk is re-fetched
 // from an honest holder — the final package verifies.
 func TestCorruptPeerQuarantined(t *testing.T) {
-	net := simnet.New(simnet.DefaultLatency(), 21)
 	// The registry sits in a far cluster; the rogue shares the agent's
 	// cluster, so locality-aware selection prefers it — worst case.
-	registry := NewRegistry(net, "registry", simnet.Placement{Region: "us", Cluster: "store"}, "tracker")
-	net.SetBandwidth("registry", serverBps, serverBps)
-	tracker := NewTracker(net, "tracker", simnet.Placement{Region: "us", Cluster: "store"})
+	s := NewSwarm(21, 1, 1)
+	net, a := s.Net, s.Agents[0]
 	bad := &rogue{id: "rogue"}
 	net.AddNode("rogue", simnet.Placement{Region: "us", Cluster: "c0"}, bad)
-	net.SetBandwidth("rogue", serverBps, serverBps)
-	a := NewAgent(net, "srv-0", simnet.Placement{Region: "us", Cluster: "c0"}, Options{})
-	net.SetBandwidth("srv-0", serverBps, serverBps)
+	net.SetBandwidth("rogue", SwarmBps, SwarmBps)
 
-	m, err := registry.Publish(SyntheticPackage("model", 1, 8<<20, DefaultChunkSize, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := publish(t, s, model(1, 8<<20))
 	// The rogue claims to hold every digest.
 	digests := make([]blob.Digest, 0, len(m.Chunks))
 	for _, r := range m.Chunks {
 		digests = append(digests, r.Digest)
 	}
-	net.Send("rogue", tracker.ID(), msgAnnounce{Digests: digests})
+	net.Send("rogue", s.Tracker.ID(), msgAnnounce{Digests: digests})
 	net.RunFor(time.Second)
 
 	a.OnAnnounce(MetadataFor(m, "registry", "tracker"))
@@ -100,17 +93,14 @@ func (c *corruptOrigin) HandleMessage(ctx *simnet.Context, from simnet.NodeID, m
 // holder, so once it is quarantined the transfer waits — it neither trusts the
 // bytes nor keeps asking.
 func TestTrackerlessCorruptOriginStalls(t *testing.T) {
-	r := newSwarm(t, 1, 1, 22)
-	a := r.agents[0]
-	m, err := r.registry.Publish(SyntheticPackage("model", 1, 8<<20, DefaultChunkSize, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &corruptOrigin{store: r.registry.Store()}
-	r.net.AddNode("mirror", simnet.Placement{Region: "us", Cluster: "store"}, bad)
+	r := NewSwarm(22, 1, 1)
+	a := r.Agents[0]
+	m := publish(t, r, model(1, 8<<20))
+	bad := &corruptOrigin{store: r.Registry.Store()}
+	r.Net.AddNode("mirror", simnet.Placement{Region: "us", Cluster: "store"}, bad)
 
 	a.OnAnnounce(MetadataFor(m, "mirror", ""))
-	r.net.RunFor(5 * time.Minute)
+	r.Net.RunFor(5 * time.Minute)
 
 	if a.Complete("model", 1) || a.ChunksFetched != 0 {
 		t.Fatalf("complete = %v with %d chunks stored from a corrupt origin", a.Complete("model", 1), a.ChunksFetched)

@@ -10,7 +10,6 @@ import (
 	"configerator/internal/confclient"
 	"configerator/internal/core"
 	pv "configerator/internal/packagevessel"
-	"configerator/internal/packagevessel/blob"
 	"configerator/internal/simnet"
 )
 
@@ -28,7 +27,7 @@ func TestMetadataThroughConfigerator(t *testing.T) {
 
 	// Registry + tracker live beside the fleet.
 	registry := pv.NewRegistry(fleet.Net, "pv-registry", simnet.Placement{Region: "us-west", Cluster: "store"}, "pv-tracker")
-	fleet.Net.SetBandwidth("pv-registry", 1.25e8, 1.25e8)
+	fleet.Net.SetBandwidth("pv-registry", pv.SwarmBps, pv.SwarmBps)
 	pv.NewTracker(fleet.Net, "pv-tracker", simnet.Placement{Region: "us-west", Cluster: "store"})
 
 	const metaPath = "models/ranker.meta.json"
@@ -37,28 +36,28 @@ func TestMetadataThroughConfigerator(t *testing.T) {
 
 	// One PackageVessel agent per server, fed by the server's proxy
 	// subscription to the metadata config.
-	completed := 0
 	var agents []*pv.Agent
 	for i, srv := range fleet.AllServers() {
 		id := simnet.NodeID(fmt.Sprintf("pv-agent-%d", i))
 		agent := pv.NewAgent(fleet.Net, id, srv.Placement, pv.Options{})
-		fleet.Net.SetBandwidth(id, 1.25e8, 1.25e8)
-		agent.OnComplete(func(blob.Manifest, time.Duration, pv.TransferStats) { completed++ })
-		a := agent
+		fleet.Net.SetBandwidth(id, pv.SwarmBps, pv.SwarmBps)
 		srv.Client.Watch(context.Background(), zpath, func(cfg *confclient.Value) {
 			if md, err := pv.ParseMetadata(cfg.Raw); err == nil {
-				a.OnAnnounce(md)
+				agent.OnAnnounce(md)
 			}
 		})
 		agents = append(agents, agent)
 	}
 
-	publish := func(pkg pv.Package) {
+	// Publishing a version is nothing but a config change: v1, then v2 with
+	// a quarter of its chunks changed. Every server converges on each.
+	v1 := pv.SyntheticPackage("ranker", 1, 24<<20, pv.DefaultChunkSize, 7)
+	for _, pkg := range []pv.Package{v1, pv.NextVersion(v1, 2, 0.25, 7)} {
 		m, err := registry.Publish(pkg)
 		if err != nil {
 			t.Fatalf("publish %s@%d: %v", pkg.Name, pkg.Version, err)
 		}
-		data, err := pv.MetadataFor(m, registry.ID(), registry.Tracker()).Encode()
+		data, err := pv.MetadataFor(m, registry.ID(), "pv-tracker").Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,31 +70,11 @@ func TestMetadataThroughConfigerator(t *testing.T) {
 		if !rep.OK() {
 			t.Fatalf("publish v%d blocked: %v", pkg.Version, rep.Err)
 		}
-	}
-
-	v1 := pv.SyntheticPackage("ranker", 1, 24<<20, pv.DefaultChunkSize, 7)
-	publish(v1)
-	fleet.Net.RunFor(3 * time.Minute)
-	if completed != len(agents) {
-		t.Fatalf("v1: %d of %d agents complete", completed, len(agents))
-	}
-	for i, a := range agents {
-		if !a.Complete("ranker", 1) {
-			t.Fatalf("agent %d missing v1", i)
-		}
-	}
-
-	// A new version is just another config change; every server converges,
-	// fetching only the changed chunks.
-	completed = 0
-	publish(pv.NextVersion(v1, 2, 0.25, 7))
-	fleet.Net.RunFor(3 * time.Minute)
-	if completed != len(agents) {
-		t.Fatalf("v2: %d of %d agents complete", completed, len(agents))
-	}
-	for i, a := range agents {
-		if !a.Complete("ranker", 2) {
-			t.Fatalf("agent %d missing v2", i)
+		fleet.Net.RunFor(3 * time.Minute)
+		for i, a := range agents {
+			if !a.Complete("ranker", pkg.Version) {
+				t.Fatalf("agent %d missing v%d", i, pkg.Version)
+			}
 		}
 	}
 }

@@ -295,9 +295,6 @@ func NewRegistry(net *simnet.Network, id simnet.NodeID, p simnet.Placement, trac
 // ID is the registry's node id.
 func (r *Registry) ID() simnet.NodeID { return r.id }
 
-// Tracker is the swarm coordinator this registry seeds.
-func (r *Registry) Tracker() simnet.NodeID { return r.tracker }
-
 // Store exposes the registry's blob store (read-mostly; used by status
 // views and the promotion gate).
 func (r *Registry) Store() *blob.Store { return r.store }

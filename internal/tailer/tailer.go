@@ -19,6 +19,11 @@ const PollInterval = 5 * time.Second
 
 type msgTickTail struct{}
 
+// msgExtracted fires when a delayed extraction completes. It is a timer on
+// the tailer itself, so a crash in the middle of an extraction drops it and
+// the cursor stays where it was.
+type msgExtracted struct{}
+
 // Tailer is a simnet node that bridges one repository into Zeus.
 type Tailer struct {
 	id     simnet.NodeID
@@ -67,9 +72,11 @@ func (t *Tailer) SetProcessingDelay(d time.Duration) { t.processing = d }
 // Zeus (used by experiments to timestamp propagation).
 func (t *Tailer) OnDelivered(fn func(path string, zxid int64)) { t.onDelivered = fn }
 
-// OnRestart implements simnet.Restarter.
+// OnRestart implements simnet.Restarter: re-arm the poll and re-send the
+// Zeus writes the crash left unacknowledged.
 func (t *Tailer) OnRestart(ctx *simnet.Context) {
 	ctx.SetTimer(PollInterval, msgTickTail{})
+	t.client.OnRestart(ctx)
 }
 
 // HandleMessage implements simnet.Handler.
@@ -79,14 +86,13 @@ func (t *Tailer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 		if t.processing > 0 && t.repo.CommitCount() > t.cursor {
 			// Extraction takes time on a big repo; issue the writes when
 			// it completes.
-			t.net.After(t.processing, func() {
-				ctx := simnet.MakeContext(t.net, t.id)
-				t.poll(&ctx)
-			})
+			ctx.SetTimer(t.processing, msgExtracted{})
 		} else {
 			t.poll(ctx)
 		}
 		ctx.SetTimer(PollInterval, msgTickTail{})
+	case msgExtracted:
+		t.poll(ctx)
 	default:
 		// Zeus client replies and retry timers.
 		t.client.HandleMessage(ctx, from, msg)

@@ -107,3 +107,64 @@ func TestTailerSurvivesLeaderFailover(t *testing.T) {
 		t.Fatalf("write after failover missing: %v", rec)
 	}
 }
+
+// TestTailerCrashLosesNoCommit: a crash must not lose a landed commit,
+// whether it hits while a delayed extraction is pending (the cursor must not
+// move past commits nobody wrote) or while a write cut off on its way to
+// Zeus waits for its retry (the restarted client sends it again).
+func TestTailerCrashLosesNoCommit(t *testing.T) {
+	for name, before := range map[string]func(*Tailer, *zeus.Ensemble){
+		"mid-extraction": func(tl *Tailer, _ *zeus.Ensemble) { tl.SetProcessingDelay(3 * time.Second) },
+		"write-in-flight": func(tl *Tailer, ens *zeus.Ensemble) {
+			tl.net.PartitionOneWay(tl.id, ens.Members[0])
+			tl.net.After(5500*time.Millisecond, func() { tl.net.HealOneWay(tl.id, ens.Members[0]) })
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			net, ens, repo, tl := newStack(t)
+			before(tl, ens)
+			repo.CommitChanges("a", "add", net.Now(), vcs.Change{Path: "x.json", Content: []byte("1")})
+			// The tick at +5 s extracts for 3 s, or writes with the retry
+			// due at +6.5 s.
+			net.RunFor(5500 * time.Millisecond)
+			net.Fail(tl.id)
+			issued := tl.WritesIssued
+			net.RunFor(5 * time.Second)
+			if tl.WritesIssued != issued {
+				t.Errorf("the crashed tailer issued %d writes", tl.WritesIssued-issued)
+			}
+			net.Recover(tl.id)
+			net.RunFor(60 * time.Second)
+			checkLanded(t, ens, tl, "/configs/x.json")
+		})
+	}
+}
+
+// TestTailerRetriesStayLinear: while a one-way cut keeps its write from the
+// leader, the tailer keeps one retry chain for it — a follower's redirect
+// back to the cut leader does not start a second — and the write lands once
+// the cut heals.
+func TestTailerRetriesStayLinear(t *testing.T) {
+	net, ens, repo, tl := newStack(t)
+	leader := ens.Leader()
+	net.PartitionOneWay(tl.id, leader)
+	repo.CommitChanges("a", "add", net.Now(), vcs.Change{Path: "x.json", Content: []byte("1")})
+	events := net.Events
+	net.RunFor(30 * time.Second)
+	if n := net.Events - events; n > 2000 {
+		t.Errorf("%d events in 30 s with one write retrying", n)
+	}
+	net.HealOneWay(tl.id, leader)
+	net.RunFor(10 * time.Second)
+	checkLanded(t, ens, tl, "/configs/x.json")
+}
+
+func checkLanded(t *testing.T, ens *zeus.Ensemble, tl *Tailer, path string) {
+	t.Helper()
+	if rec := ens.LeaderServer().Tree().Get(path); rec == nil {
+		t.Errorf("%s never reached the leader's tree", path)
+	}
+	if n := tl.client.PendingWrites(); n != 0 {
+		t.Errorf("%d writes still pending", n)
+	}
+}

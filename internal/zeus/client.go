@@ -1,6 +1,7 @@
 package zeus
 
 import (
+	"slices"
 	"time"
 
 	"configerator/internal/simnet"
@@ -28,13 +29,19 @@ type pendingWrite struct {
 	msg  MsgWrite
 	done func(WriteResult)
 	sent time.Time
+	// try numbers the sends; only the latest send's retry timer acts, so a
+	// redirect does not start a second retry chain beside the first.
+	try int
 }
 
 // clientRetryTimeout is how long the client waits for a reply before
 // retrying against the next ensemble member.
 const clientRetryTimeout = 1500 * time.Millisecond
 
-type msgClientRetry struct{ ReqID int64 }
+type msgClientRetry struct {
+	ReqID int64
+	Try   int
+}
 
 // NewClient constructs a write client.
 func NewClient(id simnet.NodeID, members []simnet.NodeID) *Client {
@@ -64,9 +71,25 @@ func (c *Client) send(ctx *simnet.Context, reqID int64) {
 	if !ok {
 		return
 	}
+	p.try++
 	target := c.members[c.target%len(c.members)]
 	ctx.SendSized(target, p.msg, len(p.msg.Data))
-	ctx.SetTimer(clientRetryTimeout, msgClientRetry{ReqID: reqID})
+	ctx.SetTimer(clientRetryTimeout, msgClientRetry{ReqID: reqID, Try: p.try})
+}
+
+// OnRestart re-sends every unacknowledged write, in the order they were
+// issued. The node hosting the client calls it from its own OnRestart: a
+// crash drops the retry timers, and without a new send a pending write would
+// wait forever.
+func (c *Client) OnRestart(ctx *simnet.Context) {
+	ids := make([]int64, 0, len(c.pending))
+	for id := range c.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		c.send(ctx, id)
+	}
 }
 
 // HandleMessage implements simnet.Handler.
@@ -97,7 +120,7 @@ func (c *Client) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 		}
 		c.send(ctx, m.ReqID)
 	case msgClientRetry:
-		if _, ok := c.pending[m.ReqID]; ok {
+		if p, ok := c.pending[m.ReqID]; ok && p.try == m.Try {
 			c.target++ // current target unresponsive; rotate
 			c.send(ctx, m.ReqID)
 		}
