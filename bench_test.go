@@ -474,7 +474,7 @@ func readpathStack(b *testing.B, withObs, withMonitor bool) (*confclient.Client,
 	if !done {
 		b.Fatal("write never committed")
 	}
-	cl.Want(path)
+	px.Want(path)
 	net.RunFor(5 * time.Second)
 	if _, err := cl.Get(context.Background(), path); err != nil { // warm: first-read event + decode
 		b.Fatal(err)

@@ -1,18 +1,9 @@
 // Command configerator is the CLI front door to the config-as-code
 // toolchain: compile CDL sources to canonical JSON, validate them, list
-// dependency edges, and evaluate sitevar expressions.
-//
-// Usage:
-//
-//	configerator compile [-root DIR] FILE.cconf   # compile to stdout
-//	configerator build   [-root DIR] FILE.cconf   # write FILE.json next to the source
-//	configerator check   [-root DIR] FILE.cconf   # compile + validators, report only
-//	configerator deps    [-root DIR] FILE.cconf   # print direct + transitive imports
-//	configerator eval    EXPR                     # evaluate a sitevar expression
-//	configerator trace   [-json] [COMMIT]         # commit-scoped span tree from a demo fleet
-//	configerator status  [-json]                  # fleet convergence, stragglers, SLO alerts
-//	configerator vessel  [-json] publish|promote|status   # content-addressed package registry demo
-//	configerator gk explain SPEC.json USER.json [-json]   # why a user passes or fails a Gatekeeper project
+// dependency edges, and evaluate sitevar expressions — plus operator views
+// (trace, status, gk explain) and scripted demos of the paper's tools on a
+// simulated fleet: sitevar (§3.2), gk launch (§4) and vessel (§3.5).
+// `configerator help` lists every subcommand with its arguments.
 package main
 
 import (
@@ -34,7 +25,7 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	root := fs.String("root", ".", "config source tree root")
-	asJSON := fs.Bool("json", false, "emit deterministic JSON instead of text (trace, status, vessel, gk)")
+	asJSON := fs.Bool("json", false, "emit deterministic JSON instead of text (trace, status, sitevar, vessel, gk)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -72,14 +63,7 @@ func main() {
 		if len(args) != 1 {
 			fatal("deps requires exactly one FILE")
 		}
-		src, err := cdl.DirFS(*root).ReadFile(args[0])
-		if err != nil {
-			fatal("%v", err)
-		}
-		direct, err := cdl.ScanImports(args[0], src)
-		if err != nil {
-			fatal("%v", err)
-		}
+		direct := must(cdl.ScanImports(args[0], must(cdl.DirFS(*root).ReadFile(args[0]))))
 		fmt.Println("direct imports:")
 		for _, d := range direct {
 			fmt.Println("  " + d)
@@ -94,15 +78,7 @@ func main() {
 		if len(args) != 1 {
 			fatal("eval requires exactly one EXPR")
 		}
-		v, err := cdl.EvalExpr(args[0])
-		if err != nil {
-			fatal("%v", err)
-		}
-		js, err := cdl.MarshalJSON(v)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println(js)
+		fmt.Println(must(cdl.MarshalJSON(must(cdl.EvalExpr(args[0])))))
 	case "trace":
 		runTrace(args, *asJSON)
 	case "status":
@@ -110,6 +86,11 @@ func main() {
 			fatal("status takes no arguments")
 		}
 		runStatus(*asJSON)
+	case "sitevar":
+		if len(args) != 0 {
+			fatal("sitevar takes no arguments")
+		}
+		runSitevar(*asJSON)
 	case "vessel":
 		runVessel(args, *asJSON)
 	case "gk":
@@ -128,6 +109,14 @@ func orNone(s string) string {
 	return s
 }
 
+// must exits on err and otherwise returns v.
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatal("%v", err)
+	}
+	return v
+}
+
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "configerator: "+format+"\n", args...)
 	os.Exit(1)
@@ -144,9 +133,11 @@ configerator — config-as-code toolchain
   configerator eval    EXPR                     evaluate a sitevar expression
   configerator trace   [-json] [COMMIT]         span tree of a change through a demo fleet
   configerator status  [-json]                  fleet convergence, stragglers, and SLO alerts
+  configerator sitevar [-json]                  set a sitevar through the pipeline: type warning, checker, read-back
   configerator vessel  [-json] publish [NAME [SIZE_MB]]   publish + swarm a package (demo fleet)
   configerator vessel  [-json] promote [NAME TAG VERSION] move a tag through the strip gate
   configerator vessel  [-json] status                     registry packages, versions, and tags
   configerator gk explain SPEC.json USER.json [-json]     which rule matched, each restraint's result, the die
+  configerator gk launch [-json]                          staged launch through the pipeline, pass share per stage, kill switch
 `))
 }

@@ -28,7 +28,7 @@ func TestMain(m *testing.M) {
 // TestGolden pins what the demo-fleet subcommands print, text and -json:
 // every number in them is a function of the demo seeds.
 func TestGolden(t *testing.T) {
-	for _, sub := range []string{"vessel publish", "vessel promote", "vessel status", "status", "trace"} {
+	for _, sub := range []string{"vessel publish", "vessel promote", "vessel status", "status", "trace", "sitevar", "gk launch"} {
 		for _, args := range []string{sub, sub + " -json"} {
 			t.Run(args, func(t *testing.T) {
 				cmd := exec.Command(os.Args[0])

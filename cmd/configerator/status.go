@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"configerator/internal/cluster"
 	"configerator/internal/core"
 	"configerator/internal/monitor"
-	"configerator/internal/obs"
-	"configerator/internal/simnet"
 )
 
 // runStatus stands up the instrumented demo fleet with the fleet-health
@@ -17,11 +14,7 @@ import (
 // quantiles, stragglers, and the SLO alerts the outage fired and cleared.
 // With -json it emits the deterministic machine form instead.
 func runStatus(asJSON bool) {
-	reg := obs.New()
-	cfg := cluster.SmallConfig(2, 7)
-	cfg.Obs = reg
-	fleet := cluster.New(cfg)
-	fleet.Net.RunFor(10 * time.Second)
+	fleet, p := newDemoWorld()
 	mon := fleet.AttachMonitor(monitor.Config{
 		SweepEvery: time.Second,
 		SLOs: []*monitor.SLO{
@@ -29,27 +22,19 @@ func runStatus(asJSON bool) {
 			monitor.StalenessSLO(0.99, 15*time.Second),
 		},
 	})
-	p := core.New(core.Options{Fleet: fleet, CanaryPhase1: 2, CanaryPhase2: 4})
 
 	// Land a config and let the fleet converge under the monitor's eye.
 	const path = "demo/status.json"
 	fleet.SubscribeAll(core.ZeusPath(path))
 	land := func(rev int) {
-		rep := p.Submit(&core.ChangeRequest{
-			Author: "demo", Reviewer: "reviewer",
-			Title: fmt.Sprintf("status demo rev %d", rev),
-			Raws:  map[string][]byte{path: []byte(fmt.Sprintf(`{"rev":%d}`, rev))},
-		})
-		if !rep.OK() {
-			fatal("demo change failed at %s: %v", rep.FailedStage, rep.Err)
-		}
+		land(p, fmt.Sprintf("status demo rev %d", rev), path, []byte(fmt.Sprintf(`{"rev":%d}`, rev)))
 	}
 	land(1)
 	fleet.Net.RunFor(5 * time.Second)
 
 	// A short scripted outage so the status view has a story to tell:
 	// one cluster loses its observers, falls behind, then recovers.
-	var uw1 []simnet.NodeID = fleet.Observers("uw1")
+	uw1 := fleet.Observers("uw1")
 	for _, id := range uw1 {
 		fleet.Net.Fail(id)
 	}

@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"configerator/internal/cluster"
 	"configerator/internal/core"
 	"configerator/internal/obs"
 )
@@ -20,26 +18,11 @@ func runTrace(args []string, asJSON bool) {
 	if len(args) > 1 {
 		fatal("trace takes at most one COMMIT argument")
 	}
-	reg := obs.New()
-	cfg := cluster.SmallConfig(2, 7)
-	cfg.Obs = reg
-	fleet := cluster.New(cfg)
-	fleet.Net.RunFor(10 * time.Second)
-	p := core.New(core.Options{Fleet: fleet, CanaryPhase1: 2, CanaryPhase2: 4})
-
+	fleet, p := newDemoWorld()
+	reg := fleet.Obs
 	const path = "demo/trace.json"
 	fleet.SubscribeAll(core.ZeusPath(path))
-	rep := p.Submit(&core.ChangeRequest{
-		Author: "demo", Reviewer: "reviewer", Title: "trace demo",
-		Raws: map[string][]byte{path: []byte(`{"demo":true}`)},
-	})
-	if !rep.OK() {
-		fatal("demo change failed at %s: %v", rep.FailedStage, rep.Err)
-	}
-	key := ""
-	for _, h := range rep.Landed {
-		key = h.String()
-	}
+	key := land(p, "trace demo", path, []byte(`{"demo":true}`))
 	if len(args) == 1 {
 		key = args[0]
 	}

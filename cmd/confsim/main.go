@@ -2,7 +2,8 @@
 // simulated fleet and narrates each stage of Figure 3: a schema change is
 // authored, compiled, reviewed with CI results, canaried on live servers,
 // landed through the strip, tailed into Zeus, and pushed to every proxy —
-// then a bad change is injected and stopped by the canary.
+// then a bad change is injected and stopped by the canary, and finally a
+// config is retired, its source and artifact deleted fleet-wide.
 //
 // Usage:
 //
@@ -97,6 +98,12 @@ func run(w io.Writer, servers int, seed uint64) {
 	m := core.NewMutator(p, "traffic-shifter")
 	rep = m.SetRaw("traffic/weights.json", []byte(`{"us-west":0.58,"us-east":0.42}`), core.SkipCanary())
 	printReport(w, rep)
+
+	fmt.Fprintln(w, "\n== change 5: retire the ranker config ==")
+	printReport(w, p.Submit(&core.ChangeRequest{Author: "alice", Reviewer: "bob",
+		Title: "retire ranker weights", Deletes: []string{"feed/ranker.cconf"}}))
+	_, err := sample.Client.Get(context.Background(), zpath)
+	fmt.Fprintf(w, "  %s now reads: %v\n", sample.ID, err)
 
 	fmt.Fprintf(w, "\nfinal state: %d commits, %d files in the repository; virtual clock %s\n",
 		p.Repos.TotalCommits(), p.Repos.TotalFiles(), fleet.Net.Now().Format(time.RFC3339))

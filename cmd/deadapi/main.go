@@ -1,8 +1,9 @@
 // Command deadapi fails when a function under internal/ is referenced by no
 // non-test file in the module — a capability only its own unit tests call —
 // or an option under internal/ is set by none (see unsetOptions), unless
-// allow.txt beside this file names it with a reason. Run from the module root
-// (`make vet` does).
+// allow.txt beside this file names it with a reason. A function entry whose
+// reason cites a paper section (§) fails too: a paper feature needs a product
+// path, not a line here. Run from the module root (`make vet` does).
 //
 // Standard library only: every package in the module is parsed without its
 // tests and type-checked in one universe, so an object used in one package is
@@ -148,8 +149,11 @@ func run() error {
 			continue
 		}
 		name := fn.FullName()
-		if _, ok := allow[name]; ok {
+		if reason, ok := allow[name]; ok {
 			delete(allow, name)
+			if strings.Contains(reason, "§") {
+				bad = append(bad, fmt.Sprintf("%s: %s cites a paper section (%s); a paper feature needs a non-test caller, not an allow-list line", allowFile, name, reason))
+			}
 			continue
 		}
 		pos, end := fset.Position(fd.Pos()), fset.Position(fd.End())

@@ -187,7 +187,7 @@ func (ix *Index) store(key string, s *summary) {
 // Repo is one analysis snapshot: the summary of every root and of every
 // file a root's import closure reaches (its universe), under a fixed
 // file-system view. A snapshot is immutable. Query methods (Why,
-// Provenance, Radius, Determinacy) are read-only and safe for concurrent
+// Provenance, Radius, DeterminacyFor) are read-only and safe for concurrent
 // use, also beside a Derive from the same snapshot.
 type Repo struct {
 	ix *Index

@@ -191,7 +191,7 @@ func TestDeterminacyConflict(t *testing.T) {
 			"export {timeout: timeout};\n",
 	}
 	_, rep := analyzeAll(t, fs)
-	diags := rep.Determinacy()
+	diags := rep.DeterminacyFor(rep.Roots)
 	if len(diags) != 1 {
 		t.Fatalf("diagnostics = %v, want exactly one", diags)
 	}
@@ -235,7 +235,7 @@ func TestDeterminacyClean(t *testing.T) {
 	}
 	for name, fs := range cases {
 		_, rep := analyzeAll(t, fs)
-		if diags := rep.Determinacy(); len(diags) != 0 {
+		if diags := rep.DeterminacyFor(rep.Roots); len(diags) != 0 {
 			t.Errorf("%s: unexpected diagnostics: %v", name, diags)
 		}
 	}
@@ -250,7 +250,7 @@ func TestDeterminacyExportConflict(t *testing.T) {
 		"svc/app.cconf":   "import \"overlays/a.cinc\";\nimport \"overlays/b.cinc\";\n",
 	}
 	_, rep := analyzeAll(t, fs)
-	diags := rep.Determinacy()
+	diags := rep.DeterminacyFor(rep.Roots)
 	if len(diags) != 1 {
 		t.Fatalf("diagnostics = %v, want exactly one", diags)
 	}

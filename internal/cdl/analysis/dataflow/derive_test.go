@@ -254,7 +254,7 @@ func TestDeriveMatchesFromScratch(t *testing.T) {
 			equalSnapshots(t, ctx+", early roots dropped", derived.Derive(fs, nil, nil, roots[:len(roots)/2]), late)
 
 			errors += len(scratch.Errors)
-			conflicts += len(scratch.Determinacy())
+			conflicts += len(scratch.DeterminacyFor(scratch.Roots))
 			for _, path := range modelLibs {
 				if rc, ok := scratch.files.get(path); ok && rc.scanned && rc.key == "" {
 					cycles++
@@ -384,7 +384,7 @@ func TestOldSnapshotReadableDuringDerive(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				base.Determinacy()
+				base.DeterminacyFor(base.Roots)
 			}
 		}()
 		go func(i int) {

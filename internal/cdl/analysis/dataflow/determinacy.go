@@ -13,26 +13,21 @@ import (
 // through the dataflow API instead.
 const DeterminacyAnalyzer = "determinacy"
 
-// Determinacy is pass 3: the Rehearsal-style check that artifact output
-// cannot depend on overlay or shard/land order. Two assignment sites
-// conflict when they bind the same top-level name that flows into an
-// artifact's export, with values not provably equal, from modules neither
-// of which imports the other — then nothing in the language orders them,
-// and reordering imports (or landing repo shards in a different order, the
-// bug PR 3's orderShards fixed ad hoc) silently flips the artifact.
-// The same rule applies to whole-module exports: two unordered modules
-// exporting into the same artifact conflict unless the artifact's root
-// overrides them with its own export.
+// DeterminacyFor is pass 3 over the given artifact roots (unknown roots are
+// skipped): the Rehearsal-style check that artifact output cannot depend on
+// overlay or shard/land order. Two assignment sites conflict when they bind
+// the same top-level name that flows into an artifact's export, with values
+// not provably equal, from modules neither of which imports the other —
+// then nothing in the language orders them, and reordering imports (or
+// landing repo shards in a different order, which core's orderShards fixes
+// ad hoc) silently flips the artifact. The same rule applies to whole-module
+// exports: two unordered modules exporting into the same artifact conflict
+// unless the artifact's root overrides them with its own export.
 //
-// Diagnostics are Error severity and name both conflicting sites.
-func (r *Repo) Determinacy() []analysis.Diagnostic {
-	return r.DeterminacyFor(r.Roots)
-}
-
-// DeterminacyFor restricts pass 3 to the given artifact roots (unknown
-// roots are skipped). The landing strip uses it to check exactly the
-// artifacts a diff's blast radius reaches, so a pre-existing conflict
-// elsewhere in the repo cannot block an unrelated change.
+// The landing strip passes exactly the artifacts a diff's blast radius
+// reaches, so a pre-existing conflict elsewhere in the repo cannot block an
+// unrelated change; r.Roots checks the whole snapshot. Diagnostics are Error
+// severity and name both conflicting sites.
 func (r *Repo) DeterminacyFor(roots []string) []analysis.Diagnostic {
 	var out []analysis.Diagnostic
 	reported := make(map[string]bool)

@@ -113,7 +113,7 @@ func TestConcurrentQueries(t *testing.T) {
 				case 1:
 					rep.Radius([]string{"sitevars/ratelimit.cinc"})
 				case 2:
-					rep.Determinacy()
+					rep.DeterminacyFor(rep.Roots)
 				case 3:
 					edited := svRepo()
 					edited["sitevars/ratelimit.cinc"] = fmt.Sprintf("let RATELIMIT = %d;\n", 100+i*20+j)

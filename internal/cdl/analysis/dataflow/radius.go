@@ -35,7 +35,7 @@ type Radius struct {
 	// sites physically inside a changed file.
 	Consumers []ConsumerSite `json:"consumers"`
 	// Domains are the canary domains the reached artifacts map to (filled
-	// by the pipeline, which owns the canary-spec registry; empty in
+	// by the pipeline, whose one canary spec is "default"; empty in
 	// standalone CLI use).
 	Domains []string `json:"canary_domains,omitempty"`
 	// Score is the deterministic reach score (WeightArtifact*artifacts +
@@ -43,16 +43,13 @@ type Radius struct {
 	Score float64 `json:"score"`
 }
 
-// rescore recomputes Score from the current slices (the pipeline calls it
+// Rescore recomputes Score from the current slices (the pipeline calls it
 // after filling Domains).
-func (rad *Radius) rescore() {
+func (rad *Radius) Rescore() {
 	rad.Score = WeightArtifact*float64(len(rad.Artifacts)) +
 		WeightConsumer*float64(len(rad.Consumers)) +
 		WeightDomain*float64(len(rad.Domains))
 }
-
-// Rescore is the exported hook for callers that mutate Domains.
-func (rad *Radius) Rescore() { rad.rescore() }
 
 // Radius computes the blast radius of a candidate diff: the inverse of the
 // provenance map. An artifact is reached when a changed file is in its
@@ -134,7 +131,7 @@ func (r *Repo) Radius(changed []string) *Radius {
 	}
 	sort.Strings(rad.Artifacts)
 
-	rad.rescore()
+	rad.Rescore()
 	r.ix.observeRadius(len(rad.Artifacts), len(visited))
 	return rad
 }

@@ -16,7 +16,7 @@
 // warm Get is one proxy snapshot read plus one atomic memo load: zero
 // allocations (BenchmarkGet asserts it), safe from any goroutine. The
 // returned *Value is shared between readers and therefore immutable —
-// accessors that expose compound data (Strings, Map) copy on return.
+// accessors that expose compound data (Strings) copy on return.
 package confclient
 
 import (
@@ -51,10 +51,6 @@ type Value struct {
 	Age    time.Duration
 	fields map[string]interface{}
 }
-
-// Fresh reports whether the value was served by a healthy distribution
-// plane (as opposed to a degraded cached/stale layer).
-func (c *Value) Fresh() bool { return c.Source == proxy.SourceFresh }
 
 // emptyFields backs every unparseable or empty config so they share one
 // allocation. It must never be written.
@@ -106,28 +102,6 @@ func (c *Value) Strings(field string) []string {
 		}
 	}
 	return out
-}
-
-// Map returns a nested object field (nil when absent or mistyped). The map
-// is a copy: mutating it cannot corrupt the shared decoded value that
-// other readers of this config version see. Values nested inside it are
-// still shared — treat them as read-only.
-func (c *Value) Map(field string) map[string]interface{} {
-	v, ok := c.fields[field].(map[string]interface{})
-	if !ok {
-		return nil
-	}
-	out := make(map[string]interface{}, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
-	return out
-}
-
-// Has reports whether a field is present.
-func (c *Value) Has(field string) bool {
-	_, ok := c.fields[field]
-	return ok
 }
 
 // Client is an application's handle to its local proxy. Get and Watch are
@@ -299,12 +273,4 @@ func (c *Client) Watch(ctx context.Context, path string, fn func(*Value)) {
 		}
 		fn(c.valueFor(e))
 	})
-}
-
-// Want prefetches configs so later Get calls hit the warm cache. An
-// application declares the configs it needs on startup.
-func (c *Client) Want(paths ...string) {
-	for _, p := range paths {
-		c.proxy.Want(p)
-	}
 }

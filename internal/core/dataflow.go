@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"configerator/internal/cdl/analysis"
 	"configerator/internal/cdl/analysis/dataflow"
@@ -83,7 +82,10 @@ func (p *Pipeline) analyze(v *changeView) (diags []analysis.Diagnostic, rep *dat
 	}
 	rep = p.head.Derive(v, v.touched, topLevel(v.edited), topLevel(v.removed))
 	rad = rep.Radius(v.touched)
-	rad.Domains = p.canaryDomains(rad.Artifacts)
+	if len(rad.Artifacts) > 0 {
+		// Every artifact canaries under the one default spec.
+		rad.Domains = []string{"default"}
+	}
 	rad.Rescore()
 	ddiags := rep.DeterminacyFor(rad.Artifacts)
 	diags = append(diags, ddiags...)
@@ -91,26 +93,6 @@ func (p *Pipeline) analyze(v *changeView) (diags []analysis.Diagnostic, rep *dat
 		err = fmt.Errorf("%w: %s", ErrNondeterministic, errs[0].Message)
 	}
 	return diags, rep, rad, err
-}
-
-// canaryDomains maps affected artifacts onto the registered canary-spec
-// prefixes ("default" for artifacts no spec covers) — the groups a canary
-// rollout must exercise to cover the radius.
-func (p *Pipeline) canaryDomains(artifacts []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, root := range artifacts {
-		domain := "default"
-		if prefix, ok := p.canaryPrefixFor(ArtifactPath(root)); ok {
-			domain = prefix
-		}
-		if !seen[domain] {
-			seen[domain] = true
-			out = append(out, domain)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // highRadius reports whether the radius exceeds the direct-submit threshold.

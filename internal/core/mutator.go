@@ -11,8 +11,6 @@ type Mutator struct {
 	p *Pipeline
 	// Tool is the automation identity recorded as the commit author.
 	Tool string
-	// Changes counts submitted mutations.
-	Changes int
 }
 
 // NewMutator returns a mutator for an automation tool.
@@ -33,37 +31,6 @@ func (m *Mutator) SetRaw(path string, content []byte, opts ...Option) *ChangeRep
 	for _, o := range opts {
 		o(req)
 	}
-	m.Changes++
-	return m.p.Submit(req)
-}
-
-// EditSource updates a config-as-code source file.
-func (m *Mutator) EditSource(path string, content []byte, opts ...Option) *ChangeReport {
-	req := &ChangeRequest{
-		Author:   m.Tool,
-		Reviewer: "automation-oncall",
-		Title:    fmt.Sprintf("[%s] edit %s", m.Tool, path),
-		Sources:  map[string][]byte{path: content},
-	}
-	for _, o := range opts {
-		o(req)
-	}
-	m.Changes++
-	return m.p.Submit(req)
-}
-
-// Delete removes a config.
-func (m *Mutator) Delete(path string, opts ...Option) *ChangeReport {
-	req := &ChangeRequest{
-		Author:   m.Tool,
-		Reviewer: "automation-oncall",
-		Title:    fmt.Sprintf("[%s] delete %s", m.Tool, path),
-		Deletes:  []string{path},
-	}
-	for _, o := range opts {
-		o(req)
-	}
-	m.Changes++
 	return m.p.Submit(req)
 }
 

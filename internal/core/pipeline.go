@@ -110,29 +110,23 @@ type Pipeline struct {
 	// about to land after canarying (or when no canary infrastructure
 	// exists): the strip gate exempts them from the high-radius refusal.
 	cleared map[*vcs.Diff]bool
-	// canarySpecs holds per-path-prefix canary specs ("a config is
-	// associated with a canary spec that describes how to automate
-	// testing the config in production", §3.3). Longest prefix wins;
-	// unmatched paths use the default two-phase spec.
-	canarySpecs map[string]canary.Spec
 }
 
 // New assembles a pipeline.
 func New(opts Options) *Pipeline {
 	p := &Pipeline{
-		Repos:       opts.Repos,
-		Cost:        vcs.DefaultCostModel(),
-		Deps:        depgraph.New(),
-		Review:      review.NewQueue(),
-		Sandbox:     ci.NewSandbox(0),
-		Engine:      cdl.NewEngine(),
-		Fleet:       opts.Fleet,
-		Risk:        riskadvisor.New(),
-		strips:      make(map[*vcs.Repository]*landingstrip.Strip),
-		phase1:      opts.CanaryPhase1,
-		phase2:      opts.CanaryPhase2,
-		canarySpecs: make(map[string]canary.Spec),
-		cleared:     make(map[*vcs.Diff]bool),
+		Repos:   opts.Repos,
+		Cost:    vcs.DefaultCostModel(),
+		Deps:    depgraph.New(),
+		Review:  review.NewQueue(),
+		Sandbox: ci.NewSandbox(0),
+		Engine:  cdl.NewEngine(),
+		Fleet:   opts.Fleet,
+		Risk:    riskadvisor.New(),
+		strips:  make(map[*vcs.Repository]*landingstrip.Strip),
+		phase1:  opts.CanaryPhase1,
+		phase2:  opts.CanaryPhase2,
+		cleared: make(map[*vcs.Diff]bool),
 	}
 	p.Obs = opts.Obs
 	if p.Obs == nil && opts.Fleet != nil {
@@ -614,7 +608,8 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 		spCanary := tr.Span(StageCanary, start)
 		for _, artifact := range sortedKeys(changeSet) {
 			data := changeSet[artifact]
-			spec := p.canarySpecFor(artifact)
+			spec := canary.DefaultSpec(ZeusPrefix+artifact, p.phase2)
+			spec.Phases[0].TestServers = p.phase1
 			var cres canary.Report
 			done := false
 			p.Canary.Run(spec, data, func(rep canary.Report) { cres = rep; done = true })
@@ -756,36 +751,3 @@ func (p *Pipeline) ReadArtifact(path string) ([]byte, error) {
 
 // ZeusPath maps a repository artifact path to its Zeus path.
 func ZeusPath(artifact string) string { return ZeusPrefix + artifact }
-
-// SetCanarySpec registers a canary spec for every artifact under the given
-// path prefix. The spec's ConfigPath is filled per artifact at run time.
-func (p *Pipeline) SetCanarySpec(pathPrefix string, spec canary.Spec) {
-	p.canarySpecs[pathPrefix] = spec
-}
-
-// canaryPrefixFor finds the longest registered canary-spec prefix covering
-// the artifact.
-func (p *Pipeline) canaryPrefixFor(artifact string) (string, bool) {
-	var best string
-	found := false
-	for prefix := range p.canarySpecs {
-		if strings.HasPrefix(artifact, prefix) && (!found || len(prefix) > len(best)) {
-			best = prefix
-			found = true
-		}
-	}
-	return best, found
-}
-
-// canarySpecFor picks the longest registered prefix match, falling back to
-// the paper's default two-phase spec.
-func (p *Pipeline) canarySpecFor(artifact string) canary.Spec {
-	if best, found := p.canaryPrefixFor(artifact); found {
-		spec := p.canarySpecs[best]
-		spec.ConfigPath = ZeusPrefix + artifact
-		return spec
-	}
-	spec := canary.DefaultSpec(ZeusPrefix+artifact, p.phase2)
-	spec.Phases[0].TestServers = p.phase1
-	return spec
-}

@@ -228,13 +228,6 @@ func TestMutator(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("mutator failed: %v", rep.Err)
 	}
-	if m.Changes != 1 {
-		t.Errorf("Changes = %d", m.Changes)
-	}
-	rep = m.Delete("traffic/weights.json", SkipCanary())
-	if !rep.OK() {
-		t.Fatalf("mutator delete failed: %v", rep.Err)
-	}
 }
 
 // ---- full-stack tests with a fleet ----

@@ -24,9 +24,6 @@ func DescribeChange(oldSpec, newSpec *ProjectSpec) []string {
 	if newSpec == nil {
 		return []string{fmt.Sprintf("Deleted project %q", oldSpec.Project)}
 	}
-	if oldSpec.Project != newSpec.Project {
-		out = append(out, fmt.Sprintf("Renamed project %q to %q", oldSpec.Project, newSpec.Project))
-	}
 	// Match rules by their restraint signature so probability tweaks on
 	// an unchanged conjunction read as "Updated X sampling from a% to b%".
 	oldBySig := map[string][]RuleSpec{}

@@ -167,14 +167,14 @@ func TestBuiltinRestraints(t *testing.T) {
 func TestLaserRestraint(t *testing.T) {
 	ls := laser.NewStore()
 	r := NewRegistry(ls)
-	// Trending-topics style score loaded by a batch job.
-	job := laser.BatchJob{Project: "Trending", Compute: func(id int64) float64 {
+	// Trending-topics style scores, as a batch job would load them.
+	for id := int64(1); id <= 4; id++ {
+		score := 0.1
 		if id%2 == 0 {
-			return 0.9
+			score = 0.9
 		}
-		return 0.1
-	}}
-	job.Run(ls, []int64{1, 2, 3, 4})
+		ls.Set("Trending", id, score)
+	}
 	spec := &ProjectSpec{Project: "Trending", Rules: []RuleSpec{{
 		Restraints: []RestraintSpec{{Name: "laser",
 			Params: Params{"project": "Trending", "threshold": 0.5}}},

@@ -41,62 +41,10 @@ func (s *Store) Get(project string, userID int64) (float64, bool) {
 	return v, ok
 }
 
-// Set stores one score (the stream-processing path: continuous updates).
+// Set stores one score. Whatever produces the data — a stream job, a
+// periodic batch load — writes through it.
 func (s *Store) Set(project string, userID int64, score float64) {
 	s.mu.Lock()
 	s.data[key{project, userID}] = score
 	s.mu.Unlock()
-}
-
-// Delete removes a user's score.
-func (s *Store) Delete(project string, userID int64) {
-	s.mu.Lock()
-	delete(s.data, key{project, userID})
-	s.mu.Unlock()
-}
-
-// Len reports the number of keys.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
-
-// BatchJob models the MapReduce path: an offline job that computes a score
-// for every user and loads the output into Laser. Re-running the job
-// refreshes the data for all users.
-type BatchJob struct {
-	Project string
-	// Compute derives the score for one user.
-	Compute func(userID int64) float64
-}
-
-// Run scores every user and bulk-loads the results.
-func (j BatchJob) Run(store *Store, userIDs []int64) int {
-	loaded := 0
-	for _, id := range userIDs {
-		store.Set(j.Project, id, j.Compute(id))
-		loaded++
-	}
-	return loaded
-}
-
-// StreamFeeder models the stream-processing path: deltas applied as events
-// arrive.
-type StreamFeeder struct {
-	Project string
-	store   *Store
-	// Events counts applied updates.
-	Events uint64
-}
-
-// NewStreamFeeder returns a feeder writing into store.
-func NewStreamFeeder(project string, store *Store) *StreamFeeder {
-	return &StreamFeeder{Project: project, store: store}
-}
-
-// Feed applies one scored event for a user.
-func (f *StreamFeeder) Feed(userID int64, score float64) {
-	f.store.Set(f.Project, userID, score)
-	f.Events++
 }

@@ -39,7 +39,7 @@ func TestConfigeratorBackend(t *testing.T) {
 	px := proxy.New(net, "proxy-1", simnet.Placement{Region: "us", Cluster: "web"},
 		[]simnet.NodeID{"obs-1"}, nil)
 	client := confclient.New(px)
-	client.Want("/configs/mobile/upload.json")
+	px.Want("/configs/mobile/upload.json")
 	net.RunFor(5 * time.Second)
 
 	tr := NewTranslator(nil, client)
@@ -87,17 +87,11 @@ func TestDeviceAccessors(t *testing.T) {
 	r := newDeviceRig(t)
 	d := r.addDevice(t, 1, []string{"FEATURE_X", "MAX_RETRIES"})
 	r.net.RunFor(time.Minute)
-	if v, ok := d.Get("FEATURE_X"); !ok || v != true {
-		t.Errorf("Get = %v, %v", v, ok)
+	if d.GetFloat("MAX_RETRIES", 9) != 3 {
+		t.Errorf("GetFloat = %v", d.GetFloat("MAX_RETRIES", 9))
 	}
-	if _, ok := d.Get("NOPE"); ok {
-		t.Error("missing field found")
-	}
-	if d.GetString("FEATURE_X", "d") != "d" {
-		t.Error("GetString on bool should default")
-	}
-	if d.GetBool("MAX_RETRIES", true) != true {
-		t.Error("GetBool on number should default")
+	if d.GetFloat("NOPE", 9) != 9 {
+		t.Error("GetFloat on a missing field should default")
 	}
 	if d.GetFloat("FEATURE_X", 9) != 9 {
 		t.Error("GetFloat on bool should default")

@@ -155,32 +155,11 @@ func NewDeviceAt(net *simnet.Network, id simnet.NodeID, p simnet.Placement,
 // SetPollInterval overrides the poll cadence (tests).
 func (d *Device) SetPollInterval(iv time.Duration) { d.interval = iv }
 
-// Get reads a config field from the flash cache — the app's getter path
-// (myCfg.getBool(...)); it never blocks on the network.
-func (d *Device) Get(field string) (interface{}, bool) {
-	v, ok := d.flash[field]
-	return v, ok
-}
-
-// GetBool is the typed getter of Figure 6.
-func (d *Device) GetBool(field string, def bool) bool {
-	if v, ok := d.flash[field].(bool); ok {
-		return v
-	}
-	return def
-}
-
-// GetFloat returns a numeric field.
+// GetFloat reads a numeric field from the flash cache, or def when absent
+// or mistyped — the app's getter path (Figure 6's myCfg.getBool is its
+// boolean twin); it never blocks on the network.
 func (d *Device) GetFloat(field string, def float64) float64 {
 	if v, ok := d.flash[field].(float64); ok {
-		return v
-	}
-	return def
-}
-
-// GetString returns a string field.
-func (d *Device) GetString(field, def string) string {
-	if v, ok := d.flash[field].(string); ok {
 		return v
 	}
 	return def

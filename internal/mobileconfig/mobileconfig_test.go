@@ -177,7 +177,7 @@ func TestDevicePullAndCache(t *testing.T) {
 	r := newDeviceRig(t)
 	d := r.addDevice(t, 1, []string{"FEATURE_X", "MAX_RETRIES"})
 	r.net.RunFor(time.Minute)
-	if !d.GetBool("FEATURE_X", false) {
+	if d.flash["FEATURE_X"] != true {
 		t.Error("FEATURE_X not cached on device")
 	}
 	if d.GetFloat("MAX_RETRIES", 0) != 3.0 {
@@ -222,7 +222,7 @@ func TestEmergencyPushTriggersImmediatePull(t *testing.T) {
 	d := r.addDevice(t, 1, []string{"FEATURE_X"})
 	d.SetPollInterval(24 * time.Hour) // effectively never polls again
 	r.net.RunFor(time.Minute)
-	if !d.GetBool("FEATURE_X", false) {
+	if d.flash["FEATURE_X"] != true {
 		t.Fatal("initial pull missing")
 	}
 	// Kill the buggy feature and push.
@@ -241,7 +241,7 @@ func TestEmergencyPushTriggersImmediatePull(t *testing.T) {
 		r.server.Push(&ctx, "MY_CONFIG", []simnet.NodeID{"phone-1"})
 	})
 	r.net.RunFor(time.Minute)
-	if d.GetBool("FEATURE_X", true) {
+	if d.flash["FEATURE_X"] != false {
 		t.Error("emergency disable did not reach the device")
 	}
 	if d.PushesHandled != 1 {

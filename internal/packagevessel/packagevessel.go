@@ -374,15 +374,6 @@ func (r *Registry) Tags(name string) map[string]int64 {
 	return out
 }
 
-// Resolve returns the manifest a tag points at.
-func (r *Registry) Resolve(name, tag string) (blob.Manifest, bool) {
-	v, ok := r.tags[name][tag]
-	if !ok {
-		return blob.Manifest{}, false
-	}
-	return r.store.Manifest(name, v)
-}
-
 // Promote validates a tag move and returns the TagRecord to land through
 // the landing strip — the promotion IS that metadata write; the registry
 // applies it only when ApplyTag is called after the change lands. Rules:

@@ -243,8 +243,8 @@ func TestPromotionLifecycle(t *testing.T) {
 	if err := reg.ApplyTag(rec); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := reg.Resolve("model", "prod"); !ok || m.Version != 1 {
-		t.Fatalf("prod resolves to %+v, %v", m, ok)
+	if tags := reg.Tags("model"); tags["prod"] != 1 || tags["canary"] != 1 {
+		t.Fatalf("tags = %v", tags)
 	}
 }
 

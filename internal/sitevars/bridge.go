@@ -2,6 +2,7 @@ package sitevars
 
 import (
 	"fmt"
+	"unicode/utf8"
 
 	"configerator/internal/core"
 )
@@ -48,18 +49,19 @@ type SetResult struct {
 // Set evaluates the expression, runs the checker and type inference, and
 // submits the resulting JSON through the full pipeline. The engineer sees
 // warnings but they do not block (the paper's UI behaviour); a checker
-// failure or a pipeline rejection does.
+// failure or a pipeline rejection does. The store records the value, and
+// learns its types, only once the change has landed: a refused change
+// leaves the sitevar's history as it was.
 func (b *Bridge) Set(name, expr, author, reviewer string, opts ...core.Option) (*SetResult, error) {
-	warnings, err := b.store.Set(name, expr)
+	v, js, warnings, err := b.store.evaluate(name, expr)
 	if err != nil {
 		return nil, err
 	}
-	sv, _ := b.store.Get(name)
 	req := &core.ChangeRequest{
 		Author:   author,
 		Reviewer: reviewer,
 		Title:    fmt.Sprintf("sitevar %s = %s", name, truncate(expr, 60)),
-		Raws:     map[string][]byte{b.ArtifactPath(name): sv.JSON},
+		Raws:     map[string][]byte{b.ArtifactPath(name): js},
 	}
 	for _, o := range opts {
 		o(req)
@@ -69,12 +71,19 @@ func (b *Bridge) Set(name, expr, author, reviewer string, opts ...core.Option) (
 	if !report.OK() {
 		return res, fmt.Errorf("sitevars: %s blocked at %s: %w", name, report.FailedStage, report.Err)
 	}
+	b.store.record(name, v, js)
 	return res, nil
 }
 
+// truncate shortens s to at most n bytes, ending in "...", without cutting
+// a UTF-8 sequence.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
 	}
-	return s[:n-3] + "..."
+	cut := n - 3
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return s[:cut] + "..."
 }

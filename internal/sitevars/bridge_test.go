@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"configerator/internal/cdl"
 	"configerator/internal/cluster"
@@ -79,6 +80,49 @@ func TestBridgeSyntaxErrorBlocks(t *testing.T) {
 	b, _ := newBridge(t)
 	if _, err := b.Set("bad", "1 +", "alice", "bob"); err == nil {
 		t.Fatal("syntax error should block")
+	}
+}
+
+// TestBridgeRefusedChangeTeachesNothing: a change the pipeline refuses
+// leaves the sitevar's value, update count and inferred types as they were,
+// so the next deviating update still warns.
+func TestBridgeRefusedChangeTeachesNothing(t *testing.T) {
+	b, _ := newBridge(t)
+	if _, err := b.Set("quota", `{limit: 5}`, "alice", "bob", core.SkipCanary()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Set("quota", `{limit: "five"}`, "alice", "alice", core.SkipCanary()); err == nil {
+		t.Fatal("self-reviewed change landed")
+	}
+	sv, _ := b.Store().Get("quota")
+	if sv.Updates != 1 || string(sv.JSON) != `{"limit":5}` || sv.FieldType("limit") != TypeInt {
+		t.Errorf("refused change recorded: updates %d, JSON %s, limit %v", sv.Updates, sv.JSON, sv.FieldType("limit"))
+	}
+	res, err := b.Set("quota", `{limit: "six"}`, "alice", "bob", core.SkipCanary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Warnings) != 1 || !strings.Contains(res.Warnings[0], `"limit"`) {
+		t.Errorf("string limit after an int one: warnings = %v", res.Warnings)
+	}
+}
+
+// TestBridgeTitleKeepsUTF8: the review title truncates a long expression on
+// a rune boundary.
+func TestBridgeTitleKeepsUTF8(t *testing.T) {
+	b, _ := newBridge(t)
+	// "é" is two bytes; a 57-byte cut lands inside the first one.
+	expr := `"` + strings.Repeat("a", 55) + strings.Repeat("é", 10) + `"`
+	res, err := b.Set("motd", expr, "alice", "bob", core.SkipCanary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := b.pipeline.Review.Get(res.Report.DiffID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !utf8.ValidString(d.Title) || !strings.HasSuffix(d.Title, "...") {
+		t.Errorf("title %q", d.Title)
 	}
 }
 

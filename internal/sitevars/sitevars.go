@@ -148,7 +148,6 @@ type Checker func(v cdl.Value) error
 // Sitevar is one name-value pair with its history-derived schema.
 type Sitevar struct {
 	Name string
-	Expr string
 	// Value is the current evaluated value; JSON its artifact form.
 	Value cdl.Value
 	JSON  []byte
@@ -182,10 +181,10 @@ func (st *Store) Get(name string) (*Sitevar, bool) {
 	return sv, ok
 }
 
-// Names returns the number of sitevars.
+// Len returns the number of sitevars.
 func (st *Store) Len() int { return len(st.vars) }
 
-// SetChecker attaches an explicit checker; it runs on every future Set.
+// SetChecker attaches an explicit checker; it runs on every later update.
 func (st *Store) SetChecker(name string, c Checker) {
 	if sv, ok := st.vars[name]; ok {
 		sv.checker = c
@@ -194,35 +193,42 @@ func (st *Store) SetChecker(name string, c Checker) {
 	}
 }
 
-// Set evaluates expr and updates the sitevar. The error is fatal (syntax
-// error, checker failure); warnings report type deviations from the
-// inferred history — the UI shows them to the engineer, who may proceed.
-func (st *Store) Set(name, expr string) (warnings []string, err error) {
-	v, err := cdl.EvalExpr(expr)
+// evaluate evaluates expr and runs name's checker and the history check on
+// the result, recording nothing: it returns the value, its artifact JSON and
+// the deviation warnings. The error is fatal (syntax error, checker
+// failure); warnings report type deviations from the inferred history — the
+// UI shows them to the engineer, who may proceed.
+func (st *Store) evaluate(name, expr string) (v cdl.Value, js []byte, warnings []string, err error) {
+	v, err = cdl.EvalExpr(expr)
 	if err != nil {
-		return nil, fmt.Errorf("sitevars: %s: %w", name, err)
+		return nil, nil, nil, fmt.Errorf("sitevars: %s: %w", name, err)
 	}
+	if sv, ok := st.vars[name]; ok {
+		if sv.checker != nil {
+			if cerr := sv.checker(v); cerr != nil {
+				return nil, nil, nil, fmt.Errorf("sitevars: %s: checker: %w", name, cerr)
+			}
+		}
+		warnings = sv.checkAgainstHistory(v)
+	}
+	s, err := cdl.MarshalJSON(v)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("sitevars: %s: %w", name, err)
+	}
+	return v, []byte(s), warnings, nil
+}
+
+// record makes an evaluated value name's current one and folds it into the
+// inferred schema.
+func (st *Store) record(name string, v cdl.Value, js []byte) {
 	sv, ok := st.vars[name]
 	if !ok {
 		sv = &Sitevar{Name: name}
 		st.vars[name] = sv
 	}
-	if sv.checker != nil {
-		if cerr := sv.checker(v); cerr != nil {
-			return nil, fmt.Errorf("sitevars: %s: checker: %w", name, cerr)
-		}
-	}
-	warnings = sv.checkAgainstHistory(v)
-	js, err := cdl.MarshalJSON(v)
-	if err != nil {
-		return nil, fmt.Errorf("sitevars: %s: %w", name, err)
-	}
-	sv.Expr = expr
-	sv.Value = v
-	sv.JSON = []byte(js)
+	sv.Value, sv.JSON = v, js
 	sv.Updates++
 	sv.learn(v)
-	return warnings, nil
 }
 
 // checkAgainstHistory produces deviation warnings against inferred types.

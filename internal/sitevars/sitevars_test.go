@@ -8,9 +8,19 @@ import (
 	"configerator/internal/cdl"
 )
 
+// set is an update that lands: evaluate, then record.
+func set(st *Store, name, expr string) ([]string, error) {
+	v, js, warnings, err := st.evaluate(name, expr)
+	if err != nil {
+		return nil, err
+	}
+	st.record(name, v, js)
+	return warnings, nil
+}
+
 func TestSetAndGet(t *testing.T) {
 	st := NewStore()
-	if _, err := st.Set("max_upload_mb", "25"); err != nil {
+	if _, err := set(st, "max_upload_mb", "25"); err != nil {
 		t.Fatal(err)
 	}
 	sv, ok := st.Get("max_upload_mb")
@@ -27,7 +37,7 @@ func TestSetAndGet(t *testing.T) {
 
 func TestExpressionValues(t *testing.T) {
 	st := NewStore()
-	if _, err := st.Set("ramp", `{rate: 0.05 * 2, hosts: ["a", "b"]}`); err != nil {
+	if _, err := set(st, "ramp", `{rate: 0.05 * 2, hosts: ["a", "b"]}`); err != nil {
 		t.Fatal(err)
 	}
 	sv, _ := st.Get("ramp")
@@ -38,7 +48,7 @@ func TestExpressionValues(t *testing.T) {
 
 func TestSyntaxErrorRejected(t *testing.T) {
 	st := NewStore()
-	if _, err := st.Set("bad", "1 +"); err == nil {
+	if _, err := set(st, "bad", "1 +"); err == nil {
 		t.Fatal("expected syntax error")
 	}
 }
@@ -51,23 +61,23 @@ func TestCheckerRejects(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := st.Set("quota", "10"); err != nil {
+	if _, err := set(st, "quota", "10"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Set("quota", "-5"); err == nil {
+	if _, err := set(st, "quota", "-5"); err == nil {
 		t.Fatal("checker should reject negative quota")
 	}
-	if _, err := st.Set("quota", `"lots"`); err == nil {
+	if _, err := set(st, "quota", `"lots"`); err == nil {
 		t.Fatal("checker should reject string quota")
 	}
 }
 
 func TestTypeDeviationWarning(t *testing.T) {
 	st := NewStore()
-	if _, err := st.Set("flag", "true"); err != nil {
+	if _, err := set(st, "flag", "true"); err != nil {
 		t.Fatal(err)
 	}
-	warns, err := st.Set("flag", `"yes"`) // typo'd string where bool lived
+	warns, err := set(st, "flag", `"yes"`) // typo'd string where bool lived
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +85,13 @@ func TestTypeDeviationWarning(t *testing.T) {
 		t.Fatalf("warns = %v", warns)
 	}
 	// Conforming update warns nothing.
-	warns, _ = st.Set("flag", `"no"`) // schema generalized to the override
+	warns, _ = set(st, "flag", `"no"`) // schema generalized to the override
 	_ = warns
 }
 
 func TestFieldTypeInference(t *testing.T) {
 	st := NewStore()
-	if _, err := st.Set("cfg", `{limit: 10, when: "2015-10-04", blob: "{\"a\":1}", note: "hello"}`); err != nil {
+	if _, err := set(st, "cfg", `{limit: 10, when: "2015-10-04", blob: "{\"a\":1}", note: "hello"}`); err != nil {
 		t.Fatal(err)
 	}
 	sv, _ := st.Get("cfg")
@@ -98,7 +108,7 @@ func TestFieldTypeInference(t *testing.T) {
 		t.Errorf("note = %v", sv.FieldType("note"))
 	}
 	// A JSON-string field receiving a non-JSON string warns.
-	warns, err := st.Set("cfg", `{limit: 10, when: "2015-10-05", blob: "oops", note: "x"}`)
+	warns, err := set(st, "cfg", `{limit: 10, when: "2015-10-05", blob: "oops", note: "x"}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +125,10 @@ func TestFieldTypeInference(t *testing.T) {
 
 func TestGeneralStringAcceptsRefinements(t *testing.T) {
 	st := NewStore()
-	if _, err := st.Set("s", `"just text"`); err != nil {
+	if _, err := set(st, "s", `"just text"`); err != nil {
 		t.Fatal(err)
 	}
-	warns, err := st.Set("s", `"2015-10-04"`) // timestamp is still a string
+	warns, err := set(st, "s", `"2015-10-04"`) // timestamp is still a string
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +139,8 @@ func TestGeneralStringAcceptsRefinements(t *testing.T) {
 
 func TestIntToFloatGeneralizes(t *testing.T) {
 	st := NewStore()
-	st.Set("rate", "1")
-	warns, _ := st.Set("rate", "1.5")
+	set(st, "rate", "1")
+	warns, _ := set(st, "rate", "1.5")
 	if len(warns) != 0 {
 		t.Errorf("int->float should be tolerated, warns = %v", warns)
 	}
@@ -139,7 +149,7 @@ func TestIntToFloatGeneralizes(t *testing.T) {
 		t.Errorf("inferred = %v", sv.InferredType())
 	}
 	// And back to int conforms (float schema accepts ints).
-	warns, _ = st.Set("rate", "2")
+	warns, _ = set(st, "rate", "2")
 	if len(warns) != 0 {
 		t.Errorf("float schema should accept int, warns = %v", warns)
 	}
@@ -181,8 +191,8 @@ func TestTypeClassString(t *testing.T) {
 
 func TestNewFieldLearnedWithoutWarning(t *testing.T) {
 	st := NewStore()
-	st.Set("cfg", `{a: 1}`)
-	warns, err := st.Set("cfg", `{a: 2, b: "new"}`)
+	set(st, "cfg", `{a: 1}`)
+	warns, err := set(st, "cfg", `{a: 2, b: "new"}`)
 	if err != nil || len(warns) != 0 {
 		t.Fatalf("warns=%v err=%v", warns, err)
 	}

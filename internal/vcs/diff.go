@@ -15,10 +15,6 @@ type LineStat struct {
 // Total is the paper's "number of line changes".
 func (s LineStat) Total() int { return s.Added + s.Deleted }
 
-func (s LineStat) add(o LineStat) LineStat {
-	return LineStat{Added: s.Added + o.Added, Deleted: s.Deleted + o.Deleted}
-}
-
 // splitLines splits on '\n' keeping semantics stable for a trailing newline.
 func splitLines(b []byte) [][]byte {
 	if len(b) == 0 {
@@ -101,51 +97,4 @@ func multisetDiff(a, b []uint64) LineStat {
 		deleted += c
 	}
 	return LineStat{Added: added, Deleted: deleted}
-}
-
-// CommitStat describes a commit relative to its parent.
-type CommitStat struct {
-	FilesChanged int
-	Lines        LineStat
-}
-
-// DiffCommits compares the trees of two commits (either may be ZeroHash,
-// meaning the empty tree) and returns per-file line stats plus totals.
-func (r *Repository) DiffCommits(oldCommit, newCommit Hash) (CommitStat, map[string]LineStat, error) {
-	oldTree, err := r.treeOf(oldCommit)
-	if err != nil {
-		return CommitStat{}, nil, err
-	}
-	newTree, err := r.treeOf(newCommit)
-	if err != nil {
-		return CommitStat{}, nil, err
-	}
-	perFile := make(map[string]LineStat)
-	var total CommitStat
-	for _, p := range ChangedPaths(oldTree, newTree) {
-		var ob, nb []byte // nil on the side that lacks the file
-		if h, ok := oldTree.Get(p); ok {
-			ob, _ = r.store.Blob(h)
-		}
-		if h, ok := newTree.Get(p); ok {
-			nb, _ = r.store.Blob(h)
-		}
-		st := DiffLines(ob, nb)
-		perFile[p] = st
-		total.FilesChanged++
-		total.Lines = total.Lines.add(st)
-	}
-	return total, perFile, nil
-}
-
-func (r *Repository) treeOf(commit Hash) (Tree, error) {
-	if commit.IsZero() {
-		return Tree{}, nil
-	}
-	c, ok := r.store.Commit(commit)
-	if !ok {
-		return Tree{}, ErrNotFound
-	}
-	t, _ := r.store.Tree(c.Tree)
-	return t, nil
 }

@@ -75,6 +75,19 @@ func (r *Repository) HeadTree() Tree {
 	return t
 }
 
+// treeOf returns a commit's tree; ZeroHash is the empty tree.
+func (r *Repository) treeOf(commit Hash) (Tree, error) {
+	if commit.IsZero() {
+		return Tree{}, nil
+	}
+	c, ok := r.store.Commit(commit)
+	if !ok {
+		return Tree{}, ErrNotFound
+	}
+	t, _ := r.store.Tree(c.Tree)
+	return t, nil
+}
+
 // FileCount reports the number of files at head — the x-axis of Figure 13.
 func (r *Repository) FileCount() int { return r.HeadTree().Len() + r.syntheticFiles }
 
@@ -83,21 +96,6 @@ func (r *Repository) ReadFile(path string) ([]byte, error) {
 	h, ok := r.HeadTree().Get(path)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	b, _ := r.store.Blob(h)
-	return b, nil
-}
-
-// ReadFileAt returns the contents of path at the given commit.
-func (r *Repository) ReadFileAt(commit Hash, path string) ([]byte, error) {
-	c, ok := r.store.Commit(commit)
-	if !ok {
-		return nil, fmt.Errorf("%w: commit %s", ErrNotFound, commit)
-	}
-	t, _ := r.store.Tree(c.Tree)
-	h, ok := t.Get(path)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s@%s", ErrNotFound, path, commit)
 	}
 	b, _ := r.store.Blob(h)
 	return b, nil
@@ -225,32 +223,6 @@ func (w *WorkingCopy) Write(path string, content []byte) {
 	}
 	w.staged[path] = Change{Path: path, Content: content}
 }
-
-// Delete stages removal of path.
-func (w *WorkingCopy) Delete(path string) {
-	if _, ok := w.staged[path]; !ok {
-		w.ordered = append(w.ordered, path)
-	}
-	w.staged[path] = Change{Path: path, Delete: true}
-}
-
-// Read returns the working-copy view of path: staged content if any,
-// otherwise the content at the base commit.
-func (w *WorkingCopy) Read(path string) ([]byte, error) {
-	if c, ok := w.staged[path]; ok {
-		if c.Delete {
-			return nil, fmt.Errorf("%w: %s (deleted)", ErrNotFound, path)
-		}
-		return c.Content, nil
-	}
-	if w.Base.IsZero() {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	return w.repo.ReadFileAt(w.Base, path)
-}
-
-// Dirty reports whether any edits are staged.
-func (w *WorkingCopy) Dirty() bool { return len(w.staged) > 0 }
 
 // Diff packages the staged edits as a pushable diff.
 func (w *WorkingCopy) Diff(message string) *Diff {

@@ -192,7 +192,7 @@ func TestOneFileCommitSharesEverySiblingDirectory(t *testing.T) {
 		}
 	}
 	// The parent snapshot is untouched.
-	if got, _ := repo.ReadFileAt(repo.Log()[0], "tao/y/f1"); string(got) != "v0" {
+	if got, _ := readAt(repo, repo.Log()[0], "tao/y/f1"); string(got) != "v0" {
 		t.Errorf("the parent snapshot now reads %q", got)
 	}
 }

@@ -45,17 +45,31 @@ func TestDeleteFile(t *testing.T) {
 	}
 }
 
+// readAt reads path as of a commit.
+func readAt(r *Repository, commit Hash, path string) ([]byte, error) {
+	t, err := r.treeOf(commit)
+	if err != nil {
+		return nil, err
+	}
+	h, ok := t.Get(path)
+	if !ok {
+		return nil, ErrNotFound
+	}
+	b, _ := r.store.Blob(h)
+	return b, nil
+}
+
 func TestHistoryAndReadAt(t *testing.T) {
 	r := NewRepository("test")
 	h1 := r.CommitChanges("a", "v1", t0, Change{Path: "f", Content: []byte("v1")})
 	h2 := r.CommitChanges("a", "v2", t0.Add(time.Hour), Change{Path: "f", Content: []byte("v2")})
-	b1, err := r.ReadFileAt(h1, "f")
+	b1, err := readAt(r, h1, "f")
 	if err != nil || string(b1) != "v1" {
-		t.Errorf("ReadFileAt h1 = %q, %v", b1, err)
+		t.Errorf("read at h1 = %q, %v", b1, err)
 	}
-	b2, _ := r.ReadFileAt(h2, "f")
+	b2, _ := readAt(r, h2, "f")
 	if string(b2) != "v2" {
-		t.Errorf("ReadFileAt h2 = %q", b2)
+		t.Errorf("read at h2 = %q", b2)
 	}
 	log := r.Log()
 	if len(log) != 2 || log[0] != h1 || log[1] != h2 {
@@ -146,26 +160,6 @@ func TestLandTrueConflict(t *testing.T) {
 	}
 }
 
-func TestWorkingCopyRead(t *testing.T) {
-	r := NewRepository("test")
-	r.CommitChanges("root", "seed", t0, Change{Path: "f", Content: []byte("base")})
-	wc := r.Clone("alice")
-	if b, _ := wc.Read("f"); string(b) != "base" {
-		t.Errorf("Read = %q", b)
-	}
-	wc.Write("f", []byte("staged"))
-	if b, _ := wc.Read("f"); string(b) != "staged" {
-		t.Errorf("Read staged = %q", b)
-	}
-	wc.Delete("f")
-	if _, err := wc.Read("f"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Read deleted err = %v", err)
-	}
-	if !wc.Dirty() {
-		t.Error("Dirty should be true")
-	}
-}
-
 func TestDiffLinesModify(t *testing.T) {
 	oldC := []byte("a\nb\nc\n")
 	newC := []byte("a\nB\nc\n")
@@ -204,37 +198,6 @@ func TestDiffLinesLargeFallback(t *testing.T) {
 	st := DiffLines(oldB.Bytes(), newB.Bytes())
 	if st.Added != 1 || st.Deleted != 0 {
 		t.Errorf("large-file diff = %+v", st)
-	}
-}
-
-func TestStatCommit(t *testing.T) {
-	r := NewRepository("test")
-	h1 := r.CommitChanges("a", "v1", t0, Change{Path: "f", Content: []byte("a\nb\n")})
-	h2 := r.CommitChanges("a", "v2", t0,
-		Change{Path: "f", Content: []byte("a\nB\n")},
-		Change{Path: "g", Content: []byte("new\n")})
-	st, _, err := r.DiffCommits(h1, h2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FilesChanged != 2 {
-		t.Errorf("FilesChanged = %d", st.FilesChanged)
-	}
-	if st.Lines.Total() != 3 { // modify one line (2) + add one line (1)
-		t.Errorf("Lines = %+v", st.Lines)
-	}
-}
-
-func TestDiffCommitsDeletedFile(t *testing.T) {
-	r := NewRepository("test")
-	h1 := r.CommitChanges("a", "v1", t0, Change{Path: "f", Content: []byte("x\ny\n")})
-	h2 := r.CommitChanges("a", "v2", t0, Change{Path: "f", Delete: true})
-	stat, perFile, err := r.DiffCommits(h1, h2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stat.Lines.Deleted != 2 || perFile["f"].Deleted != 2 {
-		t.Errorf("stat = %+v perFile = %+v", stat, perFile)
 	}
 }
 
@@ -332,7 +295,7 @@ func TestPushAdvancesWorkingCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wc.Base != h || wc.Dirty() {
+	if wc.Base != h || len(wc.Diff("").Changes) != 0 {
 		t.Error("push must advance and clean the working copy")
 	}
 	wc.Write("f", []byte("2"))
