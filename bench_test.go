@@ -24,10 +24,12 @@ import (
 
 	"configerator/internal/cdl"
 	"configerator/internal/cdl/analysis/dataflow"
+	"configerator/internal/cluster"
 	"configerator/internal/confclient"
 	"configerator/internal/core"
 	"configerator/internal/experiments"
 	"configerator/internal/gatekeeper"
+	"configerator/internal/health"
 	"configerator/internal/landingstrip"
 	"configerator/internal/monitor"
 	"configerator/internal/obs"
@@ -927,5 +929,116 @@ func BenchmarkSimnetQueue(b *testing.B) {
 				b.Fatalf("depth drifted: %d pending, want %d", net.QueueLen(), depth.n)
 			}
 		})
+	}
+}
+
+// sweepStack stands one observer up with no ensemble behind it, so its
+// register-and-prune tick is the only periodic event: n proxies fetch a path
+// with a watch, each opening a session, and settle until their keep-alive
+// leases are quiet.
+func sweepStack(tb testing.TB, n int) (*simnet.Network, *zeus.Observer) {
+	tb.Helper()
+	net := simnet.New(simnet.DefaultLatency(), 7)
+	web := simnet.Placement{Region: "us", Cluster: "web"}
+	observer := zeus.NewObserver("obs-1", nil)
+	net.AddNode("obs-1", web, observer)
+	ctx := simnet.MakeContext(net, "obs-1")
+	observer.OnRestart(&ctx) // arms the tick chain, as after a restart
+	const path = "/configs/sweep"
+	for i := 0; i < n; i++ {
+		px := proxy.New(net, simnet.NodeID(fmt.Sprintf("proxy-%04d", i)), web, []simnet.NodeID{"obs-1"}, nil)
+		px.Want(path)
+	}
+	net.RunFor(30 * time.Second)
+	if got := observer.WatchCount(path); got != n {
+		tb.Fatalf("%d of %d proxies watch %s", got, n, path)
+	}
+	return net, observer
+}
+
+// observerTick is the observer's register-and-prune interval.
+const observerTick = 2 * time.Second
+
+// BenchmarkObserverSweep: one quiet observer tick — the watch-session sweep
+// over every proxy's session — at 150 and 3,000 sessions. Counts, not
+// clocks: a quiet tick is exactly one event and allocates nothing, whatever
+// the sessions; ns per tick is reported for the record.
+func BenchmarkObserverSweep(b *testing.B) {
+	for _, n := range []int{150, 3000} {
+		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+			net, _ := sweepStack(b, n)
+			events := net.Events
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.RunFor(observerTick)
+			}
+			b.StopTimer()
+			if per := float64(net.Events-events) / float64(b.N); per != 1 {
+				b.Fatalf("a quiet tick at %d sessions runs %.2f events, want 1", n, per)
+			}
+			if a := testing.AllocsPerRun(20, func() { net.RunFor(observerTick) }); a != 0 {
+				b.Fatalf("a quiet tick at %d sessions allocates %.1f, want 0", n, a)
+			}
+		})
+	}
+}
+
+// sampleStack is a 20-server fleet on which every server subscribes to the
+// given number of configs, the first carrying a latency fault marker. It is
+// settled and sampled once, since each proxy's first read of a path emits
+// its first-read event.
+func sampleStack(tb testing.TB, paths int) *cluster.Fleet {
+	tb.Helper()
+	f := cluster.New(cluster.SmallConfig(5, 42))
+	f.Net.RunFor(10 * time.Second)
+	writer := zeus.NewClient("sample-writer", f.Ensemble.Members)
+	f.Net.AddNode("sample-writer", simnet.Placement{Region: "us-west", Cluster: "ctrl"}, writer)
+	for i := 0; i < paths; i++ {
+		path := fmt.Sprintf("/configs/sample/%02d", i)
+		data := fmt.Sprintf(`{"v":%d}`, i)
+		if i == 0 {
+			data = `{"_fault":{"type":"latency","intensity":0.5}}`
+		}
+		f.Net.After(0, func() {
+			ctx := simnet.MakeContext(f.Net, "sample-writer")
+			writer.Write(&ctx, path, []byte(data), nil)
+		})
+		f.SubscribeAll(path)
+	}
+	f.Net.RunFor(30 * time.Second)
+	for _, id := range f.Servers() {
+		f.Sample(id)
+	}
+	return f
+}
+
+// BenchmarkFleetSample: the canary's health sample of one server — a read
+// of every watched path through its proxy and the fault memo — on a fleet
+// watching 24 paths, as the author_change workload's does.
+func BenchmarkFleetSample(b *testing.B) {
+	f := sampleStack(b, 24)
+	servers := f.Servers()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Sample(servers[i%len(servers)])
+	}
+}
+
+// TestSampleAllocatesOnlyItsResult: a health sample allocates its result
+// and nothing per watched path — sampling a server that watches 24 paths
+// allocates what sampling one that watches none does.
+func TestSampleAllocatesOnlyItsResult(t *testing.T) {
+	bare, watching := sampleStack(t, 0), sampleStack(t, 24)
+	id := watching.Servers()[0]
+	if s := watching.Sample(id); s[health.MetricLatencyMs] <= bare.Sample(id)[health.MetricLatencyMs] {
+		t.Fatalf("the latency fault did not show: %v", s)
+	}
+	result := testing.AllocsPerRun(100, func() { bare.Sample(id) })
+	got := testing.AllocsPerRun(100, func() { watching.Sample(id) })
+	t.Logf("a sample allocates %.1f with 24 watched paths, %.1f with none", got, result)
+	if got != result {
+		t.Errorf("a sample with 24 watched paths allocates %.1f, want %.1f (its result only)", got, result)
 	}
 }

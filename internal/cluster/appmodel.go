@@ -40,29 +40,35 @@ type faultVersion struct {
 	read bool
 }
 
-// faultOf is faultIn through a per-path memo, so a canary that samples
+// watchedPath is one path the health model watches, with its memo of the
+// contents it has decoded.
+type watchedPath struct {
+	path     string
+	versions []faultVersion
+}
+
+// faultOf is faultIn through the path's memo, so a canary that samples
 // every server decodes each distinct content of a path once instead of
 // once per server and sample. A path holds few contents at a time (the
 // committed one, the one replacing it, a canary override); when a new one
 // shows up, those no sample has asked for since the previous new one are
 // no longer served by any proxy and are dropped.
-func (f *Fleet) faultOf(path string, data []byte) (FaultMarker, bool) {
-	versions := f.faults[path]
-	for i := range versions {
-		if v := &versions[i]; bytes.Equal(v.data, data) {
+func (w *watchedPath) faultOf(data []byte) (FaultMarker, bool) {
+	for i := range w.versions {
+		if v := &w.versions[i]; bytes.Equal(v.data, data) {
 			v.read = true
 			return v.fault, v.ok
 		}
 	}
-	live := versions[:0]
-	for _, v := range versions {
+	live := w.versions[:0]
+	for _, v := range w.versions {
 		if v.read {
 			v.read = false
 			live = append(live, v)
 		}
 	}
 	fault, ok := faultIn(data)
-	f.faults[path] = append(live, faultVersion{data: data, fault: fault, ok: ok, read: true})
+	w.versions = append(live, faultVersion{data: data, fault: fault, ok: ok, read: true})
 	return fault, ok
 }
 
@@ -97,12 +103,13 @@ func DefaultAppModel(f *Fleet, s *Server) health.Sample {
 		health.MetricLatencyMs: baseLatencyMs,
 		health.MetricCTR:       baseCTR,
 	}
-	for _, path := range f.WatchedPaths() {
-		e := s.Proxy.Read(path)
+	for i := range f.watched {
+		w := &f.watched[i]
+		e := s.Proxy.Read(w.path)
 		if !e.OK || !e.Exists {
 			continue
 		}
-		fault, ok := f.faultOf(path, e.Data)
+		fault, ok := w.faultOf(e.Data)
 		if !ok {
 			continue
 		}
@@ -115,7 +122,7 @@ func DefaultAppModel(f *Fleet, s *Server) health.Sample {
 		case "log_spew":
 			sample[health.MetricLogSpew] *= 1 + 40*fault.Intensity
 		case "load":
-			frac := f.fractionRunning(path, e.Data)
+			frac := f.fractionRunning(w.path, e.Data)
 			sample[health.MetricLatencyMs] *= 1 + 4*fault.Intensity*frac
 		case "latency":
 			sample[health.MetricLatencyMs] *= 1 + fault.Intensity

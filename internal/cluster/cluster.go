@@ -6,7 +6,9 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"configerator/internal/confclient"
 	"configerator/internal/health"
@@ -85,11 +87,9 @@ type Fleet struct {
 	observers map[string][]simnet.NodeID // cluster -> observer ids
 
 	// watched are the config paths the "applications" on every server
-	// subscribe to; the health model evaluates fault markers in them.
-	watched map[string]bool
-
-	// faults memoizes the default app model's decode of watched configs.
-	faults map[string][]faultVersion
+	// subscribe to, sorted by path; the health model evaluates fault markers
+	// in them, each through its own memo of decoded contents.
+	watched []watchedPath
 }
 
 // New builds the fleet on a fresh network and elects the Zeus leader.
@@ -102,8 +102,6 @@ func New(cfg Config) *Fleet {
 		byID:      make(map[simnet.NodeID]*Server),
 		byCluster: make(map[string][]*Server),
 		observers: make(map[string][]simnet.NodeID),
-		watched:   make(map[string]bool),
-		faults:    make(map[string][]faultVersion),
 	}
 
 	// Zeus members spread round-robin across the first cluster of each
@@ -173,20 +171,20 @@ func (f *Fleet) Observers(cluster string) []simnet.NodeID { return f.observers[c
 // SubscribeAll makes every server's application subscribe to a config
 // path: the proxies fetch it with watches, so updates push down the tree.
 func (f *Fleet) SubscribeAll(path string) {
-	f.watched[path] = true
+	f.watch(path)
 	for _, s := range f.servers {
 		s.Proxy.Want(path)
 	}
 }
 
-// WatchedPaths lists the fleet-wide subscribed paths, sorted.
-func (f *Fleet) WatchedPaths() []string {
-	out := make([]string, 0, len(f.watched))
-	for p := range f.watched {
-		out = append(out, p)
+// watch adds a path to the health model's sorted watch list (once).
+func (f *Fleet) watch(path string) {
+	i, found := slices.BinarySearchFunc(f.watched, path, func(w watchedPath, p string) int {
+		return strings.Compare(w.path, p)
+	})
+	if !found {
+		f.watched = slices.Insert(f.watched, i, watchedPath{path: path})
 	}
-	sort.Strings(out)
-	return out
 }
 
 // AttachMonitor stands up the fleet-health plane: a monitor node folding
@@ -239,7 +237,7 @@ func (f *Fleet) ServersIn(cluster string) []simnet.NodeID {
 
 // DeployTemp temporarily deploys a config to the given servers' proxies.
 func (f *Fleet) DeployTemp(servers []simnet.NodeID, path string, data []byte) {
-	f.watched[path] = true
+	f.watch(path)
 	for _, id := range servers {
 		if s := f.byID[id]; s != nil {
 			s.Proxy.SetOverride(path, data)

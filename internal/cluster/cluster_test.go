@@ -165,8 +165,10 @@ func TestFaultMemoKeepsContentsApart(t *testing.T) {
 	errorRates("faulty version committed fleet-wide", len(servers))
 	writeZeus(t, f, path, `{"v":4}`)
 	errorRates("healthy version committed", 0)
-	if n := len(f.faults[path]); n > 2 {
-		t.Errorf("the memo holds %d contents of %s; only the last two were served since v3 appeared", n, path)
+	for _, w := range f.watched {
+		if n := len(w.versions); w.path == path && n > 2 {
+			t.Errorf("the memo holds %d contents of %s; only the last two were served since v3 appeared", n, path)
+		}
 	}
 }
 

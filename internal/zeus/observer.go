@@ -43,14 +43,19 @@ const watchSessionTTL = 8 * time.Second
 // watchSet tracks the proxies watching one path in registration order.
 // Notification order must be deterministic — each recipient's latency
 // sample comes from the shared RNG, so map iteration order would make
-// otherwise-identical runs diverge (the PR 8 bug class) — and sorting
-// 100k watchers on every event is too dear, so registration order it is.
-// Removals (failover unwatch, session prune) just drop the member and
-// leave a hole in the order slice; holes are compacted lazily once they
-// outnumber the live entries.
+// otherwise-identical runs diverge — and sorting 100k watchers on every
+// event is too dear, so registration order it is.
+// Removals (failover unwatch, session prune) just mark the member gone and
+// leave a hole in the order slice; a proxy that comes back before the holes
+// are compacted (failover away and back) takes its old slot again, so it is
+// never listed twice. Holes are compacted lazily once they outnumber the
+// live entries.
 type watchSet struct {
-	order   []simnet.NodeID
+	order []simnet.NodeID
+	// members holds every id with a slot in order: true while it watches,
+	// false once removed and until compaction drops its slot.
 	members map[simnet.NodeID]bool
+	n       int // live members
 }
 
 func newWatchSet() *watchSet {
@@ -58,15 +63,22 @@ func newWatchSet() *watchSet {
 }
 
 func (w *watchSet) add(id simnet.NodeID) {
-	if w.members[id] {
+	live, slotted := w.members[id]
+	if live {
 		return
 	}
 	w.members[id] = true
-	w.order = append(w.order, id)
+	w.n++
+	if !slotted {
+		w.order = append(w.order, id)
+	}
 }
 
 func (w *watchSet) remove(id simnet.NodeID) {
-	delete(w.members, id)
+	if w.members[id] {
+		w.members[id] = false
+		w.n--
+	}
 }
 
 // live appends the current members in registration order to buf and
@@ -79,9 +91,21 @@ func (w *watchSet) live(buf []simnet.NodeID) []simnet.NodeID {
 		}
 	}
 	if len(w.order) > 2*len(buf)+8 {
+		for _, id := range w.order {
+			if !w.members[id] {
+				delete(w.members, id)
+			}
+		}
 		w.order = append(w.order[:0], buf...)
 	}
 	return buf
+}
+
+// session is one proxy's watch session at an observer: due is the instant
+// (Unix ns) up to which the proxy counts as heard from.
+type session struct {
+	proxy simnet.NodeID
+	due   int64
 }
 
 // Observer keeps a fully replicated read-only copy of the leader's data
@@ -102,10 +126,13 @@ type Observer struct {
 	// version behind advertises, and therefore the base worth
 	// delta-encoding fetch replies against.
 	prev map[string]*Record
-	// lastContact tracks when each watching proxy last pinged or fetched;
-	// a proxy heard from neither, nor through its lease (Context.Heard),
-	// within watchSessionTTL has its watch sessions pruned.
-	lastContact map[simnet.NodeID]time.Time
+	// sessions holds one entry per proxy that pinged or fetched, due
+	// watchSessionTTL after it was last heard from; a proxy heard from
+	// neither directly nor through its lease (Context.Heard) by then has its
+	// watch sessions pruned. slot indexes sessions by proxy; a pruned entry
+	// is swap-deleted.
+	sessions []session
+	slot     map[simnet.NodeID]int32
 
 	// Notified counts watch events pushed (observability for benches).
 	Notified uint64
@@ -119,12 +146,12 @@ type Observer struct {
 // member list.
 func NewObserver(id simnet.NodeID, members []simnet.NodeID) *Observer {
 	return &Observer{
-		id:          id,
-		members:     members,
-		tree:        NewDataTree(),
-		watches:     make(map[string]*watchSet),
-		prev:        make(map[string]*Record),
-		lastContact: make(map[simnet.NodeID]time.Time),
+		id:      id,
+		members: members,
+		tree:    NewDataTree(),
+		watches: make(map[string]*watchSet),
+		prev:    make(map[string]*Record),
+		slot:    make(map[simnet.NodeID]int32),
 	}
 }
 
@@ -134,7 +161,7 @@ func (o *Observer) Tree() *DataTree { return o.tree }
 // WatchCount reports how many proxies watch the given path.
 func (o *Observer) WatchCount(path string) int {
 	if set := o.watches[path]; set != nil {
-		return len(set.members)
+		return set.n
 	}
 	return 0
 }
@@ -172,45 +199,71 @@ func (o *Observer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg si
 	case MsgUnwatch:
 		if set := o.watches[m.Path]; set != nil {
 			set.remove(from)
-			if len(set.members) == 0 {
+			if set.n == 0 {
 				delete(o.watches, m.Path)
 			}
 		}
 	case MsgPing:
-		o.lastContact[from] = ctx.Now()
+		o.touch(from, ctx.Now())
 		ctx.Send(from, MsgPong{})
 	}
 }
 
-// pruneWatchSessions drops watch registrations (and contact records) for
+// touch records that a proxy was heard from at the given instant, opening
+// its session if it has none.
+func (o *Observer) touch(proxy simnet.NodeID, at time.Time) {
+	due := at.Add(watchSessionTTL).UnixNano()
+	if i, ok := o.slot[proxy]; ok {
+		o.sessions[i].due = due
+		return
+	}
+	o.slot[proxy] = int32(len(o.sessions))
+	o.sessions = append(o.sessions, session{proxy: proxy, due: due})
+}
+
+// pruneWatchSessions drops the watch registrations (and sessions) of
 // proxies not heard from past watchSessionTTL — crashed, or cut off by a
-// fault. A proxy whose recorded contact is stale may still have been heard
-// through its lease (Context.Heard), which stands in for its pings while the
-// pair is quiet. This is the observer-side half of the watch-session leak fix; the proxy
+// fault. A session is only looked at once it is due: a proxy whose last
+// recorded contact is stale may still have been heard through its lease
+// (Context.Heard), which stands in for its pings while the pair is quiet and
+// renews the session from the instant it reports. A quiet tick therefore
+// costs one comparison per session and one Heard per session that fell due.
+// This is the observer-side half of the watch-session leak fix; the proxy
 // also unwatches eagerly when it re-points.
 func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
 	now := ctx.Now()
-	var dead []simnet.NodeID
-	for proxy, seen := range o.lastContact {
-		if now.Sub(seen) <= watchSessionTTL {
+	nowNS := now.UnixNano()
+	for i := 0; i < len(o.sessions); {
+		s := &o.sessions[i]
+		if nowNS <= s.due {
+			i++
 			continue
 		}
-		if heard := ctx.Heard(proxy); now.Sub(heard) <= watchSessionTTL {
-			o.lastContact[proxy] = heard // its lease stood in for pings: no need to ask again for a while
+		if heard := ctx.Heard(s.proxy); now.Sub(heard) <= watchSessionTTL {
+			s.due = heard.Add(watchSessionTTL).UnixNano() // its lease stood in for pings
+			i++
 			continue
 		}
-		dead = append(dead, proxy)
+		o.dropSession(i) // slot i now holds the session that was last: look at it next
 	}
-	for _, proxy := range dead {
-		delete(o.lastContact, proxy)
-		for path, set := range o.watches {
-			if set.members[proxy] {
-				set.remove(proxy)
-				o.Obs.Add("zeus.observer.watch_pruned", 1)
-			}
-			if len(set.members) == 0 {
-				delete(o.watches, path)
-			}
+}
+
+// dropSession swap-deletes session i and removes its proxy from every
+// watch set.
+func (o *Observer) dropSession(i int) {
+	proxy := o.sessions[i].proxy
+	last := len(o.sessions) - 1
+	o.sessions[i] = o.sessions[last]
+	o.slot[o.sessions[i].proxy] = int32(i)
+	o.sessions = o.sessions[:last]
+	delete(o.slot, proxy)
+	for path, set := range o.watches {
+		if set.members[proxy] {
+			set.remove(proxy)
+			o.Obs.Add("zeus.observer.watch_pruned", 1)
+		}
+		if set.n == 0 {
+			delete(o.watches, path)
 		}
 	}
 }
@@ -253,7 +306,7 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 	}
 	for _, path := range order {
 		set := o.watches[path]
-		if set == nil || len(set.members) == 0 {
+		if set == nil || set.n == 0 {
 			continue
 		}
 		// The event is the path's state after the batch, whatever came between.
@@ -274,7 +327,7 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 // content it already holds, so the reply is the cheapest of: "not
 // modified", a delta against the previous version, or a full snapshot.
 func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) {
-	o.lastContact[from] = ctx.Now()
+	o.touch(from, ctx.Now())
 	if m.Watch {
 		set, ok := o.watches[m.Path]
 		if !ok {

@@ -1,6 +1,8 @@
 package zeus
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -98,5 +100,38 @@ func TestObserverWatchPruning(t *testing.T) {
 	}
 	if reg.Counters().Get("zeus.observer.watch_pruned") == 0 {
 		t.Error("zeus.observer.watch_pruned counter never incremented")
+	}
+}
+
+// TestWatchSetRewatchKeepsOneSlot: a proxy that unwatches and re-watches a
+// path (failover away and back, a hedge win away and back) is notified once
+// per change, in the slot it first registered in; once compaction has
+// dropped its slot, a re-watch appends it like any newcomer.
+func TestWatchSetRewatchKeepsOneSlot(t *testing.T) {
+	w := newWatchSet()
+	w.add("a")
+	w.add("b")
+	w.remove("a")
+	w.add("a")
+	if got := w.live(nil); !slices.Equal(got, []simnet.NodeID{"a", "b"}) {
+		t.Fatalf("live after a re-watch = %v, want [a b]", got)
+	}
+	if w.n != 2 {
+		t.Fatalf("live count = %d, want 2", w.n)
+	}
+
+	for i := 0; i < 10; i++ {
+		w.add(simnet.NodeID(fmt.Sprintf("x%d", i)))
+	}
+	w.remove("a")
+	for i := 0; i < 10; i++ {
+		w.remove(simnet.NodeID(fmt.Sprintf("x%d", i)))
+	}
+	if got := w.live(nil); !slices.Equal(got, []simnet.NodeID{"b"}) || len(w.order) != 1 {
+		t.Fatalf("live = %v over %d slots, want [b] compacted to one slot", got, len(w.order))
+	}
+	w.add("a")
+	if got := w.live(nil); !slices.Equal(got, []simnet.NodeID{"b", "a"}) {
+		t.Fatalf("live after compaction and a re-watch = %v, want [b a]", got)
 	}
 }
