@@ -935,7 +935,8 @@ func BenchmarkSimnetQueue(b *testing.B) {
 // sweepStack stands one observer up with no ensemble behind it, so its
 // register-and-prune tick is the only periodic event: n proxies fetch a path
 // with a watch, each opening a session, and settle until their keep-alive
-// leases are quiet.
+// leases are quiet. One proxy then misses a read, which wakes its lease and
+// so every session the observer had parked, and all settle again.
 func sweepStack(tb testing.TB, n int) (*simnet.Network, *zeus.Observer) {
 	tb.Helper()
 	net := simnet.New(simnet.DefaultLatency(), 7)
@@ -945,11 +946,23 @@ func sweepStack(tb testing.TB, n int) (*simnet.Network, *zeus.Observer) {
 	ctx := simnet.MakeContext(net, "obs-1")
 	observer.OnRestart(&ctx) // arms the tick chain, as after a restart
 	const path = "/configs/sweep"
+	var first *proxy.Proxy
 	for i := 0; i < n; i++ {
 		px := proxy.New(net, simnet.NodeID(fmt.Sprintf("proxy-%04d", i)), web, []simnet.NodeID{"obs-1"}, nil)
 		px.Want(path)
+		if first == nil {
+			first = px
+		}
 	}
 	net.RunFor(30 * time.Second)
+	if ctx.LeaseWakes() != 0 {
+		tb.Fatalf("a lease woke before the miss")
+	}
+	first.Read("/configs/sweep-miss")
+	net.RunFor(30 * time.Second)
+	if ctx.LeaseWakes() == 0 {
+		tb.Fatalf("the missed read woke no lease")
+	}
 	if got := observer.WatchCount(path); got != n {
 		tb.Fatalf("%d of %d proxies watch %s", got, n, path)
 	}
@@ -961,13 +974,15 @@ const observerTick = 2 * time.Second
 
 // BenchmarkObserverSweep: one quiet observer tick — the watch-session sweep
 // over every proxy's session — at 150 and 3,000 sessions. Counts, not
-// clocks: a quiet tick is exactly one event and allocates nothing, whatever
-// the sessions; ns per tick is reported for the record.
+// clocks: by the time the stack is settled every session has been parked
+// (its proxy's lease stands in for its pings), so a quiet tick looks at no
+// session, is exactly one event and allocates nothing, whatever the
+// sessions; ns per tick is reported for the record.
 func BenchmarkObserverSweep(b *testing.B) {
 	for _, n := range []int{150, 3000} {
 		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
-			net, _ := sweepStack(b, n)
-			events := net.Events
+			net, observer := sweepStack(b, n)
+			events, looked := net.Events, observer.Looked
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -977,10 +992,35 @@ func BenchmarkObserverSweep(b *testing.B) {
 			if per := float64(net.Events-events) / float64(b.N); per != 1 {
 				b.Fatalf("a quiet tick at %d sessions runs %.2f events, want 1", n, per)
 			}
+			if got := observer.Looked - looked; got != 0 {
+				b.Fatalf("%d quiet ticks at %d sessions looked at %d sessions, want none: all are parked", b.N, n, got)
+			}
 			if a := testing.AllocsPerRun(20, func() { net.RunFor(observerTick) }); a != 0 {
 				b.Fatalf("a quiet tick at %d sessions allocates %.1f, want 0", n, a)
 			}
 		})
+	}
+}
+
+// BenchmarkCatchUp: the leader's answer to an observer registering four
+// updates behind, on a tree of 6,400 paths of which 1,000 were rewritten.
+// A catch-up costs what the replica is missing, not the tree's size.
+func BenchmarkCatchUp(b *testing.B) {
+	const paths, rewrites = 6400, 1000
+	tree := zeus.NewDataTree()
+	for i := 0; i < paths+rewrites; i++ {
+		path := fmt.Sprintf("/configs/catchup/%04d", i%paths)
+		tree.Apply(zeus.WriteOp{Zxid: int64(i + 1), Path: path, Data: []byte(fmt.Sprintf(`{"v":%d}`, i)),
+			Version: tree.NextVersion(path)})
+	}
+	after := tree.LastZxid() - 4
+	if got := len(tree.ChangedAfter(after)); got != 4 {
+		b.Fatalf("a replica 4 updates behind is owed %d", got)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.ChangedAfter(after)
 	}
 }
 

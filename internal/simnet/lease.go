@@ -19,7 +19,8 @@ import (
 // SetLinkLatency), a re-Point or a Wake ends the stretch:
 //
 //   - the holder's Waker hears how many stand-in pings were answered;
-//   - the peer's Heard reports when the last of them arrived;
+//   - the peer's Heard reports when the last of them arrived, and its
+//     LeaseWakes count goes up by one;
 //   - the holder's tick is queued at its next grid instant, and from there
 //     its tick handler runs as an ordinary periodic timer, calling Renew,
 //     until Renew stands the chain down again.
@@ -170,6 +171,9 @@ func (l *Lease) wake(tickFirst bool) {
 		return
 	}
 	n := l.n
+	if l.peer >= 0 {
+		n.nodes[l.peer].wakes++
+	}
 	now := n.nowNS()
 	last := l.gridAt(now)
 	due := last == now && now >= l.quiet
@@ -246,22 +250,31 @@ func (n *Network) pairFaulted(a, b int32) bool {
 // quiet stretch with this node, else the zero time. A node holding no lease
 // is heard now while it is up with no fault on the pair: a node silent
 // without a fault is alive.
-func (c *Context) Heard(from NodeID) time.Time {
+//
+// grid reports that the answer is the first case, a grid instant of a quiet
+// stretch already past its first stand-in ping: until that stretch ends,
+// which bumps LeaseWakes, Heard stays within one ping period of now.
+func (c *Context) Heard(from NodeID) (at time.Time, grid bool) {
 	n := c.net
 	fi := n.mustIdx(from)
-	at, ok := n.heard[linkKey(fi, c.idx)]
+	ns, ok := n.heard[linkKey(fi, c.idx)]
 	if !n.nodes[fi].down {
 		switch l := n.nodes[fi].lease; {
 		case l == nil && !n.pairFaulted(fi, c.idx):
-			return n.Now()
+			return n.Now(), false
 		case l != nil && l.state == leaseQuiet && l.peer == c.idx:
 			if lat, now := l.lat(), n.nowNS(); now-lat >= l.quiet {
-				at, ok = l.gridAt(now-lat)+lat, true
+				ns, ok, grid = l.gridAt(now-lat)+lat, true, true
 			}
 		}
 	}
 	if !ok {
-		return time.Time{}
+		return time.Time{}, false
 	}
-	return n.base.Add(time.Duration(at))
+	return n.base.Add(time.Duration(ns)), grid
 }
+
+// LeaseWakes counts the quiet stretches of leases pinging this node that
+// have ended — by a fault call, a re-Point, a Wake or a crash. While it
+// holds still, every answer Heard gave with grid set still holds.
+func (c *Context) LeaseWakes() uint64 { return c.net.nodes[c.idx].wakes }

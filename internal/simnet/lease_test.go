@@ -115,8 +115,8 @@ func TestLeaseRestartReanchorsAndHeard(t *testing.T) {
 	lat, _ := n.latency.base(n.Placement("a"), n.Placement("b"))
 	heard := func(when string, want time.Duration) {
 		t.Helper()
-		if got := ctx.Heard("a").Sub(start); got != want {
-			t.Errorf("%s: Heard = %v, want %v", when, got, want)
+		if got, _ := ctx.Heard("a"); got.Sub(start) != want {
+			t.Errorf("%s: Heard = %v, want %v", when, got.Sub(start), want)
 		}
 	}
 	n.RunFor(20*time.Second + lat/2)
@@ -132,4 +132,47 @@ func TestLeaseRestartReanchorsAndHeard(t *testing.T) {
 		t.Errorf("ticks at %v, want %v: one on the restart grid, which stands down", got, want)
 	}
 	heard("quiet again on the restart grid", 34300*time.Millisecond+lat)
+}
+
+// TestHeardGridAndLeaseWakes: Heard flags a grid answer only while the
+// holder's lease is quiet towards the asker and past its first stand-in
+// ping, and every end of such a stretch — a Wake, a fault call on the pair,
+// a re-Point, a crash — bumps the peer's LeaseWakes once; a call on a
+// running chain bumps nothing.
+func TestHeardGridAndLeaseWakes(t *testing.T) {
+	n, h, _ := newLeaseNet(t)
+	n.AddNode("c", n.Placement("b"), HandlerFunc(func(*Context, NodeID, Message) {}))
+	b, c := MakeContext(n, "b"), MakeContext(n, "c")
+	check := func(when string, ctx *Context, wantGrid bool, wantWakes uint64) {
+		t.Helper()
+		if _, grid := ctx.Heard("a"); grid != wantGrid {
+			t.Errorf("%s: Heard grid = %v, want %v", when, grid, wantGrid)
+		}
+		if got := ctx.LeaseWakes(); got != wantWakes {
+			t.Errorf("%s: LeaseWakes = %d, want %d", when, got, wantWakes)
+		}
+	}
+	n.RunFor(time.Second)
+	check("before the first stand-in ping", &b, false, 0)
+	n.RunFor(4 * time.Second) // t = 5
+	check("quiet", &b, true, 0)
+	h.lease.Wake()
+	n.RunFor(time.Second) // t = 6: the tick at 6 stands the chain down again
+	check("woken, quiet again", &b, false, 1)
+	n.RunFor(3 * time.Second) // t = 9
+	check("quiet after the wake", &b, true, 1)
+	n.Partition("a", "b")
+	n.Heal("a", "b") // the chain is running: no second bump
+	check("cut and healed", &b, false, 2)
+	n.RunFor(5 * time.Second) // t = 14
+	check("quiet after the cut", &b, true, 2)
+	h.lease.Point("c")
+	check("re-pointed", &b, false, 3)
+	n.RunFor(5 * time.Second) // t = 19
+	check("quiet towards c", &c, true, 0)
+	check("quiet towards c, asked by b", &b, false, 3)
+	n.Fail("a")
+	check("crashed", &c, false, 1)
+	n.Recover("a")
+	check("restarted", &c, false, 1)
 }

@@ -129,6 +129,7 @@ type node struct {
 	downFreeAt int64
 	bytesOut   uint64
 	lease      *Lease // the node's keep-alive, if it holds one
+	wakes      uint64 // quiet stretches ended of leases pinging this node
 	down       bool
 }
 

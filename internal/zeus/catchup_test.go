@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"configerator/internal/vcs"
@@ -174,4 +176,67 @@ func TestTreeMemoryFollowsPathsNotWrites(t *testing.T) {
 		t.Fatalf("tree = %d paths at zxid %d, p0 at v%d", tree.Size(), tree.LastZxid(), tree.Get("/configs/p0").Version)
 	}
 	runtime.KeepAlive(tree)
+}
+
+// scanChangedAfter is ChangedAfter as a full scan of the records and
+// tombstones, sorted: what the tree answered before it kept a zxid index.
+func scanChangedAfter(t *DataTree, after int64) []Update {
+	if after >= t.applied {
+		return nil // the steady state: a caught-up replica re-registering
+	}
+	var out []Update
+	for _, r := range t.records {
+		if r.Zxid > after {
+			out = append(out, Update{Path: r.Path, Version: r.Version, Zxid: r.Zxid,
+				Payload: Payload{Full: r.Data, NewHash: r.Hash}})
+		}
+	}
+	for path, zxid := range t.tombs {
+		if zxid > after {
+			out = append(out, Update{Path: path, Zxid: zxid, Delete: true})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Zxid < out[j].Zxid })
+	return out
+}
+
+// TestChangedAfterIndexMatchesScan: over a random history of writes,
+// rewrites, deletes and re-creates, with gaps between zxids, ChangedAfter
+// answers every `after` from 0 to head as the full scan does, at points all
+// along the history. Then 10,000 churn writes on 50 paths must leave the
+// zxid index within 2 × the paths it covers plus a constant: it follows
+// paths, not history.
+func TestChangedAfterIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	tree := NewDataTree()
+	zxid := int64(0)
+	step := func(paths int) {
+		zxid += 1 + rng.Int63n(3)
+		path := fmt.Sprintf("/idx/p%02d", rng.Intn(paths))
+		if tree.Get(path) != nil && rng.Intn(4) == 0 {
+			tree.Apply(WriteOp{Zxid: zxid, Path: path, Delete: true})
+			return
+		}
+		tree.Apply(WriteOp{Zxid: zxid, Path: path, Data: []byte(fmt.Sprint(zxid)), Version: tree.NextVersion(path)})
+	}
+	for i := 1; i <= 1000; i++ {
+		step(30)
+		if i%125 != 0 {
+			continue
+		}
+		for after := int64(0); after <= tree.LastZxid(); after++ {
+			if got, want := tree.ChangedAfter(after), scanChangedAfter(tree, after); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %d writes, ChangedAfter(%d) = %+v, the scan gives %+v", i, after, got, want)
+			}
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		step(50)
+		if live := tree.Size() + len(tree.tombs); len(tree.byZxid) > 2*live+indexSlack {
+			t.Fatalf("after %d churn writes the index holds %d entries for %d paths", i+1, len(tree.byZxid), live)
+		}
+	}
+	if got, want := tree.ChangedAfter(0), scanChangedAfter(tree, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the churn, ChangedAfter(0) = %+v, the scan gives %+v", got, want)
+	}
 }

@@ -14,7 +14,10 @@
 // One fact travels down that tree — path P is now at (version, zxid, digest,
 // bytes), or is gone — as one value, Update: live push, watch event, fetch
 // reply and catch-up alike. No replica keeps a log of past writes; one that fell
-// behind reports its last zxid and is sent state (DataTree.ChangedAfter).
+// behind reports its last zxid and is sent state (DataTree.ChangedAfter). The
+// tree's zxid index holds each live path's and tombstone's newest zxid, plus
+// at most as many stale entries, so a catch-up costs what the replica is
+// missing and the index grows with paths, not with history.
 package zeus
 
 import (
@@ -60,7 +63,21 @@ type DataTree struct {
 	records map[string]*Record
 	tombs   map[string]int64 // deleted path → zxid of the delete
 	applied int64            // highest zxid applied
+	// byZxid is every write's (zxid, path) in zxid order. An entry is stale
+	// once its path is written again; stale entries are compacted away when
+	// they outnumber the records and tombs.
+	byZxid []zxidPath
 }
+
+// zxidPath is one byZxid entry.
+type zxidPath struct {
+	zxid int64
+	path string
+}
+
+// indexSlack is how many stale byZxid entries a tree with few paths keeps
+// before compacting.
+const indexSlack = 16
 
 // NewDataTree returns an empty tree.
 func NewDataTree() *DataTree {
@@ -92,15 +109,35 @@ func (t *DataTree) adopt(op WriteOp, data []byte, hash uint64) bool {
 	// the same shared string instance instead of per-message copies.
 	op.Path = intern.Path(op.Path)
 	t.applied = op.Zxid
+	t.byZxid = append(t.byZxid, zxidPath{op.Zxid, op.Path})
 	if op.Delete {
 		delete(t.records, op.Path)
 		t.tombs[op.Path] = op.Zxid
-		return true
+	} else {
+		delete(t.tombs, op.Path)
+		t.records[op.Path] = &Record{Path: op.Path, Data: data, Version: op.Version,
+			Zxid: op.Zxid, Hash: hash, At: op.At}
 	}
-	delete(t.tombs, op.Path)
-	t.records[op.Path] = &Record{Path: op.Path, Data: data, Version: op.Version,
-		Zxid: op.Zxid, Hash: hash, At: op.At}
+	if live := len(t.records) + len(t.tombs); len(t.byZxid) > 2*live+indexSlack {
+		kept := t.byZxid[:0]
+		for _, e := range t.byZxid {
+			if t.newest(e) {
+				kept = append(kept, e)
+			}
+		}
+		clear(t.byZxid[len(kept):]) // drop the stale paths' references
+		t.byZxid = kept
+	}
 	return true
+}
+
+// newest reports whether e is its path's newest write: the live record's, or
+// the delete that left its tombstone.
+func (t *DataTree) newest(e zxidPath) bool {
+	if r := t.records[e.path]; r != nil {
+		return r.Zxid == e.zxid
+	}
+	return t.tombs[e.path] == e.zxid
 }
 
 // take applies one shipped update — payload resolved against the record it
@@ -169,24 +206,26 @@ func (t *DataTree) DeletedAt(path string) int64 { return t.tombs[path] }
 // after is missing: each path written or deleted since, once, as the whole
 // body of its newest version (or its removal), in zxid order. Applied in that
 // order it leaves the replica with this tree's records, digests and LastZxid:
-// the newest op of all is always some path's newest.
+// the newest op of all is always some path's newest. It reads the zxid index
+// from after onward, so it costs the writes the replica missed, not the
+// tree's size.
 func (t *DataTree) ChangedAfter(after int64) []Update {
 	if after >= t.applied {
 		return nil // the steady state: a caught-up replica re-registering
 	}
 	var out []Update
-	for _, r := range t.records {
-		if r.Zxid > after {
+	first := sort.Search(len(t.byZxid), func(i int) bool { return t.byZxid[i].zxid > after })
+	for _, e := range t.byZxid[first:] {
+		if !t.newest(e) {
+			continue // the path was written again later
+		}
+		if r := t.records[e.path]; r != nil {
 			out = append(out, Update{Path: r.Path, Version: r.Version, Zxid: r.Zxid,
 				Payload: Payload{Full: r.Data, NewHash: r.Hash}})
+		} else {
+			out = append(out, Update{Path: e.path, Zxid: e.zxid, Delete: true})
 		}
 	}
-	for path, zxid := range t.tombs {
-		if zxid > after {
-			out = append(out, Update{Path: path, Zxid: zxid, Delete: true})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Zxid < out[j].Zxid })
 	return out
 }
 

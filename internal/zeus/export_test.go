@@ -27,21 +27,45 @@ func StartObserverTicks(net *simnet.Network, id simnet.NodeID) {
 	net.SetTimer(id, 0, msgTickObserver{})
 }
 
-// SessionDeadlines returns the instant each proxy's session falls due, and
-// an error if the slot index disagrees with the session table.
-func (o *Observer) SessionDeadlines() (map[simnet.NodeID]time.Time, error) {
-	out := make(map[simnet.NodeID]time.Time, len(o.sessions))
-	for i, s := range o.sessions {
-		if j, ok := o.slot[s.proxy]; !ok || int(j) != i {
-			return nil, fmt.Errorf("session %d (%s) is indexed at slot %d (present: %v)", i, s.proxy, j, ok)
+// SessionState is one live watch session: when it falls due, and whether
+// it is parked.
+type SessionState struct {
+	Due    time.Time
+	Parked bool
+}
+
+// Sessions returns every live session, from the table and the parked list,
+// and an error if a proxy is in both or twice, or the slot index disagrees.
+func (o *Observer) Sessions() (map[simnet.NodeID]SessionState, error) {
+	out := make(map[simnet.NodeID]SessionState, len(o.sessions)+len(o.parked))
+	check := func(s session, slot int32, parked bool) error {
+		if j, ok := o.slot[s.proxy]; !ok || j != slot {
+			return fmt.Errorf("session %s is indexed at slot %d (present: %v), want %d", s.proxy, j, ok, slot)
 		}
-		out[s.proxy] = time.Unix(0, s.due).UTC()
+		if _, dup := out[s.proxy]; dup {
+			return fmt.Errorf("session %s is listed twice", s.proxy)
+		}
+		out[s.proxy] = SessionState{Due: time.Unix(0, s.due).UTC(), Parked: parked}
+		return nil
 	}
-	if len(o.slot) != len(o.sessions) {
-		return nil, fmt.Errorf("%d slots indexed for %d sessions", len(o.slot), len(o.sessions))
+	for i, s := range o.sessions {
+		if err := check(s, int32(i), false); err != nil {
+			return nil, err
+		}
+	}
+	for i, s := range o.parked {
+		if err := check(s, -int32(i)-1, true); err != nil {
+			return nil, err
+		}
+	}
+	if len(o.slot) != len(out) {
+		return nil, fmt.Errorf("%d slots indexed for %d sessions", len(o.slot), len(out))
 	}
 	return out, nil
 }
+
+// ID is the observer's node id.
+func (o *Observer) ID() simnet.NodeID { return o.id }
 
 // Watchers returns each watched path's live watchers in notification order,
 // without compacting the sets (which live would).

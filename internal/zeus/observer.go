@@ -129,13 +129,22 @@ type Observer struct {
 	// sessions holds one entry per proxy that pinged or fetched, due
 	// watchSessionTTL after it was last heard from; a proxy heard from
 	// neither directly nor through its lease (Context.Heard) by then has its
-	// watch sessions pruned. slot indexes sessions by proxy; a pruned entry
-	// is swap-deleted.
+	// watch sessions pruned. parked holds the sessions whose lease, at their
+	// last look, was standing in for their pings to this observer: no sweep
+	// looks at them until a lease pinging this observer wakes (wakes, the
+	// Context.LeaseWakes count as of the last sweep, moves). slot indexes
+	// both by proxy, i ≥ 0 as sessions[i] and i < 0 as parked[-i-1]; an
+	// entry leaving a table is swap-deleted.
 	sessions []session
+	parked   []session
 	slot     map[simnet.NodeID]int32
+	wakes    uint64
 
 	// Notified counts watch events pushed (observability for benches).
 	Notified uint64
+	// Looked counts sessions the sweep compared against their deadline:
+	// every unparked session, once per tick (observability for benches).
+	Looked uint64
 
 	// Obs, when set, receives a propagation event for every op this
 	// observer applies (nil = no instrumentation).
@@ -180,8 +189,9 @@ func (o *Observer) OnRestart(ctx *simnet.Context) {
 // It doubles as the delta hash-miss fallback: re-registering with our last
 // zxid makes the leader ship everything after it as full bodies.
 func (o *Observer) register(ctx *simnet.Context) {
+	var msg simnet.Message = msgObserverRegister{LastZxid: o.tree.LastZxid()} // boxed once for every member
 	for _, m := range o.members {
-		ctx.Send(m, msgObserverRegister{LastZxid: o.tree.LastZxid()})
+		ctx.Send(m, msg)
 	}
 }
 
@@ -210,15 +220,18 @@ func (o *Observer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg si
 }
 
 // touch records that a proxy was heard from at the given instant, opening
-// its session if it has none.
+// its session if it has none. A parked session keeps its place.
 func (o *Observer) touch(proxy simnet.NodeID, at time.Time) {
 	due := at.Add(watchSessionTTL).UnixNano()
-	if i, ok := o.slot[proxy]; ok {
+	switch i, ok := o.slot[proxy]; {
+	case !ok:
+		o.slot[proxy] = int32(len(o.sessions))
+		o.sessions = append(o.sessions, session{proxy: proxy, due: due})
+	case i < 0:
+		o.parked[-i-1].due = due
+	default:
 		o.sessions[i].due = due
-		return
 	}
-	o.slot[proxy] = int32(len(o.sessions))
-	o.sessions = append(o.sessions, session{proxy: proxy, due: due})
 }
 
 // pruneWatchSessions drops the watch registrations (and sessions) of
@@ -226,11 +239,24 @@ func (o *Observer) touch(proxy simnet.NodeID, at time.Time) {
 // fault. A session is only looked at once it is due: a proxy whose last
 // recorded contact is stale may still have been heard through its lease
 // (Context.Heard), which stands in for its pings while the pair is quiet and
-// renews the session from the instant it reports. A quiet tick therefore
-// costs one comparison per session and one Heard per session that fell due.
-// This is the observer-side half of the watch-session leak fix; the proxy
-// also unwatches eagerly when it re-points.
+// renews the session from the instant it reports. When that instant is a
+// grid instant of a quiet stretch, Heard stays within one ping period of now
+// until the stretch ends, so the session is parked: it can only be renewed
+// until then, and the stretch's end bumps Context.LeaseWakes, which puts
+// every parked session back in the table with the deadline it had. A quiet
+// tick therefore costs one counter read and one comparison per session not
+// parked. This is the observer-side half of the watch-session leak fix; the
+// proxy also unwatches eagerly when it re-points.
 func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
+	if w := ctx.LeaseWakes(); w != o.wakes {
+		o.wakes = w
+		for _, s := range o.parked {
+			o.slot[s.proxy] = int32(len(o.sessions))
+			o.sessions = append(o.sessions, s)
+		}
+		o.parked = o.parked[:0]
+	}
+	o.Looked += uint64(len(o.sessions))
 	now := ctx.Now()
 	nowNS := now.UnixNano()
 	for i := 0; i < len(o.sessions); {
@@ -239,23 +265,36 @@ func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
 			i++
 			continue
 		}
-		if heard := ctx.Heard(s.proxy); now.Sub(heard) <= watchSessionTTL {
-			s.due = heard.Add(watchSessionTTL).UnixNano() // its lease stood in for pings
+		heard, grid := ctx.Heard(s.proxy)
+		if now.Sub(heard) > watchSessionTTL {
+			o.dropSession(i) // slot i now holds the session that was last: look at it next
+			continue
+		}
+		s.due = heard.Add(watchSessionTTL).UnixNano() // its lease stood in for pings
+		if !grid {
 			i++
 			continue
 		}
-		o.dropSession(i) // slot i now holds the session that was last: look at it next
+		parked := o.cut(i)
+		o.slot[parked.proxy] = -int32(len(o.parked)) - 1
+		o.parked = append(o.parked, parked)
 	}
 }
 
-// dropSession swap-deletes session i and removes its proxy from every
-// watch set.
-func (o *Observer) dropSession(i int) {
-	proxy := o.sessions[i].proxy
+// cut swap-deletes session i from the table and returns it; the session that
+// was last takes slot i.
+func (o *Observer) cut(i int) session {
+	s := o.sessions[i]
 	last := len(o.sessions) - 1
 	o.sessions[i] = o.sessions[last]
 	o.slot[o.sessions[i].proxy] = int32(i)
 	o.sessions = o.sessions[:last]
+	return s
+}
+
+// dropSession deletes session i and removes its proxy from every watch set.
+func (o *Observer) dropSession(i int) {
+	proxy := o.cut(i).proxy
 	delete(o.slot, proxy)
 	for path, set := range o.watches {
 		if set.members[proxy] {

@@ -135,3 +135,30 @@ func TestWatchSetRewatchKeepsOneSlot(t *testing.T) {
 		t.Fatalf("live after compaction and a re-watch = %v, want [b a]", got)
 	}
 }
+
+// TestRegisterBoxesMessageOnce: an observer's registration goes to every
+// ensemble member as one boxed message. Past zxid 255 boxing it once per
+// member allocates once per member on every tick; one register at a zxid
+// past 2³² allocates at most once.
+func TestRegisterBoxesMessageOnce(t *testing.T) {
+	net := simnet.New(simnet.DefaultLatency(), 1)
+	place := simnet.Placement{Region: "us", Cluster: "c1"}
+	var members []simnet.NodeID
+	for i := 0; i < 5; i++ {
+		id := simnet.NodeID(fmt.Sprintf("member-%d", i))
+		net.AddNode(id, place, simnet.HandlerFunc(func(*simnet.Context, simnet.NodeID, simnet.Message) {}))
+		members = append(members, id)
+	}
+	o := NewObserver("obs", members)
+	net.AddNode("obs", place, o)
+	o.tree.Apply(WriteOp{Zxid: 1 << 32, Path: "/p", Data: []byte("x"), Version: 1})
+	ctx := simnet.MakeContext(net, "obs")
+	register := func() {
+		o.register(&ctx)
+		net.RunFor(time.Second) // deliver, so the queue does not grow
+	}
+	register()
+	if a := testing.AllocsPerRun(100, register); a > 1 {
+		t.Fatalf("one register to %d members allocates %.1f, want at most 1", len(members), a)
+	}
+}
