@@ -527,7 +527,7 @@ func BenchmarkClientGetWarm(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v, err := cl.Get(ctx, path)
-				if err != nil || !v.Bool("enabled", false) {
+				if err != nil || v.Int("batch", 0) != 64 {
 					b.Fatal("warm get failed")
 				}
 			}

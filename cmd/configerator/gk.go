@@ -60,7 +60,7 @@ type launchStage struct {
 // through. The kill switch, one more change that skips the canary, ends it.
 func runGKLaunch(asJSON bool) {
 	const launchProject, launchRegion = "NewComposer", "us-west"
-	fleet, p := newDemoWorld()
+	fleet, p := newDemoWorld(2, 7, 2, 4)
 	lt := gatekeeper.NewLaunchTool(p)
 	path := lt.ZeusPath(launchProject)
 	fleet.SubscribeAll(path)

@@ -28,7 +28,7 @@ type sitevarStep struct {
 // value is then read back through one server's proxy.
 func runSitevar(asJSON bool) {
 	const name = "checkout_banner"
-	fleet, p := newDemoWorld()
+	fleet, p := newDemoWorld(2, 7, 2, 4)
 	b := sitevars.NewBridge(p)
 	path := b.ZeusPath(name)
 	fleet.SubscribeAll(path)

@@ -14,7 +14,7 @@ import (
 // quantiles, stragglers, and the SLO alerts the outage fired and cleared.
 // With -json it emits the deterministic machine form instead.
 func runStatus(asJSON bool) {
-	fleet, p := newDemoWorld()
+	fleet, p := newDemoWorld(2, 7, 2, 4)
 	mon := fleet.AttachMonitor(monitor.Config{
 		SweepEvery: time.Second,
 		SLOs: []*monitor.SLO{

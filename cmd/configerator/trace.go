@@ -18,7 +18,7 @@ func runTrace(args []string, asJSON bool) {
 	if len(args) > 1 {
 		fatal("trace takes at most one COMMIT argument")
 	}
-	fleet, p := newDemoWorld()
+	fleet, p := newDemoWorld(2, 7, 2, 4)
 	reg := fleet.Obs
 	const path = "demo/trace.json"
 	fleet.SubscribeAll(core.ZeusPath(path))

@@ -78,8 +78,8 @@ func DefaultSpec(configPath string, clusterSize int) Spec {
 	return Spec{
 		ConfigPath: configPath,
 		Phases: []Phase{
-			{Name: "phase1-20-servers", TestServers: 20, Duration: 4 * time.Minute, Checks: checks},
-			{Name: "phase2-full-cluster", TestServers: clusterSize, Duration: 6 * time.Minute, Checks: checks},
+			{Name: "small-sample", TestServers: 20, Duration: 4 * time.Minute, Checks: checks},
+			{Name: "full-cluster", TestServers: clusterSize, Duration: 6 * time.Minute, Checks: checks},
 		},
 	}
 }

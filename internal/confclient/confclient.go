@@ -35,7 +35,7 @@ import (
 // Value is a parsed view of one JSON config artifact, plus the staleness
 // metadata of the read that produced it. Values returned by Get are shared
 // between all readers of the same config version: treat them as immutable
-// and use the accessors, which copy mutable shapes on return.
+// and read fields through the accessors.
 type Value struct {
 	Path    string
 	Version int64
@@ -56,26 +56,10 @@ type Value struct {
 // allocation. It must never be written.
 var emptyFields = map[string]interface{}{}
 
-// Bool returns a boolean field, or def when absent or mistyped.
-func (c *Value) Bool(field string, def bool) bool {
-	if v, ok := c.fields[field].(bool); ok {
-		return v
-	}
-	return def
-}
-
 // Int returns an integer field, or def when absent or mistyped.
 func (c *Value) Int(field string, def int64) int64 {
 	if v, ok := c.fields[field].(float64); ok {
 		return int64(v)
-	}
-	return def
-}
-
-// Float returns a numeric field, or def when absent or mistyped.
-func (c *Value) Float(field string, def float64) float64 {
-	if v, ok := c.fields[field].(float64); ok {
-		return v
 	}
 	return def
 }
@@ -86,22 +70,6 @@ func (c *Value) String(field, def string) string {
 		return v
 	}
 	return def
-}
-
-// Strings returns a string-list field (nil when absent or mistyped). The
-// slice is the caller's to mutate: it is built fresh on every call.
-func (c *Value) Strings(field string) []string {
-	raw, ok := c.fields[field].([]interface{})
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(raw))
-	for _, e := range raw {
-		if s, ok := e.(string); ok {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Client is an application's handle to its local proxy. Get and Watch are

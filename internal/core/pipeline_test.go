@@ -221,15 +221,6 @@ func TestDeleteFlow(t *testing.T) {
 	}
 }
 
-func TestMutator(t *testing.T) {
-	p := standalone(t)
-	m := NewMutator(p, "loadbalancer")
-	rep := m.SetRaw("traffic/weights.json", []byte(`{"w":1}`), SkipCanary())
-	if !rep.OK() {
-		t.Fatalf("mutator failed: %v", rep.Err)
-	}
-}
-
 // ---- full-stack tests with a fleet ----
 
 func fleetPipeline(t *testing.T) (*Pipeline, *cluster.Fleet) {
@@ -260,8 +251,8 @@ func TestEndToEndDistribution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.ID, err)
 		}
-		if cfg.Float("w2", 0) != 0.7 {
-			t.Fatalf("%s: w2 = %v", s.ID, cfg.Float("w2", 0))
+		if string(cfg.Raw) != `{"w1":0.3,"w2":0.7}` {
+			t.Fatalf("%s: raw config = %s", s.ID, cfg.Raw)
 		}
 	}
 }

@@ -83,21 +83,3 @@ func (s *RepoSet) SplitDiff(d *Diff) map[*Repository]*Diff {
 	}
 	return out
 }
-
-// TotalFiles reports the file count across all repositories.
-func (s *RepoSet) TotalFiles() int {
-	n := 0
-	for _, r := range s.Repos() {
-		n += r.FileCount()
-	}
-	return n
-}
-
-// TotalCommits reports the commit count across all repositories.
-func (s *RepoSet) TotalCommits() int {
-	n := 0
-	for _, r := range s.Repos() {
-		n += r.CommitCount()
-	}
-	return n
-}

@@ -264,8 +264,10 @@ func TestRepoSetCrossRepoCommit(t *testing.T) {
 	if b, err := s.ReadFile("feed/a"); err != nil || string(b) != "1" {
 		t.Errorf("feed/a = %q, %v", b, err)
 	}
-	if s.TotalFiles() != 3 || s.TotalCommits() != 3 {
-		t.Errorf("TotalFiles=%d TotalCommits=%d", s.TotalFiles(), s.TotalCommits())
+	for _, r := range s.Repos() {
+		if r.FileCount() != 1 || r.CommitCount() != 1 {
+			t.Errorf("%s: %d files, %d commits; want 1 and 1", r.Name, r.FileCount(), r.CommitCount())
+		}
 	}
 }
 
