@@ -59,7 +59,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution|parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +81,9 @@ func main() {
 	}
 }
 
-func run() error {
+// load type-checks every package of the module, from its root, into one
+// universe.
+func load() (*loader, error) {
 	fset := token.NewFileSet()
 	l := &loader{
 		fset:  fset,
@@ -104,6 +106,11 @@ func run() error {
 		_, err = l.Import(filepath.ToSlash(filepath.Join(module, path)))
 		return err
 	})
+	return l, err
+}
+
+func run() error {
+	l, err := load()
 	if err != nil {
 		return err
 	}
@@ -156,7 +163,7 @@ func run() error {
 			}
 			continue
 		}
-		pos, end := fset.Position(fd.Pos()), fset.Position(fd.End())
+		pos, end := l.fset.Position(fd.Pos()), l.fset.Position(fd.End())
 		bad = append(bad, fmt.Sprintf("%s:%d: %s (%d lines) is referenced by no non-test file", pos.Filename, pos.Line, name, end.Line-pos.Line+1))
 	}
 	bad = append(bad, l.unsetOptions(allow)...)

@@ -23,9 +23,9 @@
 // closure key can move — is re-keyed from the content hash and import list
 // the snapshot keeps per file, which reads nothing, and re-summarized
 // through the memo, which rebuilds (and so parses) only what it has not
-// seen: the dataflow.provenance.memo / dataflow.provenance.recompute
-// counters make that observable and testable. Everything outside the cone
-// — summaries, their reach sets, and the entries of the two inverse indexes
+// seen: the Index counters provenance.memo / provenance.recompute make that
+// observable and testable. Everything outside the cone — summaries, their
+// reach sets, and the entries of the two inverse indexes
 // (file → direct importers, external input → files reading it) — is shared
 // with the parent snapshot through persistent maps, so a derivation costs
 // the cone and a parent snapshot keeps answering for its own view. Radius

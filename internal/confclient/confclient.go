@@ -14,9 +14,9 @@
 // deduplicated by content hash — two paths holding identical bytes (or one
 // path flapping between two versions) share a single json.Unmarshal. A
 // warm Get is one proxy snapshot read plus one atomic memo load: zero
-// allocations (BenchmarkGet asserts it), safe from any goroutine. The
-// returned *Value is shared between readers and therefore immutable —
-// accessors that expose compound data (Strings) copy on return.
+// allocations (TestWarmGetZeroAlloc asserts it), safe from any goroutine.
+// The returned *Value is shared between readers and therefore immutable;
+// its accessors (Int, String) return scalars.
 package confclient
 
 import (

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"configerator/internal/gatekeeper"
@@ -60,13 +59,14 @@ func sampleUser(rng *stats.RNG, id int64) *gatekeeper.User {
 // Fig15GatekeeperChecks reproduces Figure 15: Gatekeeper check throughput.
 // The paper reports billions of checks per second site-wide across
 // hundreds of thousands of frontend servers with a diurnal pattern; we
-// measure this runtime's real single-core check rate and scale-model the
-// site-wide series from the traffic profile.
+// run the Figure 5 restraint mix through this runtime for its pass rate and
+// scale-model the site-wide series from the traffic profile. Check speed is
+// the benchmark's (gate_check).
 func Fig15GatekeeperChecks(opts Options) Result {
 	r := Result{ID: "fig15", Title: "Gatekeeper check throughput"}
 	reg := gatekeeper.NewRegistry(nil)
 	rt := gatekeeper.NewRuntime(reg)
-	names := make([]string, 10) // formatted here, not in the timed loop
+	names := make([]string, 10)
 	for i := range names {
 		names[i] = fmt.Sprintf("Proj%d", i)
 		if err := rt.Load(realisticProject(names[i]).Encode()); err != nil {
@@ -82,23 +82,17 @@ func Fig15GatekeeperChecks(opts Options) Result {
 	if opts.Quick {
 		n = 200_000
 	}
-	start := time.Now()
 	passes := 0
 	for i := 0; i < n; i++ {
 		if rt.Check(names[i%len(names)], users[i%len(users)]) {
 			passes++
 		}
 	}
-	elapsed := time.Since(start)
-	perCore := float64(n) / elapsed.Seconds()
 
 	// Site-wide scale model: 300k frontend servers, each handling ~1500
 	// requests/s at peak with ~4 gate checks per request, modulated by
-	// the diurnal traffic profile. (The measured single-core rate above
-	// is three orders of magnitude beyond a server's 6,000/s, i.e. the
-	// site-wide rate needs a fraction of each server — but §6.3 notes
-	// data-intensive restraints make the real aggregate CPU cost
-	// significant.)
+	// the diurnal traffic profile. (§6.3 notes data-intensive restraints
+	// make the real aggregate CPU cost significant.)
 	const servers = 300_000
 	const peakChecksPerServer = 6_000
 	var series stats.Series
@@ -107,12 +101,8 @@ func Fig15GatekeeperChecks(opts Options) Result {
 		traffic := 0.55 + 0.45*diurnalTraffic(h%24)
 		series.Add(float64(h), servers*peakChecksPerServer*traffic/1e9)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "measured single-core: %.2fM checks/s (pass rate %.1f%%)\n",
-		perCore/1e6, 100*float64(passes)/float64(n))
-	b.WriteString(series.Sparkline(84) + "\n")
-	r.Text = b.String()
-	r.metric("single_core_checks_per_sec", perCore, 0, false)
+	r.Text = fmt.Sprintf("%d checks, pass rate %.1f%%\n%s\n", n, 100*float64(passes)/float64(n), series.Sparkline(84))
+	r.metric("pass_rate", float64(passes)/float64(n), 0, false)
 	r.metric("sitewide_peak_billion_per_sec", series.MaxY(), 1.0, true)
 	return r
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"configerator/internal/cdl"
 	"configerator/internal/cdl/analysis"
@@ -45,13 +44,12 @@ func fanoutFS(n int) (cdl.MapFS, []string) {
 	return fs, paths
 }
 
-// Lint measures the configlint driver over the shared-.cinc fan-out: cold
-// analyzer wall-time, warm wall-time against a populated parse cache, the
-// incremental cost of compiling after linting with the same engine, and
-// the diagnostic yield on a corpus seeded with known-bad configs. The
-// parse counters are exact invariants (a lint of n dependents parses the
-// shared .cinc once); wall-clock numbers are environment-dependent and
-// reported for the record.
+// Lint runs the configlint driver over the shared-.cinc fan-out cold, then
+// warm against a populated parse cache, then compiles with the same engine,
+// and reports the diagnostic yield on a corpus seeded with known-bad configs
+// and the parse counters of each step. The counters are exact invariants (a
+// lint of n dependents parses the shared .cinc once); lint speed is the
+// benchmark's (analysis.lint_ms).
 func Lint(opts Options) Result {
 	n := 100
 	if opts.Quick {
@@ -75,30 +73,24 @@ func Lint(opts Options) Result {
 	driver.DeprecatedSitevars = map[string]string{"old_flag": "use new_flag"}
 
 	// Cold: every source parses exactly once, shared .cinc included.
-	coldStart := time.Now()
 	diags, err := driver.Run(roots)
 	if err != nil {
 		panic(err)
 	}
-	coldDur := time.Since(coldStart)
 	cold := eng.Counters().Snapshot()
 
 	// Warm: the same lint against a populated parse cache — what an
 	// editor or pre-commit hook pays on re-runs.
-	warmStart := time.Now()
 	if _, err := driver.Run(roots); err != nil {
 		panic(err)
 	}
-	warmDur := time.Since(warmStart)
 	warm := eng.Counters().Snapshot()
 
 	// Compile the clean dependents with the same engine: pipeline stage 1
 	// lints then compiles, and the lint's parses must be reusable.
-	compileStart := time.Now()
 	if _, err := eng.CompileAll(fs, paths); err != nil {
 		panic(err)
 	}
-	compileDur := time.Since(compileStart)
 	after := eng.Counters().Snapshot()
 
 	var errs, warns int
@@ -116,9 +108,6 @@ func Lint(opts Options) Result {
 	r := Result{ID: "configlint", Title: "configlint static-analysis driver (fan-out lint + compile reuse)"}
 	r.metric("roots", float64(len(roots)), 0, false)
 	r.metric("analyzers", float64(len(analysis.Analyzers())), 0, false)
-	r.metric("cold_lint_ms", float64(coldDur.Microseconds())/1000, 0, false)
-	r.metric("warm_lint_ms", float64(warmDur.Microseconds())/1000, 0, false)
-	r.metric("compile_after_lint_ms", float64(compileDur.Microseconds())/1000, 0, false)
 	r.metric("diagnostics", float64(len(diags)), 0, false)
 	r.metric("diag_errors", float64(errs), 0, false)
 	r.metric("diag_warnings", float64(warns), 0, false)

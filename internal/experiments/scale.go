@@ -15,7 +15,7 @@ import (
 )
 
 // scaleOutcome is what the fleet-scale scenarios measured: the simnet core
-// (one event heap, pooled events, dense node table — DESIGN.md §14) carrying
+// (one event heap, pooled events, dense node table — DESIGN.md §4) carrying
 // the paper's headline fleets. Two scenarios, each run twice with the same
 // seed to prove determinism at scale:
 //
@@ -30,9 +30,10 @@ type scaleOutcome struct {
 	Mobile scaleMobile
 }
 
-// scaleRun is the common per-scenario accounting block.
+// scaleRun is the common per-scenario accounting block. EventsPerSec and
+// AllocsPerEvent are wall-clock and runtime measures: tests read them, the
+// report does not print them.
 type scaleRun struct {
-	WallSeconds    float64
 	Events         uint64
 	EventsPerSec   float64
 	AllocsPerEvent float64
@@ -46,9 +47,8 @@ type scaleRun struct {
 
 // String renders the accounting line shared by both scenarios.
 func (r scaleRun) String() string {
-	return fmt.Sprintf("wall %.1fs, %.2fM events (%.2fM events/s), %.1f allocs/event, %.1f MB on wire, deterministic=%v",
-		r.WallSeconds, float64(r.Events)/1e6, r.EventsPerSec/1e6,
-		r.AllocsPerEvent, float64(r.BytesOnWire)/1e6, r.Deterministic)
+	return fmt.Sprintf("%.2fM events, %.1f MB on wire, deterministic=%v",
+		float64(r.Events)/1e6, float64(r.BytesOnWire)/1e6, r.Deterministic)
 }
 
 // scalePush is the §6.3 propagation scenario.
@@ -103,7 +103,6 @@ func (m *runMeter) stop() scaleRun {
 	runtime.ReadMemStats(&ms)
 	events := m.net.Events - m.events
 	run := scaleRun{
-		WallSeconds: wall,
 		Events:      events,
 		BytesOnWire: m.net.BytesSent,
 		Delivered:   m.net.Delivered,
@@ -385,9 +384,7 @@ func Scale(opts Options) Result {
 	r.metric("push_proxies", float64(push.Proxies), 0, false)
 	r.metric("push_p99_s", push.P99Seconds, 4.5, true)
 	r.metric("push_converged_frac", push.ConvergedFrac, 1.0, true)
-	r.metric("push_events_per_sec", push.Run.EventsPerSec, 0, false)
 	r.metric("mobile_devices", float64(mob.Devices), 0, false)
 	r.metric("mobile_reached_60s_frac", mob.ReachedIn60sFrac, 0, false)
-	r.metric("mobile_events_per_sec", mob.Run.EventsPerSec, 0, false)
 	return r
 }

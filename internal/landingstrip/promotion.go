@@ -1,8 +1,8 @@
 // Promotion gating: a PackageVessel tag move (latest/canary/prod) is an
-// explicit metadata write — a TagRecord landed through the strip like any
-// other config change. The gate refuses records that name unpublished
-// versions, malformed records, and prod promotions that skip the canary
-// stage, so the repository never holds a tag pointing at content the
+// explicit metadata write — a packagevessel.TagRecord landed through the
+// strip like any other config change. The gate refuses records that name
+// unpublished versions, malformed records, and prod promotions that skip the
+// canary stage, so the repository never holds a tag pointing at content the
 // registry cannot serve.
 package landingstrip
 

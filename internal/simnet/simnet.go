@@ -13,7 +13,7 @@
 // seed and the same sequence of API calls, every run delivers every message
 // at the same virtual instant.
 //
-// The core is sized for fleets, not testbeds (DESIGN.md §14): events come
+// The core is sized for fleets, not testbeds (DESIGN.md §4): events come
 // from a freelist and are scheduled on one 4-ary heap keyed inline by
 // (at, seq), and node ids are interned into dense int32 indexes, so a
 // node's state is one slice element and link state lives in compact-key
