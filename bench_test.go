@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"configerator/internal/canary"
 	"configerator/internal/cdl"
 	"configerator/internal/cdl/analysis/dataflow"
 	"configerator/internal/cluster"
@@ -1036,40 +1037,50 @@ func BenchmarkCatchUp(b *testing.B) {
 	}
 }
 
-// sampleStack is a 20-server fleet on which every server subscribes to the
-// given number of configs, the first carrying a latency fault marker. It is
-// settled and sampled once, since each proxy's first read of a path emits
-// its first-read event.
-func sampleStack(tb testing.TB, paths int) *cluster.Fleet {
+// sampleStack is a fleet of four clusters of perCluster servers on which every
+// server subscribes to the given number of configs, the first carrying a
+// latency fault marker when fault is set. It is settled and sampled once, since
+// each proxy's first read of a path emits its first-read event. write commits
+// a config and lets it land on every server.
+func sampleStack(tb testing.TB, perCluster, paths int, fault bool) (f *cluster.Fleet, write func(path, data string)) {
 	tb.Helper()
-	f := cluster.New(cluster.SmallConfig(5, 42))
+	f = cluster.New(cluster.SmallConfig(perCluster, 42))
 	f.Net.RunFor(10 * time.Second)
 	writer := zeus.NewClient("sample-writer", f.Ensemble.Members)
 	f.Net.AddNode("sample-writer", simnet.Placement{Region: "us-west", Cluster: "ctrl"}, writer)
-	for i := 0; i < paths; i++ {
-		path := fmt.Sprintf("/configs/sample/%02d", i)
-		data := fmt.Sprintf(`{"v":%d}`, i)
-		if i == 0 {
-			data = `{"_fault":{"type":"latency","intensity":0.5}}`
-		}
+	commit := func(path, data string) {
 		f.Net.After(0, func() {
 			ctx := simnet.MakeContext(f.Net, "sample-writer")
 			writer.Write(&ctx, path, []byte(data), nil)
 		})
-		f.SubscribeAll(path)
+	}
+	for i := 0; i < paths; i++ {
+		data := fmt.Sprintf(`{"v":%d}`, i)
+		if i == 0 && fault {
+			data = `{"_fault":{"type":"latency","intensity":0.5}}`
+		}
+		commit(samplePath(i), data)
+		f.SubscribeAll(samplePath(i))
 	}
 	f.Net.RunFor(30 * time.Second)
 	for _, id := range f.Servers() {
 		f.Sample(id)
 	}
-	return f
+	return f, func(path, data string) {
+		commit(path, data)
+		f.Net.RunFor(30 * time.Second)
+	}
 }
 
-// BenchmarkFleetSample: the canary's health sample of one server — a read
-// of every watched path through its proxy and the fault memo — on a fleet
-// watching 24 paths, as the author_change workload's does.
+func samplePath(i int) string { return fmt.Sprintf("/configs/sample/%02d", i) }
+
+// BenchmarkFleetSample: the canary's health sample of one server on a
+// 20-server fleet watching 24 paths, as the author_change workload's does, one
+// of them carrying a latency fault. The sample is the server's maintained view
+// (cluster.DefaultAppModel): a read only for a view a change marked stale, here
+// none, and the faulted view multiplied in.
 func BenchmarkFleetSample(b *testing.B) {
-	f := sampleStack(b, 24)
+	f, _ := sampleStack(b, 5, 24, true)
 	servers := f.Servers()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1078,11 +1089,42 @@ func BenchmarkFleetSample(b *testing.B) {
 	}
 }
 
+// BenchmarkCanaryRun: one canary.DefaultSpec run — 20 test servers, then a
+// 300-server phase, each phase sampling all 600 servers — on the author_change
+// fleet shape: 4 × 150 servers subscribed to 24 paths. Between runs, outside
+// the timer, the canaried content is committed and lands everywhere, so each
+// run samples a fleet whose view of one path just moved, as in author_change.
+// `go test -bench CanaryRun -cpuprofile cpu.out` attributes a canary's CPU
+// (the share of cluster.Fleet.Sample in it, for one).
+func BenchmarkCanaryRun(b *testing.B) {
+	f, write := sampleStack(b, 150, 24, false)
+	runner := canary.NewRunner(f.Net, f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path, data := samplePath(1+i%23), fmt.Sprintf(`{"v":%d,"run":%d}`, i%23, i)
+		done := false
+		runner.Run(canary.DefaultSpec(path, len(f.AllServers())/2), []byte(data), func(rep canary.Report) {
+			if !rep.Passed {
+				b.Fatalf("canary of %s failed: %+v", path, rep.Phases)
+			}
+			done = true
+		})
+		for !done {
+			f.Net.RunFor(5 * time.Second)
+		}
+		b.StopTimer()
+		write(path, data)
+		b.StartTimer()
+	}
+}
+
 // TestSampleAllocatesOnlyItsResult: a health sample allocates its result
 // and nothing per watched path — sampling a server that watches 24 paths
 // allocates what sampling one that watches none does.
 func TestSampleAllocatesOnlyItsResult(t *testing.T) {
-	bare, watching := sampleStack(t, 0), sampleStack(t, 24)
+	bare, _ := sampleStack(t, 5, 0, true)
+	watching, _ := sampleStack(t, 5, 24, true)
 	id := watching.Servers()[0]
 	if s := watching.Sample(id); s[health.MetricLatencyMs] <= bare.Sample(id)[health.MetricLatencyMs] {
 		t.Fatalf("the latency fault did not show: %v", s)

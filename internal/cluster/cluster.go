@@ -69,6 +69,8 @@ type Server struct {
 	Placement simnet.Placement
 	Proxy     *proxy.Proxy
 	Client    *confclient.Client
+
+	app appView // the health model's bookkeeping for this server
 }
 
 // Fleet is the assembled deployment.
@@ -88,8 +90,10 @@ type Fleet struct {
 
 	// watched are the config paths the "applications" on every server
 	// subscribe to, sorted by path; the health model evaluates fault markers
-	// in them, each through its own memo of decoded contents.
-	watched []watchedPath
+	// in them, each through its own memo of decoded contents, and keeps every
+	// server's view of each.
+	watched []*watchedPath
+	byPath  map[string]*watchedPath
 }
 
 // New builds the fleet on a fresh network and elects the Zeus leader.
@@ -102,6 +106,7 @@ func New(cfg Config) *Fleet {
 		byID:      make(map[simnet.NodeID]*Server),
 		byCluster: make(map[string][]*Server),
 		observers: make(map[string][]simnet.NodeID),
+		byPath:    make(map[string]*watchedPath),
 	}
 
 	// Zeus members spread round-robin across the first cluster of each
@@ -139,7 +144,9 @@ func New(cfg Config) *Fleet {
 				px.Obs = cfg.Obs
 				cl := confclient.New(px)
 				cl.SetObs(cfg.Obs)
-				s := &Server{ID: id, Placement: place, Proxy: px, Client: cl}
+				s := &Server{ID: id, Placement: place, Proxy: px, Client: cl,
+					app: appView{idx: len(f.servers), epoch: px.Epoch()}}
+				px.OnChange(func(e proxy.Entry) { f.changed(s, e) })
 				f.servers = append(f.servers, s)
 				f.byID[id] = s
 				f.byCluster[c.Name] = append(f.byCluster[c.Name], s)
@@ -177,13 +184,20 @@ func (f *Fleet) SubscribeAll(path string) {
 	}
 }
 
-// watch adds a path to the health model's sorted watch list (once).
+// watch adds a path to the health model's sorted watch list (once), every
+// server's view of it stale.
 func (f *Fleet) watch(path string) {
-	i, found := slices.BinarySearchFunc(f.watched, path, func(w watchedPath, p string) int {
+	if f.byPath[path] != nil {
+		return
+	}
+	w := &watchedPath{path: path, views: make([]view, len(f.servers))}
+	i, _ := slices.BinarySearchFunc(f.watched, path, func(w *watchedPath, p string) int {
 		return strings.Compare(w.path, p)
 	})
-	if !found {
-		f.watched = slices.Insert(f.watched, i, watchedPath{path: path})
+	f.watched = slices.Insert(f.watched, i, w)
+	f.byPath[path] = w
+	for _, s := range f.servers {
+		w.markStale(s)
 	}
 }
 
@@ -254,7 +268,9 @@ func (f *Fleet) Rollback(servers []simnet.NodeID, path string) {
 	}
 }
 
-// Sample implements health.Collector via the fleet's app model.
+// Sample implements health.Collector via the fleet's app model: the base
+// sample times the server's faulted views, with no read unless a view is
+// stale (DefaultAppModel).
 func (f *Fleet) Sample(server simnet.NodeID) health.Sample {
 	s := f.byID[server]
 	if s == nil {

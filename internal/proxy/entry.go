@@ -87,7 +87,7 @@ func (d *DiskCache) Store(e Entry) {
 	if e.Exists && e.Hash == 0 {
 		e.Hash = vcs.HashBytes(e.Data)
 	}
-	d.s.cell(e.Path).plant(e)
+	d.s.plant(d.s.cell(e.Path), e)
 }
 
 // Load returns the entry for path. The data is a copy: a subscriber

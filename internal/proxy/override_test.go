@@ -4,6 +4,9 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"configerator/internal/simnet"
+	"configerator/internal/zeus"
 )
 
 func TestOverrideWinsOverCacheAndClears(t *testing.T) {
@@ -94,5 +97,76 @@ func TestAccessors(t *testing.T) {
 	r.proxy.Restart()
 	if r.proxy.Down() {
 		t.Error("restarted proxy reports down")
+	}
+}
+
+// TestClearOverrideRefeedsWhatReadServes: a rollback re-feeds subscribers what
+// Read serves after it, also when the cell holds nothing in memory — a proxy
+// restarted mid-canary serves its on-disk copy, and a path never fetched
+// serves nothing — so no subscriber is left on the canary bytes.
+func TestClearOverrideRefeedsWhatReadServes(t *testing.T) {
+	cases := map[string]func(r *rig) string{
+		"restarted, then overridden": func(r *rig) string {
+			const path = "/configs/app"
+			r.write(t, path, `committed`)
+			r.proxy.Want(path)
+			r.net.RunFor(2 * time.Second)
+			r.proxy.Crash()
+			r.proxy.Restart() // the refetch is in flight: the cell holds its disk copy
+			return path
+		},
+		"never committed": func(r *rig) string { return "/configs/never" },
+	}
+	for name, setup := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 15)
+			var last Entry
+			path := setup(r)
+			r.proxy.Subscribe(path, func(e Entry) { last = e })
+			r.proxy.SetOverride(path, []byte(`canary`))
+			r.proxy.ClearOverride(path)
+			got := r.proxy.Read(path)
+			if last.Exists != got.Exists || string(last.Data) != string(got.Data) {
+				t.Fatalf("after the clear the subscriber holds (exists %v, %q), Read serves (exists %v, %q)",
+					last.Exists, last.Data, got.Exists, got.Data)
+			}
+			if string(last.Data) == "canary" {
+				t.Fatal("the subscriber still holds the canary bytes")
+			}
+		})
+	}
+}
+
+// TestOnChangeHearsEveryNotify: the change hook hears a path at each apply of
+// a new version (a delete included), SetOverride and ClearOverride, and not at
+// a reconfirmed version or a crash.
+func TestOnChangeHearsEveryNotify(t *testing.T) {
+	const path = "/configs/app"
+	r := newRig(t, 16)
+	var heard []string
+	r.proxy.OnChange(func(e Entry) { heard = append(heard, string(e.Data)) })
+	r.write(t, path, `v1`)
+	r.proxy.Want(path)
+	r.net.RunFor(2 * time.Second)
+	r.write(t, path, `v2`)
+	r.proxy.SetOverride(path, []byte(`canary`))
+	r.proxy.ClearOverride(path)
+	r.proxy.ClearOverride(path) // no override: nothing to hear
+	done := false
+	r.net.After(0, func() {
+		ctx := simnet.MakeContext(r.net, "tailer")
+		r.client.Delete(&ctx, path, func(zeus.WriteResult) { done = true })
+	})
+	r.net.RunFor(5 * time.Second)
+	if !done {
+		t.Fatal("delete never committed")
+	}
+	epoch := r.proxy.Epoch()
+	r.proxy.Crash()
+	if r.proxy.Epoch() == epoch {
+		t.Error("Crash did not move the epoch")
+	}
+	if want := []string{"v1", "v2", "canary", "v2", ""}; !slices.Equal(heard, want) {
+		t.Fatalf("the hook heard %q, want %q", heard, want)
 	}
 }

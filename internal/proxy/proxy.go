@@ -126,6 +126,9 @@ type store struct {
 	// serialize on wmu, clone, and swap.
 	snap atomic.Pointer[snapshot]
 	wmu  sync.Mutex
+	// epoch counts the transitions that can change what Read returns without
+	// notifying anyone: a crash, a restart, a cell planted from disk.
+	epoch atomic.Uint64
 }
 
 // Proxy is the per-server config proxy. It is a simnet node; the local
@@ -150,6 +153,10 @@ type Proxy struct {
 	missMu      sync.Mutex
 	missSet     map[string]struct{}
 	missPending atomic.Bool
+
+	// onChange, when set, hears every notify: a new version applied, an
+	// override set or cleared.
+	onChange UpdateFunc
 
 	rtts            []time.Duration // recent fetch RTTs (hedge delay source)
 	lease           *simnet.Lease   // the ping tick grid, queued only while it can matter
@@ -186,7 +193,7 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 	if disk != nil {
 		for path, c := range disk.s.snap.Load().entries {
 			if st := c.st.Load(); st != nil {
-				p.cell(path).plant(st.e)
+				p.plant(p.cell(path), st.e)
 			}
 		}
 	}
@@ -252,10 +259,22 @@ func (c *cell) mem() *entryState {
 }
 
 // plant makes e the cell's on-disk copy, in nobody's memory.
-func (c *cell) plant(e Entry) {
+func (s *store) plant(c *cell, e Entry) {
 	e.Path, e.memo = c.path, nil
 	c.st.Store(&entryState{e: e})
+	s.epoch.Add(1)
 }
+
+// Epoch counts the transitions after which Read may return something else
+// without a notify having fired: Crash, Restart, and a cell planted from disk.
+// Every other change to what Read returns notifies (OnChange).
+func (p *Proxy) Epoch() uint64 { return p.epoch.Load() }
+
+// OnChange installs fn to hear every transition that notifies subscribers, with
+// the entry they get: a new version applied (a delete included), SetOverride
+// and ClearOverride. Unlike Subscribe it neither wants the path nor keeps it
+// warm. One per proxy; a later call replaces it.
+func (p *Proxy) OnChange(fn UpdateFunc) { p.onChange = fn }
 
 // ID returns the proxy's node id.
 func (p *Proxy) ID() simnet.NodeID { return p.id }
@@ -273,6 +292,7 @@ func (p *Proxy) PlaneDown() bool { return p.snap.Load().planeDown }
 func (p *Proxy) Crash() {
 	p.net.Fail(p.id)
 	p.mutateSnap(func(s *snapshot) { s.down = true })
+	p.epoch.Add(1)
 }
 
 // Restart brings the proxy back with a cold in-memory cache: every cell is left
@@ -283,10 +303,11 @@ func (p *Proxy) Restart() {
 		c.reqs = nil
 		p.pruneSubs(c)
 		if st := c.mem(); st != nil {
-			c.plant(st.e)
+			p.plant(c, st.e)
 		}
 	}
 	p.mutateSnap(func(s *snapshot) { *s = snapshot{entries: s.entries} })
+	p.epoch.Add(1)
 	p.inflight = make(map[int64]fetchState)
 	clear(p.stats)
 	p.rtts = nil
@@ -398,8 +419,12 @@ func (p *Proxy) pruneSubs(c *cell) {
 	c.subs = kept
 }
 
-// notify fires the live subscriptions for a path, pruning dead ones.
+// notify fires the change hook and the live subscriptions for a path, pruning
+// dead ones.
 func (p *Proxy) notify(c *cell, e Entry) {
+	if p.onChange != nil {
+		p.onChange(e)
+	}
 	p.pruneSubs(c)
 	for _, s := range c.subs {
 		s.fn(e)
@@ -418,8 +443,9 @@ func (p *Proxy) SetOverride(path string, data []byte) {
 	p.notify(c, st.e)
 }
 
-// ClearOverride removes a temporary deployment; subscribers are re-fed the
-// committed value (rollback).
+// ClearOverride removes a temporary deployment; subscribers are re-fed what
+// Read now serves (rollback): the committed version, its on-disk copy, or an
+// entry that does not exist when the path was never fetched.
 func (p *Proxy) ClearOverride(path string) {
 	snap := p.snap.Load()
 	if _, ok := snap.overrides[path]; !ok {
@@ -430,9 +456,11 @@ func (p *Proxy) ClearOverride(path string) {
 		delete(s.overrides, path)
 	})
 	c := snap.entries[path] // SetOverride made it
-	if st := c.mem(); st != nil {
-		p.notify(c, st.e)
+	e := Entry{Path: c.path}
+	if st := c.st.Load(); st != nil {
+		e = st.e
 	}
+	p.notify(c, e)
 }
 
 // CachedPaths lists, sorted, the paths currently in the in-memory cache or
