@@ -60,6 +60,8 @@ fuzz:
 	$(GO) test ./internal/cdl -run '^$$' -fuzz '^FuzzCompileMatchesSeed$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseMetadata$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseTagRecord$$' -fuzztime=5s
+	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzTrackerMatchesMapReference$$' -fuzztime=5s
+	$(GO) test ./internal/packagevessel/blob -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime=5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMaintainedSampleMatchesPolled$$' -fuzztime=5s
 
 # bench: the performance record (BENCHMARK.json; see bench/README.md).

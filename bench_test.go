@@ -35,6 +35,7 @@ import (
 	"configerator/internal/landingstrip"
 	"configerator/internal/monitor"
 	"configerator/internal/obs"
+	"configerator/internal/packagevessel"
 	"configerator/internal/proxy"
 	"configerator/internal/simnet"
 	"configerator/internal/stats"
@@ -942,6 +943,31 @@ func BenchmarkSimnetQueue(b *testing.B) {
 				b.Fatalf("depth drifted: %d pending, want %d", net.QueueLen(), depth.n)
 			}
 		})
+	}
+}
+
+// BenchmarkVesselSwarm: one 16-chunk package swarmed to the fleet the
+// benchmark's vessel_swarm workload runs on — NewSwarm(seed, 2000, 8), which
+// TestSwarmIsBenchLayout pins as that layout, with 8 MiB chunks and the
+// holder budget a SwarmBps uplink carries. Building the swarm and publishing
+// the package are untimed; the timed part is the delivery: tracker grants,
+// agent fetches and chunk verification over simnet. Run it with
+// -cpuprofile to see where a swarm's CPU goes.
+func BenchmarkVesselSwarm(b *testing.B) {
+	const chunk = 8 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := packagevessel.NewSwarm(42, 2000, 8)
+		s.Tracker.SetHolderBudget(packagevessel.HolderBudgetFor(packagevessel.SwarmBps, chunk))
+		m, err := s.Registry.Publish(packagevessel.SyntheticPackage("model", 1, 16*chunk, chunk, 42))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if done := s.Deliver(m, s.Tracker.ID(), time.Hour); len(done) != len(s.Agents) {
+			b.Fatalf("%d of %d agents completed", len(done), len(s.Agents))
+		}
 	}
 }
 

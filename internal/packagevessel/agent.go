@@ -76,6 +76,7 @@ type transfer struct {
 // every chunk verified against its content address before it is stored.
 type Agent struct {
 	id  simnet.NodeID
+	pl  simnet.Placement // where the agent lives, as the network recorded it
 	net *simnet.Network
 	obs *obs.Registry
 
@@ -115,6 +116,7 @@ func NewAgent(net *simnet.Network, id simnet.NodeID, p simnet.Placement, opts Op
 		quarantined:      make(map[simnet.NodeID]bool),
 	}
 	net.AddNode(id, p, a)
+	a.pl = net.Placement(id)
 	return a
 }
 
@@ -470,12 +472,11 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 	} else {
 		a.ChunksFromPeers++
 	}
-	ap := a.net.Placement(a.id)
 	fp := a.net.Placement(from)
 	switch {
-	case ap.Region == fp.Region && ap.Cluster == fp.Cluster:
+	case a.pl.Region == fp.Region && a.pl.Cluster == fp.Cluster:
 		a.ChunksSameCluster++
-	case ap.Region == fp.Region:
+	case a.pl.Region == fp.Region:
 		a.ChunksSameRegion++
 	default:
 		a.ChunksCrossRegion++

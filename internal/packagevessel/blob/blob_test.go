@@ -223,3 +223,32 @@ func TestJournalsDeterministicOrder(t *testing.T) {
 		t.Errorf("order %v, want %v", got, want)
 	}
 }
+
+// FuzzParseManifest: every agent decodes manifests from bytes the registry
+// serves. The decoder must not panic, and a manifest it accepts is valid and
+// survives Encode → ParseManifest with its Digest unchanged. The corpus
+// under testdata/fuzz holds SyntheticPackage manifests and malformed ones.
+func FuzzParseManifest(f *testing.F) {
+	good, err := mkManifest("model", 1, mkChunk("a", 10), mkChunk("b", 20)).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted %+v fails Validate: %v", m, err)
+		}
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatalf("accepted %+v does not encode: %v", m, err)
+		}
+		again, err := ParseManifest(enc)
+		if err != nil || again.Digest() != m.Digest() {
+			t.Fatalf("Encode → Parse: %+v, %v; want digest %s", again, err, m.Digest())
+		}
+	})
+}

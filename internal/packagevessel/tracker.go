@@ -45,12 +45,13 @@ const (
 	farBudget = 32
 )
 
-// holderRef is a sampled holder with its placement cached at announce
-// time (placement is immutable in the simulation), so peer selection
-// never re-resolves node ids on the hot path.
+// holderRef is a sampled holder with its node index and placement cached
+// at announce time (both are immutable in the simulation), so peer
+// selection never resolves a node id on the hot path.
 type holderRef struct {
-	id simnet.NodeID
-	pl simnet.Placement
+	id  simnet.NodeID
+	idx int32
+	pl  simnet.Placement
 }
 
 // digestState tracks one digest's holders.
@@ -65,17 +66,22 @@ type Tracker struct {
 	net *simnet.Network
 
 	digests map[blob.Digest]*digestState
-	// busy counts grants per holder in the current tick; refilled (cleared)
-	// every trackerTick so one seed is never the whole first wave's target.
-	busy   map[simnet.NodeID]int
+	// busy counts grants per holder in the current tick, indexed by the
+	// holder's simnet node index; refilled (cleared) every trackerTick so
+	// one seed is never the whole first wave's target.
+	busy   []int
 	budget int
 	// busyFar counts cross-region grants per requesting region this tick.
 	busyFar map[string]int
+	// avoid marks, by node index, the nodes the current want must not be
+	// granted: node i is avoided when avoid[i] == avoidGen. Each want bumps
+	// avoidGen, which unmarks every node at once (64 bits never wrap).
+	avoid    []uint64
+	avoidGen uint64
 
-	// Scratch buffers reused across assign calls (the tracker handles one
+	// scratchStates is reused across assign calls (the tracker handles one
 	// message at a time, so per-call allocation here is pure GC churn at
 	// fleet scale).
-	scratchAvoid  map[simnet.NodeID]bool
 	scratchStates []*digestState
 
 	// Assignments counts grants handed out.
@@ -90,11 +96,9 @@ type Tracker struct {
 func NewTracker(net *simnet.Network, id simnet.NodeID, p simnet.Placement) *Tracker {
 	t := &Tracker{
 		id: id, net: net,
-		digests:      make(map[blob.Digest]*digestState),
-		busy:         make(map[simnet.NodeID]int),
-		budget:       defaultHolderBudget,
-		busyFar:      make(map[string]int),
-		scratchAvoid: make(map[simnet.NodeID]bool),
+		digests: make(map[blob.Digest]*digestState),
+		budget:  defaultHolderBudget,
+		busyFar: make(map[string]int),
 	}
 	net.AddNode(id, p, t)
 	net.SetTimer(id, trackerTick, msgTrackerTick{})
@@ -129,7 +133,7 @@ func (t *Tracker) ID() simnet.NodeID { return t.id }
 
 // OnRestart implements simnet.Restarter: re-arm the budget tick.
 func (t *Tracker) OnRestart(ctx *simnet.Context) {
-	t.busy = make(map[simnet.NodeID]int)
+	clear(t.busy)
 	t.busyFar = make(map[string]int)
 	ctx.SetTimer(trackerTick, msgTrackerTick{})
 }
@@ -152,11 +156,24 @@ func (t *Tracker) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 	}
 }
 
+// node resolves id to its node index and sizes the per-node tables to
+// hold it. Indices enter the tracker only here (holders at announce time,
+// the requester and its Avoid list at want time), so the grant loop
+// indexes busy and avoid without bounds growing.
+func (t *Tracker) node(id simnet.NodeID) int32 {
+	i := t.net.Index(id)
+	if n := int(i) + 1; n > len(t.busy) {
+		t.busy = append(t.busy, make([]int, n-len(t.busy))...)
+		t.avoid = append(t.avoid, make([]uint64, n-len(t.avoid))...)
+	}
+	return i
+}
+
 func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 	if len(digests) == 0 {
 		return
 	}
-	ref := holderRef{id: holder, pl: t.net.Placement(holder)}
+	ref := holderRef{id: holder, idx: t.node(holder), pl: t.net.Placement(holder)}
 	for _, d := range digests {
 		s := t.digests[d]
 		if s == nil {
@@ -179,11 +196,10 @@ func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 // decorrelates), closest eligible holder per digest, holder budgets
 // respected.
 func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
-	avoid := t.scratchAvoid
-	clear(avoid)
-	avoid[agent] = true
+	t.avoidGen++
+	t.avoid[t.node(agent)] = t.avoidGen
 	for _, p := range m.Avoid {
-		avoid[p] = true
+		t.avoid[t.node(p)] = t.avoidGen
 	}
 	// One pass over the request: resolve each digest once, tracking the
 	// rarity floor as we go.
@@ -231,13 +247,13 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 			if rareOnly != (s.count <= 2*minRarity) {
 				continue
 			}
-			peer := t.pickHolder(s, ap, avoid)
-			if peer == "" {
+			h := t.pickHolder(s, ap)
+			if h == nil {
 				continue
 			}
-			t.busy[peer]++
+			t.busy[h.idx]++
 			t.Assignments++
-			grants = append(grants, grant{Digest: d, Peer: peer})
+			grants = append(grants, grant{Digest: d, Peer: h.id})
 		}
 	}
 	t.Wants++
@@ -253,27 +269,29 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 // when a nearer class has no live holder at all. A budget-saturated
 // nearby holder means "retry next tick", not "fetch cross-cluster" — the
 // cluster's own capacity doubles as agents complete, so waiting a tick is
-// cheaper than crossing the network spine.
-func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement, avoid map[simnet.NodeID]bool) simnet.NodeID {
+// cheaper than crossing the network spine. It returns nil when no holder
+// may be granted.
+func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement) *holderRef {
 	// Reservoir-pick one free holder per locality class in a single pass
 	// over the sample — uniform among the free holders of each class
 	// without materializing the class lists.
-	var cluster, region, far simnet.NodeID // uniform pick among free holders
+	var cluster, region, far *holderRef // uniform pick among free holders
 	var nCluster, nRegion, nFar int
 	var clusterAny, regionAny, farAny bool // any live holder, even saturated
 	rng := t.net.RNG()
-	for _, h := range s.sample {
-		if avoid[h.id] || t.net.IsDown(h.id) {
+	for k := range s.sample {
+		h := &s.sample[k]
+		if t.avoid[h.idx] == t.avoidGen || t.net.IsDownIdx(h.idx) {
 			continue
 		}
-		free := t.busy[h.id] < t.budget
+		free := t.busy[h.idx] < t.budget
 		switch {
 		case h.pl.Region == ap.Region && h.pl.Cluster == ap.Cluster:
 			clusterAny = true
 			if free {
 				nCluster++
 				if rng.Intn(nCluster) == 0 {
-					cluster = h.id
+					cluster = h
 				}
 			}
 		case h.pl.Region == ap.Region:
@@ -281,7 +299,7 @@ func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement, avoid map[simn
 			if free {
 				nRegion++
 				if rng.Intn(nRegion) == 0 {
-					region = h.id
+					region = h
 				}
 			}
 		default:
@@ -289,7 +307,7 @@ func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement, avoid map[simn
 			if free {
 				nFar++
 				if rng.Intn(nFar) == 0 {
-					far = h.id
+					far = h
 				}
 			}
 		}
@@ -303,12 +321,12 @@ func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement, avoid map[simn
 		// Cross-region bootstrap is rationed per requesting region: once
 		// the region holds copies, its agents fetch locally instead.
 		if t.busyFar[ap.Region] >= farBudget {
-			return ""
+			return nil
 		}
-		if far != "" {
+		if far != nil {
 			t.busyFar[ap.Region]++
 			return far
 		}
 	}
-	return ""
+	return nil
 }

@@ -363,6 +363,14 @@ func (n *Network) Recover(id NodeID) {
 // IsDown reports whether the node is currently crashed.
 func (n *Network) IsDown(id NodeID) bool { return n.nodes[n.mustIdx(id)].down }
 
+// Index reports a node's dense index: nodes are numbered 0, 1, ... in the
+// order AddNode registered them, so a caller can key per-node state by slice
+// position instead of by id. It panics on an unknown id.
+func (n *Network) Index(id NodeID) int32 { return n.mustIdx(id) }
+
+// IsDownIdx is IsDown for a node given by its Index.
+func (n *Network) IsDownIdx(i int32) bool { return n.nodes[i].down }
+
 // setFault edits the from→to fault record and drops it once nothing holds.
 // The pair's quiet keep-alive leases wake first.
 func (n *Network) setFault(from, to NodeID, edit func(*linkFault)) {
