@@ -74,15 +74,18 @@ type transfer struct {
 // (via the Configerator proxy subscription), fetches the named manifest,
 // and swarms the missing digests — several in parallel, capped per peer,
 // every chunk verified against its content address before it is stored.
+// Its maps are made on first write, so an idle agent costs what it holds.
 type Agent struct {
 	id  simnet.NodeID
 	pl  simnet.Placement // where the agent lives, as the network recorded it
 	net *simnet.Network
 	obs *obs.Registry
 
-	store            *blob.Store
-	transfers        map[string]*transfer // by package name (newest version only)
-	inflight         map[blob.Digest]flight
+	store     *blob.Store
+	transfers map[string]*transfer // by package name (newest version only)
+	inflight  map[blob.Digest]flight
+	// perPeer counts in-flight fetches by peer, one entry per peer with a
+	// fetch in flight, so it never holds more than fetchWindow entries.
 	perPeer          map[simnet.NodeID]int
 	inflightTotal    int
 	haveBuf          []blob.Digest // verified digests awaiting announcement
@@ -106,15 +109,7 @@ type Agent struct {
 
 // NewAgent creates an agent node.
 func NewAgent(net *simnet.Network, id simnet.NodeID, p simnet.Placement, opts Options) *Agent {
-	a := &Agent{
-		id: id, net: net, obs: opts.Obs,
-		store:            blob.NewStore(),
-		transfers:        make(map[string]*transfer),
-		inflight:         make(map[blob.Digest]flight),
-		perPeer:          make(map[simnet.NodeID]int),
-		pendingManifests: make(map[string]Metadata),
-		quarantined:      make(map[simnet.NodeID]bool),
-	}
+	a := &Agent{id: id, net: net, obs: opts.Obs, store: blob.NewStore()}
 	net.AddNode(id, p, a)
 	a.pl = net.Placement(id)
 	return a
@@ -153,6 +148,9 @@ func (a *Agent) OnAnnounce(md Metadata) {
 	}
 	if cur, ok := a.pendingManifests[md.Name]; ok && cur.Version >= md.Version {
 		return
+	}
+	if a.pendingManifests == nil {
+		a.pendingManifests = make(map[string]Metadata)
 	}
 	a.pendingManifests[md.Name] = md
 	ctx := simnet.MakeContext(a.net, a.id)
@@ -197,7 +195,7 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 	a.obs.Add("vessel.bytes.saved", t.stats.BytesDeduped)
 
 	a.store.Begin(m, string(origin), string(tracker))
-	a.transfers[m.Name] = t
+	a.track(t)
 	if len(t.need) == 0 {
 		a.finish(ctx, t)
 		return
@@ -210,9 +208,7 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 func (a *Agent) abandon(t *transfer) {
 	for d, peer := range t.inflight {
 		delete(a.inflight, d)
-		if a.perPeer[peer] > 0 {
-			a.perPeer[peer]--
-		}
+		a.release(peer)
 		a.inflightTotal--
 	}
 	a.store.Abandon(t.manifest)
@@ -310,7 +306,13 @@ func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 		}
 		delete(t.need, g.Digest)
 		t.inflight[g.Digest] = g.Peer
+		if a.inflight == nil {
+			a.inflight = make(map[blob.Digest]flight)
+		}
 		a.inflight[g.Digest] = flight{t: t, peer: g.Peer}
+		if a.perPeer == nil {
+			a.perPeer = make(map[simnet.NodeID]int)
+		}
 		a.perPeer[g.Peer]++
 		a.inflightTotal++
 		ctx.Send(g.Peer, msgGetChunk{Digest: g.Digest})
@@ -422,9 +424,7 @@ func (a *Agent) onChunkTimeout(ctx *simnet.Context, m msgChunkTimeout) {
 	}
 	delete(a.inflight, m.Digest)
 	delete(fl.t.inflight, m.Digest)
-	if a.perPeer[fl.peer] > 0 {
-		a.perPeer[fl.peer]--
-	}
+	a.release(fl.peer)
 	a.inflightTotal--
 	fl.t.need[m.Digest] = true
 	a.continueTransfer(ctx, fl.t)
@@ -435,9 +435,7 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 	if fl, ok := a.inflight[m.Digest]; ok && fl.peer == from {
 		delete(a.inflight, m.Digest)
 		delete(fl.t.inflight, m.Digest)
-		if a.perPeer[from] > 0 {
-			a.perPeer[from]--
-		}
+		a.release(from)
 		a.inflightTotal--
 		t = fl.t
 	} else {
@@ -493,6 +491,24 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 	a.continueTransfer(ctx, t)
 }
 
+// track records t as the transfer of its package.
+func (a *Agent) track(t *transfer) {
+	if a.transfers == nil {
+		a.transfers = make(map[string]*transfer)
+	}
+	a.transfers[t.manifest.Name] = t
+}
+
+// release counts one fetch from peer as no longer in flight, and forgets
+// the peer when none is left.
+func (a *Agent) release(peer simnet.NodeID) {
+	if a.perPeer[peer] > 1 {
+		a.perPeer[peer]--
+	} else {
+		delete(a.perPeer, peer)
+	}
+}
+
 func (a *Agent) continueTransfer(ctx *simnet.Context, t *transfer) {
 	a.dispatch(ctx, t)
 	a.requestGrants(ctx, t)
@@ -500,6 +516,9 @@ func (a *Agent) continueTransfer(ctx *simnet.Context, t *transfer) {
 
 func (a *Agent) quarantine(peer simnet.NodeID) {
 	if !a.quarantined[peer] {
+		if a.quarantined == nil {
+			a.quarantined = make(map[simnet.NodeID]bool)
+		}
 		a.quarantined[peer] = true
 		a.avoid = append(a.avoid, peer)
 	}
@@ -534,13 +553,13 @@ func (a *Agent) finish(ctx *simnet.Context, t *transfer) {
 // vessel.resume.verified) and resumed fetching only the digests that are
 // missing or failed verification.
 func (a *Agent) OnRestart(ctx *simnet.Context) {
-	a.transfers = make(map[string]*transfer)
-	a.inflight = make(map[blob.Digest]flight)
-	a.perPeer = make(map[simnet.NodeID]int)
+	a.transfers = nil
+	a.inflight = nil
+	a.perPeer = nil
 	a.inflightTotal = 0
 	a.haveBuf = nil
-	a.pendingManifests = make(map[string]Metadata)
-	a.quarantined = make(map[simnet.NodeID]bool)
+	a.pendingManifests = nil
+	a.quarantined = nil
 	a.avoid = nil
 
 	for _, j := range a.store.Journals() {
@@ -562,7 +581,7 @@ func (a *Agent) OnRestart(ctx *simnet.Context) {
 		for _, d := range missing {
 			t.need[d] = true
 		}
-		a.transfers[m.Name] = t
+		a.track(t)
 		// Re-announce what survived on disk: the tracker may have lost
 		// (or never had) this holder.
 		a.haveBuf = append(a.haveBuf, present...)

@@ -33,8 +33,9 @@
 package blob
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 
 	"configerator/internal/vcs"
 )
@@ -129,41 +130,25 @@ func (m Manifest) Size() int64 {
 }
 
 // Key identifies the (package, version) pair.
-func (m Manifest) Key() string { return fmt.Sprintf("%s@%d", m.Name, m.Version) }
+func (m Manifest) Key() string { return key(m.Name, m.Version) }
 
-// Encode renders the canonical JSON form.
-func (m Manifest) Encode() ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("blob: encoding manifest %s: %w", m.Key(), err)
-	}
-	return b, nil
+// key is the Key of the manifest of (name, version).
+func key(name string, version int64) string {
+	return name + "@" + strconv.FormatInt(version, 10)
 }
 
-// Digest is the content address of the canonical encoding. (Marshaling a
-// Manifest cannot fail — it is plain data — so no error is surfaced.)
-func (m Manifest) Digest() Digest {
-	b, _ := m.Encode()
-	return DigestOf(b)
-}
-
-// ParseManifest decodes and validates a manifest.
-func ParseManifest(data []byte) (Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, fmt.Errorf("blob: parsing manifest: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return Manifest{}, err
-	}
-	return m, nil
-}
+// Digest is the content address of the canonical encoding.
+func (m Manifest) Digest() Digest { return DigestOf(m.Encode()) }
 
 // Validate checks structural invariants.
 func (m Manifest) Validate() error {
 	switch {
 	case m.Name == "":
 		return fmt.Errorf("blob: manifest without a name")
+	case !utf8.ValidString(m.Name):
+		// Encode writes such a name's bad bytes as \ufffd, which decodes
+		// to a different name, so no agent could parse the manifest.
+		return fmt.Errorf("blob: manifest name %q is not valid UTF-8", m.Name)
 	case m.Version < 0:
 		return fmt.Errorf("blob: manifest %s: negative version", m.Name)
 	case len(m.Chunks) == 0:

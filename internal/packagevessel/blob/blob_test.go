@@ -1,8 +1,16 @@
 package blob
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
+	"unicode/utf8"
+
+	"configerator/internal/stats"
 )
 
 func mkChunk(s string, logical int) *Chunk { return NewChunk([]byte(s), logical) }
@@ -56,11 +64,7 @@ func TestChunkLogicalSize(t *testing.T) {
 
 func TestManifestEncodeParse(t *testing.T) {
 	m := mkManifest("model", 3, mkChunk("a", 100), mkChunk("b", 100), mkChunk("c", 50))
-	b, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseManifest(b)
+	got, err := ParseManifest(m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,8 @@ func TestManifestValidation(t *testing.T) {
 		{},                       // no name
 		{Name: "m", Version: -1}, // negative version
 		{Name: "m", Version: 1},  // no chunks
-		{Name: "m", Version: 1, Chunks: []Ref{{Digest: 1, Size: 0}}}, // zero-size chunk
+		{Name: "m", Version: 1, Chunks: []Ref{{Digest: 1, Size: 0}}},     // zero-size chunk
+		{Name: "m\xff", Version: 1, Chunks: []Ref{{Digest: 1, Size: 1}}}, // name not UTF-8
 	}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid manifest rejected: %v", err)
@@ -224,16 +229,157 @@ func TestJournalsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// FuzzParseManifest: every agent decodes manifests from bytes the registry
-// serves. The decoder must not panic, and a manifest it accepts is valid and
-// survives Encode → ParseManifest with its Digest unchanged. The corpus
-// under testdata/fuzz holds SyntheticPackage manifests and malformed ones.
-func FuzzParseManifest(f *testing.F) {
-	good, err := mkManifest("model", 1, mkChunk("a", 10), mkChunk("b", 20)).Encode()
-	if err != nil {
-		f.Fatal(err)
+// randomName draws a name from pieces that exercise every branch of the
+// string encoder: plain ASCII, the quote and backslash, the HTML-escaped
+// bytes, control bytes with and without short escapes, DEL, multi-byte
+// runes, the JavaScript line separators, U+FFFD itself and invalid UTF-8.
+func randomName(rng *stats.RNG) string {
+	pieces := []string{"model", "a", "Z9", " ", "\"", "\\", "<", ">", "&", "/",
+		"\x00", "\x01", "\x1f", "\b", "\f", "\n", "\r", "\t", "\x7f",
+		"é", "日本", "🙂", "\u2028", "\u2029", "\ufffd", "\xff", "\xc3", "\xed\xa0\x80"}
+	var b strings.Builder
+	for n := rng.Intn(6); n > 0; n-- {
+		b.WriteString(pieces[rng.Intn(len(pieces))])
 	}
-	f.Add(good)
+	return b.String()
+}
+
+// randomInt draws from the edges and the middle of the signed range.
+func randomInt(rng *stats.RNG) int64 {
+	switch rng.Intn(6) {
+	case 0:
+		return []int64{0, 1, -1, 9, 10, -10, 1<<63 - 1, -1 << 63}[rng.Intn(8)]
+	case 1:
+		return -int64(rng.Uint64() >> rng.Intn(64))
+	default:
+		return int64(rng.Uint64() >> (1 + rng.Intn(63)))
+	}
+}
+
+func randomManifest(rng *stats.RNG) Manifest {
+	m := Manifest{Name: randomName(rng), Version: randomInt(rng)}
+	switch rng.Intn(8) {
+	case 0: // nil: encodes as null
+	case 1:
+		m.Chunks = []Ref{}
+	default:
+		for n := 1 + rng.Intn(20); n > 0; n-- {
+			d := rng.Uint64()
+			if rng.Intn(4) == 0 {
+				d >>= rng.Intn(64) // small digests too, 0 included
+			}
+			m.Chunks = append(m.Chunks, Ref{Digest: Digest(d), Size: int(randomInt(rng))})
+		}
+	}
+	return m
+}
+
+// TestManifestCodecMatchesJSON: encoding/json is the oracle. Encode is
+// json.Marshal byte for byte, and on every canonical encoding — every one
+// whose name is valid UTF-8 — the decoder agrees with json.Unmarshal, and
+// ParseManifest with json.Unmarshal followed by Validate. A name with
+// invalid UTF-8 encodes (as json.Marshal does) but is not canonical: its
+// \ufffd decodes to a valid rune, so ParseManifest refuses it.
+func TestManifestCodecMatchesJSON(t *testing.T) {
+	rng := stats.NewRNG(43)
+	for i := 0; i < 5000; i++ {
+		m := randomManifest(rng)
+		enc := m.Encode()
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("Encode(%+v)\n = %s\nwant %s", m, enc, want)
+		}
+		if !utf8.ValidString(m.Name) {
+			if got, err := ParseManifest(enc); err == nil {
+				t.Fatalf("accepted %s as %+v, whose name does not round-trip", enc, got)
+			}
+			continue
+		}
+		got, err := decodeManifest(enc)
+		var ref Manifest
+		if jerr := json.Unmarshal(enc, &ref); jerr != nil || err != nil || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("decode %s = %+v, %v; json.Unmarshal = %+v, %v", enc, got, err, ref, jerr)
+		}
+		parsed, err := ParseManifest(enc)
+		if verr := ref.Validate(); (err == nil) != (verr == nil) || (err == nil && !reflect.DeepEqual(parsed, ref)) {
+			t.Fatalf("ParseManifest(%s) = %+v, %v; Validate says %v", enc, parsed, err, verr)
+		}
+	}
+}
+
+// TestParseManifestRejectsNonCanonical: bytes that are not what Encode
+// writes for any manifest are refused. Most of them json.Unmarshal takes as
+// a valid manifest (json says so for each case) — the laxity a manifest's
+// one byte form rules out; the others show the decoder is no laxer than
+// json.
+func TestParseManifestRejectsNonCanonical(t *testing.T) {
+	folded, err := os.ReadFile("testdata/fuzz/FuzzParseManifest/folded-duplicate-keys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidName, err := json.Marshal(mkManifest("mod\xffel", 1, mkChunk("a", 10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, in  string
+		jsonTakes bool
+	}{
+		{"folded-duplicate-keys", corpusBytes(t, folded), true},
+		{"leading whitespace", ` {"name":"model","version":1,"chunks":[{"digest":1,"size":1}]}`, true},
+		{"inner whitespace", `{"name": "model","version":1,"chunks":[{"digest":1,"size":1}]}`, true},
+		{"trailing newline", "{\"name\":\"model\",\"version\":1,\"chunks\":[{\"digest\":1,\"size\":1}]}\n", true},
+		{"reordered keys", `{"version":1,"name":"model","chunks":[{"digest":1,"size":1}]}`, true},
+		{"reordered ref keys", `{"name":"model","version":1,"chunks":[{"size":1,"digest":1}]}`, true},
+		{"negative zero", `{"name":"model","version":-0,"chunks":[{"digest":1,"size":1}]}`, true},
+		{"escaped letter", `{"name":"mod\u0065l","version":1,"chunks":[{"digest":1,"size":1}]}`, true},
+		{"escaped slash", `{"name":"a\/b","version":1,"chunks":[{"digest":1,"size":1}]}`, true},
+		{"uppercase hex escape", `{"name":"a\u003Cb","version":1,"chunks":[{"digest":1,"size":1}]}`, true},
+		{"unescaped <", `{"name":"a<b","version":1,"chunks":[{"digest":1,"size":1}]}`, true},
+		{"invalid UTF-8 name", string(invalidName), true},
+		{"leading zero", `{"name":"model","version":01,"chunks":[{"digest":1,"size":1}]}`, false},
+		{"exponent", `{"name":"model","version":1e0,"chunks":[{"digest":1,"size":1}]}`, false},
+		{"digest overflow", `{"name":"model","version":1,"chunks":[{"digest":18446744073709551616,"size":1}]}`, false},
+		{"trailing comma", `{"name":"model","version":1,"chunks":[{"digest":1,"size":1},]}`, false},
+	} {
+		var ref Manifest
+		err := json.Unmarshal([]byte(c.in), &ref)
+		if takes := err == nil && ref.Validate() == nil; takes != c.jsonTakes {
+			t.Errorf("%s: json.Unmarshal + Validate of %q: %v, %v; the case expects it to take it: %v",
+				c.name, c.in, err, ref.Validate(), c.jsonTakes)
+		}
+		if m, err := ParseManifest([]byte(c.in)); err == nil {
+			t.Errorf("%s: ParseManifest(%q) = %+v, want an error", c.name, c.in, m)
+		}
+	}
+}
+
+// corpusBytes decodes a one-value []byte corpus file of the native fuzzer.
+func corpusBytes(t *testing.T, file []byte) string {
+	t.Helper()
+	line := strings.TrimSpace(strings.SplitN(string(file), "\n", 2)[1])
+	quoted, ok := strings.CutSuffix(strings.TrimPrefix(line, "[]byte("), ")")
+	if !ok {
+		t.Fatalf("not a []byte corpus value: %q", line)
+	}
+	var s string
+	if _, err := fmt.Sscanf(quoted, "%q", &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// FuzzParseManifest: every agent decodes manifests from bytes the registry
+// serves. The decoder must not panic; a manifest it accepts is valid, is
+// what json.Unmarshal makes of the same bytes, and re-encodes to exactly
+// those bytes. The corpus under testdata/fuzz holds SyntheticPackage
+// manifests and malformed ones.
+func FuzzParseManifest(f *testing.F) {
+	f.Add(mkManifest("model", 1, mkChunk("a", 10), mkChunk("b", 20)).Encode())
+	f.Add(mkManifest("a\"<\u2028>\\\x01&\n\u00e9", 1, mkChunk("a", 10)).Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseManifest(data)
 		if err != nil {
@@ -242,13 +388,12 @@ func FuzzParseManifest(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("accepted %+v fails Validate: %v", m, err)
 		}
-		enc, err := m.Encode()
-		if err != nil {
-			t.Fatalf("accepted %+v does not encode: %v", m, err)
+		if enc := m.Encode(); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %q, which encodes as %q", data, enc)
 		}
-		again, err := ParseManifest(enc)
-		if err != nil || again.Digest() != m.Digest() {
-			t.Fatalf("Encode → Parse: %+v, %v; want digest %s", again, err, m.Digest())
+		var ref Manifest
+		if err := json.Unmarshal(data, &ref); err != nil || !reflect.DeepEqual(ref, m) {
+			t.Fatalf("accepted %q as %+v; json.Unmarshal gives %+v, %v", data, m, ref, err)
 		}
 	})
 }

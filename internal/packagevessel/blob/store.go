@@ -33,7 +33,8 @@ type StoreStats struct {
 
 // Store holds content-addressed chunks and package manifests. All methods
 // are safe for concurrent use; within the simulation each node owns its
-// store and touches it from the single event loop.
+// store and touches it from the single event loop. Each map is made on its
+// first write, so an idle agent's store costs one allocation.
 type Store struct {
 	mu        sync.Mutex
 	chunks    map[Digest]*Chunk
@@ -42,13 +43,7 @@ type Store struct {
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{
-		chunks:    make(map[Digest]*Chunk),
-		manifests: make(map[string]Manifest),
-		journals:  make(map[string]*Journal),
-	}
-}
+func NewStore() *Store { return &Store{} }
 
 // Put registers a chunk. It returns false when the digest was already
 // present — the dedup hit the content-addressed design exists for.
@@ -57,6 +52,9 @@ func (s *Store) Put(c *Chunk) bool {
 	defer s.mu.Unlock()
 	if _, ok := s.chunks[c.digest]; ok {
 		return false
+	}
+	if s.chunks == nil {
+		s.chunks = make(map[Digest]*Chunk)
 	}
 	s.chunks[c.digest] = c
 	return true
@@ -113,14 +111,17 @@ func (s *Store) Missing(m Manifest) []Digest {
 func (s *Store) Begin(m Manifest, origin, coordinator string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := m.Key()
-	if _, done := s.manifests[key]; done {
+	k := m.Key()
+	if _, done := s.manifests[k]; done {
 		return
 	}
-	if _, ok := s.journals[key]; ok {
+	if _, ok := s.journals[k]; ok {
 		return
 	}
-	s.journals[key] = &Journal{Manifest: m, Origin: origin, Coordinator: coordinator}
+	if s.journals == nil {
+		s.journals = make(map[string]*Journal)
+	}
+	s.journals[k] = &Journal{Manifest: m, Origin: origin, Coordinator: coordinator}
 }
 
 // Abandon drops a transfer's journal (e.g. a newer version superseded
@@ -187,9 +188,12 @@ func (s *Store) Commit(m Manifest) error {
 			return fmt.Errorf("blob: commit %s: chunk %d (%s) missing", m.Key(), i, r.Digest)
 		}
 	}
-	key := m.Key()
-	delete(s.journals, key)
-	s.manifests[key] = m
+	k := m.Key()
+	delete(s.journals, k)
+	if s.manifests == nil {
+		s.manifests = make(map[string]Manifest)
+	}
+	s.manifests[k] = m
 	return nil
 }
 
@@ -197,7 +201,7 @@ func (s *Store) Commit(m Manifest) error {
 func (s *Store) Manifest(name string, version int64) (Manifest, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.manifests[fmt.Sprintf("%s@%d", name, version)]
+	m, ok := s.manifests[key(name, version)]
 	return m, ok
 }
 

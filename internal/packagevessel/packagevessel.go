@@ -315,6 +315,10 @@ func (r *Registry) Publish(p Package) (blob.Manifest, error) {
 		return blob.Manifest{}, fmt.Errorf("packagevessel: publish %s@%d: empty package", p.Name, p.Version)
 	}
 	m := p.Manifest()
+	if err := m.Validate(); err != nil {
+		// What an agent would refuse to parse is refused here instead.
+		return blob.Manifest{}, fmt.Errorf("packagevessel: publish: %w", err)
+	}
 	if prev, ok := r.store.Manifest(p.Name, p.Version); ok {
 		if prev.Digest() != m.Digest() {
 			return blob.Manifest{}, fmt.Errorf("packagevessel: publish %s@%d: version already published with different content", p.Name, p.Version)
@@ -452,10 +456,8 @@ func serve(ctx *simnet.Context, store *blob.Store, from simnet.NodeID, msg simne
 	case msgGetManifest:
 		reply := msgManifest{Name: m.Name, Version: m.Version}
 		if man, ok := store.Manifest(m.Name, m.Version); ok {
-			if data, err := man.Encode(); err == nil {
-				reply.OK = true
-				reply.Data = data
-			}
+			reply.OK = true
+			reply.Data = man.Encode()
 		}
 		ctx.SendSized(from, reply, len(reply.Data))
 	case msgGetChunk:

@@ -202,6 +202,23 @@ func TestPublishDedupAndConflict(t *testing.T) {
 	}
 }
 
+// TestPublishRefusesUnparseableManifest: a name that is not valid UTF-8
+// encodes with \ufffd in place of its bad bytes, so no agent could parse the
+// manifest back. The registry refuses it at publish, not agents at delivery.
+func TestPublishRefusesUnparseableManifest(t *testing.T) {
+	reg := NewSwarm(1, 0, 1).Registry
+	p := SyntheticPackage("mod\xffel", 1, 4<<20, DefaultChunkSize, 7)
+	if _, err := blob.ParseManifest(p.Manifest().Encode()); err == nil {
+		t.Fatal("the manifest parses; the case is moot")
+	}
+	if m, err := reg.Publish(p); err == nil {
+		t.Errorf("published %s, which no agent can parse", m.Key())
+	}
+	if _, ok := reg.CurrentTag(p.Name, "latest"); ok {
+		t.Error("latest names the refused package")
+	}
+}
+
 func TestPromotionLifecycle(t *testing.T) {
 	reg := NewSwarm(1, 0, 1).Registry
 	p := SyntheticPackage("model", 1, 4<<20, DefaultChunkSize, 7)
@@ -454,6 +471,51 @@ func TestTrackerlessTransferUsesOrigin(t *testing.T) {
 	}
 	if r.Tracker.Wants != 0 {
 		t.Errorf("tracker answered %d wants, want 0", r.Tracker.Wants)
+	}
+}
+
+// TestPerPeerTableEmptiesAfterDelivery: an agent counts in-flight fetches
+// per peer only while some are in flight. After a whole delivery on the
+// benchmark's layout every agent's table is empty — a table that kept a
+// zeroed entry for every peer it ever fetched from held 29,450 of them here.
+func TestPerPeerTableEmptiesAfterDelivery(t *testing.T) {
+	const chunk = 8 << 20
+	s := NewSwarm(42, 2000, 8)
+	s.Tracker.SetHolderBudget(HolderBudgetFor(SwarmBps, chunk))
+	m := publish(t, s, SyntheticPackage("model", 1, 16*chunk, chunk, 42))
+	if done := s.Deliver(m, s.Tracker.ID(), time.Hour); len(done) != len(s.Agents) {
+		t.Fatalf("%d of %d agents completed", len(done), len(s.Agents))
+	}
+	left := 0
+	for _, a := range s.Agents {
+		left += len(a.perPeer)
+	}
+	if left != 0 {
+		t.Errorf("after the delivery the agents' per-peer tables hold %d entries, want 0", left)
+	}
+}
+
+// newAgentAllocs is what NewAgent costs: the Agent, its Store, the interned
+// copy of its id, and (amortised over many agents) the network's node table
+// and index growing.
+const newAgentAllocs = 4
+
+// TestNewAgentAllocs: an agent that has fetched nothing holds no maps.
+func TestNewAgentAllocs(t *testing.T) {
+	net := simnet.New(simnet.DefaultLatency(), 1)
+	p := simnet.Placement{Region: "us", Cluster: "c0"}
+	const runs = 1000
+	ids := make([]simnet.NodeID, runs+1)
+	for i := range ids {
+		ids[i] = simnet.NodeID(fmt.Sprintf("srv-%d", i))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		NewAgent(net, ids[i], p, Options{})
+		i++
+	})
+	if allocs > newAgentAllocs {
+		t.Errorf("NewAgent allocates %.1f times, want at most %d", allocs, newAgentAllocs)
 	}
 }
 

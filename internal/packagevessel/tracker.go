@@ -45,14 +45,23 @@ const (
 	farBudget = 32
 )
 
-// holderRef is a sampled holder with its node index and placement cached
-// at announce time (both are immutable in the simulation), so peer
-// selection never resolves a node id on the hot path.
+// holderRef is a sampled holder with its node index and locality cached at
+// announce time (both are immutable in the simulation), so peer selection
+// never resolves a node id or compares a placement string on the hot path.
 type holderRef struct {
 	id  simnet.NodeID
 	idx int32
-	pl  simnet.Placement
+	loc locality
 }
+
+// locality is a node's placement as dense ids the tracker hands out: one per
+// region, one per distinct (region, cluster) pair — so two nodes share a
+// cluster id only when they share region and cluster, and a cluster name
+// reused in another region is another cluster.
+type locality struct{ region, cluster int32 }
+
+// unplaced marks a node index the tracker has not numbered yet.
+var unplaced = locality{-1, -1}
 
 // digestState tracks one digest's holders.
 type digestState struct {
@@ -71,8 +80,14 @@ type Tracker struct {
 	// one seed is never the whole first wave's target.
 	busy   []int
 	budget int
-	// busyFar counts cross-region grants per requesting region this tick.
-	busyFar map[string]int
+	// loc is each node's locality, by node index, numbered the first time
+	// node sees the node; regions and clusters hand out the ids.
+	loc      []locality
+	regions  map[string]int32
+	clusters map[simnet.Placement]int32
+	// busyFar counts cross-region grants per requesting region id this
+	// tick.
+	busyFar []int
 	// avoid marks, by node index, the nodes the current want must not be
 	// granted: node i is avoided when avoid[i] == avoidGen. Each want bumps
 	// avoidGen, which unmarks every node at once (64 bits never wrap).
@@ -96,9 +111,10 @@ type Tracker struct {
 func NewTracker(net *simnet.Network, id simnet.NodeID, p simnet.Placement) *Tracker {
 	t := &Tracker{
 		id: id, net: net,
-		digests: make(map[blob.Digest]*digestState),
-		budget:  defaultHolderBudget,
-		busyFar: make(map[string]int),
+		digests:  make(map[blob.Digest]*digestState),
+		budget:   defaultHolderBudget,
+		regions:  make(map[string]int32),
+		clusters: make(map[simnet.Placement]int32),
 	}
 	net.AddNode(id, p, t)
 	net.SetTimer(id, trackerTick, msgTrackerTick{})
@@ -134,7 +150,7 @@ func (t *Tracker) ID() simnet.NodeID { return t.id }
 // OnRestart implements simnet.Restarter: re-arm the budget tick.
 func (t *Tracker) OnRestart(ctx *simnet.Context) {
 	clear(t.busy)
-	t.busyFar = make(map[string]int)
+	clear(t.busyFar)
 	ctx.SetTimer(trackerTick, msgTrackerTick{})
 }
 
@@ -156,15 +172,31 @@ func (t *Tracker) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 	}
 }
 
-// node resolves id to its node index and sizes the per-node tables to
-// hold it. Indices enter the tracker only here (holders at announce time,
-// the requester and its Avoid list at want time), so the grant loop
-// indexes busy and avoid without bounds growing.
+// node resolves id to its node index, sizes the per-node tables to hold it
+// and numbers its locality. Indices enter the tracker only here (holders at
+// announce time, the requester and its Avoid list at want time), so the
+// grant loop indexes busy, avoid and loc without bounds growing.
 func (t *Tracker) node(id simnet.NodeID) int32 {
 	i := t.net.Index(id)
-	if n := int(i) + 1; n > len(t.busy) {
-		t.busy = append(t.busy, make([]int, n-len(t.busy))...)
-		t.avoid = append(t.avoid, make([]uint64, n-len(t.avoid))...)
+	for int(i) >= len(t.busy) {
+		t.busy = append(t.busy, 0)
+		t.avoid = append(t.avoid, 0)
+		t.loc = append(t.loc, unplaced)
+	}
+	if t.loc[i] == unplaced {
+		p := t.net.Placement(id)
+		r, ok := t.regions[p.Region]
+		if !ok {
+			r = int32(len(t.regions))
+			t.regions[p.Region] = r
+			t.busyFar = append(t.busyFar, 0)
+		}
+		c, ok := t.clusters[p]
+		if !ok {
+			c = int32(len(t.clusters))
+			t.clusters[p] = c
+		}
+		t.loc[i] = locality{region: r, cluster: c}
 	}
 	return i
 }
@@ -173,7 +205,8 @@ func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 	if len(digests) == 0 {
 		return
 	}
-	ref := holderRef{id: holder, idx: t.node(holder), pl: t.net.Placement(holder)}
+	i := t.node(holder)
+	ref := holderRef{id: holder, idx: i, loc: t.loc[i]}
 	for _, d := range digests {
 		s := t.digests[d]
 		if s == nil {
@@ -197,7 +230,8 @@ func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 // respected.
 func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 	t.avoidGen++
-	t.avoid[t.node(agent)] = t.avoidGen
+	ai := t.node(agent)
+	t.avoid[ai] = t.avoidGen
 	for _, p := range m.Avoid {
 		t.avoid[t.node(p)] = t.avoidGen
 	}
@@ -228,7 +262,7 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 	if max <= 0 {
 		max = 1
 	}
-	ap := t.net.Placement(agent)
+	al := t.loc[ai]
 	var grants []grant
 	// Two passes: rare digests (within a 2x band of the rarest) first, so
 	// new bytes replicate before they bottleneck, then everything else.
@@ -247,7 +281,7 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 			if rareOnly != (s.count <= 2*minRarity) {
 				continue
 			}
-			h := t.pickHolder(s, ap)
+			h := t.pickHolder(s, al)
 			if h == nil {
 				continue
 			}
@@ -271,7 +305,7 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 // cluster's own capacity doubles as agents complete, so waiting a tick is
 // cheaper than crossing the network spine. It returns nil when no holder
 // may be granted.
-func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement) *holderRef {
+func (t *Tracker) pickHolder(s *digestState, al locality) *holderRef {
 	// Reservoir-pick one free holder per locality class in a single pass
 	// over the sample — uniform among the free holders of each class
 	// without materializing the class lists.
@@ -286,7 +320,7 @@ func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement) *holderRef {
 		}
 		free := t.busy[h.idx] < t.budget
 		switch {
-		case h.pl.Region == ap.Region && h.pl.Cluster == ap.Cluster:
+		case h.loc.cluster == al.cluster:
 			clusterAny = true
 			if free {
 				nCluster++
@@ -294,7 +328,7 @@ func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement) *holderRef {
 					cluster = h
 				}
 			}
-		case h.pl.Region == ap.Region:
+		case h.loc.region == al.region:
 			regionAny = true
 			if free {
 				nRegion++
@@ -320,11 +354,11 @@ func (t *Tracker) pickHolder(s *digestState, ap simnet.Placement) *holderRef {
 	case farAny:
 		// Cross-region bootstrap is rationed per requesting region: once
 		// the region holds copies, its agents fetch locally instead.
-		if t.busyFar[ap.Region] >= farBudget {
+		if t.busyFar[al.region] >= farBudget {
 			return nil
 		}
 		if far != nil {
-			t.busyFar[ap.Region]++
+			t.busyFar[al.region]++
 			return far
 		}
 	}

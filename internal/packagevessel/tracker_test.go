@@ -225,16 +225,19 @@ const (
 var twinLatency = simnet.LatencyModel{SameCluster: time.Microsecond, SameRegion: 2 * time.Microsecond,
 	CrossRegion: 5 * time.Microsecond, Jitter: 0.2}
 
-// twinPlacement spreads nodes over two clusters of one region and a third
-// in another, so every locality class of pickHolder is reached.
+// twinPlacement spreads nodes over two clusters of one region and two of
+// another, so every locality class of pickHolder is reached. One cluster
+// name, c0, is in both regions: us/c0 and eu/c0 are different clusters.
 func twinPlacement(i int) simnet.Placement {
-	switch i % 3 {
+	switch i % 4 {
 	case 0:
 		return simnet.Placement{Region: "us", Cluster: "c0"}
 	case 1:
 		return simnet.Placement{Region: "us", Cluster: "c1"}
+	case 2:
+		return simnet.Placement{Region: "eu", Cluster: "c2"}
 	}
-	return simnet.Placement{Region: "eu", Cluster: "c2"}
+	return simnet.Placement{Region: "eu", Cluster: "c0"}
 }
 
 // twin is one side of the differential run.
