@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/zeus -run '^$$' -fuzz '^FuzzCatchUpMatchesReplay$$' -fuzztime=5s
 	$(GO) test ./internal/gatekeeper -run '^$$' -fuzz '^FuzzParseProjectSpec$$' -fuzztime=5s
 	$(GO) test ./internal/cdl -run '^$$' -fuzz '^FuzzCompileMatchesSeed$$' -fuzztime=5s
+	$(GO) test ./internal/cdl/analysis/dataflow -run '^$$' -fuzz '^FuzzDependentsMatchDepgraph$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseMetadata$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseTagRecord$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzTrackerMatchesMapReference$$' -fuzztime=5s

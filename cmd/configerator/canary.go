@@ -56,8 +56,8 @@ func runCanary(asJSON bool) {
 	}
 	for _, at := range attempts {
 		rep := submit(at.Title, at.raw, false, at.Override)
-		if rep.Canary != nil {
-			for _, ph := range rep.Canary.Phases {
+		if n := len(rep.Canaries); n > 0 {
+			for _, ph := range rep.Canaries[n-1].Phases {
 				at.Phases = append(at.Phases, canaryPhase{ph.Name, ph.TestServers, ph.Passed, ph.FailedCheck})
 			}
 		}

@@ -32,6 +32,12 @@
 // is a walk up those indexes from what changed. Index.Analyze is the
 // derivation from the empty snapshot, where every file is new.
 //
+// A snapshot also records every file it is given with its scanned imports,
+// whether or not a root reaches it, and keeps the inverse of those imports
+// as a third index: the import graph Dependents walks. The pipeline's head
+// snapshot is given every source file, so that graph is its Dependency
+// Service (§3.1).
+//
 // The one limit: a file imported by everything has the whole repository as
 // its cone, and editing it costs a whole-repository pass (of memo lookups,
 // and of rebuilds where the edit changed a summary). Two smaller linear
@@ -42,6 +48,7 @@ package dataflow
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -197,13 +204,17 @@ type Repo struct {
 	// continues with a stub for them; configlint reports the parse error).
 	Errors []string
 
-	// files holds the universe. The two inverse indexes let Radius walk up
-	// from what changed: importers maps a file to the files that import it
-	// directly, consumers an external-input key to the files holding a
-	// reference site of it. Their lists are sets in no particular order.
-	files     pmap[*fileRec]
-	importers pmap[[]string]
-	consumers pmap[[]string]
+	// files holds every file the snapshot was given, the universe with
+	// summaries. The two inverse indexes over the universe let Radius walk
+	// up from what changed: importers maps a file to the files whose summary
+	// imports it directly, consumers an external-input key to the files
+	// holding a reference site of it. importedBy is the import graph of
+	// every file: a file to the files whose scanned imports name it, which
+	// is what Dependents walks. Their lists are sets in no particular order.
+	files      pmap[*fileRec]
+	importers  pmap[[]string]
+	importedBy pmap[[]string]
+	consumers  pmap[[]string]
 }
 
 // Analyze summarizes every root and its import closure under fs: the
@@ -224,6 +235,42 @@ func (r *Repo) sum(path string) *summary {
 func (r *Repo) isRoot(path string) bool {
 	_, ok := slices.BinarySearch(r.Roots, path)
 	return ok
+}
+
+// Dependents returns every file that transitively imports one of paths,
+// rooted or not, without paths themselves, sorted: the Dependency Service's
+// recompile and lint sets (§3.1). A file whose imports cannot be scanned
+// has no edges, and a file the view no longer holds keeps its importers.
+func (r *Repo) Dependents(paths ...string) []string {
+	seen := make(map[string]bool, len(paths))
+	for _, path := range paths {
+		seen[path] = true
+	}
+	queue := slices.Clone(paths)
+	var out []string
+	for len(queue) > 0 {
+		path := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		importers, _ := r.importedBy.get(path)
+		for _, imp := range importers {
+			if !seen[imp] {
+				seen[imp] = true
+				queue = append(queue, imp)
+				out = append(out, imp)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Imports returns the direct imports the lexer scanned from path, nil when
+// the snapshot holds no such file or its imports cannot be scanned.
+func (r *Repo) Imports(path string) []string {
+	if rc, ok := r.files.get(path); ok {
+		return rc.imports
+	}
+	return nil
 }
 
 // observeRadius feeds one radius query into the counters and histogram.

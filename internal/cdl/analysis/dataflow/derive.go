@@ -9,8 +9,8 @@ import (
 	"configerator/internal/cdl"
 )
 
-// fileRec is what a snapshot keeps per file of its universe. The content
-// hash and the import list make the file's closure key computable without
+// fileRec is what a snapshot keeps per file it was given. The content hash
+// and the import list make the file's closure key computable without
 // reading it again, which is what lets a derivation re-key an importer of
 // an edited file for free.
 type fileRec struct {
@@ -24,13 +24,17 @@ type fileRec struct {
 	// each direct import's key, in import order. It is "" when the closure
 	// holds a cycle or an unscanned file; such a closure is never memoized.
 	key string
+	// sum is nil outside the universe: no root reaches the file, and the
+	// record is kept for its import edges alone. Nothing re-keys such a
+	// record when its imports change, so its key is never trusted.
 	sum *summary
 }
 
-// edges are the imports the summary followed: none for a stub, and for a
-// module that parses exactly the scanned list (see cdl.ScanImports).
+// edges are the imports the summary followed: none outside the universe or
+// for a stub, and for a module that parses exactly the scanned list (see
+// cdl.ScanImports).
 func (rc *fileRec) edges() []string {
-	if rc.sum.err != "" {
+	if rc.sum == nil || rc.sum.err != "" {
 		return nil
 	}
 	return rc.imports
@@ -40,9 +44,11 @@ func (rc *fileRec) edges() []string {
 // from r's view only at the changed paths (edited, added or deleted) and in
 // its roots: addRoots are roots of the new view, dropRoots no longer are
 // (a path in both is dropped). Only changed files are read, scanned and
-// hashed. Only their cone — the changed files of r's universe and their
-// transitive importers — is re-keyed and taken through the index memo
-// again, which reads a cone file only on a memo miss, to parse it. Every
+// hashed, and each one the view still holds is recorded, rooted or not, so
+// Dependents answers for every file the snapshot was given. Only their
+// cone — the changed files of r's universe and their transitive importers
+// — is re-keyed and taken through the index memo again, which reads a cone
+// file only on a memo miss, to parse it. Every
 // other summary, and every index entry the change does not move, is shared
 // with r, which stays valid.
 func (r *Repo) Derive(fs cdl.FileSystem, changed, addRoots, dropRoots []string) *Repo {
@@ -107,6 +113,9 @@ func (r *Repo) Derive(fs cdl.FileSystem, changed, addRoots, dropRoots []string) 
 		}
 	}
 
+	for _, path := range changed {
+		b.rec(path)
+	}
 	b.commit(next, dropRoots)
 	return next
 }
@@ -168,14 +177,14 @@ func (b *builder) read(path string) ([]byte, error) {
 }
 
 // rec returns path's record in the new snapshot: the parent's when the file
-// is outside the cone, a copy awaiting its new key when only something it
-// imports changed, and a fresh load when the file is changed or new.
+// is in its universe and outside the cone, a copy awaiting its new key when
+// the file itself did not change, and a fresh load when it is changed or new.
 func (b *builder) rec(path string) *fileRec {
 	if rc := b.recs[path]; rc != nil {
 		return rc
 	}
 	old, known := b.parent.files.get(path)
-	if known && !b.cone[path] {
+	if known && !b.cone[path] && old.sum != nil {
 		return old
 	}
 	rc := &fileRec{}
@@ -360,8 +369,12 @@ func (e *multimapEdit) commit(owner *byte) pmap[[]string] {
 	return out
 }
 
-// consumerKeys lists the external-input keys a summary's own sites read.
+// consumerKeys lists the external-input keys a summary's own sites read
+// (none for nil).
 func consumerKeys(s *summary) []string {
+	if s == nil {
+		return nil
+	}
 	var keys []string
 	for _, c := range s.consumers {
 		if k := (Origin{Kind: c.Kind, Name: c.Name}).key(); !slices.Contains(keys, k) {
@@ -371,28 +384,30 @@ func consumerKeys(s *summary) []string {
 	return keys
 }
 
-// commit fills next's maps: the published records go in, the inverse
-// indexes follow the edges and consumer sites that moved, and files no
-// root reaches any more go out.
+// commit fills next's maps: the session's records go in, the inverse
+// indexes follow the edges, imports and consumer sites that moved, and
+// files no root reaches any more leave the universe.
 func (b *builder) commit(next *Repo, dropRoots []string) {
 	importers := &multimapEdit{base: b.parent.importers, lists: make(map[string][]string)}
+	importedBy := &multimapEdit{base: b.parent.importedBy, lists: make(map[string][]string)}
 	consumers := &multimapEdit{base: b.parent.consumers, lists: make(map[string][]string)}
 	next.files = b.parent.files
 	var errsOut, errsIn []string
 
-	// replace swaps path's record for rc (nil: the file leaves the universe)
-	// and returns the imports it no longer has.
+	// replace swaps path's record for rc and returns the summary edges it no
+	// longer has. A record with neither a summary nor scanned imports holds
+	// nothing to keep: the file leaves the snapshot.
 	replace := func(path string, rc *fileRec) (left []string) {
-		var oldEdges, newEdges, oldKeys, newKeys []string
-		if old, ok := b.parent.files.get(path); ok {
-			oldEdges, oldKeys = old.edges(), consumerKeys(old.sum)
-			if old.sum.err != "" {
+		var oldEdges, newEdges, oldImports, newImports, oldKeys, newKeys []string
+		if old, ok := next.files.get(path); ok {
+			oldEdges, oldImports, oldKeys = old.edges(), old.imports, consumerKeys(old.sum)
+			if old.sum != nil && old.sum.err != "" {
 				errsOut = append(errsOut, old.sum.err)
 			}
 		}
-		if rc != nil {
-			newEdges, newKeys = rc.edges(), consumerKeys(rc.sum)
-			if rc.sum.err != "" {
+		if rc.sum != nil || rc.scanned {
+			newEdges, newImports, newKeys = rc.edges(), rc.imports, consumerKeys(rc.sum)
+			if rc.sum != nil && rc.sum.err != "" {
 				errsIn = append(errsIn, rc.sum.err)
 			}
 			next.files.set(b.owner, path, rc)
@@ -400,6 +415,7 @@ func (b *builder) commit(next *Repo, dropRoots []string) {
 			next.files.del(b.owner, path)
 		}
 		consumers.move(path, oldKeys, newKeys)
+		importedBy.move(path, oldImports, newImports)
 		return importers.move(path, oldEdges, newEdges)
 	}
 
@@ -408,11 +424,10 @@ func (b *builder) commit(next *Repo, dropRoots []string) {
 	// importing.
 	suspects := append([]string(nil), dropRoots...)
 	for path, rc := range b.recs {
-		// A record without a summary was only loaded for an importer's key.
-		if s, ok := b.sums[path]; ok {
-			rc.sum = s
-			suspects = append(suspects, replace(path, rc)...)
-		}
+		// A record without a summary was loaded for an importer's key, or
+		// is a changed file no root reaches.
+		rc.sum = b.sums[path]
+		suspects = append(suspects, replace(path, rc)...)
 	}
 	for path := range b.cone {
 		if _, ok := b.sums[path]; !ok {
@@ -440,7 +455,7 @@ func (b *builder) commit(next *Repo, dropRoots []string) {
 	for len(suspects) > 0 {
 		path := suspects[len(suspects)-1]
 		suspects = suspects[:len(suspects)-1]
-		if _, ok := next.files.get(path); !ok {
+		if rc, ok := next.files.get(path); !ok || rc.sum == nil {
 			continue
 		}
 		seen = make(map[string]bool)
@@ -448,11 +463,13 @@ func (b *builder) commit(next *Repo, dropRoots []string) {
 			continue
 		}
 		for f := range seen {
-			suspects = append(suspects, replace(f, nil)...)
+			rc, _ := next.files.get(f)
+			suspects = append(suspects, replace(f, &fileRec{hash: rc.hash, imports: rc.imports, scanned: rc.scanned})...)
 		}
 	}
 
 	next.importers = importers.commit(b.owner)
+	next.importedBy = importedBy.commit(b.owner)
 	next.consumers = consumers.commit(b.owner)
 	if len(errsOut) > 0 || len(errsIn) > 0 {
 		errs := append(slices.Clone(next.Errors), errsIn...)

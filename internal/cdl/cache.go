@@ -1,10 +1,11 @@
 package cdl
 
 // Cache storage for the compilation engine: a content-addressed parse
-// cache and a whole-compile result cache keyed by the Merkle hash of the
-// root's transitive source closure. Both live behind the Engine mutex;
-// entries are immutable once published, so readers share them freely
-// across goroutines.
+// cache and a whole-compile result cache keyed by root path. Both live
+// behind the Engine mutex; entries are immutable once published (but for
+// their LRU tick), so readers share them freely across goroutines.
+
+import "crypto/sha256"
 
 // parseEntry is one cached parse, keyed by (path, source hash). The path
 // is part of the key because AST positions embed the file name.
@@ -22,11 +23,29 @@ type registeredValidator struct {
 }
 
 // resultEntry is one memoized whole-compile result, keyed by the root
-// module's closure hash.
+// path: the result and every module its compile loaded, root included.
 type resultEntry struct {
 	res     *Result
-	closure []string
+	files   []loadedFile
 	lastUse int64
+}
+
+// loadedFile is one module a compile loaded: its path and content hash.
+type loadedFile struct {
+	path string
+	sum  [sha256.Size]byte
+}
+
+// current reports whether every file the entry lists reads back unchanged
+// through fs, so that compiling the root again would load the same bytes.
+func (re *resultEntry) current(fs FileSystem) bool {
+	for _, f := range re.files {
+		src, err := fs.ReadFile(f.path)
+		if err != nil || sha256.Sum256(src) != f.sum {
+			return false
+		}
+	}
+	return true
 }
 
 // evictOldest removes roughly the least-recently-used quarter of a cache

@@ -450,6 +450,21 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorsNameTokenKinds: an error expecting a kind of token names
+// the kind, and a source that ends early says so.
+func TestParseErrorsNameTokenKinds(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`import x;`, `t.cconf:1:8: expected string, found "x"`},
+		{`schema S { a: int; }`, `t.cconf:1:12: expected integer, found "a"`},
+		{`export {a: 1.`, `t.cconf:1:14: expected identifier, found end of input`},
+		{`let x = 1`, `t.cconf:1:10: expected ";", found end of input`},
+	} {
+		if _, err := Parse("t.cconf", tc.src); err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) error = %v, want %s", tc.src, err, tc.want)
+		}
+	}
+}
+
 func TestCommentsAndWhitespace(t *testing.T) {
 	res := compileOne(t, MapFS{"a.cconf": `
 		# hash comment

@@ -1,6 +1,7 @@
 package cdl
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,7 +73,6 @@ func cloneResult(r *Result) *Result {
 type loadState struct {
 	eng    *Engine
 	fs     FileSystem
-	h      *hasher // supplies already-read sources; nil with CacheDisabled
 	eval   *evaluator
 	global *Env
 
@@ -83,13 +83,15 @@ type loadState struct {
 	inProgress map[string]bool
 	order      []string
 	validators map[string][]registeredValidator
+	// loaded is every module read, with its content hash: the result cache
+	// entry of a successful compile. Empty with CacheDisabled.
+	loaded []loadedFile
 }
 
-func newLoadState(eng *Engine, fs FileSystem, h *hasher) *loadState {
+func newLoadState(eng *Engine, fs FileSystem) *loadState {
 	return &loadState{
 		eng:        eng,
 		fs:         fs,
-		h:          h,
 		eval:       &evaluator{schemas: map[string]*SchemaDef{}, validators: map[string][]*ValidatorStmt{}},
 		global:     baseEnv(),
 		modules:    map[string]*Env{},
@@ -112,19 +114,16 @@ func (st *loadState) load(path string) (*Env, error) {
 	st.inProgress[path] = true
 	defer delete(st.inProgress, path)
 
-	// Evaluate the bytes the result key was computed from.
-	var src []byte
-	if st.h != nil {
-		src = st.h.info(path).src
+	src, err := st.fs.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		var err error
-		src, err = st.fs.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
+	var sum [sha256.Size]byte
+	if !st.eng.CacheDisabled {
+		sum = sha256.Sum256(src)
+		st.loaded = append(st.loaded, loadedFile{path: path, sum: sum})
 	}
-	mod, err := st.eng.parseModule(path, src)
+	mod, err := st.eng.parseModule(path, src, sum)
 	if err != nil {
 		return nil, err
 	}

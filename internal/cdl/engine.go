@@ -9,23 +9,24 @@ package cdl
 //   - parse cache: (path, source-hash) → AST, single-flighted, so a .cinc
 //     imported by N configs parses once, not N times, even when the N
 //     compiles run in parallel;
-//   - result cache: Merkle hash of the root's transitive source closure →
-//     finished *Result, making the CI double-compile determinism check and
-//     a re-request of an unchanged config nearly free. Content-hash keys
-//     self-invalidate — editing any file in the closure changes the key —
-//     and InvalidatePaths evicts the dead entries precisely using the
-//     Dependency Service's affected set.
+//   - result cache: root path → the finished *Result and the path and
+//     SHA-256 of every module its compile loaded, making the CI
+//     double-compile determinism check and a re-request of an unchanged
+//     config nearly free. A lookup hits only when every listed file reads
+//     back unchanged through the caller's view, so editing any file in the
+//     closure misses with no invalidation; InvalidatePaths evicts the dead
+//     entries by the same lists.
 //
-// Every compile that misses the result cache evaluates its whole module
-// graph in a fresh global environment, exactly as the seed compiler does,
-// so a successful result is a function of the closure's bytes alone and is
-// always stored. Compile errors are never cached, so error messages are
+// The engine never scans imports: what a compile loads is what its entry
+// lists. Every compile that misses the result cache evaluates its whole
+// module graph in a fresh global environment, exactly as the seed compiler
+// does, so a successful result is a function of the loaded bytes alone and
+// is always stored. Compile errors are never cached, so error messages are
 // always produced by a fresh evaluation and are byte-identical to the seed
 // compiler's.
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -100,113 +101,17 @@ func (b *BatchError) Error() string { return b.Err.Error() }
 // Unwrap exposes the underlying compile error.
 func (b *BatchError) Unwrap() error { return b.Err }
 
-// ---- hashing ----
-
-// keyInfo is the hashed view of one source file under one FileSystem: its
-// content, scanned direct imports, transitive closure, and Merkle closure
-// key. err records why a key could not be computed (unreadable file,
-// lexical error, import cycle); such paths compile uncached.
-type keyInfo struct {
-	src     []byte
-	key     string
-	imports []string
-	closure []string
-	err     error
-}
-
-// hasher computes closure keys for one FileSystem view, memoized per path.
-// It is safe for concurrent use; the mutex serializes the recursive walk,
-// which is cheap (reads + sha256, no parsing or evaluation).
-type hasher struct {
-	fs   FileSystem
-	mu   sync.Mutex
-	memo map[string]*keyInfo
-}
-
-func newHasher(fs FileSystem) *hasher {
-	return &hasher{fs: fs, memo: make(map[string]*keyInfo)}
-}
-
-// info returns the keyInfo for path, computing (and memoizing) the whole
-// transitive closure on first use.
-func (h *hasher) info(path string) *keyInfo {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.walk(path, make(map[string]bool))
-}
-
-func (h *hasher) walk(path string, visiting map[string]bool) *keyInfo {
-	if ki, ok := h.memo[path]; ok {
-		return ki
-	}
-	if visiting[path] {
-		// Genuine import cycle: every path on the cycle is permanently
-		// unkeyable, so memoizing the error is correct.
-		ki := &keyInfo{err: fmt.Errorf("cdl: import cycle through %q", path)}
-		h.memo[path] = ki
-		return ki
-	}
-	ki := &keyInfo{}
-	src, err := h.fs.ReadFile(path)
-	if err != nil {
-		ki.err = err
-		h.memo[path] = ki
-		return ki
-	}
-	ki.src = src
-	imports, err := ScanImports(path, src)
-	if err != nil {
-		ki.err = err
-		h.memo[path] = ki
-		return ki
-	}
-	ki.imports = imports
-
-	visiting[path] = true
-	sum := sha256.Sum256(src)
-	hash := sha256.New()
-	hash.Write([]byte("cdl-module\x00"))
-	hash.Write([]byte(path))
-	hash.Write([]byte{0})
-	hash.Write(sum[:])
-	closure := map[string]bool{path: true}
-	for _, imp := range imports {
-		sub := h.walk(imp, visiting)
-		if sub.err != nil && ki.err == nil {
-			ki.err = sub.err
-		}
-		hash.Write([]byte{0})
-		hash.Write([]byte(sub.key))
-		for _, p := range sub.closure {
-			closure[p] = true
-		}
-		closure[imp] = true
-	}
-	delete(visiting, path)
-
-	ki.closure = make([]string, 0, len(closure))
-	for p := range closure {
-		ki.closure = append(ki.closure, p)
-	}
-	sort.Strings(ki.closure)
-	if ki.err == nil {
-		ki.key = fmt.Sprintf("%x", hash.Sum(nil))
-	}
-	h.memo[path] = ki
-	return ki
-}
-
 // ---- parse cache ----
 
-// parseModule parses src (content-addressed, memoized). Parse errors are
-// cached too: the same bytes always produce the same error. A request that
-// arrives while the same bytes are being parsed waits for that parse and
-// counts as a hit, so parallel compiles parse a shared file exactly once.
-func (e *Engine) parseModule(path string, src []byte) (*Module, error) {
+// parseModule parses src, whose SHA-256 is sum (content-addressed,
+// memoized). Parse errors are cached too: the same bytes always produce the
+// same error. A request that arrives while the same bytes are being parsed
+// waits for that parse and counts as a hit, so parallel compiles parse a
+// shared file exactly once.
+func (e *Engine) parseModule(path string, src []byte, sum [sha256.Size]byte) (*Module, error) {
 	if e.CacheDisabled {
 		return Parse(path, string(src))
 	}
-	sum := sha256.Sum256(src)
 	key := path + "\x00" + string(sum[:])
 	e.mu.Lock()
 	if pe, ok := e.parse[key]; ok {
@@ -244,27 +149,33 @@ func (e *Engine) parseModule(path string, src []byte) (*Module, error) {
 // — and a lint run immediately after a compile (or vice versa) reuses the
 // other's parse work entirely.
 func (e *Engine) ParseCached(path string, src []byte) (*Module, error) {
-	return e.parseModule(path, src)
+	return e.parseModule(path, src, sha256.Sum256(src))
 }
 
 // ---- result cache ----
 
-func (e *Engine) lookupResult(key string) *Result {
+// lookupResult returns path's cached result when every file its entry lists
+// reads back unchanged through fs. The files are read outside the lock; an
+// entry is immutable once stored, apart from lastUse.
+func (e *Engine) lookupResult(fs FileSystem, path string) *Result {
+	e.mu.Lock()
+	re := e.results[path]
+	e.mu.Unlock()
+	if re == nil || !re.current(fs) {
+		e.counters.Add("result.miss", 1)
+		return nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if re, ok := e.results[key]; ok {
-		re.lastUse = e.nextTick()
-		e.counters.Add("result.hit", 1)
-		return cloneResult(re.res)
-	}
-	e.counters.Add("result.miss", 1)
-	return nil
+	re.lastUse = e.nextTick()
+	e.counters.Add("result.hit", 1)
+	return cloneResult(re.res)
 }
 
-func (e *Engine) storeResult(key string, res *Result, closure []string) {
+func (e *Engine) storeResult(res *Result, files []loadedFile) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.results[key] = &resultEntry{res: cloneResult(res), closure: closure, lastUse: e.nextTick()}
+	e.results[res.Path] = &resultEntry{res: cloneResult(res), files: files, lastUse: e.nextTick()}
 	e.counters.Add("evict.result", int64(evictOldest(e.results, maxResultEntries,
 		func(r *resultEntry) int64 { return r.lastUse }, func(k string) { delete(e.results, k) })))
 }
@@ -277,12 +188,13 @@ func (e *Engine) nextTick() int64 {
 
 // ---- invalidation ----
 
-// InvalidatePaths evicts every result entry whose transitive
-// source closure intersects the given paths, plus parse entries for the
-// paths themselves. Content-hash keys mean stale entries can never be hit
-// again regardless; invalidation reclaims their memory immediately. The
-// pipeline calls this with the Dependency Service's affected set (changed
-// files plus all transitive importers) after a change lands.
+// InvalidatePaths evicts every result entry that lists one of the given
+// paths among the modules its compile loaded, plus parse entries for the
+// paths themselves. A stale entry can never be hit again regardless (its
+// lookup re-reads what it lists); invalidation reclaims its memory
+// immediately. The pipeline calls this with the Dependency Service's
+// affected set (changed files plus all transitive importers) after a
+// change lands.
 func (e *Engine) InvalidatePaths(paths ...string) int {
 	if len(paths) == 0 {
 		return 0
@@ -291,9 +203,9 @@ func (e *Engine) InvalidatePaths(paths ...string) int {
 	for _, p := range paths {
 		set[p] = true
 	}
-	touches := func(closure []string) bool {
-		for _, p := range closure {
-			if set[p] {
+	touches := func(files []loadedFile) bool {
+		for _, f := range files {
+			if set[f.path] {
 				return true
 			}
 		}
@@ -303,7 +215,7 @@ func (e *Engine) InvalidatePaths(paths ...string) int {
 	defer e.mu.Unlock()
 	dropped := 0
 	for k, re := range e.results {
-		if touches(re.closure) {
+		if touches(re.files) {
 			delete(e.results, k)
 			dropped++
 		}
@@ -322,24 +234,12 @@ func (e *Engine) InvalidatePaths(paths ...string) int {
 
 // Compile compiles a single module through the engine's caches.
 func (e *Engine) Compile(fs FileSystem, path string) (*Result, error) {
-	var h *hasher
 	if !e.CacheDisabled {
-		h = newHasher(fs)
-	}
-	return e.compileOne(fs, h, path)
-}
-
-func (e *Engine) compileOne(fs FileSystem, h *hasher, path string) (*Result, error) {
-	var info *keyInfo
-	if h != nil {
-		info = h.info(path)
-		if info.err == nil {
-			if res := e.lookupResult(info.key); res != nil {
-				return res, nil
-			}
+		if res := e.lookupResult(fs, path); res != nil {
+			return res, nil
 		}
 	}
-	st := newLoadState(e, fs, h)
+	st := newLoadState(e, fs)
 	env, err := st.load(path)
 	if err != nil {
 		return nil, err
@@ -348,8 +248,8 @@ func (e *Engine) compileOne(fs FileSystem, h *hasher, path string) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if info != nil && info.err == nil {
-		e.storeResult(info.key, res, info.closure)
+	if !e.CacheDisabled {
+		e.storeResult(res, st.loaded)
 	}
 	return res, nil
 }
@@ -371,16 +271,6 @@ func (e *Engine) CompileAll(fs FileSystem, paths []string) ([]*Result, error) {
 	}
 	sort.Strings(uniq)
 
-	var h *hasher
-	if !e.CacheDisabled {
-		// Hash every closure before the pool starts, so workers only read
-		// the hasher's memo instead of queueing on its mutex.
-		h = newHasher(fs)
-		for _, p := range uniq {
-			h.info(p)
-		}
-	}
-
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -397,7 +287,7 @@ func (e *Engine) CompileAll(fs FileSystem, paths []string) ([]*Result, error) {
 		go func(p string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := e.compileOne(fs, h, p)
+			res, err := e.Compile(fs, p)
 			mu.Lock()
 			if err != nil {
 				errByPath[p] = err

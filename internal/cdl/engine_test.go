@@ -305,29 +305,51 @@ func TestCompileAllBatchError(t *testing.T) {
 	}
 }
 
-// TestContentChangeSelfInvalidates: editing a file is picked up with no
-// explicit invalidation — keys are content hashes.
+// TestContentChangeSelfInvalidates: a result-cache entry hits only while
+// every module its compile loaded reads back unchanged, with no explicit
+// invalidation, and a compile that misses agrees with the reference
+// compiler byte for byte, errors included.
 func TestContentChangeSelfInvalidates(t *testing.T) {
-	fs := MapFS{
-		"lib.cinc":  `def val() { return 1; }`,
-		"a.cconf":   `import "lib.cinc"; export val();`,
-		"raw.cconf": `export 10;`,
+	base := MapFS{
+		"deep.cinc":  `let d = 1;`,
+		"lib.cinc":   `import "deep.cinc"; def val() { return d; }`,
+		"extra.cinc": `let e = 5;`,
+		"a.cconf":    `import "lib.cinc"; export val();`,
+		"raw.cconf":  `export 10;`,
 	}
-	eng := NewEngine()
-	res, err := eng.Compile(fs, "a.cconf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.JSON) != "1" {
-		t.Fatalf("got %s, want 1", res.JSON)
-	}
-	fs["lib.cinc"] = `def val() { return 2; }`
-	res, err = eng.Compile(fs, "a.cconf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.JSON) != "2" {
-		t.Errorf("after edit got %s, want 2 (stale cache served)", res.JSON)
+	for _, tc := range []struct {
+		name      string
+		edit      func(fs MapFS)
+		hit, fail bool
+	}{
+		{"unchanged", func(MapFS) {}, true, false},
+		{"import edited", func(fs MapFS) { fs["lib.cinc"] = `import "deep.cinc"; def val() { return d + 1; }` }, false, false},
+		{"module two imports down edited", func(fs MapFS) { fs["deep.cinc"] = `let d = 2;` }, false, false},
+		{"root gains an import", func(fs MapFS) { fs["a.cconf"] = `import "lib.cinc"; import "extra.cinc"; export val() + e;` }, false, false},
+		{"files outside the closure edited", func(fs MapFS) {
+			fs["raw.cconf"] = `export 11;`
+			fs["extra.cinc"] = `let e = 6;`
+		}, true, false},
+		{"closure file deleted", func(fs MapFS) { delete(fs, "deep.cinc") }, false, true},
+	} {
+		fs := MapFS{}
+		for path, src := range base {
+			fs[path] = src
+		}
+		eng := NewEngine()
+		if _, err := eng.Compile(fs, "a.cconf"); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(fs)
+		want := seedOutcomes(fs, []string{"a.cconf"})["a.cconf"]
+		if (want.err != "") != tc.fail {
+			t.Fatalf("%s: reference error %q, want failure = %v", tc.name, want.err, tc.fail)
+		}
+		hits := eng.Counters().Get("result.hit")
+		checkCompileMatchesSeed(t, tc.name, eng, fs, "a.cconf", want)
+		if hit := eng.Counters().Get("result.hit") > hits; hit != tc.hit {
+			t.Errorf("%s: served from the result cache = %v, want %v", tc.name, hit, tc.hit)
+		}
 	}
 }
 

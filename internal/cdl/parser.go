@@ -57,11 +57,14 @@ func (p *parser) expect(kind tokenKind, text string) (token, error) {
 		return p.next(), nil
 	}
 	t := p.cur()
-	want := text
-	if want == "" {
-		want = fmt.Sprintf("token kind %d", kind)
+	want, found := kind.String(), tokEOF.String()
+	if text != "" {
+		want = fmt.Sprintf("%q", text)
 	}
-	return token{}, errf(t.pos, "expected %q, found %q", want, t.text)
+	if t.kind != tokEOF {
+		found = fmt.Sprintf("%q", t.text)
+	}
+	return token{}, errf(t.pos, "expected %s, found %s", want, found)
 }
 
 func (p *parser) parseTopLevel(m *Module) (Stmt, error) {

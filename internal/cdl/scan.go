@@ -4,7 +4,10 @@ package cdl
 // from every config source on every change (§3.1); paying a full parse for
 // that is wasteful when only the `import "path";` statements matter. The
 // scanner tokenizes the source once and collects import paths without
-// building an AST.
+// building an AST. The pipeline scans through its dataflow snapshot alone,
+// once per changed file, which keeps the list as the file's edges in the
+// pipeline's import graph and as input to its closure key. The engine scans
+// nothing; `configerator deps` and package depgraph are the other callers.
 //
 // Soundness: the parser accepts `import` only as a top-level statement, and
 // a top-level statement position is never inside brackets, so scanning for

@@ -56,6 +56,12 @@ const (
 	tokKeyword // import schema let def validator export assert if else for in return true false null and or not
 )
 
+// kindNames name the token kinds in parser errors.
+var kindNames = [...]string{tokEOF: "end of input", tokIdent: "identifier", tokInt: "integer",
+	tokFloat: "float", tokString: "string", tokPunct: "punctuation", tokOp: "operator", tokKeyword: "keyword"}
+
+func (k tokenKind) String() string { return kindNames[k] }
+
 var keywords = map[string]bool{
 	"import": true, "schema": true, "let": true, "def": true,
 	"validator": true, "export": true, "assert": true, "if": true,

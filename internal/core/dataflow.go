@@ -20,12 +20,12 @@ import (
 // overrides; negative disables).
 const DefaultHighRadiusArtifacts = 25
 
-// catchUp brings the pipeline's two memories of the repositories — the head
-// analysis snapshot and the dependency graph — up to the head trees, from
-// the Merkle diff between each repository's stamp and its head. A commit
-// landed by anyone — a sitevar write, a direct strip submit, this pipeline's
-// own shard — is picked up without being announced. Submit and the strip
-// gate run it before they ask either memory a question.
+// catchUp brings the head snapshot — the pipeline's one memory of the
+// repositories, summaries and import graph alike — up to the head trees,
+// from the Merkle diff between each repository's stamp and its head. A
+// commit landed by anyone — a sitevar write, a direct strip submit, this
+// pipeline's own shard — is picked up without being announced. Submit and
+// the strip gate run it before they ask the snapshot a question.
 func (p *Pipeline) catchUp() {
 	var live, gone []string
 	for _, repo := range p.Repos.Repos() {
@@ -34,17 +34,10 @@ func (p *Pipeline) catchUp() {
 			if !isSource(path) {
 				continue
 			}
-			data, err := repo.ReadFile(path)
-			if err != nil { // it left the tree
+			if _, ok := tree.Get(path); ok {
+				live = append(live, path)
+			} else { // it left the tree
 				gone = append(gone, path)
-				p.Deps.Remove(path)
-				continue
-			}
-			live = append(live, path)
-			if p.Deps.ExtractAndSet(path, data) != nil {
-				// Its imports cannot be read: no edges, as in a graph
-				// built cold over this head.
-				p.Deps.Remove(path)
 			}
 		}
 		p.headTrees[repo] = tree

@@ -63,8 +63,12 @@ type Options struct {
 
 // Pipeline is the assembled Configerator deployment.
 type Pipeline struct {
-	Repos   *vcs.RepoSet
-	Cost    vcs.CostModel
+	Repos *vcs.RepoSet
+	Cost  vcs.CostModel
+	// Deps is an empty dependency graph the pipeline never reads: the
+	// benchmark's staged replay of Submit keeps and queries it itself. It
+	// goes with internal/depgraph once [ledger] moves the replay onto the
+	// head snapshot.
 	Deps    *depgraph.Graph
 	Review  *review.Queue
 	Sandbox *ci.Sandbox
@@ -85,9 +89,10 @@ type Pipeline struct {
 	// as lint and compile.
 	Dataflow *dataflow.Index
 	// head is the analysis snapshot of the repositories at headTrees, the
-	// head tree each repository had when the pipeline last caught up. Stage
-	// 1 and the strip gates derive a change's view from it; only catchUp
-	// moves it, and Deps with it.
+	// head tree each repository had when the pipeline last caught up, and
+	// the pipeline's import graph: every dependency question (lint set,
+	// recompile set, invalidation) is asked of it. Stage 1 and the strip
+	// gates derive a change's view from it; only catchUp moves it.
 	head      *dataflow.Repo
 	headTrees map[*vcs.Repository]vcs.Tree
 	// DeprecatedSitevars configures the deprecated-sitevar analyzer:
@@ -314,10 +319,8 @@ type ChangeReport struct {
 	// changed.
 	Recompiled []string
 	CIResult   *ci.Result
-	// Canary is the last canary report — the failing one when the stage
-	// failed (kept for compatibility; see Canaries for the full set).
-	Canary *canary.Report
-	// Canaries holds one report per canaried artifact, in artifact order.
+	// Canaries holds one report per canaried artifact, in artifact order;
+	// the last is the failing one when the stage failed.
 	Canaries []*canary.Report
 	// RiskFlags are the advisory findings posted to the review diff.
 	RiskFlags []string
@@ -360,18 +363,24 @@ var (
 	ErrHighRadius = errors.New("core: high blast-radius change requires canary")
 )
 
-// lintAffected runs the configlint analyzer suite over the sources the
-// view writes plus every transitive importer, through the shared engine's
-// parse cache. The dependency graph is at head, before the change's own
-// edges, so a .cinc edit lints every .cconf it can break.
+// affected returns the sources the view writes plus every transitive
+// importer at head, before the change's own edges, minus what the view
+// deletes, sorted.
+func (p *Pipeline) affected(v *changeView) []string {
+	out := append(p.head.Dependents(v.edited...), v.edited...)
+	out = slices.DeleteFunc(out, func(path string) bool { return v.deleted[path] })
+	sort.Strings(out)
+	return out
+}
+
+// lintAffected runs the configlint analyzer suite over the view's affected
+// sources, through the shared engine's parse cache, so a .cinc edit lints
+// every source it can break, rooted or not.
 func (p *Pipeline) lintAffected(v *changeView) []analysis.Diagnostic {
-	roots := append(append([]string(nil), v.edited...), p.Deps.Dependents(v.edited...)...)
-	roots = slices.DeleteFunc(roots, func(path string) bool { return v.deleted[path] })
+	roots := p.affected(v)
 	if len(roots) == 0 {
 		return nil
 	}
-	sort.Strings(roots)
-	roots = slices.Compact(roots)
 	d := analysis.NewDriver(p.Engine, v)
 	d.DeprecatedSitevars = p.DeprecatedSitevars
 	diags, err := d.Run(roots)
@@ -389,9 +398,9 @@ func (p *Pipeline) lintAffected(v *changeView) []analysis.Diagnostic {
 // name order, except that a shard providing a source imported by another
 // shard lands first. Each strip's gate lints its shard against the
 // already-landed repositories, so the provider must be committed before
-// the importer's shard reaches its strip. Import cycles between shards
-// fall back to plain name order.
-func orderShards(shards map[*vcs.Repository]*vcs.Diff) []*vcs.Repository {
+// the importer's shard reaches its strip. The imports are the change
+// snapshot's. Import cycles between shards fall back to plain name order.
+func orderShards(shards map[*vcs.Repository]*vcs.Diff, snap *dataflow.Repo) []*vcs.Repository {
 	repos := make([]*vcs.Repository, 0, len(shards))
 	for repo := range shards {
 		repos = append(repos, repo)
@@ -416,11 +425,7 @@ func orderShards(shards map[*vcs.Repository]*vcs.Diff) []*vcs.Repository {
 			if !isSource(ch.Path) || ch.Delete {
 				continue
 			}
-			imports, err := cdl.ScanImports(ch.Path, ch.Content)
-			if err != nil {
-				continue // the strip's lint gate reports it
-			}
-			for _, imp := range imports {
+			for _, imp := range snap.Imports(ch.Path) {
 				if from := provider[imp]; from != nil && from != repo {
 					if deps[repo] == nil {
 						deps[repo] = make(map[*vcs.Repository]bool)
@@ -525,8 +530,7 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 			p.Risk.SetReach(path, len(pr.Artifacts)+len(pr.Consumers))
 		}
 	}
-	toCompile := slices.DeleteFunc(p.Deps.RecompileSet(fs.edited, isTopLevel),
-		func(src string) bool { return fs.deleted[src] })
+	toCompile := topLevel(p.affected(fs))
 	// The batch API compiles the recompile set through the shared engine:
 	// dependency-topological waves over a bounded worker pool, with the
 	// shared .cinc closure parsed and evaluated once instead of once per
@@ -617,7 +621,6 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 				p.Fleet.Net.RunFor(5 * time.Second)
 			}
 			report.Canaries = append(report.Canaries, &cres)
-			report.Canary = &cres
 			if !done {
 				return fail("canary", fmt.Errorf("core: canary never completed for %s", artifact))
 			}
@@ -665,7 +668,7 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 	// require (stage 3 already refused high-radius SkipCanary requests).
 	canaried := p.Canary == nil || !req.SkipCanary
 	var worst time.Duration
-	for _, repo := range orderShards(shards) {
+	for _, repo := range orderShards(shards, rep) {
 		shard := shards[repo]
 		if canaried {
 			p.cleared[shard] = true
@@ -691,11 +694,11 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 
 	// Evict engine cache entries whose closures touch the landed change.
 	// The affected set — changed files plus their transitive importers —
-	// must be computed against the pre-change graph edges: here, before the
-	// next catchUp rewrites them. (Content-hash keys already make stale
-	// entries unreachable; this reclaims their memory.)
+	// is asked of the head snapshot before the next catchUp moves it past
+	// the change. (Stale entries never hit, since a lookup re-reads every
+	// file the entry lists; this reclaims their memory.)
 	if len(fs.touched) > 0 {
-		p.Engine.InvalidatePaths(append(p.Deps.Dependents(fs.touched...), fs.touched...)...)
+		p.Engine.InvalidatePaths(append(p.head.Dependents(fs.touched...), fs.touched...)...)
 	}
 	p.observeRisk(req, report)
 

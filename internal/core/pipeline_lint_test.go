@@ -101,6 +101,32 @@ func TestPipelineLintCoversDependents(t *testing.T) {
 	}
 }
 
+// TestLintReachesUnrootedImporters: the lint set is every transitive
+// importer in the repository, not only those a config reaches, so editing
+// a library lints a library that imports it even when no .cconf imports
+// either.
+func TestLintReachesUnrootedImporters(t *testing.T) {
+	p := standalone(t)
+	mustLand(t, p, &ChangeRequest{
+		Author: "alice", Reviewer: "bob", Title: "two libraries", SkipCanary: true,
+		Sources: map[string][]byte{
+			"lib/a.cinc": []byte("let A = 1;\n"),
+			"lib/b.cinc": []byte("import \"lib/a.cinc\";\nlet B = A + 1;\n"),
+		},
+	})
+	rep := p.Submit(editChange("rename A", "lib/a.cinc", "let A2 = 1;\n"))
+	if rep.FailedStage != "lint" {
+		t.Fatalf("FailedStage = %q, want lint (err: %v)", rep.FailedStage, rep.Err)
+	}
+	found := false
+	for _, d := range rep.Lint {
+		found = found || d.Severity == analysis.Error && d.Pos.File == "lib/b.cinc"
+	}
+	if !found {
+		t.Fatalf("no error in the unrooted importer lib/b.cinc: %v", rep.Lint)
+	}
+}
+
 // TestPipelineLintWarningsRideAlong: warnings appear in the report but do
 // not block the change.
 func TestPipelineLintWarningsRideAlong(t *testing.T) {

@@ -114,9 +114,9 @@ func TestOutOfBandCommitsReachRecompileSet(t *testing.T) {
 
 // TestPipelineMatchesColdPipeline searches for a commit the pipeline fails to
 // learn of: random walks mixing changes through Submit with commits that
-// bypass it, and after every Submit the dependency graph answers as one built
-// cold over the same head does, and every artifact in the change's radius
-// holds what its source compiles to at head.
+// bypass it, and after every Submit the head snapshot's import graph answers
+// as one built cold over the same head does, and every artifact in the
+// change's radius holds what its source compiles to at head.
 func TestPipelineMatchesColdPipeline(t *testing.T) {
 	const libs, seeds, steps = 5, 30, 40
 	lib := func(i int) string { return fmt.Sprintf("lib/l%d.cinc", i) }
@@ -221,9 +221,9 @@ func TestPipelineMatchesColdPipeline(t *testing.T) {
 				changed = append(changed, path)
 			}
 			for _, x := range changed {
-				got, want := p.Deps.RecompileSet([]string{x}, isTopLevel), cold.Deps.RecompileSet([]string{x}, isTopLevel)
+				got, want := p.head.Dependents(x), cold.head.Dependents(x)
 				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d: RecompileSet(%s) = %v, a cold pipeline over the same head: %v", seed, step, x, got, want)
+					t.Fatalf("seed %d step %d: Dependents(%s) = %v, a cold pipeline over the same head: %v", seed, step, x, got, want)
 				}
 			}
 			compiler := cdl.NewEngine()

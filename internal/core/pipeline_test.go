@@ -279,8 +279,8 @@ func TestCanaryBlocksBadChange(t *testing.T) {
 	if rep.OK() || rep.FailedStage != "canary" {
 		t.Fatalf("report: stage=%s err=%v", rep.FailedStage, rep.Err)
 	}
-	if rep.Canary == nil || rep.Canary.Passed {
-		t.Fatalf("canary report = %+v", rep.Canary)
+	if len(rep.Canaries) != 1 || rep.Canaries[0].Passed {
+		t.Fatalf("canary reports = %+v", rep.Canaries)
 	}
 	// The committed config is still v1 everywhere, and no overrides
 	// remain.
@@ -305,8 +305,8 @@ func TestCanaryPassesGoodChange(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("failed at %s: %v", rep.FailedStage, rep.Err)
 	}
-	if rep.Canary == nil || !rep.Canary.Passed {
-		t.Fatalf("canary = %+v", rep.Canary)
+	if len(rep.Canaries) != 1 || !rep.Canaries[0].Passed {
+		t.Fatalf("canary reports = %+v", rep.Canaries)
 	}
 	// Canary dominates end-to-end time, ~10 min (§6.3).
 	if rep.Timings["canary"] < 8*time.Minute || rep.Timings["canary"] > 15*time.Minute {
@@ -327,14 +327,14 @@ func TestOverrideCanaryLandsAnyway(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("override should land: %v", rep.Err)
 	}
-	if rep.Canary.Passed {
+	if len(rep.Canaries) != 1 || rep.Canaries[0].Passed {
 		t.Error("canary should have flagged the change")
 	}
 }
 
 func TestCanariesPerArtifact(t *testing.T) {
-	// Satellite fix: with two artifacts in one change, the report keeps one
-	// canary report per artifact instead of overwriting a single field.
+	// With two artifacts in one change, the report keeps one canary report
+	// per artifact.
 	p, f := fleetPipeline(t)
 	f.SubscribeAll("/configs/feed/one.json")
 	f.SubscribeAll("/configs/feed/two.json")
@@ -355,10 +355,6 @@ func TestCanariesPerArtifact(t *testing.T) {
 		if cr == nil || !cr.Passed {
 			t.Errorf("Canaries[%d] = %+v, want passed", i, cr)
 		}
-	}
-	// The legacy single-report field still holds the last canary run.
-	if rep.Canary == nil || rep.Canary != rep.Canaries[len(rep.Canaries)-1] {
-		t.Errorf("Canary = %p, want last of Canaries", rep.Canary)
 	}
 }
 

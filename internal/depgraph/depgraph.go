@@ -9,6 +9,11 @@
 // transitive importer set is the recompile set — the paper's example being
 // a change to app_port.cinc recompiling both app.cconf and firewall.cconf
 // in one commit.
+//
+// The pipeline asks its head dataflow snapshot these questions
+// (dataflow.Repo.Dependents). This graph is kept as the reference the
+// snapshot's import graph is tested against, and for the benchmark's staged
+// replay of Submit, until [ledger] moves the replay onto the snapshot.
 package depgraph
 
 import (
@@ -60,16 +65,6 @@ func (g *Graph) ExtractAndSet(file string, src []byte) error {
 	}
 	g.SetImports(file, imports)
 	return nil
-}
-
-// Remove deletes a file from the graph (it keeps its reverse entries for
-// files that still import it — those imports are now dangling and will fail
-// at compile time, which is the correct failure mode).
-func (g *Graph) Remove(file string) {
-	for _, old := range g.deps[file] {
-		delete(g.rdeps[old], file)
-	}
-	delete(g.deps, file)
 }
 
 // Dependents returns every file that transitively imports any of the

@@ -43,15 +43,6 @@ func TestSetImportsReplaces(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	g := New()
-	g.SetImports("x.cconf", []string{"lib.cinc"})
-	g.Remove("x.cconf")
-	if deps := g.Dependents("lib.cinc"); len(deps) != 0 {
-		t.Errorf("Dependents after remove = %v", deps)
-	}
-}
-
 func TestRecompileSetFilters(t *testing.T) {
 	g := New()
 	g.SetImports("lib/shared.cinc", nil)

@@ -219,7 +219,7 @@ func (c *Campaign) classify(rep *core.ChangeReport, bypassed bool) string {
 	case "ci":
 		return CaughtByCI
 	case "canary":
-		if rep.Canary != nil && len(rep.Canary.Phases) >= 2 {
+		if n := len(rep.Canaries); n > 0 && len(rep.Canaries[n-1].Phases) >= 2 {
 			return CaughtByCanary2
 		}
 		return CaughtByCanary1
