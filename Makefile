@@ -54,6 +54,7 @@ race:
 # is written there as a new corpus file; commit it with the fix.
 fuzz:
 	$(GO) test ./internal/vcs -run '^$$' -fuzz '^FuzzDeltaRoundTrip$$' -fuzztime=5s
+	$(GO) test ./internal/vcs -run '^$$' -fuzz '^FuzzTreeMatchesMapModel$$' -fuzztime=5s
 	$(GO) test ./internal/zeus -run '^$$' -fuzz '^FuzzPayloadResolve$$' -fuzztime=5s
 	$(GO) test ./internal/zeus -run '^$$' -fuzz '^FuzzCatchUpMatchesReplay$$' -fuzztime=5s
 	$(GO) test ./internal/gatekeeper -run '^$$' -fuzz '^FuzzParseProjectSpec$$' -fuzztime=5s

@@ -567,12 +567,17 @@ func stripRepoPath(i, n int) string {
 	return path
 }
 
-// stripRepo returns a landing strip over a repository of n real files.
-func stripRepo(n int) *landingstrip.Strip {
+// wideRepoPath names file i of an n-file repository that holds them all in
+// one directory.
+func wideRepoPath(i, n int) string { return fmt.Sprintf("wide/f%05d.json", i) }
+
+// stripRepo returns a landing strip over a repository of n real files, laid
+// out by path.
+func stripRepo(n int, path func(i, n int) string) *landingstrip.Strip {
 	repo := vcs.NewRepository("bench")
 	changes := make([]vcs.Change, n)
 	for i := range changes {
-		changes[i] = vcs.Change{Path: stripRepoPath(i, n), Content: []byte(fmt.Sprintf(`{"file":%d}`, i))}
+		changes[i] = vcs.Change{Path: path(i, n), Content: []byte(fmt.Sprintf(`{"file":%d}`, i))}
 	}
 	repo.CommitChanges("import", "import", vclock.Epoch, changes...)
 	return landingstrip.New(repo, vcs.DefaultCostModel())
@@ -580,13 +585,13 @@ func stripRepo(n int) *landingstrip.Strip {
 
 // landOneFileCommits lands count single-file edits, each cloned at head,
 // through the strip, and returns the bytes allocated per commit.
-func landOneFileCommits(tb testing.TB, strip *landingstrip.Strip, n, count int) float64 {
+func landOneFileCommits(tb testing.TB, strip *landingstrip.Strip, path func(i, n int) string, n, count int) float64 {
 	repo, now := strip.Repo(), vclock.Epoch
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < count; i++ {
 		wc := repo.Clone("eng")
-		wc.Write(stripRepoPath(i*7919%n, n), []byte(fmt.Sprintf(`{"v":%d}`, i)))
+		wc.Write(path(i*7919%n, n), []byte(fmt.Sprintf(`{"v":%d}`, i)))
 		res := strip.Submit(wc.Diff("c"), now)
 		if res.Err != nil {
 			tb.Fatal(res.Err)
@@ -610,10 +615,10 @@ var stripRepoSizes = []struct {
 func BenchmarkLandingStripThroughput(b *testing.B) {
 	for _, size := range stripRepoSizes {
 		b.Run("files="+size.name, func(b *testing.B) {
-			strip := stripRepo(size.files)
+			strip := stripRepo(size.files, stripRepoPath)
 			b.ReportAllocs()
 			b.ResetTimer()
-			landOneFileCommits(b, strip, size.files, b.N)
+			landOneFileCommits(b, strip, stripRepoPath, size.files, b.N)
 		})
 	}
 }
@@ -621,10 +626,25 @@ func BenchmarkLandingStripThroughput(b *testing.B) {
 // TestCommitCostFollowsChangeNotRepoSize is the O(changed) gate: a one-file
 // commit into 64k files may allocate at most twice what it does into 1k.
 func TestCommitCostFollowsChangeNotRepoSize(t *testing.T) {
+	checkCommitCostFollowsChange(t, stripRepoPath)
+}
+
+// TestCommitCostFollowsChangeNotDirectoryWidth is the gate's width row: with
+// every file in one directory, the same bound holds. A wide directory is
+// chunked, so a commit copies one chunk and the index above it, not the
+// directory.
+func TestCommitCostFollowsChangeNotDirectoryWidth(t *testing.T) {
+	checkCommitCostFollowsChange(t, wideRepoPath)
+}
+
+// checkCommitCostFollowsChange lands one-file commits into the smallest and
+// the largest stripRepoSizes repository, laid out by path, and fails when the
+// larger allocates more than twice as much per commit.
+func checkCommitCostFollowsChange(t *testing.T, path func(i, n int) string) {
 	const commits = 200
 	small, large := stripRepoSizes[0], stripRepoSizes[len(stripRepoSizes)-1]
-	smallBytes := landOneFileCommits(t, stripRepo(small.files), small.files, commits)
-	largeBytes := landOneFileCommits(t, stripRepo(large.files), large.files, commits)
+	smallBytes := landOneFileCommits(t, stripRepo(small.files, path), path, small.files, commits)
+	largeBytes := landOneFileCommits(t, stripRepo(large.files, path), path, large.files, commits)
 	t.Logf("bytes allocated per one-file commit: %.0f at %s files, %.0f at %s files", smallBytes, small.name, largeBytes, large.name)
 	if largeBytes > 2*smallBytes {
 		t.Errorf("a one-file commit allocates %.0f B at %s files, more than twice the %.0f B at %s files",

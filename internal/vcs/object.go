@@ -3,7 +3,8 @@
 //
 // It is a content-addressed object store in the git mold: blobs hold file
 // contents, trees are Merkle directory trees mapping paths to blobs that
-// share unchanged directories between snapshots, and commits chain trees
+// share unchanged directories (and the unchanged chunks of a wide one)
+// between snapshots, and commits chain trees
 // with parents, authors and timestamps. On top of that it provides working
 // copies with git's push semantics (a push is rejected whenever the local
 // clone is out of date, even if the changed files are disjoint — the exact

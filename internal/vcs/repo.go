@@ -104,10 +104,12 @@ func (r *Repository) ReadFile(path string) ([]byte, error) {
 // Paths lists all file paths at head, sorted.
 func (r *Repository) Paths() []string { return r.HeadTree().Paths() }
 
-// Change is one staged file operation within a Diff.
+// Change is one staged file operation within a Diff. Delete removes the
+// file and ignores Content; otherwise Content is written, and a nil Content
+// writes an empty file.
 type Change struct {
 	Path    string
-	Content []byte // nil means delete
+	Content []byte
 	Delete  bool
 }
 

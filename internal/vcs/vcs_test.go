@@ -45,6 +45,32 @@ func TestDeleteFile(t *testing.T) {
 	}
 }
 
+// TestChangeWritesUnlessDelete pins what a Change lands: only Delete
+// removes a file; a nil Content writes an empty one.
+func TestChangeWritesUnlessDelete(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		change Change
+		exists bool
+	}{
+		{"nil content", Change{Path: "f"}, true},
+		{"empty content", Change{Path: "f", Content: []byte{}}, true},
+		{"delete", Change{Path: "f", Delete: true}, false},
+		{"delete with content", Change{Path: "f", Content: []byte("x"), Delete: true}, false},
+	} {
+		r := NewRepository("test")
+		r.CommitChanges("a", "add", t0, Change{Path: "f", Content: []byte("old")})
+		r.CommitChanges("a", c.name, t0, c.change)
+		got, err := r.ReadFile("f")
+		if c.exists && (err != nil || len(got) != 0) {
+			t.Errorf("%s: ReadFile = %q, %v; want an empty file", c.name, got, err)
+		}
+		if !c.exists && !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: ReadFile = %q, %v; want ErrNotFound", c.name, got, err)
+		}
+	}
+}
+
 // readAt reads path as of a commit.
 func readAt(r *Repository, commit Hash, path string) ([]byte, error) {
 	t, err := r.treeOf(commit)
