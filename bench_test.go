@@ -1003,7 +1003,7 @@ func sweepStack(tb testing.TB, n int) (*simnet.Network, *zeus.Observer) {
 	observer := zeus.NewObserver("obs-1", nil)
 	net.AddNode("obs-1", web, observer)
 	ctx := simnet.MakeContext(net, "obs-1")
-	observer.OnRestart(&ctx) // arms the tick chain, as after a restart
+	observer.HandleMessage(&ctx, "obs-1", simnet.Restarted{}) // arms the tick chain, as after a restart
 	const path = "/configs/sweep"
 	var first *proxy.Proxy
 	for i := 0; i < n; i++ {

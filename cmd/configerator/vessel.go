@@ -32,7 +32,7 @@ const (
 func newVesselWorld() *vesselWorld {
 	w := &vesselWorld{Swarm: packagevessel.NewSwarm(vesselDemoSeed, vesselDemoAgents, 4)}
 	w.strip = landingstrip.New(vcs.NewRepository("shared"), vcs.DefaultCostModel())
-	w.strip.Gate = landingstrip.RulesFor(w.Registry).Gate
+	w.strip.Gate = landingstrip.PromotionGate(w.Registry)
 	return w
 }
 

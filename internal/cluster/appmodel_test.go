@@ -123,14 +123,10 @@ func (r *appRig) do(op, a, b byte) string {
 		r.f.Rollback(prefix, path)
 	case 4:
 		name = "crash " + string(s.ID)
-		if !s.Proxy.Down() {
-			s.Proxy.Crash()
-		}
+		r.f.Net.Fail(s.ID)
 	case 5:
 		name = "restart " + string(s.ID)
-		if s.Proxy.Down() {
-			s.Proxy.Restart()
-		}
+		r.f.Net.Recover(s.ID)
 	case 6, 7:
 		verb := map[byte]string{6: "partition ", 7: "heal "}[op%9]
 		name = verb + string(s.ID)

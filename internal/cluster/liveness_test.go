@@ -195,8 +195,8 @@ func TestLivenessMatchesPingModel(t *testing.T) {
 		call(31.7, "observer-restart", func() { f.Net.Recover(observerX) }),
 		// A proxy crash and restart: its observer prunes it while it is
 		// down; back up, it ticks on a grid anchored at the restart.
-		call(40.6, "proxy-crash", srv("srv-uw2-0").Proxy.Crash),
-		call(53.1, "proxy-restart", srv("srv-uw2-0").Proxy.Restart),
+		simnet.WithCrash(at(40.6)-15*time.Second, "srv-uw2-0"),
+		simnet.WithRestart(at(53.1)-15*time.Second, "srv-uw2-0"),
 		call(60.4, "restarted-partition", func() { f.Net.Partition("srv-uw2-0", cur("srv-uw2-0")) }),
 		call(70.0, "restarted-heal", func() { f.Net.Heal("srv-uw2-0", rec.other(srv("srv-uw2-0"), cur("srv-uw2-0"))) }),
 		// A two-way partition.

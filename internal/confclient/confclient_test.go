@@ -134,7 +134,7 @@ func TestAvailabilityThroughDiskCache(t *testing.T) {
 	// Everything dies: observer and proxy. The read still succeeds,
 	// through the disk cache.
 	net.Fail("obs-1")
-	px.Crash()
+	net.Fail(px.ID())
 	net.RunFor(1 * time.Second)
 	cfg, err = cl.Get(context.Background(), "/configs/app")
 	if err != nil {

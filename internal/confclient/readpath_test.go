@@ -235,3 +235,55 @@ func TestConcurrentReadersUnderChurn(t *testing.T) {
 		t.Errorf("final source = %q, want fresh", v.Source)
 	}
 }
+
+// TestReadersRaceProxyCrash: reader goroutines Get and Read a path while the
+// simulation thread crashes and recovers the proxy under them and commits
+// new versions. A path once fetched is always served — from memory in a live
+// life, else from the disk copy, which carries no decode memo — and the last
+// version is served fresh at the end. Run under -race.
+func TestReadersRaceProxyCrash(t *testing.T) {
+	net, wc, cl, px := newStack(t)
+	const path = "/configs/crash"
+	write(t, net, wc, path, `{"v":1}`)
+	px.Want(path)
+	net.RunFor(2 * time.Second)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, err := cl.Get(context.Background(), path); err != nil || v.Int("v", -1) < 1 {
+					t.Errorf("Get across a crash = %v, %v", v, err)
+					return
+				}
+				if r := px.Read(path); !r.OK || (r.Source == proxy.SourceStale && r.Memo() != nil) {
+					t.Errorf("Read across a crash = %+v", r)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+
+	for i := 2; i <= 4; i++ {
+		net.Fail(px.ID())
+		write(t, net, wc, path, fmt.Sprintf(`{"v":%d}`, i)) // lands while the proxy is down
+		net.Recover(px.ID())
+		net.RunFor(3 * time.Second)
+	}
+	close(stop)
+	wg.Wait()
+
+	v, err := cl.Get(context.Background(), path)
+	if err != nil || v.Int("v", -1) != 4 || v.Source != proxy.SourceFresh {
+		t.Fatalf("final Get = %+v, %v, want v 4, fresh", v, err)
+	}
+}

@@ -30,7 +30,6 @@ import (
 	"configerator/internal/riskadvisor"
 	"configerator/internal/simnet"
 	"configerator/internal/tailer"
-	"configerator/internal/vclock"
 	"configerator/internal/vcs"
 )
 
@@ -105,7 +104,7 @@ type Pipeline struct {
 	Obs *obs.Registry
 
 	strips map[*vcs.Repository]*landingstrip.Strip
-	clock  *vclock.Virtual // standalone clock when no fleet
+	net    *simnet.Network // the fleet's, or one with no nodes: the pipeline's clock
 	phase1 int
 	phase2 int
 	// highRadiusAt is the resolved HighRadiusArtifacts threshold (0 =
@@ -167,28 +166,19 @@ func New(opts Options) *Pipeline {
 			tl.Obs = p.Obs
 			p.Tailers = append(p.Tailers, tl)
 		}
+		p.net = p.Fleet.Net
 	} else {
-		p.clock = vclock.NewVirtual()
+		p.net = simnet.New(simnet.DefaultLatency(), 0)
 	}
 	p.catchUp()
 	return p
 }
 
-// Now reports pipeline time (the fleet's virtual clock, or standalone).
-func (p *Pipeline) Now() time.Time {
-	if p.Fleet != nil {
-		return p.Fleet.Net.Now()
-	}
-	return p.clock.Now()
-}
+// Now reports pipeline time: the fleet's virtual clock, or a fleetless
+// pipeline's own.
+func (p *Pipeline) Now() time.Time { return p.net.Now() }
 
-func (p *Pipeline) advance(d time.Duration) {
-	if p.Fleet != nil {
-		p.Fleet.Net.RunFor(d)
-	} else {
-		p.clock.Advance(d)
-	}
-}
+func (p *Pipeline) advance(d time.Duration) { p.net.RunFor(d) }
 
 // Strip returns the landing strip for the repo owning path.
 func (p *Pipeline) Strip(path string) *landingstrip.Strip {

@@ -19,7 +19,7 @@ func TestRiskDormantConfigFlagged(t *testing.T) {
 	if !rep.OK() {
 		t.Fatal(rep.Err)
 	}
-	p.clock.Advance(365 * 24 * time.Hour)
+	p.advance(365 * 24 * time.Hour)
 	rep = p.Submit(&ChangeRequest{
 		Author: "alice", Reviewer: "bob", Title: "wake the dormant config",
 		Raws:       map[string][]byte{"legacy/knob.json": []byte(`{"v":2}`)},
@@ -66,7 +66,7 @@ func TestRiskUnusualSizeFlagged(t *testing.T) {
 		if !rep.OK() {
 			t.Fatal(rep.Err)
 		}
-		p.clock.Advance(24 * time.Hour)
+		p.advance(24 * time.Hour)
 	}
 	// ...then a 100-line rewrite.
 	var big strings.Builder
@@ -166,7 +166,7 @@ func TestRiskFlagOrderStable(t *testing.T) {
 			if !rep.OK() {
 				t.Fatal(rep.Err)
 			}
-			p.clock.Advance(365 * 24 * time.Hour)
+			p.advance(365 * 24 * time.Hour)
 		}
 		return rep.RiskFlags
 	}

@@ -145,15 +145,15 @@ func availabilityScenario(seed uint64) availOutcome {
 	// The scripted fault plan.
 	east, west := groupByRegion(f)
 	uw1Obs := f.Observers("uw1")
-	looper := f.Cluster("ue1")[0].Proxy
+	looper := f.Cluster("ue1")[0].ID
 	opts := []simnet.PlanOption{
 		simnet.WithCrash(5*time.Second, uw1Obs[0]),
 		simnet.WithCrash(5*time.Second, uw1Obs[1]),
 		simnet.WithPartitionGroup(8*time.Second, east, west),
-		simnet.WithCall(10*time.Second, "proxy-crash", looper.Crash),
-		simnet.WithCall(12*time.Second, "proxy-restart", looper.Restart),
-		simnet.WithCall(15*time.Second, "proxy-crash", looper.Crash),
-		simnet.WithCall(17*time.Second, "proxy-restart", looper.Restart),
+		simnet.WithCrash(10*time.Second, looper),
+		simnet.WithRestart(12*time.Second, looper),
+		simnet.WithCrash(15*time.Second, looper),
+		simnet.WithRestart(17*time.Second, looper),
 		simnet.WithHealGroup(30*time.Second, east, west),
 		simnet.WithRestart(35*time.Second, uw1Obs[0]),
 		simnet.WithRestart(35*time.Second, uw1Obs[1]),

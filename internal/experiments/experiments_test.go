@@ -351,8 +351,8 @@ func TestAvailability(t *testing.T) {
 	}
 	// Every scripted fault fired and was mirrored into the obs counters.
 	wantCounters := map[string]int64{
-		"fault.injected": 10, "fault.crash": 2, "fault.restart": 2,
-		"fault.partition_group": 1, "fault.heal_group": 1, "fault.call": 4,
+		"fault.injected": 10, "fault.crash": 4, "fault.restart": 4,
+		"fault.partition_group": 1, "fault.heal_group": 1, "fault.call": 0,
 	}
 	if out.scripted != 10 || out.fired != out.scripted {
 		t.Errorf("faults fired = %d, scripted = %d, want 10 of 10", out.fired, out.scripted)

@@ -20,7 +20,7 @@ func promoRig(t *testing.T) (*packagevessel.Registry, *Strip) {
 	}
 	repo := vcs.NewRepository("shared")
 	strip := New(repo, vcs.DefaultCostModel())
-	strip.Gate = RulesFor(reg).Gate
+	strip.Gate = PromotionGate(reg)
 	return reg, strip
 }
 

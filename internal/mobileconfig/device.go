@@ -165,15 +165,12 @@ func (d *Device) GetFloat(field string, def float64) float64 {
 	return def
 }
 
-// OnRestart implements simnet.Restarter: the flash cache survives, the
-// poll timer restarts.
-func (d *Device) OnRestart(ctx *simnet.Context) {
-	ctx.SetTimer(d.interval, msgTickPoll{})
-}
-
 // HandleMessage implements simnet.Handler.
 func (d *Device) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
+	case simnet.Restarted:
+		// The flash cache survives the crash; the poll chain restarts.
+		ctx.SetTimer(d.interval, msgTickPoll{})
 	case msgTickPoll:
 		d.pull(ctx)
 		ctx.SetTimer(d.interval, msgTickPoll{})

@@ -94,9 +94,8 @@ const (
 	SeriesPathPrefix = "monitor.converged."
 )
 
-// msgTickSweep is the sweep timer. gen is the monitor life that armed it:
-// a tick armed before a crash that outlived it is stale.
-type msgTickSweep struct{ gen int }
+// msgTickSweep is the sweep timer.
+type msgTickSweep struct{}
 
 // proxyState is the monitor's last-heartbeat view of one proxy.
 type proxyState struct {
@@ -133,7 +132,6 @@ type Monitor struct {
 	alerts  []*Alert // every alert ever fired, in fire order
 	sweeps  int64
 	lastAt  time.Time
-	gen     int // the sweep chain's life; read and written on the loop only
 
 	// Per-sweep snapshots behind Status.
 	lastPaths      []PathStatus
@@ -177,15 +175,7 @@ func (m *Monitor) Attach(net *simnet.Network, p simnet.Placement) {
 		return
 	}
 	net.AddNode(m.cfg.ID, p, m)
-	net.SetTimer(m.cfg.ID, m.cfg.SweepEvery, msgTickSweep{gen: m.gen})
-}
-
-// OnRestart implements simnet.Restarter: the crash dropped the sweep timer,
-// so start a new chain, and retire the old one in case its timer outlived a
-// short crash.
-func (m *Monitor) OnRestart(ctx *simnet.Context) {
-	m.gen++
-	ctx.SetTimer(m.cfg.SweepEvery, msgTickSweep{gen: m.gen})
+	net.SetTimer(m.cfg.ID, m.cfg.SweepEvery, msgTickSweep{})
 }
 
 // HandleMessage implements simnet.Handler.
@@ -193,11 +183,12 @@ func (m *Monitor) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 	switch msg := msg.(type) {
 	case proxy.MsgMonitorHeartbeat:
 		m.onHeartbeat(msg)
+	case simnet.Restarted:
+		// The crash took the sweep timer: start a new chain.
+		ctx.SetTimer(m.cfg.SweepEvery, msgTickSweep{})
 	case msgTickSweep:
-		if msg.gen == m.gen {
-			ctx.SetTimer(m.cfg.SweepEvery, msg)
-			m.Sweep(ctx.Now())
-		}
+		ctx.SetTimer(m.cfg.SweepEvery, msg)
+		m.Sweep(ctx.Now())
 	}
 }
 

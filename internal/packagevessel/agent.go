@@ -327,6 +327,8 @@ func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 // HandleMessage implements simnet.Handler.
 func (a *Agent) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
+	case simnet.Restarted:
+		a.resume(ctx)
 	case msgAssign:
 		a.onAssign(ctx, from, m)
 	case msgChunk:
@@ -547,12 +549,12 @@ func (a *Agent) finish(ctx *simnet.Context, t *transfer) {
 	}
 }
 
-// OnRestart implements simnet.Restarter: the crash lost all in-memory
+// resume runs when the agent is Restarted: the crash lost all in-memory
 // swarm state, but the store — the disk — survived. Every journaled
 // transfer is re-verified chunk by chunk (counted in
 // vessel.resume.verified) and resumed fetching only the digests that are
 // missing or failed verification.
-func (a *Agent) OnRestart(ctx *simnet.Context) {
+func (a *Agent) resume(ctx *simnet.Context) {
 	a.transfers = nil
 	a.inflight = nil
 	a.perPeer = nil

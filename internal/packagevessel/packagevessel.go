@@ -34,6 +34,7 @@ package packagevessel
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -378,26 +379,45 @@ func (r *Registry) Tags(name string) map[string]int64 {
 	return out
 }
 
+// The tag-move refusals CheckTag returns.
+var (
+	ErrUnpublished = errors.New("packagevessel: version not published")
+	ErrNotCanary   = errors.New("packagevessel: version is not the current canary")
+)
+
+// CheckTag states the tag rules once, for Promote, ApplyTag and the landing
+// strip's gate: tag may point at (name, version) only if that version is
+// published (ErrUnpublished), and prod only at the version currently tagged
+// canary (ErrNotCanary; staged rollout: nothing reaches prod without passing
+// through canary). It returns the version's manifest.
+func (r *Registry) CheckTag(name, tag string, version int64) (blob.Manifest, error) {
+	m, ok := r.store.Manifest(name, version)
+	if !ok {
+		return m, ErrUnpublished
+	}
+	if tag == "prod" {
+		if canary, ok := r.CurrentTag(name, "canary"); !ok || canary != version {
+			return m, ErrNotCanary
+		}
+	}
+	return m, nil
+}
+
 // Promote validates a tag move and returns the TagRecord to land through
 // the landing strip — the promotion IS that metadata write; the registry
-// applies it only when ApplyTag is called after the change lands. Rules:
-// the version must be published, the tag must be in the namespace, and
-// prod promotions must name the version currently tagged canary (staged
-// rollout: nothing reaches prod without passing through canary).
+// applies it only when ApplyTag is called after the change lands. The tag
+// must be in the namespace, and the move must pass CheckTag.
 func (r *Registry) Promote(name, tag string, version int64) (TagRecord, error) {
 	if !validTag(tag) {
 		return TagRecord{}, fmt.Errorf("packagevessel: promote %s: unknown tag %q (namespace: %s)",
 			name, tag, strings.Join(KnownTags, ", "))
 	}
-	m, ok := r.store.Manifest(name, version)
-	if !ok {
+	m, err := r.CheckTag(name, tag, version)
+	switch err {
+	case ErrUnpublished:
 		return TagRecord{}, fmt.Errorf("packagevessel: promote %s/%s: version %d not published", name, tag, version)
-	}
-	if tag == "prod" {
-		canary, ok := r.CurrentTag(name, "canary")
-		if !ok || canary != version {
-			return TagRecord{}, fmt.Errorf("packagevessel: promote %s/prod: version %d is not the current canary (staged rollout requires canary first)", name, version)
-		}
+	case ErrNotCanary:
+		return TagRecord{}, fmt.Errorf("packagevessel: promote %s/prod: version %d is not the current canary (staged rollout requires canary first)", name, version)
 	}
 	return TagRecord{Name: name, Tag: tag, Version: version, Manifest: m.Digest().String()}, nil
 }
@@ -406,9 +426,12 @@ func (r *Registry) Promote(name, tag string, version int64) (TagRecord, error) {
 // current registry state (the strip gate already checked; state may have
 // moved between validation and land).
 func (r *Registry) ApplyTag(rec TagRecord) error {
-	m, ok := r.store.Manifest(rec.Name, rec.Version)
-	if !ok {
+	m, err := r.CheckTag(rec.Name, rec.Tag, rec.Version)
+	switch err {
+	case ErrUnpublished:
 		return fmt.Errorf("packagevessel: apply tag %s/%s: version %d not published", rec.Name, rec.Tag, rec.Version)
+	case ErrNotCanary:
+		return fmt.Errorf("packagevessel: apply tag %s/prod: version %d is not the current canary", rec.Name, rec.Version)
 	}
 	if got := m.Digest().String(); rec.Manifest != got {
 		return fmt.Errorf("packagevessel: apply tag %s/%s: manifest digest %s does not match published %s",

@@ -147,18 +147,12 @@ func HolderBudgetFor(uplinkBps float64, chunkSize int) int {
 // ID is the tracker's node id.
 func (t *Tracker) ID() simnet.NodeID { return t.id }
 
-// OnRestart implements simnet.Restarter: re-arm the budget tick.
-func (t *Tracker) OnRestart(ctx *simnet.Context) {
-	clear(t.busy)
-	clear(t.busyFar)
-	ctx.SetTimer(trackerTick, msgTrackerTick{})
-}
-
 // HandleMessage implements simnet.Handler.
 func (t *Tracker) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case msgTrackerTick:
-		// Refill: clear per-holder and per-region grant counts and re-arm.
+	case simnet.Restarted, msgTrackerTick:
+		// Refill (or restart the budget chain): clear per-holder and
+		// per-region grant counts and re-arm.
 		clear(t.busy)
 		clear(t.busyFar)
 		ctx.SetTimer(trackerTick, msgTrackerTick{})

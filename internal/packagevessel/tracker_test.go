@@ -51,15 +51,9 @@ func newMapTracker(net *simnet.Network, id simnet.NodeID, p simnet.Placement, bu
 	return t
 }
 
-func (t *mapTracker) OnRestart(ctx *simnet.Context) {
-	t.busy = make(map[simnet.NodeID]int)
-	t.busyFar = make(map[string]int)
-	ctx.SetTimer(trackerTick, msgTrackerTick{})
-}
-
 func (t *mapTracker) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case msgTrackerTick:
+	case simnet.Restarted, msgTrackerTick:
 		clear(t.busy)
 		clear(t.busyFar)
 		ctx.SetTimer(trackerTick, msgTrackerTick{})

@@ -128,7 +128,7 @@ func TestStaleServeFullOutage(t *testing.T) {
 	}
 
 	// After the proxy process also dies, reads degrade further to disk.
-	r.proxy.Crash()
+	r.net.Fail(r.proxy.ID())
 	res = r.proxy.Read("/configs/app")
 	if !res.OK || string(res.Data) != "v1" {
 		t.Fatalf("disk read = %+v", res)
@@ -184,9 +184,9 @@ func TestWatchRegistrationNoLeak(t *testing.T) {
 	r.net.RunFor(2 * time.Second)
 
 	for cycle := 0; cycle < 5; cycle++ {
-		r.proxy.Crash()
+		r.net.Fail(r.proxy.ID())
 		r.net.RunFor(3 * time.Second)
-		r.proxy.Restart()
+		r.net.Recover(r.proxy.ID())
 		r.net.RunFor(5 * time.Second)
 	}
 	// One subscription, and at most one watch registration per observer —

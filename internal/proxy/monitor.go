@@ -72,9 +72,6 @@ func (p *Proxy) onTickMonitor(ctx *simnet.Context) {
 	}
 	ctx.SetTimer(p.monEvery, msgTickMonitor{})
 	snap := p.snap.Load()
-	if snap.down {
-		return
-	}
 	hb := MsgMonitorHeartbeat{
 		Proxy:     p.id,
 		At:        ctx.Now(),
@@ -83,7 +80,7 @@ func (p *Proxy) onTickMonitor(ctx *simnet.Context) {
 	}
 	size := 0
 	for _, c := range snap.entries {
-		st := c.mem()
+		st := p.mem(c)
 		if st == nil || !st.e.Exists {
 			continue
 		}

@@ -90,11 +90,11 @@ func TestAccessors(t *testing.T) {
 	if r.proxy.Down() {
 		t.Error("fresh proxy reports down")
 	}
-	r.proxy.Crash()
+	r.net.Fail(r.proxy.ID())
 	if !r.proxy.Down() {
 		t.Error("crashed proxy reports up")
 	}
-	r.proxy.Restart()
+	r.net.Recover(r.proxy.ID())
 	if r.proxy.Down() {
 		t.Error("restarted proxy reports down")
 	}
@@ -111,8 +111,8 @@ func TestClearOverrideRefeedsWhatReadServes(t *testing.T) {
 			r.write(t, path, `committed`)
 			r.proxy.Want(path)
 			r.net.RunFor(2 * time.Second)
-			r.proxy.Crash()
-			r.proxy.Restart() // the refetch is in flight: the cell holds its disk copy
+			r.net.Fail(r.proxy.ID())
+			r.net.Recover(r.proxy.ID()) // the refetch is in flight: the cell holds its disk copy
 			return path
 		},
 		"never committed": func(r *rig) string { return "/configs/never" },
@@ -162,7 +162,7 @@ func TestOnChangeHearsEveryNotify(t *testing.T) {
 		t.Fatal("delete never committed")
 	}
 	epoch := r.proxy.Epoch()
-	r.proxy.Crash()
+	r.net.Fail(r.proxy.ID())
 	if r.proxy.Epoch() == epoch {
 		t.Error("Crash did not move the epoch")
 	}

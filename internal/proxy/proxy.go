@@ -22,11 +22,19 @@
 // goroutine concurrently with updates. A new version of a known path, pushed
 // or fetched, is one entryState and one pointer store; the snapshot is swapped
 // only for a path the proxy has not heard of (the one case that clones the
-// map), an override, or the down/plane-down flags — on the single-threaded
-// simulation loop, never by a reader. The same pointer is the on-disk cache:
-// a state in memory has a decode-memo slot, Restart leaves each cell a copy
-// without one, and that is served stale and advertised as the fetch base until
-// the refetch lands. Cache misses cannot touch the simulator's event queue from
+// map), an override, or the plane-down flag — on the single-threaded
+// simulation loop, never by a reader. The same pointer is the on-disk cache.
+//
+// Crashes. The proxy process is its simnet node: it crashes and restarts with
+// Network.Fail and Network.Recover like any other node, and its memory is the
+// node's life (simnet.Life). Every state and override records the life that
+// made it, and Read, Want, CachedPaths and the heartbeat load the node's life
+// word: a state from an earlier life is the on-disk copy, served stale with no
+// decode memo and advertised as the fetch base until the refetch lands. The
+// rest of the process's memory — fetches, observer health, overrides, the
+// plane verdict — is dropped when the node is Restarted.
+//
+// Cache misses cannot touch the simulator's event queue from
 // a reader goroutine, so Read records them in a thread-safe pending set and
 // wakes the proxy's keep-alive; the proxy drains the set (issuing fetch+watch)
 // on its next message or keep-alive tick.
@@ -95,8 +103,12 @@ type subscription struct {
 type entryState struct {
 	e        Entry
 	readMark atomic.Int64
-	memo     Memo // e.memo points here (or at a re-confirmed version's first state) while in memory
+	memo     Memo   // e.memo points here (or at a re-confirmed version's first state)
+	life     uint32 // the proxy life that made it; onDisk for a state planted from disk
 }
+
+// onDisk is the life of a planted state: odd, so it is never a live one.
+const onDisk = ^uint32(0)
 
 // cell is the proxy's one record for a path, created when the proxy first hears
 // of the path and never removed. st is all a reader touches; the rest belongs
@@ -110,13 +122,12 @@ type cell struct {
 	reqs    []int64        // outstanding fetch reqIDs (primary + hedge)
 }
 
-// snapshot is what readers load: the cell table, the overrides and the flags.
+// snapshot is what readers load: the cell table, the overrides and the flag.
 // It and its maps are never mutated after publication; writers clone-and-swap.
 type snapshot struct {
 	entries   map[string]*cell
 	overrides map[string]*entryState // canary temporary deployments win
 	planeDown bool                   // every observer considered dead
-	down      bool                   // proxy process crashed
 }
 
 // store is a cell table and its publication point: a proxy's, or a bare
@@ -126,8 +137,8 @@ type store struct {
 	// serialize on wmu, clone, and swap.
 	snap atomic.Pointer[snapshot]
 	wmu  sync.Mutex
-	// epoch counts the transitions that can change what Read returns without
-	// notifying anyone: a crash, a restart, a cell planted from disk.
+	// epoch counts the cells planted from disk: with the proxy's life, what
+	// can change what Read returns without notifying anyone.
 	epoch atomic.Uint64
 }
 
@@ -138,6 +149,7 @@ type store struct {
 type Proxy struct {
 	id        simnet.NodeID
 	net       *simnet.Network
+	life      *simnet.Life    // the node's: its process memory is one life's
 	observers []simnet.NodeID // observers in this cluster
 	stats     []obsStats      // parallel to observers
 	current   int             // index of the connected observer
@@ -201,6 +213,7 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 		p.current = int(net.RNG().Intn(len(observers)))
 	}
 	net.AddNode(id, placement, p)
+	p.life = net.Life(id)
 	p.lease = net.NewLease(id, pingInterval, msgTickPing{}, p.observer())
 	return p
 }
@@ -249,10 +262,10 @@ func (s *snapshot) held(path string) *entryState {
 	return nil
 }
 
-// mem returns the state c holds in memory: nil when it is empty or holds only
-// what survives a crash — the on-disk copy, which has no memo slot.
-func (c *cell) mem() *entryState {
-	if st := c.st.Load(); st != nil && st.e.memo != nil {
+// mem returns the state c holds in the live process's memory: nil when it is
+// empty or holds only what an earlier life left — the on-disk copy.
+func (p *Proxy) mem(c *cell) *entryState {
+	if st := c.st.Load(); st != nil && st.life == p.life.Load() {
 		return st
 	}
 	return nil
@@ -261,14 +274,14 @@ func (c *cell) mem() *entryState {
 // plant makes e the cell's on-disk copy, in nobody's memory.
 func (s *store) plant(c *cell, e Entry) {
 	e.Path, e.memo = c.path, nil
-	c.st.Store(&entryState{e: e})
+	c.st.Store(&entryState{e: e, life: onDisk})
 	s.epoch.Add(1)
 }
 
 // Epoch counts the transitions after which Read may return something else
-// without a notify having fired: Crash, Restart, and a cell planted from disk.
-// Every other change to what Read returns notifies (OnChange).
-func (p *Proxy) Epoch() uint64 { return p.epoch.Load() }
+// without a notify having fired: a crash, a restart, and a cell planted from
+// disk. Every other change to what Read returns notifies (OnChange).
+func (p *Proxy) Epoch() uint64 { return p.epoch.Load() + uint64(p.life.Load()) }
 
 // OnChange installs fn to hear every transition that notifies subscribers, with
 // the entry they get: a new version applied (a delete included), SetOverride
@@ -286,61 +299,50 @@ func (p *Proxy) Disk() *DiskCache { return &DiskCache{s: &p.store} }
 // unreachable (the distribution plane lost).
 func (p *Proxy) PlaneDown() bool { return p.snap.Load().planeDown }
 
-// Crash simulates the proxy process dying. Cached state in memory is lost;
-// the disk cache survives. The node fails first: a keep-alive tick due at
-// this instant runs ahead of the crash, on the live process.
-func (p *Proxy) Crash() {
-	p.net.Fail(p.id)
-	p.mutateSnap(func(s *snapshot) { s.down = true })
-	p.epoch.Add(1)
-}
-
-// Restart brings the proxy back with a cold in-memory cache: every cell is left
-// its on-disk copy before the snapshot says up. Application subscriptions survive
-// (the apps share the server and resubscribe implicitly), dead ones are pruned.
-func (p *Proxy) Restart() {
+// restarted starts the proxy's new life with a cold memory: the states the
+// last one made are its on-disk copies now, and the rest of what it kept —
+// fetches, observer health, RTTs, overrides, the plane verdict — is dropped.
+// Application subscriptions survive (the apps share the server and resubscribe
+// implicitly), dead ones are pruned. (Recover re-anchored the lease.)
+func (p *Proxy) restarted(ctx *simnet.Context) {
 	for _, c := range p.snap.Load().entries {
 		c.reqs = nil
 		p.pruneSubs(c)
-		if st := c.mem(); st != nil {
-			p.plant(c, st.e)
-		}
 	}
-	p.mutateSnap(func(s *snapshot) { *s = snapshot{entries: s.entries} })
-	p.epoch.Add(1)
+	life := p.life.Load()
+	p.mutateSnap(func(s *snapshot) {
+		// An override set since Recover, at this instant, is this life's.
+		s.overrides = maps.Clone(s.overrides)
+		maps.DeleteFunc(s.overrides, func(_ string, st *entryState) bool { return st.life != life })
+		s.planeDown = false
+	})
 	p.inflight = make(map[int64]fetchState)
 	clear(p.stats)
 	p.rtts = nil
 	p.pingOutstanding = 0
-	p.net.Recover(p.id)
-}
-
-// OnRestart implements simnet.Restarter. (Recover re-anchored the lease.)
-func (p *Proxy) OnRestart(ctx *simnet.Context) {
 	if p.monTarget != "" {
-		// Timers die with the crashed node: re-arm the heartbeat tick.
 		ctx.SetTimer(p.monEvery, msgTickMonitor{})
 	}
-	// Re-fetch everything the applications subscribed to. The in-memory
-	// cache is cold, so hashes are advertised from the disk cache; a delta
-	// that no longer applies falls back to a full snapshot.
+	// Re-fetch everything the applications subscribed to, advertising the
+	// on-disk hashes; a delta that no longer applies falls back to a full
+	// snapshot.
 	p.resubscribe(ctx, p.watchedCells(), false)
 }
 
 // Down reports whether the proxy process is crashed.
-func (p *Proxy) Down() bool { return p.snap.Load().down }
+func (p *Proxy) Down() bool { return p.life.Down() }
 
 // Want asks the proxy to fetch and keep a config warm (with a watch). The
 // application's startup request path. Simulation/driver thread only —
 // reader goroutines warm paths implicitly through Read's miss set.
 func (p *Proxy) Want(path string) {
-	if p.snap.Load().down {
+	if p.life.Down() {
 		return
 	}
 	ctx := simnet.MakeContext(p.net, p.id)
 	c := p.cell(path)
 	c.watched = true
-	if c.mem() == nil {
+	if p.mem(c) == nil {
 		p.sendFetch(&ctx, c)
 	}
 }
@@ -437,7 +439,7 @@ func (p *Proxy) notify(c *cell, e Entry) {
 // config changed.
 func (p *Proxy) SetOverride(path string, data []byte) {
 	c := p.cell(path)
-	st := &entryState{e: Entry{Path: c.path, Exists: true, Data: data, Version: -1, Hash: vcs.HashBytes(data)}}
+	st := &entryState{e: Entry{Path: c.path, Exists: true, Data: data, Version: -1, Hash: vcs.HashBytes(data)}, life: p.life.Load()}
 	st.e.memo = &st.memo
 	p.mutateSnap(func(s *snapshot) { s.overrides = with(s.overrides, c.path, st) })
 	p.notify(c, st.e)
@@ -457,8 +459,11 @@ func (p *Proxy) ClearOverride(path string) {
 	})
 	c := snap.entries[path] // SetOverride made it
 	e := Entry{Path: c.path}
-	if st := c.st.Load(); st != nil {
+	if st := p.mem(c); st != nil {
 		e = st.e
+	} else if st := c.st.Load(); st != nil {
+		e = st.e
+		e.memo = nil // an earlier life's decodes died with it
 	}
 	p.notify(c, e)
 }
@@ -467,9 +472,10 @@ func (p *Proxy) ClearOverride(path string) {
 // overridden (the application-visible config set on this server).
 func (p *Proxy) CachedPaths() []string {
 	snap := p.snap.Load()
+	life := p.life.Load()
 	var out []string
 	for path, c := range snap.entries {
-		if _, ov := snap.overrides[path]; ov || c.mem() != nil {
+		if ov := snap.overrides[path]; (ov != nil && ov.life == life) || p.mem(c) != nil {
 			out = append(out, path)
 		}
 	}
@@ -493,14 +499,15 @@ func (p *Proxy) Overridden(path string) bool {
 // goroutine, and allocation-free when the path is in memory
 // (TestReadZeroAllocWarm asserts 0 allocs).
 func (p *Proxy) Read(path string) ReadResult {
+	life := p.life.Load()
 	snap := p.snap.Load()
 	now := p.net.Now()
 	st := snap.held(path)
-	if !snap.down {
-		if ov, ok := snap.overrides[path]; ok {
+	if life&1 == 0 { // up
+		if ov, ok := snap.overrides[path]; ok && ov.life == life {
 			return ReadResult{Entry: ov.e, Source: SourceFresh, OK: true}
 		}
-		if st != nil && st.e.memo != nil { // in memory: cell.mem's test
+		if st != nil && st.life == life { // in memory: Proxy.mem's test
 			src := SourceFresh
 			if snap.planeDown {
 				src = SourceCached
@@ -522,7 +529,8 @@ func (p *Proxy) Read(path string) ReadResult {
 		}
 		p.noteMiss(path) // warm it for next time
 	}
-	// Fall back to the on-disk copy (proxy down or not yet refetched).
+	// Fall back to the on-disk copy (proxy down or not yet refetched in this
+	// life).
 	if st == nil {
 		return ReadResult{Source: SourceStale}
 	}
@@ -534,6 +542,9 @@ func (p *Proxy) Read(path string) ReadResult {
 
 // HandleMessage implements simnet.Handler.
 func (p *Proxy) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+	if _, ok := msg.(simnet.Restarted); ok {
+		p.restarted(ctx) // first: misses read in the new life fetch in it
+	}
 	p.drainMisses(ctx)
 	switch m := msg.(type) {
 	case zeus.MsgFetchReply:
@@ -587,7 +598,7 @@ func (p *Proxy) OnWake(peer simnet.NodeID, answered int) {
 func (p *Proxy) onWatchEvent(ctx *simnet.Context, from simnet.NodeID, m zeus.MsgWatchEvent) {
 	c := p.cell(m.Path)
 	var base Entry // zero: no bytes, no digest
-	if old := c.mem(); old != nil {
+	if old := p.mem(c); old != nil {
 		if m.Zxid <= old.e.Zxid {
 			return // already current (or newer) — nothing to resolve
 		}
@@ -636,12 +647,12 @@ func (p *Proxy) resolveFailed(ctx *simnet.Context, c *cell, pl zeus.Payload, fro
 // side alike. via is the observer that delivered it (the upstream hop in the
 // push tree).
 func (p *Proxy) apply(ctx *simnet.Context, c *cell, e Entry, via simnet.NodeID) {
-	old := c.mem()
+	old := p.mem(c)
 	if old != nil && e.Zxid < old.e.Zxid {
 		return
 	}
 	changed := old == nil || old.e.Zxid != e.Zxid
-	st := &entryState{e: e}
+	st := &entryState{e: e, life: p.life.Load()}
 	if changed {
 		st.e.memo = &st.memo
 	} else {

@@ -118,7 +118,7 @@ func TestDiskCacheFallbackWhenProxyDown(t *testing.T) {
 	r.write(t, "/configs/app", `v1`)
 	r.proxy.Want("/configs/app")
 	r.net.RunFor(2 * time.Second)
-	r.proxy.Crash()
+	r.net.Fail(r.proxy.ID())
 	// The application still reads the (stale) config from disk.
 	e := r.proxy.Read("/configs/app")
 	if !e.OK || string(e.Data) != "v1" {
@@ -131,9 +131,9 @@ func TestProxyRestartRefetches(t *testing.T) {
 	r.write(t, "/configs/app", `v1`)
 	r.proxy.Subscribe("/configs/app", func(Entry) {})
 	r.net.RunFor(2 * time.Second)
-	r.proxy.Crash()
+	r.net.Fail(r.proxy.ID())
 	r.write(t, "/configs/app", `v2`) // changes while proxy is down
-	r.proxy.Restart()
+	r.net.Recover(r.proxy.ID())
 	r.net.RunFor(5 * time.Second)
 	e := r.proxy.Read("/configs/app")
 	if !e.OK || string(e.Data) != "v2" {
@@ -249,14 +249,14 @@ func TestProxyRestartMidDeltaFallback(t *testing.T) {
 	r.write(t, "/configs/app", `v1`)
 	r.net.RunFor(2 * time.Second)
 
-	r.proxy.Crash()
+	r.net.Fail(r.proxy.ID())
 	// Two versions land while the proxy is down, so the observer's
 	// previous-version delta base (v2) doesn't match the proxy's disk
 	// cache (v1) either.
 	r.write(t, "/configs/app", `v2`)
 	r.write(t, "/configs/app", `v3`)
 	fullBefore := reg.Counters().Get("zeus.fetch.full")
-	r.proxy.Restart()
+	r.net.Recover(r.proxy.ID())
 	r.net.RunFor(5 * time.Second)
 
 	e := r.proxy.Read("/configs/app")

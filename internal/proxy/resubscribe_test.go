@@ -67,9 +67,9 @@ func TestResubscribeOrderDeterministic(t *testing.T) {
 func TestRestartAndHealResubscribeDeterministic(t *testing.T) {
 	t.Run("restart", func(t *testing.T) {
 		sameTraces(t, 2, func(r *rig) {
-			r.proxy.Crash()
+			r.net.Fail(r.proxy.ID())
 			r.net.RunFor(time.Second)
-			r.proxy.Restart()
+			r.net.Recover(r.proxy.ID())
 			r.net.RunFor(10 * time.Second)
 		})
 	})

@@ -255,9 +255,9 @@ func TestSnapshotImmutableDuringReads(t *testing.T) {
 	r.proxy.SetOverride(a, []byte("A-override"))
 	r.net.RunFor(500 * time.Millisecond)
 	r.proxy.ClearOverride(a)
-	r.proxy.Crash()
+	r.net.Fail(r.proxy.ID())
 	r.net.RunFor(2 * time.Second)
-	r.proxy.Restart()
+	r.net.Recover(r.proxy.ID())
 	r.net.RunFor(5 * time.Second)
 	before := r.proxy.snap.Load()
 	r.write(t, c, "C1")
@@ -283,15 +283,18 @@ func TestSnapshotImmutableDuringReads(t *testing.T) {
 	}
 }
 
-// TestRestartKeepsDiskClearsMemory: between Crash+Restart and the refetch, a
+// TestRestartKeepsDiskClearsMemory: between a crash-restart and the refetch, a
 // cell serves what it last applied as the on-disk copy — same bytes and digest,
 // stale, no memo — the path is not in memory, and the refetch advertises that
 // digest.
-func TestRestartKeepsDiskClearsMemory(t *testing.T) {
-	net := simnet.New(simnet.DefaultLatency(), 35)
+// warmOneConfig stands up proxy-1 behind an observer that answers every fetch
+// with one fixed version of path (not-modified when the proxy advertises a
+// copy), warms the path, stores a decode in its memo, and returns the warm
+// read and the fetches the observer has seen.
+func warmOneConfig(t *testing.T, seed uint64, path string, body []byte) (*simnet.Network, *Proxy, ReadResult, *[]zeus.MsgFetch) {
+	t.Helper()
+	net := simnet.New(simnet.DefaultLatency(), seed)
 	place := simnet.Placement{Region: "us", Cluster: "web"}
-	const path = "/configs/app"
-	body := []byte("the committed bytes")
 	var fetches []zeus.MsgFetch
 	net.AddNode("obs-1", place, simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 		if m, ok := msg.(zeus.MsgFetch); ok {
@@ -308,9 +311,16 @@ func TestRestartKeepsDiskClearsMemory(t *testing.T) {
 		t.Fatalf("warm read = %+v after fetches %+v", warm, fetches)
 	}
 	warm.Memo().Store("decoded")
+	return net, px, warm, &fetches
+}
 
-	px.Crash()
-	px.Restart() // no simulated time passes: the refetch is sent by OnRestart, later
+func TestRestartKeepsDiskClearsMemory(t *testing.T) {
+	const path = "/configs/app"
+	body := []byte("the committed bytes")
+	net, px, warm, fp := warmOneConfig(t, 35, path, body)
+
+	net.Fail("proxy-1")
+	net.Recover("proxy-1") // no simulated time passes: the refetch is sent when Restarted, later
 	got := px.Read(path)
 	if !got.OK || got.Source != SourceStale || !bytes.Equal(got.Data, body) || got.Hash != warm.Hash || got.Zxid != 7 {
 		t.Errorf("read after restart = %+v, want the last applied entry, stale", got)
@@ -323,11 +333,49 @@ func TestRestartKeepsDiskClearsMemory(t *testing.T) {
 	}
 
 	net.RunFor(time.Second)
+	fetches := *fp
 	if len(fetches) != 2 || !fetches[1].Have || fetches[1].HaveHash != warm.Hash {
 		t.Fatalf("refetch = %+v, want one advertising digest %x", fetches[1:], warm.Hash)
 	}
 	got = px.Read(path)
 	if !got.OK || got.Source != SourceFresh || !bytes.Equal(got.Data, body) || got.Memo() == nil || got.Memo().Load() != nil {
+		t.Errorf("read after refetch = %+v, want fresh with an empty memo slot", got)
+	}
+}
+
+// TestFaultPlanCrashIsAFullCrash: a proxy crashed by a fault plan, like any
+// other node, loses its process memory at the crash instant — it is down and
+// reads fall to the on-disk copy, with no memo — and after the restart it
+// refetches, advertising that copy's digest.
+func TestFaultPlanCrashIsAFullCrash(t *testing.T) {
+	const path = "/configs/app"
+	body := []byte("the committed bytes")
+	net, px, warm, fp := warmOneConfig(t, 38, path, body)
+
+	var atCrash ReadResult
+	var down bool
+	simnet.NewFaultPlan(
+		simnet.WithCrash(time.Second, "proxy-1"),
+		simnet.WithCall(time.Second, "probe", func() { down, atCrash = px.Down(), px.Read(path) }),
+		simnet.WithRestart(3*time.Second, "proxy-1"),
+	).Apply(net)
+	net.RunFor(2 * time.Second)
+	if !down {
+		t.Error("Down() = false at the crash instant")
+	}
+	if !atCrash.OK || atCrash.Source != SourceStale || atCrash.Memo() != nil || !bytes.Equal(atCrash.Data, body) {
+		t.Errorf("read at the crash instant = %+v, want the on-disk copy, stale, no memo", atCrash)
+	}
+	if got := px.Read(path); got.Source != SourceStale || got.Memo() != nil {
+		t.Errorf("read while down = %+v, want stale, no memo", got)
+	}
+
+	net.RunFor(2 * time.Second)
+	fetches := *fp
+	if px.Down() || len(fetches) != 2 || !fetches[1].Have || fetches[1].HaveHash != warm.Hash {
+		t.Fatalf("after the restart: down %v, refetch %+v, want one advertising digest %x", px.Down(), fetches[1:], warm.Hash)
+	}
+	if got := px.Read(path); got.Source != SourceFresh || got.Memo() == nil || got.Memo().Load() != nil {
 		t.Errorf("read after refetch = %+v, want fresh with an empty memo slot", got)
 	}
 }

@@ -135,9 +135,9 @@ func WithLoss(at time.Duration, from, to NodeID, rate float64) PlanOption {
 	return WithEvent(FaultEvent{At: at, Kind: FaultLoss, From: from, To: to, Rate: rate})
 }
 
-// WithCall schedules an arbitrary labeled action — the hook for faults the
-// network cannot express itself, e.g. a proxy process crash-restart that
-// must also drop the proxy's in-memory state.
+// WithCall schedules an arbitrary labeled action at the offset: a test's
+// hook for what the network cannot express itself. A call is instantaneous —
+// it opens and closes no outage window.
 func WithCall(at time.Duration, label string, fn func()) PlanOption {
 	return WithEvent(FaultEvent{At: at, Kind: FaultCall, Label: label, Call: fn})
 }
@@ -176,7 +176,7 @@ func (p *FaultPlan) Apply(n *Network) {
 // offset (the plan never healed it).
 type OutageWindow struct {
 	Kind   FaultKind // the opening event's kind
-	Key    string    // what broke: node, link, group, or call-label prefix
+	Key    string    // what broke: node, link or group
 	Start  time.Duration
 	End    time.Duration
 	Closed bool
@@ -209,22 +209,6 @@ func outageKey(ev FaultEvent) (opens bool, closes bool, key string) {
 	case FaultLoss:
 		// rate > 0 breaks the link, rate == 0 restores it.
 		return ev.Rate > 0, ev.Rate == 0, string(ev.From) + ">" + string(ev.To)
-	case FaultCall:
-		// Convention: scripted calls pair by the label prefix before the
-		// last '-'; a suffix of "restart", "heal", "recover", or "clear"
-		// closes the window the prefix opened ("proxy0-crash" opens
-		// "proxy0", "proxy0-restart" closes it). Labels without '-' are
-		// instantaneous and produce no window.
-		i := strings.LastIndex(ev.Label, "-")
-		if i < 0 {
-			return false, false, ""
-		}
-		switch ev.Label[i+1:] {
-		case "restart", "heal", "recover", "clear":
-			return false, true, ev.Label[:i]
-		default:
-			return true, false, ev.Label[:i]
-		}
 	}
 	return false, false, ""
 }
@@ -249,10 +233,10 @@ func groupKey(a, b []NodeID) string {
 
 // OutageWindows derives the outage intervals the schedule implies, pairing
 // each breaking event with its matching healing event (crash↔restart by
-// node, partition↔heal by endpoints, group partitions by member sets,
-// scripted calls by label prefix). Repeated break/heal cycles on the same
-// key yield one window per cycle, in schedule order. This is the timeline
-// availability experiments assert monitoring alerts against.
+// node, partition↔heal by endpoints, group partitions by member sets).
+// Repeated break/heal cycles on the same key yield one window per cycle, in
+// schedule order. This is the timeline availability experiments assert
+// monitoring alerts against.
 func (p *FaultPlan) OutageWindows() []OutageWindow {
 	evs := append([]FaultEvent(nil), p.events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })

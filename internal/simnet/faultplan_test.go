@@ -7,10 +7,14 @@ import (
 	"configerator/internal/obs"
 )
 
-// echoNode counts the messages it receives.
+// echoNode counts the messages it receives (Restarted is no message).
 type echoNode struct{ got int }
 
-func (e *echoNode) HandleMessage(ctx *Context, from NodeID, msg Message) { e.got++ }
+func (e *echoNode) HandleMessage(ctx *Context, from NodeID, msg Message) {
+	if _, ok := msg.(Restarted); !ok {
+		e.got++
+	}
+}
 
 func faultRig() (*Network, *obs.Registry, *echoNode, *echoNode) {
 	net := New(DefaultLatency(), 7)
@@ -150,15 +154,15 @@ func TestOutageWindows(t *testing.T) {
 		// Group partition healed as a group.
 		WithPartitionGroup(5*time.Second, []NodeID{"e1", "e2"}, []NodeID{"w1"}),
 		WithHealGroup(25*time.Second, []NodeID{"e2", "e1"}, []NodeID{"w1"}),
-		// Scripted calls pair by label prefix before the last '-'.
+		// A scripted call is instantaneous, whatever its label.
 		WithCall(6*time.Second, "obs0-crash", func() {}),
 		WithCall(35*time.Second, "obs0-restart", func() {}),
-		// Unpaired crash stays open; label without '-' makes no window.
+		// Unpaired crash stays open.
 		WithCrash(40*time.Second, "lost"),
 		WithCall(41*time.Second, "checkpoint", func() {}),
 	)
 	ws := p.OutageWindows()
-	if len(ws) != 6 {
+	if len(ws) != 5 {
 		t.Fatalf("windows = %d: %+v", len(ws), ws)
 	}
 	type want struct {
@@ -168,7 +172,6 @@ func TestOutageWindows(t *testing.T) {
 	}
 	wants := []want{
 		{"e1,e2~w1", 5 * time.Second, 25 * time.Second, true},
-		{"obs0", 6 * time.Second, 35 * time.Second, true},
 		{"a~b", 8 * time.Second, 30 * time.Second, true},
 		{"px", 10 * time.Second, 12 * time.Second, true},
 		{"px", 15 * time.Second, 17 * time.Second, true},

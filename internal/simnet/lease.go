@@ -38,9 +38,8 @@ type Lease struct {
 	period int64
 	anchor int64 // grid instants are anchor + k·period, k ≥ 1 (ns since base)
 	state  uint8
-	gen    uint32 // stamped on a queued tick: a crash or restart bumps it, staling the tick
-	quiet  int64  // while quiet: the first grid instant stood in for
-	hold   bool   // a tick is running ahead of a fault call on its instant
+	quiet  int64 // while quiet: the first grid instant stood in for
+	hold   bool  // a tick is running ahead of a fault call on its instant
 	queued atomic.Bool
 }
 
@@ -130,7 +129,6 @@ func (n *Network) drainWakes() {
 // or a fault holds on the pair.
 func (l *Lease) restart(run bool) {
 	l.anchor = l.n.nowNS()
-	l.gen++
 	if run || l.faulted() {
 		l.arm(l.anchor + l.period)
 	} else {
@@ -139,14 +137,11 @@ func (l *Lease) restart(run bool) {
 }
 
 // stop is the node crashing: the chain dies with it, as its timers do.
-func (l *Lease) stop() {
-	l.state = leaseDown
-	l.gen++
-}
+func (l *Lease) stop() { l.state = leaseDown }
 
 func (l *Lease) arm(at int64) {
 	l.state = leaseRunning
-	l.n.pushEvent(at, evTick, int32(l.gen), l.node, l)
+	l.n.pushEvent(at, evTick, int32(l.n.nodes[l.node].life.Load()), l.node, l)
 }
 
 func (l *Lease) faulted() bool { return l.peer >= 0 && l.n.pairFaulted(l.node, l.peer) }
@@ -233,7 +228,7 @@ func (n *Network) tickFirst(l *Lease) bool {
 // pairFaulted reports whether a or b is down or a fault holds on the link
 // between them, in either direction.
 func (n *Network) pairFaulted(a, b int32) bool {
-	if n.nodes[a].down || n.nodes[b].down {
+	if n.nodes[a].life.Down() || n.nodes[b].life.Down() {
 		return true
 	}
 	if len(n.faults) == 0 {
@@ -258,7 +253,7 @@ func (c *Context) Heard(from NodeID) (at time.Time, grid bool) {
 	n := c.net
 	fi := n.mustIdx(from)
 	ns, ok := n.heard[linkKey(fi, c.idx)]
-	if !n.nodes[fi].down {
+	if !n.nodes[fi].life.Down() {
 		switch l := n.nodes[fi].lease; {
 		case l == nil && !n.pairFaulted(fi, c.idx):
 			return n.Now(), false

@@ -9,6 +9,13 @@
 // times derived from message size and per-node link bandwidth. Failures are
 // the norm at this scale, so nodes can crash, restart, and be partitioned.
 //
+// A crash has one rule, kept here rather than by each role: it ends the
+// node's life. Every node carries a life word (Life) that Fail and Recover
+// advance; a timer is stamped with the life that armed it and is dropped if
+// it comes due in another, so a crash cancels every pending timer whatever
+// its delay. Recover sends the handler Restarted in the new life, where a
+// role rebuilds its timers and whatever else it kept only in memory.
+//
 // The simulation is single-threaded and fully deterministic: given the same
 // seed and the same sequence of API calls, every run delivers every message
 // at the same virtual instant.
@@ -40,8 +47,9 @@ type NodeID string
 type Message interface{}
 
 // Handler is implemented by every simulated process. HandleMessage is
-// invoked for remote messages and for self-scheduled timers (from == the
-// node itself). The Context is only valid for the duration of the call.
+// invoked for remote messages and for self-scheduled timers and Restarted
+// (from == the node itself). The Context is only valid for the duration of
+// the call.
 type Handler interface {
 	HandleMessage(ctx *Context, from NodeID, msg Message)
 }
@@ -130,14 +138,32 @@ type node struct {
 	bytesOut   uint64
 	lease      *Lease // the node's keep-alive, if it holds one
 	wakes      uint64 // quiet stretches ended of leases pinging this node
-	down       bool
+	life       *Life
 }
+
+// Life is a node's life word. A node starts in life 0; Fail and Recover each
+// advance it by one, so the word is odd exactly while the node is down and
+// each value names one life. It is safe to read from any goroutine: a proxy's
+// readers use it to tell the process memory of the live life from what an
+// earlier one left behind.
+type Life struct{ w atomic.Uint32 }
+
+// Load returns the current life.
+func (l *Life) Load() uint32 { return l.w.Load() }
+
+// Down reports whether the node is crashed.
+func (l *Life) Down() bool { return l.w.Load()&1 != 0 }
+
+// Restarted is sent to a node's handler by Recover, at the restart instant,
+// in the new life. The crash took every timer the node had armed: a role
+// re-arms its periodic chains here and rebuilds what it kept in memory.
+type Restarted struct{}
 
 const (
 	evDeliver uint8 = iota
-	evTimer
-	evCall // msg is the func() to run
-	evTick // msg is the *Lease; from is the lease generation it was queued under
+	evTimer         // from is the life of the node that armed it
+	evCall          // msg is the func() to run
+	evTick          // msg is the *Lease; from is the life of the node that queued it
 )
 
 // event is one scheduled delivery, timer, callback or keep-alive tick; its
@@ -180,8 +206,8 @@ type linkFault struct {
 	extra            time.Duration // congestion spike on top of the placement latency
 }
 
-// Network is the simulator. It owns the virtual clock; it satisfies
-// vclock.Clock, so components that need the current time take the Network.
+// Network is the simulator. It owns the virtual clock: components that need
+// the current time take the Network.
 type Network struct {
 	rng     *stats.RNG
 	latency LatencyModel
@@ -193,6 +219,7 @@ type Network struct {
 
 	index map[NodeID]int32
 	nodes []node
+	lives []Life // the unused tail of the block new nodes' life words come from
 
 	queue eventQueue
 	free  *event // event freelist: steady state allocates zero events
@@ -286,9 +313,13 @@ func (n *Network) AddNode(id NodeID, p Placement, h Handler) {
 	id = NodeID(intern.Path(string(id)))
 	p.Region = intern.Path(p.Region)
 	p.Cluster = intern.Path(p.Cluster)
+	if len(n.lives) == 0 {
+		n.lives = make([]Life, 256)
+	}
 	n.index[id] = int32(len(n.nodes))
 	n.nodes = append(n.nodes, node{id: id, handler: h, placement: p,
-		upBps: DefaultBandwidth, downBps: DefaultBandwidth})
+		upBps: DefaultBandwidth, downBps: DefaultBandwidth, life: &n.lives[0]})
+	n.lives = n.lives[1:]
 }
 
 // SetBandwidth overrides a node's uplink/downlink bandwidth in bytes/sec.
@@ -320,48 +351,45 @@ func (n *Network) mustIdx(id NodeID) int32 {
 	return i
 }
 
-// Fail crashes a node: in-flight messages to it are dropped on arrival and
-// it stops receiving timers until Recover.
+// Fail crashes a node, ending its life: messages in flight to it are dropped
+// on arrival while it is down, and no timer it armed fires again, whatever its
+// delay, nor does its keep-alive lease tick. Failing a down node does nothing.
 func (n *Network) Fail(id NodeID) {
 	i := n.mustIdx(id)
+	nd := &n.nodes[i]
+	if nd.life.Down() {
+		return
+	}
 	n.touchNode(i)
-	n.nodes[i].down = true
-	if l := n.nodes[i].lease; l != nil {
+	nd.life.w.Add(1)
+	if l := nd.lease; l != nil {
 		l.stop()
 	}
 }
 
-// Restarter is implemented by handlers that need to re-arm timers after a
-// crash: while a node is down its queued timers are dropped, so a periodic
-// chain would otherwise die with it.
-type Restarter interface {
-	OnRestart(ctx *Context)
-}
-
-// Recover restarts a crashed node. Its keep-alive lease, if any, ticks on a
-// grid anchored now and runs until a ping is answered. If its handler
-// implements Restarter, OnRestart is invoked on the simulation loop at the
-// current instant.
+// Recover restarts a crashed node in a new life. Its keep-alive lease, if
+// any, ticks on a grid anchored now and runs until a ping is answered, and
+// its handler is sent Restarted at this instant, on the simulation loop.
+// Recovering a live node does nothing.
 func (n *Network) Recover(id NodeID) {
 	i := n.mustIdx(id)
-	n.touchNode(i)
 	nd := &n.nodes[i]
-	nd.down = false
-	if l := n.nodes[i].lease; l != nil {
+	if !nd.life.Down() {
+		return
+	}
+	n.touchNode(i)
+	life := nd.life.w.Add(1)
+	if l := nd.lease; l != nil {
 		l.restart(true)
 	}
-	if r, ok := nd.handler.(Restarter); ok {
-		n.After(0, func() {
-			if nd := &n.nodes[i]; !nd.down {
-				ctx := Context{net: n, self: nd.id, idx: i}
-				r.OnRestart(&ctx)
-			}
-		})
-	}
+	n.pushEvent(n.nowNS(), evTimer, int32(life), i, Restarted{})
 }
 
+// Life returns the node's life word.
+func (n *Network) Life(id NodeID) *Life { return n.nodes[n.mustIdx(id)].life }
+
 // IsDown reports whether the node is currently crashed.
-func (n *Network) IsDown(id NodeID) bool { return n.nodes[n.mustIdx(id)].down }
+func (n *Network) IsDown(id NodeID) bool { return n.nodes[n.mustIdx(id)].life.Down() }
 
 // Index reports a node's dense index: nodes are numbered 0, 1, ... in the
 // order AddNode registered them, so a caller can key per-node state by slice
@@ -369,7 +397,7 @@ func (n *Network) IsDown(id NodeID) bool { return n.nodes[n.mustIdx(id)].down }
 func (n *Network) Index(id NodeID) int32 { return n.mustIdx(id) }
 
 // IsDownIdx is IsDown for a node given by its Index.
-func (n *Network) IsDownIdx(i int32) bool { return n.nodes[i].down }
+func (n *Network) IsDownIdx(i int32) bool { return n.nodes[i].life.Down() }
 
 // setFault edits the from→to fault record and drops it once nothing holds.
 // The pair's quiet keep-alive leases wake first.
@@ -449,7 +477,7 @@ func (n *Network) SendSized(from, to NodeID, msg Message, size int) {
 }
 
 func (n *Network) sendIdx(fi, ti int32, msg Message, size int) {
-	if n.nodes[fi].down {
+	if n.nodes[fi].life.Down() {
 		n.Dropped++
 		return
 	}
@@ -542,7 +570,7 @@ func (n *Network) Broadcast(from NodeID, tos []NodeID, msg Message, size int) {
 }
 
 func (n *Network) broadcastIdx(fi int32, tos []NodeID, msg Message, size int) {
-	if n.nodes[fi].down {
+	if n.nodes[fi].life.Down() {
 		n.Dropped += uint64(len(tos))
 		return
 	}
@@ -558,10 +586,15 @@ func (n *Network) broadcastIdx(fi int32, tos []NodeID, msg Message, size int) {
 	}
 }
 
-// SetTimer schedules msg to be delivered to id after delay, with from == id.
+// SetTimer schedules msg to be delivered to id after delay, with from == id,
+// unless id's life ends first.
 func (n *Network) SetTimer(id NodeID, delay time.Duration, msg Message) {
-	i := n.mustIdx(id)
-	n.pushEvent(n.nowNS()+int64(delay), evTimer, i, i, msg)
+	n.timer(n.mustIdx(id), delay, msg)
+}
+
+// timer queues a timer for node i, stamped with the life arming it.
+func (n *Network) timer(i int32, delay time.Duration, msg Message) {
+	n.pushEvent(n.nowNS()+int64(delay), evTimer, int32(n.nodes[i].life.Load()), i, msg)
 }
 
 // After schedules an arbitrary callback on the simulation loop. It is the
@@ -613,19 +646,22 @@ func (n *Network) Step() bool {
 }
 
 func (n *Network) dispatch(kind uint8, from, to int32, msg Message) {
-	switch kind {
-	case evCall:
+	if kind == evCall {
 		msg.(func())()
 		return
-	case evTick:
-		l := msg.(*Lease)
-		if uint32(from) != l.gen {
-			return // queued before a crash or restart re-anchored the grid
-		}
-		from, msg = to, l.tick
 	}
 	dst := &n.nodes[to]
-	if dst.down {
+	life := dst.life.Load()
+	if kind != evDeliver {
+		if uint32(from) != life {
+			return // a timer or tick armed in an earlier life
+		}
+		if kind == evTick {
+			msg = msg.(*Lease).tick
+		}
+		from = to
+	}
+	if life&1 != 0 { // down
 		n.Dropped++
 		return
 	}
@@ -707,7 +743,5 @@ func (c *Context) Broadcast(tos []NodeID, msg Message, size int) {
 	c.net.broadcastIdx(c.idx, tos, msg, size)
 }
 
-// SetTimer arms a self-timer.
-func (c *Context) SetTimer(delay time.Duration, msg Message) {
-	c.net.pushEvent(c.net.nowNS()+int64(delay), evTimer, c.idx, c.idx, msg)
-}
+// SetTimer arms a self-timer; it dies with the node's life.
+func (c *Context) SetTimer(delay time.Duration, msg Message) { c.net.timer(c.idx, delay, msg) }

@@ -119,8 +119,8 @@ func TestFailDropsMessages(t *testing.T) {
 	net.Recover("b")
 	net.Send("a", "b", "ok")
 	net.Run()
-	if len(rb.got) != 1 || rb.got[0] != "ok" {
-		t.Fatalf("recovered node got %v", rb.got)
+	if len(rb.got) != 2 || rb.got[0] != (Restarted{}) || rb.got[1] != "ok" {
+		t.Fatalf("recovered node got %v, want Restarted then ok", rb.got)
 	}
 }
 

@@ -72,16 +72,14 @@ func (t *Tailer) SetProcessingDelay(d time.Duration) { t.processing = d }
 // Zeus (used by experiments to timestamp propagation).
 func (t *Tailer) OnDelivered(fn func(path string, zxid int64)) { t.onDelivered = fn }
 
-// OnRestart implements simnet.Restarter: re-arm the poll and re-send the
-// Zeus writes the crash left unacknowledged.
-func (t *Tailer) OnRestart(ctx *simnet.Context) {
-	ctx.SetTimer(PollInterval, msgTickTail{})
-	t.client.OnRestart(ctx)
-}
-
 // HandleMessage implements simnet.Handler.
 func (t *Tailer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch msg.(type) {
+	case simnet.Restarted:
+		// Re-arm the poll and re-send the Zeus writes the crash left
+		// unacknowledged.
+		ctx.SetTimer(PollInterval, msgTickTail{})
+		t.client.Resend(ctx)
 	case msgTickTail:
 		if t.processing > 0 && t.repo.CommitCount() > t.cursor {
 			// Extraction takes time on a big repo; issue the writes when

@@ -77,11 +77,11 @@ func (c *Client) send(ctx *simnet.Context, reqID int64) {
 	ctx.SetTimer(clientRetryTimeout, msgClientRetry{ReqID: reqID, Try: p.try})
 }
 
-// OnRestart re-sends every unacknowledged write, in the order they were
-// issued. The node hosting the client calls it from its own OnRestart: a
-// crash drops the retry timers, and without a new send a pending write would
-// wait forever.
-func (c *Client) OnRestart(ctx *simnet.Context) {
+// Resend re-sends every unacknowledged write, in the order they were issued.
+// The node hosting the client calls it when it is Restarted: the crash took
+// the retry timers, and without a new send a pending write would wait
+// forever.
+func (c *Client) Resend(ctx *simnet.Context) {
 	ids := make([]int64, 0, len(c.pending))
 	for id := range c.pending {
 		ids = append(ids, id)

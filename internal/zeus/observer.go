@@ -175,14 +175,6 @@ func (o *Observer) WatchCount(path string) int {
 	return 0
 }
 
-// OnRestart implements simnet.Restarter: a recovered observer immediately
-// re-registers (requesting catch-up from its last zxid) and re-arms its
-// periodic registration timer.
-func (o *Observer) OnRestart(ctx *simnet.Context) {
-	o.register(ctx)
-	ctx.SetTimer(observerRegisterGap, msgTickObserver{})
-}
-
 // register broadcasts a registration to all ensemble members; only the
 // current leader responds and adds us to its push set. Broadcasting keeps
 // the observer attached across leader failover without tracking epochs.
@@ -198,6 +190,11 @@ func (o *Observer) register(ctx *simnet.Context) {
 // HandleMessage implements simnet.Handler.
 func (o *Observer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
+	case simnet.Restarted:
+		// Re-register at once, requesting catch-up from our last zxid, and
+		// re-arm the registration chain.
+		o.register(ctx)
+		ctx.SetTimer(observerRegisterGap, msgTickObserver{})
 	case msgTickObserver:
 		o.register(ctx)
 		o.pruneWatchSessions(ctx)

@@ -169,6 +169,18 @@ func (s *Server) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 		s.lastLeaderContact = ctx.Now()
 	}
 	switch m := msg.(type) {
+	case simnet.Restarted:
+		// A recovered member rejoins as a follower and re-arms its
+		// election-timeout chain.
+		s.role = RoleFollower
+		s.lastLeaderContact = ctx.Now()
+		s.uncommitted = make(map[int64]WriteOp)
+		s.resetWaves()
+		s.needSync = true
+		if s.leaderID != "" && s.leaderID != s.id {
+			ctx.Send(s.leaderID, msgSyncRequest{LastZxid: s.tree.LastZxid()})
+		}
+		ctx.SetTimer(s.electionTimeout()/2, msgTickFollower{})
 	case msgTickFollower:
 		s.onFollowerTick(ctx)
 	case msgTickLeader:
@@ -200,20 +212,6 @@ func (s *Server) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 	case msgObserverRegister:
 		s.onObserverRegister(ctx, from, m)
 	}
-}
-
-// OnRestart implements simnet.Restarter: a recovered member rejoins as a
-// follower and re-arms its election-timeout chain.
-func (s *Server) OnRestart(ctx *simnet.Context) {
-	s.role = RoleFollower
-	s.lastLeaderContact = ctx.Now()
-	s.uncommitted = make(map[int64]WriteOp)
-	s.resetWaves()
-	s.needSync = true
-	if s.leaderID != "" && s.leaderID != s.id {
-		ctx.Send(s.leaderID, msgSyncRequest{LastZxid: s.tree.LastZxid()})
-	}
-	ctx.SetTimer(s.electionTimeout()/2, msgTickFollower{})
 }
 
 // resetWaves drops all leader-side batching state (deposed, restarted, or

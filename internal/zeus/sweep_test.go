@@ -148,8 +148,6 @@ func (w *twinObserver) HandleMessage(ctx *simnet.Context, from simnet.NodeID, ms
 	w.tally(before, w.sessions(ctx), woke)
 }
 
-func (w *twinObserver) OnRestart(ctx *simnet.Context) { w.o.OnRestart(ctx) }
-
 func (w *twinObserver) sessions(ctx *simnet.Context) map[simnet.NodeID]zeus.SessionState {
 	s, err := w.o.Sessions()
 	if err != nil {
@@ -384,7 +382,8 @@ func (f *sweepFleet) randomPlan(rng *stats.RNG, count int, span time.Duration) *
 		l := f.leasers[rng.Intn(len(f.leasers))]
 		switch kind := rng.Intn(9); kind {
 		case 0:
-			opts = append(opts, f.call(start, "proxy crash", px.Crash), f.call(start+d, "proxy restart", px.Restart))
+			opts = append(opts, f.call(start, "proxy crash", func() { net.Fail(id) }),
+				f.call(start+d, "proxy restart", func() { net.Recover(id) }))
 		case 1:
 			opts = append(opts, f.call(start, "observer crash", func() { net.Fail(o) }),
 				f.call(start+d, "observer restart", func() { net.Recover(o) }))
