@@ -41,7 +41,8 @@ type msgHedgeFire struct{ ReqID int64 }
 
 // fetchState is one outstanding fetch: the path's cell, the base entry whose
 // hash we advertised (a "not modified" or delta reply is materialized against
-// it; !base.Exists = nothing advertised), and which observer we asked when.
+// it; !base.Exists = nothing advertised), which observer we asked when, and
+// the proxy life that asked.
 type fetchState struct {
 	c        *cell
 	base     Entry
@@ -49,6 +50,7 @@ type fetchState struct {
 	sentAt   time.Time
 	attempt  int
 	hedge    bool
+	life     uint32
 }
 
 // obsStats is the per-observer health ledger behind failover decisions.
@@ -300,7 +302,7 @@ func (p *Proxy) dropReq(reqID int64) {
 // advertises what the cell holds, in memory or only on disk, by reference.
 func (p *Proxy) fetchFrom(ctx *simnet.Context, c *cell, target simnet.NodeID, advertise bool, attempt int, hedge bool) {
 	p.nextReq++
-	st := fetchState{c: c, observer: target, sentAt: ctx.Now(), attempt: attempt, hedge: hedge}
+	st := fetchState{c: c, observer: target, sentAt: ctx.Now(), attempt: attempt, hedge: hedge, life: p.life.Load()}
 	if advertise {
 		if es := c.st.Load(); es != nil && es.e.Exists {
 			st.base = es.e

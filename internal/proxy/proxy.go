@@ -302,21 +302,26 @@ func (p *Proxy) PlaneDown() bool { return p.snap.Load().planeDown }
 // restarted starts the proxy's new life with a cold memory: the states the
 // last one made are its on-disk copies now, and the rest of what it kept —
 // fetches, observer health, RTTs, overrides, the plane verdict — is dropped.
-// Application subscriptions survive (the apps share the server and resubscribe
-// implicitly), dead ones are pruned. (Recover re-anchored the lease.)
+// What this life did before Restarted reached it (a Want or an override at
+// the Recover instant) is kept. Application subscriptions survive (the apps
+// share the server and resubscribe implicitly), dead ones are pruned.
+// (Recover re-anchored the lease.)
 func (p *Proxy) restarted(ctx *simnet.Context) {
+	life := p.life.Load()
+	maps.DeleteFunc(p.inflight, func(_ int64, f fetchState) bool { return f.life != life })
 	for _, c := range p.snap.Load().entries {
-		c.reqs = nil
+		c.reqs = slices.DeleteFunc(c.reqs, func(id int64) bool {
+			_, ok := p.inflight[id]
+			return !ok
+		})
 		p.pruneSubs(c)
 	}
-	life := p.life.Load()
 	p.mutateSnap(func(s *snapshot) {
 		// An override set since Recover, at this instant, is this life's.
 		s.overrides = maps.Clone(s.overrides)
 		maps.DeleteFunc(s.overrides, func(_ string, st *entryState) bool { return st.life != life })
 		s.planeDown = false
 	})
-	p.inflight = make(map[int64]fetchState)
 	clear(p.stats)
 	p.rtts = nil
 	p.pingOutstanding = 0
@@ -325,7 +330,7 @@ func (p *Proxy) restarted(ctx *simnet.Context) {
 	}
 	// Re-fetch everything the applications subscribed to, advertising the
 	// on-disk hashes; a delta that no longer applies falls back to a full
-	// snapshot.
+	// snapshot. A path this life already fetches is left to that fetch.
 	p.resubscribe(ctx, p.watchedCells(), false)
 }
 

@@ -141,6 +141,34 @@ func TestProxyRestartRefetches(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsThisLifesFetches: a Want issued at the Recover instant,
+// before Restarted is delivered, already belongs to the new life. Restarted
+// must keep that fetch rather than drop it and send the path again: two
+// watched paths cost two fetches, and both land.
+func TestRestartKeepsThisLifesFetches(t *testing.T) {
+	r := newRig(t, 10)
+	r.write(t, "/configs/a", `a1`)
+	r.write(t, "/configs/b", `b1`)
+	r.proxy.Subscribe("/configs/a", func(Entry) {})
+	r.net.RunFor(2 * time.Second)
+	r.net.Fail(r.proxy.ID())
+	r.net.Recover(r.proxy.ID())
+	before := r.proxy.Fetches
+	r.proxy.Want("/configs/b") // same instant: Restarted is still queued
+	r.net.RunFor(2 * time.Second)
+	if n := r.proxy.Fetches - before; n != 2 {
+		t.Errorf("fetches after the restart = %d, want 2 (one per watched path)", n)
+	}
+	for path, want := range map[string]string{"/configs/a": "a1", "/configs/b": "b1"} {
+		if got := r.proxy.Read(path); got.Source != SourceFresh || string(got.Data) != want {
+			t.Errorf("Read(%s) = %+v, want %s fresh", path, got, want)
+		}
+	}
+	if n := r.proxy.InflightCount(); n != 0 {
+		t.Errorf("%d fetches still in flight", n)
+	}
+}
+
 func TestProxyMissingConfig(t *testing.T) {
 	r := newRig(t, 6)
 	if r.proxy.Read("/configs/never-written").OK {
