@@ -444,7 +444,7 @@ func oneObserverStack() (*simnet.Network, *zeus.Ensemble, *zeus.Observer, *zeus.
 // withMonitor the fleet-health plane is attached (proxy heartbeats plus a
 // sweeping monitor) before warmup, so the benchmarks double as the gate
 // that monitoring never touches the read hot path.
-func readpathStack(b *testing.B, withObs, withMonitor bool) (*confclient.Client, *proxy.Proxy, string) {
+func readpathStack(b *testing.B, withObs, withMonitor bool) (*simnet.Network, *confclient.Client, *proxy.Proxy, string) {
 	b.Helper()
 	net, ens, _, wc := oneObserverStack()
 	px := proxy.New(net, "proxy-1", simnet.Placement{Region: "us", Cluster: "web"},
@@ -484,24 +484,31 @@ func readpathStack(b *testing.B, withObs, withMonitor bool) (*confclient.Client,
 	if _, err := cl.Get(context.Background(), path); err != nil { // warm: first-read event + decode
 		b.Fatal(err)
 	}
-	return cl, px, path
+	return net, cl, px, path
 }
 
 // BenchmarkProxyReadWarm: one atomic snapshot load plus map lookups. The
 // final AllocsPerRun check turns the benchmark into a regression gate —
 // a warm Read must stay at 0 allocs/op, with and without the fleet-health
-// monitoring plane attached (heartbeats ride the sim loop, never reads).
+// monitoring plane attached (heartbeats ride the sim loop, never reads), and
+// so must a stale Read of the on-disk copy while the proxy is down.
 func BenchmarkProxyReadWarm(b *testing.B) {
 	for _, cfg := range []struct {
 		name        string
 		withMonitor bool
-	}{{"bare", false}, {"monitored", true}} {
+		crashed     bool
+	}{{"bare", false, false}, {"monitored", true, false}, {"stale", false, true}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			_, px, path := readpathStack(b, true, cfg.withMonitor)
+			net, _, px, path := readpathStack(b, true, cfg.withMonitor)
+			want := proxy.SourceFresh
+			if cfg.crashed {
+				net.Fail(px.ID())
+				want = proxy.SourceStale
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res := px.Read(path); !res.OK {
+				if res := px.Read(path); !res.OK || res.Source != want {
 					b.Fatal("warm read failed")
 				}
 			}
@@ -516,27 +523,35 @@ func BenchmarkProxyReadWarm(b *testing.B) {
 // BenchmarkClientGetWarm: proxy read plus memoized decode lookup, with and
 // without an obs registry attached. The no-obs variant exercises the no-op
 // counter sink hoisted in confclient.New — attaching real counters must not
-// change the allocation count, and nil-safety costs nothing per call.
+// change the allocation count, and nil-safety costs nothing per call. The
+// stale variant reads with the proxy down: a content-hash decode lookup and
+// one Value, its only allocation.
 func BenchmarkClientGetWarm(b *testing.B) {
 	for _, cfg := range []struct {
 		name        string
 		withObs     bool
 		withMonitor bool
-	}{{"no-obs", false, false}, {"with-obs", true, false}, {"monitored", true, true}} {
+		crashed     bool
+	}{{"no-obs", false, false, false}, {"with-obs", true, false, false}, {"monitored", true, true, false}, {"stale", true, false, true}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			cl, _, path := readpathStack(b, cfg.withObs, cfg.withMonitor)
+			net, cl, px, path := readpathStack(b, cfg.withObs, cfg.withMonitor)
+			want, wantAllocs := proxy.SourceFresh, 0.0
+			if cfg.crashed {
+				net.Fail(px.ID())
+				want, wantAllocs = proxy.SourceStale, 1
+			}
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v, err := cl.Get(ctx, path)
-				if err != nil || v.Int("batch", 0) != 64 {
+				if err != nil || v.Source != want || v.Int("batch", 0) != 64 {
 					b.Fatal("warm get failed")
 				}
 			}
 			b.StopTimer()
-			if a := testing.AllocsPerRun(100, func() { cl.Get(ctx, path) }); a != 0 {
-				b.Fatalf("warm Get (%s) allocates %.1f per op, want 0", cfg.name, a)
+			if a := testing.AllocsPerRun(100, func() { cl.Get(ctx, path) }); a != wantAllocs {
+				b.Fatalf("warm Get (%s) allocates %.1f per op, want %.0f", cfg.name, a, wantAllocs)
 			}
 		})
 	}

@@ -154,13 +154,13 @@ func (w *watchedPath) markStale(s *Server) {
 // read takes s's view of w with the read an application makes. A read served
 // cold leaves the view stale.
 func (w *watchedPath) read(s *Server) {
-	r := s.Proxy.Read(w.path)
+	e, src, _ := s.Proxy.Lookup(w.path)
 	var v *faultVersion
-	if r.OK && r.Exists {
-		v = w.version(r.Data)
+	if e != nil && e.Exists {
+		v = w.version(e.Data)
 	}
 	w.see(s, v)
-	if r.Source != proxy.SourceStale {
+	if src != proxy.SourceStale {
 		w.views[s.app.idx].stale = false
 		s.app.stale--
 	}

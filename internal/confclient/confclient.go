@@ -13,8 +13,10 @@
 // in the proxy entry's per-version Memo slot, and decodes are further
 // deduplicated by content hash — two paths holding identical bytes (or one
 // path flapping between two versions) share a single json.Unmarshal. A
-// warm Get is one proxy snapshot read plus one atomic memo load: zero
+// warm Get reads the proxy's immutable entry in place (proxy.Proxy.Lookup)
+// and loads its memo slot: no copy, no clock read, one atomic add and zero
 // allocations (TestWarmGetZeroAlloc asserts it), safe from any goroutine.
+// Only a degraded read works out its Age.
 // The returned *Value is shared between readers and therefore immutable;
 // its accessors (Int, String) return scalars.
 package confclient
@@ -85,9 +87,10 @@ type Client struct {
 	cnt *stats.Counters
 
 	// Hot-path read accounting. These are atomics, not obs counters: a
-	// warm Get must not take the counters mutex (or allocate).
-	hits     atomic.Int64 // successful Gets
-	memoHits atomic.Int64 // Gets served from a per-version memo slot
+	// warm Get must not take the counters mutex (or allocate), and takes
+	// one add.
+	hits       atomic.Int64 // successful Gets
+	memoMisses atomic.Int64 // successful Gets that found no decoded value in a memo slot
 
 	// byHash deduplicates decodes across paths and versions: identical
 	// bytes (same content hash) decode once no matter where they appear.
@@ -124,7 +127,10 @@ func (c *Client) Hits() int64 { return c.hits.Load() }
 
 // MemoHits reports how many Gets were served from a per-version decode
 // memo — i.e. without parsing anything.
-func (c *Client) MemoHits() int64 { return c.memoHits.Load() }
+func (c *Client) MemoHits() int64 {
+	misses := c.memoMisses.Load() // first: every miss counted is in hits already
+	return c.hits.Load() - misses
+}
 
 // decodeFields parses data, deduplicating by content hash: the same bytes
 // at two paths (or re-materialized at the same path) decode exactly once.
@@ -158,17 +164,16 @@ func (c *Client) decodeFields(data []byte, h uint64) map[string]interface{} {
 	return fields
 }
 
-// valueFor turns a proxy entry into the shared *Value for its version,
-// decoding at most once per version (and at most once per distinct
-// content, across versions and paths). The shared value always reads as
-// fresh; degraded reads get a copy carrying their real Source/Age.
-func (c *Client) valueFor(e proxy.Entry) *Value {
-	m := e.Memo()
-	if v, ok := m.Load().(*Value); ok {
-		c.memoHits.Add(1)
-		return v
+// valueFor returns the shared *Value for the version of e whose decode slot
+// is memo, decoding at most once per version (and at most once per distinct
+// content, across versions and paths); decoded says it found no value in the
+// slot. The shared value always reads as fresh; degraded reads stamp their
+// real Source/Age on a copy.
+func (c *Client) valueFor(e *proxy.Entry, memo *proxy.Memo) (v *Value, decoded bool) {
+	if v, ok := memo.Load().(*Value); ok {
+		return v, false
 	}
-	v := &Value{
+	v = &Value{
 		Path:    e.Path,
 		Version: e.Version,
 		Raw:     e.Data,
@@ -176,10 +181,10 @@ func (c *Client) valueFor(e proxy.Entry) *Value {
 		fields:  c.decodeFields(e.Data, e.Hash),
 	}
 	// Racing readers of the same new version may both build v; either
-	// result is correct and the slot keeps one (disk entries have no slot:
-	// m is nil and Store no-ops).
-	m.Store(v)
-	return v
+	// result is correct and the slot keeps one (a stale read has no slot:
+	// memo is nil and Store no-ops).
+	memo.Store(v)
+	return v, true
 }
 
 // Get returns the latest locally known value of a config, annotated with
@@ -190,35 +195,43 @@ func (c *Client) valueFor(e proxy.Entry) *Value {
 // failing. The error reports a cancelled context, or a config that has
 // never been seen on this server at all.
 //
-// Warm fresh reads return the shared per-version value with zero
-// allocations; degraded reads allocate one copy to carry Source and Age.
+// A warm fresh read returns the shared per-version value with zero
+// allocations, reading the proxy's entry in place; a degraded read
+// allocates one Value carrying its Source and Age.
 func (c *Client) Get(ctx context.Context, path string) (*Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := c.proxy.Read(path)
-	if !r.OK {
+	e, src, memo := c.proxy.Lookup(path)
+	if e == nil {
 		c.cnt.Add("confclient.read.miss", 1)
 		return nil, fmt.Errorf("confclient: %s not available (never fetched on this server, or staleness refused)", path)
 	}
-	if !r.Exists {
+	if !e.Exists {
 		c.cnt.Add("confclient.read.deleted", 1)
 		return nil, fmt.Errorf("confclient: %s deleted", path)
 	}
 	c.hits.Add(1)
-	v := c.valueFor(r.Entry)
-	if r.Source != proxy.SourceFresh {
-		c.cnt.Add("confclient.read.degraded", 1)
-		// The age distribution of degraded serving is the staleness the
-		// fleet-health SLOs bound; observing it here costs nothing on the
-		// fresh (zero-alloc) path.
-		c.obs.Observe("confclient.read.stale_age", r.Age)
-		// Degraded read: same decode, real staleness metadata on a copy so
-		// the shared value stays immutable.
-		vv := *v
-		vv.Source, vv.Age = r.Source, r.Age
-		return &vv, nil
+	v, decoded := c.valueFor(e, memo)
+	if decoded {
+		c.memoMisses.Add(1)
 	}
+	if src == proxy.SourceFresh {
+		return v, nil
+	}
+	c.cnt.Add("confclient.read.degraded", 1)
+	// The age distribution of degraded serving is the staleness the
+	// fleet-health SLOs bound; observing it here costs nothing on the
+	// fresh (zero-alloc) path.
+	age := c.proxy.Age(e)
+	c.obs.Observe("confclient.read.stale_age", age)
+	if memo != nil {
+		// v is the version's shared value: stamp a copy, so it stays
+		// immutable. A stale read's v was built for this read alone.
+		vv := *v
+		v = &vv
+	}
+	v.Source, v.Age = src, age
 	return v, nil
 }
 
@@ -239,6 +252,7 @@ func (c *Client) Watch(ctx context.Context, path string, fn func(*Value)) {
 		if !e.Exists {
 			return
 		}
-		fn(c.valueFor(e))
+		v, _ := c.valueFor(&e, e.Memo())
+		fn(v)
 	})
 }

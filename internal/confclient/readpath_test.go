@@ -1,6 +1,7 @@
 package confclient
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"configerator/internal/obs"
 	"configerator/internal/proxy"
 	"configerator/internal/simnet"
+	"configerator/internal/zeus"
 )
 
 // TestValueCacheAcrossVersions: each committed version of a path is decoded
@@ -140,25 +142,143 @@ func TestWarmGetZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("warm Get allocates %.1f per run, want 0", allocs)
 			}
-			if !monitored {
-				return
+			if monitored {
+				if allocs := testing.AllocsPerRun(200, func() { px.Read(path) }); allocs != 0 {
+					t.Errorf("warm proxy.Read under the monitor allocates %.1f per run, want 0", allocs)
+				}
+				c := reg.Counters()
+				if c.Get("proxy.monitor.heartbeat") == 0 || c.Get("monitor.sweeps") == 0 {
+					t.Errorf("monitor plane idle: %d heartbeats, %d sweeps",
+						c.Get("proxy.monitor.heartbeat"), c.Get("monitor.sweeps"))
+				}
 			}
-			if allocs := testing.AllocsPerRun(200, func() { px.Read(path) }); allocs != 0 {
-				t.Errorf("warm proxy.Read under the monitor allocates %.1f per run, want 0", allocs)
-			}
-			c := reg.Counters()
-			if c.Get("proxy.monitor.heartbeat") == 0 || c.Get("monitor.sweeps") == 0 {
-				t.Errorf("monitor plane idle: %d heartbeats, %d sweeps",
-					c.Get("proxy.monitor.heartbeat"), c.Get("monitor.sweeps"))
-			}
+			// A degraded Get allocates its own Value and nothing else: from
+			// memory with the plane down (a copy of the shared value), and
+			// from the on-disk copy with the proxy down (no memo to copy).
+			net.Fail("obs-1")
+			net.RunFor(15 * time.Second)
+			degradedGetAllocs(t, cl, path, proxy.SourceCached)
+			net.Fail(px.ID())
+			degradedGetAllocs(t, cl, path, proxy.SourceStale)
 		})
 	}
 }
 
+// degradedGetAllocs asserts that a Get of path is served from src and
+// allocates exactly one object, the Value that carries its Source and Age.
+func degradedGetAllocs(t *testing.T, cl *Client, path string, src proxy.Source) {
+	t.Helper()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		v, err := cl.Get(ctx, path)
+		if err != nil || v.Source != src || v.Int("batch", 0) != 64 {
+			t.Fatalf("%s Get = %+v, %v", src, v, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%s Get allocates %.1f per run, want 1 (its Value)", src, allocs)
+	}
+}
+
+// TestGetMatchesRead: Get and Proxy.Read state the read rule once between
+// them. At every state a read can be in, Get reports the Source, Age, Version
+// and bytes that Read reports at the same instant (or fails exactly when Read
+// has nothing that exists), and a degraded Get never hands out the version's
+// shared value; a stale one decodes, since the memo died with the process.
+func TestGetMatchesRead(t *testing.T) {
+	net, wc, cl, px := newStack(t)
+	const path = "/configs/states"
+	write(t, net, wc, path, `{"v":1}`)
+	px.Want(path)
+	net.RunFor(2 * time.Second)
+	ctx := context.Background()
+	shared, err := cl.Get(ctx, path) // decodes into the version's memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	remove := func() {
+		done := false
+		net.After(0, func() {
+			ctx := simnet.MakeContext(net, "tailer")
+			wc.Delete(&ctx, path, func(zeus.WriteResult) { done = true })
+		})
+		net.RunFor(5 * time.Second)
+		if !done {
+			t.Fatal("delete never committed")
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		enter func()
+		path  string
+		want  proxy.Source
+		ok    bool // Get returns a value
+	}{
+		{"fresh", func() {}, path, proxy.SourceFresh, true},
+		{"override", func() { px.SetOverride(path, []byte(`{"v":100}`)) }, path, proxy.SourceFresh, true},
+		{"cached", func() {
+			px.ClearOverride(path)
+			net.Fail("obs-1")
+			net.RunFor(15 * time.Second)
+		}, path, proxy.SourceCached, true},
+		{"stale", func() { net.Fail(px.ID()) }, path, proxy.SourceStale, true},
+		{"deleted", func() {
+			net.Recover(px.ID())
+			net.Recover("obs-1")
+			net.RunFor(15 * time.Second)
+			remove()
+		}, path, proxy.SourceFresh, false},
+		{"never fetched", func() {}, "/configs/never", proxy.SourceStale, false},
+	} {
+		tc.enter()
+		memoHits := cl.MemoHits()
+		r := px.Read(tc.path)
+		v, err := cl.Get(ctx, tc.path)
+		if r.Source != tc.want {
+			t.Errorf("%s: Read source = %q, want %q", tc.name, r.Source, tc.want)
+		}
+		if (err == nil) != tc.ok || (err == nil) != (r.OK && r.Exists) {
+			t.Errorf("%s: Get err = %v, Read = %+v, want a value %v", tc.name, err, r, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if v.Source != r.Source || v.Age != r.Age || v.Version != r.Version || !bytes.Equal(v.Raw, r.Data) {
+			t.Errorf("%s: Get = {%s %v v%d %s}, Read = {%s %v v%d %s}", tc.name,
+				v.Source, v.Age, v.Version, v.Raw, r.Source, r.Age, r.Version, r.Data)
+		}
+		if degraded := r.Source != proxy.SourceFresh; degraded != (r.Age > 0) {
+			t.Errorf("%s: Read age = %v, want > 0 exactly when degraded", tc.name, r.Age)
+		}
+		switch tc.want {
+		case proxy.SourceFresh:
+			if m := r.Memo().Load(); v != m {
+				t.Errorf("%s: Get returned %p, not the version's shared value %p", tc.name, v, m)
+			}
+		case proxy.SourceCached:
+			if v == shared || v == r.Memo().Load() {
+				t.Errorf("%s: Get handed out the shared value", tc.name)
+			}
+		case proxy.SourceStale:
+			if v == shared || r.Memo() != nil {
+				t.Errorf("%s: Get = %p (shared %p), Read memo = %p: the dead process's memo was handed out", tc.name, v, shared, r.Memo())
+			}
+			if got := cl.MemoHits(); got != memoHits {
+				t.Errorf("%s: Get hit a memo (%d -> %d), want a decode", tc.name, memoHits, got)
+			}
+		}
+	}
+	if shared.Source != proxy.SourceFresh || shared.Age != 0 || shared.Int("v", -1) != 1 {
+		t.Errorf("the shared value was written: %+v", shared)
+	}
+}
+
 // TestConcurrentReadersUnderChurn exercises the snapshot-swap store under
-// -race: goroutine readers spin on Get while the simulation thread delivers
-// watch events, flips canary overrides, kills the distribution plane, and
-// heals it. Every read must return a coherent value.
+// -race: goroutine readers spin on Get, and others on Proxy.Read, while the
+// simulation thread delivers watch events, flips canary overrides, kills the
+// distribution plane, and heals it. Every read must return a coherent value,
+// and a fresh one no age.
 func TestConcurrentReadersUnderChurn(t *testing.T) {
 	net, wc, cl, px := newStack(t)
 	const path = "/configs/churn"
@@ -171,6 +291,7 @@ func TestConcurrentReadersUnderChurn(t *testing.T) {
 	var wg sync.WaitGroup
 	ctx := context.Background()
 	for i := 0; i < readers; i++ {
+		getter := i%2 == 0
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -180,15 +301,15 @@ func TestConcurrentReadersUnderChurn(t *testing.T) {
 					return
 				default:
 				}
-				if v, err := cl.Get(ctx, path); err == nil {
-					if got := v.Int("v", -1); got < 1 {
-						t.Errorf("incoherent read: v = %d (%s)", got, v.Raw)
-						return
+				if getter {
+					if v, err := cl.Get(ctx, path); err == nil {
+						if got := v.Int("v", -1); got < 1 || (v.Source == proxy.SourceFresh && v.Age != 0) {
+							t.Errorf("incoherent Get: v = %d (%s), %s, age %v", got, v.Raw, v.Source, v.Age)
+							return
+						}
 					}
-				}
-				r := px.Read(path)
-				if r.OK && len(r.Data) == 0 {
-					t.Error("read returned OK entry with no data")
+				} else if r := px.Read(path); r.OK && (len(r.Data) == 0 || (r.Source == proxy.SourceFresh && r.Age != 0)) {
+					t.Errorf("incoherent Read: %+v", r)
 					return
 				}
 				runtime.Gosched()

@@ -17,25 +17,30 @@
 // they change (the paper's motivating ratio), so the store is one cell per
 // path — a mutable name whose atomic pointer holds the path's current
 // entryState, an immutable object per version (the Nix store's model) — and
-// the published snapshot maps paths to cells: Read is atomic load → map
-// lookup → atomic load, no mutex, no allocation, safe from any application
-// goroutine concurrently with updates. A new version of a known path, pushed
-// or fetched, is one entryState and one pointer store; the snapshot is swapped
-// only for a path the proxy has not heard of (the one case that clones the
-// map), an override, or the plane-down flag — on the single-threaded
-// simulation loop, never by a reader. The same pointer is the on-disk cache.
+// the published snapshot maps paths to cells. An immutable object is read
+// where it lives, not copied out: Lookup is life-word load → snapshot load →
+// map lookup → cell load, and hands back a pointer to the version's entry,
+// its Source and its decode memo — no mutex, no allocation, no copy, no clock
+// read, safe from any application goroutine concurrently with updates. Read
+// is Lookup with the entry copied out and a degraded read's age added. A new
+// version of a known path, pushed or fetched, is one entryState and one
+// pointer store; the snapshot is swapped only for a path the proxy has not
+// heard of (the one case that clones the map), an override, or the plane-down
+// flag — on the single-threaded simulation loop, never by a reader. The same
+// pointer is the on-disk cache.
 //
 // Crashes. The proxy process is its simnet node: it crashes and restarts with
 // Network.Fail and Network.Recover like any other node, and its memory is the
 // node's life (simnet.Life). Every state and override records the life that
-// made it, and Read, Want, CachedPaths and the heartbeat load the node's life
-// word: a state from an earlier life is the on-disk copy, served stale with no
-// decode memo and advertised as the fetch base until the refetch lands. The
-// rest of the process's memory — fetches, observer health, overrides, the
-// plane verdict — is dropped when the node is Restarted.
+// made it, and Lookup, Want, CachedPaths and the heartbeat load the node's
+// life word: a state from an earlier life is the on-disk copy, served stale
+// with its decode memo withheld and advertised as the fetch base until the
+// refetch lands. The rest of the process's memory — an earlier life's fetches,
+// observer health, overrides, the plane verdict — is dropped when the node is
+// Restarted.
 //
 // Cache misses cannot touch the simulator's event queue from
-// a reader goroutine, so Read records them in a thread-safe pending set and
+// a reader goroutine, so Lookup records them in a thread-safe pending set and
 // wakes the proxy's keep-alive; the proxy drains the set (issuing fetch+watch)
 // on its next message or keep-alive tick.
 //
@@ -79,7 +84,8 @@ const (
 )
 
 // ReadResult is a read with its staleness metadata: where the value came
-// from and how long ago the proxy last confirmed it with an observer.
+// from and, for a degraded read, how long ago the proxy last confirmed it
+// with an observer (0 on a fresh read).
 type ReadResult struct {
 	Entry
 	Source Source
@@ -144,8 +150,9 @@ type store struct {
 
 // Proxy is the per-server config proxy. It is a simnet node; the local
 // applications call its methods directly (they share the server).
-// Read (and the client library's Get built on it) is safe to call from any
-// goroutine; every other method belongs to the simulation/driver thread.
+// Lookup, Age and Read (and the client library's Get built on them) are safe
+// to call from any goroutine; every other method belongs to the
+// simulation/driver thread.
 type Proxy struct {
 	id        simnet.NodeID
 	net       *simnet.Network
@@ -159,7 +166,7 @@ type Proxy struct {
 	nextReq  int64
 
 	// Cache misses observed by reader goroutines. Readers cannot touch the
-	// simulator's event queue, so Read parks the path here, wakes the lease,
+	// simulator's event queue, so Lookup parks the path here, wakes the lease,
 	// and the proxy drains the set (Want-ing each path) on its next message
 	// or tick.
 	missMu      sync.Mutex
@@ -339,7 +346,7 @@ func (p *Proxy) Down() bool { return p.life.Down() }
 
 // Want asks the proxy to fetch and keep a config warm (with a watch). The
 // application's startup request path. Simulation/driver thread only —
-// reader goroutines warm paths implicitly through Read's miss set.
+// reader goroutines warm paths implicitly through Lookup's miss set.
 func (p *Proxy) Want(path string) {
 	if p.life.Down() {
 		return
@@ -464,11 +471,11 @@ func (p *Proxy) ClearOverride(path string) {
 	})
 	c := snap.entries[path] // SetOverride made it
 	e := Entry{Path: c.path}
-	if st := p.mem(c); st != nil {
+	if st, src := p.snap.Load().serve(path, p.life.Load()); st != nil {
 		e = st.e
-	} else if st := c.st.Load(); st != nil {
-		e = st.e
-		e.memo = nil // an earlier life's decodes died with it
+		if src == SourceStale {
+			e.memo = nil // an earlier life's decodes died with it
+		}
 	}
 	p.notify(c, e)
 }
@@ -479,8 +486,8 @@ func (p *Proxy) CachedPaths() []string {
 	snap := p.snap.Load()
 	life := p.life.Load()
 	var out []string
-	for path, c := range snap.entries {
-		if ov := snap.overrides[path]; (ov != nil && ov.life == life) || p.mem(c) != nil {
+	for path := range snap.entries {
+		if _, src := snap.serve(path, life); src != SourceStale {
 			out = append(out, path)
 		}
 	}
@@ -494,55 +501,86 @@ func (p *Proxy) Overridden(path string) bool {
 	return ok
 }
 
-// Read returns the config at path with staleness metadata, degrading
-// through the layers: override and memory while the proxy process is up
+// serve is the read rule, with no side effect: while the process is up, its
+// override, then what it holds in memory (fresh, or cached while the plane is
+// down); otherwise the on-disk copy, stale — nil for a path never fetched.
+func (s *snapshot) serve(path string, life uint32) (*entryState, Source) {
+	st := s.held(path)
+	if life&1 == 0 { // up
+		if ov := s.overrides[path]; ov != nil && ov.life == life {
+			return ov, SourceFresh
+		}
+		if st != nil && st.life == life { // in memory: Proxy.mem's test
+			if s.planeDown {
+				return st, SourceCached
+			}
+			return st, SourceFresh
+		}
+	}
+	return st, SourceStale
+}
+
+// Lookup is the read hot path: the config at path by reference, degrading
+// through the layers — override and memory while the proxy process is up
 // (fresh if the plane is healthy, cached if not), then the on-disk cache
 // (stale) — the paper's choice of availability over freshness. Source says
 // how degraded a read is, for a caller that would rather refuse.
 //
-// Read is the hot path: snapshot load, map lookup, cell load — safe from any
-// goroutine, and allocation-free when the path is in memory
-// (TestReadZeroAllocWarm asserts 0 allocs).
-func (p *Proxy) Read(path string) ReadResult {
+// e points at the version's immutable entry (nil when no layer holds the
+// path) and must not be written through. memo is the version's decode slot,
+// nil on a stale read: decodes do not survive the process that made them, so
+// a stale caller must not reach for e.Memo() either. The clock is read only
+// to record a version's first read.
+func (p *Proxy) Lookup(path string) (e *Entry, src Source, memo *Memo) {
 	life := p.life.Load()
-	snap := p.snap.Load()
-	now := p.net.Now()
-	st := snap.held(path)
-	if life&1 == 0 { // up
-		if ov, ok := snap.overrides[path]; ok && ov.life == life {
-			return ReadResult{Entry: ov.e, Source: SourceFresh, OK: true}
+	st, src := p.snap.Load().serve(path, life)
+	if src != SourceStale {
+		if mark := st.readMark.Load(); mark < st.e.Zxid {
+			p.firstRead(st, mark)
 		}
-		if st != nil && st.life == life { // in memory: Proxy.mem's test
-			src := SourceFresh
-			if snap.planeDown {
-				src = SourceCached
-			}
-			if mark := st.readMark.Load(); st.e.Zxid > mark {
-				// First application read of this version (CAS so exactly
-				// one racing reader records it).
-				if st.readMark.CompareAndSwap(mark, st.e.Zxid) {
-					p.Obs.PathEvent(path, obs.PropEvent{
-						Stage: obs.EvClientRead, Node: string(p.id),
-						Zxid: st.e.Zxid, At: now,
-					})
-				}
-			}
-			if src != SourceFresh {
-				p.Obs.Add("proxy.read.degraded", 1)
-			}
-			return ReadResult{Entry: st.e, Source: src, Age: now.Sub(st.e.Fetched), OK: true}
+		if src == SourceCached {
+			p.Obs.Add("proxy.read.degraded", 1)
 		}
-		p.noteMiss(path) // warm it for next time
+		return &st.e, src, st.e.memo
 	}
-	// Fall back to the on-disk copy (proxy down or not yet refetched in this
-	// life).
+	if life&1 == 0 {
+		p.noteMiss(path) // up but not in memory: warm it for next time
+	}
 	if st == nil {
-		return ReadResult{Source: SourceStale}
+		return nil, src, nil
 	}
 	p.Obs.Add("proxy.read.stale", 1)
-	e := st.e
-	e.memo = nil // decodes do not survive the process that made them
-	return ReadResult{Entry: e, Source: SourceStale, Age: now.Sub(e.Fetched), OK: true}
+	return &st.e, src, nil
+}
+
+// firstRead records the first application read of st's version, whose read
+// mark was mark: CAS, so exactly one racing reader records it.
+func (p *Proxy) firstRead(st *entryState, mark int64) {
+	if st.readMark.CompareAndSwap(mark, st.e.Zxid) {
+		p.Obs.PathEvent(st.e.Path, obs.PropEvent{
+			Stage: obs.EvClientRead, Node: string(p.id),
+			Zxid: st.e.Zxid, At: p.net.Now(),
+		})
+	}
+}
+
+// Age is how long ago the proxy last confirmed e with an observer: the
+// staleness a degraded read reports.
+func (p *Proxy) Age(e *Entry) time.Duration { return p.net.Now().Sub(e.Fetched) }
+
+// Read is Lookup with the entry copied out and, on a degraded read, its Age.
+// TestReadZeroAllocWarm asserts it allocates nothing, fresh or stale.
+func (p *Proxy) Read(path string) ReadResult {
+	e, src, memo := p.Lookup(path)
+	if e == nil {
+		return ReadResult{Source: src}
+	}
+	r := ReadResult{Entry: *e, Source: src, OK: true}
+	r.memo = memo
+	if src != SourceFresh {
+		r.Age = p.Age(e)
+	}
+	return r
 }
 
 // HandleMessage implements simnet.Handler.

@@ -17,7 +17,8 @@ import (
 )
 
 // TestReadZeroAllocWarm: a warm in-memory Read is one atomic snapshot load
-// plus map lookups — zero heap allocations. This is the proxy half of the
+// plus map lookups — zero heap allocations, as is a Read of the on-disk copy
+// while the proxy is down. This is the proxy half of the
 // read-hot-path allocation gate (the client half is confclient's
 // TestWarmGetZeroAlloc). The monitored case attaches the proxy's side of the
 // fleet-health plane — an obs registry and convergence heartbeats — and
@@ -58,6 +59,18 @@ func TestReadZeroAllocWarm(t *testing.T) {
 			}
 			if monitored && heartbeats == 0 {
 				t.Error("monitored case sent no heartbeats: the plane was not live")
+			}
+			// A crashed proxy's Read serves the on-disk copy and works out its
+			// age without allocating.
+			r.net.Fail(r.proxy.ID())
+			allocs = testing.AllocsPerRun(200, func() {
+				res := r.proxy.Read("/configs/app")
+				if !res.OK || res.Source != SourceStale || res.Memo() != nil || res.Age <= 0 {
+					t.Fatalf("on-disk read = %+v", res)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("stale Read allocates %.1f per run, want 0", allocs)
 			}
 		})
 	}
