@@ -282,7 +282,8 @@ func (m *Monitor) Sweep(now time.Time) {
 			ps := m.proxies[id]
 			reported, have := ps.paths[path]
 			silent := now.Sub(ps.lastSeen) > silentAfter
-			atHead := have && !silent && reported.Zxid >= pt.head.Zxid
+			// A deleted head is reached by serving nothing at the path.
+			atHead := !silent && (have && reported.Zxid >= pt.head.Zxid || !have && pt.head.Deleted)
 			if atHead && reported.Zxid == pt.head.Zxid && reported.Hash != pt.head.Hash {
 				// Same zxid, different bytes: a divergent replica is worse
 				// than a stale one.
@@ -308,9 +309,13 @@ func (m *Monitor) Sweep(now time.Time) {
 					pt.behindSince[id] = bs
 				}
 				pair.Lag = now.Sub(bs)
-				pair.BehindVersions = pt.head.Version
-				if have {
+				switch {
+				case pt.head.Deleted:
+					pair.BehindVersions = 1 // it still serves what was deleted
+				case have:
 					pair.BehindVersions = pt.head.Version - reported.Version
+				default:
+					pair.BehindVersions = pt.head.Version
 				}
 				pair.Silent = silent
 			}

@@ -32,6 +32,22 @@ var seq int
 
 func write(t *testing.T, f *cluster.Fleet, path, data string) {
 	t.Helper()
+	commit(t, f, func(cl *zeus.Client, ctx *simnet.Context, done func(zeus.WriteResult)) {
+		cl.Write(ctx, path, []byte(data), done)
+	})
+}
+
+func remove(t *testing.T, f *cluster.Fleet, path string) {
+	t.Helper()
+	commit(t, f, func(cl *zeus.Client, ctx *simnet.Context, done func(zeus.WriteResult)) {
+		cl.Delete(ctx, path, done)
+	})
+}
+
+// commit runs one client operation from a fresh writer node and waits for
+// the ensemble to commit it.
+func commit(t *testing.T, f *cluster.Fleet, op func(*zeus.Client, *simnet.Context, func(zeus.WriteResult))) {
+	t.Helper()
 	seq++
 	id := simnet.NodeID(fmt.Sprintf("mon-writer-%d", seq))
 	cl := zeus.NewClient(id, f.Ensemble.Members)
@@ -39,7 +55,7 @@ func write(t *testing.T, f *cluster.Fleet, path, data string) {
 	done := false
 	f.Net.After(0, func() {
 		ctx := simnet.MakeContext(f.Net, id)
-		cl.Write(&ctx, path, []byte(data), func(zeus.WriteResult) { done = true })
+		op(cl, &ctx, func(zeus.WriteResult) { done = true })
 	})
 	for i := 0; i < 100 && !done; i++ {
 		f.Net.RunFor(200 * time.Millisecond)
@@ -203,6 +219,62 @@ func TestSLOAlertFiresAndClears(t *testing.T) {
 	if len(transitions) != 2 || !transitions[0].Active() || transitions[1].Active() {
 		t.Fatalf("transitions = %+v", transitions)
 	}
+}
+
+// TestDeletedPathConverges: a delete is a head like any write. Once every
+// proxy stops serving the path it is at head — no straggler, and an alert
+// the delete fired clears — and a path written again is tracked from its
+// new head.
+func TestDeletedPathConverges(t *testing.T) {
+	f, m := fleet(t, monitor.Config{
+		SLOs: []*monitor.SLO{monitor.ConvergenceSLO(0.99, 2*time.Second)},
+	})
+	f.SubscribeAll(testPath)
+	write(t, f, testPath, `{"v":1}`)
+	f.Net.RunFor(10 * time.Second)
+	n := len(f.AllServers())
+
+	remove(t, f, testPath)
+	f.Net.RunFor(60 * time.Second)
+	st := m.Status()
+	ps := pathStatus(t, st, testPath)
+	if ps.AtHead != n || ps.Total != n {
+		t.Fatalf("after delete: %d/%d at head, want %d/%d", ps.AtHead, ps.Total, n, n)
+	}
+	if len(st.Stragglers) != 0 {
+		t.Fatalf("stragglers after a converged delete: %+v", st.Stragglers)
+	}
+	if active := st.ActiveAlerts(); len(active) != 0 {
+		t.Fatalf("alerts still active after a converged delete: %+v", active)
+	}
+	deletedAt := ps.HeadZxid
+
+	before := m.Registry().Histogram(monitor.HistTimeToHead).Count()
+	write(t, f, testPath, `{"v":"again"}`)
+	f.Net.RunFor(15 * time.Second)
+	st = m.Status()
+	ps = pathStatus(t, st, testPath)
+	if ps.HeadZxid <= deletedAt || ps.HeadVersion == 0 || ps.AtHead != n || ps.Total != n {
+		t.Fatalf("re-created path: %+v, want a written head past zxid %d at %d/%d", ps, deletedAt, n, n)
+	}
+	if len(st.Stragglers) != 0 || len(st.ActiveAlerts()) != 0 {
+		t.Fatalf("re-created path: stragglers %+v, alerts %+v", st.Stragglers, st.ActiveAlerts())
+	}
+	if got := m.Registry().Histogram(monitor.HistTimeToHead).Count() - before; got != uint64(n) {
+		t.Fatalf("re-created path credited %d times to head, want %d", got, n)
+	}
+}
+
+// pathStatus returns path's row of st.
+func pathStatus(t *testing.T, st monitor.Status, path string) monitor.PathStatus {
+	t.Helper()
+	for _, ps := range st.Paths {
+		if ps.Path == path {
+			return ps
+		}
+	}
+	t.Fatalf("path %s not tracked: %+v", path, st.Paths)
+	return monitor.PathStatus{}
 }
 
 func TestStatusRenderings(t *testing.T) {

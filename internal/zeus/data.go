@@ -163,23 +163,28 @@ func (t *DataTree) take(u Update) (old *Record, err error) {
 // Watermark is the committed high-water mark of one path: the (zxid,
 // content-hash) pair a fully-converged replica must serve, plus the
 // leader accept time the convergence monitor measures time-to-head
-// against.
+// against. A Deleted watermark carries only the delete's zxid: a
+// converged replica serves nothing at that path.
 type Watermark struct {
 	Path    string
 	Zxid    int64
 	Version int64
 	Hash    uint64
 	At      time.Time
+	Deleted bool
 }
 
-// Watermarks exports the committed high-water mark of every live path,
-// sorted by path — the monitor's per-sweep view of "where the fleet
-// should be".
+// Watermarks exports the committed high-water mark of every live path and
+// every tombstone, sorted by path — the monitor's per-sweep view of "where
+// the fleet should be".
 func (t *DataTree) Watermarks() []Watermark {
-	out := make([]Watermark, 0, len(t.records))
+	out := make([]Watermark, 0, len(t.records)+len(t.tombs))
 	for _, r := range t.records {
 		out = append(out, Watermark{Path: r.Path, Zxid: r.Zxid,
 			Version: r.Version, Hash: r.Hash, At: r.At})
+	}
+	for p, zxid := range t.tombs {
+		out = append(out, Watermark{Path: p, Zxid: zxid, Deleted: true})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
