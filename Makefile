@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzTrackerMatchesMapReference$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel/blob -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime=5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMaintainedSampleMatchesPolled$$' -fuzztime=5s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzTraceJSON$$' -fuzztime=5s
 
 # bench: the performance record (BENCHMARK.json; see bench/README.md).
 bench:

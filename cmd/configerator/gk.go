@@ -35,7 +35,7 @@ func runGKExplain(specFile, userFile string, asJSON bool) {
 	user := must(gatekeeper.ParseUser(must(os.ReadFile(userFile))))
 	ex := project.Explain(user)
 	if asJSON {
-		fmt.Println(ex.JSON())
+		printJSON(ex)
 		return
 	}
 	fmt.Print(ex.Text())

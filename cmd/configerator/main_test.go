@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -85,9 +86,15 @@ func TestGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if want, _ := os.ReadFile(golden); string(got) != string(want) {
+			want, _ := os.ReadFile(golden)
+			if string(got) != string(want) {
 				t.Errorf("configerator %s differs from %s (run with -update to rewrite):\n--- got\n%s--- want\n%s",
 					c.args, golden, got, want)
+			}
+			// A -json form is JSON: no subcommand may print, or pin, anything else.
+			if strings.HasSuffix(c.args, " -json") && (!json.Valid(got) || !json.Valid(want)) {
+				t.Errorf("configerator %s: output valid JSON %v, %s valid JSON %v",
+					c.args, json.Valid(got), golden, json.Valid(want))
 			}
 		})
 	}

@@ -12,7 +12,7 @@ import (
 // plane attached, drives a short outage-and-recovery timeline through it,
 // and prints the operator status view: per-path convergence, propagation
 // quantiles, stragglers, and the SLO alerts the outage fired and cleared.
-// With -json it emits the deterministic machine form instead.
+// With -json it prints the status's JSON form instead.
 func runStatus(asJSON bool) {
 	fleet, p := newDemoWorld(2, 7, 2, 4)
 	mon := fleet.AttachMonitor(monitor.Config{
@@ -49,7 +49,7 @@ func runStatus(asJSON bool) {
 
 	st := mon.Status()
 	if asJSON {
-		fmt.Println(st.JSON())
+		printJSON(st)
 		return
 	}
 	fmt.Print(st.Text())

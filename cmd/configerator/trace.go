@@ -12,8 +12,8 @@ import (
 // the Zeus push-tree hops (leader commit → observer apply → proxy
 // materialize) stitched in by path/zxid. With a COMMIT argument it
 // resolves that trace (landed-hash prefixes work) instead of the demo
-// change's own. With -json the span tree is emitted in the registry's
-// deterministic JSON encoding instead of the text rendering.
+// change's own. With -json it prints the trace's JSON form instead of the
+// text rendering.
 func runTrace(args []string, asJSON bool) {
 	if len(args) > 1 {
 		fatal("trace takes at most one COMMIT argument")
@@ -36,7 +36,7 @@ func runTrace(args []string, asJSON bool) {
 	}
 
 	if asJSON {
-		fmt.Println(tr.JSON())
+		printJSON(tr)
 		return
 	}
 	fmt.Print(tr.Render())

@@ -272,6 +272,8 @@ func runVesselStatus(args []string, asJSON bool) {
 		st.NewChunks, st.DedupChunks, float64(st.DedupBytes)/(1<<20))
 }
 
+// printJSON prints v as indented encoding/json output: the one encoder
+// every -json form goes through.
 func printJSON(v interface{}) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

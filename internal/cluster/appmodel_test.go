@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -13,6 +14,16 @@ import (
 	"configerator/internal/simnet"
 	"configerator/internal/zeus"
 )
+
+// traceJSON is tr's JSON form ("null" for no trace).
+func traceJSON(t *testing.T, tr *obs.Trace) string {
+	t.Helper()
+	data, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
 
 // polledAppModel is the reference the maintained app model must equal: every
 // sample reads every watched path through the proxy, and a load fault reads its
@@ -188,7 +199,7 @@ func checkAppScriptObs(t *testing.T, script []byte, withObs bool) {
 			t.Fatalf("op %d (%s): first reads %s with the maintained model, %s with the polled one", i/3, op, a.Summary(), b.Summary())
 		}
 		for _, path := range kept.paths {
-			if a, b := regs[0].TraceByKey(path).JSON(), regs[1].TraceByKey(path).JSON(); a != b {
+			if a, b := traceJSON(t, regs[0].TraceByKey(path)), traceJSON(t, regs[1].TraceByKey(path)); a != b {
 				t.Fatalf("op %d (%s): the trace of %s differs:\nmaintained %s\npolled     %s", i/3, op, path, a, b)
 			}
 		}

@@ -89,15 +89,6 @@ func (ex *Explanation) Text() string {
 	return b.String()
 }
 
-// JSON renders the explanation in its deterministic machine form.
-func (ex *Explanation) JSON() string {
-	out, err := json.MarshalIndent(ex, "", "  ")
-	if err != nil {
-		panic("gatekeeper: encoding explanation: " + err.Error())
-	}
-	return string(out)
-}
-
 // ParseUser decodes a check's user from JSON: User's fields in snake_case,
 // with account_age_days for AccountAge and RFC 3339 for now.
 func ParseUser(data []byte) (*User, error) {

@@ -1,6 +1,7 @@
 package gatekeeper
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -52,7 +53,11 @@ func TestExplainGolden(t *testing.T) {
 		}
 		text.WriteString(ex.Text() + "\n")
 	}
-	for name, got := range map[string]string{"want.txt": text.String(), "want.json": p.Explain(base).JSON() + "\n"} {
+	js, err := json.MarshalIndent(p.Explain(base), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]string{"want.txt": text.String(), "want.json": string(js) + "\n"} {
 		if *update {
 			if err := os.WriteFile(filepath.Join(dir, name), []byte(got), 0o644); err != nil {
 				t.Fatal(err)

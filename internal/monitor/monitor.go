@@ -9,8 +9,8 @@
 // its staleness source. On a fixed sweep cadence the monitor folds the two
 // together into:
 //
-//   - per-path fleet-convergence curves (fraction of the fleet serving the
-//     committed head, as bounded obs time series),
+//   - per-path fleet convergence (the fraction of the fleet serving the
+//     committed head, or serving nothing once the path is deleted),
 //   - a continuous time-to-head distribution (the §6.3 propagation
 //     latency, measured on every commit rather than one traced change),
 //   - a straggler list naming proxies more than K versions or T seconds
@@ -52,8 +52,8 @@ type Config struct {
 	ID simnet.NodeID
 	// Ensemble supplies the commit watermarks (leader tree).
 	Ensemble *zeus.Ensemble
-	// Obs receives the monitor's counters, histograms, and convergence
-	// series (nil-safe: a nil registry disables export, not monitoring).
+	// Obs receives the monitor's counters and histograms (nil-safe: a nil
+	// registry disables export, not monitoring).
 	Obs *obs.Registry
 	// SweepEvery is the watermark-fold cadence (default 2s).
 	SweepEvery time.Duration
@@ -81,17 +81,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Histogram / series names the monitor feeds (exported so experiments and
-// status read the same keys).
+// Histogram names the monitor feeds (exported so experiments and status
+// read the same keys).
 const (
-	HistTimeToHead   = "monitor.time_to_head" // commit → proxy-at-head
-	HistStaleness    = "monitor.staleness"    // served age while degraded
-	SeriesConverged  = "monitor.fleet.converged"
-	SeriesProxies    = "monitor.proxies"
-	SeriesDegraded   = "monitor.degraded"
-	SeriesStragglers = "monitor.stragglers"
-	// SeriesPathPrefix + <path> is each path's own convergence curve.
-	SeriesPathPrefix = "monitor.converged."
+	HistTimeToHead = "monitor.time_to_head" // commit → proxy-at-head
+	HistStaleness  = "monitor.staleness"    // served age while degraded
 )
 
 // msgTickSweep is the sweep timer.
@@ -227,7 +221,7 @@ func (m *Monitor) trackLocked(path string) *pathTrack {
 
 // Sweep runs one convergence fold at the given instant: refresh
 // watermarks from the leader, compare every (path, proxy) pair, update
-// series/histograms/stragglers, and evaluate the SLOs. Normally driven by
+// histograms and stragglers, and evaluate the SLOs. Normally driven by
 // the sweep timer; exported so tests and experiments can force a fold.
 func (m *Monitor) Sweep(now time.Time) {
 	if m == nil {
@@ -255,18 +249,9 @@ func (m *Monitor) Sweep(now time.Time) {
 	var (
 		stragglers []Straggler
 		pathStats  []PathStatus
-		degraded   int
 	)
-	proxyCount := len(m.proxies)
-	for _, ps := range m.proxies {
-		if ps.planeDown && !ps.lastSeen.Before(now.Add(-silentAfter)) {
-			degraded++
-		}
-	}
 
-	type timeToHead struct{ d time.Duration }
-	var credited []timeToHead
-	var staleAges []time.Duration
+	var credited, staleAges []time.Duration
 
 	for path, pt := range m.paths {
 		if pt.head.Zxid == 0 || len(pt.members) == 0 {
@@ -298,7 +283,7 @@ func (m *Monitor) Sweep(now time.Time) {
 				if pt.headSeen[id] < pt.head.Zxid {
 					pt.headSeen[id] = pt.head.Zxid
 					if d := reported.Fetched.Sub(pt.head.At); d >= 0 && !pt.head.At.IsZero() {
-						credited = append(credited, timeToHead{d})
+						credited = append(credited, d)
 					}
 				}
 			} else {
@@ -355,22 +340,10 @@ func (m *Monitor) Sweep(now time.Time) {
 	}
 	m.mu.Unlock()
 
-	// Export (outside the lock: series/histograms have their own).
+	// Export (outside the lock: histograms have their own).
 	reg := m.cfg.Obs
-	totalPairs, atHeadPairs := 0, 0
-	for _, st := range pathStats {
-		totalPairs += st.Total
-		atHeadPairs += st.AtHead
-		reg.Series(SeriesPathPrefix+st.Path).Record(now, st.Fraction)
-	}
-	if totalPairs > 0 {
-		reg.Series(SeriesConverged).Record(now, float64(atHeadPairs)/float64(totalPairs))
-	}
-	reg.Series(SeriesProxies).Record(now, float64(proxyCount))
-	reg.Series(SeriesDegraded).Record(now, float64(degraded))
-	reg.Series(SeriesStragglers).Record(now, float64(len(stragglers)))
-	for _, c := range credited {
-		reg.Observe(HistTimeToHead, c.d)
+	for _, d := range credited {
+		reg.Observe(HistTimeToHead, d)
 	}
 	for _, a := range staleAges {
 		reg.Observe(HistStaleness, a)

@@ -1,7 +1,9 @@
 package monitor_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,7 +73,16 @@ func TestConvergenceTracking(t *testing.T) {
 	f, m := fleet(t, monitor.Config{})
 	f.SubscribeAll(testPath)
 	write(t, f, testPath, `{"v":1}`)
-	f.Net.RunFor(15 * time.Second)
+	// The convergence curve, read a sweep at a time: it never falls, and
+	// it ends with the whole fleet at head.
+	var curve []float64
+	for i := 0; i < 8; i++ {
+		f.Net.RunFor(monitor.DefaultSweepEvery)
+		curve = append(curve, pathStatus(t, m.Status(), testPath).Fraction)
+	}
+	if !slices.IsSorted(curve) || curve[len(curve)-1] != 1 {
+		t.Fatalf("convergence curve = %v, want rising to 1", curve)
+	}
 
 	st := m.Status()
 	if st.Sweeps == 0 {
@@ -80,20 +91,12 @@ func TestConvergenceTracking(t *testing.T) {
 	if st.Proxies != len(f.AllServers()) {
 		t.Fatalf("proxies = %d, want %d", st.Proxies, len(f.AllServers()))
 	}
-	var ps *monitor.PathStatus
-	for i := range st.Paths {
-		if st.Paths[i].Path == testPath {
-			ps = &st.Paths[i]
-		}
-	}
-	if ps == nil {
-		t.Fatalf("path %s not tracked: %+v", testPath, st.Paths)
-	}
+	ps := pathStatus(t, st, testPath)
 	if ps.Total != len(f.AllServers()) || ps.AtHead != ps.Total || ps.Fraction != 1 {
-		t.Fatalf("converged fleet reported %+v", *ps)
+		t.Fatalf("converged fleet reported %+v", ps)
 	}
 	if ps.HeadVersion == 0 || ps.HeadHash == 0 {
-		t.Fatalf("watermark not folded: %+v", *ps)
+		t.Fatalf("watermark not folded: %+v", ps)
 	}
 	if len(st.Stragglers) != 0 {
 		t.Fatalf("stragglers on healthy fleet: %+v", st.Stragglers)
@@ -108,17 +111,6 @@ func TestConvergenceTracking(t *testing.T) {
 		t.Fatalf("time_to_head p99 = %v", p99)
 	}
 
-	// Convergence curves were recorded as bounded series.
-	s := reg.Series(monitor.SeriesPathPrefix + testPath)
-	if s.Len() == 0 {
-		t.Fatal("no per-path convergence samples")
-	}
-	if got := s.Samples(); got[len(got)-1].V != 1 {
-		t.Fatalf("last convergence sample = %+v", got[len(got)-1])
-	}
-	if got := reg.Series(monitor.SeriesConverged).Samples(); len(got) == 0 || got[len(got)-1].V != 1 {
-		t.Fatalf("fleet convergence samples = %+v", got)
-	}
 }
 
 func TestTimeToHeadCreditedOncePerVersion(t *testing.T) {
@@ -289,16 +281,59 @@ func TestStatusRenderings(t *testing.T) {
 			t.Fatalf("Text missing %q:\n%s", want, txt)
 		}
 	}
-	js := m.Status().JSON()
-	for _, want := range []string{`"paths":[`, `"stragglers":[`, `"alerts":[`, `"fraction":1.0000`} {
+	js := statusJSON(t, m.Status())
+	for _, want := range []string{`"paths":[`, `"stragglers":[]`, `"alerts":[]`, `"fraction":1.0000`} {
 		if !strings.Contains(js, want) {
 			t.Fatalf("JSON missing %q:\n%s", want, js)
 		}
 	}
 	// Deterministic: same state renders identically.
-	if js2 := m.Status().JSON(); js2 != js {
+	if js2 := statusJSON(t, m.Status()); js2 != js {
 		t.Fatal("JSON rendering not deterministic")
 	}
+}
+
+// TestStatusJSONEscapes: paths, proxy ids, SLO names and alert paths
+// holding control bytes, DEL, invalid UTF-8, quotes, backslashes, HTML
+// metacharacters and U+2028 encode as valid JSON that decodes back to
+// what the status held. Invalid UTF-8 cannot round-trip: encoding/json
+// writes each invalid byte as U+FFFD, so that is what the decoded string
+// must hold.
+func TestStatusJSONEscapes(t *testing.T) {
+	const s = "fix \x01 \x7f \xff \" \\ <&> \u2028 and \xff"
+	want := string([]rune(s)) // each invalid byte → U+FFFD
+	st := monitor.Status{
+		Paths:      []monitor.PathStatus{{Path: s}},
+		Stragglers: []monitor.Straggler{{Proxy: s, Path: s}},
+		Alerts:     []monitor.Alert{{SLO: s, Paths: []string{s}}},
+	}
+	var got struct {
+		Paths      []struct{ Path string }
+		Stragglers []struct{ Proxy, Path string }
+		Alerts     []struct {
+			SLO   string
+			Paths []string
+		}
+	}
+	if err := json.Unmarshal([]byte(statusJSON(t, st)), &got); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{got.Paths[0].Path, got.Stragglers[0].Proxy, got.Stragglers[0].Path,
+		got.Alerts[0].SLO, got.Alerts[0].Paths[0]} {
+		if g != want {
+			t.Errorf("decoded %q, want %q", g, want)
+		}
+	}
+}
+
+// statusJSON encodes st and fails the test unless the result is valid JSON.
+func statusJSON(t *testing.T, st monitor.Status) string {
+	t.Helper()
+	data, err := json.Marshal(st)
+	if err != nil || !json.Valid(data) {
+		t.Fatalf("encoding status: %v\n%s", err, data)
+	}
+	return string(data)
 }
 
 // TestStatusConcurrentWithSweeps drives the fleet on one goroutine while
@@ -325,7 +360,7 @@ func TestStatusConcurrentWithSweeps(t *testing.T) {
 				}
 				st := m.Status()
 				_ = st.Text()
-				_ = st.JSON()
+				_, _ = json.Marshal(st)
 				_ = st.ActiveAlerts()
 			}
 		}()
@@ -353,7 +388,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil status = %+v", st)
 	}
 	_ = st.Text()
-	_ = st.JSON()
+	_ = statusJSON(t, st)
 	_ = st.ActiveAlerts()
 }
 

@@ -12,6 +12,7 @@
 package monitor
 
 import (
+	"sort"
 	"time"
 
 	"configerator/internal/simnet"
@@ -199,7 +200,7 @@ func badPaths(s *SLO, sw Sweep) []string {
 			out = append(out, path)
 		}
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 

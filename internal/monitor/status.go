@@ -1,13 +1,16 @@
 // Status: the operator-facing snapshot behind `configerator status`.
 //
 // Status() is safe from any goroutine (it copies under the monitor lock)
-// and both renderings are deterministic: paths, stragglers, and alerts
-// come out in a fixed order so goldens and -json diffs are stable.
+// and both renderings (Text, and MarshalJSON for encoding/json) are
+// deterministic: paths, stragglers, and alerts come out in a fixed order
+// so goldens and -json diffs are stable.
 package monitor
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -139,58 +142,64 @@ func (s Status) Text() string {
 	return b.String()
 }
 
-// JSON renders the status as deterministic JSON (keys fixed, collections
-// pre-sorted).
-func (s Status) JSON() string {
-	var b strings.Builder
-	b.WriteString("{")
-	fmt.Fprintf(&b, "%q:%d,", "at_ms", unixMS(s.At))
-	fmt.Fprintf(&b, "%q:%d,", "sweeps", s.Sweeps)
-	fmt.Fprintf(&b, "%q:%d,", "proxies", s.Proxies)
-	fmt.Fprintf(&b, "%q:%d,", "time_to_head_p50_ms", s.TimeToHeadP50.Milliseconds())
-	fmt.Fprintf(&b, "%q:%d,", "time_to_head_p99_ms", s.TimeToHeadP99.Milliseconds())
-
-	b.WriteString(`"paths":[`)
-	for i, p := range s.Paths {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b,
-			`{"path":%q,"head_version":%d,"head_zxid":%d,"at_head":%d,"total":%d,"fraction":%.4f}`,
-			p.Path, p.HeadVersion, p.HeadZxid, p.AtHead, p.Total, p.Fraction)
+// MarshalJSON encodes the status for `configerator status -json`:
+// instants in Unix milliseconds (0 for none), durations in milliseconds,
+// fraction to four decimals and burn rates to two.
+func (s Status) MarshalJSON() ([]byte, error) {
+	type path struct {
+		Path        string      `json:"path"`
+		HeadVersion int64       `json:"head_version"`
+		HeadZxid    int64       `json:"head_zxid"`
+		AtHead      int         `json:"at_head"`
+		Total       int         `json:"total"`
+		Fraction    json.Number `json:"fraction"`
 	}
-	b.WriteString("],")
-
-	b.WriteString(`"stragglers":[`)
-	for i, st := range s.Stragglers {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b,
-			`{"proxy":%q,"path":%q,"behind_versions":%d,"lag_ms":%d,"silent":%t}`,
-			st.Proxy, st.Path, st.BehindVersions, st.Lag.Milliseconds(), st.Silent)
+	type straggler struct {
+		Proxy          simnet.NodeID `json:"proxy"`
+		Path           string        `json:"path"`
+		BehindVersions int64         `json:"behind_versions"`
+		LagMS          int64         `json:"lag_ms"`
+		Silent         bool          `json:"silent"`
 	}
-	b.WriteString("],")
-
-	b.WriteString(`"alerts":[`)
-	for i, a := range s.Alerts {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b,
-			`{"slo":%q,"fired_ms":%d,"cleared_ms":%d,"active":%t,"fast_burn":%.2f,"slow_burn":%.2f,"paths":[`,
-			a.SLO, unixMS(a.FiredAt), unixMS(a.ClearedAt), a.Active(),
-			a.FastBurn, a.SlowBurn)
-		for j, p := range a.Paths {
-			if j > 0 {
-				b.WriteString(",")
-			}
-			fmt.Fprintf(&b, "%q", p)
-		}
-		b.WriteString("]}")
+	type alert struct {
+		SLO       string      `json:"slo"`
+		FiredMS   int64       `json:"fired_ms"`
+		ClearedMS int64       `json:"cleared_ms"`
+		Active    bool        `json:"active"`
+		FastBurn  json.Number `json:"fast_burn"`
+		SlowBurn  json.Number `json:"slow_burn"`
+		Paths     []string    `json:"paths"`
 	}
-	b.WriteString("]}")
-	return b.String()
+	out := struct {
+		AtMS          int64       `json:"at_ms"`
+		Sweeps        int64       `json:"sweeps"`
+		Proxies       int         `json:"proxies"`
+		TimeToHeadP50 int64       `json:"time_to_head_p50_ms"`
+		TimeToHeadP99 int64       `json:"time_to_head_p99_ms"`
+		Paths         []path      `json:"paths"`
+		Stragglers    []straggler `json:"stragglers"`
+		Alerts        []alert     `json:"alerts"`
+	}{
+		AtMS: unixMS(s.At), Sweeps: s.Sweeps, Proxies: s.Proxies,
+		TimeToHeadP50: s.TimeToHeadP50.Milliseconds(), TimeToHeadP99: s.TimeToHeadP99.Milliseconds(),
+		Paths: []path{}, Stragglers: []straggler{}, Alerts: []alert{},
+	}
+	for _, p := range s.Paths {
+		out.Paths = append(out.Paths, path{p.Path, p.HeadVersion, p.HeadZxid, p.AtHead, p.Total, fixed(p.Fraction, 4)})
+	}
+	for _, st := range s.Stragglers {
+		out.Stragglers = append(out.Stragglers, straggler{st.Proxy, st.Path, st.BehindVersions, st.Lag.Milliseconds(), st.Silent})
+	}
+	for _, a := range s.Alerts {
+		out.Alerts = append(out.Alerts, alert{a.SLO, unixMS(a.FiredAt), unixMS(a.ClearedAt), a.Active(),
+			fixed(a.FastBurn, 2), fixed(a.SlowBurn, 2), append([]string{}, a.Paths...)})
+	}
+	return json.Marshal(out)
+}
+
+// fixed spells f with prec decimals.
+func fixed(f float64, prec int) json.Number {
+	return json.Number(strconv.FormatFloat(f, 'f', prec, 64))
 }
 
 func fmtInstant(t time.Time) string {
@@ -219,5 +228,3 @@ func sortStragglers(ss []Straggler) {
 		return ss[i].Proxy < ss[j].Proxy
 	})
 }
-
-func sortStrings(xs []string) { sort.Strings(xs) }

@@ -95,20 +95,7 @@ func (h *Histogram) Sum() time.Duration {
 	return h.sum
 }
 
-// Mean reports the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Min and Max report the exact extremes (0 when empty).
+// Min reports the smallest observation (0 when empty).
 func (h *Histogram) Min() time.Duration {
 	if h == nil {
 		return 0
@@ -118,21 +105,11 @@ func (h *Histogram) Min() time.Duration {
 	return h.min
 }
 
-// Max reports the largest observation (0 when empty).
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 // Quantile estimates the q-th quantile (0 <= q <= 1) by linear
 // interpolation inside the bucket holding the target rank. Buckets are
 // log-spaced, so the estimate's relative error is bounded by the bucket
-// ratio (2x); the exact min/max tighten the first and last buckets.
-// Returns 0 when empty.
+// ratio (2x); the exact min/max tighten the first and last buckets, and
+// are what q = 0 and q = 1 return. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
@@ -181,7 +158,8 @@ func (h *Histogram) quantileLocked(q float64) time.Duration {
 	return h.max
 }
 
-// Summary renders the one-line p50/p90/p99 digest used by the text export.
+// Summary renders the one-line p50/p90/p99 digest `configerator trace`
+// prints.
 func (h *Histogram) Summary() string {
 	if h == nil {
 		return "(nil histogram)"

@@ -5,6 +5,11 @@
 // client reads — and aggregates fixed-bucket latency histograms so the
 // propagation CDFs can be regenerated from instrumented runs.
 //
+// It keeps only what something reads: `configerator trace` prints a trace
+// (Trace.Render, or its JSON form through encoding/json) and the push-tree
+// histograms, `configerator status` the monitor's time-to-head histogram,
+// and the experiments and the benchmark read the counters.
+//
 // Everything is pure stdlib and nil-safe: a nil *Registry (and the nil
 // *Histogram / *Trace / *Span handles it returns) turns every call into a
 // no-op, matching the stats.Counters idiom, so instrumented components pay
@@ -13,7 +18,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -56,14 +60,12 @@ type PropEvent struct {
 // once the cap is exceeded.
 const DefaultTraceCap = 512
 
-// Registry aggregates counters, latency histograms, bounded time series,
-// and commit-scoped traces, and renders deterministic text and JSON
-// exports.
+// Registry aggregates counters, latency histograms and commit-scoped
+// traces.
 type Registry struct {
 	mu       sync.Mutex
 	counters *stats.Counters
 	hists    map[string]*Histogram
-	series   map[string]*Series
 	traces   []*Trace // creation order
 	byKey    map[string]*Trace
 	byPath   map[string]*Trace // zeus path -> trace of the change in flight
@@ -71,22 +73,19 @@ type Registry struct {
 	lruSeq   int64
 	nextID   int
 
-	// Retention bounds; tests shrink them to reach eviction quickly.
-	traceCap  int
-	seriesCap int
+	// Retention bound; tests shrink it to reach eviction quickly.
+	traceCap int
 }
 
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters:  stats.NewCounters(),
-		hists:     make(map[string]*Histogram),
-		series:    make(map[string]*Series),
-		byKey:     make(map[string]*Trace),
-		byPath:    make(map[string]*Trace),
-		lastUse:   make(map[*Trace]int64),
-		traceCap:  DefaultTraceCap,
-		seriesCap: DefaultSeriesCap,
+		counters: stats.NewCounters(),
+		hists:    make(map[string]*Histogram),
+		byKey:    make(map[string]*Trace),
+		byPath:   make(map[string]*Trace),
+		lastUse:  make(map[*Trace]int64),
+		traceCap: DefaultTraceCap,
 	}
 }
 
@@ -119,21 +118,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Observe records one duration into the named histogram.
 func (r *Registry) Observe(name string, d time.Duration) { r.Histogram(name).Observe(d) }
-
-// HistogramNames lists the registered histograms, sorted.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // evictTracesLocked drops least-recently-used traces until the cap holds.
 // Caller holds r.mu. Key/alias/path indexes are cleaned by scanning the
@@ -302,86 +286,4 @@ func (r *Registry) PathEvent(path string, ev PropEvent) {
 	case EvClientRead:
 		r.Observe(HistCommitToRead, total)
 	}
-}
-
-// Text renders the deterministic plain-text export: counters, histogram
-// summaries, and the trace index.
-func (r *Registry) Text() string {
-	if r == nil {
-		return "(nil obs registry)"
-	}
-	var b strings.Builder
-	b.WriteString(r.counters.Table("counters"))
-	names := r.HistogramNames()
-	if len(names) > 0 {
-		t := stats.NewTable("histograms", "name", "summary")
-		for _, n := range names {
-			t.AddRawRow(n, r.Histogram(n).Summary())
-		}
-		b.WriteByte('\n')
-		b.WriteString(t.String())
-	}
-	if sNames := r.SeriesNames(); len(sNames) > 0 {
-		t := stats.NewTable("series", "name", "window")
-		for _, n := range sNames {
-			t.AddRawRow(n, r.Series(n).summary())
-		}
-		b.WriteByte('\n')
-		b.WriteString(t.String())
-	}
-	traces := r.Traces()
-	if len(traces) > 0 {
-		fmt.Fprintf(&b, "\ntraces (%d):\n", len(traces))
-		for _, tr := range traces {
-			tr.mu.Lock()
-			key := tr.Key
-			aliases := strings.Join(tr.Aliases, ",")
-			spans := len(tr.Root.Children)
-			tr.mu.Unlock()
-			fmt.Fprintf(&b, "  %s", key)
-			if aliases != "" {
-				fmt.Fprintf(&b, " (%s)", aliases)
-			}
-			fmt.Fprintf(&b, " — %d top-level spans\n", spans)
-		}
-	}
-	return b.String()
-}
-
-// JSON renders the deterministic JSON export: counters (sorted keys via
-// stats.Counters.JSON), histogram digests, and full trace trees.
-func (r *Registry) JSON() []byte {
-	if r == nil {
-		return []byte("null")
-	}
-	var b strings.Builder
-	b.WriteString(`{"counters":`)
-	b.Write(r.counters.JSON())
-	b.WriteString(`,"histograms":{`)
-	for i, n := range r.HistogramNames() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		h := r.Histogram(n)
-		fmt.Fprintf(&b, `%q:{"count":%d,"mean_ms":%.3f,"p50_ms":%.3f,"p90_ms":%.3f,"p99_ms":%.3f,"max_ms":%.3f}`,
-			n, h.Count(), ms(h.Mean()), ms(h.Quantile(0.50)), ms(h.Quantile(0.90)),
-			ms(h.Quantile(0.99)), ms(h.Max()))
-	}
-	b.WriteString(`},"series":{`)
-	for i, n := range r.SeriesNames() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:", n)
-		r.Series(n).jsonInto(&b)
-	}
-	b.WriteString(`},"traces":[`)
-	for i, tr := range r.Traces() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		tr.jsonInto(&b)
-	}
-	b.WriteString(`]}`)
-	return []byte(b.String())
 }

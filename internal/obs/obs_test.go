@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -21,15 +23,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if r.Histogram("h") != nil {
 		t.Error("nil registry Histogram should be nil")
-	}
-	if r.HistogramNames() != nil {
-		t.Error("nil registry HistogramNames should be nil")
-	}
-	if string(r.JSON()) != "null" {
-		t.Errorf("nil JSON = %s", r.JSON())
-	}
-	if r.Text() == "" {
-		t.Error("nil Text should still render")
 	}
 
 	tr := r.StartTrace("k", at(0))
@@ -55,32 +48,11 @@ func TestNilSafety(t *testing.T) {
 
 	var h *Histogram
 	h.Observe(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil histogram accessors")
-	}
-	if h.Quantile(0.5) != 0 {
-		t.Error("nil histogram Quantile")
 	}
 	if h.Summary() != "(nil histogram)" {
 		t.Error("nil histogram Summary")
-	}
-
-	// The time-series API is equally nil-safe.
-	if r.Series("s") != nil {
-		t.Error("nil registry Series should be nil")
-	}
-	r.Series("s").Record(at(0), 1)
-	if r.SeriesNames() != nil {
-		t.Error("nil registry SeriesNames should be nil")
-	}
-
-	var s *Series
-	s.Record(at(0), 1)
-	if s.Len() != 0 || s.Total() != 0 {
-		t.Error("nil series accessors")
-	}
-	if s.Samples() != nil {
-		t.Error("nil series Samples")
 	}
 }
 
@@ -113,11 +85,15 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 100 {
 		t.Errorf("Count = %d", h.Count())
 	}
-	if h.Min() != time.Millisecond || h.Max() != 100*time.Millisecond {
-		t.Errorf("min/max = %s/%s", h.Min(), h.Max())
+	if h.Min() != time.Millisecond || h.Quantile(1) != 100*time.Millisecond {
+		t.Errorf("min/max = %s/%s", h.Min(), h.Quantile(1))
 	}
-	if got, want := h.Mean(), 50500*time.Microsecond; got != want {
-		t.Errorf("Mean = %s, want %s", got, want)
+	if got, want := h.Sum(), 5050*time.Millisecond; got != want {
+		t.Errorf("Sum = %s, want %s", got, want)
+	}
+	// The exact extremes are the 0th and 100th quantiles.
+	if h.Quantile(0) != h.Min() {
+		t.Error("quantile extremes")
 	}
 	// Log buckets bound relative error by 2x; check p50 within its bucket.
 	p50 := h.Quantile(0.50)
@@ -127,9 +103,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	p99 := h.Quantile(0.99)
 	if p99 < 51*time.Millisecond || p99 > 100*time.Millisecond {
 		t.Errorf("p99 = %s, want ~99ms", p99)
-	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
-		t.Error("quantile extremes")
 	}
 	// Identical observations: every quantile is exact (min==max tightens
 	// the bucket to a point).
@@ -146,28 +119,30 @@ func TestHistogramQuantiles(t *testing.T) {
 	// Negative observations clamp to zero.
 	n := NewHistogram()
 	n.Observe(-time.Second)
-	if n.Min() != 0 || n.Max() != 0 || n.Count() != 1 {
+	if n.Min() != 0 || n.Quantile(1) != 0 || n.Count() != 1 {
 		t.Error("negative observation should clamp to 0")
 	}
 }
 
+// TestRegistryHistogramsAndText: histograms are kept by name, and what
+// the commands print of them and of the counters — Histogram.Summary and
+// the counter table — names what was recorded.
 func TestRegistryHistogramsAndText(t *testing.T) {
 	r := New()
 	r.Add("lands", 2)
 	r.Observe("stage.compile", 3*time.Millisecond)
 	r.Observe("stage.compile", 5*time.Millisecond)
 	r.Observe("stage.canary", 2*time.Second)
-	names := r.HistogramNames()
-	if len(names) != 2 || names[0] != "stage.canary" || names[1] != "stage.compile" {
-		t.Errorf("HistogramNames = %v", names)
-	}
-	if r.Histogram("stage.compile").Count() != 2 {
+	if r.Histogram("stage.compile").Count() != 2 || r.Histogram("stage.canary").Count() != 1 {
 		t.Error("histogram reuse by name")
 	}
-	text := r.Text()
-	for _, want := range []string{"lands", "stage.compile", "n=2", "stage.canary", "total"} {
+	if got := r.Histogram("stage.compile").Summary(); !strings.HasPrefix(got, "n=2 ") {
+		t.Errorf("Summary = %q", got)
+	}
+	text := r.Counters().Table("counters")
+	for _, want := range []string{"lands", "total"} {
 		if !strings.Contains(text, want) {
-			t.Errorf("Text missing %q:\n%s", want, text)
+			t.Errorf("counter table missing %q:\n%s", want, text)
 		}
 	}
 }
@@ -193,16 +168,16 @@ func TestTraceSpansAndRender(t *testing.T) {
 	prop.End(at(4600 * time.Millisecond))
 	tr.EndAt(at(4600 * time.Millisecond))
 
-	if got := r.Histogram(HistHopLeaderObserver).Max(); got != 4*time.Second {
+	if got := r.Histogram(HistHopLeaderObserver).Quantile(1); got != 4*time.Second {
 		t.Errorf("leader→observer hop = %s, want 4s", got)
 	}
-	if got := r.Histogram(HistHopObserverProxy).Max(); got != 500*time.Millisecond {
+	if got := r.Histogram(HistHopObserverProxy).Quantile(1); got != 500*time.Millisecond {
 		t.Errorf("observer→proxy hop = %s, want 500ms", got)
 	}
-	if got := r.Histogram(HistCommitToProxy).Max(); got != 4500*time.Millisecond {
+	if got := r.Histogram(HistCommitToProxy).Quantile(1); got != 4500*time.Millisecond {
 		t.Errorf("commit→proxy = %s, want 4.5s", got)
 	}
-	if got := r.Histogram(HistCommitToRead).Max(); got != 4600*time.Millisecond {
+	if got := r.Histogram(HistCommitToRead).Quantile(1); got != 4600*time.Millisecond {
 		t.Errorf("commit→read = %s, want 4.6s", got)
 	}
 
@@ -230,7 +205,7 @@ func TestTraceSpansAndRender(t *testing.T) {
 
 	// Proxy event with unknown upstream falls back to the commit span.
 	r.PathEvent(path, PropEvent{Stage: EvProxyMaterialize, Node: "web2", Via: "mystery", Zxid: 7, At: at(5100 * time.Millisecond)})
-	if got := r.Histogram(HistCommitToProxy).Max(); got != 5*time.Second {
+	if got := r.Histogram(HistCommitToProxy).Quantile(1); got != 5*time.Second {
 		t.Errorf("fallback commit→proxy = %s, want 5s", got)
 	}
 }
@@ -254,38 +229,6 @@ func TestTraceLookup(t *testing.T) {
 	}
 	if len(r.Traces()) != 2 {
 		t.Error("Traces length")
-	}
-}
-
-func TestJSONDeterministic(t *testing.T) {
-	build := func() *Registry {
-		r := New()
-		r.Add("b", 2)
-		r.Add("a", 1)
-		r.Observe("h2", time.Second)
-		r.Observe("h1", time.Millisecond)
-		tr := r.StartTrace("k", at(0))
-		r.Alias(tr, "zz")
-		r.Alias(tr, "aa")
-		sp := tr.Span("s", at(time.Millisecond))
-		sp.Attr("z", 1)
-		sp.Attr("a", 2)
-		sp.End(at(2 * time.Millisecond))
-		tr.EndAt(at(3 * time.Millisecond))
-		return r
-	}
-	j1, j2 := string(build().JSON()), string(build().JSON())
-	if j1 != j2 {
-		t.Errorf("JSON not deterministic:\n%s\n%s", j1, j2)
-	}
-	for _, want := range []string{
-		`"counters":{"a":1,"b":2}`, `"h1"`, `"h2"`,
-		`"aliases":["aa","zz"]`, `"attrs":{"a":"2","z":"1"}`,
-		`"start_ms":1.000`, `"end_ms":2.000`,
-	} {
-		if !strings.Contains(j1, want) {
-			t.Errorf("JSON missing %q:\n%s", want, j1)
-		}
 	}
 }
 
@@ -318,7 +261,66 @@ func TestConcurrency(t *testing.T) {
 	if r.Histogram("h").Count() != 1600 {
 		t.Error("concurrent histogram")
 	}
-	_ = r.Text()
-	_ = r.JSON()
 	_ = tr.Render()
+	if _, err := json.Marshal(tr); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceRetentionBounded is the regression gate for unbounded trace
+// growth: a 10k-commit run must stay within the trace cap, evict the
+// least-recently-used traces first, and keep alias/path lookups correct.
+func TestTraceRetentionBounded(t *testing.T) {
+	r := New()
+	r.traceCap = 64
+	for i := 0; i < 10_000; i++ {
+		key := fmt.Sprintf("commit-%d", i)
+		tr := r.StartTrace(key, at(time.Duration(i)*time.Second))
+		tr.EndAt(at(time.Duration(i)*time.Second + time.Millisecond))
+		// Keep commit-0 hot (every lookup refreshes recency — well inside
+		// the 64-trace cap): recency, not insertion order, decides victims.
+		if i%10 == 0 && i > 0 {
+			if r.TraceByKey("commit-0") == nil {
+				t.Fatalf("hot trace evicted at i=%d", i)
+			}
+		}
+	}
+	if got := len(r.Traces()); got > 64 {
+		t.Fatalf("retained traces = %d, want <= 64", got)
+	}
+	if r.TraceByKey("commit-0") == nil {
+		t.Fatal("most-recently-used trace evicted")
+	}
+	if r.TraceByKey("commit-9999") == nil {
+		t.Fatal("newest trace evicted")
+	}
+	if r.TraceByKey("commit-5000") != nil {
+		t.Fatal("cold mid-run trace survived 10k inserts")
+	}
+	evicted := r.Counters().Get("obs.trace.evicted")
+	if evicted != 10_000-64 {
+		t.Fatalf("obs.trace.evicted = %d, want %d", evicted, 10_000-64)
+	}
+	// Evicted traces must be fully unindexed: prefix lookup never returns
+	// a trace the ring no longer holds.
+	if tr := r.TraceByKey("commit-500"); tr != nil {
+		t.Fatalf("evicted trace still indexed: %v", tr)
+	}
+}
+
+func TestTraceEvictionDropsAliasesAndPaths(t *testing.T) {
+	r := New()
+	r.traceCap = 1
+	t1 := r.StartTrace("first", at(0))
+	r.Alias(t1, "alias-1")
+	r.BindPath("/cfg/a", t1)
+	t2 := r.StartTrace("second", at(time.Second)) // evicts t1
+	if r.TraceByKey("first") != nil || r.TraceByKey("alias-1") != nil {
+		t.Fatal("evicted trace reachable by key/alias")
+	}
+	if r.TraceByKey("second") != t2 {
+		t.Fatal("survivor lost")
+	}
+	// A path event for the evicted binding must not resurrect it.
+	r.PathEvent("/cfg/a", PropEvent{Stage: EvZeusCommit, At: at(2 * time.Second)})
 }

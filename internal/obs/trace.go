@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -238,65 +240,54 @@ func (t *Trace) Render() string {
 	return b.String()
 }
 
-// JSON renders the trace's deterministic JSON encoding (sorted aliases
-// and attrs, millisecond offsets from the root start) — "null" for a nil
-// trace.
-func (t *Trace) JSON() string {
-	var b strings.Builder
-	t.jsonInto(&b)
-	return b.String()
+// traceJSON and spanJSON are a trace's JSON form: aliases and attrs
+// sorted, times in milliseconds from the root's start, to three decimals.
+type traceJSON struct {
+	Key     string   `json:"key"`
+	Aliases []string `json:"aliases"`
+	Root    spanJSON `json:"root"`
 }
 
-// jsonInto appends the trace's deterministic JSON encoding.
-func (t *Trace) jsonInto(b *strings.Builder) {
+type spanJSON struct {
+	Name     string            `json:"name"`
+	Start    json.Number       `json:"start_ms"`
+	End      json.Number       `json:"end_ms,omitempty"`
+	Attrs    map[string]string `json:"attrs,omitempty"`
+	Children []spanJSON        `json:"children,omitempty"`
+}
+
+// MarshalJSON encodes the trace for `configerator trace -json`.
+func (t *Trace) MarshalJSON() ([]byte, error) {
 	if t == nil {
-		b.WriteString("null")
-		return
+		return []byte("null"), nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fmt.Fprintf(b, `{"key":%q,"aliases":[`, t.Key)
-	aliases := append([]string(nil), t.Aliases...)
+	aliases := append([]string{}, t.Aliases...)
 	sort.Strings(aliases)
-	for i, a := range aliases {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(b, "%q", a)
-	}
-	b.WriteString(`],"root":`)
-	t.Root.jsonInto(b, t.Root.Start)
-	b.WriteByte('}')
+	return json.Marshal(traceJSON{Key: t.Key, Aliases: aliases, Root: t.Root.view(t.Root.Start)})
 }
 
-func (s *Span) jsonInto(b *strings.Builder, base time.Time) {
-	fmt.Fprintf(b, `{"name":%q,"start_ms":%.3f`, s.Name, ms(s.Start.Sub(base)))
+// view is the span's JSON form, times offset from base. Caller holds the
+// trace's lock.
+func (s *Span) view(base time.Time) spanJSON {
+	v := spanJSON{Name: s.Name, Start: millis(s.Start.Sub(base))}
 	if !s.EndTime.IsZero() {
-		fmt.Fprintf(b, `,"end_ms":%.3f`, ms(s.EndTime.Sub(base)))
+		v.End = millis(s.EndTime.Sub(base))
 	}
 	if len(s.Attrs) > 0 {
-		b.WriteString(`,"attrs":{`)
-		attrs := append([]Attr(nil), s.Attrs...)
-		sort.SliceStable(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
-		for i, a := range attrs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(b, "%q:%q", a.Key, a.Value)
+		v.Attrs = make(map[string]string, len(s.Attrs))
+		for _, a := range s.Attrs {
+			v.Attrs[a.Key] = a.Value // a repeated key keeps its last value
 		}
-		b.WriteByte('}')
 	}
-	if len(s.Children) > 0 {
-		b.WriteString(`,"children":[`)
-		for i, c := range s.Children {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			c.jsonInto(b, base)
-		}
-		b.WriteByte(']')
+	for _, c := range s.Children {
+		v.Children = append(v.Children, c.view(base))
 	}
-	b.WriteByte('}')
+	return v
 }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+// millis spells d in milliseconds to three decimals.
+func millis(d time.Duration) json.Number {
+	return json.Number(strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64))
+}

@@ -3,7 +3,7 @@
 // (version, zxid, content-hash) it serves for every cached path, plus its
 // staleness source (plane down or not), to a monitor node on the sim
 // clock. The monitor folds these against the Zeus commit watermarks into
-// fleet-convergence curves and straggler lists.
+// per-path fleet convergence and straggler lists.
 //
 // The heartbeat types live here — not in internal/monitor — so the
 // dependency points one way: monitor imports proxy, never the reverse.
@@ -50,12 +50,9 @@ const heartbeatEntryBytes = 32
 
 type msgTickMonitor struct{}
 
-// EnableMonitor starts periodic convergence heartbeats to the target
-// monitor node (every <= 0 selects 1s). Driver/simulation thread only.
+// EnableMonitor starts convergence heartbeats to the target monitor node,
+// one every `every`. Driver/simulation thread only.
 func (p *Proxy) EnableMonitor(target simnet.NodeID, every time.Duration) {
-	if every <= 0 {
-		every = time.Second
-	}
 	armed := p.monTarget != ""
 	p.monTarget = target
 	p.monEvery = every

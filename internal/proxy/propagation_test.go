@@ -82,9 +82,9 @@ func TestPushTreeLatencyMatchesLinkModel(t *testing.T) {
 		t.Helper()
 		h := reg.Histogram(name)
 		if h.Count() != 1 {
-			t.Fatalf("%s: %d observations, want 1\n%s", name, h.Count(), reg.Text())
+			t.Fatalf("%s: %d observations, want 1", name, h.Count())
 		}
-		got := h.Max()
+		got := h.Quantile(1)
 		if got < want-tol || got > want+tol {
 			t.Errorf("%s = %s, want %s ±%s", name, got, want, tol)
 		}
@@ -97,8 +97,8 @@ func TestPushTreeLatencyMatchesLinkModel(t *testing.T) {
 	if !px.Read(path).OK {
 		t.Fatal("proxy lost the config")
 	}
-	if h := reg.Histogram(obs.HistCommitToRead); h.Count() != 1 || h.Max() < 4500*time.Millisecond {
-		t.Errorf("commit_to_read: n=%d max=%s", h.Count(), h.Max())
+	if h := reg.Histogram(obs.HistCommitToRead); h.Count() != 1 || h.Quantile(1) < 4500*time.Millisecond {
+		t.Errorf("commit_to_read: n=%d max=%s", h.Count(), h.Quantile(1))
 	}
 
 	// The trace stitched the full hop chain.

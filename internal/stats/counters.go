@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -72,26 +70,4 @@ func (c *Counters) Table(title string) string {
 	}
 	t.AddRawRow("total", total)
 	return t.String()
-}
-
-// JSON returns the counters as a JSON object with keys in sorted order, so
-// two runs with the same counts produce byte-identical output (benchreport
-// artifacts are diffed across runs).
-func (c *Counters) JSON() []byte {
-	snap := c.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:%d", n, snap[n])
-	}
-	b.WriteByte('}')
-	return []byte(b.String())
 }

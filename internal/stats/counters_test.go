@@ -39,23 +39,6 @@ func TestCountersBasics(t *testing.T) {
 	}
 }
 
-func TestCountersJSON(t *testing.T) {
-	c := NewCounters()
-	c.Add("b", 2)
-	c.Add("a", 1)
-	c.Add("c", 3)
-	if got := string(c.JSON()); got != `{"a":1,"b":2,"c":3}` {
-		t.Errorf("JSON = %s", got)
-	}
-	if got := string(NewCounters().JSON()); got != "{}" {
-		t.Errorf("empty JSON = %s", got)
-	}
-	var nilC *Counters
-	if got := string(nilC.JSON()); got != "{}" {
-		t.Errorf("nil JSON = %s", got)
-	}
-}
-
 func TestCountersNilSafe(t *testing.T) {
 	var c *Counters
 	c.Add("x", 1) // must not panic
