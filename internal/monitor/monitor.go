@@ -14,7 +14,8 @@
 //   - a continuous time-to-head distribution (the §6.3 propagation
 //     latency, measured on every commit rather than one traced change),
 //   - a straggler list naming proxies more than K versions or T seconds
-//     behind (or silent altogether), and
+//     behind, silent altogether, or divergent (serving the head zxid with
+//     different bytes), and
 //   - SLO burn-rate alerts (slo.go) that fire during infrastructure
 //     outages and clear after heal.
 //
@@ -40,7 +41,8 @@ const (
 )
 
 // A proxy is a straggler when it serves a path more than stragglerVersions
-// behind the head, or has been behind for longer than stragglerAge.
+// behind the head, or has been behind for longer than stragglerAge, or at
+// once when it serves the head's zxid with different bytes.
 const (
 	stragglerVersions = 2
 	stragglerAge      = 10 * time.Second
@@ -269,13 +271,14 @@ func (m *Monitor) Sweep(now time.Time) {
 			silent := now.Sub(ps.lastSeen) > silentAfter
 			// A deleted head is reached by serving nothing at the path.
 			atHead := !silent && (have && reported.Zxid >= pt.head.Zxid || !have && pt.head.Deleted)
-			if atHead && reported.Zxid == pt.head.Zxid && reported.Hash != pt.head.Hash {
-				// Same zxid, different bytes: a divergent replica is worse
-				// than a stale one.
+			// Same zxid, different bytes: a divergent replica is worse than
+			// a stale one.
+			divergent := atHead && reported.Zxid == pt.head.Zxid && reported.Hash != pt.head.Hash
+			if divergent {
 				atHead = false
 				m.cfg.Obs.Add("monitor.hash.mismatch", 1)
 			}
-			pair := PairState{Path: path, Proxy: id}
+			pair := PairState{Path: path, Proxy: id, Divergent: divergent}
 			st.Total++
 			if atHead {
 				st.AtHead++
@@ -310,13 +313,14 @@ func (m *Monitor) Sweep(now time.Time) {
 				staleAges = append(staleAges, pair.Age)
 			}
 			sweep.Pairs = append(sweep.Pairs, pair)
-			if pair.Behind && (pair.BehindVersions > stragglerVersions ||
+			if pair.Behind && (pair.Divergent || pair.BehindVersions > stragglerVersions ||
 				pair.Lag > stragglerAge) {
 				stragglers = append(stragglers, Straggler{
 					Proxy: id, Path: path,
 					BehindVersions: pair.BehindVersions,
 					Lag:            pair.Lag,
 					Silent:         pair.Silent,
+					Divergent:      pair.Divergent,
 				})
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"configerator/internal/cluster"
 	"configerator/internal/monitor"
 	"configerator/internal/obs"
+	"configerator/internal/proxy"
 	"configerator/internal/simnet"
 	"configerator/internal/zeus"
 )
@@ -161,6 +162,41 @@ func TestStragglerDetection(t *testing.T) {
 	st = m.Status()
 	if len(st.Stragglers) != 0 {
 		t.Fatalf("stragglers after recovery: %+v", st.Stragglers)
+	}
+}
+
+// TestDivergentReplicaIsNamed: a proxy reporting the head's zxid with
+// different bytes is behind by no version, yet it is a straggler at once
+// (not after stragglerAge), and status names it as diverged.
+func TestDivergentReplicaIsNamed(t *testing.T) {
+	f, m := fleet(t, monitor.Config{})
+	f.SubscribeAll(testPath)
+	write(t, f, testPath, `{"v":1}`)
+	f.Net.RunFor(10 * time.Second)
+	head := pathStatus(t, m.Status(), testPath)
+
+	rogue := f.AllServers()[0].ID
+	now := f.Net.Now()
+	m.HandleMessage(nil, rogue, proxy.MsgMonitorHeartbeat{Proxy: rogue, At: now, Paths: []proxy.PathState{{
+		Path: testPath, Version: head.HeadVersion, Zxid: head.HeadZxid, Hash: head.HeadHash + 1, Fetched: now,
+	}}})
+	m.Sweep(now)
+
+	st := m.Status()
+	if len(st.Stragglers) != 1 {
+		t.Fatalf("stragglers = %+v, want the divergent %s alone", st.Stragglers, rogue)
+	}
+	if sg := st.Stragglers[0]; sg.Proxy != rogue || sg.Path != testPath || !sg.Divergent || sg.Silent {
+		t.Fatalf("straggler = %+v, want %s/%s divergent", sg, rogue, testPath)
+	}
+	if ps := pathStatus(t, st, testPath); ps.AtHead != ps.Total-1 {
+		t.Fatalf("%d/%d at head, want all but the divergent proxy", ps.AtHead, ps.Total)
+	}
+	if txt := st.Text(); !strings.Contains(txt, "diverged (same zxid, different bytes)") {
+		t.Fatalf("Text does not name the divergence:\n%s", txt)
+	}
+	if js := statusJSON(t, st); !strings.Contains(js, `"divergent":true`) {
+		t.Fatalf("JSON does not name the divergence:\n%s", js)
 	}
 }
 

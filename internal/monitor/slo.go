@@ -36,6 +36,9 @@ type PairState struct {
 	Lag            time.Duration
 	BehindVersions int64
 	Silent         bool
+	// Divergent means the proxy reports the head's zxid with a different
+	// content hash: behind by no version, yet not serving the head.
+	Divergent bool
 
 	// Degraded means the proxy serves this path with its update plane
 	// down (the paper's stale-serve mode); Age is the served data's age.

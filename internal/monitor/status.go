@@ -36,6 +36,7 @@ type Straggler struct {
 	BehindVersions int64
 	Lag            time.Duration
 	Silent         bool
+	Divergent      bool // the head's zxid with different bytes
 }
 
 // Status is a point-in-time snapshot of the monitor's folded state.
@@ -120,6 +121,9 @@ func (s Status) Text() string {
 	}
 	for _, st := range s.Stragglers {
 		why := fmt.Sprintf("%d versions, %s behind", st.BehindVersions, st.Lag)
+		if st.Divergent {
+			why = "diverged (same zxid, different bytes)"
+		}
 		if st.Silent {
 			why += ", silent"
 		}
@@ -160,6 +164,7 @@ func (s Status) MarshalJSON() ([]byte, error) {
 		BehindVersions int64         `json:"behind_versions"`
 		LagMS          int64         `json:"lag_ms"`
 		Silent         bool          `json:"silent"`
+		Divergent      bool          `json:"divergent,omitempty"`
 	}
 	type alert struct {
 		SLO       string      `json:"slo"`
@@ -188,7 +193,7 @@ func (s Status) MarshalJSON() ([]byte, error) {
 		out.Paths = append(out.Paths, path{p.Path, p.HeadVersion, p.HeadZxid, p.AtHead, p.Total, fixed(p.Fraction, 4)})
 	}
 	for _, st := range s.Stragglers {
-		out.Stragglers = append(out.Stragglers, straggler{st.Proxy, st.Path, st.BehindVersions, st.Lag.Milliseconds(), st.Silent})
+		out.Stragglers = append(out.Stragglers, straggler{st.Proxy, st.Path, st.BehindVersions, st.Lag.Milliseconds(), st.Silent, st.Divergent})
 	}
 	for _, a := range s.Alerts {
 		out.Alerts = append(out.Alerts, alert{a.SLO, unixMS(a.FiredAt), unixMS(a.ClearedAt), a.Active(),
