@@ -377,7 +377,7 @@ func (x *docIndex) resolve(ref string, ctx []*types.Package) (kind string, ok bo
 		return "constructed name", x.literalPrefix(ref[:i])
 	}
 	if m := pathName.FindStringSubmatch(ref); m != nil && !fileRef.MatchString(ref) {
-		ref = m[1] // `internal/stats.Counters` cites stats.Counters
+		ref = m[1] // `internal/obs.Counters` cites obs.Counters
 	} else if strings.Contains(ref, "/") || fileRef.MatchString(ref) {
 		return "file", x.path(ref)
 	}

@@ -167,6 +167,11 @@ func run() error {
 		bad = append(bad, fmt.Sprintf("%s:%d: %s (%d lines) is referenced by no non-test file", pos.Filename, pos.Line, name, end.Line-pos.Line+1))
 	}
 	bad = append(bad, l.unsetOptions(allow)...)
+	writeOnly, err := l.writeOnlyNames()
+	if err != nil {
+		return err
+	}
+	bad = append(bad, writeOnly...)
 	for name := range allow {
 		bad = append(bad, fmt.Sprintf("%s: %s is listed but is not an unreferenced function or an unset option; remove the entry", allowFile, name))
 	}

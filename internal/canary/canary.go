@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"configerator/internal/health"
-	"configerator/internal/obs"
 	"configerator/internal/simnet"
 )
 
@@ -123,9 +122,6 @@ type Report struct {
 	Finished   time.Time
 }
 
-// Duration is the canary wall-clock time.
-func (r Report) Duration() time.Duration { return r.Finished.Sub(r.Started) }
-
 // Runner executes canary specs on a simnet's virtual clock.
 type Runner struct {
 	net *simnet.Network
@@ -135,11 +131,6 @@ type Runner struct {
 	Aborts int
 	// Passes counts canary runs that passed every phase.
 	Passes int
-
-	// Obs, when set, records each run's wall-clock time in the
-	// "canary.run" histogram and counts passes/aborts (nil = no
-	// instrumentation).
-	Obs *obs.Registry
 }
 
 // finish records a completed run's outcome and delivers the report.
@@ -147,12 +138,9 @@ func (r *Runner) finish(report *Report, done func(Report)) {
 	report.Finished = r.net.Now()
 	if report.Passed {
 		r.Passes++
-		r.Obs.Add("canary.pass", 1)
 	} else {
 		r.Aborts++
-		r.Obs.Add("canary.abort", 1)
 	}
-	r.Obs.Observe("canary.run", report.Duration())
 	done(*report)
 }
 

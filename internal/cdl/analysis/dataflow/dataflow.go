@@ -51,11 +51,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"configerator/internal/cdl"
 	"configerator/internal/obs"
-	"configerator/internal/stats"
 )
 
 // OriginKind classifies where a config value can come from.
@@ -123,8 +121,7 @@ func (c ConsumerSite) String() string {
 	return fmt.Sprintf("%s: %s %q", c.Site, c.Kind, c.Name)
 }
 
-// Counter names (also mirrored into the obs registry with the "dataflow."
-// prefix when the Index has one).
+// Counter names (read through Index.Counters).
 const (
 	counterMemo      = "provenance.memo"
 	counterRecompute = "provenance.recompute"
@@ -145,12 +142,8 @@ const maxSummaries = 16384
 // each module's import closure, so snapshots of different overlay views
 // rebuild a summary once between them.
 type Index struct {
-	// Obs, when set, receives dataflow.* counters and the
-	// dataflow.radius.size histogram.
-	Obs *obs.Registry
-
 	engine   *cdl.Engine
-	counters *stats.Counters
+	counters *obs.Counters
 
 	mu   sync.Mutex
 	memo map[string]*summary
@@ -161,20 +154,15 @@ type Index struct {
 func NewIndex(engine *cdl.Engine) *Index {
 	return &Index{
 		engine:   engine,
-		counters: stats.NewCounters(),
+		counters: obs.NewCounters(),
 		memo:     make(map[string]*summary),
 	}
 }
 
 // Counters exposes the memo/recompute/radius counters.
-func (ix *Index) Counters() *stats.Counters { return ix.counters }
+func (ix *Index) Counters() *obs.Counters { return ix.counters }
 
-func (ix *Index) count(name string, n int) {
-	ix.counters.Add(name, int64(n))
-	if ix.Obs != nil {
-		ix.Obs.Add("dataflow."+name, int64(n))
-	}
-}
+func (ix *Index) count(name string, n int) { ix.counters.Add(name, int64(n)) }
 
 func (ix *Index) lookup(key string) *summary {
 	ix.mu.Lock()
@@ -273,16 +261,10 @@ func (r *Repo) Imports(path string) []string {
 	return nil
 }
 
-// observeRadius feeds one radius query into the counters and histogram.
-func (ix *Index) observeRadius(artifacts, visited int) {
+// observeRadius counts one radius query and the files it visited.
+func (ix *Index) observeRadius(visited int) {
 	ix.count(counterRadius, 1)
 	ix.count(counterVisited, visited)
-	if ix.Obs != nil {
-		// Size histogram, following the obs idiom for non-duration
-		// quantities (cf. net.msg.bytes): one observation per query, value
-		// = number of artifacts reached.
-		ix.Obs.Observe("dataflow.radius.size", time.Duration(artifacts))
-	}
 }
 
 // extKinds maps the conventional external-input call names to origin kinds.

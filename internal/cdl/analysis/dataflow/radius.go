@@ -132,7 +132,7 @@ func (r *Repo) Radius(changed []string) *Radius {
 	sort.Strings(rad.Artifacts)
 
 	rad.Rescore()
-	r.ix.observeRadius(len(rad.Artifacts), len(visited))
+	r.ix.observeRadius(len(visited))
 	return rad
 }
 

@@ -31,7 +31,7 @@ import (
 	"sort"
 	"sync"
 
-	"configerator/internal/stats"
+	"configerator/internal/obs"
 )
 
 // Cache bounds; exceeding a bound evicts the least-recently-used quarter of
@@ -54,7 +54,7 @@ type Engine struct {
 	// Workers bounds CompileAll's worker pool (default GOMAXPROCS).
 	Workers int
 
-	counters *stats.Counters
+	counters *obs.Counters
 
 	mu      sync.Mutex
 	parse   map[string]*parseEntry
@@ -74,7 +74,7 @@ type flight struct {
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		counters: stats.NewCounters(),
+		counters: obs.NewCounters(),
 		parse:    make(map[string]*parseEntry),
 		results:  make(map[string]*resultEntry),
 		flights:  make(map[string]*flight),
@@ -82,7 +82,7 @@ func NewEngine() *Engine {
 }
 
 // Counters exposes the engine's cache hit/miss/eviction counters.
-func (e *Engine) Counters() *stats.Counters { return e.counters }
+func (e *Engine) Counters() *obs.Counters { return e.counters }
 
 // BatchError is CompileAll's failure report: the error produced by the
 // lexicographically first failing path. Its message is exactly the

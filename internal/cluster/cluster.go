@@ -38,8 +38,9 @@ type Config struct {
 	ObserversPerCluster int
 	Seed                uint64
 
-	// Obs, when set, instruments the whole fleet — Zeus commits, observer
-	// applies, proxy materializes, and client reads all report into it.
+	// Obs, when set, instruments the whole fleet — the network's injected
+	// faults (simnet.Network.SetObs), Zeus commits, observer applies, proxy
+	// materializes and client reads all report into it.
 	Obs *obs.Registry
 }
 

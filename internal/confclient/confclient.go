@@ -31,7 +31,6 @@ import (
 
 	"configerator/internal/obs"
 	"configerator/internal/proxy"
-	"configerator/internal/stats"
 )
 
 // Value is a parsed view of one JSON config artifact, plus the staleness
@@ -81,10 +80,10 @@ type Client struct {
 
 	obs *obs.Registry
 	// cnt is the counters handle hoisted out of the per-call path: with no
-	// registry attached it is a nil *stats.Counters whose Add is a no-op,
-	// so miss/deleted/degraded accounting costs one nil check instead of a
-	// registry lookup per call.
-	cnt *stats.Counters
+	// registry attached it is a nil *obs.Counters whose Add is a no-op,
+	// so decode accounting costs one nil check instead of a registry
+	// lookup per call.
+	cnt *obs.Counters
 
 	// Hot-path read accounting. These are atomics, not obs counters: a
 	// warm Get must not take the counters mutex (or allocate), and takes
@@ -111,8 +110,9 @@ func New(p *proxy.Proxy) *Client {
 	}
 }
 
-// SetObs attaches an observability registry that counts application read
-// outcomes; commit-to-read latency is recorded by the proxy underneath.
+// SetObs attaches an observability registry that counts decodes and
+// records the age of degraded reads; commit-to-read latency is recorded by
+// the proxy underneath.
 // The counters handle is resolved once here, keeping the per-call paths
 // free of registry lookups. Call before sharing the client across
 // goroutines.
@@ -204,11 +204,9 @@ func (c *Client) Get(ctx context.Context, path string) (*Value, error) {
 	}
 	e, src, memo := c.proxy.Lookup(path)
 	if e == nil {
-		c.cnt.Add("confclient.read.miss", 1)
 		return nil, fmt.Errorf("confclient: %s not available (never fetched on this server, or staleness refused)", path)
 	}
 	if !e.Exists {
-		c.cnt.Add("confclient.read.deleted", 1)
 		return nil, fmt.Errorf("confclient: %s deleted", path)
 	}
 	c.hits.Add(1)
@@ -219,7 +217,6 @@ func (c *Client) Get(ctx context.Context, path string) (*Value, error) {
 	if src == proxy.SourceFresh {
 		return v, nil
 	}
-	c.cnt.Add("confclient.read.degraded", 1)
 	// The age distribution of degraded serving is the staleness the
 	// fleet-health SLOs bound; observing it here costs nothing on the
 	// fresh (zero-alloc) path.

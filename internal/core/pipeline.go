@@ -137,7 +137,6 @@ func New(opts Options) *Pipeline {
 		p.Obs = opts.Fleet.Obs
 	}
 	p.Dataflow = dataflow.NewIndex(p.Engine)
-	p.Dataflow.Obs = p.Obs
 	p.highRadiusAt = opts.HighRadiusArtifacts
 	if p.highRadiusAt == 0 {
 		p.highRadiusAt = DefaultHighRadiusArtifacts
@@ -151,7 +150,6 @@ func New(opts Options) *Pipeline {
 	p.headTrees = make(map[*vcs.Repository]vcs.Tree)
 	if p.Fleet != nil {
 		p.Canary = canary.NewRunner(p.Fleet.Net, p.Fleet)
-		p.Canary.Obs = p.Obs
 		if p.phase1 == 0 {
 			p.phase1 = 20
 		}
@@ -160,11 +158,9 @@ func New(opts Options) *Pipeline {
 		}
 		for i, repo := range p.Repos.Repos() {
 			id := simnet.NodeID(fmt.Sprintf("tailer-%d", i))
-			tl := tailer.New(p.Fleet.Net, id,
+			p.Tailers = append(p.Tailers, tailer.New(p.Fleet.Net, id,
 				simnet.Placement{Region: "us-west", Cluster: "ctrl"},
-				repo, p.Fleet.Ensemble.Members, ZeusPrefix)
-			tl.Obs = p.Obs
-			p.Tailers = append(p.Tailers, tl)
+				repo, p.Fleet.Ensemble.Members, ZeusPrefix))
 		}
 		p.net = p.Fleet.Net
 	} else {
@@ -192,7 +188,6 @@ func (p *Pipeline) stripFor(repo *vcs.Repository) *landingstrip.Strip {
 	if strip == nil {
 		strip = landingstrip.New(repo, p.Cost)
 		strip.Gate = p.gate
-		strip.Obs = p.Obs
 		p.strips[repo] = strip
 	}
 	return strip
@@ -479,7 +474,6 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 		report.Finished = p.Now()
 		tr.Annotate("failed_stage", stage)
 		tr.EndAt(p.Now())
-		p.Obs.Add("pipeline.failed", 1)
 		p.observeStageTimings(report)
 		return report
 	}

@@ -14,7 +14,6 @@ package landingstrip
 import (
 	"time"
 
-	"configerator/internal/obs"
 	"configerator/internal/vcs"
 )
 
@@ -51,11 +50,6 @@ type Strip struct {
 	// Landed and Rejected count outcomes.
 	Landed   int
 	Rejected int
-
-	// Obs, when set, records each landed diff's queueing delay and commit
-	// work in the "strip.queued" / "strip.work" histograms and counts
-	// outcomes (nil = no instrumentation).
-	Obs *obs.Registry
 }
 
 // New returns a strip in front of repo with the given cost model.
@@ -72,7 +66,6 @@ func (s *Strip) Submit(d *vcs.Diff, arrival time.Time) Result {
 	if s.Gate != nil {
 		if err := s.Gate(d); err != nil {
 			s.Rejected++
-			s.Obs.Add("strip.rejected", 1)
 			return Result{Err: err, Start: arrival, Finish: arrival}
 		}
 	}
@@ -91,12 +84,8 @@ func (s *Strip) Submit(d *vcs.Diff, arrival time.Time) Result {
 	}
 	if err != nil {
 		s.Rejected++
-		s.Obs.Add("strip.rejected", 1)
 	} else {
 		s.Landed++
-		s.Obs.Add("strip.landed", 1)
-		s.Obs.Observe("strip.queued", res.Queued)
-		s.Obs.Observe("strip.work", res.Work)
 	}
 	return res
 }

@@ -83,12 +83,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Histogram names the monitor feeds (exported so experiments and status
-// read the same keys).
-const (
-	HistTimeToHead = "monitor.time_to_head" // commit → proxy-at-head
-	HistStaleness  = "monitor.staleness"    // served age while degraded
-)
+// HistTimeToHead names the histogram of commit → proxy-at-head delays the
+// monitor feeds (exported so experiments and status read the same key).
+const HistTimeToHead = "monitor.time_to_head"
 
 // msgTickSweep is the sweep timer.
 type msgTickSweep struct{}
@@ -205,7 +202,6 @@ func (m *Monitor) onHeartbeat(hb proxy.MsgMonitorHeartbeat) {
 		pt.members[hb.Proxy] = true
 	}
 	m.mu.Unlock()
-	m.cfg.Obs.Add("monitor.heartbeats", 1)
 }
 
 func (m *Monitor) trackLocked(path string) *pathTrack {
@@ -253,7 +249,7 @@ func (m *Monitor) Sweep(now time.Time) {
 		pathStats  []PathStatus
 	)
 
-	var credited, staleAges []time.Duration
+	var credited []time.Duration
 
 	for path, pt := range m.paths {
 		if pt.head.Zxid == 0 || len(pt.members) == 0 {
@@ -274,10 +270,7 @@ func (m *Monitor) Sweep(now time.Time) {
 			// Same zxid, different bytes: a divergent replica is worse than
 			// a stale one.
 			divergent := atHead && reported.Zxid == pt.head.Zxid && reported.Hash != pt.head.Hash
-			if divergent {
-				atHead = false
-				m.cfg.Obs.Add("monitor.hash.mismatch", 1)
-			}
+			atHead = atHead && !divergent
 			pair := PairState{Path: path, Proxy: id, Divergent: divergent}
 			st.Total++
 			if atHead {
@@ -310,7 +303,6 @@ func (m *Monitor) Sweep(now time.Time) {
 			if have && ps.planeDown && !silent {
 				pair.Degraded = true
 				pair.Age = now.Sub(reported.Fetched)
-				staleAges = append(staleAges, pair.Age)
 			}
 			sweep.Pairs = append(sweep.Pairs, pair)
 			if pair.Behind && (pair.Divergent || pair.BehindVersions > stragglerVersions ||
@@ -348,9 +340,6 @@ func (m *Monitor) Sweep(now time.Time) {
 	reg := m.cfg.Obs
 	for _, d := range credited {
 		reg.Observe(HistTimeToHead, d)
-	}
-	for _, a := range staleAges {
-		reg.Observe(HistStaleness, a)
 	}
 	reg.Add("monitor.sweeps", 1)
 

@@ -1,13 +1,17 @@
-package stats
+package obs
 
 import (
+	"fmt"
+	"maps"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
-// Counters is a small concurrency-safe named-counter set, used by the CDL
-// compilation engine to surface cache hit/miss/eviction rates through the
-// benchmark harness.
+// Counters is a small concurrency-safe named-counter set: the registry's
+// counters, and a component's own (cdl.Engine's cache counters,
+// dataflow.Index's memo and radius counters).
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]int64
@@ -41,16 +45,12 @@ func (c *Counters) Get(name string) int64 {
 
 // Snapshot returns a copy of all counters.
 func (c *Counters) Snapshot() map[string]int64 {
-	out := make(map[string]int64)
 	if c == nil {
-		return out
+		return map[string]int64{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(c.m)
 }
 
 // Table renders the counters as an aligned two-column table, sorted by
@@ -64,10 +64,22 @@ func (c *Counters) Table(title string) string {
 		total += v
 	}
 	sort.Strings(names)
-	t := NewTable(title, "counter", "value")
+	rows := [][2]string{{"counter", "value"}, {}} // row 1 becomes the rule
 	for _, n := range names {
-		t.AddRawRow(n, snap[n])
+		rows = append(rows, [2]string{n, strconv.FormatInt(snap[n], 10)})
 	}
-	t.AddRawRow("total", total)
-	return t.String()
+	rows = append(rows, [2]string{"total", strconv.FormatInt(total, 10)})
+	var w [2]int
+	for _, r := range rows {
+		w[0], w[1] = max(w[0], len(r[0])), max(w[1], len(r[1]))
+	}
+	rows[1] = [2]string{strings.Repeat("-", w[0]), strings.Repeat("-", w[1])}
+	var b strings.Builder
+	if title != "" {
+		b.WriteString(title + "\n")
+	}
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-*s  %-*s\n", w[0], r[0], w[1], r[1])
+	}
+	return b.String()
 }

@@ -40,8 +40,8 @@ func bucketFor(d time.Duration) int {
 
 // Histogram is a concurrency-safe fixed-bucket latency histogram. The zero
 // value is NOT ready; obtain instances from a Registry (or NewHistogram) so
-// nil handles stay cheap: every method no-ops on a nil receiver, matching
-// the stats.Counters idiom, so instrumented code needs no nil checks.
+// nil handles stay cheap: every method no-ops on a nil receiver, like
+// Counters, so instrumented code needs no nil checks.
 type Histogram struct {
 	mu     sync.Mutex
 	counts [histBuckets + 1]uint64

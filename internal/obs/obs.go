@@ -8,12 +8,15 @@
 // It keeps only what something reads: `configerator trace` prints a trace
 // (Trace.Render, or its JSON form through encoding/json) and the push-tree
 // histograms, `configerator status` the monitor's time-to-head histogram,
-// and the experiments and the benchmark read the counters.
+// and the experiments, the benchmark and the tests read the counters. A
+// name only ever written is deleted (`go run ./cmd/deadapi` finds one).
+// Counters is the module's one counter type: the registry holds one, and
+// so do cdl.Engine and dataflow.Index for their own caches.
 //
 // Everything is pure stdlib and nil-safe: a nil *Registry (and the nil
-// *Histogram / *Trace / *Span handles it returns) turns every call into a
-// no-op, matching the stats.Counters idiom, so instrumented components pay
-// nothing when observability is off.
+// *Counters / *Histogram / *Trace / *Span handles it returns) turns every
+// call into a no-op, so instrumented components pay nothing when
+// observability is off.
 package obs
 
 import (
@@ -21,8 +24,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"configerator/internal/stats"
 )
 
 // Propagation event stages, in hop order down the push tree.
@@ -64,7 +65,7 @@ const DefaultTraceCap = 512
 // traces.
 type Registry struct {
 	mu       sync.Mutex
-	counters *stats.Counters
+	counters *Counters
 	hists    map[string]*Histogram
 	traces   []*Trace // creation order
 	byKey    map[string]*Trace
@@ -80,7 +81,7 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters: stats.NewCounters(),
+		counters: NewCounters(),
 		hists:    make(map[string]*Histogram),
 		byKey:    make(map[string]*Trace),
 		byPath:   make(map[string]*Trace),
@@ -91,7 +92,7 @@ func New() *Registry {
 
 // Counters exposes the registry's counter set (nil when the registry is
 // nil — itself a safe no-op handle).
-func (r *Registry) Counters() *stats.Counters {
+func (r *Registry) Counters() *Counters {
 	if r == nil {
 		return nil
 	}
@@ -255,7 +256,7 @@ func (r *Registry) BindPath(path string, tr *Trace) {
 }
 
 // PathEvent records one propagation observation: it feeds the per-hop
-// histograms and counters, and stitches a hop span into the trace bound to
+// histograms, and stitches a hop span into the trace bound to
 // the path (if any). Components call this with their own virtual-clock
 // time; correlation happens here.
 func (r *Registry) PathEvent(path string, ev PropEvent) {
@@ -269,7 +270,6 @@ func (r *Registry) PathEvent(path string, ev PropEvent) {
 		r.touchTraceLocked(tr)
 	}
 	r.mu.Unlock()
-	r.counters.Add("obs."+ev.Stage, 1)
 	if tr == nil {
 		return
 	}

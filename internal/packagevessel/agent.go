@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"configerator/internal/obs"
 	"configerator/internal/packagevessel/blob"
 	"configerator/internal/simnet"
 )
@@ -30,11 +29,10 @@ const (
 	grantBatch = 16
 )
 
-// Options configures an Agent.
-type Options struct {
-	// Obs receives the vessel.* counters (nil-safe).
-	Obs *obs.Registry
-}
+// Options configures an Agent. An agent has no settings, so it is empty;
+// it stays because NewAgent's callers, bench/vessel_swarm.go among them,
+// pass Options{}.
+type Options struct{}
 
 // TransferStats accounts one completed transfer.
 type TransferStats struct {
@@ -79,7 +77,6 @@ type Agent struct {
 	id  simnet.NodeID
 	pl  simnet.Placement // where the agent lives, as the network recorded it
 	net *simnet.Network
-	obs *obs.Registry
 
 	store     *blob.Store
 	transfers map[string]*transfer // by package name (newest version only)
@@ -109,7 +106,7 @@ type Agent struct {
 
 // NewAgent creates an agent node.
 func NewAgent(net *simnet.Network, id simnet.NodeID, p simnet.Placement, opts Options) *Agent {
-	a := &Agent{id: id, net: net, obs: opts.Obs, store: blob.NewStore()}
+	a := &Agent{id: id, net: net, store: blob.NewStore()}
 	net.AddNode(id, p, a)
 	a.pl = net.Placement(id)
 	return a
@@ -191,8 +188,6 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 			t.stats.BytesDeduped += int64(size)
 		}
 	}
-	a.obs.Add("vessel.chunks.dedup", int64(t.stats.ChunksDeduped))
-	a.obs.Add("vessel.bytes.saved", t.stats.BytesDeduped)
 
 	a.store.Begin(m, string(origin), string(tracker))
 	a.track(t)
@@ -458,7 +453,6 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 		// peer and re-fetch from another holder.
 		a.quarantine(from)
 		a.CorruptChunks++
-		a.obs.Add("vessel.chunks.corrupt", 1)
 		t.need[m.Digest] = true
 		a.continueTransfer(ctx, t)
 		return
@@ -551,9 +545,9 @@ func (a *Agent) finish(ctx *simnet.Context, t *transfer) {
 
 // resume runs when the agent is Restarted: the crash lost all in-memory
 // swarm state, but the store — the disk — survived. Every journaled
-// transfer is re-verified chunk by chunk (counted in
-// vessel.resume.verified) and resumed fetching only the digests that are
-// missing or failed verification.
+// transfer is re-verified chunk by chunk (counted in ResumeVerified) and
+// resumed fetching only the digests that are missing or failed
+// verification.
 func (a *Agent) resume(ctx *simnet.Context) {
 	a.transfers = nil
 	a.inflight = nil
@@ -568,7 +562,6 @@ func (a *Agent) resume(ctx *simnet.Context) {
 		m := j.Manifest
 		present, missing := a.store.Verify(m)
 		a.ResumeVerified += uint64(len(present))
-		a.obs.Add("vessel.resume.verified", int64(len(present)))
 		t := &transfer{
 			manifest: m,
 			origin:   simnet.NodeID(j.Origin),

@@ -89,8 +89,8 @@ func TestPartitionHealObserverFailover(t *testing.T) {
 	if len(got) == 0 || got[len(got)-1] != "v3" {
 		t.Fatalf("subscriber missed updates: %v", got)
 	}
-	if c := r.reg.Counters().Get("proxy.failover"); c < 2 {
-		t.Errorf("proxy.failover = %d, want >= 2", c)
+	if c := r.proxy.Failovers; c < 2 {
+		t.Errorf("Failovers = %d, want >= 2", c)
 	}
 }
 

@@ -208,7 +208,6 @@ func (p *Proxy) failover(ctx *simnet.Context) {
 		next = slices.Index(p.observers, health.Rank(samples)[0].ID)
 	}
 	p.Failovers++
-	p.Obs.Add("proxy.failover", 1)
 	cells := p.repoint(ctx, next)
 	// Re-establish fetches+watches on the new observer, bypassing the
 	// single-flight guard (the old observer may never answer). When the
@@ -311,7 +310,6 @@ func (p *Proxy) fetchFrom(ctx *simnet.Context, c *cell, target simnet.NodeID, ad
 	p.inflight[p.nextReq] = st
 	c.reqs = append(c.reqs, p.nextReq)
 	p.Fetches++
-	p.Obs.Add("proxy.fetch.sent", 1)
 	if target == "" {
 		return
 	}
@@ -333,7 +331,6 @@ func (p *Proxy) onFetchTimeout(ctx *simnet.Context, m msgFetchTimeout) {
 		return
 	}
 	p.dropReq(m.ReqID)
-	p.Obs.Add("proxy.fetch.timeout", 1)
 	p.fetchFailed(ctx, st.c, st.observer, st.attempt)
 }
 

@@ -425,7 +425,6 @@ func (p *Proxy) pruneSubs(c *cell) {
 	kept := c.subs[:0]
 	for _, s := range c.subs {
 		if s.alive != nil && !s.alive() {
-			p.Obs.Add("proxy.sub.pruned", 1)
 			continue
 		}
 		kept = append(kept, s)
@@ -549,7 +548,6 @@ func (p *Proxy) Lookup(path string) (e *Entry, src Source, memo *Memo) {
 	if st == nil {
 		return nil, src, nil
 	}
-	p.Obs.Add("proxy.read.stale", 1)
 	return &st.e, src, nil
 }
 

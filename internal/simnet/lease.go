@@ -152,7 +152,7 @@ func (l *Lease) gridAt(t int64) int64 { return l.anchor + (t-l.anchor)/l.period*
 // lat is the one-way latency of a ping to the peer, before jitter: a
 // stand-in ping arrives this long after its grid instant.
 func (l *Lease) lat() int64 {
-	d, _ := l.n.latency.base(l.n.nodes[l.node].placement, l.n.nodes[l.peer].placement)
+	d := l.n.latency.base(l.n.nodes[l.node].placement, l.n.nodes[l.peer].placement)
 	return int64(d)
 }
 

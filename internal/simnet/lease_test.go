@@ -112,7 +112,7 @@ func TestLeaseTickOrderOnAGridInstant(t *testing.T) {
 func TestLeaseRestartReanchorsAndHeard(t *testing.T) {
 	n, h, start := newLeaseNet(t)
 	ctx := MakeContext(n, "b")
-	lat, _ := n.latency.base(n.Placement("a"), n.Placement("b"))
+	lat := n.latency.base(n.Placement("a"), n.Placement("b"))
 	heard := func(when string, want time.Duration) {
 		t.Helper()
 		if got, _ := ctx.Heard("a"); got.Sub(start) != want {

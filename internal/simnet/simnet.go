@@ -93,34 +93,25 @@ func DefaultLatency() LatencyModel {
 	}
 }
 
-// Distance classes: how much of their placement two endpoints share.
-const (
-	sameCluster = iota
-	sameRegion
-	crossRegion
-)
-
-// classBytesCounter names the per-distance-class obs byte counter.
-var classBytesCounter = [...]string{"net.bytes.same_cluster", "net.bytes.same_region", "net.bytes.cross_region"}
-
-// base classifies the a→b link and reports its one-way latency before jitter.
-func (m LatencyModel) base(a, b Placement) (time.Duration, int) {
+// base reports the a→b link's one-way latency before jitter, by how much
+// of their placement the two endpoints share.
+func (m LatencyModel) base(a, b Placement) time.Duration {
 	switch {
 	case a.Region == b.Region && a.Cluster == b.Cluster:
-		return m.SameCluster, sameCluster
+		return m.SameCluster
 	case a.Region == b.Region:
-		return m.SameRegion, sameRegion
+		return m.SameRegion
 	}
-	return m.CrossRegion, crossRegion
+	return m.CrossRegion
 }
 
-// hop classifies the a→b link and draws its one-way latency in nanoseconds.
-func (m LatencyModel) hop(a, b Placement, rng *stats.RNG) (lat int64, class int) {
-	base, class := m.base(a, b)
+// hop draws the a→b link's one-way latency in nanoseconds.
+func (m LatencyModel) hop(a, b Placement, rng *stats.RNG) int64 {
+	base := m.base(a, b)
 	if m.Jitter > 0 {
 		base += time.Duration(float64(base) * m.Jitter * rng.Float64())
 	}
-	return int64(base), class
+	return int64(base)
 }
 
 // node is the per-node state. The table is a dense slice indexed by the
@@ -242,8 +233,7 @@ type Network struct {
 	stepping bool
 	born     int64
 
-	// obs, when set, receives per-message byte counters and a payload-size
-	// histogram (see SetObs).
+	// obs, when set, counts injected faults (see SetObs).
 	obs *obs.Registry
 
 	// Stats observed by tests and benches.
@@ -276,12 +266,8 @@ func New(latency LatencyModel, seed uint64) *Network {
 
 func (n *Network) nowNS() int64 { return n.now.Load() }
 
-// SetObs attaches an observability registry: every sized send then feeds
-// the "net.bytes" counter, a per-distance-class counter
-// ("net.bytes.same_cluster" / "net.bytes.same_region" /
-// "net.bytes.cross_region"), and the "net.msg.bytes" payload-size
-// histogram (recorded on the 1 byte = 1 ns convention). Broadcast waves
-// batch the counter updates and record one histogram sample per wave.
+// SetObs attaches an observability registry: every fault a FaultPlan
+// injects is then counted in "fault.injected" and "fault.<kind>".
 func (n *Network) SetObs(r *obs.Registry) { n.obs = r }
 
 // LinkBytes reports payload bytes sent on the directed link from→to.
@@ -483,12 +469,7 @@ func (n *Network) sendIdx(fi, ti int32, msg Message, size int) {
 	}
 	// Encode + decode CPU cost: it delays this message after it has crossed
 	// both links and occupies neither.
-	class := n.transmit(fi, ti, msg, size, n.nowNS(), n.serializeNS(size))
-	if n.obs != nil && size > 0 && class >= 0 {
-		var copies [3]int
-		copies[class] = 1
-		n.account(size, copies)
-	}
+	n.transmit(fi, ti, msg, size, n.nowNS(), n.serializeNS(size))
 }
 
 // serializeNS is the CPU cost of encoding and decoding a size-byte payload.
@@ -501,9 +482,8 @@ func (n *Network) serializeNS(size int) int64 {
 // dropped by a cut or by loss (the two-way draw before the one-way), given
 // the link's latency, queued behind earlier transfers on the sender's
 // uplink and the receiver's downlink for size/bandwidth each, charged
-// decode, held behind the link's previous arrival (FIFO), and counted. It
-// returns the link's distance class, or -1 if the copy was dropped.
-func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode int64) int {
+// decode, held behind the link's previous arrival (FIFO), and counted.
+func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode int64) {
 	key := linkKey(fi, ti)
 	var extra int64
 	if len(n.faults) > 0 {
@@ -511,11 +491,11 @@ func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode in
 		if f.cut || f.cutOneWay ||
 			(f.loss > 0 && n.rng.Bool(f.loss)) || (f.lossOneWay > 0 && n.rng.Bool(f.lossOneWay)) {
 			n.Dropped++
-			return -1
+			return
 		}
 		extra = int64(f.extra)
 	}
-	lat, class := n.latency.hop(n.nodes[fi].placement, n.nodes[ti].placement, n.rng)
+	lat := n.latency.hop(n.nodes[fi].placement, n.nodes[ti].placement, n.rng)
 	lat += extra
 	arrive := ready + lat
 	l := n.links[key]
@@ -534,34 +514,14 @@ func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode in
 	l.lastArrival = arrive
 	n.links[key] = l
 	n.pushEvent(arrive, evDeliver, fi, ti, msg)
-	return class
-}
-
-// account feeds the obs registry for one sized payload sent as copies[c]
-// copies over links of distance class c: byte and message counters per copy,
-// one payload-size histogram sample (on the 1 byte = 1 ns convention).
-func (n *Network) account(size int, copies [3]int) {
-	sent := copies[0] + copies[1] + copies[2]
-	if sent == 0 {
-		return
-	}
-	n.obs.Add("net.bytes", int64(size)*int64(sent))
-	n.obs.Add("net.msgs.sized", int64(sent))
-	for class, k := range copies {
-		if k > 0 {
-			n.obs.Add(classBytesCounter[class], int64(size)*int64(k))
-		}
-	}
-	n.obs.Observe("net.msg.bytes", time.Duration(size))
 }
 
 // Broadcast schedules delivery of one shared payload from one sender to
 // many recipients — a push wave. Unlike a loop of SendSized calls, the
 // serialization CPU cost (SerializePerKB) is charged once for the wave,
-// before the first copy leaves, rather than once per recipient; every
-// recipient shares the same immutable msg value; and the obs counters are
-// updated once per wave (with one payload-size histogram sample). Every
-// copy still goes through the link model (transmit): each recipient's
+// before the first copy leaves, rather than once per recipient; and every
+// recipient shares the same immutable msg value. Every copy still goes
+// through the link model (transmit): each recipient's
 // bytes occupy the sender's uplink in turn, so a wave to 100k nodes still
 // serializes on the sender's NIC. Jitter draws happen in tos order, so
 // callers must pass a deterministically ordered slice.
@@ -575,14 +535,8 @@ func (n *Network) broadcastIdx(fi int32, tos []NodeID, msg Message, size int) {
 		return
 	}
 	encoded := n.nowNS() + n.serializeNS(size)
-	var copies [3]int
 	for _, to := range tos {
-		if class := n.transmit(fi, n.mustIdx(to), msg, size, encoded, 0); class >= 0 {
-			copies[class]++
-		}
-	}
-	if n.obs != nil && size > 0 {
-		n.account(size, copies)
+		n.transmit(fi, n.mustIdx(to), msg, size, encoded, 0)
 	}
 }
 

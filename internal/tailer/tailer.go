@@ -7,7 +7,6 @@ package tailer
 import (
 	"time"
 
-	"configerator/internal/obs"
 	"configerator/internal/simnet"
 	"configerator/internal/vcs"
 	"configerator/internal/zeus"
@@ -27,7 +26,6 @@ type msgExtracted struct{}
 // Tailer is a simnet node that bridges one repository into Zeus.
 type Tailer struct {
 	id     simnet.NodeID
-	net    *simnet.Network
 	repo   *vcs.Repository
 	client *zeus.Client
 	cursor int
@@ -42,10 +40,6 @@ type Tailer struct {
 	WritesIssued int
 	// onDelivered, if set, fires when a write commits in Zeus.
 	onDelivered func(path string, zxid int64)
-
-	// Obs, when set, records the round-trip of each Zeus write in the
-	// "tailer.write_rtt" histogram (nil = no instrumentation).
-	Obs *obs.Registry
 }
 
 // New creates a tailer node on the network.
@@ -53,7 +47,6 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement,
 	repo *vcs.Repository, members []simnet.NodeID, prefix string) *Tailer {
 	t := &Tailer{
 		id:     id,
-		net:    net,
 		repo:   repo,
 		client: zeus.NewClient(id, members),
 		prefix: prefix,
@@ -116,10 +109,8 @@ func (t *Tailer) poll(ctx *simnet.Context) {
 		// Byte order, so the writes of one commit are issued deterministically.
 		for _, p := range vcs.ChangedPaths(parentTree, tree) {
 			zpath := t.prefix + p
-			issued := ctx.Now()
 			done := func(path string) func(zeus.WriteResult) {
 				return func(r zeus.WriteResult) {
-					t.Obs.Observe("tailer.write_rtt", t.net.Now().Sub(issued))
 					if t.onDelivered != nil {
 						t.onDelivered(path, r.Zxid)
 					}

@@ -113,16 +113,16 @@ func TestTailerSurvivesLeaderFailover(t *testing.T) {
 // move past commits nobody wrote) or while a write cut off on its way to
 // Zeus waits for its retry (the restarted client sends it again).
 func TestTailerCrashLosesNoCommit(t *testing.T) {
-	for name, before := range map[string]func(*Tailer, *zeus.Ensemble){
-		"mid-extraction": func(tl *Tailer, _ *zeus.Ensemble) { tl.SetProcessingDelay(3 * time.Second) },
-		"write-in-flight": func(tl *Tailer, ens *zeus.Ensemble) {
-			tl.net.PartitionOneWay(tl.id, ens.Members[0])
-			tl.net.After(5500*time.Millisecond, func() { tl.net.HealOneWay(tl.id, ens.Members[0]) })
+	for name, before := range map[string]func(*simnet.Network, *Tailer, *zeus.Ensemble){
+		"mid-extraction": func(_ *simnet.Network, tl *Tailer, _ *zeus.Ensemble) { tl.SetProcessingDelay(3 * time.Second) },
+		"write-in-flight": func(net *simnet.Network, tl *Tailer, ens *zeus.Ensemble) {
+			net.PartitionOneWay(tl.id, ens.Members[0])
+			net.After(5500*time.Millisecond, func() { net.HealOneWay(tl.id, ens.Members[0]) })
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			net, ens, repo, tl := newStack(t)
-			before(tl, ens)
+			before(net, tl, ens)
 			repo.CommitChanges("a", "add", net.Now(), vcs.Change{Path: "x.json", Content: []byte("1")})
 			// The tick at +5 s extracts for 3 s, or writes with the retry
 			// due at +6.5 s.

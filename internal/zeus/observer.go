@@ -380,12 +380,9 @@ func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) 
 		switch {
 		case m.Have && m.HaveHash == rec.Hash:
 			reply.NotModified = true
-			o.Obs.Add("zeus.fetch.not_modified", 1)
 		case m.Have && prev != nil && m.HaveHash == prev.Hash:
 			reply.Payload = MakePayload(prev, rec)
-			if reply.Payload.IsDelta {
-				o.Obs.Add("zeus.fetch.delta", 1)
-			} else {
+			if !reply.Payload.IsDelta {
 				o.Obs.Add("zeus.fetch.full", 1)
 			}
 		default:
