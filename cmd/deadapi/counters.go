@@ -68,8 +68,8 @@ func (l *loader) writeOnlyNames() ([]string, error) {
 			for _, s := range n.Specs {
 				vs := s.(*ast.ValueSpec)
 				for i, v := range vs.Values {
-					if s, ok := stringLit(v); ok && i < len(vs.Names) {
-						consts[vs.Names[i].Name] = append(consts[vs.Names[i].Name], s)
+					if lit, ok := stringLit(v); ok {
+						consts[vs.Names[i].Name] = append(consts[vs.Names[i].Name], lit)
 					}
 				}
 			}
