@@ -164,10 +164,11 @@ func (r *appRig) do(op, a, b byte) string {
 // an op, once without a registry and once with one: after every op the first
 // fleet is sampled by the maintained app model and the second by the polled
 // reference, server by server. Every sample must be equal, and so must the
-// simulator's event counts — the maintained model reads a cold cell, with its
-// fetch and watch, exactly when the polled one does — and, with a registry,
-// the commit-to-first-read histogram, every path's trace (each first read
-// happens at the instant the polled model makes it) and the counters
+// simulator's event, byte and drop counts and each proxy's fetches, failovers
+// and stale reads — the maintained model reads a cold cell, with its fetch and
+// watch, exactly when the polled one does — and, with a registry, the
+// commit-to-first-read histogram, every path's trace (each first read happens
+// at the instant the polled model makes it) and the counters
 // (checkAppCounters).
 func checkAppScript(t *testing.T, script []byte) {
 	checkAppScriptObs(t, script, false)
@@ -192,8 +193,15 @@ func checkAppScriptObs(t *testing.T, script []byte, withObs bool) {
 				t.Fatalf("op %d (%s): %s samples %v, the polled model %v", i/3, op, s.ID, got, want)
 			}
 		}
-		if a, b := kept.f.Net.Events, polled.f.Net.Events; a != b {
-			t.Fatalf("op %d (%s): %d simulator events with the maintained model, %d with the polled one", i/3, op, a, b)
+		kn, pn := kept.f.Net, polled.f.Net
+		if a, b := [3]uint64{kn.Events, kn.BytesSent, kn.Dropped}, [3]uint64{pn.Events, pn.BytesSent, pn.Dropped}; a != b {
+			t.Fatalf("op %d (%s): simulator events, bytes, drops %v with the maintained model, %v with the polled one", i/3, op, a, b)
+		}
+		for j, s := range kept.f.AllServers() {
+			kp, pp := s.Proxy, polled.f.AllServers()[j].Proxy
+			if a, b := [3]uint64{kp.Fetches, kp.Failovers, kp.StaleReads.Load()}, [3]uint64{pp.Fetches, pp.Failovers, pp.StaleReads.Load()}; a != b {
+				t.Fatalf("op %d (%s): %s fetches, failovers, stale reads %v with the maintained model, %v with the polled one", i/3, op, s.ID, a, b)
+			}
 		}
 		if a, b := regs[0].Histogram(obs.HistCommitToRead), regs[1].Histogram(obs.HistCommitToRead); a.Count() != b.Count() || a.Sum() != b.Sum() {
 			t.Fatalf("op %d (%s): first reads %s with the maintained model, %s with the polled one", i/3, op, a.Summary(), b.Summary())

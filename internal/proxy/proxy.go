@@ -190,6 +190,9 @@ type Proxy struct {
 	Fetches     uint64
 	WatchEvents uint64
 	Failovers   uint64
+	// StaleReads counts Lookups served from the on-disk copy; atomic
+	// because applications read concurrently.
+	StaleReads atomic.Uint64
 
 	// Obs, when set, receives a materialize event each time the proxy
 	// caches a new config version, and a read event the first time the
@@ -548,6 +551,7 @@ func (p *Proxy) Lookup(path string) (e *Entry, src Source, memo *Memo) {
 	if st == nil {
 		return nil, src, nil
 	}
+	p.StaleReads.Add(1)
 	return &st.e, src, nil
 }
 
