@@ -1,12 +1,11 @@
 package obs
 
 import (
-	"fmt"
 	"maps"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
+
+	"configerator/internal/stats"
 )
 
 // Counters is a small concurrency-safe named-counter set: the registry's
@@ -64,22 +63,10 @@ func (c *Counters) Table(title string) string {
 		total += v
 	}
 	sort.Strings(names)
-	rows := [][2]string{{"counter", "value"}, {}} // row 1 becomes the rule
+	t := stats.NewTable(title, "counter", "value")
 	for _, n := range names {
-		rows = append(rows, [2]string{n, strconv.FormatInt(snap[n], 10)})
+		t.AddRawRow(n, snap[n])
 	}
-	rows = append(rows, [2]string{"total", strconv.FormatInt(total, 10)})
-	var w [2]int
-	for _, r := range rows {
-		w[0], w[1] = max(w[0], len(r[0])), max(w[1], len(r[1]))
-	}
-	rows[1] = [2]string{strings.Repeat("-", w[0]), strings.Repeat("-", w[1])}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title + "\n")
-	}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-*s  %-*s\n", w[0], r[0], w[1], r[1])
-	}
-	return b.String()
+	t.AddRawRow("total", total)
+	return t.String()
 }
