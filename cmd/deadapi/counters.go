@@ -21,12 +21,20 @@ import (
 // A use is the same string anywhere in the module's .go files, tests and
 // bench/ included, outside the name argument of an Add or Observe call: as a
 // literal, or as a constant declared with that literal and named elsewhere
-// (obs.HistHopObserverProxy, monitor.HistTimeToHead). Constants are matched
-// by name, so two that share a name share their uses; that can hide a
-// write-only name, never invent one. Names built at run time ("fault."+kind,
-// "stage."+name) are skipped: no constant names them. Writes to a
-// component's own obs.Counters set (cdl.Engine's cache counters) are not
-// Registry writes and are not checked: the set's Table renders it whole.
+// (obs.HistHopObserverProxy, monitor.HistTimeToHead). The read scan parses
+// files without types, so any method called Add or Observe counts as a write
+// when its first argument is a string literal or a plain name; any other
+// first argument is scanned, so atomic's n.Add(r.Get("x")) reads "x".
+// Constants are matched by name, so two that share a name share their uses;
+// that can hide a write-only name, never invent one. Names built at run time
+// ("fault."+kind, "stage."+name) are skipped: no constant names them. Writes
+// to a component's own obs.Counters set (cdl.Engine's cache counters) are
+// not Registry writes and are not checked: the set's Table renders it whole.
+//
+// A reader of a whole Counters().Snapshot() (the cluster app-model
+// differential compares two) names no counter, so it reads none here: a
+// name this check condemns may still narrow such a test, which must then
+// compare the event some other way (a component field).
 func (l *loader) writeOnlyNames() ([]string, error) {
 	reg := l.pkgs[module+"/internal/obs"].Scope().Lookup("Registry")
 	writers := map[types.Object]bool{}
@@ -76,7 +84,7 @@ func (l *loader) writeOnlyNames() ([]string, error) {
 			return false
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 &&
-				(sel.Sel.Name == "Add" || sel.Sel.Name == "Observe") {
+				(sel.Sel.Name == "Add" || sel.Sel.Name == "Observe") && isName(n.Args[0]) {
 				ast.Inspect(n.Fun, visit)
 				for _, a := range n.Args[1:] {
 					ast.Inspect(a, visit)
@@ -132,6 +140,21 @@ func (l *loader) writeOnlyNames() ([]string, error) {
 	}
 	sort.Strings(bad)
 	return bad, nil
+}
+
+// isName reports whether e is a string literal or a plain name, the form of
+// an instrument name in an Add or Observe call.
+func isName(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return e.Kind == token.STRING
+	case *ast.Ident:
+		return true
+	case *ast.SelectorExpr:
+		_, ok := e.X.(*ast.Ident)
+		return ok
+	}
+	return false
 }
 
 // stringLit returns the value of a string literal.

@@ -10,9 +10,9 @@ import (
 
 // TestWriteOnlyNamesFixture runs the write-only check over the module in
 // testdata/writeonly, which plants two names that internal/comp writes and
-// nothing reads beside three that are read (by a test, through a constant
-// from another package) or built at run time, and requires exactly the
-// planted two back.
+// nothing reads beside four that are read (by a test, through a constant
+// from another package, inside the argument of an atomic's Add) or built at
+// run time, and requires exactly the planted two back.
 func TestWriteOnlyNamesFixture(t *testing.T) {
 	_, self, _, _ := runtime.Caller(0)
 	wd, err := os.Getwd()

@@ -241,12 +241,12 @@ func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
 
 // unsetOptions lists the exported option fields under internal/ that no
 // non-test file outside their package sets — by composite literal, by
-// assignment or through their address — and that allow does not name as
-// "<package path>.<Type>.<Field>". A field is an option when only a caller can
-// give it a value other than a default: nothing in its own package sets it, or
-// its struct is what an exported constructor of the package (a function
-// returning a pointer) takes by value. A field with a struct tag is set by a
-// decoder and is skipped.
+// assignment or through their address, a pointer method's call included — and
+// that allow does not name as "<package path>.<Type>.<Field>". A field is an
+// option when only a caller can give it a value other than a default: nothing
+// in its own package sets it, or its struct is what an exported constructor of
+// the package (a function returning a pointer) takes by value. A field with a
+// struct tag is set by a decoder and is skipped.
 func (l *loader) unsetOptions(allow map[string]string) []string {
 	inside, outside := map[*types.Var]bool{}, map[*types.Var]bool{}
 	mark := func(obj types.Object, pkg string) {
@@ -297,6 +297,18 @@ func (l *loader) unsetOptions(allow map[string]string) []string {
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
 						set = []ast.Expr{n.X}
+					}
+				case *ast.SelectorExpr:
+					// x.F.M with a pointer receiver takes &x.F (an atomic
+					// counter's Add).
+					if fn, ok := l.info.Uses[n.Sel].(*types.Func); ok {
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							_, ptrRecv := recv.Type().(*types.Pointer)
+							_, ptrX := l.info.TypeOf(n.X).Underlying().(*types.Pointer)
+							if ptrRecv && !ptrX {
+								set = []ast.Expr{n.X}
+							}
+						}
 					}
 				}
 				for _, e := range set {

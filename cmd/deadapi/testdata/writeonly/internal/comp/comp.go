@@ -1,4 +1,4 @@
-// Package comp writes five names; the check must report the two that
+// Package comp writes six names; the check must report the two that
 // nothing reads.
 package comp
 
@@ -13,4 +13,5 @@ func Work(r *obs.Registry, kind string) {
 	r.Observe(HistRead, 1)           // read through the constant
 	r.Observe("comp.hist.unread", 1) // read nowhere
 	r.Add("comp.kind."+kind, 1)      // built at run time: skipped
+	r.Add("comp.nested", 1)          // read inside another Add's argument in comp_test.go
 }

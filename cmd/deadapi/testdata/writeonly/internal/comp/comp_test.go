@@ -1,6 +1,7 @@
 package comp
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"configerator/internal/obs"
@@ -13,4 +14,6 @@ func TestWork(t *testing.T) {
 	if r.Get("comp.read") != 1 {
 		t.Fail()
 	}
+	var n atomic.Int64
+	n.Add(r.Get("comp.nested")) // an Add whose first argument is not a name reads it
 }
