@@ -4,11 +4,15 @@
 // combined risk score onto the review diff; the landing-strip gate runs the
 // same analysis on diffs that bypass the pipeline, and additionally refuses
 // high-radius direct submits — a change that can flip many artifacts must
-// come through the pipeline so the canary covers its radius.
+// come through the pipeline so the canary covers its radius — and any diff
+// that would leave a compiled artifact other than its source's compile.
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
+	"strings"
 
 	"configerator/internal/cdl/analysis"
 	"configerator/internal/cdl/analysis/dataflow"
@@ -97,10 +101,14 @@ func (p *Pipeline) highRadius(rad *dataflow.Radius) bool {
 // runs, so a diff submitted to a strip directly cannot land with lint errors
 // or order-dependent output, plus the high-radius refusal for diffs the
 // pipeline has not canaried (pointer identity marks pipeline shards in
-// p.cleared around strip.Submit).
+// p.cleared around strip.Submit), plus the stale-artifact refusal: every
+// artifact in the cone, and every artifact the diff writes, must equal its
+// source compiled against the tree the diff leaves (a pipeline shard's: the
+// tree its whole change leaves, p.landing).
 func (p *Pipeline) gate(d *vcs.Diff) error {
 	p.catchUp()
-	_, _, rad, err := p.analyze(p.viewOfDiff(d))
+	v := p.viewOfDiff(d)
+	_, _, rad, err := p.analyze(v)
 	if err != nil {
 		return fmt.Errorf("landing strip: %w", err)
 	}
@@ -108,5 +116,61 @@ func (p *Pipeline) gate(d *vcs.Diff) error {
 		return fmt.Errorf("%w: change reaches %d artifacts (threshold %d); land it through the pipeline so the canary covers the radius",
 			ErrHighRadius, len(rad.Artifacts), p.highRadiusAt)
 	}
+	if whole := p.landing[d]; whole != nil {
+		v = whole
+	}
+	stale, err := p.staleArtifacts(v, d, rad)
+	if err != nil {
+		return fmt.Errorf("landing strip: %w", err)
+	}
+	if len(stale) > 0 {
+		return fmt.Errorf("%w: %s", ErrStaleArtifact, strings.Join(stale, ", "))
+	}
 	return nil
+}
+
+// staleArtifacts compiles, against the post-land view v, the top-level
+// sources in rad's cone and the source of every artifact d writes or
+// deletes, and returns, sorted, the artifacts that would then differ from
+// their compile. A file with no source beside it is a raw config: never
+// compiled, never stale. The compiles are the ones stage 1 just ran, so a
+// pipeline shard's are served from the engine's result cache.
+func (p *Pipeline) staleArtifacts(v *changeView, d *vcs.Diff, rad *dataflow.Radius) ([]string, error) {
+	srcs := make(map[string]bool)
+	if rad != nil {
+		for _, src := range rad.Artifacts {
+			srcs[src] = !v.deleted[src]
+		}
+	}
+	for _, ch := range d.Changes {
+		if !strings.HasSuffix(ch.Path, ".json") {
+			continue
+		}
+		src := strings.TrimSuffix(ch.Path, ".json") + ".cconf"
+		if _, err := v.ReadFile(src); err == nil {
+			srcs[src] = true
+		}
+	}
+	var paths []string
+	for src, live := range srcs {
+		if live {
+			paths = append(paths, src)
+		}
+	}
+	if len(paths) == 0 {
+		return nil, nil
+	}
+	sort.Strings(paths)
+	results, err := p.Engine.CompileAll(v, paths)
+	if err != nil {
+		return nil, err
+	}
+	var stale []string
+	for _, res := range results {
+		artifact := ArtifactPath(res.Path)
+		if have, err := v.ReadFile(artifact); err != nil || !bytes.Equal(have, res.JSON) {
+			stale = append(stale, artifact)
+		}
+	}
+	return stale, nil
 }

@@ -114,6 +114,10 @@ type Pipeline struct {
 	// about to land after canarying (or when no canary infrastructure
 	// exists): the strip gate exempts them from the high-radius refusal.
 	cleared map[*vcs.Diff]bool
+	// landing maps each shard Submit is landing to its whole change: the
+	// gate checks a shard's artifacts against the tree the whole change
+	// leaves, since its sibling shards land right after it.
+	landing map[*vcs.Diff]*changeView
 }
 
 // New assembles a pipeline.
@@ -131,6 +135,7 @@ func New(opts Options) *Pipeline {
 		phase1:  opts.CanaryPhase1,
 		phase2:  opts.CanaryPhase2,
 		cleared: make(map[*vcs.Diff]bool),
+		landing: make(map[*vcs.Diff]*changeView),
 	}
 	p.Obs = opts.Obs
 	if p.Obs == nil && opts.Fleet != nil {
@@ -231,17 +236,22 @@ func (p *Pipeline) viewOfRequest(req *ChangeRequest) *changeView {
 	return v.sorted()
 }
 
-// viewOfDiff stages the source changes of a diff handed to a landing strip.
+// viewOfDiff stages a diff handed to a landing strip: every file it writes
+// or deletes, artifacts included, so the view reads as the tree after it
+// lands; edited and removed list its sources.
 func (p *Pipeline) viewOfDiff(d *vcs.Diff) *changeView {
 	v := &changeView{repos: p.Repos, overlay: make(map[string][]byte), deleted: make(map[string]bool)}
 	for _, ch := range d.Changes {
+		if ch.Delete {
+			v.deleted[ch.Path] = true
+		} else {
+			v.overlay[ch.Path] = ch.Content
+		}
 		switch {
 		case !isSource(ch.Path):
 		case ch.Delete:
-			v.deleted[ch.Path] = true
 			v.removed = append(v.removed, ch.Path)
 		default:
-			v.overlay[ch.Path] = ch.Content
 			v.edited = append(v.edited, ch.Path)
 		}
 	}
@@ -346,6 +356,9 @@ var (
 	// ErrHighRadius: the change's static blast radius exceeds the
 	// direct-submit threshold and must land through the pipeline's canary.
 	ErrHighRadius = errors.New("core: high blast-radius change requires canary")
+	// ErrStaleArtifact: a diff at the landing strip would leave a compiled
+	// artifact that is not its source compiled at the post-land head.
+	ErrStaleArtifact = errors.New("core: compiled artifact differs from its source's compile")
 )
 
 // affected returns the sources the view writes plus every transitive
@@ -646,7 +659,9 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 			changes = append(changes, vcs.Change{Path: ArtifactPath(path), Delete: true})
 		}
 	}
-	shards := p.Repos.SplitDiff(&vcs.Diff{Author: req.Author, Message: req.Title, Changes: changes})
+	whole := &vcs.Diff{Author: req.Author, Message: req.Title, Changes: changes}
+	shards := p.Repos.SplitDiff(whole)
+	landing := p.viewOfDiff(whole)
 	// Pipeline shards are exempt from the gate's high-radius refusal when
 	// the change was canaried — or when no canary infrastructure exists to
 	// require (stage 3 already refused high-radius SkipCanary requests).
@@ -657,8 +672,10 @@ func (p *Pipeline) Submit(req *ChangeRequest) *ChangeReport {
 		if canaried {
 			p.cleared[shard] = true
 		}
+		p.landing[shard] = landing
 		res := p.stripFor(repo).Submit(shard, p.Now())
 		delete(p.cleared, shard)
+		delete(p.landing, shard)
 		if res.Err != nil {
 			return fail("land", res.Err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"configerator/internal/cdl/analysis/dataflow"
+	"configerator/internal/vcs"
 )
 
 // racyOverlays is the seeded non-deterministic fixture: two overlays
@@ -51,6 +52,7 @@ func TestStripGateRejectsNondeterministicOverlay(t *testing.T) {
 	wc2.Write("overlays/a.cinc", []byte("let timeout = 5;\n"))
 	wc2.Write("overlays/b.cinc", []byte("import \"overlays/a.cinc\";\nlet timeout = 30;\n"))
 	wc2.Write("svc/app.cconf", []byte("import \"overlays/b.cinc\";\nexport {timeout: timeout};\n"))
+	carryArtifacts(t, p, wc2, "svc/app.cconf")
 	if res := strip.Submit(wc2.Diff("ordered overlays"), p.Now()); res.Err != nil {
 		t.Fatalf("ordered overlays refused: %v", res.Err)
 	}
@@ -104,6 +106,21 @@ func seedSharedLib(t *testing.T, p *Pipeline, n int) {
 	}
 }
 
+// carryArtifacts writes into wc, beside each of srcs, its artifact compiled
+// against the tree wc's diff would leave: what a direct strip submit must
+// carry to pass the gate's stale-artifact check.
+func carryArtifacts(t *testing.T, p *Pipeline, wc *vcs.WorkingCopy, srcs ...string) {
+	t.Helper()
+	v := p.viewOfDiff(wc.Diff(""))
+	for _, src := range srcs {
+		res, err := p.Engine.Compile(v, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc.Write(ArtifactPath(src), res.JSON)
+	}
+}
+
 // TestStripGateRejectsHighRadiusDirectSubmit: once a library's static reach
 // crosses the threshold, a direct strip submit editing it is refused — the
 // change must come through the pipeline, which canaries it (or, standalone,
@@ -133,9 +150,10 @@ func TestStripGateRejectsHighRadiusDirectSubmit(t *testing.T) {
 		t.Fatalf("pipeline submit failed at %s: %v", rep.FailedStage, rep.Err)
 	}
 
-	// A low-radius direct submit is still fine.
+	// A low-radius direct submit that carries its artifact is still fine.
 	wc2 := strip.Repo().Clone("carol")
 	wc2.Write("svc/app0.cconf", []byte("import \"lib/shared.cinc\";\nexport {limit: LIMIT, v: 2};\n"))
+	carryArtifacts(t, p, wc2, "svc/app0.cconf")
 	if res := strip.Submit(wc2.Diff("tweak one app"), p.Now()); res.Err != nil {
 		t.Fatalf("low-radius direct diff refused: %v", res.Err)
 	}
@@ -212,5 +230,65 @@ func TestHighRadiusGateExemptionScopedToShard(t *testing.T) {
 	wc.Write("lib/shared.cinc", []byte("let LIMIT = 12;\n"))
 	if res := strip.Submit(wc.Diff("backdoor"), p.Now()); !errors.Is(res.Err, ErrHighRadius) {
 		t.Fatalf("err = %v, want ErrHighRadius", res.Err)
+	}
+}
+
+// TestStripGateRefusesStaleArtifact: a direct strip submit may not leave a
+// compiled artifact that differs from its source compiled at the post-land
+// head — neither one the diff carries nor one in its cone that it leaves
+// behind. Raw configs, which have no source, are not compiled.
+func TestStripGateRefusesStaleArtifact(t *testing.T) {
+	p := standalone(t)
+	seedSharedLib(t, p, 2)
+	strip := p.Strip("svc/app0.cconf")
+	submit := func(title string, files map[string]string) error {
+		t.Helper()
+		wc := strip.Repo().Clone("mallory")
+		for path, data := range files {
+			wc.Write(path, []byte(data))
+		}
+		return strip.Submit(wc.Diff(title), p.Now()).Err
+	}
+	refused := func(err error, want ...string) {
+		t.Helper()
+		if !errors.Is(err, ErrStaleArtifact) {
+			t.Fatalf("err = %v, want ErrStaleArtifact", err)
+		}
+		if got := strings.TrimPrefix(err.Error(), ErrStaleArtifact.Error()+": "); got != strings.Join(want, ", ") {
+			t.Fatalf("refusal names %q, want %q", got, strings.Join(want, ", "))
+		}
+	}
+	const app0v2 = "import \"lib/shared.cinc\";\nexport {limit: LIMIT, v: 2};\n"
+
+	// A source edit without its artifact leaves the old artifact behind.
+	refused(submit("source only", map[string]string{"svc/app0.cconf": app0v2}), "svc/app0.json")
+	// Carrying the compiled artifact lands.
+	if err := submit("source and artifact", map[string]string{
+		"svc/app0.cconf": app0v2, "svc/app0.json": `{"limit":10,"v":2}`,
+	}); err != nil {
+		t.Fatalf("fresh direct diff refused: %v", err)
+	}
+	// A library edit reaches both importers: each artifact left behind is named.
+	refused(submit("library only", map[string]string{"lib/shared.cinc": "let LIMIT = 20;\n"}),
+		"svc/app0.json", "svc/app1.json")
+	refused(submit("library and one artifact", map[string]string{
+		"lib/shared.cinc": "let LIMIT = 20;\n", "svc/app0.json": `{"limit":20,"v":2}`,
+	}), "svc/app1.json")
+	// An artifact carried without its source must still be its compile.
+	refused(submit("artifact only", map[string]string{"svc/app1.json": `{"limit":99}`}), "svc/app1.json")
+	// A raw config has no source and lands as written.
+	if err := submit("raw", map[string]string{"raw/flags.json": `{"x":1}`}); err != nil {
+		t.Fatalf("raw config refused: %v", err)
+	}
+
+	// An unrelated pipeline change afterwards leaves every artifact its
+	// source compiled at head.
+	mustLand(t, p, editChange("unrelated", "svc/other.cconf", "export {on: true};\n"))
+	for path, want := range map[string]string{
+		"svc/app0.json": `{"limit":10,"v":2}`, "svc/app1.json": `{"limit":10}`, "svc/other.json": `{"on":true}`,
+	} {
+		if got, err := p.ReadArtifact(path); err != nil || string(got) != want {
+			t.Errorf("%s = %s (%v), want %s", path, got, err, want)
+		}
 	}
 }

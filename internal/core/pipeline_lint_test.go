@@ -180,6 +180,7 @@ func TestStripGateBlocksDirectSubmit(t *testing.T) {
 	// The same backdoor with a clean diff lands.
 	wc2 := strip.Repo().Clone("carol")
 	wc2.Write("svc/ok.cconf", []byte(`export {ok: true};`))
+	carryArtifacts(t, p, wc2, "svc/ok.cconf")
 	if res := strip.Submit(wc2.Diff("clean"), p.Now()); res.Err != nil {
 		t.Fatalf("clean direct diff refused: %v", res.Err)
 	}

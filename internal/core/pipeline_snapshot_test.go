@@ -61,6 +61,7 @@ func outOfBand(t *testing.T) *Pipeline {
 	strip := p.Strip("svc/late.cconf")
 	wc := strip.Repo().Clone("mallory")
 	wc.Write("svc/late.cconf", []byte("import \"lib/shared.cinc\";\nexport {limit: LIMIT};\n"))
+	carryArtifacts(t, p, wc, "svc/late.cconf")
 	if res := strip.Submit(wc.Diff("late importer"), p.Now()); res.Err != nil {
 		t.Fatalf("direct strip submit: %v", res.Err)
 	}
@@ -195,6 +196,7 @@ func TestPipelineMatchesColdPipeline(t *testing.T) {
 				path, src := newConf()
 				wc := repo.Clone("mallory")
 				wc.Write(path, src)
+				carryArtifacts(t, p, wc, path)
 				if res := p.Strip(path).Submit(wc.Diff("new importer"), p.Now()); res.Err != nil {
 					t.Fatalf("seed %d step %d: direct strip submit: %v", seed, step, res.Err)
 				}
