@@ -79,11 +79,6 @@ type Client struct {
 	proxy *proxy.Proxy
 
 	obs *obs.Registry
-	// cnt is the counters handle hoisted out of the per-call path: with no
-	// registry attached it is a nil *obs.Counters whose Add is a no-op,
-	// so decode accounting costs one nil check instead of a registry
-	// lookup per call.
-	cnt *obs.Counters
 
 	// Hot-path read accounting. These are atomics, not obs counters: a
 	// warm Get must not take the counters mutex (or allocate), and takes
@@ -105,21 +100,14 @@ const byHashCap = 4096
 func New(p *proxy.Proxy) *Client {
 	return &Client{
 		proxy:  p,
-		cnt:    (*obs.Registry)(nil).Counters(), // no-op default (nil-safe)
 		byHash: make(map[uint64]map[string]interface{}),
 	}
 }
 
 // SetObs attaches an observability registry that counts decodes and
 // records the age of degraded reads; commit-to-read latency is recorded by
-// the proxy underneath.
-// The counters handle is resolved once here, keeping the per-call paths
-// free of registry lookups. Call before sharing the client across
-// goroutines.
-func (c *Client) SetObs(r *obs.Registry) {
-	c.obs = r
-	c.cnt = r.Counters()
-}
+// the proxy underneath. Call before sharing the client across goroutines.
+func (c *Client) SetObs(r *obs.Registry) { c.obs = r }
 
 // Hits reports the number of successful Gets (hot-path accounting kept in
 // atomics so reads never contend on the counters mutex).
@@ -145,7 +133,7 @@ func (c *Client) decodeFields(data []byte, h uint64) map[string]interface{} {
 	f, ok := c.byHash[h]
 	c.mu.Unlock()
 	if ok {
-		c.cnt.Add("confclient.parse.memo", 1)
+		c.obs.Add("confclient.parse.memo", 1)
 		return f
 	}
 	var fields map[string]interface{}
@@ -154,7 +142,7 @@ func (c *Client) decodeFields(data []byte, h uint64) map[string]interface{} {
 		// typed getters just won't find fields.
 		fields = emptyFields
 	}
-	c.cnt.Add("confclient.parse.decode", 1)
+	c.obs.Add("confclient.parse.decode", 1)
 	c.mu.Lock()
 	if len(c.byHash) >= byHashCap {
 		c.byHash = make(map[uint64]map[string]interface{})
