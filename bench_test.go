@@ -439,12 +439,19 @@ func oneObserverStack() (*simnet.Network, *zeus.Ensemble, *zeus.Observer, *zeus.
 	return net, ens, observer, wc
 }
 
+// wideCells is how many paths a wide read-path proxy holds, the hot one
+// included: an author_change server's 24, past the 8 cells a proxy keeps
+// inline, so its cell table is a map in the snapshot.
+const wideCells = 24
+
 // readpathStack boots a one-proxy pipeline, commits one config, and warms
 // it: the fixture for the read-hot-path micro-benchmarks below. With
 // withMonitor the fleet-health plane is attached (proxy heartbeats plus a
 // sweeping monitor) before warmup, so the benchmarks double as the gate
-// that monitoring never touches the read hot path.
-func readpathStack(b *testing.B, withObs, withMonitor bool) (*simnet.Network, *confclient.Client, *proxy.Proxy, string) {
+// that monitoring never touches the read hot path. With wide the proxy first
+// wants wideCells-1 other paths, so the hot one is found in the snapshot's
+// map rather than in the inline cells.
+func readpathStack(b *testing.B, withObs, withMonitor, wide bool) (*simnet.Network, *confclient.Client, *proxy.Proxy, string) {
 	b.Helper()
 	net, ens, _, wc := oneObserverStack()
 	px := proxy.New(net, "proxy-1", simnet.Placement{Region: "us", Cluster: "web"},
@@ -479,6 +486,11 @@ func readpathStack(b *testing.B, withObs, withMonitor bool) (*simnet.Network, *c
 	if !done {
 		b.Fatal("write never committed")
 	}
+	if wide {
+		for i := 1; i < wideCells; i++ {
+			px.Want(fmt.Sprintf("/configs/bench/other%02d", i))
+		}
+	}
 	px.Want(path)
 	net.RunFor(5 * time.Second)
 	if _, err := cl.Get(context.Background(), path); err != nil { // warm: first-read event + decode
@@ -487,19 +499,24 @@ func readpathStack(b *testing.B, withObs, withMonitor bool) (*simnet.Network, *c
 	return net, cl, px, path
 }
 
-// BenchmarkProxyReadWarm: one atomic snapshot load plus map lookups. The
-// final AllocsPerRun check turns the benchmark into a regression gate —
+// BenchmarkProxyReadWarm: a cell-table find, a snapshot load and a cell load.
+// The final AllocsPerRun check turns the benchmark into a regression gate —
 // a warm Read must stay at 0 allocs/op, with and without the fleet-health
 // monitoring plane attached (heartbeats ride the sim loop, never reads), and
-// so must a stale Read of the on-disk copy while the proxy is down.
+// so must a stale Read of the on-disk copy while the proxy is down, whether
+// the proxy's cells are inline or (wide) in the snapshot's map.
 func BenchmarkProxyReadWarm(b *testing.B) {
 	for _, cfg := range []struct {
 		name        string
 		withMonitor bool
 		crashed     bool
-	}{{"bare", false, false}, {"monitored", true, false}, {"stale", false, true}} {
+		wide        bool
+	}{
+		{"bare", false, false, false}, {"monitored", true, false, false}, {"stale", false, true, false},
+		{"wide", false, false, true}, {"wide-stale", false, true, true},
+	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			net, _, px, path := readpathStack(b, true, cfg.withMonitor)
+			net, _, px, path := readpathStack(b, true, cfg.withMonitor, cfg.wide)
 			want := proxy.SourceFresh
 			if cfg.crashed {
 				net.Fail(px.ID())
@@ -521,20 +538,25 @@ func BenchmarkProxyReadWarm(b *testing.B) {
 }
 
 // BenchmarkClientGetWarm: proxy read plus memoized decode lookup, with and
-// without an obs registry attached. The no-obs variant exercises the no-op
-// counter sink hoisted in confclient.New — attaching real counters must not
-// change the allocation count, and nil-safety costs nothing per call. The
-// stale variant reads with the proxy down: a content-hash decode lookup and
-// one Value, its only allocation.
+// without an obs registry attached. A warm Get counts nothing in the
+// registry, so attaching one must not change the allocation count. The
+// stale variants read with the proxy down: a content-hash decode lookup and
+// one Value, its only allocation. The wide variants hold wideCells paths, so
+// the proxy finds the hot one in the snapshot's map.
 func BenchmarkClientGetWarm(b *testing.B) {
 	for _, cfg := range []struct {
 		name        string
 		withObs     bool
 		withMonitor bool
 		crashed     bool
-	}{{"no-obs", false, false, false}, {"with-obs", true, false, false}, {"monitored", true, true, false}, {"stale", true, false, true}} {
+		wide        bool
+	}{
+		{"no-obs", false, false, false, false}, {"with-obs", true, false, false, false},
+		{"monitored", true, true, false, false}, {"stale", true, false, true, false},
+		{"wide", true, false, false, true}, {"wide-stale", true, false, true, true},
+	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			net, cl, px, path := readpathStack(b, cfg.withObs, cfg.withMonitor)
+			net, cl, px, path := readpathStack(b, cfg.withObs, cfg.withMonitor, cfg.wide)
 			want, wantAllocs := proxy.SourceFresh, 0.0
 			if cfg.crashed {
 				net.Fail(px.ID())

@@ -93,7 +93,10 @@ func (d *DiskCache) Store(e Entry) {
 // Load returns the entry for path. The data is a copy: a subscriber
 // mutating the returned bytes cannot corrupt the cache.
 func (d *DiskCache) Load(path string) (Entry, bool) {
-	st := d.s.snap.Load().held(path)
+	var st *entryState
+	if c, _ := d.s.find(path); c != nil {
+		st = c.st.Load() // nil until a racing Store plants it
+	}
 	if st == nil {
 		return Entry{}, false
 	}

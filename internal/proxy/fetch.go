@@ -238,11 +238,11 @@ func (p *Proxy) repoint(ctx *simnet.Context, i int) []*cell {
 // in map order or same-seed runs diverge.
 func (p *Proxy) watchedCells() []*cell {
 	var cells []*cell
-	for _, c := range p.snap.Load().entries {
+	p.each(func(c *cell) {
 		if c.watched {
 			cells = append(cells, c)
 		}
-	}
+	})
 	slices.SortFunc(cells, func(a, b *cell) int { return strings.Compare(a.path, b.path) })
 	return cells
 }

@@ -73,13 +73,12 @@ func (p *Proxy) onTickMonitor(ctx *simnet.Context) {
 		Proxy:     p.id,
 		At:        ctx.Now(),
 		PlaneDown: snap.planeDown,
-		Paths:     make([]PathState, 0, len(snap.entries)),
 	}
 	size := 0
-	for _, c := range snap.entries {
+	p.each(func(c *cell) {
 		st := p.mem(c)
 		if st == nil || !st.e.Exists {
-			continue
+			return
 		}
 		e := st.e
 		hb.Paths = append(hb.Paths, PathState{
@@ -87,7 +86,7 @@ func (p *Proxy) onTickMonitor(ctx *simnet.Context) {
 			Hash: e.Hash, Fetched: e.Fetched,
 		})
 		size += len(e.Path) + heartbeatEntryBytes
-	}
+	})
 	// Sorted, not in map order: same seed, same heartbeat.
 	slices.SortFunc(hb.Paths, func(a, b PathState) int { return strings.Compare(a.Path, b.Path) })
 	ctx.SendSized(p.monTarget, hb, size)

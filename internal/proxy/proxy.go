@@ -17,17 +17,20 @@
 // they change (the paper's motivating ratio), so the store is one cell per
 // path — a mutable name whose atomic pointer holds the path's current
 // entryState, an immutable object per version (the Nix store's model) — and
-// the published snapshot maps paths to cells. An immutable object is read
-// where it lives, not copied out: Lookup is life-word load → snapshot load →
-// map lookup → cell load, and hands back a pointer to the version's entry,
-// its Source and its decode memo — no mutex, no allocation, no copy, no clock
-// read, safe from any application goroutine concurrently with updates. Read
-// is Lookup with the entry copied out and a degraded read's age added. A new
-// version of a known path, pushed or fetched, is one entryState and one
-// pointer store; the snapshot is swapped only for a path the proxy has not
-// heard of (the one case that clones the map), an override, or the plane-down
-// flag — on the single-threaded simulation loop, never by a reader. The same
-// pointer is the on-disk cache.
+// a cell table that finds a path's cell. The first inlineCells cells live in
+// the store itself, a fixed array scanned in place and published by an atomic
+// count, so a small proxy has no map at all; the ninth moves the table into
+// the published snapshot, which then maps paths to cells. An immutable object
+// is read where it lives, not copied out: Lookup is life-word load → table
+// find → snapshot load → cell load, and hands back a pointer to the version's
+// entry, its Source and its decode memo — no mutex, no allocation, no copy, no
+// clock read, safe from any application goroutine concurrently with updates.
+// Read is Lookup with the entry copied out and a degraded read's age added. A
+// new version of a known path, pushed or fetched, is one entryState and one
+// pointer store; a path the proxy has not heard of fills an inline slot, and
+// past inlineCells swaps the snapshot (the one case that clones the map); an
+// override or the plane-down flag swaps it too — on the single-threaded
+// simulation loop, never by a reader. The same pointer is the on-disk cache.
 //
 // Crashes. The proxy process is its simnet node: it crashes and restarts with
 // Network.Fail and Network.Recover like any other node, and its memory is the
@@ -128,17 +131,31 @@ type cell struct {
 	reqs    []int64        // outstanding fetch reqIDs (primary + hedge)
 }
 
-// snapshot is what readers load: the cell table, the overrides and the flag.
-// It and its maps are never mutated after publication; writers clone-and-swap.
+// snapshot is what readers load: the overrides, the flag and, past
+// inlineCells cells, the cell table. It and its maps are never mutated after
+// publication; writers clone-and-swap.
 type snapshot struct {
-	entries   map[string]*cell
+	entries   map[string]*cell       // nil while the store's inline slots hold every cell
 	overrides map[string]*entryState // canary temporary deployments win
 	planeDown bool                   // every observer considered dead
 }
 
+// inlineCells is how many cells a store keeps inline, found by a scan rather
+// than a map: one Go map group, and every cell a push_wave proxy holds.
+const inlineCells = 8
+
 // store is a cell table and its publication point: a proxy's, or a bare
 // DiskCache's.
 type store struct {
+	// n counts the cells in small, which is the whole table while n is at
+	// most inlineCells. Each slot is written once, under wmu, before n
+	// publishes it, and never rewritten. The ninth cell publishes a snapshot
+	// whose entries hold the whole table, then sets n past inlineCells.
+	n     atomic.Int32
+	small [inlineCells]struct {
+		path string
+		c    *cell
+	}
 	// snap is the read snapshot. Readers do one atomic load; writers
 	// serialize on wmu, clone, and swap.
 	snap atomic.Pointer[snapshot]
@@ -213,11 +230,11 @@ func New(net *simnet.Network, id simnet.NodeID, placement simnet.Placement, obse
 	}
 	p.snap.Store(&snapshot{})
 	if disk != nil {
-		for path, c := range disk.s.snap.Load().entries {
+		disk.s.each(func(c *cell) {
 			if st := c.st.Load(); st != nil {
-				p.plant(p.cell(path), st.e)
+				p.plant(p.cell(c.path), st.e)
 			}
-		}
+		})
 	}
 	if len(observers) > 0 {
 		p.current = int(net.RNG().Intn(len(observers)))
@@ -249,27 +266,71 @@ func with[V any](m map[string]V, key string, v V) map[string]V {
 	return next
 }
 
-// cell returns the record for path, adding it on first sight — the one update
-// that swaps the cell table.
-func (s *store) cell(path string) (c *cell) {
-	if c = s.snap.Load().entries[path]; c != nil {
-		return c
+// find returns path's cell, nil when the table has none, and the snapshot it
+// read to find it, nil while the table is inline. It takes no lock: n is
+// loaded before the snapshot, so a count past inlineCells always meets a
+// snapshot that holds the whole table, and a slot below the count is never
+// rewritten.
+func (s *store) find(path string) (*cell, *snapshot) {
+	n := int(s.n.Load())
+	if n > inlineCells {
+		snap := s.snap.Load()
+		return snap.entries[path], snap
 	}
-	s.mutateSnap(func(sn *snapshot) {
-		if c = sn.entries[path]; c == nil {
-			c = &cell{path: intern.Path(path)}
-			sn.entries = with(sn.entries, c.path, c)
+	for i := range s.small[:n] {
+		if s.small[i].path == path {
+			return s.small[i].c, nil
 		}
-	})
-	return c
+	}
+	return nil, nil
 }
 
-// held returns the newest version applied to path, in memory or only on disk.
-func (s *snapshot) held(path string) *entryState {
-	if c := s.entries[path]; c != nil {
-		return c.st.Load()
+// each calls fn on every cell, in no set order: a caller whose walk reaches a
+// send or an output sorts.
+func (s *store) each(fn func(*cell)) {
+	n := int(s.n.Load())
+	if n > inlineCells {
+		for _, c := range s.snap.Load().entries {
+			fn(c)
+		}
+		return
 	}
-	return nil
+	for i := range s.small[:n] {
+		fn(s.small[i].c)
+	}
+}
+
+// cell returns the record for path, adding it on first sight: into the next
+// inline slot, or past inlineCells into a new snapshot.
+func (s *store) cell(path string) *cell {
+	if c, _ := s.find(path); c != nil {
+		return c
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if c, _ := s.find(path); c != nil {
+		return c // added by a racing DiskCache.Store
+	}
+	c := &cell{path: intern.Path(path)}
+	switch n := s.n.Load(); {
+	case n < inlineCells:
+		s.small[n].path, s.small[n].c = c.path, c
+		s.n.Store(n + 1)
+	case n == inlineCells: // the table moves into the snapshot
+		next := *s.snap.Load()
+		next.entries = make(map[string]*cell, inlineCells+1)
+		for _, sl := range s.small {
+			next.entries[sl.path] = sl.c
+		}
+		next.entries[c.path] = c
+		s.snap.Store(&next)
+		s.n.Store(n + 1)
+	default:
+		next := *s.snap.Load()
+		next.entries = with(next.entries, c.path, c)
+		s.snap.Store(&next)
+	}
+	return c
 }
 
 // mem returns the state c holds in the live process's memory: nil when it is
@@ -319,13 +380,13 @@ func (p *Proxy) PlaneDown() bool { return p.snap.Load().planeDown }
 func (p *Proxy) restarted(ctx *simnet.Context) {
 	life := p.life.Load()
 	maps.DeleteFunc(p.inflight, func(_ int64, f fetchState) bool { return f.life != life })
-	for _, c := range p.snap.Load().entries {
+	p.each(func(c *cell) {
 		c.reqs = slices.DeleteFunc(c.reqs, func(id int64) bool {
 			_, ok := p.inflight[id]
 			return !ok
 		})
 		p.pruneSubs(c)
-	}
+	})
 	p.mutateSnap(func(s *snapshot) {
 		// An override set since Recover, at this instant, is this life's.
 		s.overrides = maps.Clone(s.overrides)
@@ -415,7 +476,7 @@ func (p *Proxy) SubscribeWhile(path string, alive func() bool, fn UpdateFunc) {
 
 // SubCount reports the live subscriptions for a path (leak tests).
 func (p *Proxy) SubCount(path string) int {
-	c := p.snap.Load().entries[path]
+	c, _ := p.find(path)
 	if c == nil {
 		return 0
 	}
@@ -471,9 +532,9 @@ func (p *Proxy) ClearOverride(path string) {
 		s.overrides = maps.Clone(s.overrides)
 		delete(s.overrides, path)
 	})
-	c := snap.entries[path] // SetOverride made it
+	c, _ := p.find(path) // SetOverride made it
 	e := Entry{Path: c.path}
-	if st, src := p.snap.Load().serve(path, p.life.Load()); st != nil {
+	if st, src := p.snap.Load().serve(path, c, p.life.Load()); st != nil {
 		e = st.e
 		if src == SourceStale {
 			e.memo = nil // an earlier life's decodes died with it
@@ -488,11 +549,11 @@ func (p *Proxy) CachedPaths() []string {
 	snap := p.snap.Load()
 	life := p.life.Load()
 	var out []string
-	for path := range snap.entries {
-		if _, src := snap.serve(path, life); src != SourceStale {
-			out = append(out, path)
+	p.each(func(c *cell) {
+		if _, src := snap.serve(c.path, c, life); src != SourceStale {
+			out = append(out, c.path)
 		}
-	}
+	})
 	slices.Sort(out)
 	return out
 }
@@ -503,11 +564,15 @@ func (p *Proxy) Overridden(path string) bool {
 	return ok
 }
 
-// serve is the read rule, with no side effect: while the process is up, its
-// override, then what it holds in memory (fresh, or cached while the plane is
-// down); otherwise the on-disk copy, stale — nil for a path never fetched.
-func (s *snapshot) serve(path string, life uint32) (*entryState, Source) {
-	st := s.held(path)
+// serve is the read rule for path, whose cell is c (nil for a path never
+// heard of), with no side effect: while the process is up, its override, then
+// what it holds in memory (fresh, or cached while the plane is down);
+// otherwise the on-disk copy, stale — nil for a path never fetched.
+func (s *snapshot) serve(path string, c *cell, life uint32) (*entryState, Source) {
+	var st *entryState // the newest version applied, in memory or only on disk
+	if c != nil {
+		st = c.st.Load()
+	}
 	if life&1 == 0 { // up
 		if ov := s.overrides[path]; ov != nil && ov.life == life {
 			return ov, SourceFresh
@@ -535,7 +600,11 @@ func (s *snapshot) serve(path string, life uint32) (*entryState, Source) {
 // to record a version's first read.
 func (p *Proxy) Lookup(path string) (e *Entry, src Source, memo *Memo) {
 	life := p.life.Load()
-	st, src := p.snap.Load().serve(path, life)
+	c, snap := p.find(path)
+	if snap == nil {
+		snap = p.snap.Load()
+	}
+	st, src := snap.serve(path, c, life)
 	if src != SourceStale {
 		if mark := st.readMark.Load(); mark < st.e.Zxid {
 			p.firstRead(st, mark)

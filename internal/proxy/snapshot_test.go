@@ -16,8 +16,8 @@ import (
 	"configerator/internal/zeus"
 )
 
-// TestReadZeroAllocWarm: a warm in-memory Read is one atomic snapshot load
-// plus map lookups — zero heap allocations, as is a Read of the on-disk copy
+// TestReadZeroAllocWarm: a warm in-memory Read is a cell-table find, a
+// snapshot load and a cell load — zero heap allocations, as is a Read of the on-disk copy
 // while the proxy is down. This is the proxy half of the
 // read-hot-path allocation gate (the client half is confclient's
 // TestWarmGetZeroAlloc). The monitored case attaches the proxy's side of the
@@ -206,8 +206,9 @@ func TestReadMissWakeRacesLoop(t *testing.T) {
 // TestSnapshotImmutableDuringReads runs goroutine readers of path A against
 // the full writer surface on another path B and on A itself — pushed
 // updates, overrides set/clear — then against crash/restart and the first
-// caching of a never-seen path C (the one update that swaps the cell table),
-// under the race detector. Every version of A starts with "A", so a reader
+// caching of a never-seen path C (the one update that publishes a cell: an
+// inline slot and the table's count, with no snapshot swap while the table
+// is inline), under the race detector. Every version of A starts with "A", so a reader
 // can tell a complete version of A from a torn one or from B's or C's bytes:
 // the data must be A's, the digest must be the data's, a committed entry must
 // carry its zxid, and only a stale read comes without a memo slot.
@@ -272,18 +273,21 @@ func TestSnapshotImmutableDuringReads(t *testing.T) {
 	r.net.RunFor(2 * time.Second)
 	r.net.Recover(r.proxy.ID())
 	r.net.RunFor(5 * time.Second)
-	before := r.proxy.snap.Load()
+	before, cells := r.proxy.snap.Load(), r.proxy.n.Load()
 	r.write(t, c, "C1")
 	r.proxy.Want(c)
 	r.net.RunFor(2 * time.Second)
-	if r.proxy.snap.Load() == before {
-		t.Error("first caching of a never-seen path did not swap the snapshot")
+	if r.proxy.n.Load() != cells+1 {
+		t.Errorf("first caching of a never-seen path: %d cells, want %d", r.proxy.n.Load(), cells+1)
 	}
-	before = r.proxy.snap.Load()
+	if r.proxy.snap.Load() != before {
+		t.Error("an inline cell swapped the snapshot")
+	}
+	cells = r.proxy.n.Load()
 	r.write(t, a, "A3")
 	r.write(t, c, "C2")
-	if r.proxy.snap.Load() != before {
-		t.Error("a pushed version of a cached path swapped the snapshot")
+	if r.proxy.snap.Load() != before || r.proxy.n.Load() != cells {
+		t.Error("a pushed version of a cached path swapped the snapshot or published a cell")
 	}
 
 	close(stop)
