@@ -132,45 +132,50 @@ func (p *Pipeline) gate(d *vcs.Diff) error {
 // staleArtifacts compiles, against the post-land view v, the top-level
 // sources in rad's cone and the source of every artifact d writes or
 // deletes, and returns, sorted, the artifacts that would then differ from
-// their compile. A file with no source beside it is a raw config: never
-// compiled, never stale. The compiles are the ones stage 1 just ran, so a
-// pipeline shard's are served from the engine's result cache.
+// their compile, along with any artifact d leaves behind a source it deletes.
+// A file with no source beside it is a raw config: never compiled, never
+// stale. The compiles are the ones stage 1 just ran, so a pipeline shard's
+// are served from the engine's result cache.
 func (p *Pipeline) staleArtifacts(v *changeView, d *vcs.Diff, rad *dataflow.Radius) ([]string, error) {
-	srcs := make(map[string]bool)
+	var stale, srcs []string
+	seen := make(map[string]bool)
+	compile := func(src string) {
+		if !seen[src] && !v.deleted[src] {
+			seen[src] = true
+			srcs = append(srcs, src)
+		}
+	}
 	if rad != nil {
 		for _, src := range rad.Artifacts {
-			srcs[src] = !v.deleted[src]
+			compile(src)
 		}
 	}
 	for _, ch := range d.Changes {
-		if !strings.HasSuffix(ch.Path, ".json") {
-			continue
-		}
-		src := strings.TrimSuffix(ch.Path, ".json") + ".cconf"
-		if _, err := v.ReadFile(src); err == nil {
-			srcs[src] = true
-		}
-	}
-	var paths []string
-	for src, live := range srcs {
-		if live {
-			paths = append(paths, src)
+		switch {
+		case ch.Delete && isTopLevel(ch.Path):
+			if _, err := v.ReadFile(ArtifactPath(ch.Path)); err == nil {
+				stale = append(stale, ArtifactPath(ch.Path))
+			}
+		case strings.HasSuffix(ch.Path, ".json"):
+			src := strings.TrimSuffix(ch.Path, ".json") + ".cconf"
+			if _, err := v.ReadFile(src); err == nil {
+				compile(src)
+			}
 		}
 	}
-	if len(paths) == 0 {
-		return nil, nil
-	}
-	sort.Strings(paths)
-	results, err := p.Engine.CompileAll(v, paths)
-	if err != nil {
-		return nil, err
-	}
-	var stale []string
-	for _, res := range results {
-		artifact := ArtifactPath(res.Path)
-		if have, err := v.ReadFile(artifact); err != nil || !bytes.Equal(have, res.JSON) {
-			stale = append(stale, artifact)
+	if len(srcs) > 0 {
+		sort.Strings(srcs)
+		results, err := p.Engine.CompileAll(v, srcs)
+		if err != nil {
+			return nil, err
+		}
+		for _, res := range results {
+			artifact := ArtifactPath(res.Path)
+			if have, err := v.ReadFile(artifact); err != nil || !bytes.Equal(have, res.JSON) {
+				stale = append(stale, artifact)
+			}
 		}
 	}
+	sort.Strings(stale)
 	return stale, nil
 }

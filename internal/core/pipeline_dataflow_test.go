@@ -236,7 +236,8 @@ func TestHighRadiusGateExemptionScopedToShard(t *testing.T) {
 // TestStripGateRefusesStaleArtifact: a direct strip submit may not leave a
 // compiled artifact that differs from its source compiled at the post-land
 // head — neither one the diff carries nor one in its cone that it leaves
-// behind. Raw configs, which have no source, are not compiled.
+// behind — nor the artifact of a source it deletes. Raw configs, which have
+// no source, are not compiled.
 func TestStripGateRefusesStaleArtifact(t *testing.T) {
 	p := standalone(t)
 	seedSharedLib(t, p, 2)
@@ -276,6 +277,10 @@ func TestStripGateRefusesStaleArtifact(t *testing.T) {
 	}), "svc/app1.json")
 	// An artifact carried without its source must still be its compile.
 	refused(submit("artifact only", map[string]string{"svc/app1.json": `{"limit":99}`}), "svc/app1.json")
+	// Deleting a source leaves its artifact behind unless the diff deletes it too.
+	gone := strip.Repo().Clone("mallory").Diff("source deleted")
+	gone.Changes = append(gone.Changes, vcs.Change{Path: "svc/app1.cconf", Delete: true})
+	refused(strip.Submit(gone, p.Now()).Err, "svc/app1.json")
 	// A raw config has no source and lands as written.
 	if err := submit("raw", map[string]string{"raw/flags.json": `{"x":1}`}); err != nil {
 		t.Fatalf("raw config refused: %v", err)
