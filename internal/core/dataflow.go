@@ -104,7 +104,8 @@ func (p *Pipeline) highRadius(rad *dataflow.Radius) bool {
 // p.cleared around strip.Submit), plus the stale-artifact refusal: every
 // artifact in the cone, and every artifact the diff writes, must equal its
 // source compiled against the tree the diff leaves (a pipeline shard's: the
-// tree its whole change leaves, p.landing).
+// tree its whole change leaves, p.landing), and a source the diff deletes
+// takes its artifact with it.
 func (p *Pipeline) gate(d *vcs.Diff) error {
 	p.catchUp()
 	v := p.viewOfDiff(d)
