@@ -109,3 +109,44 @@ func TestTrackerlessTransferResumesAfterCrash(t *testing.T) {
 		t.Errorf("%d chunks from peers, %d tracker wants; want 0, 0", a.ChunksFromPeers, s.Tracker.Wants)
 	}
 }
+
+// checkHolderCounts fails when the tracker's count for a digest differs
+// from the number of nodes whose store holds it.
+func checkHolderCounts(t *testing.T, s *Swarm, what string) {
+	t.Helper()
+	stores := []*blob.Store{s.Registry.Store()}
+	for _, a := range s.Agents {
+		stores = append(stores, a.Store())
+	}
+	for d, st := range s.Tracker.digests {
+		held := 0
+		for _, store := range stores {
+			if store.Has(d) {
+				held++
+			}
+		}
+		if st.count != held {
+			t.Errorf("%s: digest %v counts %d holders, %d nodes hold it", what, d, st.count, held)
+		}
+	}
+	if len(s.Tracker.digests) == 0 {
+		t.Fatalf("%s: the tracker knows no digest: the check measured nothing", what)
+	}
+}
+
+// TestTrackerCountsEachHolderOnce: a holder that announces a digest again
+// is not counted again — neither the registry publishing a version that
+// shares chunks with an earlier one, nor an agent re-announcing its disk
+// after a restart. Rarity and the reservoir draws see true counts.
+func TestTrackerCountsEachHolderOnce(t *testing.T) {
+	s := NewSwarm(7, 0, 1)
+	v1 := model(1, 16<<20)
+	publish(t, s, v1)
+	publish(t, s, NextVersion(v1, 2, 0.25, 42))
+	s.Net.RunFor(time.Second)
+	checkHolderCounts(t, s, "after two publishes")
+
+	s = resumeAfterCrash(t, 11, 12, "tracker")
+	s.Net.RunFor(time.Second)
+	checkHolderCounts(t, s, "after a resumed delivery")
+}

@@ -65,8 +65,27 @@ var unplaced = locality{-1, -1}
 
 // digestState tracks one digest's holders.
 type digestState struct {
-	count  int         // exact holder count (rarity)
-	sample []holderRef // reservoir sample of holders (peer selection)
+	count int // exact holder count (rarity)
+	// counted marks, by node index, the holders count includes: a holder
+	// announcing a digest again (a registry publishing a version that shares
+	// it, an agent re-announcing its disk after a restart) is not counted
+	// twice.
+	counted []uint64
+	sample  []holderRef // reservoir sample of holders (peer selection)
+}
+
+// add records holder i, reporting false if it was already counted.
+func (s *digestState) add(i int32) bool {
+	w, bit := int(i>>6), uint64(1)<<(i&63)
+	if w >= len(s.counted) {
+		s.counted = append(s.counted, make([]uint64, w+1-len(s.counted))...)
+	}
+	if s.counted[w]&bit != 0 {
+		return false
+	}
+	s.counted[w] |= bit
+	s.count++
+	return true
 }
 
 // Tracker coordinates swarms by digest rarity.
@@ -207,13 +226,15 @@ func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 			s = &digestState{}
 			t.digests[d] = s
 		}
-		s.count++
+		if !s.add(i) {
+			continue
+		}
 		if len(s.sample) < holderSample {
 			s.sample = append(s.sample, ref)
-		} else if i := t.net.RNG().Intn(s.count); i < holderSample {
+		} else if k := t.net.RNG().Intn(s.count); k < holderSample {
 			// Reservoir: replace uniformly so the sample stays
 			// representative of the full holder population.
-			s.sample[i] = ref
+			s.sample[k] = ref
 		}
 	}
 }

@@ -33,8 +33,9 @@ type mapHolderRef struct {
 }
 
 type mapDigestState struct {
-	count  int
-	sample []mapHolderRef
+	count   int
+	holders map[simnet.NodeID]bool
+	sample  []mapHolderRef
 }
 
 func newMapTracker(net *simnet.Network, id simnet.NodeID, p simnet.Placement, budget int) *mapTracker {
@@ -75,9 +76,13 @@ func (t *mapTracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 	for _, d := range digests {
 		s := t.digests[d]
 		if s == nil {
-			s = &mapDigestState{}
+			s = &mapDigestState{holders: make(map[simnet.NodeID]bool)}
 			t.digests[d] = s
 		}
+		if s.holders[holder] {
+			continue
+		}
+		s.holders[holder] = true
 		s.count++
 		if len(s.sample) < holderSample {
 			s.sample = append(s.sample, ref)
