@@ -44,10 +44,13 @@ type TransferStats struct {
 	ResumeVerified int   // chunks re-verified on disk during recovery
 }
 
-// flight is one in-flight chunk fetch.
+// flight is one in-flight chunk fetch. seq numbers the agent's fetches, so
+// a timeout names the fetch it was armed for and spares a later fetch of
+// the same digest.
 type flight struct {
 	t    *transfer
 	peer simnet.NodeID
+	seq  uint64
 }
 
 // transfer tracks one in-progress package fetch.
@@ -85,6 +88,7 @@ type Agent struct {
 	// fetch in flight, so it never holds more than fetchWindow entries.
 	perPeer          map[simnet.NodeID]int
 	inflightTotal    int
+	fetches          uint64        // fetches dispatched (flight.seq)
 	haveBuf          []blob.Digest // verified digests awaiting announcement
 	pendingManifests map[string]Metadata
 	quarantined      map[simnet.NodeID]bool
@@ -304,14 +308,15 @@ func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 		if a.inflight == nil {
 			a.inflight = make(map[blob.Digest]flight)
 		}
-		a.inflight[g.Digest] = flight{t: t, peer: g.Peer}
+		a.fetches++
+		a.inflight[g.Digest] = flight{t: t, peer: g.Peer, seq: a.fetches}
 		if a.perPeer == nil {
 			a.perPeer = make(map[simnet.NodeID]int)
 		}
 		a.perPeer[g.Peer]++
 		a.inflightTotal++
 		ctx.Send(g.Peer, msgGetChunk{Digest: g.Digest})
-		ctx.SetTimer(chunkTimeout, msgChunkTimeout{Digest: g.Digest})
+		ctx.SetTimer(chunkTimeout, msgChunkTimeout{Digest: g.Digest, Seq: a.fetches})
 	}
 	t.pending = append(t.pending, deferred...)
 	if len(t.need) > 0 && len(t.pending) <= grantBatch/2 {
@@ -416,8 +421,8 @@ func (a *Agent) transferNeeding(d blob.Digest) *transfer {
 
 func (a *Agent) onChunkTimeout(ctx *simnet.Context, m msgChunkTimeout) {
 	fl, ok := a.inflight[m.Digest]
-	if !ok {
-		return
+	if !ok || fl.seq != m.Seq {
+		return // answered; a later fetch of the digest has its own timer
 	}
 	delete(a.inflight, m.Digest)
 	delete(fl.t.inflight, m.Digest)

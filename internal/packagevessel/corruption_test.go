@@ -112,3 +112,53 @@ func TestTrackerlessCorruptOriginStalls(t *testing.T) {
 		t.Errorf("origin was asked for %d chunks, want at most the per-peer cap %d", bad.Served, perPeerInflight)
 	}
 }
+
+// TestStaleTimeoutSparesRefetch: a fetch's timeout reclaims that fetch
+// and no later one. The first peer answers "not held" after 10 s, and the
+// re-fetch from a slow second peer takes 25 s, so the first fetch's
+// deadline passes while the second is still in flight. The second fetch
+// must run to its own deadline: one request to the slow peer, one chunk.
+func TestStaleTimeoutSparesRefetch(t *testing.T) {
+	s := NewSwarm(23, 1, 1)
+	net, a := s.Net, s.Agents[0]
+	m := publish(t, s, model(1, 1<<20))
+	d := m.Chunks[0].Digest
+	here := simnet.Placement{Region: "us", Cluster: "c0"}
+
+	// coord grants the first want to "empty" and every later one to "slow".
+	wants := 0
+	net.AddNode("coord", here, simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+		if _, ok := msg.(msgWant); ok {
+			peer := simnet.NodeID("slow")
+			if wants++; wants == 1 {
+				peer = "empty"
+			}
+			ctx.Send(from, msgAssign{Grants: []grant{{Digest: d, Peer: peer}}})
+		}
+	}))
+	net.AddNode("empty", here, simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+		if g, ok := msg.(msgGetChunk); ok {
+			ctx.Send(from, msgChunk{Digest: g.Digest})
+		}
+	}))
+	asked := 0
+	net.AddNode("slow", here, simnet.HandlerFunc(func(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
+		if _, ok := msg.(msgGetChunk); ok {
+			asked++
+		}
+		serve(ctx, s.Registry.Store(), from, msg)
+	}))
+	net.SetLinkLatency(a.id, "empty", 10*time.Second)
+	net.SetLinkLatency("slow", a.id, 25*time.Second)
+
+	a.OnAnnounce(MetadataFor(m, "registry", "coord"))
+	net.RunFor(2 * time.Minute)
+
+	if !a.Complete("model", 1) {
+		t.Fatal("the transfer never completed")
+	}
+	if asked != 1 || a.ChunksFetched != 1 || wants != 2 {
+		t.Errorf("slow peer asked %d times, %d chunks fetched, %d wants; want 1, 1, 2 (a stale timeout reclaimed the re-fetch?)",
+			asked, a.ChunksFetched, wants)
+	}
+}

@@ -558,9 +558,11 @@ type msgChunk struct {
 	OK     bool
 }
 
-// msgChunkTimeout reclaims a fetch slot whose peer went silent.
+// msgChunkTimeout reclaims a fetch slot whose peer went silent: the fetch
+// of Digest numbered Seq, if it is still in flight.
 type msgChunkTimeout struct {
 	Digest blob.Digest
+	Seq    uint64
 }
 
 // msgWantRetry re-requests grants after a Retry backoff.
