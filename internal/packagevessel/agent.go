@@ -10,7 +10,8 @@ import (
 
 const (
 	// chunkTimeout bounds one chunk fetch before the slot is reclaimed
-	// (the assigned peer may have crashed mid-transfer).
+	// (the assigned peer may have crashed mid-transfer). Every fetch has
+	// the same bound, so deadlines come due in dispatch order.
 	chunkTimeout = 30 * time.Second
 	// manifestRetry re-requests an unanswered manifest fetch.
 	manifestRetry = 10 * time.Second
@@ -45,12 +46,20 @@ type TransferStats struct {
 }
 
 // flight is one in-flight chunk fetch. seq numbers the agent's fetches, so
-// a timeout names the fetch it was armed for and spares a later fetch of
+// a deadline names the fetch it was set for and spares a later fetch of
 // the same digest.
 type flight struct {
 	t    *transfer
 	peer simnet.NodeID
 	seq  uint64
+}
+
+// deadline is when the fetch numbered seq of digest d is reclaimed, unless
+// it has been answered by then.
+type deadline struct {
+	at  time.Time
+	d   blob.Digest
+	seq uint64
 }
 
 // transfer tracks one in-progress package fetch.
@@ -86,9 +95,15 @@ type Agent struct {
 	inflight  map[blob.Digest]flight
 	// perPeer counts in-flight fetches by peer, one entry per peer with a
 	// fetch in flight, so it never holds more than fetchWindow entries.
-	perPeer          map[simnet.NodeID]int
-	inflightTotal    int
-	fetches          uint64        // fetches dispatched (flight.seq)
+	perPeer       map[simnet.NodeID]int
+	inflightTotal int
+	fetches       uint64 // fetches dispatched (flight.seq)
+	// deadlines holds the fetches' deadlines in dispatch order, which is
+	// deadline order; answered fetches leave theirs behind, dropped when
+	// they reach the front. One msgFetchDeadline timer is armed for the
+	// front entry while deadlines is not empty (armed).
+	deadlines        []deadline
+	armed            bool
 	haveBuf          []blob.Digest // verified digests awaiting announcement
 	pendingManifests map[string]Metadata
 	quarantined      map[simnet.NodeID]bool
@@ -316,7 +331,8 @@ func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 		a.perPeer[g.Peer]++
 		a.inflightTotal++
 		ctx.Send(g.Peer, msgGetChunk{Digest: g.Digest})
-		ctx.SetTimer(chunkTimeout, msgChunkTimeout{Digest: g.Digest, Seq: a.fetches})
+		a.deadlines = append(a.deadlines, deadline{at: ctx.Now().Add(chunkTimeout), d: g.Digest, seq: a.fetches})
+		a.arm(ctx)
 	}
 	t.pending = append(t.pending, deferred...)
 	if len(t.need) > 0 && len(t.pending) <= grantBatch/2 {
@@ -333,8 +349,8 @@ func (a *Agent) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 		a.onAssign(ctx, from, m)
 	case msgChunk:
 		a.onChunk(ctx, from, m)
-	case msgChunkTimeout:
-		a.onChunkTimeout(ctx, m)
+	case msgFetchDeadline:
+		a.onDeadline(ctx)
 	case msgWantRetry:
 		if t, ok := a.transfers[m.Name]; ok {
 			t.retryOut = false
@@ -410,26 +426,54 @@ func (a *Agent) sortedTransferNames() []string {
 	return names
 }
 
+// transferNeeding returns the transfer that needs d, the first by package
+// name if several do. An agent runs a handful of transfers at most, so one
+// pass keeping the least name beats sorting them.
 func (a *Agent) transferNeeding(d blob.Digest) *transfer {
-	for _, name := range a.sortedTransferNames() {
-		if t := a.transfers[name]; t.need[d] {
-			return t
+	var first *transfer
+	for name, t := range a.transfers {
+		if t.need[d] && (first == nil || name < first.manifest.Name) {
+			first = t
 		}
 	}
-	return nil
+	return first
 }
 
-func (a *Agent) onChunkTimeout(ctx *simnet.Context, m msgChunkTimeout) {
-	fl, ok := a.inflight[m.Digest]
-	if !ok || fl.seq != m.Seq {
-		return // answered; a later fetch of the digest has its own timer
+// arm sets the deadline timer for the front of the chain, unless it is
+// set or the chain is empty.
+func (a *Agent) arm(ctx *simnet.Context) {
+	if !a.armed && len(a.deadlines) > 0 {
+		a.armed = true
+		ctx.SetTimer(a.deadlines[0].at.Sub(ctx.Now()), msgFetchDeadline{})
 	}
-	delete(a.inflight, m.Digest)
-	delete(fl.t.inflight, m.Digest)
-	a.release(fl.peer)
-	a.inflightTotal--
-	fl.t.need[m.Digest] = true
-	a.continueTransfer(ctx, fl.t)
+}
+
+// onDeadline reclaims every fetch whose deadline has passed, drops the
+// entries of answered fetches at the front, and re-arms for the next
+// fetch still in flight. The timer counts as armed until the end, so a
+// reclaimed fetch's re-dispatch does not arm a second one.
+func (a *Agent) onDeadline(ctx *simnet.Context) {
+	now := ctx.Now()
+	for len(a.deadlines) > 0 {
+		e := a.deadlines[0]
+		fl, ok := a.inflight[e.d]
+		live := ok && fl.seq == e.seq
+		if live && e.at.After(now) {
+			break
+		}
+		a.deadlines = a.deadlines[1:]
+		if !live {
+			continue
+		}
+		delete(a.inflight, e.d)
+		delete(fl.t.inflight, e.d)
+		a.release(fl.peer)
+		a.inflightTotal--
+		fl.t.need[e.d] = true
+		a.continueTransfer(ctx, fl.t)
+	}
+	a.armed = false
+	a.arm(ctx)
 }
 
 func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
@@ -558,6 +602,7 @@ func (a *Agent) resume(ctx *simnet.Context) {
 	a.inflight = nil
 	a.perPeer = nil
 	a.inflightTotal = 0
+	a.deadlines, a.armed = nil, false // the crash took the timer
 	a.haveBuf = nil
 	a.pendingManifests = nil
 	a.quarantined = nil

@@ -558,12 +558,9 @@ type msgChunk struct {
 	OK     bool
 }
 
-// msgChunkTimeout reclaims a fetch slot whose peer went silent: the fetch
-// of Digest numbered Seq, if it is still in flight.
-type msgChunkTimeout struct {
-	Digest blob.Digest
-	Seq    uint64
-}
+// msgFetchDeadline is an agent's deadline timer: it reclaims the fetch
+// slots whose peers went silent.
+type msgFetchDeadline struct{}
 
 // msgWantRetry re-requests grants after a Retry backoff.
 type msgWantRetry struct {

@@ -1,6 +1,7 @@
 package packagevessel
 
 import (
+	"slices"
 	"time"
 
 	"configerator/internal/packagevessel/blob"
@@ -18,7 +19,14 @@ import (
 //   - Holder sets are capped reservoir samples (holderSample entries) on
 //     top of an exact count; rarity uses the count, peer selection draws
 //     from the sample. A digest with thousands of holders does not cost
-//     thousands of map entries per digest.
+//     thousands of map entries per digest. The count is of distinct
+//     holders: a node announcing a digest again is not counted again.
+//   - A sample is kept in cluster order, so a grant reads the requester's
+//     own cluster first and the rest of the sample only when that cluster
+//     has no live holder. Most wants find the own cluster saturated and
+//     retry; they read a few holders, not the whole sample.
+//   - What a pick reads per holder — its avoid mark and grant count — sits
+//     in one per-node slice, so a candidate costs one cache line.
 //   - Grants are batched: one msgWant returns up to Max grants, so an
 //     agent coordinates a whole fetch window per round trip instead of
 //     one tracker round trip per chunk (the "old swarm" behavior the
@@ -45,23 +53,30 @@ const (
 	farBudget = 32
 )
 
-// holderRef is a sampled holder with its node index and locality cached at
-// announce time (both are immutable in the simulation), so peer selection
-// never resolves a node id or compares a placement string on the hot path.
-type holderRef struct {
-	id  simnet.NodeID
-	idx int32
-	loc locality
+// holderRef is a sampled holder: its node index and the dense id of its
+// cluster, both fixed at announce time (placement is immutable in the
+// simulation), so peer selection never resolves a node id or compares a
+// placement string on the hot path.
+type holderRef struct{ idx, cluster int32 }
+
+// before orders a sample: by cluster, then by node index.
+func (h holderRef) before(o holderRef) bool {
+	return h.cluster < o.cluster || h.cluster == o.cluster && h.idx < o.idx
 }
 
-// locality is a node's placement as dense ids the tracker hands out: one per
-// region, one per distinct (region, cluster) pair — so two nodes share a
-// cluster id only when they share region and cluster, and a cluster name
-// reused in another region is another cluster.
-type locality struct{ region, cluster int32 }
+// nodeState is the tracker's per-node record, by node index.
+type nodeState struct {
+	// avoid marks the node for the current want: it is avoided when avoid
+	// equals the tracker's avoidGen.
+	avoid uint64
+	// busy counts grants to the node in the current tick.
+	busy int32
+	// cluster is the node's dense cluster id, or unplaced.
+	cluster int32
+}
 
-// unplaced marks a node index the tracker has not numbered yet.
-var unplaced = locality{-1, -1}
+// unplaced marks a node the tracker has not numbered yet.
+const unplaced = -1
 
 // digestState tracks one digest's holders.
 type digestState struct {
@@ -71,7 +86,9 @@ type digestState struct {
 	// it, an agent re-announcing its disk after a restart) is not counted
 	// twice.
 	counted []uint64
-	sample  []holderRef // reservoir sample of holders (peer selection)
+	// sample is a reservoir sample of holders (peer selection), in
+	// holderRef.before order.
+	sample []holderRef
 }
 
 // add records holder i, reporting false if it was already counted.
@@ -88,35 +105,60 @@ func (s *digestState) add(i int32) bool {
 	return true
 }
 
+// insert puts h into the sample at its place in cluster order.
+func (s *digestState) insert(h holderRef) {
+	k := 0
+	for k < len(s.sample) && s.sample[k].before(h) {
+		k++
+	}
+	s.sample = slices.Insert(s.sample, k, h)
+}
+
+// run returns the sample positions [lo, hi) of cluster c's holders.
+func (s *digestState) run(c int32) (lo, hi int) {
+	lo, hi = 0, len(s.sample)
+	for lo < hi { // first position whose cluster is not below c
+		m := int(uint(lo+hi) >> 1)
+		if s.sample[m].cluster < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for hi = lo; hi < len(s.sample) && s.sample[hi].cluster == c; hi++ {
+	}
+	return lo, hi
+}
+
 // Tracker coordinates swarms by digest rarity.
 type Tracker struct {
 	id  simnet.NodeID
 	net *simnet.Network
 
 	digests map[blob.Digest]*digestState
-	// busy counts grants per holder in the current tick, indexed by the
-	// holder's simnet node index; refilled (cleared) every trackerTick so
-	// one seed is never the whole first wave's target.
-	busy   []int
-	budget int
-	// loc is each node's locality, by node index, numbered the first time
-	// node sees the node; regions and clusters hand out the ids.
-	loc      []locality
+	// nodes holds what a grant reads per node, by simnet node index; busy
+	// is cleared every trackerTick so one seed is never the whole first
+	// wave's target. Each want bumps avoidGen, which unmarks every avoided
+	// node at once (64 bits never wrap).
+	nodes    []nodeState
+	avoidGen uint64
+	budget   int
+	// regions and clusters number nodes' placements the first time the
+	// tracker sees them: two nodes share a cluster id only when they share
+	// region and cluster, so a cluster name reused in another region is
+	// another cluster. regionOf maps a cluster id to its region id.
 	regions  map[string]int32
 	clusters map[simnet.Placement]int32
+	regionOf []int32
 	// busyFar counts cross-region grants per requesting region id this
 	// tick.
 	busyFar []int
-	// avoid marks, by node index, the nodes the current want must not be
-	// granted: node i is avoided when avoid[i] == avoidGen. Each want bumps
-	// avoidGen, which unmarks every node at once (64 bits never wrap).
-	avoid    []uint64
-	avoidGen uint64
 
 	// scratchStates is reused across assign calls (the tracker handles one
 	// message at a time, so per-call allocation here is pure GC churn at
 	// fleet scale).
 	scratchStates []*digestState
+	scratchFree   []int32
 
 	// Assignments counts grants handed out.
 	Assignments uint64
@@ -172,7 +214,9 @@ func (t *Tracker) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 	case simnet.Restarted, msgTrackerTick:
 		// Refill (or restart the budget chain): clear per-holder and
 		// per-region grant counts and re-arm.
-		clear(t.busy)
+		for i := range t.nodes {
+			t.nodes[i].busy = 0
+		}
 		clear(t.busyFar)
 		ctx.SetTimer(trackerTick, msgTrackerTick{})
 	case msgAnnounce:
@@ -185,18 +229,16 @@ func (t *Tracker) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 	}
 }
 
-// node resolves id to its node index, sizes the per-node tables to hold it
-// and numbers its locality. Indices enter the tracker only here (holders at
+// node resolves id to its node index, sizes the per-node table to hold it
+// and numbers its cluster. Indices enter the tracker only here (holders at
 // announce time, the requester and its Avoid list at want time), so the
-// grant loop indexes busy, avoid and loc without bounds growing.
+// grant loop indexes nodes without bounds growing.
 func (t *Tracker) node(id simnet.NodeID) int32 {
 	i := t.net.Index(id)
-	for int(i) >= len(t.busy) {
-		t.busy = append(t.busy, 0)
-		t.avoid = append(t.avoid, 0)
-		t.loc = append(t.loc, unplaced)
+	for int(i) >= len(t.nodes) {
+		t.nodes = append(t.nodes, nodeState{cluster: unplaced})
 	}
-	if t.loc[i] == unplaced {
+	if t.nodes[i].cluster == unplaced {
 		p := t.net.Placement(id)
 		r, ok := t.regions[p.Region]
 		if !ok {
@@ -208,8 +250,9 @@ func (t *Tracker) node(id simnet.NodeID) int32 {
 		if !ok {
 			c = int32(len(t.clusters))
 			t.clusters[p] = c
+			t.regionOf = append(t.regionOf, r)
 		}
-		t.loc[i] = locality{region: r, cluster: c}
+		t.nodes[i].cluster = c
 	}
 	return i
 }
@@ -219,7 +262,7 @@ func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 		return
 	}
 	i := t.node(holder)
-	ref := holderRef{id: holder, idx: i, loc: t.loc[i]}
+	ref := holderRef{idx: i, cluster: t.nodes[i].cluster}
 	for _, d := range digests {
 		s := t.digests[d]
 		if s == nil {
@@ -230,11 +273,12 @@ func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 			continue
 		}
 		if len(s.sample) < holderSample {
-			s.sample = append(s.sample, ref)
+			s.insert(ref)
 		} else if k := t.net.RNG().Intn(s.count); k < holderSample {
 			// Reservoir: replace uniformly so the sample stays
 			// representative of the full holder population.
-			s.sample[k] = ref
+			s.sample = slices.Delete(s.sample, k, k+1)
+			s.insert(ref)
 		}
 	}
 }
@@ -246,9 +290,9 @@ func (t *Tracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 	t.avoidGen++
 	ai := t.node(agent)
-	t.avoid[ai] = t.avoidGen
+	t.nodes[ai].avoid = t.avoidGen
 	for _, p := range m.Avoid {
-		t.avoid[t.node(p)] = t.avoidGen
+		t.nodes[t.node(p)].avoid = t.avoidGen
 	}
 	// One pass over the request: resolve each digest once, tracking the
 	// rarity floor as we go.
@@ -277,7 +321,7 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 	if max <= 0 {
 		max = 1
 	}
-	al := t.loc[ai]
+	ac := t.nodes[ai].cluster
 	var grants []grant
 	// Two passes: rare digests (within a 2x band of the rarest) first, so
 	// new bytes replicate before they bottleneck, then everything else.
@@ -296,13 +340,13 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 			if rareOnly != (s.count <= 2*minRarity) {
 				continue
 			}
-			h := t.pickHolder(s, al)
-			if h == nil {
+			h := t.pickHolder(s, ac)
+			if h < 0 {
 				continue
 			}
-			t.busy[h.idx]++
+			t.nodes[h].busy++
 			t.Assignments++
-			grants = append(grants, grant{Digest: d, Peer: h.id})
+			grants = append(grants, grant{Digest: d, Peer: t.net.ID(h)})
 		}
 	}
 	t.Wants++
@@ -312,70 +356,67 @@ func (t *Tracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant) {
 	ctx.Send(agent, msgAssign{Grants: grants, Retry: len(grants) == 0})
 }
 
+// Locality classes, nearest first: the requester's cluster, the other
+// clusters of its region, everything else.
+const (
+	sameCluster = iota
+	sameRegion
+	farAway
+)
+
 // pickHolder prefers same-cluster, then same-region, then anything — the
 // locality awareness of §3.5 — among sampled holders that are up and not
-// avoided. Locality is strict: a grant spills to a farther class only
-// when a nearer class has no live holder at all. A budget-saturated
-// nearby holder means "retry next tick", not "fetch cross-cluster" — the
-// cluster's own capacity doubles as agents complete, so waiting a tick is
-// cheaper than crossing the network spine. It returns nil when no holder
-// may be granted.
-func (t *Tracker) pickHolder(s *digestState, al locality) *holderRef {
-	// Reservoir-pick one free holder per locality class in a single pass
-	// over the sample — uniform among the free holders of each class
-	// without materializing the class lists.
-	var cluster, region, far *holderRef // uniform pick among free holders
-	var nCluster, nRegion, nFar int
-	var clusterAny, regionAny, farAny bool // any live holder, even saturated
-	rng := t.net.RNG()
-	for k := range s.sample {
-		h := &s.sample[k]
-		if t.avoid[h.idx] == t.avoidGen || t.net.IsDownIdx(h.idx) {
+// avoided, for a requester in cluster ac. Locality is strict: a grant
+// spills to a farther class only when the nearer classes have no live
+// holder at all. A budget-saturated nearby holder means "retry next
+// tick", not "fetch cross-cluster" — the cluster's own capacity doubles as
+// agents complete, so waiting a tick is cheaper than crossing the network
+// spine. The pick is uniform among the free holders of the nearest class
+// with a live one, one draw; it returns that holder's node index, or -1
+// when no holder may be granted.
+//
+// The requester's cluster is one run of the cluster-ordered sample, and
+// it is the only part read unless the cluster has no live holder.
+func (t *Tracker) pickHolder(s *digestState, ac int32) int32 {
+	ar := t.regionOf[ac]
+	lo, hi := s.run(ac)
+	free := t.scratchFree[:0] // node indexes of the class's free holders
+	for class := sameCluster; class <= farAway; class++ {
+		// The class's holders lie in these sample position ranges.
+		spans := [2][2]int{{lo, hi}, {hi, hi}}
+		if class != sameCluster {
+			spans = [2][2]int{{0, lo}, {hi, len(s.sample)}}
+		}
+		live := false
+		free = free[:0]
+		for _, span := range spans {
+			for _, h := range s.sample[span[0]:span[1]] {
+				if class != sameCluster && (t.regionOf[h.cluster] == ar) != (class == sameRegion) {
+					continue
+				}
+				st := &t.nodes[h.idx]
+				if st.avoid == t.avoidGen || t.net.IsDownIdx(h.idx) {
+					continue
+				}
+				live = true
+				if int(st.busy) < t.budget {
+					free = append(free, h.idx)
+				}
+			}
+		}
+		if !live {
 			continue
 		}
-		free := t.busy[h.idx] < t.budget
-		switch {
-		case h.loc.cluster == al.cluster:
-			clusterAny = true
-			if free {
-				nCluster++
-				if rng.Intn(nCluster) == 0 {
-					cluster = h
-				}
-			}
-		case h.loc.region == al.region:
-			regionAny = true
-			if free {
-				nRegion++
-				if rng.Intn(nRegion) == 0 {
-					region = h
-				}
-			}
-		default:
-			farAny = true
-			if free {
-				nFar++
-				if rng.Intn(nFar) == 0 {
-					far = h
-				}
-			}
-		}
-	}
-	switch {
-	case clusterAny:
-		return cluster
-	case regionAny:
-		return region
-	case farAny:
 		// Cross-region bootstrap is rationed per requesting region: once
 		// the region holds copies, its agents fetch locally instead.
-		if t.busyFar[al.region] >= farBudget {
-			return nil
+		t.scratchFree = free
+		if len(free) == 0 || class == farAway && t.busyFar[ar] >= farBudget {
+			return -1
 		}
-		if far != nil {
-			t.busyFar[al.region]++
-			return far
+		if class == farAway {
+			t.busyFar[ar]++
 		}
+		return free[t.net.RNG().Intn(len(free))]
 	}
-	return nil
+	return -1
 }

@@ -3,6 +3,7 @@ package packagevessel
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,10 +12,10 @@ import (
 	"configerator/internal/stats"
 )
 
-// mapTracker is the tracker as it was before it keyed holders by node
-// index: busy and avoid are maps keyed by node id, and every sampled
-// holder is checked with Network.IsDown. It is the reference the indexed
-// Tracker is held to, grant for grant and RNG draw for RNG draw.
+// mapTracker is the reference the indexed Tracker is held to, grant for
+// grant and RNG draw for RNG draw: busy and avoid are maps keyed by node
+// id, every sampled holder is checked with Network.IsDown, and a pick
+// scans the whole sample once per locality class.
 type mapTracker struct {
 	net *simnet.Network
 
@@ -23,13 +24,19 @@ type mapTracker struct {
 	budget       int
 	busyFar      map[string]int
 	scratchAvoid map[simnet.NodeID]bool
+	// clusters numbers placements in the order the tracker first sees a
+	// node (a holder announcing, a requester, an avoided peer); a sample
+	// is ordered by that number, then by node index.
+	clusters map[simnet.Placement]int
 
 	Assignments, Wants, EmptyWants uint64
 }
 
 type mapHolderRef struct {
-	id simnet.NodeID
-	pl simnet.Placement
+	id      simnet.NodeID
+	pl      simnet.Placement
+	cluster int
+	idx     int32
 }
 
 type mapDigestState struct {
@@ -46,6 +53,7 @@ func newMapTracker(net *simnet.Network, id simnet.NodeID, p simnet.Placement, bu
 		budget:       budget,
 		busyFar:      make(map[string]int),
 		scratchAvoid: make(map[simnet.NodeID]bool),
+		clusters:     make(map[simnet.Placement]int),
 	}
 	net.AddNode(id, p, t)
 	net.SetTimer(id, trackerTick, msgTrackerTick{})
@@ -68,11 +76,22 @@ func (t *mapTracker) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg 
 	}
 }
 
+// see numbers id's cluster if it is the first node seen there.
+func (t *mapTracker) see(id simnet.NodeID) int {
+	p := t.net.Placement(id)
+	c, ok := t.clusters[p]
+	if !ok {
+		c = len(t.clusters)
+		t.clusters[p] = c
+	}
+	return c
+}
+
 func (t *mapTracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 	if len(digests) == 0 {
 		return
 	}
-	ref := mapHolderRef{id: holder, pl: t.net.Placement(holder)}
+	ref := mapHolderRef{id: holder, pl: t.net.Placement(holder), cluster: t.see(holder), idx: t.net.Index(holder)}
 	for _, d := range digests {
 		s := t.digests[d]
 		if s == nil {
@@ -87,8 +106,12 @@ func (t *mapTracker) addHolder(holder simnet.NodeID, digests []blob.Digest) {
 		if len(s.sample) < holderSample {
 			s.sample = append(s.sample, ref)
 		} else if i := t.net.RNG().Intn(s.count); i < holderSample {
-			s.sample[i] = ref
+			s.sample = append(append(s.sample[:i:i], s.sample[i+1:]...), ref)
 		}
+		sort.Slice(s.sample, func(i, j int) bool {
+			a, b := s.sample[i], s.sample[j]
+			return a.cluster < b.cluster || a.cluster == b.cluster && a.idx < b.idx
+		})
 	}
 }
 
@@ -96,8 +119,10 @@ func (t *mapTracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant)
 	avoid := t.scratchAvoid
 	clear(avoid)
 	avoid[agent] = true
+	t.see(agent)
 	for _, p := range m.Avoid {
 		avoid[p] = true
+		t.see(p)
 	}
 	var states []*mapDigestState
 	minRarity := int(^uint(0) >> 1)
@@ -149,56 +174,42 @@ func (t *mapTracker) assign(ctx *simnet.Context, agent simnet.NodeID, m msgWant)
 	ctx.Send(agent, msgAssign{Grants: grants, Retry: len(grants) == 0})
 }
 
+// pickHolder takes the locality classes nearest first. The first class
+// with a holder that is up and not avoided decides: a uniform draw among
+// its free holders, in sample order, or nothing if none is free or the
+// class is cross-region and the region's far budget is spent.
 func (t *mapTracker) pickHolder(s *mapDigestState, ap simnet.Placement, avoid map[simnet.NodeID]bool) simnet.NodeID {
-	var cluster, region, far simnet.NodeID
-	var nCluster, nRegion, nFar int
-	var clusterAny, regionAny, farAny bool
-	rng := t.net.RNG()
-	for _, h := range s.sample {
-		if avoid[h.id] || t.net.IsDown(h.id) {
+	classOf := func(pl simnet.Placement) int {
+		switch {
+		case pl == ap:
+			return sameCluster
+		case pl.Region == ap.Region:
+			return sameRegion
+		}
+		return farAway
+	}
+	for class := sameCluster; class <= farAway; class++ {
+		live := false
+		var free []simnet.NodeID
+		for _, h := range s.sample {
+			if classOf(h.pl) != class || avoid[h.id] || t.net.IsDown(h.id) {
+				continue
+			}
+			live = true
+			if t.busy[h.id] < t.budget {
+				free = append(free, h.id)
+			}
+		}
+		if !live {
 			continue
 		}
-		free := t.busy[h.id] < t.budget
-		switch {
-		case h.pl.Region == ap.Region && h.pl.Cluster == ap.Cluster:
-			clusterAny = true
-			if free {
-				nCluster++
-				if rng.Intn(nCluster) == 0 {
-					cluster = h.id
-				}
-			}
-		case h.pl.Region == ap.Region:
-			regionAny = true
-			if free {
-				nRegion++
-				if rng.Intn(nRegion) == 0 {
-					region = h.id
-				}
-			}
-		default:
-			farAny = true
-			if free {
-				nFar++
-				if rng.Intn(nFar) == 0 {
-					far = h.id
-				}
-			}
-		}
-	}
-	switch {
-	case clusterAny:
-		return cluster
-	case regionAny:
-		return region
-	case farAny:
-		if t.busyFar[ap.Region] >= farBudget {
+		if len(free) == 0 || class == farAway && t.busyFar[ap.Region] >= farBudget {
 			return ""
 		}
-		if far != "" {
+		if class == farAway {
 			t.busyFar[ap.Region]++
-			return far
 		}
+		return free[t.net.RNG().Intn(len(free))]
 	}
 	return ""
 }
@@ -422,13 +433,12 @@ func TestWarmWantAllocs(t *testing.T) {
 		net.RunFor(twinStep)
 	}
 	want()
-	busy, avoid := tr.busy, tr.avoid
+	nodes := tr.nodes
 	if allocs := testing.AllocsPerRun(200, want); allocs > warmWantAllocs {
 		t.Errorf("a warm want allocates %.1f times, want at most %d", allocs, warmWantAllocs)
 	}
-	if len(tr.busy) != len(busy) || &tr.busy[0] != &busy[0] || len(tr.avoid) != len(avoid) || &tr.avoid[0] != &avoid[0] {
-		t.Errorf("a warm want regrew the node tables: busy %d → %d, avoid %d → %d",
-			len(busy), len(tr.busy), len(avoid), len(tr.avoid))
+	if len(tr.nodes) != len(nodes) || &tr.nodes[0] != &nodes[0] {
+		t.Errorf("a warm want regrew the node table: %d → %d entries", len(nodes), len(tr.nodes))
 	}
 	if tr.Assignments == 0 {
 		t.Fatal("no want was granted: the gate measured nothing")

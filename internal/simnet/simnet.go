@@ -23,12 +23,13 @@
 // The core is sized for fleets, not testbeds (DESIGN.md §4): events come
 // from a freelist and are scheduled on one 4-ary heap keyed inline by
 // (at, seq), and node ids are interned into dense int32 indexes, so a
-// node's state is one slice element and link state lives in compact-key
-// maps.
+// node's state is one slice element, its outgoing links a small
+// open-addressed table in that element, and fault state a compact-key map.
 package simnet
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,6 +131,7 @@ type node struct {
 	lease      *Lease // the node's keep-alive, if it holds one
 	wakes      uint64 // quiet stretches ended of leases pinging this node
 	life       *Life
+	links      links // state of the links this node has sent on
 }
 
 // Life is a node's life word. A node starts in life 0; Fail and Recover each
@@ -170,20 +172,83 @@ type event struct {
 	kind uint8
 }
 
-// linkKey packs a directed link into one map key — link state becomes a
-// compact-key map op instead of hashing two strings.
+// linkKey packs a directed link into one map key — fault and lease state
+// becomes a compact-key map op instead of hashing two strings.
 func linkKey(from, to int32) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
-// link is what every delivery on a directed link reads and writes. It is
-// stored by value and kept to 16 bytes: a fleet has one per link in use.
+// link is what every delivery on a directed link reads and writes: one slot
+// of its sender's link table, kept to 24 bytes.
 type link struct {
+	to int32 // the destination's index + 1; 0 marks an empty slot
 	// lastArrival enforces FIFO delivery per directed link (TCP semantics):
 	// latency jitter never reorders two messages between the same
 	// endpoints. Protocols like Zeus's commit stream rely on this.
 	lastArrival int64 // ns since base
 	bytes       uint64
+}
+
+// links is one node's outgoing link state: an open-addressed table keyed
+// by the destination's index, probed linearly from a Fibonacci hash. It
+// starts with one slot and doubles once more than three quarters are in
+// use (a table of one or two slots may fill), so it holds O(peers) slots:
+// one or two for a proxy, thousands for an observer.
+type links struct {
+	slots []link
+	n     int
+}
+
+// home is the slot a probe for to starts at.
+func (t *links) home(to int32) int {
+	return int(uint32(to) * 0x9e3779b9 >> (32 - bits.TrailingZeros(uint(len(t.slots)))))
+}
+
+// find returns the link to to, or nil if nothing was sent on it.
+func (t *links) find(to int32) *link {
+	if t.n == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	for i, k := t.home(to), 0; k < len(t.slots); i, k = (i+1)&mask, k+1 {
+		switch t.slots[i].to {
+		case to + 1:
+			return &t.slots[i]
+		case 0:
+			return nil
+		}
+	}
+	return nil
+}
+
+// get returns the link to to, adding it first if absent. The pointer is
+// good until the next get.
+func (t *links) get(to int32) *link {
+	if l := t.find(to); l != nil {
+		return l
+	}
+	if c := len(t.slots); t.n+1 > c-c/4 {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	i := t.home(to)
+	for t.slots[i].to != 0 {
+		i = (i + 1) & mask
+	}
+	t.n++
+	t.slots[i].to = to + 1
+	return &t.slots[i]
+}
+
+// grow doubles the table and re-inserts every link.
+func (t *links) grow() {
+	old := t.slots
+	t.slots, t.n = make([]link, max(1, 2*len(old))), 0
+	for _, l := range old {
+		if l.to != 0 {
+			*t.get(l.to - 1) = l
+		}
+	}
 }
 
 // linkFault is the injected fault state of one directed link. A record
@@ -217,7 +282,6 @@ type Network struct {
 	seq   uint64
 	sctx  Context // scratch Context reused across deliveries
 
-	links  map[uint64]link
 	faults map[uint64]linkFault
 
 	// Keep-alive leases (lease.go): every lease in registration order, the
@@ -256,7 +320,6 @@ func New(latency LatencyModel, seed uint64) *Network {
 		latency: latency,
 		base:    vclock.Epoch,
 		index:   make(map[NodeID]int32),
-		links:   make(map[uint64]link),
 		faults:  make(map[uint64]linkFault),
 		heard:   make(map[uint64]int64),
 	}
@@ -277,7 +340,10 @@ func (n *Network) LinkBytes(from, to NodeID) uint64 {
 	if !ok1 || !ok2 {
 		return 0
 	}
-	return n.links[linkKey(fi, ti)].bytes
+	if l := n.nodes[fi].links.find(ti); l != nil {
+		return l.bytes
+	}
+	return 0
 }
 
 // NodeBytesOut reports total payload bytes the node has sent.
@@ -382,6 +448,9 @@ func (n *Network) IsDown(id NodeID) bool { return n.nodes[n.mustIdx(id)].life.Do
 // position instead of by id. It panics on an unknown id.
 func (n *Network) Index(id NodeID) int32 { return n.mustIdx(id) }
 
+// ID is the id of the node with index i.
+func (n *Network) ID(i int32) NodeID { return n.nodes[i].id }
+
 // IsDownIdx is IsDown for a node given by its Index.
 func (n *Network) IsDownIdx(i int32) bool { return n.nodes[i].life.Down() }
 
@@ -484,10 +553,9 @@ func (n *Network) serializeNS(size int) int64 {
 // uplink and the receiver's downlink for size/bandwidth each, charged
 // decode, held behind the link's previous arrival (FIFO), and counted.
 func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode int64) {
-	key := linkKey(fi, ti)
 	var extra int64
 	if len(n.faults) > 0 {
-		f := n.faults[key]
+		f := n.faults[linkKey(fi, ti)]
 		if f.cut || f.cutOneWay ||
 			(f.loss > 0 && n.rng.Bool(f.loss)) || (f.lossOneWay > 0 && n.rng.Bool(f.lossOneWay)) {
 			n.Dropped++
@@ -498,7 +566,7 @@ func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode in
 	lat := n.latency.hop(n.nodes[fi].placement, n.nodes[ti].placement, n.rng)
 	lat += extra
 	arrive := ready + lat
-	l := n.links[key]
+	l := n.nodes[fi].links.get(ti)
 	if size > 0 {
 		se, de := &n.nodes[fi], &n.nodes[ti]
 		depart := max(ready, se.upFreeAt) + int64(float64(size)/se.upBps*float64(time.Second))
@@ -512,7 +580,6 @@ func (n *Network) transmit(fi, ti int32, msg Message, size int, ready, decode in
 	}
 	arrive = max(arrive, l.lastArrival)
 	l.lastArrival = arrive
-	n.links[key] = l
 	n.pushEvent(arrive, evDeliver, fi, ti, msg)
 }
 
