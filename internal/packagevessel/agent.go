@@ -99,9 +99,10 @@ type Agent struct {
 	inflightTotal int
 	fetches       uint64 // fetches dispatched (flight.seq)
 	// deadlines holds the fetches' deadlines in dispatch order, which is
-	// deadline order; answered fetches leave theirs behind, dropped when
-	// they reach the front. One msgFetchDeadline timer is armed for the
-	// front entry while deadlines is not empty (armed).
+	// deadline order, so it spans at most one chunkTimeout of dispatches.
+	// An answered fetch leaves its entry behind, dropped when the timer
+	// reaches it. While deadlines is not empty, one msgFetchDeadline timer
+	// is armed for its front entry (armed).
 	deadlines        []deadline
 	armed            bool
 	haveBuf          []blob.Digest // verified digests awaiting announcement

@@ -404,12 +404,12 @@ func (t *Tracker) pickHolder(s *digestState, ac int32) int32 {
 				}
 			}
 		}
+		t.scratchFree = free
 		if !live {
 			continue
 		}
 		// Cross-region bootstrap is rationed per requesting region: once
 		// the region holds copies, its agents fetch locally instead.
-		t.scratchFree = free
 		if len(free) == 0 || class == farAway && t.busyFar[ar] >= farBudget {
 			return -1
 		}
