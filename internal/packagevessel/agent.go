@@ -1,7 +1,7 @@
 package packagevessel
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"configerator/internal/packagevessel/blob"
@@ -54,10 +54,10 @@ type flight struct {
 	seq  uint64
 }
 
-// deadline is when the fetch numbered seq of digest d is reclaimed, unless
-// it has been answered by then.
+// deadline is when (Unix ns) the fetch numbered seq of digest d is
+// reclaimed, unless it has been answered by then.
 type deadline struct {
-	at  time.Time
+	due int64
 	d   blob.Digest
 	seq uint64
 }
@@ -90,20 +90,24 @@ type Agent struct {
 	pl  simnet.Placement // where the agent lives, as the network recorded it
 	net *simnet.Network
 
-	store     *blob.Store
-	transfers map[string]*transfer // by package name (newest version only)
+	store *blob.Store
+	// transfers in progress, one per package (its newest version), in
+	// package name order. An agent runs a handful at most, so a scan finds
+	// one by name.
+	transfers []*transfer
 	inflight  map[blob.Digest]flight
 	// perPeer counts in-flight fetches by peer, one entry per peer with a
 	// fetch in flight, so it never holds more than fetchWindow entries.
 	perPeer       map[simnet.NodeID]int
 	inflightTotal int
 	fetches       uint64 // fetches dispatched (flight.seq)
-	// deadlines holds the fetches' deadlines in dispatch order, which is
-	// deadline order, so it spans at most one chunkTimeout of dispatches.
-	// An answered fetch leaves its entry behind, dropped when the timer
-	// reaches it. While deadlines is not empty, one msgFetchDeadline timer
-	// is armed for its front entry (armed).
+	// deadlines[spent:] holds the fetches' deadlines in dispatch order,
+	// which is deadline order, so it spans at most one chunkTimeout of
+	// dispatches. An answered fetch leaves its entry behind, dropped when
+	// the timer reaches it. While the chain is not empty, one
+	// msgFetchDeadline timer is armed for its front entry (armed).
 	deadlines        []deadline
+	spent            int
 	armed            bool
 	haveBuf          []blob.Digest // verified digests awaiting announcement
 	pendingManifests map[string]Metadata
@@ -160,7 +164,7 @@ func (a *Agent) OnAnnounce(md Metadata) {
 	if a.store.Complete(md.Name, md.Version) {
 		return
 	}
-	if t, ok := a.transfers[md.Name]; ok && t.manifest.Version >= md.Version {
+	if t := a.transfer(md.Name); t != nil && t.manifest.Version >= md.Version {
 		return
 	}
 	if cur, ok := a.pendingManifests[md.Name]; ok && cur.Version >= md.Version {
@@ -182,7 +186,7 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 	if a.store.Complete(m.Name, m.Version) {
 		return
 	}
-	if cur, ok := a.transfers[m.Name]; ok {
+	if cur := a.transfer(m.Name); cur != nil {
 		if cur.manifest.Version >= m.Version {
 			return
 		}
@@ -227,7 +231,7 @@ func (a *Agent) abandon(t *transfer) {
 		a.inflightTotal--
 	}
 	a.store.Abandon(t.manifest)
-	delete(a.transfers, t.manifest.Name)
+	a.untrack(t)
 }
 
 // flushHave drains the announce buffer.
@@ -332,8 +336,7 @@ func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
 		a.perPeer[g.Peer]++
 		a.inflightTotal++
 		ctx.Send(g.Peer, msgGetChunk{Digest: g.Digest})
-		a.deadlines = append(a.deadlines, deadline{at: ctx.Now().Add(chunkTimeout), d: g.Digest, seq: a.fetches})
-		a.arm(ctx)
+		a.setDeadline(ctx, deadline{due: ctx.Now().Add(chunkTimeout).UnixNano(), d: g.Digest, seq: a.fetches})
 	}
 	t.pending = append(t.pending, deferred...)
 	if len(t.need) > 0 && len(t.pending) <= grantBatch/2 {
@@ -353,7 +356,7 @@ func (a *Agent) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simne
 	case msgFetchDeadline:
 		a.onDeadline(ctx)
 	case msgWantRetry:
-		if t, ok := a.transfers[m.Name]; ok {
+		if t := a.transfer(m.Name); t != nil {
 			t.retryOut = false
 			a.requestGrants(ctx, t)
 		}
@@ -400,9 +403,7 @@ func (a *Agent) onAssign(ctx *simnet.Context, from simnet.NodeID, m msgAssign) {
 			t.pending = append(t.pending, g)
 		}
 	}
-	names := a.sortedTransferNames()
-	for _, name := range names {
-		t := a.transfers[name]
+	for _, t := range a.transfers {
 		if t.tracker != from {
 			continue
 		}
@@ -412,40 +413,41 @@ func (a *Agent) onAssign(ctx *simnet.Context, from simnet.NodeID, m msgAssign) {
 		if m.Retry && len(t.need) > 0 && !t.retryOut && !t.wantOut {
 			t.retryOut = true
 			backoff := 500*time.Millisecond + time.Duration(a.net.RNG().Float64()*float64(time.Second))
-			ctx.SetTimer(backoff, msgWantRetry{Name: name})
+			ctx.SetTimer(backoff, msgWantRetry{Name: t.manifest.Name})
 		}
 		a.dispatch(ctx, t)
 	}
 }
 
-func (a *Agent) sortedTransferNames() []string {
-	names := make([]string, 0, len(a.transfers))
-	for name := range a.transfers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // transferNeeding returns the transfer that needs d, the first by package
-// name if several do. An agent runs a handful of transfers at most, so one
-// pass keeping the least name beats sorting them.
+// name if several do.
 func (a *Agent) transferNeeding(d blob.Digest) *transfer {
-	var first *transfer
-	for name, t := range a.transfers {
-		if t.need[d] && (first == nil || name < first.manifest.Name) {
-			first = t
+	for _, t := range a.transfers {
+		if t.need[d] {
+			return t
 		}
 	}
-	return first
+	return nil
+}
+
+// setDeadline adds e to the back of the chain, moving the live entries
+// over the spent front rather than growing a full array, and arms the
+// timer.
+func (a *Agent) setDeadline(ctx *simnet.Context, e deadline) {
+	if len(a.deadlines) == cap(a.deadlines) && a.spent > 0 {
+		a.deadlines = a.deadlines[:copy(a.deadlines, a.deadlines[a.spent:])]
+		a.spent = 0
+	}
+	a.deadlines = append(a.deadlines, e)
+	a.arm(ctx)
 }
 
 // arm sets the deadline timer for the front of the chain, unless it is
 // set or the chain is empty.
 func (a *Agent) arm(ctx *simnet.Context) {
-	if !a.armed && len(a.deadlines) > 0 {
+	if !a.armed && a.spent < len(a.deadlines) {
 		a.armed = true
-		ctx.SetTimer(a.deadlines[0].at.Sub(ctx.Now()), msgFetchDeadline{})
+		ctx.SetTimer(time.Duration(a.deadlines[a.spent].due-ctx.Now().UnixNano()), msgFetchDeadline{})
 	}
 }
 
@@ -454,15 +456,15 @@ func (a *Agent) arm(ctx *simnet.Context) {
 // fetch still in flight. The timer counts as armed until the end, so a
 // reclaimed fetch's re-dispatch does not arm a second one.
 func (a *Agent) onDeadline(ctx *simnet.Context) {
-	now := ctx.Now()
-	for len(a.deadlines) > 0 {
-		e := a.deadlines[0]
+	now := ctx.Now().UnixNano()
+	for a.spent < len(a.deadlines) {
+		e := a.deadlines[a.spent]
 		fl, ok := a.inflight[e.d]
 		live := ok && fl.seq == e.seq
-		if live && e.at.After(now) {
+		if live && e.due > now {
 			break
 		}
-		a.deadlines = a.deadlines[1:]
+		a.spent++
 		if !live {
 			continue
 		}
@@ -537,12 +539,28 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 	a.continueTransfer(ctx, t)
 }
 
-// track records t as the transfer of its package.
-func (a *Agent) track(t *transfer) {
-	if a.transfers == nil {
-		a.transfers = make(map[string]*transfer)
+// transfer returns the transfer of package name, or nil.
+func (a *Agent) transfer(name string) *transfer {
+	for _, t := range a.transfers {
+		if t.manifest.Name == name {
+			return t
+		}
 	}
-	a.transfers[t.manifest.Name] = t
+	return nil
+}
+
+// track records t as the transfer of its package, which has none.
+func (a *Agent) track(t *transfer) {
+	k := 0
+	for k < len(a.transfers) && a.transfers[k].manifest.Name < t.manifest.Name {
+		k++
+	}
+	a.transfers = slices.Insert(a.transfers, k, t)
+}
+
+// untrack forgets t.
+func (a *Agent) untrack(t *transfer) {
+	a.transfers = slices.DeleteFunc(a.transfers, func(u *transfer) bool { return u == t })
 }
 
 // release counts one fetch from peer as no longer in flight, and forgets
@@ -582,7 +600,7 @@ func (a *Agent) finish(ctx *simnet.Context, t *transfer) {
 		a.continueTransfer(ctx, t)
 		return
 	}
-	delete(a.transfers, t.manifest.Name)
+	a.untrack(t)
 	if t.tracker != "" {
 		if have := a.flushHave(); len(have) > 0 {
 			ctx.Send(t.tracker, msgAnnounce{Digests: have, Complete: true})
@@ -603,7 +621,7 @@ func (a *Agent) resume(ctx *simnet.Context) {
 	a.inflight = nil
 	a.perPeer = nil
 	a.inflightTotal = 0
-	a.deadlines, a.armed = nil, false // the crash took the timer
+	a.deadlines, a.spent, a.armed = nil, 0, false // the crash took the timer
 	a.haveBuf = nil
 	a.pendingManifests = nil
 	a.quarantined = nil
