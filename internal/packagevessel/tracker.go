@@ -1,6 +1,7 @@
 package packagevessel
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -59,9 +60,9 @@ const (
 // placement string on the hot path.
 type holderRef struct{ idx, cluster int32 }
 
-// before orders a sample: by cluster, then by node index.
-func (h holderRef) before(o holderRef) bool {
-	return h.cluster < o.cluster || h.cluster == o.cluster && h.idx < o.idx
+// compare orders a sample: by cluster, then by node index.
+func (h holderRef) compare(o holderRef) int {
+	return cmp.Or(cmp.Compare(h.cluster, o.cluster), cmp.Compare(h.idx, o.idx))
 }
 
 // nodeState is the tracker's per-node record, by node index.
@@ -87,7 +88,7 @@ type digestState struct {
 	// twice.
 	counted []uint64
 	// sample is a reservoir sample of holders (peer selection), in
-	// holderRef.before order.
+	// holderRef.compare order.
 	sample []holderRef
 }
 
@@ -107,26 +108,14 @@ func (s *digestState) add(i int32) bool {
 
 // insert puts h into the sample at its place in cluster order.
 func (s *digestState) insert(h holderRef) {
-	k := 0
-	for k < len(s.sample) && s.sample[k].before(h) {
-		k++
-	}
+	k, _ := slices.BinarySearchFunc(s.sample, h, holderRef.compare)
 	s.sample = slices.Insert(s.sample, k, h)
 }
 
 // run returns the sample positions [lo, hi) of cluster c's holders.
 func (s *digestState) run(c int32) (lo, hi int) {
-	lo, hi = 0, len(s.sample)
-	for lo < hi { // first position whose cluster is not below c
-		m := int(uint(lo+hi) >> 1)
-		if s.sample[m].cluster < c {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	for hi = lo; hi < len(s.sample) && s.sample[hi].cluster == c; hi++ {
-	}
+	lo, _ = slices.BinarySearchFunc(s.sample, holderRef{idx: -1, cluster: c}, holderRef.compare)
+	hi, _ = slices.BinarySearchFunc(s.sample, holderRef{idx: -1, cluster: c + 1}, holderRef.compare)
 	return lo, hi
 }
 
