@@ -37,10 +37,9 @@ type Options struct{}
 
 // TransferStats accounts one completed transfer.
 type TransferStats struct {
-	ChunksFetched  int   // chunks actually pulled over the wire
-	ChunksDeduped  int   // manifest chunks already on disk (prior versions)
+	ChunksFetched  int   // chunks pulled over the wire for this transfer
+	ChunksDeduped  int   // manifest chunks on disk already, or fetched for another package
 	BytesFetched   int64 // logical bytes on the wire
-	BytesDeduped   int64 // logical bytes dedup saved
 	Resumed        bool  // transfer recovered from the journal after a crash
 	ResumeVerified int   // chunks re-verified on disk during recovery
 }
@@ -49,7 +48,6 @@ type TransferStats struct {
 // a deadline names the fetch it was set for and spares a later fetch of
 // the same digest.
 type flight struct {
-	t    *transfer
 	peer simnet.NodeID
 	seq  uint64
 }
@@ -62,18 +60,19 @@ type deadline struct {
 	seq uint64
 }
 
-// transfer tracks one in-progress package fetch.
+// transfer is one package version in progress, and only its own state:
+// the fetches that serve it, and the grants for them, are the agent's.
 type transfer struct {
 	manifest blob.Manifest
 	origin   simnet.NodeID // registry (authoritative fallback)
 	tracker  simnet.NodeID // swarm coordinator ("": origin is the only holder)
-	need     map[blob.Digest]bool
+	// need holds the digests not verified yet, in flight or not; the
+	// transfer is complete when it is empty.
+	need map[blob.Digest]bool
 	// order holds the still-needed digests in manifest order (compacted
 	// lazily as chunks verify), so building a msgWant need list scans
 	// remaining work, not the whole manifest.
 	order    []blob.Digest
-	inflight map[blob.Digest]simnet.NodeID
-	pending  []grant
 	started  time.Time
 	wantOut  bool // a msgWant is outstanding
 	retryOut bool // a backoff retry timer is armed
@@ -84,6 +83,10 @@ type transfer struct {
 // (via the Configerator proxy subscription), fetches the named manifest,
 // and swarms the missing digests — several in parallel, capped per peer,
 // every chunk verified against its content address before it is stored.
+// It keeps one fetch schedule for all its transfers: the grants not yet
+// used, the fetches in flight (one per digest, whichever transfers need
+// it), the window, the per-peer caps and the deadline chain. A slot that
+// frees is offered to every transfer, in package name order.
 // Its maps are made on first write, so an idle agent costs what it holds.
 type Agent struct {
 	id  simnet.NodeID
@@ -95,12 +98,14 @@ type Agent struct {
 	// package name order. An agent runs a handful at most, so a scan finds
 	// one by name.
 	transfers []*transfer
-	inflight  map[blob.Digest]flight
+	// pending holds the grants not dispatched yet, in the order they are
+	// tried (a few grant batches at most, so a scan finds a digest).
+	pending  []grant
+	inflight map[blob.Digest]flight
 	// perPeer counts in-flight fetches by peer, one entry per peer with a
 	// fetch in flight, so it never holds more than fetchWindow entries.
-	perPeer       map[simnet.NodeID]int
-	inflightTotal int
-	fetches       uint64 // fetches dispatched (flight.seq)
+	perPeer map[simnet.NodeID]int
+	fetches uint64 // fetches dispatched (flight.seq)
 	// deadlines[spent:] holds the fetches' deadlines in dispatch order,
 	// which is deadline order, so it spans at most one chunkTimeout of
 	// dispatches. An answered fetch leaves its entry behind, dropped when
@@ -111,8 +116,7 @@ type Agent struct {
 	armed            bool
 	haveBuf          []blob.Digest // verified digests awaiting announcement
 	pendingManifests map[string]Metadata
-	quarantined      map[simnet.NodeID]bool
-	avoid            []simnet.NodeID // quarantine order (deterministic Avoid lists)
+	avoid            []simnet.NodeID // peers quarantined, in quarantine order (deterministic Avoid lists)
 
 	onComplete func(m blob.Manifest, took time.Duration, st TransferStats)
 
@@ -193,27 +197,21 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 		a.abandon(cur)
 	}
 	delete(a.pendingManifests, m.Name)
-
-	distinct := m.Distinct()
 	missing := a.store.Missing(m)
-	t := &transfer{
-		manifest: m, origin: origin, tracker: tracker,
-		need:     make(map[blob.Digest]bool, len(missing)),
-		order:    missing,
-		inflight: make(map[blob.Digest]simnet.NodeID),
-		started:  ctx.Now(),
-	}
+	a.store.Begin(m, string(origin), string(tracker))
+	a.start(ctx, &transfer{manifest: m, origin: origin, tracker: tracker,
+		stats: TransferStats{ChunksDeduped: len(m.Distinct()) - len(missing)}}, missing)
+}
+
+// start tracks t, which needs the digests in missing, and asks for them;
+// with none missing it finishes at once. Every transfer begins here, new
+// or resumed.
+func (a *Agent) start(ctx *simnet.Context, t *transfer, missing []blob.Digest) {
+	t.need = make(map[blob.Digest]bool, len(missing))
 	for _, d := range missing {
 		t.need[d] = true
 	}
-	t.stats.ChunksDeduped = len(distinct) - len(missing)
-	for d, size := range distinct {
-		if !t.need[d] {
-			t.stats.BytesDeduped += int64(size)
-		}
-	}
-
-	a.store.Begin(m, string(origin), string(tracker))
+	t.order, t.started = missing, ctx.Now()
 	a.track(t)
 	if len(t.need) == 0 {
 		a.finish(ctx, t)
@@ -222,14 +220,11 @@ func (a *Agent) startTransfer(ctx *simnet.Context, m blob.Manifest, origin, trac
 	a.requestGrants(ctx, t)
 }
 
-// abandon drops a transfer superseded by a newer version. Fetched chunks
-// stay on disk — content-addressed, they may dedup the successor.
+// abandon drops a transfer superseded by a newer version, and its journal.
+// Its fetches stay in flight and its chunks on disk: content-addressed,
+// either may serve the successor, and a chunk no transfer needs is dropped
+// when it arrives.
 func (a *Agent) abandon(t *transfer) {
-	for d, peer := range t.inflight {
-		delete(a.inflight, d)
-		a.release(peer)
-		a.inflightTotal--
-	}
 	a.store.Abandon(t.manifest)
 	a.untrack(t)
 }
@@ -241,19 +236,19 @@ func (a *Agent) flushHave() []blob.Digest {
 	return h
 }
 
-// needList returns the transfer's missing digests in manifest order,
-// excluding those already granted, capped at maxNeedList. The order
-// slice compacts down to the still-needed digests as a side effect, so
-// repeated calls late in a transfer scan only the remaining work.
-func (t *transfer) needList() []blob.Digest {
+// needList returns the transfer's digests that are neither in flight nor
+// granted, in manifest order, capped at maxNeedList. The order slice
+// compacts down to the still-needed digests as a side effect, so repeated
+// calls late in a transfer scan only the remaining work.
+func (a *Agent) needList(t *transfer) []blob.Digest {
 	live := t.order[:0]
 	out := make([]blob.Digest, 0, min(len(t.order), maxNeedList))
 	for _, d := range t.order {
-		if !t.need[d] && t.inflight[d] == "" && !t.granted(d) {
-			continue // satisfied: drop from order
+		if !t.need[d] {
+			continue // verified: drop from order
 		}
 		live = append(live, d)
-		if len(out) < maxNeedList && t.need[d] && !t.granted(d) {
+		if _, ok := a.inflight[d]; !ok && len(out) < maxNeedList && !a.granted(d) {
 			out = append(out, d)
 		}
 	}
@@ -261,12 +256,33 @@ func (t *transfer) needList() []blob.Digest {
 	return out
 }
 
-// granted reports whether a digest already has an undispatched grant
-// (pending is bounded by the grant batch size, so a linear scan wins
-// over a map).
-func (t *transfer) granted(d blob.Digest) bool {
-	for _, g := range t.pending {
+// granted reports whether a digest already has an undispatched grant.
+func (a *Agent) granted(d blob.Digest) bool {
+	for _, g := range a.pending {
 		if g.Digest == d {
+			return true
+		}
+	}
+	return false
+}
+
+// needs reports whether some transfer needs d.
+func (a *Agent) needs(d blob.Digest) bool {
+	for _, t := range a.transfers {
+		if t.need[d] {
+			return true
+		}
+	}
+	return false
+}
+
+// waiting reports whether t needs a digest that is not in flight.
+func (a *Agent) waiting(t *transfer) bool {
+	if len(t.need) > len(a.inflight) {
+		return true
+	}
+	for d := range t.need {
+		if _, ok := a.inflight[d]; !ok {
 			return true
 		}
 	}
@@ -282,11 +298,11 @@ func (a *Agent) requestGrants(ctx *simnet.Context, t *transfer) {
 		// for us this tick, and immediate re-asking is just a want storm.
 		return
 	}
-	need := t.needList()
+	need := a.needList(t)
 	if len(need) == 0 {
 		return
 	}
-	max := grantBatch - len(t.pending)
+	max := grantBatch - len(a.pending)
 	if max <= 0 {
 		return
 	}
@@ -296,50 +312,59 @@ func (a *Agent) requestGrants(ctx *simnet.Context, t *transfer) {
 		// dispatch paces it (window, per-peer cap, chunkTimeout) like any
 		// grant. An origin quarantined for a corrupt chunk leaves no holder
 		// to ask.
-		if a.quarantined[t.origin] {
+		if slices.Contains(a.avoid, t.origin) {
 			return
 		}
 		for _, d := range need[:min(len(need), max)] {
-			t.pending = append(t.pending, grant{Digest: d, Peer: t.origin})
+			a.pending = append(a.pending, grant{Digest: d, Peer: t.origin})
 		}
-		a.dispatch(ctx, t)
+		a.dispatch(ctx)
 		return
 	}
 	t.wantOut = true
 	ctx.Send(t.tracker, msgWant{Have: a.flushHave(), Need: need, Max: max, Avoid: a.Quarantined()})
 }
 
-// dispatch issues granted fetches while the window and per-peer caps
-// allow.
-func (a *Agent) dispatch(ctx *simnet.Context, t *transfer) {
+// dispatch issues pending grants while the window and per-peer caps allow,
+// dropping those whose digest is in flight or needed by no transfer, or
+// whose peer is quarantined. When half a batch or less is left, every
+// transfer with a digest to fetch may ask for more, in name order.
+func (a *Agent) dispatch(ctx *simnet.Context) {
 	var deferred []grant
-	for len(t.pending) > 0 && a.inflightTotal < fetchWindow {
-		g := t.pending[0]
-		t.pending = t.pending[1:]
-		if !t.need[g.Digest] || a.quarantined[g.Peer] {
+	for len(a.pending) > 0 && len(a.inflight) < fetchWindow {
+		g := a.pending[0]
+		a.pending = a.pending[1:]
+		if _, ok := a.inflight[g.Digest]; ok || !a.needs(g.Digest) || slices.Contains(a.avoid, g.Peer) {
 			continue
 		}
 		if a.perPeer[g.Peer] >= perPeerInflight {
 			deferred = append(deferred, g)
 			continue
 		}
-		delete(t.need, g.Digest)
-		t.inflight[g.Digest] = g.Peer
 		if a.inflight == nil {
-			a.inflight = make(map[blob.Digest]flight)
+			a.inflight, a.perPeer = make(map[blob.Digest]flight), make(map[simnet.NodeID]int)
 		}
 		a.fetches++
-		a.inflight[g.Digest] = flight{t: t, peer: g.Peer, seq: a.fetches}
-		if a.perPeer == nil {
-			a.perPeer = make(map[simnet.NodeID]int)
-		}
+		a.inflight[g.Digest] = flight{peer: g.Peer, seq: a.fetches}
 		a.perPeer[g.Peer]++
-		a.inflightTotal++
 		ctx.Send(g.Peer, msgGetChunk{Digest: g.Digest})
 		a.setDeadline(ctx, deadline{due: ctx.Now().Add(chunkTimeout).UnixNano(), d: g.Digest, seq: a.fetches})
 	}
-	t.pending = append(t.pending, deferred...)
-	if len(t.need) > 0 && len(t.pending) <= grantBatch/2 {
+	a.pending = append(a.pending, deferred...)
+	if len(a.pending) <= grantBatch/2 {
+		for _, t := range a.transfers {
+			if a.waiting(t) {
+				a.requestGrants(ctx, t)
+			}
+		}
+	}
+}
+
+// pump runs where a fetch slot frees: it dispatches what the grants allow,
+// then lets every transfer ask for more.
+func (a *Agent) pump(ctx *simnet.Context) {
+	a.dispatch(ctx)
+	for _, t := range a.transfers {
 		a.requestGrants(ctx, t)
 	}
 }
@@ -399,35 +424,21 @@ func (a *Agent) onAssign(ctx *simnet.Context, from simnet.NodeID, m msgAssign) {
 		}
 	}
 	for _, g := range m.Grants {
-		if t := a.transferNeeding(g.Digest); t != nil {
-			t.pending = append(t.pending, g)
+		if _, ok := a.inflight[g.Digest]; !ok && a.needs(g.Digest) {
+			a.pending = append(a.pending, g)
 		}
 	}
+	// Arm the backoff before dispatching: dispatch re-wants when the
+	// pending queue runs low, and after an empty grant that would re-ask
+	// immediately — the backoff gate must already be up.
 	for _, t := range a.transfers {
-		if t.tracker != from {
-			continue
-		}
-		// Arm the backoff before dispatching: dispatch re-wants when the
-		// pending queue runs low, and after an empty grant that would
-		// re-ask immediately — the backoff gate must already be up.
-		if m.Retry && len(t.need) > 0 && !t.retryOut && !t.wantOut {
+		if t.tracker == from && m.Retry && !t.retryOut && !t.wantOut && a.waiting(t) {
 			t.retryOut = true
 			backoff := 500*time.Millisecond + time.Duration(a.net.RNG().Float64()*float64(time.Second))
 			ctx.SetTimer(backoff, msgWantRetry{Name: t.manifest.Name})
 		}
-		a.dispatch(ctx, t)
 	}
-}
-
-// transferNeeding returns the transfer that needs d, the first by package
-// name if several do.
-func (a *Agent) transferNeeding(d blob.Digest) *transfer {
-	for _, t := range a.transfers {
-		if t.need[d] {
-			return t
-		}
-	}
-	return nil
+	a.dispatch(ctx)
 }
 
 // setDeadline adds e to the back of the chain, moving the live entries
@@ -469,35 +480,24 @@ func (a *Agent) onDeadline(ctx *simnet.Context) {
 			continue
 		}
 		delete(a.inflight, e.d)
-		delete(fl.t.inflight, e.d)
 		a.release(fl.peer)
-		a.inflightTotal--
-		fl.t.need[e.d] = true
-		a.continueTransfer(ctx, fl.t)
+		a.pump(ctx)
 	}
 	a.armed = false
 	a.arm(ctx)
 }
 
 func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
-	var t *transfer
 	if fl, ok := a.inflight[m.Digest]; ok && fl.peer == from {
 		delete(a.inflight, m.Digest)
-		delete(fl.t.inflight, m.Digest)
 		a.release(from)
-		a.inflightTotal--
-		t = fl.t
-	} else {
-		// Late reply (slot already reclaimed) — still useful if the
-		// digest is wanted.
-		t = a.transferNeeding(m.Digest)
-		if t == nil {
-			return
-		}
+	} else if ok || !a.needs(m.Digest) {
+		// A late reply (another peer's, or for a reclaimed fetch) is still
+		// useful if no fetch of the digest is in flight and it is needed.
+		return
 	}
-	if !m.OK {
-		t.need[m.Digest] = true
-		a.continueTransfer(ctx, t)
+	if !m.OK || !a.needs(m.Digest) {
+		a.pump(ctx)
 		return
 	}
 	if _, err := a.store.PutVerified(m.Data, m.Size, m.Digest); err != nil {
@@ -505,14 +505,30 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 		// peer and re-fetch from another holder.
 		a.quarantine(from)
 		a.CorruptChunks++
-		t.need[m.Digest] = true
-		a.continueTransfer(ctx, t)
+		a.pump(ctx)
 		return
 	}
-	delete(t.need, m.Digest) // covers the late-reply path
+	// The chunk counts as fetched for the first transfer by name that
+	// needs it and as deduped for the others.
+	var t *transfer
+	var done []*transfer
+	for _, u := range a.transfers {
+		if !u.need[m.Digest] {
+			continue
+		}
+		delete(u.need, m.Digest)
+		if t == nil {
+			t = u
+			u.stats.ChunksFetched++
+			u.stats.BytesFetched += int64(m.Size)
+		} else {
+			u.stats.ChunksDeduped++
+		}
+		if len(u.need) == 0 {
+			done = append(done, u)
+		}
+	}
 	a.ChunksFetched++
-	t.stats.ChunksFetched++
-	t.stats.BytesFetched += int64(m.Size)
 	if from == t.origin {
 		a.ChunksFromOrigin++
 	} else {
@@ -531,12 +547,10 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 	if len(a.haveBuf) >= announceEvery && t.tracker != "" {
 		ctx.Send(t.tracker, msgAnnounce{Digests: a.flushHave()})
 	}
-
-	if len(t.need) == 0 && len(t.inflight) == 0 {
-		a.finish(ctx, t)
-		return
+	for _, u := range done {
+		a.finish(ctx, u)
 	}
-	a.continueTransfer(ctx, t)
+	a.pump(ctx)
 }
 
 // transfer returns the transfer of package name, or nil.
@@ -558,9 +572,10 @@ func (a *Agent) track(t *transfer) {
 	a.transfers = slices.Insert(a.transfers, k, t)
 }
 
-// untrack forgets t.
+// untrack forgets t, and the grants no transfer left needs.
 func (a *Agent) untrack(t *transfer) {
 	a.transfers = slices.DeleteFunc(a.transfers, func(u *transfer) bool { return u == t })
+	a.pending = slices.DeleteFunc(a.pending, func(g grant) bool { return !a.needs(g.Digest) })
 }
 
 // release counts one fetch from peer as no longer in flight, and forgets
@@ -573,17 +588,8 @@ func (a *Agent) release(peer simnet.NodeID) {
 	}
 }
 
-func (a *Agent) continueTransfer(ctx *simnet.Context, t *transfer) {
-	a.dispatch(ctx, t)
-	a.requestGrants(ctx, t)
-}
-
 func (a *Agent) quarantine(peer simnet.NodeID) {
-	if !a.quarantined[peer] {
-		if a.quarantined == nil {
-			a.quarantined = make(map[simnet.NodeID]bool)
-		}
-		a.quarantined[peer] = true
+	if !slices.Contains(a.avoid, peer) {
 		a.avoid = append(a.avoid, peer)
 	}
 }
@@ -597,7 +603,7 @@ func (a *Agent) finish(ctx *simnet.Context, t *transfer) {
 		for _, d := range a.store.Missing(t.manifest) {
 			t.need[d] = true
 		}
-		a.continueTransfer(ctx, t)
+		a.pump(ctx)
 		return
 	}
 	a.untrack(t)
@@ -617,42 +623,21 @@ func (a *Agent) finish(ctx *simnet.Context, t *transfer) {
 // resumed fetching only the digests that are missing or failed
 // verification.
 func (a *Agent) resume(ctx *simnet.Context) {
-	a.transfers = nil
-	a.inflight = nil
-	a.perPeer = nil
-	a.inflightTotal = 0
+	a.transfers, a.pending = nil, nil
+	a.inflight, a.perPeer = nil, nil
 	a.deadlines, a.spent, a.armed = nil, 0, false // the crash took the timer
 	a.haveBuf = nil
 	a.pendingManifests = nil
-	a.quarantined = nil
 	a.avoid = nil
 
 	for _, j := range a.store.Journals() {
 		m := j.Manifest
 		present, missing := a.store.Verify(m)
 		a.ResumeVerified += uint64(len(present))
-		t := &transfer{
-			manifest: m,
-			origin:   simnet.NodeID(j.Origin),
-			tracker:  simnet.NodeID(j.Coordinator),
-			need:     make(map[blob.Digest]bool, len(missing)),
-			order:    missing,
-			inflight: make(map[blob.Digest]simnet.NodeID),
-			started:  ctx.Now(),
-		}
-		t.stats.Resumed = true
-		t.stats.ResumeVerified = len(present)
-		for _, d := range missing {
-			t.need[d] = true
-		}
-		a.track(t)
 		// Re-announce what survived on disk: the tracker may have lost
 		// (or never had) this holder.
 		a.haveBuf = append(a.haveBuf, present...)
-		if len(t.need) == 0 {
-			a.finish(ctx, t)
-			continue
-		}
-		a.requestGrants(ctx, t)
+		a.start(ctx, &transfer{manifest: m, origin: simnet.NodeID(j.Origin), tracker: simnet.NodeID(j.Coordinator),
+			stats: TransferStats{Resumed: true, ResumeVerified: len(present)}}, missing)
 	}
 }

@@ -9,18 +9,6 @@ import (
 	"configerator/internal/simnet"
 )
 
-// pendingGrants is the number of grants a holds that no fetch has used yet.
-func pendingGrants(a *Agent) int {
-	n := 0
-	for _, t := range a.transfers {
-		n += len(t.pending)
-	}
-	return n
-}
-
-// waiting reports whether t needs a digest that is not in flight.
-func waiting(a *Agent, t *transfer) bool { return len(t.need) > 0 }
-
 // checkAgent fails unless a's fetch schedule is consistent: the per-peer
 // counts sum to the fetches in flight, which fill at most the window, each
 // peer holds between one fetch and its cap, and an agent with nothing in
@@ -43,11 +31,11 @@ func checkAgent(t *testing.T, a *Agent) {
 	if len(a.inflight) > 0 {
 		return
 	}
-	if n := pendingGrants(a); n > 0 {
+	if n := len(a.pending); n > 0 {
 		t.Fatalf("%s: nothing in flight and %d grants pending", a.id, n)
 	}
 	for _, tr := range a.transfers {
-		if !waiting(a, tr) || tr.wantOut || tr.retryOut || tr.tracker == "" && slices.Contains(a.Quarantined(), tr.origin) {
+		if !a.waiting(tr) || tr.wantOut || tr.retryOut || tr.tracker == "" && slices.Contains(a.Quarantined(), tr.origin) {
 			continue
 		}
 		t.Fatalf("%s: nothing in flight, %s@%d needs %d chunks with no want out and no retry armed",
@@ -81,9 +69,9 @@ func runChecked(t *testing.T, s *Swarm, mds []Metadata, bound time.Duration) {
 				t.Errorf("%s: %s@%d incomplete after %v", a.id, md.Name, md.Version, bound)
 			}
 		}
-		if len(a.inflight) > 0 || len(a.perPeer) > 0 || pendingGrants(a) > 0 {
+		if len(a.inflight) > 0 || len(a.perPeer) > 0 || len(a.pending) > 0 {
 			t.Errorf("%s: %d fetches in flight, %d peers counted, %d grants pending after delivery",
-				a.id, len(a.inflight), len(a.perPeer), pendingGrants(a))
+				a.id, len(a.inflight), len(a.perPeer), len(a.pending))
 		}
 	}
 }

@@ -447,11 +447,8 @@ func TestTrackerlessTransferUsesOrigin(t *testing.T) {
 	peak := 0
 	for deadline := r.Net.Now().Add(time.Minute); r.Net.Now().Before(deadline) && r.Net.Step(); {
 		for _, a := range r.Agents {
-			if a.inflightTotal > fetchWindow || a.perPeer["registry"] > perPeerInflight || a.inflightTotal != a.perPeer["registry"] {
-				t.Fatalf("%s: %d in flight, %d of them to the registry (window %d, per-peer cap %d)",
-					a.id, a.inflightTotal, a.perPeer["registry"], fetchWindow, perPeerInflight)
-			}
-			peak = max(peak, a.inflightTotal)
+			checkAgent(t, a)
+			peak = max(peak, len(a.inflight))
 		}
 	}
 	if peak != perPeerInflight {
