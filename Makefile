@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseMetadata$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzParseTagRecord$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzTrackerMatchesMapReference$$' -fuzztime=5s
+	$(GO) test ./internal/packagevessel -run '^$$' -fuzz '^FuzzConcurrentTransfers$$' -fuzztime=5s
 	$(GO) test ./internal/packagevessel/blob -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime=5s
 	$(GO) test ./internal/simnet -run '^$$' -fuzz '^FuzzLinkTableMatchesMap$$' -fuzztime=5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzMaintainedSampleMatchesPolled$$' -fuzztime=5s

@@ -169,3 +169,73 @@ func TestConcurrentPackagesComplete(t *testing.T) {
 		}
 	}
 }
+
+// concurrentSwarm lays out the swarm spec describes and schedules its
+// announcements; bytes past the end of spec read as zero. spec[0] holds the
+// layout: 1 + (bits 0–1 mod 3) packages, 1 + bits 2–3 agents, bit 4 the
+// tracker, bit 5 a second registry (in eu, serving every other package),
+// bit 6 a second cluster. Four bytes follow per package: 1 + (b mod 16)
+// chunks, a 16-bit mask of the chunks it shares with the first package, and
+// its announce offset in 50 ms steps.
+func concurrentSwarm(seed uint64, spec []byte) (*Swarm, []Metadata) {
+	next := func() int {
+		if len(spec) == 0 {
+			return 0
+		}
+		b := spec[0]
+		spec = spec[1:]
+		return int(b)
+	}
+	layout := next()
+	s := NewSwarm(seed, 1+layout>>2&3, 1+layout>>6&1)
+	var tracker simnet.NodeID
+	if layout&16 != 0 {
+		tracker = s.Tracker.ID()
+	}
+	registries := []*Registry{s.Registry}
+	if layout&32 != 0 {
+		r := NewRegistry(s.Net, "registry-eu", simnet.Placement{Region: "eu", Cluster: "store"}, s.Tracker.ID())
+		s.Net.SetBandwidth(r.ID(), SwarmBps, SwarmBps)
+		registries = append(registries, r)
+	}
+	var first Package
+	var mds []Metadata
+	for i := range 1 + layout&3%3 {
+		p := SyntheticPackage(fmt.Sprintf("p%d", i), 1, (1+next()%16)<<20, DefaultChunkSize, seed)
+		shared := next() | next()<<8
+		if i == 0 {
+			first = p
+		}
+		for j := range min(len(p.Chunks), len(first.Chunks)) {
+			if shared>>j&1 != 0 {
+				p.Chunks[j] = first.Chunks[j]
+			}
+		}
+		r := registries[i%len(registries)]
+		m, err := r.Publish(p)
+		if err != nil {
+			panic(err)
+		}
+		md := MetadataFor(m, r.ID(), tracker)
+		mds = append(mds, md)
+		s.Net.After(time.Duration(next())*50*time.Millisecond, func() {
+			for _, a := range s.Agents {
+				a.OnAnnounce(md)
+			}
+		})
+	}
+	return s, mds
+}
+
+// FuzzConcurrentTransfers: any mix of packages announced to the same agents
+// — one to three of one to sixteen chunks, some shared with the first, from
+// one registry or two, through the tracker or not, at staggered instants —
+// reaches every agent within ten simulated minutes, and checkAgent holds
+// after every event.
+func FuzzConcurrentTransfers(f *testing.F) {
+	f.Add(uint64(9), []byte("\x01\x07\x00\x00\x00\x07\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, seed uint64, spec []byte) {
+		s, mds := concurrentSwarm(seed, spec)
+		runChecked(t, s, mds, 10*time.Minute)
+	})
+}
