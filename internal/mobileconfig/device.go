@@ -44,10 +44,9 @@ type Server struct {
 	// this up per request; the simulation injects it).
 	users func(id int64) *gatekeeper.User
 
-	// Polls, NotModified, and FullResponses count protocol outcomes.
-	Polls         uint64
-	NotModified   uint64
-	FullResponses uint64
+	// Polls and NotModified count protocol outcomes.
+	Polls       uint64
+	NotModified uint64
 	// BytesSaved estimates bandwidth saved by the not-modified path.
 	BytesSaved uint64
 }
@@ -81,7 +80,6 @@ func (s *Server) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 		ctx.Send(from, MsgNotModified{Config: m.Config})
 		return
 	}
-	s.FullResponses++
 	ctx.SendSized(from, MsgValues{Config: m.Config, Values: values, Hash: h}, encodedSize(values))
 }
 
