@@ -76,13 +76,12 @@ func runChecked(t *testing.T, s *Swarm, mds []Metadata, bound time.Duration) {
 	}
 }
 
-// sharing returns two chunks-chunk packages named a and b whose first
-// shared chunks are the same.
-func sharing(chunks, shared int) (Package, Package) {
-	a := SyntheticPackage("a", 1, chunks<<20, DefaultChunkSize, 1)
-	b := SyntheticPackage("b", 1, chunks<<20, DefaultChunkSize, 2)
-	copy(b.Chunks, a.Chunks[:shared])
-	return a, b
+// euRegistry adds a registry in eu with a swarm's link speed, announcing
+// to the swarm's tracker.
+func euRegistry(s *Swarm, id simnet.NodeID) *Registry {
+	r := NewRegistry(s.Net, id, simnet.Placement{Region: "eu", Cluster: "store"}, s.Tracker.ID())
+	s.Net.SetBandwidth(id, SwarmBps, SwarmBps)
+	return r
 }
 
 // TestConcurrentPackagesComplete announces two packages to the same agents
@@ -91,74 +90,53 @@ func sharing(chunks, shared int) (Package, Package) {
 // after every event and nothing left in flight or granted at the end.
 //   - one registry and no tracker: the registry's per-peer cap is shared,
 //     and a slot one package frees must serve the other;
-//   - two tracker-less packages sharing a chunk, from two registries in the
-//     other region: the shared digest is fetched once and serves both;
+//   - two tracker-less packages sharing a chunk, each from its own registry
+//     in the other region: the shared digest is fetched once and serves both;
 //   - two packages through the tracker, with no chunk or half of them
 //     shared.
 func TestConcurrentPackagesComplete(t *testing.T) {
-	var tenSeeds, twentySeeds []uint64
-	for seed := uint64(1); seed <= 20; seed++ {
-		if seed <= 10 {
-			tenSeeds = append(tenSeeds, seed)
+	seeds := func(n uint64) (out []uint64) {
+		for seed := uint64(1); seed <= n; seed++ {
+			out = append(out, seed)
 		}
-		twentySeeds = append(twentySeeds, seed)
-	}
-	tracked := func(shared int) func(uint64) (*Swarm, []Metadata) {
-		return func(seed uint64) (*Swarm, []Metadata) {
-			s := NewSwarm(seed, 20, 2)
-			a, b := sharing(16, shared)
-			var mds []Metadata
-			for _, p := range []Package{a, b} {
-				m, err := s.Registry.Publish(p)
-				if err != nil {
-					panic(err)
-				}
-				mds = append(mds, MetadataFor(m, s.Registry.ID(), s.Tracker.ID()))
-			}
-			return s, mds
-		}
+		return out
 	}
 	for _, tc := range []struct {
-		name  string
-		seeds []uint64
-		bound time.Duration
-		swarm func(seed uint64) (*Swarm, []Metadata)
+		name             string
+		seeds            []uint64
+		agents, clusters int
+		chunks, shared   int
+		euRegistries     bool // each package from its own registry in eu
+		tracker          bool
+		bound            time.Duration
 	}{
-		{"one registry, no tracker", []uint64{9}, 10 * time.Minute, func(seed uint64) (*Swarm, []Metadata) {
-			s := NewSwarm(seed, 1, 1)
-			a, b := sharing(8, 0)
-			var mds []Metadata
-			for _, p := range []Package{a, b} {
-				m, err := s.Registry.Publish(p)
-				if err != nil {
-					panic(err)
-				}
-				mds = append(mds, MetadataFor(m, s.Registry.ID(), ""))
-			}
-			return s, mds
-		}},
-		{"two registries, one chunk shared, no tracker", twentySeeds, 10 * time.Minute, func(seed uint64) (*Swarm, []Metadata) {
-			s := NewSwarm(seed, 1, 1)
-			a, b := sharing(8, 1)
-			var mds []Metadata
-			for i, p := range []Package{a, b} {
-				id := simnet.NodeID(fmt.Sprintf("registry-%d", i))
-				r := NewRegistry(s.Net, id, simnet.Placement{Region: "eu", Cluster: "store"}, s.Tracker.ID())
-				s.Net.SetBandwidth(id, SwarmBps, SwarmBps)
-				m, err := r.Publish(p)
-				if err != nil {
-					panic(err)
-				}
-				mds = append(mds, MetadataFor(m, id, ""))
-			}
-			return s, mds
-		}},
-		{"tracker, no chunk shared", tenSeeds, 20 * time.Minute, tracked(0)},
-		{"tracker, 8 of 16 chunks shared", tenSeeds, 20 * time.Minute, tracked(8)},
+		{"one registry, no tracker", []uint64{9}, 1, 1, 8, 0, false, false, 10 * time.Minute},
+		{"two registries, one chunk shared, no tracker", seeds(20), 1, 1, 8, 1, true, false, 10 * time.Minute},
+		{"tracker, no chunk shared", seeds(10), 20, 2, 16, 0, false, true, 20 * time.Minute},
+		{"tracker, 8 of 16 chunks shared", seeds(10), 20, 2, 16, 8, false, true, 20 * time.Minute},
 	} {
 		for _, seed := range tc.seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				s, mds := tc.swarm(seed)
+				s := NewSwarm(seed, tc.agents, tc.clusters)
+				var tracker simnet.NodeID
+				if tc.tracker {
+					tracker = s.Tracker.ID()
+				}
+				a := SyntheticPackage("a", 1, tc.chunks<<20, DefaultChunkSize, 1)
+				b := SyntheticPackage("b", 1, tc.chunks<<20, DefaultChunkSize, 2)
+				copy(b.Chunks, a.Chunks[:tc.shared])
+				var mds []Metadata
+				for i, p := range []Package{a, b} {
+					r := s.Registry
+					if tc.euRegistries {
+						r = euRegistry(s, simnet.NodeID(fmt.Sprintf("registry-eu%d", i)))
+					}
+					m, err := r.Publish(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mds = append(mds, MetadataFor(m, r.ID(), tracker))
+				}
 				for _, a := range s.Agents {
 					for _, md := range mds {
 						a.OnAnnounce(md)
@@ -194,9 +172,7 @@ func concurrentSwarm(seed uint64, spec []byte) (*Swarm, []Metadata) {
 	}
 	registries := []*Registry{s.Registry}
 	if layout&32 != 0 {
-		r := NewRegistry(s.Net, "registry-eu", simnet.Placement{Region: "eu", Cluster: "store"}, s.Tracker.ID())
-		s.Net.SetBandwidth(r.ID(), SwarmBps, SwarmBps)
-		registries = append(registries, r)
+		registries = append(registries, euRegistry(s, "registry-eu"))
 	}
 	var first Package
 	var mds []Metadata
