@@ -496,7 +496,7 @@ func (a *Agent) onChunk(ctx *simnet.Context, from simnet.NodeID, m msgChunk) {
 		// useful if no fetch of the digest is in flight and it is needed.
 		return
 	}
-	if !m.OK || !a.needs(m.Digest) {
+	if !m.OK || !a.needs(m.Digest) { // not held, or its transfer was abandoned
 		a.pump(ctx)
 		return
 	}

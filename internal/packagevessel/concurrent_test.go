@@ -35,7 +35,7 @@ func checkAgent(t *testing.T, a *Agent) {
 		t.Fatalf("%s: nothing in flight and %d grants pending", a.id, n)
 	}
 	for _, tr := range a.transfers {
-		if !a.waiting(tr) || tr.wantOut || tr.retryOut || tr.tracker == "" && slices.Contains(a.Quarantined(), tr.origin) {
+		if !a.waiting(tr) || tr.wantOut || tr.retryOut || tr.tracker == "" && slices.Contains(a.avoid, tr.origin) {
 			continue
 		}
 		t.Fatalf("%s: nothing in flight, %s@%d needs %d chunks with no want out and no retry armed",
