@@ -61,7 +61,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"configerator/internal/intern"
 	"configerator/internal/obs"
 	"configerator/internal/simnet"
 	"configerator/internal/vcs"
@@ -123,7 +122,7 @@ const onDisk = ^uint32(0)
 // of the path and never removed. st is all a reader touches; the rest belongs
 // to the simulation thread.
 type cell struct {
-	path string                     // interned
+	path string
 	st   atomic.Pointer[entryState] // newest applied version, in memory and on disk; nil = none yet
 
 	watched bool           // an application wants it kept warm
@@ -311,7 +310,7 @@ func (s *store) cell(path string) *cell {
 	if c, _ := s.find(path); c != nil {
 		return c // added by a racing DiskCache.Store
 	}
-	c := &cell{path: intern.Path(path)}
+	c := &cell{path: path}
 	switch n := s.n.Load(); {
 	case n < inlineCells:
 		s.small[n].path, s.small[n].c = c.path, c

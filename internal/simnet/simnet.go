@@ -22,7 +22,7 @@
 //
 // The core is sized for fleets, not testbeds (DESIGN.md §4): events come
 // from a freelist and are scheduled on one 4-ary heap keyed inline by
-// (at, seq), and node ids are interned into dense int32 indexes, so a
+// (at, seq), and node ids are mapped to dense int32 indexes, so a
 // node's state is one slice element, its outgoing links a small
 // open-addressed table in that element, and fault state a compact-key map.
 package simnet
@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"configerator/internal/intern"
 	"configerator/internal/obs"
 	"configerator/internal/stats"
 	"configerator/internal/vclock"
@@ -356,15 +355,10 @@ func (n *Network) Now() time.Time { return n.base.Add(time.Duration(n.nowNS())) 
 func (n *Network) RNG() *stats.RNG { return n.rng }
 
 // AddNode registers a simulated process. It panics if the id is taken.
-// The id and placement strings are interned: every copy of a node id in
-// link maps and messages shares one backing string fleet-wide.
 func (n *Network) AddNode(id NodeID, p Placement, h Handler) {
 	if _, ok := n.index[id]; ok {
 		panic(fmt.Sprintf("simnet: duplicate node %q", id))
 	}
-	id = NodeID(intern.Path(string(id)))
-	p.Region = intern.Path(p.Region)
-	p.Cluster = intern.Path(p.Cluster)
 	if len(n.lives) == 0 {
 		n.lives = make([]Life, 256)
 	}

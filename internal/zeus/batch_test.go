@@ -143,6 +143,66 @@ func TestObserverCoalescesRapidWrites(t *testing.T) {
 	}
 }
 
+// TestApplyBatchKeepsItsScratch: once warm, an observer applying a commit run
+// to watched paths allocates per path only what the path's new record and its
+// watch event need. The batch's working state (each touched path's base, the
+// touch order) is kept on the observer, not made per batch, so a run over 32
+// paths allocates exactly 32 times what a run over one does.
+func TestApplyBatchKeepsItsScratch(t *testing.T) {
+	net := simnet.New(simnet.DefaultLatency(), 1)
+	place := simnet.Placement{Region: "us", Cluster: "c1"}
+	o := NewObserver("obs-1", nil)
+	net.AddNode("obs-1", place, o)
+	const k = 32
+	paths := make([]string, k)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/configs/batch/%02d", i)
+	}
+	for _, id := range []simnet.NodeID{"proxy-1", "proxy-2"} {
+		net.AddNode(id, place, simnet.HandlerFunc(func(*simnet.Context, simnet.NodeID, simnet.Message) {}))
+		ctx := simnet.MakeContext(net, id)
+		for i, p := range paths {
+			ctx.Send("obs-1", MsgFetch{ReqID: int64(i), Path: p, Watch: true})
+		}
+	}
+	net.RunFor(time.Second)
+
+	// Every run rewrites its paths to the other of two bodies, so each path's
+	// event is a delta against its record from the run before.
+	var full [2]Payload
+	for i := range full {
+		full[i] = MakePayload(nil, recordOf([]byte(fmt.Sprintf(`{"run":%d,"pad":"%0100d"}`, i, 0))))
+	}
+	ctx := simnet.MakeContext(net, "obs-1")
+	var run, zxid int64
+	var updates []Update
+	apply := func(paths []string) func() {
+		return func() {
+			run++
+			updates = updates[:0]
+			for _, p := range paths {
+				zxid++
+				updates = append(updates, Update{Path: p, Version: run, Zxid: zxid, Payload: full[run%2]})
+			}
+			o.applyBatch(&ctx, updates)
+			net.RunFor(time.Second) // deliver, so the queue does not grow
+		}
+	}
+	for i := 0; i < 4; i++ {
+		apply(paths)()
+	}
+	notified := o.Notified
+	one := testing.AllocsPerRun(100, apply(paths[:1]))
+	all := testing.AllocsPerRun(100, apply(paths))
+	if got, want := o.Notified-notified, uint64(2*(101+101*k)); got != want {
+		t.Fatalf("%d watch events sent, want %d: two per applied path", got, want)
+	}
+	t.Logf("a run over one path allocates %.0f, over %d paths %.0f", one, k, all)
+	if one == 0 || all != k*one {
+		t.Errorf("a run over %d paths allocates %.0f, want %d × %.0f: only what each path sends", k, all, k, one)
+	}
+}
+
 // TestWatchOrderingAcrossFailover floods one path with writes while the
 // leader crashes mid-stream. Watchers may see coalesced subsets, but the
 // versions they see must never go backwards, and the final notification

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"time"
 
-	"configerator/internal/intern"
 	"configerator/internal/vcs"
 )
 
@@ -105,9 +104,6 @@ func (t *DataTree) adopt(op WriteOp, data []byte, hash uint64) bool {
 	if op.Zxid <= t.applied {
 		return false
 	}
-	// Canonicalize the path: every replica's records and watch tables key by
-	// the same shared string instance instead of per-message copies.
-	op.Path = intern.Path(op.Path)
 	t.applied = op.Zxid
 	t.byZxid = append(t.byZxid, zxidPath{op.Zxid, op.Path})
 	if op.Delete {

@@ -1,35 +1,11 @@
 package zeus
 
 import (
-	"sync"
 	"time"
 
-	"configerator/internal/intern"
 	"configerator/internal/obs"
 	"configerator/internal/simnet"
 )
-
-// batchScratch is the per-applyBatch working state (touched-path bases,
-// touch order). Batches arrive on every commit wave across every observer
-// in the fleet, so the map is pooled rather than reallocated per batch; only
-// scratch lives here — everything a watch event retains is copied out
-// before the scratch is recycled.
-type batchScratch struct {
-	base  map[string]*Record
-	order []string
-}
-
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{base: make(map[string]*Record)}
-}}
-
-func (s *batchScratch) release() {
-	for k := range s.base {
-		delete(s.base, k)
-	}
-	s.order = s.order[:0]
-	batchScratchPool.Put(s)
-}
 
 // watchSessionTTL expires a proxy's watch registrations when the proxy
 // stops reaching this observer: it crashed, or a fault cut it off. A proxy
@@ -121,6 +97,12 @@ type Observer struct {
 	watches map[string]*watchSet
 	// notifyScratch is the reusable live-watcher list handed to Broadcast.
 	notifyScratch []simnet.NodeID
+	// batchBase and batchOrder are applyBatch's working state, emptied and
+	// kept for the next batch: each touched path's record before the batch,
+	// and the paths in touch order. The observer handles one message at a
+	// time, so one set is enough.
+	batchBase  map[string]*Record
+	batchOrder []string
 	// prev holds each path's record as of the version before the current
 	// one (nil if there was none): the base a proxy that is exactly one
 	// version behind advertises, and therefore the base worth
@@ -155,12 +137,13 @@ type Observer struct {
 // member list.
 func NewObserver(id simnet.NodeID, members []simnet.NodeID) *Observer {
 	return &Observer{
-		id:      id,
-		members: members,
-		tree:    NewDataTree(),
-		watches: make(map[string]*watchSet),
-		prev:    make(map[string]*Record),
-		slot:    make(map[simnet.NodeID]int32),
+		id:        id,
+		members:   members,
+		tree:      NewDataTree(),
+		watches:   make(map[string]*watchSet),
+		batchBase: make(map[string]*Record),
+		prev:      make(map[string]*Record),
+		slot:      make(map[simnet.NodeID]int32),
 	}
 }
 
@@ -313,16 +296,11 @@ func (o *Observer) dropSession(i int) {
 func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 	// base holds each touched path's record before this batch — the
 	// version watchers last saw, hence the delta base for their event.
-	// Both structures are pooled scratch; nothing in them survives this call.
-	scratch := batchScratchPool.Get().(*batchScratch)
-	defer scratch.release()
-	base, order := scratch.base, scratch.order
-	defer func() { scratch.order = order }() // keep the grown capacity pooled
+	base, order := o.batchBase, o.batchOrder[:0]
 	for _, u := range updates {
 		if u.Zxid <= o.tree.LastZxid() {
 			continue // duplicate or stale (e.g. a catch-up overlapping a live push)
 		}
-		u.Path = intern.Path(u.Path)
 		old, err := o.tree.take(u)
 		if err != nil {
 			o.Obs.Add("zeus.observer.delta_miss", 1)
@@ -357,6 +335,8 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 		ctx.Broadcast(o.notifyScratch, ev, ev.Update.WireSize())
 		o.Notified += uint64(len(o.notifyScratch))
 	}
+	clear(base)
+	o.batchOrder = order
 }
 
 // onFetch answers a proxy's pull. The proxy advertises the hash of the
@@ -368,7 +348,7 @@ func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) 
 		set, ok := o.watches[m.Path]
 		if !ok {
 			set = newWatchSet()
-			o.watches[intern.Path(m.Path)] = set
+			o.watches[m.Path] = set
 		}
 		set.add(from)
 	}
