@@ -8,7 +8,6 @@ package health
 
 import (
 	"math"
-	"sort"
 
 	"configerator/internal/simnet"
 )
@@ -51,36 +50,6 @@ func Mean(samples []Sample, metric string) (float64, bool) {
 		return 0, false
 	}
 	return sum / float64(n), true
-}
-
-// Score folds a sample into one badness number: higher is sicker. Error
-// rate dominates (one point per 0.1% of errors beats a millisecond of
-// latency), so an endpoint that times out ranks below a slow-but-correct
-// one. Used by the proxy to pick which observer to talk to.
-func Score(s Sample) float64 {
-	return s[MetricErrorRate]*1000 + s[MetricLatencyMs]
-}
-
-// Ranked is one scored endpoint.
-type Ranked struct {
-	ID    simnet.NodeID
-	Score float64
-}
-
-// Rank orders endpoints healthiest-first. Ties break by id so the order
-// is deterministic regardless of map iteration.
-func Rank(samples map[simnet.NodeID]Sample) []Ranked {
-	out := make([]Ranked, 0, len(samples))
-	for id, s := range samples {
-		out = append(out, Ranked{ID: id, Score: Score(s)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // Comparison is a test-vs-control readout for one metric.

@@ -61,12 +61,15 @@ type obsStats struct {
 	rttEWMA    float64 // milliseconds
 }
 
-// ObserverHealth exposes the per-observer health samples feeding failover
-// (tests and dashboards).
+// ObserverHealth exposes each observer's ledger as a health sample: the
+// error rate and latency that healthiest scores (tests and dashboards).
 func (p *Proxy) ObserverHealth() map[simnet.NodeID]health.Sample {
 	out := make(map[simnet.NodeID]health.Sample, len(p.observers))
-	for _, o := range p.observers {
-		out[o] = p.sampleOf(o)
+	for i, o := range p.observers {
+		out[o] = health.Sample{
+			health.MetricErrorRate: p.stats[i].errorRate(),
+			health.MetricLatencyMs: p.stats[i].rttEWMA,
+		}
 	}
 	return out
 }
@@ -86,19 +89,32 @@ func (p *Proxy) stat(id simnet.NodeID) *obsStats {
 	return &obsStats{}
 }
 
-// sampleOf folds one observer's ledger into a health sample. Consecutive
-// failures dominate the score (each one outweighs any latency), so a dead
-// observer always ranks below a slow one.
-func (p *Proxy) sampleOf(id simnet.NodeID) health.Sample {
-	st := p.stat(id)
+// errorRate is the ledger's consecutive failures plus its failed share.
+func (st *obsStats) errorRate() float64 {
 	er := float64(st.consecFail)
 	if total := st.ok + st.fail; total > 0 {
 		er += float64(st.fail) / float64(total)
 	}
-	return health.Sample{
-		health.MetricErrorRate: er,
-		health.MetricLatencyMs: st.rttEWMA,
+	return er
+}
+
+// healthiest returns the index of the observer other than skip with the
+// lowest score, errorRate*1000 + rttEWMA, ties broken by the lower id, or
+// -1 when there is none. Error rate dominates (each consecutive failure
+// outweighs a second of latency), so a dead observer ranks below a slow one.
+func (p *Proxy) healthiest(skip simnet.NodeID) int {
+	best, bestScore := -1, 0.0
+	for i, o := range p.observers {
+		if o == skip {
+			continue
+		}
+		st := &p.stats[i]
+		score := st.errorRate()*1000 + st.rttEWMA
+		if best < 0 || score < bestScore || score == bestScore && o < p.observers[best] {
+			best, bestScore = i, score
+		}
 	}
+	return best
 }
 
 // recordFailure charges a failure to observer id. It wakes the keep-alive:
@@ -199,13 +215,7 @@ func (p *Proxy) failover(ctx *simnet.Context) {
 	planeDown := p.snap.Load().planeDown
 	next := (p.current + 1) % len(p.observers)
 	if !planeDown {
-		samples := make(map[simnet.NodeID]health.Sample, len(p.observers)-1)
-		for _, o := range p.observers {
-			if o != old {
-				samples[o] = p.sampleOf(o)
-			}
-		}
-		next = slices.Index(p.observers, health.Rank(samples)[0].ID)
+		next = p.healthiest(old)
 	}
 	p.Failovers++
 	cells := p.repoint(ctx, next)
@@ -357,17 +367,12 @@ func (p *Proxy) onHedgeFire(ctx *simnet.Context, m msgHedgeFire) {
 	if !ok {
 		return // answered already — the common case
 	}
-	samples := make(map[simnet.NodeID]health.Sample, len(p.observers)-1)
-	for _, o := range p.observers {
-		if o != st.observer {
-			samples[o] = p.sampleOf(o)
-		}
-	}
-	if len(samples) == 0 {
+	i := p.healthiest(st.observer)
+	if i < 0 {
 		return
 	}
 	p.Obs.Add("proxy.fetch.hedged", 1)
-	p.fetchFrom(ctx, st.c, health.Rank(samples)[0].ID, st.base.Exists, st.attempt, true)
+	p.fetchFrom(ctx, st.c, p.observers[i], st.base.Exists, st.attempt, true)
 }
 
 func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.MsgFetchReply) {

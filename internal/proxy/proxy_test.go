@@ -113,6 +113,41 @@ func TestProxyObserverFailover(t *testing.T) {
 	}
 }
 
+// TestHealthiestObserverOrder pins the order in which a proxy picks observers
+// from its ledger: a healthy one before a slow one (400 ms), a slow one before
+// one that failed its last fetch, a failed share of a half before 900 ms of
+// latency, and between equal scores the lower id, wherever it is listed.
+func TestHealthiestObserverOrder(t *testing.T) {
+	healthy := obsStats{ok: 10, rttEWMA: 5}
+	slow := obsStats{ok: 10, rttEWMA: 400}
+	failing := obsStats{ok: 9, fail: 1, consecFail: 1, rttEWMA: 1}
+	for _, tc := range []struct {
+		name      string
+		observers []simnet.NodeID
+		stats     []obsStats
+		skip      simnet.NodeID
+		want      simnet.NodeID
+	}{
+		{"healthy first", []simnet.NodeID{"obs-a", "obs-b", "obs-c"}, []obsStats{failing, slow, healthy}, "", "obs-c"},
+		{"slow before failing", []simnet.NodeID{"obs-a", "obs-b", "obs-c"}, []obsStats{failing, slow, healthy}, "obs-c", "obs-b"},
+		{"failing last", []simnet.NodeID{"obs-a", "obs-b", "obs-c"}, []obsStats{failing, healthy, slow}, "obs-b", "obs-c"},
+		{"failed share vs latency", []simnet.NodeID{"obs-a", "obs-b"},
+			[]obsStats{{ok: 1, fail: 1, rttEWMA: 1}, {ok: 2, rttEWMA: 900}}, "", "obs-a"},
+		{"tie goes to the lower id", []simnet.NodeID{"obs-c", "obs-b", "obs-a"}, []obsStats{failing, healthy, healthy}, "", "obs-a"},
+		{"tie, lower id skipped", []simnet.NodeID{"obs-c", "obs-b", "obs-a"}, []obsStats{failing, healthy, healthy}, "obs-a", "obs-b"},
+		{"only the skipped one", []simnet.NodeID{"obs-a"}, []obsStats{healthy}, "obs-a", ""},
+	} {
+		p := &Proxy{observers: tc.observers, stats: tc.stats}
+		var got simnet.NodeID
+		if i := p.healthiest(tc.skip); i >= 0 {
+			got = p.observers[i]
+		}
+		if got != tc.want {
+			t.Errorf("%s: healthiest(skip %q) = %q, want %q", tc.name, tc.skip, got, tc.want)
+		}
+	}
+}
+
 func TestDiskCacheFallbackWhenProxyDown(t *testing.T) {
 	r := newRig(t, 4)
 	r.write(t, "/configs/app", `v1`)
