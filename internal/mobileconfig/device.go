@@ -1,7 +1,6 @@
 package mobileconfig
 
 import (
-	"encoding/json"
 	"time"
 
 	"configerator/internal/gatekeeper"
@@ -73,14 +72,14 @@ func (s *Server) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 	if err != nil {
 		return // unknown schema: the device keeps its cache
 	}
-	h := ValueHash(values)
+	h, size := ValueHash(values)
 	if h == m.ValueHash {
 		s.NotModified++
-		s.BytesSaved += uint64(encodedSize(values))
+		s.BytesSaved += uint64(size)
 		ctx.Send(from, MsgNotModified{Config: m.Config})
 		return
 	}
-	ctx.SendSized(from, MsgValues{Config: m.Config, Values: values, Hash: h}, encodedSize(values))
+	ctx.SendSized(from, MsgValues{Config: m.Config, Values: values, Hash: h}, size)
 }
 
 // Push sends the emergency pull hint to a set of devices as one broadcast
@@ -89,14 +88,6 @@ func (s *Server) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 // RNG in slice order).
 func (s *Server) Push(ctx *simnet.Context, config string, devices []simnet.NodeID) {
 	ctx.Broadcast(devices, MsgEmergencyPush{Config: config}, 0)
-}
-
-func encodedSize(values map[string]interface{}) int {
-	b, err := json.Marshal(values)
-	if err != nil {
-		return 0
-	}
-	return len(b)
 }
 
 // Device is one mobile app install: a flash cache of config values, a

@@ -139,12 +139,16 @@ func TestSchemaHashOrderIndependent(t *testing.T) {
 func TestValueHashStability(t *testing.T) {
 	v1 := map[string]interface{}{"a": 1.0, "b": "x"}
 	v2 := map[string]interface{}{"b": "x", "a": 1.0}
-	if ValueHash(v1) != ValueHash(v2) {
+	h1, n1 := ValueHash(v1)
+	if h2, _ := ValueHash(v2); h1 != h2 {
 		t.Error("value hash must be order independent")
 	}
 	v3 := map[string]interface{}{"a": 2.0, "b": "x"}
-	if ValueHash(v1) == ValueHash(v3) {
+	if h3, _ := ValueHash(v3); h1 == h3 {
 		t.Error("different values must hash differently")
+	}
+	if want := len(`{"a":1,"b":"x"}`); n1 != want {
+		t.Errorf("encoded size = %d, want %d", n1, want)
 	}
 }
 

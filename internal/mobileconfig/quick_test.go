@@ -44,7 +44,9 @@ func TestQuickValueHashDeterministic(t *testing.T) {
 		for i := 0; i < n; i++ {
 			v[keys[i]] = nums[i]
 		}
-		return ValueHash(v) == ValueHash(v)
+		h1, n1 := ValueHash(v)
+		h2, n2 := ValueHash(v)
+		return h1 == h2 && n1 == n2
 	}, nil)
 	if err != nil {
 		t.Error(err)
@@ -56,8 +58,8 @@ func TestQuickValueHashDetectsChange(t *testing.T) {
 		if a == b || a != a || b != b { // equal or NaN
 			return true
 		}
-		h1 := ValueHash(map[string]interface{}{key: a})
-		h2 := ValueHash(map[string]interface{}{key: b})
+		h1, _ := ValueHash(map[string]interface{}{key: a})
+		h2, _ := ValueHash(map[string]interface{}{key: b})
 		return h1 != h2
 	}, nil)
 	if err != nil {

@@ -99,20 +99,12 @@ func SchemaHash(fields []string) uint64 {
 	return h
 }
 
-// ValueHash fingerprints a computed value set for the not-modified check.
-func ValueHash(values map[string]interface{}) uint64 {
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := uint64(0x100001b3)
-	for _, k := range keys {
-		b, _ := json.Marshal(values[k])
-		h ^= stats.Hash64(k + "=" + string(b))
-		h *= 0x100000001b3
-	}
-	return h
+// ValueHash fingerprints a computed value set for the not-modified check and
+// reports the size of its wire encoding. Both come from one JSON encoding of
+// the set; encoding/json writes map keys sorted, so equal sets encode alike.
+func ValueHash(values map[string]interface{}) (hash uint64, size int) {
+	b, _ := json.Marshal(values)
+	return stats.Hash64(string(b)), len(b)
 }
 
 // Translator computes field values for a user by consulting the mapped
