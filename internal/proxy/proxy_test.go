@@ -137,14 +137,16 @@ func TestHealthiestObserverOrder(t *testing.T) {
 		{"tie, lower id skipped", []simnet.NodeID{"obs-c", "obs-b", "obs-a"}, []obsStats{failing, healthy, healthy}, "obs-a", "obs-b"},
 		{"only the skipped one", []simnet.NodeID{"obs-a"}, []obsStats{healthy}, "obs-a", ""},
 	} {
-		p := &Proxy{observers: tc.observers, stats: tc.stats}
-		var got simnet.NodeID
-		if i := p.healthiest(tc.skip); i >= 0 {
-			got = p.observers[i]
-		}
-		if got != tc.want {
-			t.Errorf("%s: healthiest(skip %q) = %q, want %q", tc.name, tc.skip, got, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Proxy{observers: tc.observers, stats: tc.stats}
+			var got simnet.NodeID
+			if i := p.healthiest(tc.skip); i >= 0 {
+				got = p.observers[i]
+			}
+			if got != tc.want {
+				t.Errorf("healthiest(skip %q) = %q, want %q", tc.skip, got, tc.want)
+			}
+		})
 	}
 }
 
